@@ -69,14 +69,28 @@ class RunConfig:
     out_csv: str = ""
 
     def validate(self) -> None:
-        if self.fit_tol <= 0 or self.witness_tol <= 0 or self.eta <= 0:
+        # comparisons are written so that NaN fails them
+        if not (self.fit_tol > 0 and self.witness_tol > 0):
             raise CliError("tolerances must be positive")
+        if not 0 < self.eta < 1:
+            raise CliError("eta must lie in (0, 1)")
+        if not (math.isfinite(self.lam_lo) and math.isfinite(self.lam_hi)):
+            raise CliError("frequency range must be finite")
         if self.lam_count < 1 or self.grid < 2 or self.levels < 1:
             raise CliError("grid sizes must be positive")
-        if Fraction(self.box_scale) <= 0:
+        try:
+            box_scale = Fraction(self.box_scale)
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"box scale {self.box_scale!r} is not a rational number") from None
+        if box_scale <= 0:
             raise CliError("box scale must be positive")
         if self.e_step < 1 or self.e_hi < self.e_lo:
             raise CliError("bad summation exponent range")
+        try:
+            ExponentQuery.of(self.p)
+        except (ValueError, ZeroDivisionError):
+            raise CliError("--p entries must be rationals in [2, inf] or inf, "
+                           f"got {','.join(self.p)}") from None
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -247,7 +261,7 @@ def cmd_polyhedron(args, cfg: RunConfig) -> int:
 def cmd_dual(args, cfg: RunConfig) -> int:
     _, n, q = _build_inputs(cfg)
     dual = dual_polyhedron(n)
-    ok, table = check_dual_domination(n, q)
+    ok, table = check_dual_domination(n, q, dual)
     dom = [{"w": [str(x) for x in w], "pairing": str(val)} for w, val in table]
     double = same_vertex_set(dual_polyhedron(dual), n)
     rep = _report("dual", cfg,
@@ -280,6 +294,8 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_integrate(args, cfg: RunConfig) -> int:
+    if args.lam is not None and not math.isfinite(args.lam):
+        raise CliError(f"--lam must be finite, got {args.lam}")
     p, n, q = _build_inputs(cfg)
     cfg, results = _run_sweep(cfg, p, n, q, args.lam)
     er = sharp_exponent(n, q)
@@ -313,10 +329,11 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if cfg.sharpness:
         sharp_part = []
         all_ok = True
-        for w in dual_polyhedron(n).vertices:
+        dual = dual_polyhedron(n)
+        for w in dual.vertices:
             wit = sharpness_test(p, n, q, w, Fraction(cfg.box_scale),
                                  dual_lambda_grid(w, count=cfg.sharpness_count),
-                                 chi=CutoffSpec(levels=cfg.levels))
+                                 chi=CutoffSpec(levels=cfg.levels), dual=dual)
             sharp_part.append(wit.to_json_dict())
             all_ok = all_ok and wit.passed
         verdicts.append(_verdict("sharpness", all_ok,

@@ -21,7 +21,8 @@ from .exponent import ExponentQuery, ExponentReport, ray_scaling, varchenko_expo
 from .oscint import (CutoffSpec, OscResult, QuadratureConfig, TestFunctionSpec,
                      evaluate_lambda)
 from .phase import PhasePolynomial
-from .polytope import NewtonPolyhedron, build_polyhedron, dual_polyhedron
+from .polytope import (DualPolyhedron, NewtonPolyhedron, build_polyhedron,
+                       dual_polyhedron)
 from .ratlin import dot
 
 __all__ = [
@@ -206,17 +207,20 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
                    chi: CutoffSpec | None = None,
                    quad: QuadratureConfig | None = None,
                    max_halvings: int = 80,
-                   band: tuple[float, float] = (0.9, 1.1)) -> SharpnessWitness:
+                   band: tuple[float, float] = (0.9, 1.1),
+                   dual: DualPolyhedron | None = None) -> SharpnessWitness:
     """Realize the decay rate from below with boxes dual to the polyhedron.
 
     Indicator boxes |x_j| <= delta * lam^(-w_j) built from a dual vertex w
     keep |lam * phase| below 1e-10 once delta is small enough (the exponent
     of lam is 1 - <alpha, w> <= 0 termwise, so halving delta always wins).
     On such boxes the integrand is flat and the form measures plain volume:
-    |value| must sit inside `band` times the L1 norm of f.
+    |value| must sit inside `band` times the L1 norm of f.  Pass `dual`
+    when it is already built; it is computed from `n` otherwise.
     """
     ws = tuple(Fraction(x) for x in w)
-    dual = dual_polyhedron(n)
+    if dual is None:
+        dual = dual_polyhedron(n)
     if ws not in set(dual.vertices):
         raise DecayError("w must be a vertex of the dual polyhedron")
     assert all(dot(v, ws) >= 1 for v in n.vertices)
@@ -233,23 +237,23 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
             raise DecayError("sharpness grid needs lambdas that are powers of two, >= 4")
         exps.append(e)
 
-    absterms = [(alpha, abs(c)) for alpha, c in sorted(p.terms.items())]
     cap = Fraction(1, 10 ** 10)
     delta = Fraction(delta)
     if not 0 < delta <= Fraction(chi.inner * chi.radius).limit_denominator(10 ** 6):
         raise DecayError("delta must sit inside the cutoff plateau")
 
-    def worst_bound(dlt: Fraction) -> Fraction:
-        worst = Fraction(0)
-        for e in exps:
-            corners = [_exact_corner(dlt, e, wj) for wj in ws]
-            total = sum(c * math.prod(h ** a for h, a in zip(corners, alpha))
-                        for alpha, c in absterms)
-            worst = max(worst, 2 ** e * total)
-        return worst
+    # sup of |lam * phase| over the box: the absolute-coefficient polynomial
+    # at the box corner, exactly
+    absp = p.absolute()
+
+    def corners(dlt: Fraction, e: int) -> list[Fraction]:
+        return [_exact_corner(dlt, e, wj) for wj in ws]
+
+    def phase_bound(dlt: Fraction, e: int) -> Fraction:
+        return 2 ** e * absp.evaluate_exact(corners(dlt, e))
 
     halvings = 0
-    while worst_bound(delta) > cap:
+    while max((phase_bound(delta, e) for e in exps), default=0) > cap:
         delta /= 2
         halvings += 1
         if halvings > max_halvings:
@@ -257,28 +261,28 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
 
     rows = []
     for lam, e in zip(lambdas, exps):
-        corners = [_exact_corner(delta, e, wj) for wj in ws]
-        bound = 2 ** e * sum(c * math.prod(h ** a for h, a in zip(corners, alpha))
-                             for alpha, c in absterms)
-        half = [float(h) for h in corners]
+        half = [float(h) for h in corners(delta, e)]
         f = TestFunctionSpec.boxes([(-h, h) for h in half])
         r = evaluate_lambda(p, f, chi, lam, quad=quad)
         vol = math.prod(2.0 * h for h in half)
         rows.append(SharpnessRow(lam, tuple(half), vol, r.value,
-                                 abs(r.value) / vol, float(bound)))
+                                 abs(r.value) / vol, float(phase_bound(delta, e))))
 
-    nu = ray_scaling(n, q.dual_reciprocals)[0]
-    chain_ok = all(dot([nu * x for x in q.dual_reciprocals], v) >= 1
-                   for v in dual.vertices)
+    chain_ok, _ = check_dual_domination(n, q, dual)
     power = sum(ws)
     return SharpnessWitness(ws, delta, power, tuple(rows), halvings, band, chain_ok)
 
 
-def check_dual_domination(n: NewtonPolyhedron, q: ExponentQuery) -> tuple[bool, list]:
-    """Exact check that nu/p' clears every dual vertex: <nu/p', w> >= 1."""
+def check_dual_domination(n: NewtonPolyhedron, q: ExponentQuery,
+                          dual: DualPolyhedron | None = None) -> tuple[bool, list]:
+    """Exact check that nu/p' clears every dual vertex: <nu/p', w> >= 1.
+
+    `dual` is the dual of `n` when the caller has already built it."""
+    if dual is None:
+        dual = dual_polyhedron(n)
     nu = ray_scaling(n, q.dual_reciprocals)[0]
     point = [nu * x for x in q.dual_reciprocals]
-    table = [(w, dot(point, w)) for w in dual_polyhedron(n).vertices]
+    table = [(w, dot(point, w)) for w in dual.vertices]
     return all(val >= 1 for _, val in table), table
 
 

@@ -21,11 +21,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .phase import PhasePolynomial, partial_derivative, restrict_to_face
+from .phase import PhasePolynomial, restrict_to_face
 from .polytope import Face, NewtonPolyhedron, build_polyhedron
 from .ratlin import dot, inf_operator_norm, invert, rank
 
@@ -88,51 +88,25 @@ def _pow2(value: float, t: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# float polynomial evaluation on grids
+# exact second-order polynomials
 
-def _float_terms(p: PhasePolynomial) -> dict[tuple, float]:
-    return {a: float(c) for a, c in p.terms.items()}
-
-
-def _abs_terms(terms: Mapping[tuple, float]) -> dict[tuple, float]:
-    return {a: abs(c) for a, c in terms.items()}
-
-
-def _values(terms: Mapping[tuple, float], coords: Sequence) -> np.ndarray:
-    total = 0.0
-    for alpha, c in terms.items():
-        term = c
-        for x, e in zip(coords, alpha):
-            if e:
-                term = term * x ** e
-        total = total + term
-    return np.asarray(total, dtype=float)
-
-
-def _value_at(terms: Mapping[tuple, float], x: Sequence[float]) -> float:
-    return float(_values(terms, [np.float64(v) for v in x]))
-
-
-def _mixed_pairs(p: PhasePolynomial):
-    """Nonzero off-diagonal second partials, as ((i, j), float terms)."""
-    d = p.dimension
+def _mixed_pairs(p: PhasePolynomial) -> list[PhasePolynomial]:
+    """The nonzero off-diagonal second partials d_i d_j p, i < j."""
     out = []
-    for i, j in combinations(range(d), 2):
-        order = tuple(1 if k in (i, j) else 0 for k in range(d))
-        g = partial_derivative(p, order)
+    for i, j in combinations(range(p.dimension), 2):
+        g = p.derivative(i, j)
         if not g.is_zero():
-            out.append(((i, j), _float_terms(g)))
+            out.append(g)
     return out
 
 
-def _scaled_pairs(p: PhasePolynomial):
-    """The polynomials x_i x_j (d^2 p / dx_i dx_j), as ((i, j), float terms)."""
-    d = p.dimension
+def _scaled_pairs(p: PhasePolynomial) -> list[tuple[tuple[int, int], PhasePolynomial]]:
+    """The nonzero polynomials x_i x_j (d^2 p / dx_i dx_j), keyed by (i, j)."""
     out = []
-    for i, j in combinations(range(d), 2):
-        terms = {a: float(c) * a[i] * a[j] for a, c in p.terms.items() if a[i] and a[j]}
+    for i, j in combinations(range(p.dimension), 2):
+        terms = {a: c * a[i] * a[j] for a, c in p.terms.items() if a[i] and a[j]}
         if terms:
-            out.append(((i, j), terms))
+            out.append(((i, j), PhasePolynomial(p.dimension, terms)))
     return out
 
 
@@ -211,21 +185,16 @@ def _slice_coords(values: np.ndarray, d: int, fixed_axis: int):
     return coords
 
 
-def _refine_zero(pair_terms, x0, iters: int = 60):
+def _refine_zero(pairs: Sequence[PhasePolynomial], x0, iters: int = 60):
     """Gauss-Newton descent toward a common zero of the pair polynomials."""
-    d = len(x0)
-    grads = [[_float_terms(partial_derivative(
-        PhasePolynomial.from_terms({a: Fraction(c) for a, c in t.items()}, d,
-                                   allow_zero=True),
-        tuple(1 if k == axis else 0 for k in range(d))))
-        for axis in range(d)] for _, t in pair_terms]
+    grads = [[g.derivative(axis) for axis in range(len(x0))] for g in pairs]
     x = np.array([float(v) for v in x0])
-    fvals = np.array([_value_at(t, x) for _, t in pair_terms])
+    fvals = np.array([g.evaluate(x) for g in pairs])
     for _ in range(iters):
         worst = np.max(np.abs(fvals))
         if worst < 1e-15:
             break
-        jac = np.array([[_value_at(g, x) for g in row] for row in grads])
+        jac = np.array([[h.evaluate(x) for h in row] for row in grads])
         step, *_ = np.linalg.lstsq(jac, -fvals, rcond=None)
         if not np.all(np.isfinite(step)):
             break
@@ -235,7 +204,7 @@ def _refine_zero(pair_terms, x0, iters: int = 60):
         moved = False
         for _ in range(25):
             cand = x + t * step
-            cvals = np.array([_value_at(terms, cand) for _, terms in pair_terms])
+            cvals = np.array([g.evaluate(cand) for g in pairs])
             if np.max(np.abs(cvals)) < worst:
                 x, fvals, moved = cand, cvals, True
                 break
@@ -259,13 +228,7 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     if not pairs:
         # a sum of single-variable monomials; impossible for reduced input
         return FaceCheck(face.id, face.dim, "degenerate", 0.0, (1.0,) * d, 0.0)
-    absgrads = []
-    for _, terms in pairs:
-        poly = PhasePolynomial.from_terms({a: Fraction(c) for a, c in terms.items()},
-                                          d, allow_zero=True)
-        absgrads.append([_abs_terms(_float_terms(partial_derivative(
-            poly, tuple(1 if k == axis else 0 for k in range(d)))))
-            for axis in range(d)])
+    absgrads = [[g.derivative(axis).absolute() for axis in range(d)] for g in pairs]
 
     nodes = np.geomspace(eta, 1.0, grid)
     centers = (nodes[:-1] + nodes[1:]) / 2
@@ -279,15 +242,15 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     for m in range(d):
         c_coords = _slice_coords(centers, d, m)
         u_coords = _slice_coords(uppers, d, m)
-        gvals = [np.broadcast_to(np.abs(_values(terms, c_coords)), cellshape)
-                 for _, terms in pairs]
+        gvals = [np.broadcast_to(np.abs(g.evaluate(c_coords)), cellshape)
+                 for g in pairs]
         valmax = gvals[0]
         for g in gvals[1:]:
             valmax = np.maximum(valmax, g)
         margin = min(margin, float(valmax.min()))
 
         cellcert = None
-        for (pair, _), gv, grads in zip(pairs, gvals, absgrads):
+        for gv, grads in zip(gvals, absgrads):
             pen = 0.0
             free = 0
             for k in range(d):
@@ -295,7 +258,7 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
                     continue
                 shape = [1] * (d - 1)
                 shape[free] = halfw.size
-                pen = pen + _values(grads[k], u_coords) * halfw.reshape(shape)
+                pen = pen + grads[k].evaluate(u_coords) * halfw.reshape(shape)
                 free += 1
             bound = gv - pen
             cellcert = bound if cellcert is None else np.maximum(cellcert, bound)
@@ -326,7 +289,7 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
         if value > degen_tol:
             continue
         w = _normalize_to_slice(x, face.normal)
-        wvalue = max(abs(_value_at(t, w)) for _, t in pairs)
+        wvalue = max(abs(float(g.evaluate(w))) for g in pairs)
         if min(w) >= floor and wvalue <= degen_tol:
             if best is None or wvalue < best[1]:
                 best = (tuple(float(v) for v in w), wvalue)
@@ -381,9 +344,9 @@ def mixed_hessian_floor(p: PhasePolynomial, box: DyadicBox, *,
         axes = [np.geomspace(a, b, grid) for a, b in zip(lo, hi)]
         coords = np.meshgrid(*axes, indexing="ij", sparse=True)
         val = None
-        for _, terms in pairs:
-            g = np.abs(_values(terms, coords))
-            val = g if val is None else np.maximum(val, g)
+        for _, g in pairs:
+            gv = np.abs(g.evaluate(coords))
+            val = gv if val is None else np.maximum(val, gv)
         idx = np.unravel_index(np.argmin(val), val.shape)
         if float(val[idx]) < best_val:
             best_val = float(val[idx])
@@ -481,17 +444,14 @@ def sweep_derivative_ceiling(p: PhasePolynomial, n: NewtonPolyhedron | None = No
     if n is None:
         n = build_polyhedron(p)
     d = p.dimension
+    # the nonzero polynomials x^a d^a phi, one per derivative order a
     apolys = []
     for a in product(range(order_cap + 1), repeat=d):
-        terms = {}
-        for beta, c in p.terms.items():
-            f = 1
-            for bk, ak in zip(beta, a):
-                f *= _falling(bk, ak)
-            if f:
-                terms[beta] = float(c) * f
-        if terms:
-            apolys.append((a, terms))
+        terms = {beta: c * math.prod(_falling(bk, ak) for bk, ak in zip(beta, a))
+                 for beta, c in p.terms.items()}
+        poly = PhasePolynomial.from_terms(terms, d, allow_zero=True)
+        if not poly.is_zero():
+            apolys.append(poly)
     rows = []
     for j in product(range(jmax + 1), repeat=d):
         box = DyadicBox(j)
@@ -500,8 +460,8 @@ def sweep_derivative_ceiling(p: PhasePolynomial, n: NewtonPolyhedron | None = No
                 for a, b in zip(box.lo, box.hi)]
         coords = np.meshgrid(*axes, indexing="ij", sparse=True)
         worst_val, worst_pt = -math.inf, tuple(float(x) for x in box.lo)
-        for _, terms in apolys:
-            vals = np.abs(_values(terms, coords))
+        for poly in apolys:
+            vals = np.abs(poly.evaluate(coords))
             idx = np.unravel_index(np.argmax(vals), vals.shape)
             if float(vals[idx]) > worst_val:
                 worst_val = float(vals[idx])
@@ -565,8 +525,8 @@ def subdivide_box(p: PhasePolynomial, box: DyadicBox,
                     for a, b in zip(dlo, dhi)]
             coords = np.meshgrid(*axes, indexing="ij", sparse=True)
             chosen = None
-            for pair, terms in pairs:
-                if float(np.abs(_values(terms, coords)).min()) >= threshold:
+            for pair, g in pairs:
+                if float(np.abs(g.evaluate(coords)).min()) >= threshold:
                     chosen = pair
                     break
             if chosen is None:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .exponent import INF, ExponentQuery
 from .nondegen import DyadicBox
-from .phase import PhasePolynomial, partial_derivative
+from .phase import PhasePolynomial
 from .polytope import NewtonPolyhedron, build_polyhedron
 from .ratlin import dot
 
@@ -77,11 +76,11 @@ def smooth_step(u):
 
 @dataclass(frozen=True)
 class CutoffSpec:
-    """Tensorized plateau cutoff with a dyadic partition of unity per axis.
+    """Tensorized plateau cutoff.
 
     The per-axis profile equals one on |t| <= inner*radius and vanishes
-    beyond |t| >= radius.  `levels` fixes the octave granularity used both
-    by the quadrature cells and by the annulus weights of level_weight.
+    beyond |t| >= radius.  `levels` fixes the octave granularity of the
+    quadrature cells and the truncation of the certificate sum.
     """
     radius: float = 1.0
     inner: float = 0.5
@@ -97,29 +96,6 @@ class CutoffSpec:
     def profile(self, t):
         u = (np.abs(np.asarray(t, dtype=float)) / self.radius - self.inner)
         return smooth_step(u / (1.0 - self.inner))
-
-    def chi(self, point: Sequence[float]) -> float:
-        return float(np.prod([self.profile(t) for t in point]))
-
-    def _log_scale(self, t):
-        mag = np.maximum(np.abs(np.asarray(t, dtype=float)) / self.radius, 1e-300)
-        return np.log2(mag)
-
-    def level_weight(self, level: int, t):
-        """Annulus weight at octave `level`; level == levels is the core piece.
-
-        Levels 0..levels sum to one for every t != 0, and the level-l piece
-        lives on |t| comparable to radius * 2^-l, which is what makes its
-        k-th derivative O(2^(l k)).
-        """
-        if not 0 <= level <= self.levels:
-            raise OscError("level out of range")
-        s = self._log_scale(t)
-        if level == self.levels:
-            return smooth_step(s + self.levels + 1.0)
-        lo = smooth_step(s + level + 2.0)
-        hi = np.ones_like(s) if level == 0 else smooth_step(s + level + 1.0)
-        return hi - lo
 
 
 # ---------------------------------------------------------------------------
@@ -272,32 +248,6 @@ class OscResult:
         return abs(self.value)
 
 
-def _float_terms(p: PhasePolynomial) -> list[tuple[tuple[int, ...], float]]:
-    return [(alpha, float(c)) for alpha, c in sorted(p.terms.items())]
-
-
-def _phase_values(terms, coords):
-    total = 0.0
-    for alpha, c in terms:
-        mono = c
-        for a, x in zip(alpha, coords):
-            if a:
-                mono = mono * x ** a
-        total = total + mono
-    return total
-
-
-def _grad_bounds(p: PhasePolynomial) -> list[list[tuple[tuple[int, ...], float]]]:
-    # per axis, the absolute-coefficient derivative; evaluating it at the
-    # componentwise magnitude maximum of a cell bounds |d_k phi| there
-    out = []
-    for k in range(p.dimension):
-        order = tuple(1 if i == k else 0 for i in range(p.dimension))
-        dq = partial_derivative(p, order)
-        out.append([(alpha, abs(float(c))) for alpha, c in sorted(dq.terms.items())])
-    return out
-
-
 def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
     """Signed octave intervals covering the support, clipped to the factor."""
     r, levels = chi.radius, chi.levels
@@ -320,7 +270,7 @@ def _panel_counts(lam, cell, grads, rates, quad):
     mags = [max(abs(a), abs(b)) for _, _, a, b in cell]
     counts = []
     for k, (_, _, lo, hi) in enumerate(cell):
-        bound = _phase_values(grads[k], mags)
+        bound = grads[k].evaluate(mags)
         turns = (abs(lam) * bound + rates[k]) * (hi - lo) / (2.0 * math.pi)
         counts.append(1 + int(turns / quad.waves_per_panel))
     return counts
@@ -334,31 +284,28 @@ def _axis_rule(lo, hi, panels, order, gx, gw):
     return nodes, weights
 
 
-def _cell_value(terms, lam, rules, gvals, chunk):
+def _cell_value(p, lam, rules, gvals, chunk):
     axes = [nodes for nodes, _ in rules]
-    if len(axes) == 1:
-        ph = _phase_values(terms, [axes[0]])
-        return complex(np.exp(1j * lam * ph) @ gvals[0])
     if len(axes) == 2:
         x0, x1 = axes
         step = max(1, chunk // max(1, x1.size))
         total = 0.0 + 0.0j
         for s in range(0, x0.size, step):
-            ph = _phase_values(terms, [x0[s:s + step, None], x1[None, :]])
+            ph = p.evaluate([x0[s:s + step, None], x1[None, :]])
             total += np.exp(1j * lam * ph) @ gvals[1] @ gvals[0][s:s + step]
         return complex(total)
     x0, x1, x2 = axes
     step = max(1, chunk // max(1, x1.size * x2.size))
     total = 0.0 + 0.0j
     for s in range(0, x0.size, step):
-        ph = _phase_values(
-            terms, [x0[s:s + step, None, None], x1[None, :, None], x2[None, None, :]])
+        ph = p.evaluate([x0[s:s + step, None, None], x1[None, :, None],
+                         x2[None, None, :]])
         plane = np.exp(1j * lam * ph) @ gvals[2] @ gvals[1]
         total += plane @ gvals[0][s:s + step]
     return complex(total)
 
 
-def _run_level(terms, lam, cells, counts, chi, f, quad, keep_boxes):
+def _run_level(p, lam, cells, counts, chi, f, quad, keep_boxes):
     gx, gw = np.polynomial.legendre.leggauss(quad.order)
     total = 0.0 + 0.0j
     nodes_used = 0
@@ -371,7 +318,7 @@ def _run_level(terms, lam, cells, counts, chi, f, quad, keep_boxes):
             vals = weights * chi.profile(nodes) * f.factors[k].values(nodes)
             rules.append((nodes, weights))
             gvals.append(vals)
-        value = _cell_value(terms, lam, rules, gvals, quad.chunk)
+        value = _cell_value(p, lam, rules, gvals, quad.chunk)
         total += value
         cell_nodes = math.prod(n.size for n, _ in rules)
         nodes_used += cell_nodes
@@ -399,8 +346,9 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
     if f.dimension != d:
         raise OscError("test function dimension mismatch")
     lam = float(lam)
-    terms = _float_terms(p)
-    grads = _grad_bounds(p)
+    # per axis, d_k phi with absolute coefficients; evaluated at the
+    # componentwise magnitude maximum of a cell, it bounds |d_k phi| there
+    grads = [p.derivative(k).absolute() for k in range(d)]
 
     axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
     rates = [fac.angular_rate for fac in f.factors]
@@ -414,12 +362,12 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
         counts = [[max(1, int(c * shrink)) for c in cnt] for cnt in counts]
 
     value, nodes_used, boxes = _run_level(
-        terms, lam, cells, counts, chi, f, quad, keep_boxes)
+        p, lam, cells, counts, chi, f, quad, keep_boxes)
     # halving the Gauss order on the same panels gives a nonzero error signal
     # even for single-panel cells, where halving the count would not
     coarse_quad = replace(quad, order=max(2, quad.order // 2))
     coarse, _, _ = _run_level(
-        terms, lam, cells, counts, chi, f, coarse_quad, keep_boxes=False)
+        p, lam, cells, counts, chi, f, coarse_quad, keep_boxes=False)
     error = abs(value - coarse)
 
     certificate = None

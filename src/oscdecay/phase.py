@@ -3,7 +3,8 @@
 A phase is a sparse multivariate polynomial over Q: a mapping from exponent
 multi-indices (tuples of nonnegative ints, one entry per variable) to nonzero
 Fraction coefficients.  All symbolic work (parsing, differentiation, face
-restriction) is exact; floats only appear in `evaluate`.
+restriction, coefficient transforms) is exact and returns another
+`PhasePolynomial`; floats only appear in `evaluate`, the one float evaluator.
 
 The *reduced* form drops every term whose exponent has fewer than two
 strictly positive entries: such terms never influence the mixed second
@@ -12,11 +13,11 @@ Newton polyhedron honest about the oscillation that actually matters.
 """
 from __future__ import annotations
 
-import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -97,19 +98,47 @@ class PhasePolynomial:
     def __str__(self) -> str:
         return format_phase(self)
 
+    # -- exact transforms -------------------------------------------------
+
+    def derivative(self, *axes: int) -> "PhasePolynomial":
+        """Exact partial derivative, once along each listed axis (0-based)."""
+        order = [0] * self.dimension
+        for k in axes:
+            order[k] += 1
+        return partial_derivative(self, order)
+
+    def absolute(self) -> "PhasePolynomial":
+        """The same support with every coefficient replaced by its magnitude;
+        at a point with nonnegative coordinates it bounds |self| there."""
+        return PhasePolynomial(self.dimension,
+                               {a: abs(c) for a, c in self.terms.items()},
+                               self.reduced)
+
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, x: Sequence[float]) -> float:
-        """Evaluate at a float point with compensated term summation."""
+    @cached_property
+    def _float_coefficients(self) -> tuple[tuple[MultiIndex, float], ...]:
+        # converted once per polynomial; sorted, so every caller sums the
+        # terms in the same order
+        return tuple((a, float(c)) for a, c in sorted(self.terms.items()))
+
+    def evaluate(self, x: Sequence):
+        """Evaluate at float coordinates, one entry per variable.
+
+        Entries may be Python floats or numpy arrays that broadcast against
+        each other; the result has the broadcast shape (a float for scalar
+        input, 0.0 for the zero polynomial).
+        """
         if len(x) != self.dimension:
             raise PhaseError("point has wrong dimension")
-        vals = []
-        for alpha, c in self.terms.items():
-            t = float(c)
-            for xi, e in zip(x, alpha):
-                t *= xi ** e
-            vals.append(t)
-        return math.fsum(vals)
+        total = 0.0
+        for alpha, c in self._float_coefficients:
+            mono = c
+            for e, xi in zip(alpha, x):
+                if e:
+                    mono = mono * xi ** e
+            total = total + mono
+        return total
 
     def evaluate_exact(self, x: Sequence[Fraction | int]) -> Fraction:
         """Evaluate at a rational point, exactly."""
@@ -300,10 +329,6 @@ def partial_derivative(p: PhasePolynomial, order: Sequence[int]) -> PhasePolynom
         if out[beta] == 0:
             del out[beta]
     return PhasePolynomial(p.dimension, out)
-
-
-def evaluate(p: PhasePolynomial, x: Sequence[float]) -> float:
-    return p.evaluate(x)
 
 
 def restrict_to_face(p: PhasePolynomial, face) -> PhasePolynomial:

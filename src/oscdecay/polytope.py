@@ -69,13 +69,6 @@ class NewtonPolyhedron:
     facets: tuple[Facet, ...]
     faces: tuple[Face, ...]  # all compact faces, every dimension
 
-    @property
-    def compact_faces(self) -> tuple[Face, ...]:
-        return self.faces
-
-    def vertex_index(self, point: Sequence[int]) -> int:
-        return self.vertices.index(tuple(point))
-
 
 def _dominated(a: Sequence[int], b: Sequence[int]) -> bool:
     """True when a lies in b + R^d_{>=0} and differs from b."""
@@ -153,6 +146,14 @@ def from_support(points: Iterable[Sequence[int]], dimension: int) -> NewtonPolyh
     return NewtonPolyhedron(dimension, tuple(verts), tuple(facets), faces)
 
 
+def _face_witness(facets, vs, rs, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The facets containing the face (vertex ids vs, rays rs), and the
+    primitive sum of their normals, which supports exactly that face."""
+    tight = tuple(k for k, f in enumerate(facets)
+                  if set(vs) <= set(f.vertex_ids) and set(rs) <= set(f.rays))
+    return tight, primitive([sum(facets[k].normal[i] for k in tight) for i in range(d)])
+
+
 def _face_lattice(verts, facets, d) -> tuple[Face, ...]:
     """All compact faces, from facet incidences closed under intersection."""
     seeds = {(f.vertex_ids, f.rays) for f in facets if f.vertex_ids}
@@ -177,13 +178,7 @@ def _face_lattice(verts, facets, d) -> tuple[Face, ...]:
     compact.sort(key=lambda fr: (affine_rank([verts[i] for i in fr[0]]), fr[0]))
     for fid, (vs, rs) in enumerate(compact):
         coords = [verts[i] for i in vs]
-        tight = tuple(k for k, f in enumerate(facets)
-                      if set(vs) <= set(f.vertex_ids) and set(rs) <= set(f.rays))
-        wbar = [0] * d
-        for k in tight:
-            for i, x in enumerate(facets[k].normal):
-                wbar[i] += x
-        wit = primitive(wbar)
+        tight, wit = _face_witness(facets, vs, rs, d)
         if any(x <= 0 for x in wit):
             raise PolytopeError("internal error: compact face without positive witness")
         lo = min(dot(wit, v) for v in coords)
@@ -210,11 +205,6 @@ def contains(n: NewtonPolyhedron, q: Sequence) -> bool:
     if len(qq) != n.dimension:
         raise PolytopeError("query point has wrong dimension")
     return all(dot(f.normal, qq) >= f.offset for f in n.facets)
-
-
-def is_interior(n: NewtonPolyhedron, q: Sequence) -> bool:
-    qq = [Fraction(x) for x in q]
-    return all(dot(f.normal, qq) > f.offset for f in n.facets)
 
 
 def newton_distance(n: NewtonPolyhedron) -> Fraction:
@@ -249,21 +239,11 @@ def lowest_face_containing(n: NewtonPolyhedron, q: Sequence) -> Face:
         raise PolytopeError("internal error: compact face missing from lattice")
     # unbounded face: assemble a transient record
     coords = [n.vertices[i] for i in vs]
-    full_tight = tuple(k for k, f in enumerate(n.facets)
-                       if set(vs) <= set(f.vertex_ids) and set(rs) <= set(f.rays))
-    wbar = [0] * n.dimension
-    for k in full_tight:
-        for i, x in enumerate(n.facets[k].normal):
-            wbar[i] += x
-    wit = primitive(wbar)
+    full_tight, wit = _face_witness(n.facets, vs, rs, n.dimension)
     span = [[x - y for x, y in zip(p, coords[0])] for p in coords[1:]]
     span += [[int(j == i) for j in range(n.dimension)] for i in rs]
     return Face(-1, vs, tuple(coords), rank(span), wit, dot(wit, coords[0]),
                 False, rs, full_tight)
-
-
-def compact_faces(n: NewtonPolyhedron) -> tuple[Face, ...]:
-    return n.faces
 
 
 # ---------------------------------------------------------------------------

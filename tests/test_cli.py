@@ -1,9 +1,14 @@
 """End-to-end runs of the command line interface."""
+import contextlib
+import io
 import json
+import math
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oscdecay.cli import (
     CliError,
@@ -38,6 +43,14 @@ class TestConfigHandling:
             RunConfig(lam_count=0).validate()
         with pytest.raises(CliError):
             RunConfig(box_scale="-1/4").validate()
+        with pytest.raises(CliError, match="not a rational"):
+            RunConfig(box_scale="1/0").validate()
+
+    @pytest.mark.parametrize("field", ["lam_lo", "lam_hi"])
+    def test_non_finite_frequency_range(self, field):
+        for value in (math.inf, math.nan):
+            with pytest.raises(CliError, match="finite"):
+                RunConfig(**{field: value}).validate()
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -83,6 +96,28 @@ class TestUsageErrors:
 
     def test_wrong_p_length(self, capsys):
         assert main(["exponent", "--phase", "x1*x2", "--p", "inf"]) == 2
+
+    @pytest.mark.parametrize("eta", ["2", "1", "0", "-0.5", "nan"])
+    def test_eta_outside_unit_interval(self, capsys, eta):
+        # the phase is degenerate: an out-of-range eta must not turn it into a PASS
+        code = main(["check", "--phase", "x1^3*x2 - x1*x2^3", f"--eta={eta}"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "eta must lie in (0, 1)" in captured.err
+
+    @pytest.mark.parametrize("p", ["1,2", "abc,2", "1/0,2"])
+    def test_bad_p_is_usage_error(self, capsys, p):
+        code = main(["exponent", "--phase", "x1*x2", "--p", p])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--p entries" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("lam", ["inf", "nan"])
+    def test_non_finite_lam_is_usage_error(self, capsys, lam):
+        code = main(["integrate", "--phase", "x1*x2", f"--lam={lam}"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--lam must be finite" in err and "Traceback" not in err
 
     def test_numeric_failure_carries_module_text(self, capsys):
         code = main(["sum-oracle", "--phase", "x1^3*x2 + x1*x2^3",
@@ -211,3 +246,57 @@ class TestVerifyCommand:
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 10  # header plus nine rows
+
+
+def run_quiet(argv):
+    """main() with stdout and stderr captured; an escaping exception fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+GOOD_P = ["inf", "2", "5/2", "3"]
+BAD_P = ["1", "3/2", "0", "-inf", "nan", "abc", "1/0"]
+FUZZ_PHASES = [("x1*x2", 2), ("x1^3*x2 - x1*x2^3", 2),
+               ("x1^2*x2^2 + x1^5*x2", 2), ("x1*x2*x3 + x1^2*x3", 3)]
+
+
+class TestCliFuzz:
+    """Random flag values never give a traceback, an unknown exit code, or a
+    PASS from an out-of-range parameter.  Inputs stay small: no large grid,
+    no quadrature above lam 8."""
+
+    @given(st.sampled_from(["polyhedron", "dual", "exponent", "check"]),
+           st.sampled_from(FUZZ_PHASES),
+           st.none() | st.lists(st.sampled_from(GOOD_P + BAD_P),
+                                min_size=1, max_size=3),
+           st.floats(allow_nan=True, allow_infinity=True),
+           st.integers(-3, 8))
+    def test_geometry_commands(self, command, phase, p, eta, grid):
+        text, dim = phase
+        argv = [command, "--phase", text]
+        bad = False
+        if p is not None:
+            argv.append("--p=" + ",".join(p))
+            bad |= len(p) != dim or any(x in BAD_P for x in p)
+        if command == "check":
+            argv += [f"--eta={eta!r}", f"--grid={grid}"]
+            bad |= not 0 < eta < 1 or grid < 2
+        code, _, err = run_quiet(argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if bad:
+            assert code == 2, err
+
+    @given(st.floats(max_value=8.0) | st.sampled_from(
+        ["inf", "-inf", "nan", "1e999", "abc", "", "0x10"]))
+    def test_integrate_lam(self, lam):
+        code, _, err = run_quiet(["integrate", "--phase", "x1*x2", f"--lam={lam}"])
+        assert "Traceback" not in err
+        if isinstance(lam, str) or not math.isfinite(lam):
+            assert code == 2, err
+        elif lam < 2:
+            assert code == 1, err
+        else:
+            assert code == 0, err

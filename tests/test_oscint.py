@@ -80,43 +80,6 @@ class TestCutoff:
         assert float(CHI.profile(1.0)) == 0.0
         assert 0 < float(CHI.profile(0.75)) < 1
 
-    def test_partition_of_unity(self):
-        t = np.geomspace(CHI.radius * 2.0 ** -(CHI.levels + 4), CHI.radius, 500)
-        total = sum(CHI.level_weight(l, t) for l in range(CHI.levels + 1))
-        assert np.max(np.abs(total - 1.0)) < 1e-12
-
-    def test_level_supports(self):
-        # the level-l annulus vanishes off |t|/r in (2^-l-2, 2^-l)
-        for level in [1, 3, 7]:
-            lo, hi = 2.0 ** -(level + 2), 2.0 ** -level
-            t = np.array([lo * 0.99, hi * 1.01])
-            assert np.all(CHI.level_weight(level, t) < 1e-15)
-            inside = np.geomspace(lo * 1.3, hi * 0.77, 9)
-            assert np.max(CHI.level_weight(level, inside)) > 0.1
-
-    def test_level_validation(self):
-        with pytest.raises(OscError):
-            CHI.level_weight(-1, 0.5)
-        with pytest.raises(OscError):
-            CHI.level_weight(CHI.levels + 1, 0.5)
-
-    def test_derivative_bounds_scale_with_level(self):
-        # |d^k (profile * weight_l)| <= C_k 2^(l k) with C_k read off small l;
-        # finite differences at step h_l proportional to the annulus scale
-        caps = {}
-        for k in (1, 2):
-            worst = {}
-            for level in range(1, 9):
-                lo, hi = 2.0 ** -(level + 2), 2.0 ** -level
-                t = np.linspace(lo, hi, 3001)
-                h = t[1] - t[0]
-                g = np.asarray(CHI.profile(t) * CHI.level_weight(level, t))
-                d = np.diff(g, k) / h ** k
-                worst[level] = np.max(np.abs(d))
-            caps[k] = max(worst[l] / 2.0 ** (l * k) for l in (1, 2))
-            for level in range(3, 9):
-                assert worst[level] <= 1.05 * caps[k] * 2.0 ** (level * k)
-
 
 class TestFactors:
     def test_const(self):

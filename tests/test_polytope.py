@@ -11,11 +11,9 @@ from oscdecay.polytope import (
     MAX_DIMENSION,
     PolytopeError,
     build_polyhedron,
-    compact_faces,
     contains,
     dual_polyhedron,
     from_support,
-    is_interior,
     lowest_face_containing,
     newton_distance,
     same_vertex_set,
@@ -103,12 +101,6 @@ class TestContains:
         assert contains(n, (Fraction(7, 2), Fraction(3, 2)))
         assert not contains(n, (Fraction(7, 2), Fraction(149, 100)))
 
-    def test_interior_vs_boundary(self):
-        n = from_support([(2, 2), (5, 1)], 2)
-        assert is_interior(n, (3, 3))
-        assert not is_interior(n, (2, 2))
-        assert not is_interior(n, (1, 1))
-
     def test_dimension_mismatch(self):
         n = from_support([(1, 1)], 2)
         with pytest.raises(PolytopeError):
@@ -146,18 +138,18 @@ class TestLowestFace:
 
 class TestCompactFaces:
     def test_counts_small(self):
-        assert len(compact_faces(from_support([(1, 1)], 2))) == 1
-        assert len(compact_faces(from_support([(2, 2), (5, 1)], 2))) == 3
+        assert len(from_support([(1, 1)], 2).faces) == 1
+        assert len(from_support([(2, 2), (5, 1)], 2).faces) == 3
 
     def test_dims_sorted(self):
-        faces = compact_faces(from_support([(2, 2), (5, 1)], 2))
+        faces = from_support([(2, 2), (5, 1)], 2).faces
         assert [f.dim for f in faces] == [0, 0, 1]
         for f in faces:
             assert all(x > 0 for x in f.normal)
 
     def test_three_dim_against_oracle(self):
         pts = [(4, 0, 1), (0, 4, 1), (1, 1, 4)]
-        got = {frozenset(f.vertices) for f in compact_faces(from_support(pts, 3))}
+        got = {frozenset(f.vertices) for f in from_support(pts, 3).faces}
         want = {frozenset(s) for s in oracle_compact_faces(pts)}
         assert got == want
 
