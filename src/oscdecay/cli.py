@@ -25,9 +25,12 @@ from .decay import (
 )
 from .exponent import ExponentQuery, sharp_exponent
 from .nondegen import check_nondegeneracy
-from .oscint import CutoffSpec, TestFunctionSpec, lambda_grid, lambda_sweep
+from .oscint import (MAX_LEVELS, MIN_LAMBDA, CutoffSpec, TestFunctionSpec,
+                     lambda_grid, lambda_sweep)
 from .phase import parse_phase, reduce_phase
 from .polytope import (
+    MAX_DIMENSION,
+    MIN_DIMENSION,
     build_polyhedron,
     dual_polyhedron,
     dual_to_json_dict,
@@ -76,8 +79,16 @@ class RunConfig:
             raise CliError("eta must lie in (0, 1)")
         if not (math.isfinite(self.lam_lo) and math.isfinite(self.lam_hi)):
             raise CliError("frequency range must be finite")
-        if self.lam_count < 1 or self.grid < 2 or self.levels < 1:
+        if self.lam_count < 1 or self.grid < 2:
             raise CliError("grid sizes must be positive")
+        if not 1 <= self.levels <= MAX_LEVELS:
+            raise CliError(f"levels must lie in 1..{MAX_LEVELS}")
+        if not (self.lam_lo >= MIN_LAMBDA
+                and (self.lam_count == 1 or self.lam_lo < self.lam_hi)):
+            raise CliError(f"frequency range needs {MIN_LAMBDA:g} <= lam-lo < lam-hi")
+        if self.dimension and not MIN_DIMENSION <= self.dimension <= MAX_DIMENSION:
+            raise CliError(f"dimension must lie in {MIN_DIMENSION}..{MAX_DIMENSION}, "
+                           f"got {self.dimension}")
         try:
             box_scale = Fraction(self.box_scale)
         except (ValueError, ZeroDivisionError):
@@ -91,6 +102,14 @@ class RunConfig:
         except (ValueError, ZeroDivisionError):
             raise CliError("--p entries must be rationals in [2, inf] or inf, "
                            f"got {','.join(self.p)}") from None
+        self.weights()
+
+    def weights(self) -> tuple[Fraction, ...]:
+        """The summation weights `z` as exact rationals."""
+        try:
+            return tuple(Fraction(x) for x in self.z)
+        except (ValueError, ZeroDivisionError):
+            raise CliError(f"--z entries must be rationals, got {','.join(self.z)}") from None
 
     def to_json_dict(self) -> dict:
         out = asdict(self)
@@ -354,7 +373,7 @@ def cmd_sum_oracle(args, cfg: RunConfig) -> int:
     _, n, _ = _build_inputs(cfg)
     if not cfg.z:
         raise CliError("--z is required for sum-oracle")
-    z = tuple(Fraction(x) for x in cfg.z)
+    z = cfg.weights()
     lams = [2.0 ** e for e in range(cfg.e_lo, cfg.e_hi + 1, cfg.e_step)]
     sr = summation_oracle(n, z, lams)
     rep = _report("sum-oracle", cfg, summation=sr.to_json_dict(),

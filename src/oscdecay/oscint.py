@@ -31,7 +31,7 @@ __all__ = [
     "OscError", "CutoffSpec", "FactorSpec", "TestFunctionSpec",
     "QuadratureConfig", "BoxContribution", "OscResult", "bump",
     "smooth_step", "evaluate_lambda", "single_box_bound", "certificate_sum",
-    "lambda_grid", "lambda_sweep", "DEFAULT_CERT_CONSTANT",
+    "lambda_grid", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS", "MIN_LAMBDA",
 ]
 
 
@@ -44,6 +44,9 @@ class OscError(ValueError):
 # and two decades of headroom absorb the phase-dependent van der Corput factors
 # the per-cell inequality leaves unquantified
 DEFAULT_CERT_CONSTANT = 2.0
+
+MAX_LEVELS = 40   # cutoff octaves run 1..MAX_LEVELS
+MIN_LAMBDA = 2.0  # decay sweeps start here
 
 
 def bump(t):
@@ -90,7 +93,7 @@ class CutoffSpec:
     def __post_init__(self):
         if not (self.radius > 0 and 0 < self.inner < 1):
             raise OscError("cutoff needs radius > 0 and inner fraction in (0, 1)")
-        if not 1 <= self.levels <= 40:
+        if not 1 <= self.levels <= MAX_LEVELS:
             raise OscError("levels out of range")
 
     def profile(self, t):
@@ -425,7 +428,7 @@ def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
 # sweeps
 
 def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[float, ...]:
-    if count < 1 or not 2 <= lo < hi:
+    if count < 1 or not MIN_LAMBDA <= lo < hi:
         raise OscError("bad lambda grid request")
     if count == 1:
         return (float(lo),)
@@ -441,6 +444,6 @@ def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
         return ()
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise OscError("lambda grid must be strictly increasing")
-    if lams[0] < 2:
-        raise OscError("decay sweeps start at lambda >= 2")
+    if lams[0] < MIN_LAMBDA:
+        raise OscError(f"decay sweeps start at lambda >= {MIN_LAMBDA:g}")
     return tuple(evaluate_lambda(p, f, chi, lam, **kwargs) for lam in lams)

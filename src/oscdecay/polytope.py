@@ -1,31 +1,37 @@
-"""Exact Newton polyhedra of exponent sets.
+"""Exact Newton polyhedra of exponent sets, and their blocking duals.
 
 The Newton polyhedron of a phase is the convex hull of the union of the
 translated nonnegative orthants `alpha + R^d_{>=0}` over the support points
 alpha.  Its recession cone is always the full nonnegative orthant, so every
 facet inequality has a componentwise-nonnegative normal, vertices are
 support points, and the bounded ("compact") faces are exactly those exposed
-by some strictly positive normal.
+by some strictly positive normal.  The dual is the blocker
+{w >= 0 : <alpha, w> >= 1 for all alpha}, a polyhedron of the same class.
+
+One routine, `_blocker_vertices`, enumerates both.  By blocking duality the
+vertices of the blocker of a support set are the facet normals of positive
+offset of its Newton polyhedron, scaled to offset 1; the remaining facets
+are the coordinate hyperplanes x_i >= 0 that touch a support point.  The
+vertices come from the double description method on integer rays, so the
+cost follows the size of the output rather than the number of subsets of
+the support.  The face lattice follows from vertex/facet incidence closed
+under intersection.
 
 Everything here is exact: integer support points, integer primitive facet
-normals, Fraction arithmetic for query points and dual vertices.  Facets
-are enumerated by solving for the hyperplane through each affinely
-independent set of support points and coordinate rays, then filtering by
-validity; the face lattice follows from vertex/facet incidence closed under
-intersection.  This is exponential in the dimension, which is fine for the
-intended range (d <= 6, small supports).
+normals, Fraction arithmetic for query points and dual vertices.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .phase import MultiIndex, PhasePolynomial
-from .ratlin import affine_rank, dot, kernel_basis, primitive, rank, solve_square
+from .ratlin import affine_rank, dot, primitive, rank
 
+MIN_DIMENSION = 2
 MAX_DIMENSION = 6
 
 
@@ -75,44 +81,65 @@ def _dominated(a: Sequence[int], b: Sequence[int]) -> bool:
     return a != b and all(x >= y for x, y in zip(a, b))
 
 
-def _enumerate_facets(points: list[tuple[int, ...]], d: int):
-    """All facet hyperplanes of conv(points) + orthant, as (normal, offset)."""
-    found: dict[tuple, tuple] = {}
-    axes = range(d)
-    for k in range(1, d + 1):
-        for pts in combinations(points, k):
-            diffs = [[x - y for x, y in zip(p, pts[0])] for p in pts[1:]]
-            for rays in combinations(axes, d - k):
-                # rows always number d-1 here: (k-1) differences + (d-k) rays
-                rows = diffs + [[int(j == i) for j in range(d)] for i in rays]
-                kern = kernel_basis(rows, d)
-                if len(kern) != 1:
+def _axes(d: int) -> list[tuple[int, ...]]:
+    """The unit vectors of R^d."""
+    return [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
+def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[Fraction, ...]]:
+    """Sorted vertices of {w >= 0 : <r, w> >= 1 for every r in rows}.
+
+    Double description (Fukuda & Prodon 1996) on the homogenised cone
+    {(w, t) : w >= 0, t >= 0, <r, w> >= t}.  The extreme rays of the
+    orthant in R^(d+1) are cut by one row at a time; each cut keeps the rays
+    on its nonnegative side and joins every adjacent pair of rays on
+    opposite sides.  Two rays are adjacent when no third ray is tight on all
+    the constraints they share, tracked as bit sets.  Rows are scaled to
+    integers and rays kept primitive, so the arithmetic stays in integers.
+    The vertices are the rays with t > 0, scaled to t = 1.
+    """
+    # a ray is (primitive integer vector (w, t), bit set of tight constraints);
+    # bits 0..d are w_0 >= 0 .. w_(d-1) >= 0, t >= 0, then one per row.  An
+    # extreme ray is fixed by its tight set, so the sets tell rays apart.
+    every = (1 << (d + 1)) - 1
+    rays = [(e, every ^ (1 << i)) for i, e in enumerate(_axes(d + 1))]
+    for k, row in enumerate(rows):
+        den = lcm(*(Fraction(x).denominator for x in row))
+        cut = [int(Fraction(x) * den) for x in row] + [-den]
+        bit = 1 << (d + 1 + k)
+        vals = [dot(cut, v) for v, _ in rays]
+        pos = [(r, s) for r, s in zip(rays, vals) if s > 0]
+        neg = [(r, s) for r, s in zip(rays, vals) if s < 0]
+        nxt = [r for r, s in pos] + [(v, z | bit) for (v, z), s in zip(rays, vals) if s == 0]
+        for (vp, zp), sp in pos:
+            for (vn, zn), sn in neg:
+                common = zp & zn
+                # adjacent rays of a pointed cone in R^(d+1) share d - 1 constraints
+                if common.bit_count() < d - 1:
                     continue
-                w = list(primitive(kern[0]))
-                b = dot(w, pts[0])
-                vals = [dot(w, p) - b for p in points]
-                if any(v < 0 for v in vals):
-                    if any(v > 0 for v in vals):
-                        continue  # not supporting
-                    w = [-x for x in w]
-                    b = -b
-                    vals = [-v for v in vals]
-                if any(x < 0 for x in w):
-                    continue  # would exclude part of the recession orthant
-                tight = [p for p, v in zip(points, vals) if v == 0]
-                tight_rays = [i for i in axes if w[i] == 0]
-                span = [[x - y for x, y in zip(p, tight[0])] for p in tight[1:]]
-                span += [[int(j == i) for j in range(d)] for i in tight_rays]
-                if rank(span) != d - 1:
-                    continue  # supporting but lower-dimensional contact
-                found[tuple(w)] = (tuple(w), b)
-    return sorted(found.values())
+                if any(common & z == common for _, z in rays if z != zp and z != zn):
+                    continue
+                v = [sp * b - sn * a for a, b in zip(vp, vn)]
+                g = gcd(*v)
+                nxt.append((tuple(x // g for x in v), common | bit))
+        rays = nxt
+    return sorted(tuple(Fraction(x, v[d]) for x in v[:d]) for v, _ in rays if v[d] > 0)
+
+
+def _facets(planes, verts: Sequence[tuple], d: int) -> tuple[Facet, ...]:
+    """Facet records of the (normal, offset) planes tight at some vertex."""
+    out = []
+    for w, b in sorted(planes):
+        tight = tuple(i for i, v in enumerate(verts) if dot(w, v) == b)
+        if tight:
+            out.append(Facet(w, b, tight, tuple(i for i in range(d) if w[i] == 0)))
+    return tuple(out)
 
 
 def from_support(points: Iterable[Sequence[int]], dimension: int) -> NewtonPolyhedron:
     """Build the Newton polyhedron of an integer exponent set."""
-    if dimension < 2:
-        raise PolytopeError("dimension must be at least 2")
+    if dimension < MIN_DIMENSION:
+        raise PolytopeError(f"dimension must be at least {MIN_DIMENSION}")
     if dimension > MAX_DIMENSION:
         raise PolytopeError(f"dimension {dimension} exceeds supported maximum {MAX_DIMENSION}")
     pts = sorted({tuple(int(x) for x in p) for p in points})
@@ -125,7 +152,10 @@ def from_support(points: Iterable[Sequence[int]], dimension: int) -> NewtonPolyh
             raise PolytopeError(f"support point {p} has negative entries")
 
     cands = [p for p in pts if not any(_dominated(p, q) for q in pts)]
-    planes = _enumerate_facets(cands, dimension)
+    planes = [(w, min(dot(w, p) for p in cands))
+              for w in map(primitive, _blocker_vertices(cands, dimension))]
+    # offset-0 facets are the planes x_i = 0 that touch the support
+    planes += [(e, 0) for e in _axes(dimension)]
 
     # vertices: candidate points whose tight facet normals span R^d
     verts = []
@@ -133,17 +163,9 @@ def from_support(points: Iterable[Sequence[int]], dimension: int) -> NewtonPolyh
         normals = [w for (w, b) in planes if dot(w, p) == b]
         if len(normals) >= dimension and rank(normals) == dimension:
             verts.append(p)
-    verts = sorted(verts)
-    vid = {v: i for i, v in enumerate(verts)}
-
-    facets = []
-    for w, b in planes:
-        tight = tuple(sorted(vid[v] for v in verts if dot(w, v) == b))
-        rays = tuple(i for i in range(dimension) if w[i] == 0)
-        facets.append(Facet(w, b, tight, rays))
-
+    facets = _facets(planes, verts, dimension)
     faces = _face_lattice(verts, facets, dimension)
-    return NewtonPolyhedron(dimension, tuple(verts), tuple(facets), faces)
+    return NewtonPolyhedron(dimension, tuple(verts), facets, faces)
 
 
 def _face_witness(facets, vs, rs, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -174,18 +196,17 @@ def _face_lattice(verts, facets, d) -> tuple[Face, ...]:
         frontier = nxt
 
     faces = []
-    compact = sorted((vs, rs) for vs, rs in closed if not rs)
-    compact.sort(key=lambda fr: (affine_rank([verts[i] for i in fr[0]]), fr[0]))
-    for fid, (vs, rs) in enumerate(compact):
+    compact = sorted((affine_rank([verts[i] for i in vs]), vs)
+                     for vs, rs in closed if not rs)
+    for fid, (dim, vs) in enumerate(compact):
         coords = [verts[i] for i in vs]
-        tight, wit = _face_witness(facets, vs, rs, d)
+        tight, wit = _face_witness(facets, vs, (), d)
         if any(x <= 0 for x in wit):
             raise PolytopeError("internal error: compact face without positive witness")
         lo = min(dot(wit, v) for v in coords)
         if any(dot(wit, v) == lo for j, v in enumerate(verts) if j not in vs):
             raise PolytopeError("internal error: face witness exposes a larger face")
-        faces.append(Face(fid, vs, tuple(coords), affine_rank(coords),
-                          wit, lo, True, rs, tight))
+        faces.append(Face(fid, vs, tuple(coords), dim, wit, lo, True, (), tight))
     return tuple(faces)
 
 
@@ -263,48 +284,16 @@ def dual_polyhedron(n) -> DualPolyhedron:
 
     Consumes only the vertex list: since both the primal and the constraint
     normals are componentwise nonnegative, `<alpha, w> >= 1` for all alpha in
-    the polyhedron reduces to the same inequalities over its vertices.
+    the polyhedron reduces to the same inequalities over its vertices.  The
+    dual vertices come from `_blocker_vertices`.  By blocking duality every
+    plane `<alpha, w> = 1` for a vertex alpha is a facet of the dual, and so
+    is every plane `w_i = 0` that some dual vertex touches.
     """
     d = n.dimension
-    pts = [tuple(Fraction(x) for x in v) for v in n.vertices]
-    rows = [(p, Fraction(1)) for p in pts]
-    rows += [(tuple(Fraction(int(i == j)) for j in range(d)), Fraction(0))
-             for i in range(d)]
-
-    verts: set[tuple[Fraction, ...]] = set()
-    for subset in combinations(range(len(rows)), d):
-        a = [rows[i][0] for i in subset]
-        b = [rows[i][1] for i in subset]
-        w = solve_square(a, b)
-        if w is None:
-            continue
-        if any(x < 0 for x in w):
-            continue
-        if all(dot(r, w) >= rhs for r, rhs in rows):
-            verts.add(tuple(w))
-    vs = sorted(verts)
-    vid = {v: i for i, v in enumerate(vs)}
-
-    facets = []
-    seen = set()
-    for normal, rhs in rows:
-        tight_pts = [v for v in vs if dot(normal, v) == rhs]
-        if not tight_pts:
-            continue
-        tight_rays = [i for i in range(d) if normal[i] == 0]
-        span = [[x - y for x, y in zip(p, tight_pts[0])] for p in tight_pts[1:]]
-        span += [[int(j == i) for j in range(d)] for i in tight_rays]
-        if rank(span) != d - 1:
-            continue
-        key = (tuple(normal), rhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        facets.append(Facet(tuple(normal), rhs,
-                            tuple(sorted(vid[v] for v in tight_pts)),
-                            tuple(tight_rays)))
-    facets.sort(key=lambda f: (f.normal, f.offset))
-    return DualPolyhedron(d, tuple(vs), tuple(facets))
+    vs = _blocker_vertices(n.vertices, d)
+    planes = [(tuple(Fraction(x) for x in v), Fraction(1)) for v in n.vertices]
+    planes += [(tuple(map(Fraction, e)), Fraction(0)) for e in _axes(d)]
+    return DualPolyhedron(d, tuple(vs), _facets(planes, vs, d))
 
 
 def same_vertex_set(a, b) -> bool:

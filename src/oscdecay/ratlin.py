@@ -1,8 +1,8 @@
 """Small exact linear algebra over the rationals.
 
 Everything here operates on plain Python ints and Fractions; no floats.
-These routines back the polyhedral geometry (kernels, ranks and solves for
-facet enumeration) and the log2-space rescaling solver, where floating
+These routines back the polyhedral geometry (ranks and primitive normals
+for faces and facets) and the log2-space rescaling solver, where floating
 error would corrupt exact face and membership decisions.
 
 Matrices are lists of row sequences.  Inputs may mix ints and Fractions.
@@ -61,20 +61,6 @@ def affine_rank(points: Sequence[Vector]) -> int:
     base = points[0]
     diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
     return rank(diffs) if diffs else 0
-
-
-def kernel_basis(rows: Matrix, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right kernel of the given rows (each of length ncols)."""
-    m, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -m[r][fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def solve_square(a: Matrix, b: Vector) -> tuple[Fraction, ...] | None:

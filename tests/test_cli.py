@@ -45,6 +45,16 @@ class TestConfigHandling:
             RunConfig(box_scale="-1/4").validate()
         with pytest.raises(CliError, match="not a rational"):
             RunConfig(box_scale="1/0").validate()
+        for z in [("1/0", "1"), ("abc", "1")]:
+            with pytest.raises(CliError, match="--z entries"):
+                RunConfig(z=z).validate()
+        with pytest.raises(CliError, match="levels"):
+            RunConfig(levels=41).validate()
+        with pytest.raises(CliError, match="frequency range"):
+            RunConfig(lam_lo=1.0, lam_count=2).validate()
+        for dimension in (1, 7):
+            with pytest.raises(CliError, match="dimension"):
+                RunConfig(dimension=dimension).validate()
 
     @pytest.mark.parametrize("field", ["lam_lo", "lam_hi"])
     def test_non_finite_frequency_range(self, field):
@@ -118,6 +128,20 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert code == 2
         assert "--lam must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "1/0,1"],
+        ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "abc,1"],
+        ["integrate", "--phase", "x1*x2", "--levels", "41", "--lam", "4"],
+        ["verify", "--phase", "x1*x2", "--lam-lo", "1", "--lam-count", "2"],
+        ["exponent", "--phase", "x1*x2", "--dim", "7"],
+        ["exponent", "--phase", "x1*x2", "--dim", "1"],
+    ], ids=["z-1/0", "z-abc", "levels-41", "lam-lo-1", "dim-7", "dim-1"])
+    def test_configuration_value_is_usage_error(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "usage error:" in captured.err and "Traceback" not in captured.err
 
     def test_numeric_failure_carries_module_text(self, capsys):
         code = main(["sum-oracle", "--phase", "x1^3*x2 + x1*x2^3",

@@ -1,6 +1,7 @@
 """Newton polyhedron geometry: frozen examples, invariants, oracle parity."""
 import json
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -166,8 +167,11 @@ class TestDual:
                                       (Fraction(0), Fraction(1, 2))}
 
     def test_double_dual_fixed(self):
+        # every 11th point of the degree-5 shell in d = 6: 16 vertices, 59 facets
+        shell = [a for a in product(range(6), repeat=6)
+                 if sum(a) == 5 and sum(x > 0 for x in a) >= 2]
         for pts in [[(1, 1)], [(2, 2), (5, 1)], [(3, 1), (1, 3)],
-                    [(4, 0, 1), (0, 4, 1), (1, 1, 4)]]:
+                    [(4, 0, 1), (0, 4, 1), (1, 1, 4)], shell[::11][:16]]:
             n = from_support(pts, len(pts[0]))
             assert same_vertex_set(dual_polyhedron(dual_polyhedron(n)), n)
 
@@ -241,6 +245,14 @@ class TestInvariants:
             assert all(x >= 0 for x in w)
             for v in n.vertices:
                 assert dot(v, w) >= 1
+        # blocking duality: dual vertices are the facets of positive offset,
+        # scaled to offset 1, and the others are the axes some vertex touches
+        assert set(dual.vertices) == {tuple(Fraction(x) / f.offset for x in f.normal)
+                                      for f in n.facets if f.offset > 0}
+        d = n.dimension
+        assert {f.normal for f in n.facets if f.offset == 0} == {
+            tuple(int(i == j) for j in range(d)) for i in range(d)
+            if any(v[i] == 0 for v in n.vertices)}
 
 
 class TestOracleParity:
