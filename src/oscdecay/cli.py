@@ -183,6 +183,9 @@ def _build_inputs(cfg: RunConfig):
     if not cfg.phase:
         raise CliError("--phase is required")
     dim = cfg.dimension or _infer_dimension(cfg.phase)
+    if not MIN_DIMENSION <= dim <= MAX_DIMENSION:
+        raise CliError(f"inferred dimension must lie in {MIN_DIMENSION}.."
+                       f"{MAX_DIMENSION}, got {dim}")
     p = reduce_phase(parse_phase(cfg.phase, dim))
     n = build_polyhedron(p)
     q = ExponentQuery.of(cfg.p) if cfg.p else ExponentQuery.all_inf(dim)
@@ -322,7 +325,13 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
     if cfg.out_csv:
         _write_csv(rows, cfg.out_csv)
     rep = _report("integrate", cfg, exponent=er.to_json_dict(), sweep=rows)
-    return _emit(rep, cfg)
+    code = _emit(rep, cfg)
+    flagged = [f"{r.lam:g}" for r in results if r.low_confidence]
+    if flagged:
+        print(f"error: low-confidence samples at lam {', '.join(flagged)}: "
+              "the node budget was exceeded", file=sys.stderr)
+        return 1
+    return code
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:

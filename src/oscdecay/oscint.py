@@ -4,10 +4,11 @@ The quantity computed here is the integral of exp(i*lambda*phi(x)) against a
 smooth compactly supported cutoff times a product of one-variable factors.
 Each axis of the cutoff support is cut into octave pieces, so every product
 cell sees a single oscillation scale; Gauss panel counts then track the phase
-variation cell by cell instead of chasing the worst case globally.  The same
-cell grid indexes a closed-form bound per cell (dominant vertex of the
-support polyhedron), whose sum serves as an a-priori certificate for the
-measured value.
+variation cell by cell instead of chasing the worst case globally; each
+per-axis rule is built once per distinct (axis, piece, panel count) and shared
+by every cell that uses it.  The same cell grid indexes a closed-form bound per
+cell (dominant vertex of the support polyhedron), whose sum serves as an
+a-priori certificate for the measured value.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -279,16 +280,17 @@ def _panel_counts(lam, cell, grads, rates, quad):
     return counts
 
 
-def _axis_rule(lo, hi, panels, order, gx, gw):
+def _axis_rule(lo, hi, panels, gx, gw, chi, factor):
+    """Gauss panel nodes on [lo, hi] and their weights times cutoff and factor."""
     width = (hi - lo) / panels
     starts = lo + width * np.arange(panels)
     nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
     weights = np.tile(width * 0.5 * gw, panels)
-    return nodes, weights
+    return nodes, weights * chi.profile(nodes) * factor.values(nodes)
 
 
-def _cell_value(p, lam, rules, gvals, chunk):
-    axes = [nodes for nodes, _ in rules]
+def _cell_value(p, lam, rules, chunk):
+    axes, gvals = zip(*rules)
     if len(axes) == 2:
         x0, x1 = axes
         step = max(1, chunk // max(1, x1.size))
@@ -310,18 +312,21 @@ def _cell_value(p, lam, rules, gvals, chunk):
 
 def _run_level(p, lam, cells, counts, chi, f, quad, keep_boxes):
     gx, gw = np.polynomial.legendre.leggauss(quad.order)
+    # a per-axis rule depends only on (axis, piece, panel count), so it is
+    # built once per distinct key and shared by every cell that uses it
+    cache = {}
     total = 0.0 + 0.0j
     nodes_used = 0
     boxes = [] if keep_boxes else None
     for cell, cnt in zip(cells, counts):
         rules = []
-        gvals = []
-        for k, (sign, level, lo, hi) in enumerate(cell):
-            nodes, weights = _axis_rule(lo, hi, cnt[k], quad.order, gx, gw)
-            vals = weights * chi.profile(nodes) * f.factors[k].values(nodes)
-            rules.append((nodes, weights))
-            gvals.append(vals)
-        value = _cell_value(p, lam, rules, gvals, quad.chunk)
+        for k, piece in enumerate(cell):
+            key = (k, piece, cnt[k])
+            if key not in cache:
+                cache[key] = _axis_rule(piece[2], piece[3], cnt[k], gx, gw,
+                                        chi, f.factors[k])
+            rules.append(cache[key])
+        value = _cell_value(p, lam, rules, quad.chunk)
         total += value
         cell_nodes = math.prod(n.size for n, _ in rules)
         nodes_used += cell_nodes
@@ -391,6 +396,14 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
 # ---------------------------------------------------------------------------
 # per-box bound and certificate
 
+def _box_term(scale: float, lam: float, t: int, s: float) -> float:
+    """scale * 2^-s * min(1, |lam 2^-t|^(-1/2)): one box's bound."""
+    volume = 2.0 ** -s
+    osc = math.ldexp(abs(lam), -t)
+    gain = min(1.0, osc ** -0.5) if osc > 0 else 1.0
+    return scale * volume * gain
+
+
 def single_box_bound(p: PhasePolynomial, n: NewtonPolyhedron, box: DyadicBox,
                      query: ExponentQuery, norms: Sequence[float], lam: float,
                      constant: float = 1.0) -> float:
@@ -407,10 +420,7 @@ def single_box_bound(p: PhasePolynomial, n: NewtonPolyhedron, box: DyadicBox,
         raise OscError("norm vector dimension mismatch")
     t = min(dot(v, box.j) for v in n.vertices)
     s = sum(r * j for r, j in zip(query.dual_reciprocals, box.j))
-    volume = 2.0 ** float(-s)
-    osc = math.ldexp(abs(lam), -t)
-    gain = min(1.0, osc ** -0.5) if osc > 0 else 1.0
-    return constant * math.prod(norms) * volume * gain
+    return _box_term(constant * math.prod(norms), lam, t, float(s))
 
 
 def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
@@ -418,9 +428,20 @@ def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
                     *, levels: int = 12, multiplicity: int = 1,
                     constant: float = DEFAULT_CERT_CONSTANT) -> float:
     """Sum of per-box bounds over the octave grid covering the support."""
+    if len(norms) != p.dimension:
+        raise OscError("norm vector dimension mismatch")
+    vertices = n.vertices
+    scale = math.prod(norms)
+    # 1/p' as integer numerators over one denominator: the int true division
+    # below rounds correctly, so it gives the float of the exact Fraction sum
+    recips = query.dual_reciprocals
+    den = math.lcm(*(r.denominator for r in recips))
+    nums = [r.numerator * (den // r.denominator) for r in recips]
     total = 0.0
     for j in product(range(levels + 1), repeat=p.dimension):
-        total += single_box_bound(p, n, DyadicBox(j), query, norms, lam)
+        t = min(dot(v, j) for v in vertices)
+        s = sum(a * b for a, b in zip(nums, j)) / den
+        total += _box_term(scale, lam, t, s)
     return constant * multiplicity * total
 
 

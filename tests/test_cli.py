@@ -136,7 +136,10 @@ class TestUsageErrors:
         ["verify", "--phase", "x1*x2", "--lam-lo", "1", "--lam-count", "2"],
         ["exponent", "--phase", "x1*x2", "--dim", "7"],
         ["exponent", "--phase", "x1*x2", "--dim", "1"],
-    ], ids=["z-1/0", "z-abc", "levels-41", "lam-lo-1", "dim-7", "dim-1"])
+        ["exponent", "--phase", "x1*x7"],
+        ["exponent", "--phase", "x1"],
+    ], ids=["z-1/0", "z-abc", "levels-41", "lam-lo-1", "dim-7", "dim-1",
+            "inferred-dim-7", "inferred-dim-1"])
     def test_configuration_value_is_usage_error(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
@@ -212,6 +215,18 @@ class TestIntegrateCommand:
         assert header == ("lam,re,im,abs,err,nodes,low_confidence,"
                           "certificate,envelope")
         assert data.startswith("64.0,")
+
+    def test_low_confidence_sample_is_refused(self, tmp_path, capsys):
+        # at lam 1e300 the node budget caps the panels far below the phase's
+        # oscillation, so the value exceeds its own certificate
+        out = tmp_path / "report.json"
+        code = main(["integrate", "--phase", "x1*x2", "--lam", "1e300",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error:" in err and "1e+300" in err and "Traceback" not in err
+        row, = json.loads(out.read_text())["sweep"]
+        assert row["low_confidence"]
 
     def test_small_grid(self, capsys):
         code, rep = run(capsys, "integrate", "--phase", "x1*x2",

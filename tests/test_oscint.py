@@ -1,6 +1,7 @@
 """Quadrature of the oscillatory form: cutoff, factors, parity, certificates."""
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -154,6 +155,38 @@ class TestEvaluateBasics:
         assert r.low_confidence
         assert r.nodes < free.nodes
         assert math.isfinite(abs(r.value))
+
+    def test_axis_rules_shared_across_cells(self, monkeypatch):
+        # 2197 cells with 3 axes each at two Gauss orders would build 13182
+        # per-axis rules; only a few dozen (axis, piece, panel count) differ
+        calls = []
+        original = CutoffSpec.profile
+
+        def counting(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(CutoffSpec, "profile", counting)
+        evaluate_lambda(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3),
+                        CHI_POS, 16.0)
+        assert 0 < len(calls) < 150
+
+    def test_axis_permutation_with_distinct_factors(self):
+        # every axis has its own factor and clipping, so a rule cached
+        # without its axis would hand one axis's weights to another
+        factors = (FactorSpec.box(0.1, 0.7), FactorSpec.exponential(3.0),
+                   FactorSpec.const(2.0))
+        text = "x1^2*x2*x3 + x1*x3^2"
+        a = evaluate_lambda(phase(text, 3), TestFunctionSpec.of(*factors),
+                            CHI_POS, 12.0)
+        # y1 = x3, y2 = x1, y3 = x2
+        permuted = text.replace("x1", "y2").replace("x2", "y3").replace(
+            "x3", "y1").replace("y", "x")
+        b = evaluate_lambda(phase(permuted, 3),
+                            TestFunctionSpec.of(factors[2], factors[0], factors[1]),
+                            CHI_POS, 12.0)
+        assert b.nodes == a.nodes
+        assert abs(b.value - a.value) <= 1e-10 * abs(a.value)
 
     def test_box_report(self):
         r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
@@ -324,6 +357,24 @@ class TestSingleBoxBound:
         a = certificate_sum(p, n, q, (1.0, 1.0), 100.0, constant=1.0)
         b = certificate_sum(p, n, q, (1.0, 1.0), 100.0, constant=3.0, multiplicity=2)
         assert b == pytest.approx(6 * a, rel=1e-12)
+
+    @pytest.mark.parametrize("text, d, p", [
+        ("x1^2*x2^2 + x1^5*x2", 2, (2, 3)),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (4, "inf", 3)),
+    ])
+    def test_certificate_is_sum_of_box_bounds(self, text, d, p):
+        ph = phase(text, d)
+        n = build_polyhedron(ph)
+        q = ExponentQuery.of(p)
+        norms = tuple(1.0 + 0.25 * k for k in range(d))
+        levels, multiplicity, constant, lam = 12, 2 ** d, 2.0, 77.0
+        total = 0.0
+        for j in product(range(levels + 1), repeat=d):
+            total += single_box_bound(ph, n, DyadicBox(j), q, norms, lam,
+                                      constant=1.0)
+        got = certificate_sum(ph, n, q, norms, lam, levels=levels,
+                              multiplicity=multiplicity, constant=constant)
+        assert got == constant * multiplicity * total
 
 
 class TestSweep:
