@@ -24,7 +24,7 @@ from .decay import (
     summation_oracle,
 )
 from .exponent import ExponentQuery, sharp_exponent
-from .nondegen import check_nondegeneracy
+from .nondegen import MAX_FACE_CELLS, check_nondegeneracy, max_grid
 from .oscint import (MAX_LEVELS, MIN_LAMBDA, CutoffSpec, TestFunctionSpec,
                      lambda_grid, lambda_sweep)
 from .phase import parse_phase, reduce_phase
@@ -304,8 +304,16 @@ def cmd_exponent(args, cfg: RunConfig) -> int:
     return _emit(rep, cfg)
 
 
+def _check_grid(cfg: RunConfig, dim: int) -> None:
+    if cfg.grid > max_grid(dim):
+        raise CliError(f"--grid {cfg.grid} sweeps more than {MAX_FACE_CELLS} cells "
+                       f"per face in dimension {dim}; use --grid {max_grid(dim)} "
+                       "or less")
+
+
 def cmd_check(args, cfg: RunConfig) -> int:
     p, n, _ = _build_inputs(cfg)
+    _check_grid(cfg, p.dimension)
     nd = check_nondegeneracy(p, n, grid=cfg.grid, eta=cfg.eta,
                              starts=cfg.starts, degen_tol=cfg.witness_tol)
     rep = _report("check", cfg, nondegeneracy=nd.to_json_dict(),
@@ -336,6 +344,7 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
 
 def cmd_verify(args, cfg: RunConfig) -> int:
     p, n, q = _build_inputs(cfg)
+    _check_grid(cfg, p.dimension)
     er = sharp_exponent(n, q)
     nd = check_nondegeneracy(p, n, grid=cfg.grid, eta=cfg.eta,
                              starts=cfg.starts, degen_tol=cfg.witness_tol)

@@ -298,6 +298,22 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     return FaceCheck(face.id, face.dim, "inconclusive", margin)
 
 
+# one face sweep visits d * (grid - 1)^(d - 1) cells; 2^23 admits grid 64 up
+# to d = 4 and grid 32 in d = 5
+MAX_FACE_CELLS = 2 ** 23
+
+
+def max_grid(dimension: int) -> int:
+    """Largest grid whose face sweeps stay within MAX_FACE_CELLS cells."""
+    d = dimension
+    steps = int((MAX_FACE_CELLS / d) ** (1.0 / (d - 1)))
+    while d * (steps + 1) ** (d - 1) <= MAX_FACE_CELLS:
+        steps += 1
+    while d * steps ** (d - 1) > MAX_FACE_CELLS:
+        steps -= 1
+    return steps + 1
+
+
 def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *,
                         grid: int = 64, eta: float = 1e-3, tol: float = 0.0,
                         degen_tol: float = 1e-10, starts: int = 8) -> NondegeneracyReport:
@@ -311,6 +327,10 @@ def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
         raise NondegenError("phase must be reduced first (reduce_phase)")
     if grid < 2:
         raise NondegenError("grid must have at least 2 points per axis")
+    if grid > max_grid(p.dimension):
+        raise NondegenError(f"grid {grid} sweeps more than {MAX_FACE_CELLS} cells "
+                            f"per face in dimension {p.dimension}; the largest "
+                            f"grid that fits is {max_grid(p.dimension)}")
     if n is None:
         n = build_polyhedron(p)
     checks = tuple(_check_face(p, face, grid, eta, tol, degen_tol, starts)

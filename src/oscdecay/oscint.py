@@ -6,9 +6,14 @@ Each axis of the cutoff support is cut into octave pieces, so every product
 cell sees a single oscillation scale; Gauss panel counts then track the phase
 variation cell by cell instead of chasing the worst case globally; each
 per-axis rule is built once per distinct (axis, piece, panel count) and shared
-by every cell that uses it.  The same cell grid indexes a closed-form bound per
-cell (dominant vertex of the support polyhedron), whose sum serves as an
-a-priori certificate for the measured value.
+by every cell that uses it.  Cells with equal panel counts are stacked and
+evaluated together, at most `QuadratureConfig.chunk` nodes per kernel call, so
+the working set stays a few megabytes whatever the frequency.  The kernel
+takes exp(i*theta) from the float64 half-angle tangent t = tan(theta/2) in
+real arithmetic, which vectorizes where complex exp does not.  The same cell
+grid indexes a closed-form bound per cell (dominant vertex of the support
+polyhedron), whose sum serves as an a-priori certificate for the measured
+value.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -178,7 +183,11 @@ class FactorSpec:
             vals = np.abs([q[1] for q in self.table])
             if p == INF:
                 return float(vals.max())
-            return float(np.trapz(vals ** float(p), grid) ** (1.0 / float(p)))
+            # trapezoid sum written out: numpy 2 removed np.trapz, and
+            # np.trapezoid is missing before numpy 2.0
+            powers = vals ** float(p)
+            area = float(np.sum(np.diff(grid) * (powers[1:] + powers[:-1])) / 2.0)
+            return area ** (1.0 / float(p))
         if p == INF:
             return base
         return base * measure ** (1.0 / float(p))
@@ -223,7 +232,8 @@ class QuadratureConfig:
     order: int = 12                 # Gauss nodes per panel
     waves_per_panel: float = 1.0    # target phase turns per panel
     node_budget: int = 300_000_000  # tensor points per evaluation level
-    chunk: int = 4_000_000          # GEMM tile bound
+    chunk: int = 262_144            # nodes per kernel call: bounds a batch of
+                                    # cells and the axis-0 slice of one cell
 
     def __post_init__(self):
         if self.order < 2 or self.waves_per_panel <= 0 or self.node_budget < 1:
@@ -270,14 +280,28 @@ def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
     return pieces
 
 
-def _panel_counts(lam, cell, grads, rates, quad):
-    mags = [max(abs(a), abs(b)) for _, _, a, b in cell]
-    counts = []
-    for k, (_, _, lo, hi) in enumerate(cell):
-        bound = grads[k].evaluate(mags)
-        turns = (abs(lam) * bound + rates[k]) * (hi - lo) / (2.0 * math.pi)
-        counts.append(1 + int(turns / quad.waves_per_panel))
-    return counts
+def _panel_counts(lam, axis_pieces, grads, rates, quad):
+    """Gauss panels per axis for every cell, cells in product order of the pieces.
+
+    Each axis's gradient bound is evaluated once, on the grid of cell-corner
+    magnitudes.  The grid holds Python floats (dtype object), so every power
+    and product is the one a scalar evaluation at a single corner would give.
+    """
+    d = len(axis_pieces)
+    mags, widths = [], []
+    for k, pieces in enumerate(axis_pieces):
+        shape = [1] * d
+        shape[k] = len(pieces)
+        mags.append(np.array([max(abs(lo), abs(hi)) for _, _, lo, hi in pieces],
+                             dtype=object).reshape(shape))
+        widths.append(np.array([hi - lo for _, _, lo, hi in pieces]).reshape(shape))
+    full = tuple(len(pieces) for pieces in axis_pieces)
+    ratios = []
+    for k in range(d):
+        bound = np.asarray(grads[k].evaluate(mags), dtype=float)
+        turns = (abs(lam) * bound + rates[k]) * widths[k] / (2.0 * math.pi)
+        ratios.append(np.broadcast_to(turns / quad.waves_per_panel, full).ravel().tolist())
+    return [tuple(1 + int(r) for r in row) for row in zip(*ratios)]
 
 
 def _axis_rule(lo, hi, panels, gx, gw, chi, factor):
@@ -289,51 +313,84 @@ def _axis_rule(lo, hi, panels, gx, gw, chi, factor):
     return nodes, weights * chi.profile(nodes) * factor.values(nodes)
 
 
-def _cell_value(p, lam, rules, chunk):
-    axes, gvals = zip(*rules)
-    if len(axes) == 2:
-        x0, x1 = axes
-        step = max(1, chunk // max(1, x1.size))
-        total = 0.0 + 0.0j
-        for s in range(0, x0.size, step):
-            ph = p.evaluate([x0[s:s + step, None], x1[None, :]])
-            total += np.exp(1j * lam * ph) @ gvals[1] @ gvals[0][s:s + step]
-        return complex(total)
-    x0, x1, x2 = axes
-    step = max(1, chunk // max(1, x1.size * x2.size))
-    total = 0.0 + 0.0j
-    for s in range(0, x0.size, step):
-        ph = p.evaluate([x0[s:s + step, None, None], x1[None, :, None],
-                         x2[None, None, :]])
-        plane = np.exp(1j * lam * ph) @ gvals[2] @ gvals[1]
-        total += plane @ gvals[0][s:s + step]
-    return complex(total)
+def _kernel(p, lam, axes, weights):
+    """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
+
+    axes[k] and weights[k] are the (B, n_k) nodes and complex weights of axis
+    k; the result holds the B cell sums.  With t = tan(theta/2), cos(theta) =
+    2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2): float64 tan is vectorized where
+    complex exp is not, and loses no accuracy.  The real arrays 2/(1+t^2) and
+    sin(theta) are contracted against the last axis's weights as an (n, 2)
+    [re, im] matrix, the cosine's -sum(w) is added after, and only the
+    contracted array is complex.
+    """
+    b = axes[0].shape[0]
+    sizes = [x.shape[1] for x in axes]
+    grid = [x.reshape([b] + [n if j == k else 1 for j, n in enumerate(sizes)])
+            for k, x in enumerate(axes)]
+    t = np.empty([b] + sizes)
+    np.multiply(p.evaluate(grid), 0.5 * lam, out=t)
+    np.tan(t, out=t)
+    u = t * t
+    u += 1.0
+    np.divide(2.0, u, out=u)  # 1 + cos(theta)
+    t *= u                    # sin(theta)
+    n = sizes[-1]
+    w = weights[-1].view(np.float64).reshape(b, n, 2)
+    c = np.matmul(u.reshape(b, -1, n), w)
+    c -= w.sum(axis=1)[:, None, :]
+    s = np.matmul(t.reshape(b, -1, n), w)
+    z = np.empty(c.shape[:2], dtype=complex)
+    z.real = c[..., 0] - s[..., 1]
+    z.imag = c[..., 1] + s[..., 0]
+    for wk, nk in zip(weights[-2::-1], sizes[-2::-1]):
+        z = np.matmul(z.reshape(b, -1, nk), wk[:, :, None])
+    return z.reshape(b)
 
 
 def _run_level(p, lam, cells, counts, chi, f, quad, keep_boxes):
     gx, gw = np.polynomial.legendre.leggauss(quad.order)
+    d = len(f.factors)
     # a per-axis rule depends only on (axis, piece, panel count), so it is
     # built once per distinct key and shared by every cell that uses it
     cache = {}
-    total = 0.0 + 0.0j
-    nodes_used = 0
-    boxes = [] if keep_boxes else None
-    for cell, cnt in zip(cells, counts):
-        rules = []
-        for k, piece in enumerate(cell):
-            key = (k, piece, cnt[k])
-            if key not in cache:
-                cache[key] = _axis_rule(piece[2], piece[3], cnt[k], gx, gw,
-                                        chi, f.factors[k])
-            rules.append(cache[key])
-        value = _cell_value(p, lam, rules, quad.chunk)
-        total += value
-        cell_nodes = math.prod(n.size for n, _ in rules)
-        nodes_used += cell_nodes
-        if boxes is not None:
-            index = tuple((sign, level) for sign, level, _, _ in cell)
-            boxes.append(BoxContribution(index, value, cell_nodes))
-    return total, nodes_used, boxes
+    # cells with equal panel counts have rules of equal shape: each such
+    # group is stacked and evaluated in batches of at most quad.chunk nodes
+    groups = {}
+    for i, cnt in enumerate(counts):
+        groups.setdefault(tuple(cnt), []).append(i)
+    values = np.zeros(len(cells), dtype=complex)
+    cell_nodes = [0] * len(cells)
+    for cnt, members in groups.items():
+        sizes = [c * quad.order for c in cnt]
+        size = math.prod(sizes)
+        batch = max(1, quad.chunk // size)
+        # a cell above the chunk alone is cut into slices along axis 0
+        rows = max(1, quad.chunk // (size // sizes[0]))
+        for start in range(0, len(members), batch):
+            idx = members[start:start + batch]
+            axes, weights = [], []
+            for k in range(d):
+                rules = []
+                for i in idx:
+                    key = (k, cells[i][k], cnt[k])
+                    if key not in cache:
+                        cache[key] = _axis_rule(key[1][2], key[1][3], cnt[k],
+                                                gx, gw, chi, f.factors[k])
+                    rules.append(cache[key])
+                axes.append(np.stack([x for x, _ in rules]))
+                weights.append(np.stack([g for _, g in rules]))
+            for s in range(0, sizes[0], rows):
+                values[idx] += _kernel(p, lam, [axes[0][:, s:s + rows]] + axes[1:],
+                                       [weights[0][:, s:s + rows]] + weights[1:])
+        for i in members:
+            cell_nodes[i] = size
+    boxes = None
+    if keep_boxes:
+        boxes = [BoxContribution(tuple((sign, level) for sign, level, _, _ in cell),
+                                 complex(v), m)
+                 for cell, v, m in zip(cells, values, cell_nodes)]
+    return complex(values.sum()), sum(cell_nodes), boxes
 
 
 def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
@@ -360,8 +417,8 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
 
     axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
     rates = [fac.angular_rate for fac in f.factors]
-    cells = [cell for cell in product(*axis_pieces)]
-    counts = [_panel_counts(lam, cell, grads, rates, quad) for cell in cells]
+    cells = list(product(*axis_pieces))
+    counts = _panel_counts(lam, axis_pieces, grads, rates, quad)
 
     fine_nodes = sum(math.prod(c) for c in counts) * quad.order ** d
     low_confidence = fine_nodes > quad.node_budget

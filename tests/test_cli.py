@@ -17,6 +17,7 @@ from oscdecay.cli import (
     load_config_file,
     main,
 )
+from oscdecay.nondegen import max_grid
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.json")
@@ -138,13 +139,22 @@ class TestUsageErrors:
         ["exponent", "--phase", "x1*x2", "--dim", "1"],
         ["exponent", "--phase", "x1*x7"],
         ["exponent", "--phase", "x1"],
+        ["check", "--phase", "x1*x2*x3*x4*x5"],
     ], ids=["z-1/0", "z-abc", "levels-41", "lam-lo-1", "dim-7", "dim-1",
-            "inferred-dim-7", "inferred-dim-1"])
+            "inferred-dim-7", "inferred-dim-1", "check-grid-64-dim-5"])
     def test_configuration_value_is_usage_error(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert "usage error:" in captured.err and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["check", "verify"])
+    def test_oversized_grid_names_one_that_fits(self, capsys, command):
+        code = main([command, "--phase", "x1*x2*x3*x4*x5", "--grid", "64"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"use --grid {max_grid(5)} or less" in err
+        assert 32 <= max_grid(5) < 64
 
     def test_numeric_failure_carries_module_text(self, capsys):
         code = main(["sum-oracle", "--phase", "x1^3*x2 + x1*x2^3",

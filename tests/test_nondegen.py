@@ -11,6 +11,7 @@ from oscdecay.nondegen import (
     NondegenError,
     check_nondegeneracy,
     dominant_face,
+    max_grid,
     mixed_hessian_floor,
     solve_rescaling,
     subdivide_box,
@@ -81,6 +82,13 @@ class TestNondegeneracyVerdicts:
     def test_requires_reduced(self):
         with pytest.raises(NondegenError):
             check_nondegeneracy(parse_phase("x1*x2", 2))
+
+    def test_face_sweep_cap(self):
+        # d * (grid - 1)^(d - 1) cells per face: grid 64 fits up to d = 4,
+        # grid 32 in d = 5; a larger grid is refused before any sweep
+        assert max_grid(4) >= 64 and 32 <= max_grid(5) < 64
+        with pytest.raises(NondegenError, match="largest grid that fits is"):
+            check_nondegeneracy(phase("x1*x2*x3*x4*x5", 5), grid=64)
 
     def test_json_shape(self):
         doc = check_nondegeneracy(phase("x1*x2")).to_json_dict()

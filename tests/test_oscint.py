@@ -17,6 +17,10 @@ from oscdecay.oscint import (
     OscError,
     QuadratureConfig,
     TestFunctionSpec,
+    _axis_pieces,
+    _axis_rule,
+    _kernel,
+    _panel_counts,
     bump,
     certificate_sum,
     evaluate_lambda,
@@ -25,7 +29,7 @@ from oscdecay.oscint import (
     single_box_bound,
     smooth_step,
 )
-from oscdecay.phase import parse_phase, reduce_phase
+from oscdecay.phase import PhasePolynomial, parse_phase, reduce_phase
 from oscdecay.polytope import build_polyhedron
 
 
@@ -115,6 +119,27 @@ class TestFactors:
         with pytest.raises(OscError):
             FactorSpec.sampled([(0.0, 1.0)])
 
+    def test_sampled_norms_closed_form(self):
+        # a constant table: the L^p norm over [0, 1/2] is (1/2)^(1/p)
+        flat = FactorSpec.sampled([(0.0, 1.0), (0.5, 1.0)])
+        assert flat.norm(Fraction(2), 1.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
+        assert flat.norm(Fraction(4), 1.0) == pytest.approx(0.5 ** 0.25, rel=1e-15)
+        # a nonnegative hat: the trapezoid sum is the exact area, 1 + 2
+        hat = FactorSpec.sampled([(0.0, 0.0), (1.0, 2.0), (3.0, 0.0)])
+        assert hat.norm(Fraction(1), 1.0) == pytest.approx(3.0, rel=1e-15)
+        assert hat.norm(math.inf, 1.0) == 2.0
+
+    def test_certified_sampled_factor(self):
+        f = TestFunctionSpec.of(FactorSpec.sampled([(0.0, 1.0), (0.5, 1.0)]),
+                                FactorSpec.sampled([(0.0, 1.0), (0.5, 1.0)]))
+        q = ExponentQuery.of(["2", "2"])
+        p = phase("x1*x2")
+        r = evaluate_lambda(p, f, CHI_POS, 64.0, certify=True, query=q)
+        expected = certificate_sum(p, build_polyhedron(p), q,
+                                   (math.sqrt(0.5), math.sqrt(0.5)), 64.0)
+        assert r.certificate == pytest.approx(expected, rel=1e-15)
+        assert 0 < abs(r.value) <= r.certificate
+
     def test_spec_norms(self):
         f = TestFunctionSpec.of(FactorSpec.const(), FactorSpec.box(0.0, 0.5))
         q = ExponentQuery.of(["inf", 2])
@@ -196,6 +221,121 @@ class TestEvaluateBasics:
         assert sum(b.nodes for b in r.boxes) == r.nodes
         signs = {s for b in r.boxes for s, _ in b.index}
         assert signs == {1}
+
+
+def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
+    """Per-cell values with one full np.exp tensor per cell, in cell order."""
+    d = p.dimension
+    gx, gw = np.polynomial.legendre.leggauss(quad.order)
+    pieces = [_axis_pieces(chi, fac) for fac in f.factors]
+    grads = [p.derivative(k).absolute() for k in range(d)]
+    rates = [fac.angular_rate for fac in f.factors]
+    counts = _panel_counts(lam, pieces, grads, rates, quad)
+    values = []
+    for cell, cnt in zip(product(*pieces), counts):
+        rules = [_axis_rule(lo, hi, c, gx, gw, chi, fac)
+                 for (_, _, lo, hi), c, fac in zip(cell, cnt, f.factors)]
+        grid = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+        weight = rules[0][1]
+        for _, g in rules[1:]:
+            weight = np.multiply.outer(weight, g)
+        values.append(np.sum(np.exp(1j * lam * p.evaluate(grid)) * weight))
+    return values
+
+
+class TestKernel:
+    def test_half_angle_phasor(self):
+        # one node per cell on x1*x2 with x2 = 1 and unit weights: each cell
+        # value is the kernel's exp(i theta) itself
+        odd_pi = np.pi * np.array([1.0, 3.0, 101.0, 12345.0, 318309.0])
+        theta = np.concatenate([
+            [0.0, -0.0], odd_pi, -odd_pi,
+            np.linspace(-1e6, 1e6, 20001),
+            np.random.default_rng(5).uniform(-50.0, 50.0, 20000)])
+        ones = np.ones((theta.size, 1))
+        z = _kernel(phase("x1*x2"), 1.0, [theta[:, None], ones],
+                    [ones.astype(complex), ones.astype(complex)])
+        assert np.max(np.abs(z - np.exp(1j * theta))) <= 4.5e-16
+
+    @pytest.mark.parametrize("text, factors, lam", [
+        ("x1^2*x2 + x1*x2^3",
+         (FactorSpec.box(0.1, 0.7), FactorSpec.exponential(3.0)), 40.0),
+        ("x1^2*x2*x3 + x1*x3^2",
+         (FactorSpec.box(0.1, 0.7), FactorSpec.exponential(3.0),
+          FactorSpec.const(2.0 - 1j)), 12.0),
+    ], ids=["2d", "3d"])
+    def test_boxes_match_per_cell_exp(self, text, factors, lam):
+        p = phase(text, len(factors))
+        f = TestFunctionSpec.of(*factors)
+        r = evaluate_lambda(p, f, CHI_POS, lam, keep_boxes=True)
+        ref = reference_boxes(p, f, CHI_POS, lam)
+        assert len(r.boxes) == len(ref)
+        for box, want in zip(r.boxes, ref):
+            assert abs(box.value - want) <= 1e-13 * abs(want)
+
+    def test_tiny_chunk_batches_and_slices(self, monkeypatch):
+        calls = []
+        real = _kernel
+
+        def spy(p, lam, axes, weights):
+            calls.append((axes[0].shape[0], tuple(x.shape[1] for x in axes)))
+            return real(p, lam, axes, weights)
+
+        monkeypatch.setattr("oscdecay.oscint._kernel", spy)
+        p = phase("x1*x2*x3", 3)
+        f = TestFunctionSpec.ones(3)
+        a = evaluate_lambda(p, f, CHI_POS, 16.0)
+        wide = len(calls)
+        calls.clear()
+        b = evaluate_lambda(p, f, CHI_POS, 16.0, quad=QuadratureConfig(chunk=5000))
+        assert len(calls) > wide
+        # no call exceeds the chunk, yet some hold several cells
+        assert all(batch * math.prod(shape) <= 5000 for batch, shape in calls)
+        assert any(batch > 1 for batch, _ in calls)
+        # a whole axis has a multiple of 6 nodes (orders 12 and 6), so this
+        # is a cell above the chunk cut along axis 0
+        assert any(shape[0] % 6 for _, shape in calls)
+        assert b.nodes == a.nodes
+        assert abs(b.value - a.value) <= 1e-13 * abs(a.value)
+
+    def test_phase_evaluated_per_batch(self, monkeypatch):
+        # per cell, this took about 6,600 evaluations: panel-count bounds and
+        # phase tensors for 2197 cells at two Gauss orders
+        calls = []
+        original = PhasePolynomial.evaluate
+
+        def counting(self, x):
+            calls.append(1)
+            return original(self, x)
+
+        monkeypatch.setattr(PhasePolynomial, "evaluate", counting)
+        evaluate_lambda(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3),
+                        CHI_POS, 16.0)
+        assert 0 < len(calls) <= 36
+
+    def test_panel_counts_match_scalar_bounds(self):
+        # awkward clips, a radius off the powers of two and high powers: the
+        # grid evaluation must round exactly like one corner at a time
+        chi = CutoffSpec(radius=0.7, positive_orthant=False, levels=5)
+        f = TestFunctionSpec.of(FactorSpec.box(-0.33, 0.61),
+                                FactorSpec.exponential(2.7),
+                                FactorSpec.box(-0.45, 0.123))
+        p = phase("3*x1^7*x2 + 1/3*x1*x2^5*x3^3 + x2^2*x3^9", 3)
+        quad_cfg = QuadratureConfig(waves_per_panel=0.37)
+        pieces = [_axis_pieces(chi, fac) for fac in f.factors]
+        grads = [p.derivative(k).absolute() for k in range(3)]
+        rates = [fac.angular_rate for fac in f.factors]
+        for lam in [3.0, 77.7, 1234.5]:
+            want = []
+            for cell in product(*pieces):
+                mags = [max(abs(lo), abs(hi)) for _, _, lo, hi in cell]
+                row = []
+                for k, (_, _, lo, hi) in enumerate(cell):
+                    turns = ((abs(lam) * grads[k].evaluate(mags) + rates[k])
+                             * (hi - lo) / (2.0 * math.pi))
+                    row.append(1 + int(turns / quad_cfg.waves_per_panel))
+                want.append(tuple(row))
+            assert _panel_counts(lam, pieces, grads, rates, quad_cfg) == want
 
 
 class TestOracleParity:
