@@ -9,8 +9,11 @@ per-axis rule is built once per distinct (axis, piece, panel count) and shared
 by every cell that uses it.  Cells with equal panel counts are stacked and
 evaluated together, at most `QuadratureConfig.chunk` nodes per kernel call, so
 the working set stays a few megabytes whatever the frequency.  The kernel
-takes exp(i*theta) from the float64 half-angle tangent t = tan(theta/2) in
-real arithmetic, which vectorizes where complex exp does not.  The same cell
+has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into its one
+full-size buffer, and takes exp(i*theta) from the float64 half-angle tangent
+t = tan(theta/2) in real arithmetic, which vectorizes where complex exp does
+not.  The cutoff profile runs its bump table only on the transition nodes
+between plateau and zero.  The same cell
 grid indexes a closed-form bound per cell (dominant vertex of the support
 polyhedron), whose sum serves as an a-priori certificate for the measured
 value.
@@ -76,11 +79,15 @@ _STEP_NORM = float(bump(2.0 * _STEP_X - 1.0) @ _STEP_W)
 def smooth_step(u):
     """Integrated bump: 1 for u <= 0, 0 for u >= 1, flat to all orders at both ends."""
     u = np.asarray(u, dtype=float)
-    uc = np.clip(u, 0.0, 1.0)
-    v = uc[..., None] + (1.0 - uc)[..., None] * _STEP_X
-    vals = bump(2.0 * v - 1.0)
-    out = (1.0 - uc) * (vals @ _STEP_W) / _STEP_NORM
-    return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, out))
+    out = np.where(u >= 1.0, 0.0, u)  # NaN stays NaN
+    out[u <= 0.0] = 1.0
+    # the bump table runs only on the transition nodes 0 < u < 1
+    m = (u > 0.0) & (u < 1.0)
+    if m.any():
+        um = u[m]
+        v = um[:, None] + (1.0 - um)[:, None] * _STEP_X
+        out[m] = (1.0 - um) * (bump(2.0 * v - 1.0) @ _STEP_W) / _STEP_NORM
+    return out
 
 
 @dataclass(frozen=True)
@@ -299,8 +306,12 @@ def _panel_counts(lam, axis_pieces, grads, rates, quad):
     ratios = []
     for k in range(d):
         bound = np.asarray(grads[k].evaluate(mags), dtype=float)
-        turns = (abs(lam) * bound + rates[k]) * widths[k] / (2.0 * math.pi)
-        ratios.append(np.broadcast_to(turns / quad.waves_per_panel, full).ravel().tolist())
+        with np.errstate(over="ignore"):
+            turns = (abs(lam) * bound + rates[k]) * widths[k] / (2.0 * math.pi)
+            ratio = turns / quad.waves_per_panel
+        if not np.all(np.isfinite(ratio)):
+            raise OscError(f"phase turns per cell overflow at lam {lam:g}")
+        ratios.append(np.broadcast_to(ratio, full).ravel().tolist())
     return [tuple(1 + int(r) for r in row) for row in zip(*ratios)]
 
 
@@ -317,19 +328,18 @@ def _kernel(p, lam, axes, weights):
     """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
 
     axes[k] and weights[k] are the (B, n_k) nodes and complex weights of axis
-    k; the result holds the B cell sums.  With t = tan(theta/2), cos(theta) =
-    2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2): float64 tan is vectorized where
-    complex exp is not, and loses no accuracy.  The real arrays 2/(1+t^2) and
-    sin(theta) are contracted against the last axis's weights as an (n, 2)
-    [re, im] matrix, the cosine's -sum(w) is added after, and only the
-    contracted array is complex.
+    k; the result holds the B cell sums.  `PhasePolynomial.evaluate_tensor`
+    writes theta/2 = lam*phi/2 straight into the full-size buffer t, and the
+    steps after it hold one more full-size array.  With t = tan(theta/2),
+    cos(theta) = 2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2): float64 tan is
+    vectorized where complex exp is not, and loses no accuracy.  The real
+    arrays 2/(1+t^2) and sin(theta) are contracted against the last axis's
+    weights as an (n, 2) [re, im] matrix, the cosine's -sum(w) is added
+    after, and only the contracted array is complex.
     """
     b = axes[0].shape[0]
     sizes = [x.shape[1] for x in axes]
-    grid = [x.reshape([b] + [n if j == k else 1 for j, n in enumerate(sizes)])
-            for k, x in enumerate(axes)]
-    t = np.empty([b] + sizes)
-    np.multiply(p.evaluate(grid), 0.5 * lam, out=t)
+    t = p.evaluate_tensor(axes, 0.5 * lam, np.empty([b] + sizes))
     np.tan(t, out=t)
     u = t * t
     u += 1.0

@@ -4,7 +4,11 @@ A phase is a sparse multivariate polynomial over Q: a mapping from exponent
 multi-indices (tuples of nonnegative ints, one entry per variable) to nonzero
 Fraction coefficients.  All symbolic work (parsing, differentiation, face
 restriction, coefficient transforms) is exact and returns another
-`PhasePolynomial`; floats only appear in `evaluate`, the one float evaluator.
+`PhasePolynomial`.  Floats only appear in two evaluators that share one
+cached float conversion of the coefficients: `evaluate` takes points or
+broadcasting arrays and serves the nondegeneracy sweeps and the panel-count
+bounds, and `evaluate_tensor` writes a scaled phase on a batch of tensor
+grids into a given buffer for the quadrature kernel.
 
 The *reduced* form drops every term whose exponent has fewer than two
 strictly positive entries: such terms never influence the mixed second
@@ -18,6 +22,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Mapping, Sequence
+
+import numpy as np
 
 MultiIndex = tuple[int, ...]
 
@@ -139,6 +145,53 @@ class PhasePolynomial:
                     mono = mono * xi ** e
             total = total + mono
         return total
+
+    def evaluate_tensor(self, axes: Sequence, scale: float, out):
+        """Write scale * self on a batch of tensor grids into `out`.
+
+        axes[k] holds the (B, n_k) nodes of variable k, and `out` is a
+        C-contiguous float array of shape (B, n_0, ..., n_{d-1}); it is
+        returned.  `scale` is folded into the coefficients, so no full-size
+        temporary is made.  A single monomial is an outer product of per-axis
+        powers whose last multiply writes `out`.  A sum of terms contracts
+        the per-axis power tables P_k, of shape (B, n_k, E_k) for the E_k
+        distinct exponents of variable k, against the coefficient tensor:
+        P_0 @ C @ P_1^T in two dimensions, one more contraction per axis
+        beyond.
+        """
+        if len(axes) != self.dimension:
+            raise PhaseError("point has wrong dimension")
+        b, d = axes[0].shape[0], self.dimension
+        coeffs = self._float_coefficients
+        if len(coeffs) == 1:
+            (alpha, c), = coeffs
+            powers = []
+            for k, (e, x) in enumerate(zip(alpha, axes)):
+                if e:
+                    shape = [b] + [1] * d
+                    shape[k + 1] = x.shape[1]
+                    powers.append((x ** e).reshape(shape))
+            acc = scale * c
+            for part in powers[:-1]:
+                acc = acc * part
+            return np.multiply(acc, powers[-1] if powers else 1.0, out=out)
+        exps = [sorted({alpha[k] for alpha, _ in coeffs}) for k in range(d)]
+        tensor = np.zeros([len(e) for e in exps])
+        for alpha, c in coeffs:
+            tensor[tuple(e.index(a) for e, a in zip(exps, alpha))] = scale * c
+        tables = [x[:, :, None] ** np.array(e, dtype=float)
+                  for x, e in zip(axes, exps)]
+        # contract the leading axes one at a time: t is (B, rows, E_k, rest)
+        t = np.matmul(tables[0], tensor.reshape(len(exps[0]), -1))
+        rows = axes[0].shape[1]
+        for k in range(1, d - 1):
+            t = np.matmul(tables[k][:, None],
+                          t.reshape(b, rows, len(exps[k]), -1))
+            rows *= axes[k].shape[1]
+        np.matmul(t.reshape(b, rows, len(exps[-1])),
+                  tables[-1].transpose(0, 2, 1),
+                  out=out.reshape(b, rows, axes[-1].shape[1]))
+        return out
 
     def evaluate_exact(self, x: Sequence[Fraction | int]) -> Fraction:
         """Evaluate at a rational point, exactly."""

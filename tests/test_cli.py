@@ -162,6 +162,19 @@ class TestUsageErrors:
         assert code == 1
         assert "not above 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["integrate", "--lam", "1e308"],
+        ["verify", "--lam-lo", "1e307", "--lam-hi", "1e308", "--lam-count", "2"],
+    ], ids=["integrate", "verify"])
+    def test_overflowing_turn_count_is_refused(self, tmp_path, capsys, argv):
+        # lam times the gradient bound is not finite, so no panel count exists
+        code = main(argv + ["--phase", "x1^2*x2^2 + x1^5*x2",
+                            "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "overflow" in err
+        assert "Traceback" not in err
+
 
 class TestExponentCommand:
     def test_boundary_example(self, capsys):

@@ -12,6 +12,9 @@ from scipy.integrate import dblquad, quad
 from oscdecay.exponent import ExponentQuery
 from oscdecay.nondegen import DyadicBox
 from oscdecay.oscint import (
+    _STEP_NORM,
+    _STEP_W,
+    _STEP_X,
     CutoffSpec,
     FactorSpec,
     OscError,
@@ -67,6 +70,55 @@ class TestBumpAndStep:
         u = np.linspace(0, 1, 101)
         v = smooth_step(u)
         assert np.all(np.diff(v) <= 0)
+
+    @staticmethod
+    def unmasked_step(u):
+        # the formula smooth_step used before it was masked: the bump table
+        # runs on every node, and np.where discards the plateau results
+        u = np.asarray(u, dtype=float)
+        uc = np.clip(u, 0.0, 1.0)
+        v = uc[..., None] + (1.0 - uc)[..., None] * _STEP_X
+        out = (1.0 - uc) * (bump(2.0 * v - 1.0) @ _STEP_W) / _STEP_NORM
+        return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, out))
+
+    def test_masked_step_matches_unmasked_formula(self):
+        special = np.array([-np.inf, -1.0, -0.0, 0.0, 5e-324, 0.3, 0.5,
+                            1.0 - 2.0 ** -53, 1.0, 2.0, np.inf])
+        rng = np.random.default_rng(6)
+        for u in (special, rng.uniform(-0.5, 1.5, 10_000)):
+            got = smooth_step(u)
+            m = (u > 0) & (u < 1)
+            # plateau and outside nodes: exactly 1.0 and 0.0, bit for bit
+            assert got[~m].tobytes() == self.unmasked_step(u)[~m].tobytes()
+            # transition nodes: bit for bit the old formula on those nodes
+            assert got[m].tobytes() == self.unmasked_step(u[m]).tobytes()
+            # the BLAS matvec rounds a row by its position in the batch, so
+            # against the old formula on the whole batch a node may move by
+            # an ulp or two
+            whole = self.unmasked_step(u)
+            assert np.all(np.abs(got - whole) <= 4 * np.finfo(float).eps * whole)
+        assert np.isnan(smooth_step(np.nan))
+        assert np.isnan(smooth_step(np.array([0.3, np.nan, 2.0]))).tolist() == [
+            False, True, False]
+
+    def test_plateau_nodes_skip_the_bump_table(self, monkeypatch):
+        sizes = []
+        real = bump
+
+        def spy(t):
+            sizes.append(np.size(t))
+            return real(t)
+
+        monkeypatch.setattr("oscdecay.oscint.bump", spy)
+        smooth_step(np.array([-np.inf, -2.0, -0.0, 0.0, 1.0, 3.0, np.inf]))
+        assert sum(sizes) == 0
+        u = np.array([-1.0, 0.25, 0.5, 2.0, 0.75])
+        smooth_step(u)
+        assert sum(sizes) == 3 * _STEP_X.size
+        # a plateau-only piece of the cutoff sends no work either
+        sizes.clear()
+        CHI.profile(np.linspace(-0.5, 0.5, 97))
+        assert sum(sizes) == 0
 
 
 class TestCutoff:
@@ -301,17 +353,43 @@ class TestKernel:
     def test_phase_evaluated_per_batch(self, monkeypatch):
         # per cell, this took about 6,600 evaluations: panel-count bounds and
         # phase tensors for 2197 cells at two Gauss orders
+        # point, broadcast and tensor evaluations all count
         calls = []
-        original = PhasePolynomial.evaluate
+        for name in ("evaluate", "evaluate_tensor"):
+            def counting(self, *args, _original=getattr(PhasePolynomial, name)):
+                calls.append(1)
+                return _original(self, *args)
 
-        def counting(self, x):
-            calls.append(1)
-            return original(self, x)
-
-        monkeypatch.setattr(PhasePolynomial, "evaluate", counting)
+            monkeypatch.setattr(PhasePolynomial, name, counting)
         evaluate_lambda(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3),
                         CHI_POS, 16.0)
         assert 0 < len(calls) <= 36
+
+    @pytest.mark.parametrize("text, d", [
+        ("x1^3*x2^2", 2),
+        ("x1*x2^2*x3^4", 3),
+        ("x1^2*x2^2 + x1^5*x2", 2),
+        ("x1*x2 + x2*x3^2", 3),
+        ("-3/2*x1^3*x2 + x1*x2^4 - 5*x1^2*x2^2", 2),
+        ("-x1^2*x2*x3 + 7/3*x1*x3^3 - x2^2*x3", 3),
+        ("-2*x1*x3", 3),
+    ], ids=["2d-monomial", "3d-monomial", "2d-two-terms", "3d-missing-axis",
+            "2d-negative", "3d-negative", "3d-monomial-missing-axis"])
+    def test_tensor_evaluation_matches_broadcast(self, text, d):
+        p = phase(text, d)
+        rng = np.random.default_rng(7)
+        b, sizes, scale = 4, [9, 5, 6][:d], 0.5 * 1234.5
+        axes = [rng.uniform(-1.0, 1.0, (b, n)) for n in sizes]
+        grid = [x.reshape([b] + [n if j == k else 1 for j, n in enumerate(sizes)])
+                for k, x in enumerate(axes)]
+        want = scale * np.broadcast_to(p.evaluate(grid), [b] + sizes)
+        # relative to the size of the terms: with signed coefficients the
+        # value itself can cancel to nothing at a node
+        size = scale * p.absolute().evaluate([np.abs(x) for x in grid])
+        out = np.full([b] + sizes, np.nan)
+        got = p.evaluate_tensor(axes, scale, out)
+        assert got is out
+        assert np.all(np.abs(out - want) <= 1e-13 * size)
 
     def test_panel_counts_match_scalar_bounds(self):
         # awkward clips, a radius off the powers of two and high powers: the
