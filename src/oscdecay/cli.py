@@ -79,8 +79,10 @@ class RunConfig:
             raise CliError("eta must lie in (0, 1)")
         if not (math.isfinite(self.lam_lo) and math.isfinite(self.lam_hi)):
             raise CliError("frequency range must be finite")
-        if self.lam_count < 1 or self.grid < 2:
+        if self.lam_count < 1 or self.sharpness_count < 1 or self.grid < 2:
             raise CliError("grid sizes must be positive")
+        if self.starts < 0:
+            raise CliError(f"starts must be nonnegative, got {self.starts}")
         if not 1 <= self.levels <= MAX_LEVELS:
             raise CliError(f"levels must lie in 1..{MAX_LEVELS}")
         if not (self.lam_lo >= MIN_LAMBDA

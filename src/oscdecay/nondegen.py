@@ -220,8 +220,41 @@ def _normalize_to_slice(x: np.ndarray, weights: Sequence[int]) -> np.ndarray:
     return np.array([math.exp(w * s) * v for v, w in zip(x, weights)])
 
 
+def _slice_values(pairs: Sequence[PhasePolynomial], centers: np.ndarray, d: int,
+                  m: int):
+    """|g| at the cell centres of the slice x_m = 1, one array per pair, and
+    their pointwise maximum."""
+    cellshape = (centers.size,) * (d - 1)
+    coords = _slice_coords(centers, d, m)
+    gvals = [np.broadcast_to(np.abs(g.evaluate(coords)), cellshape) for g in pairs]
+    valmax = gvals[0]
+    for g in gvals[1:]:
+        valmax = np.maximum(valmax, g)
+    return gvals, valmax
+
+
+def _smallest_cells(values: np.ndarray, k: int) -> np.ndarray:
+    """Flat indices of the k smallest entries, ordered by (value, flat index)."""
+    flat = values.ravel()
+    if k < flat.size:
+        kth = flat[np.argpartition(flat, k - 1)[k - 1]]
+        below = np.flatnonzero(flat < kth)
+        sel = np.concatenate([below, np.flatnonzero(flat == kth)[:k - below.size]])
+    else:
+        sel = np.arange(flat.size)
+    return sel[np.lexsort((sel, flat[sel]))]
+
+
 def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
                 tol: float, degen_tol: float, starts: int) -> FaceCheck:
+    """Certify one face on the grid, or search it for a common zero.
+
+    Every orientation x_m = 1 of the slice is swept first for the margin and
+    the per-cell Lipschitz certificate.  Only a face that fails certification
+    picks witness starts: the max(1, starts // d) cells of smallest slice
+    maximum in each orientation, ties broken by (value, flat index), of which
+    the `starts` smallest overall seed the Gauss-Newton refinement.
+    """
     d = p.dimension
     fpoly = restrict_to_face(p, face)
     pairs = _mixed_pairs(fpoly)
@@ -237,36 +270,41 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
 
     margin = math.inf
     certified = True
-    cand: list[tuple[float, tuple[float, ...]]] = []
-    cellshape = (centers.size,) * (d - 1)
+    pen = np.empty((centers.size,) * (d - 1))
+    cellcert = np.empty_like(pen)
     for m in range(d):
-        c_coords = _slice_coords(centers, d, m)
         u_coords = _slice_coords(uppers, d, m)
-        gvals = [np.broadcast_to(np.abs(g.evaluate(c_coords)), cellshape)
-                 for g in pairs]
-        valmax = gvals[0]
-        for g in gvals[1:]:
-            valmax = np.maximum(valmax, g)
+        gvals, valmax = _slice_values(pairs, centers, d, m)
         margin = min(margin, float(valmax.min()))
 
-        cellcert = None
-        for gv, grads in zip(gvals, absgrads):
-            pen = 0.0
+        # bound = |g(center)| - sum_k sup|d_k g| * halfwidth, summed in k order
+        for i, (gv, grads) in enumerate(zip(gvals, absgrads)):
             free = 0
             for k in range(d):
                 if k == m:
                     continue
                 shape = [1] * (d - 1)
                 shape[free] = halfw.size
-                pen = pen + grads[k].evaluate(u_coords) * halfw.reshape(shape)
+                term = grads[k].evaluate(u_coords) * halfw.reshape(shape)
+                if free == 0:
+                    pen[...] = term
+                else:
+                    np.add(pen, term, out=pen)
                 free += 1
-            bound = gv - pen
-            cellcert = bound if cellcert is None else np.maximum(cellcert, bound)
+            if i == 0:
+                np.subtract(gv, pen, out=cellcert)
+            else:
+                np.maximum(cellcert, np.subtract(gv, pen, out=pen), out=cellcert)
         if not bool((cellcert > tol).all()):
             certified = False
 
-        flat = np.argsort(valmax, axis=None)[:max(1, starts // d)]
-        for idx in flat:
+    if certified:
+        return FaceCheck(face.id, face.dim, "nondegenerate", margin)
+
+    cand: list[tuple[float, tuple[float, ...]]] = []
+    for m in range(d):
+        _, valmax = _slice_values(pairs, centers, d, m)
+        for idx in _smallest_cells(valmax, max(1, starts // d)):
             multi = np.unravel_index(idx, valmax.shape)
             point = []
             free = 0
@@ -277,10 +315,6 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
                     point.append(float(centers[multi[free]]))
                     free += 1
             cand.append((float(valmax[multi]), tuple(point)))
-
-    if certified:
-        return FaceCheck(face.id, face.dim, "nondegenerate", margin)
-
     cand.sort()
     floor = eta * 1e-2
     best = None
@@ -322,11 +356,16 @@ def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
     Certification covers the cone {x > 0 : min_k x_k >= eta * max_k x_k}; a
     "nondegenerate" verdict is exact down to that resolution, a "degenerate"
     one carries a positive witness with max_{i<j} |d_i d_j phi_F| <= degen_tol.
+    The witness search runs only on faces that fail certification; its
+    `starts` Gauss-Newton seeds are the grid cells of smallest slice maximum,
+    ties broken by (value, flat index), so witnesses are deterministic.
     """
     if not p.reduced:
         raise NondegenError("phase must be reduced first (reduce_phase)")
     if grid < 2:
         raise NondegenError("grid must have at least 2 points per axis")
+    if starts < 0:
+        raise NondegenError(f"starts must be nonnegative, got {starts}")
     if grid > max_grid(p.dimension):
         raise NondegenError(f"grid {grid} sweeps more than {MAX_FACE_CELLS} cells "
                             f"per face in dimension {p.dimension}; the largest "

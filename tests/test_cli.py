@@ -43,6 +43,8 @@ class TestConfigHandling:
         with pytest.raises(CliError):
             RunConfig(lam_count=0).validate()
         with pytest.raises(CliError):
+            RunConfig(sharpness_count=0).validate()
+        with pytest.raises(CliError):
             RunConfig(box_scale="-1/4").validate()
         with pytest.raises(CliError, match="not a rational"):
             RunConfig(box_scale="1/0").validate()
@@ -140,8 +142,10 @@ class TestUsageErrors:
         ["exponent", "--phase", "x1*x7"],
         ["exponent", "--phase", "x1"],
         ["check", "--phase", "x1*x2*x3*x4*x5"],
+        ["check", "--phase", "x1^3*x2 - x1*x2^3", "--starts", "-1"],
     ], ids=["z-1/0", "z-abc", "levels-41", "lam-lo-1", "dim-7", "dim-1",
-            "inferred-dim-7", "inferred-dim-1", "check-grid-64-dim-5"])
+            "inferred-dim-7", "inferred-dim-1", "check-grid-64-dim-5",
+            "starts-negative"])
     def test_configuration_value_is_usage_error(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()

@@ -2,10 +2,12 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscdecay import nondegen
 from oscdecay.nondegen import (
     DyadicBox,
     NondegenError,
@@ -74,6 +76,28 @@ class TestNondegeneracyVerdicts:
         rep = check_nondegeneracy(phase("x1^3*x2 - x1*x2^3"), starts=0)
         assert rep.verdict == "inconclusive"
         assert rep.witness is None
+
+    def test_negative_starts_refused(self):
+        with pytest.raises(NondegenError, match="starts"):
+            check_nondegeneracy(phase("x1^3*x2 - x1*x2^3"), starts=-1)
+
+    @pytest.mark.parametrize("text,d", [("x1^2*x2^2 + x1^5*x2", 2),
+                                        ("x1*x2 + x2*x3", 3)])
+    def test_certified_faces_select_no_starts(self, monkeypatch, text, d):
+        def refuse(*args, **kwargs):
+            raise AssertionError("witness starts chosen on a certified face")
+
+        monkeypatch.setattr(nondegen.np, "argsort", refuse)
+        monkeypatch.setattr(nondegen.np, "argpartition", refuse)
+        assert check_nondegeneracy(phase(text, d)).verdict == "nondegenerate"
+
+    @pytest.mark.parametrize("shape", [(5, 7), (3, 4, 5)])
+    def test_start_selection_breaks_ties_by_flat_index(self, shape):
+        values = np.random.default_rng(7).integers(0, 4, size=shape).astype(float)
+        flat = values.ravel()
+        for k in range(1, values.size + 1):
+            want = sorted(range(values.size), key=lambda i: (flat[i], i))[:k]
+            assert nondegen._smallest_cells(values, k).tolist() == want
 
     def test_three_dim_chain(self):
         rep = check_nondegeneracy(phase("x1*x2 + x2*x3", 3))
