@@ -17,10 +17,12 @@ from fractions import Fraction
 from pathlib import Path
 
 from .decay import (
+    MAX_SUM_BOXES,
     check_dual_domination,
     dual_lambda_grid,
     fit_decay,
     sharpness_test,
+    summation_boxes,
     summation_oracle,
 )
 from .exponent import ExponentQuery, sharp_exponent
@@ -97,8 +99,10 @@ class RunConfig:
             raise CliError(f"box scale {self.box_scale!r} is not a rational number") from None
         if box_scale <= 0:
             raise CliError("box scale must be positive")
-        if self.e_step < 1 or self.e_hi < self.e_lo:
-            raise CliError("bad summation exponent range")
+        # 2^1023 is the largest power of two a float holds
+        if not (self.e_step >= 1 and 1 <= self.e_lo <= self.e_hi <= 1023):
+            raise CliError("summation exponents need e-step >= 1 and "
+                           "1 <= e-lo <= e-hi <= 1023")
         try:
             ExponentQuery.of(self.p)
         except (ValueError, ZeroDivisionError):
@@ -394,7 +398,17 @@ def cmd_sum_oracle(args, cfg: RunConfig) -> int:
     if not cfg.z:
         raise CliError("--z is required for sum-oracle")
     z = cfg.weights()
-    lams = [2.0 ** e for e in range(cfg.e_lo, cfg.e_hi + 1, cfg.e_step)]
+    if len(z) != n.dimension or any(x <= 0 for x in z):
+        raise CliError(f"--z needs {n.dimension} positive entries, got {','.join(cfg.z)}")
+    lams, boxes = [], 0
+    for e in range(cfg.e_lo, cfg.e_hi + 1, cfg.e_step):
+        boxes += summation_boxes(n.dimension, z, 2.0 ** e)
+        if boxes > MAX_SUM_BOXES:
+            fits = (f"use --e-hi {e - cfg.e_step} or less" if lams
+                    else f"--e-lo {cfg.e_lo} alone exceeds it")
+            raise CliError(f"the box grid up to --e-hi {cfg.e_hi} has more than "
+                           f"{MAX_SUM_BOXES} boxes; {fits}")
+        lams.append(2.0 ** e)
     sr = summation_oracle(n, z, lams)
     rep = _report("sum-oracle", cfg, summation=sr.to_json_dict(),
                   verdicts=[_verdict(

@@ -1,11 +1,10 @@
 """Decay-rate verification for the oscillatory form.
 
-Four instruments, all driven by the quadrature module: a log-log regression
-that extracts the decay power and the log correction from a sweep; a lower
-bound built from a dual-polyhedron vertex, realized by indicator boxes thin
-enough that the phase never turns; a brute-force evaluation of the dyadic
-box-sum envelope; and a sweep along rays in extended frequency space where
-the last coordinate multiplies the phase.
+Three instruments: a log-log regression that extracts the decay power and
+the log correction from a quadrature sweep; a lower bound built from a
+dual-polyhedron vertex, realized by indicator boxes thin enough that the
+phase never turns; and a brute-force evaluation of the dyadic box-sum
+envelope.
 """
 from __future__ import annotations
 
@@ -17,19 +16,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .exponent import ExponentQuery, ExponentReport, ray_scaling, varchenko_exponent
+from .exponent import ExponentQuery, ExponentReport, ray_scaling
 from .oscint import (CutoffSpec, OscResult, QuadratureConfig, TestFunctionSpec,
                      evaluate_lambda)
 from .phase import PhasePolynomial
-from .polytope import (DualPolyhedron, NewtonPolyhedron, build_polyhedron,
-                       dual_polyhedron)
+from .polytope import DualPolyhedron, NewtonPolyhedron, dual_polyhedron
 from .ratlin import dot
 
 __all__ = [
     "DecayError", "DecayFit", "SharpnessRow", "SharpnessWitness",
-    "SummationRow", "SummationReport", "FourierSweep", "fit_decay",
-    "fit_samples", "dual_lambda_grid", "sharpness_test",
-    "check_dual_domination", "summation_oracle", "fourier_decay_sweep",
+    "SummationRow", "SummationReport", "fit_decay", "fit_samples",
+    "dual_lambda_grid", "sharpness_test", "check_dual_domination",
+    "summation_oracle", "summation_boxes", "MAX_SUM_BOXES",
 ]
 
 
@@ -326,6 +324,20 @@ class SummationReport:
         }
 
 
+# the oracle spends a few microseconds on each box in pure Python; 2^20 boxes
+# per run admit every frequency up to 2^24 in d <= 3 with unit weights
+MAX_SUM_BOXES = 2 ** 20
+
+
+def _summation_jmax(z: Sequence, lam: float, margin: int) -> int:
+    return math.ceil(math.log2(lam) / min(float(x) for x in z)) + margin
+
+
+def summation_boxes(d: int, z: Sequence, lam: float, margin: int = 8) -> int:
+    """Boxes `summation_oracle` visits at one frequency, (jmax + 1)^d."""
+    return (_summation_jmax(z, lam, margin) + 1) ** d
+
+
 def summation_oracle(n: NewtonPolyhedron, z: Sequence, lambdas: Sequence[float],
                      *, margin: int = 8,
                      bound_factor: float = 10.0) -> SummationReport:
@@ -346,15 +358,18 @@ def summation_oracle(n: NewtonPolyhedron, z: Sequence, lambdas: Sequence[float],
     lams = [float(x) for x in lambdas]
     if any(l < 2 for l in lams):
         raise DecayError("envelope grid needs lam >= 2")
-
     d = n.dimension
+    boxes = sum(summation_boxes(d, zz, lam, margin) for lam in lams)
+    if boxes > MAX_SUM_BOXES:
+        raise DecayError(f"the envelope grid has {boxes} boxes, more than {MAX_SUM_BOXES}")
+
     verts = [tuple(v) for v in n.vertices]
     zf = [float(x) for x in zz]
     # the full-orthant volume series factors per axis
     geo = [1.0 / (1.0 - 2.0 ** -x) for x in zf]
     rows = []
     for lam in lams:
-        jmax = math.ceil(math.log2(lam) / min(zf)) + margin
+        jmax = _summation_jmax(zz, lam, margin)
         log2lam = math.log2(lam)
         pieces = []
         for j in product(range(jmax + 1), repeat=d):
@@ -373,50 +388,3 @@ def summation_oracle(n: NewtonPolyhedron, z: Sequence, lambdas: Sequence[float],
     spread = max(values) / min(values)
     return SummationReport(nu, m, zz, tuple(rows), spread, bound_factor)
 
-
-# ---------------------------------------------------------------------------
-# extended-frequency rays
-
-@dataclass(frozen=True)
-class FourierSweep:
-    ray: tuple[float, ...]
-    ts: tuple[float, ...]
-    results: tuple[OscResult, ...]
-    fit: DecayFit
-    predicted: ExponentReport
-
-
-def fourier_decay_sweep(p: PhasePolynomial, chi: CutoffSpec,
-                        ray: Sequence[float], ts: Sequence[float], *,
-                        quad: QuadratureConfig | None = None,
-                        tol: float = 0.05, min_samples: int = 8,
-                        min_octaves: float = 4.0) -> FourierSweep:
-    """Decay along a ray in extended frequency space.
-
-    The first d ray components drive complex-exponential factors, the last
-    multiplies the phase.  Along the pure last-coordinate ray this is
-    exactly the plain sweep with constant factors.
-    """
-    d = p.dimension
-    if d > 2:
-        raise DecayError("extended-frequency sweeps are limited to dimension <= 2")
-    ray = tuple(float(x) for x in ray)
-    if len(ray) != d + 1 or not any(ray):
-        raise DecayError("ray must be a nonzero vector of dimension d + 1")
-    ts = tuple(float(t) for t in ts)
-    if any(b <= a for a, b in zip(ts, ts[1:])) or (ts and ts[0] < 2):
-        raise DecayError("ray parameters must be increasing and >= 2")
-    if quad is None:
-        quad = QuadratureConfig()
-    predicted = varchenko_exponent(build_polyhedron(p))
-    results = []
-    for t in ts:
-        xi = [t * r for r in ray]
-        f = TestFunctionSpec.exponentials(xi[:d])
-        results.append(evaluate_lambda(p, f, chi, xi[d], quad=quad))
-    clean = [(t, abs(r.value)) for t, r in zip(ts, results) if not r.low_confidence]
-    fit = fit_samples([a for a, _ in clean], [b for _, b in clean],
-                      1.0 / float(predicted.nu), predicted.m, tol=tol,
-                      min_samples=min_samples, min_octaves=min_octaves,
-                      excluded=len(ts) - len(clean))
-    return FourierSweep(ray, ts, tuple(results), fit, predicted)

@@ -13,7 +13,7 @@ exactly at max_facets b / <w, u>, a single exact rational computation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 

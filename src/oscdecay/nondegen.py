@@ -416,7 +416,7 @@ def mixed_hessian_floor(p: PhasePolynomial, box: DyadicBox, *,
 
 
 # ---------------------------------------------------------------------------
-# box sweeps: floor and ceiling constants
+# box sweep: the floor constant
 
 @dataclass(frozen=True)
 class BoxRatioRow:
@@ -470,131 +470,6 @@ def sweep_hessian_floor(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
     constant = min(r.ratio for r in rows)
     verdict = "PASS" if constant >= threshold else "FAIL"
     return FloorSweep(constant, verdict, tuple(rows), jmax, grid, threshold)
-
-
-@dataclass(frozen=True)
-class CeilingSweep:
-    ceiling_constant: float
-    verdict: str
-    rows: tuple[BoxRatioRow, ...]  # per box: the worst derivative ratio
-    jmax: int
-    grid: int
-    order_cap: int
-
-    def to_json_dict(self) -> dict:
-        worst = sorted(self.rows, key=lambda r: (-r.ratio, r.j))[:10]
-        return {"ceiling_constant": self.ceiling_constant, "verdict": self.verdict,
-                "jmax": self.jmax, "grid": self.grid, "order_cap": self.order_cap,
-                "worst_boxes": [r.to_json_dict() for r in worst]}
-
-
-def _falling(n: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
-def sweep_derivative_ceiling(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *,
-                             jmax: int = 10, grid: int = 8,
-                             order_cap: int = 3) -> CeilingSweep:
-    """Ceiling constant: max over boxes and derivative orders a <= order_cap
-    of sup |x^a d^a phi| / (largest vertex monomial scale)."""
-    if n is None:
-        n = build_polyhedron(p)
-    d = p.dimension
-    # the nonzero polynomials x^a d^a phi, one per derivative order a
-    apolys = []
-    for a in product(range(order_cap + 1), repeat=d):
-        terms = {beta: c * math.prod(_falling(bk, ak) for bk, ak in zip(beta, a))
-                 for beta, c in p.terms.items()}
-        poly = PhasePolynomial.from_terms(terms, d, allow_zero=True)
-        if not poly.is_zero():
-            apolys.append(poly)
-    rows = []
-    for j in product(range(jmax + 1), repeat=d):
-        box = DyadicBox(j)
-        t = _min_scale_exponent(n, box)
-        axes = [np.geomspace(float(a), float(b), grid)
-                for a, b in zip(box.lo, box.hi)]
-        coords = np.meshgrid(*axes, indexing="ij", sparse=True)
-        worst_val, worst_pt = -math.inf, tuple(float(x) for x in box.lo)
-        for poly in apolys:
-            vals = np.abs(poly.evaluate(coords))
-            idx = np.unravel_index(np.argmax(vals), vals.shape)
-            if float(vals[idx]) > worst_val:
-                worst_val = float(vals[idx])
-                worst_pt = tuple(float(axes[k][idx[k]]) for k in range(d))
-        rows.append(BoxRatioRow(j, _pow2(worst_val, t), worst_val, worst_pt, t))
-    constant = max(r.ratio for r in rows)
-    verdict = "PASS" if math.isfinite(constant) else "FAIL"
-    return CeilingSweep(constant, verdict, tuple(rows), jmax, grid, order_cap)
-
-
-# ---------------------------------------------------------------------------
-# congruent subdivision with a fixed Hessian pair per piece
-
-@dataclass(frozen=True)
-class CellAssignment:
-    index: tuple[int, ...]
-    lo: tuple[Fraction, ...]
-    hi: tuple[Fraction, ...]
-    pair: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class BoxSubdivision:
-    ok: bool
-    levels: int | None
-    threshold: float
-    cells: tuple[CellAssignment, ...]
-
-
-def subdivide_box(p: PhasePolynomial, box: DyadicBox,
-                  n: NewtonPolyhedron | None = None, *,
-                  floor_ratio: float | None = None, max_levels: int = 6,
-                  grid: int = 6) -> BoxSubdivision:
-    """Smallest N splitting the box into 2^(d N) congruent pieces such that
-    each piece (doubled, clipped to the box) has one Hessian pair bounded
-    below by half the floor ratio times the dominant vertex scale."""
-    if n is None:
-        n = build_polyhedron(p)
-    d = p.dimension
-    t = _min_scale_exponent(n, box)
-    if floor_ratio is None:
-        fl = mixed_hessian_floor(p, box)
-        floor_ratio = _pow2(fl.value, t)
-    threshold = (floor_ratio / 2) * _pow2(1.0, -t)
-    pairs = _scaled_pairs(p)
-    # a nonpositive threshold would make the cell bound vacuous
-    if not pairs or not threshold > 0:
-        return BoxSubdivision(False, None, threshold, ())
-
-    for levels in range(max_levels + 1):
-        parts = 2 ** levels
-        widths = [(b - a) / parts for a, b in zip(box.lo, box.hi)]
-        cells = []
-        feasible = True
-        for index in product(range(parts), repeat=d):
-            clo = [a + i * w for a, i, w in zip(box.lo, index, widths)]
-            chi = [a + w for a, w in zip(clo, widths)]
-            dlo = [max(a, x - w / 2) for a, x, w in zip(box.lo, clo, widths)]
-            dhi = [min(b, x + w / 2) for b, x, w in zip(box.hi, chi, widths)]
-            axes = [np.geomspace(float(a), float(b), grid)
-                    for a, b in zip(dlo, dhi)]
-            coords = np.meshgrid(*axes, indexing="ij", sparse=True)
-            chosen = None
-            for pair, g in pairs:
-                if float(np.abs(g.evaluate(coords)).min()) >= threshold:
-                    chosen = pair
-                    break
-            if chosen is None:
-                feasible = False
-                break
-            cells.append(CellAssignment(index, tuple(clo), tuple(chi), chosen))
-        if feasible:
-            return BoxSubdivision(True, levels, threshold, tuple(cells))
-    return BoxSubdivision(False, None, threshold, ())
 
 
 # ---------------------------------------------------------------------------
@@ -658,51 +533,3 @@ def solve_rescaling(alphas: Sequence[Sequence[int]], beta: Sequence[int],
     bound = float(kappa) ** float(rho)
     y = tuple(2.0 ** float(x) for x in u)
     return Rescaling(y, tuple(u), tuple(basis), rho, bound)
-
-
-# ---------------------------------------------------------------------------
-# dominant-face classification of a box
-
-@dataclass(frozen=True)
-class DominantFace:
-    dominated: bool
-    order: int | None          # dimension of the dominant face
-    face: Face | None
-    scale_exponent: int        # t with max_alpha eps^alpha = 2^(-t)
-    gap: int | None            # log2 suppression of the best outside vertex
-
-    def to_json_dict(self) -> dict:
-        return {"dominated": self.dominated, "order": self.order,
-                "face_vertices": [list(v) for v in self.face.vertices] if self.face else None,
-                "scale_exponent": self.scale_exponent, "gap": self.gap}
-
-
-def dominant_face(n: NewtonPolyhedron, box: DyadicBox,
-                  thresholds: Sequence | None = None) -> DominantFace:
-    """The compact face whose vertex monomials all share the largest scale
-    on the box, with every other vertex suppressed below the dimension's
-    threshold (default 2^-(dim+3)); exact integer-exponent arithmetic."""
-    d = n.dimension
-    if box.dimension != d:
-        raise NondegenError("box dimension does not match the polyhedron")
-    if thresholds is None:
-        ks = [Fraction(1, 2 ** (k + 3)) for k in range(d)]
-    else:
-        ks = [Fraction(x) for x in thresholds]
-        if len(ks) != d or any(not 0 < k < 1 for k in ks):
-            raise NondegenError("need one threshold in (0,1) per face dimension")
-
-    svals = [box.scale_exponent(v) for v in n.vertices]
-    s1 = min(svals)
-    tight = tuple(sorted(i for i, s in enumerate(svals) if s == s1))
-    face = next((f for f in n.faces if f.vertex_ids == tight), None)
-    if face is None:
-        return DominantFace(False, None, None, s1, None)
-    outside = [s for i, s in enumerate(svals) if i not in tight]
-    if not outside:
-        return DominantFace(True, face.dim, face, s1, None)
-    s2 = min(outside)
-    gap = s2 - s1
-    if Fraction(1, 2 ** s2) <= ks[face.dim] * Fraction(1, 2 ** s1):
-        return DominantFace(True, face.dim, face, s1, gap)
-    return DominantFace(False, None, None, s1, gap)

@@ -31,7 +31,6 @@ from typing import Sequence
 import numpy as np
 
 from .exponent import INF, ExponentQuery
-from .nondegen import DyadicBox
 from .phase import PhasePolynomial
 from .polytope import NewtonPolyhedron, build_polyhedron
 from .ratlin import dot
@@ -39,8 +38,8 @@ from .ratlin import dot
 __all__ = [
     "OscError", "CutoffSpec", "FactorSpec", "TestFunctionSpec",
     "QuadratureConfig", "BoxContribution", "OscResult", "bump",
-    "smooth_step", "evaluate_lambda", "single_box_bound", "certificate_sum",
-    "lambda_grid", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS", "MIN_LAMBDA",
+    "smooth_step", "evaluate_lambda", "certificate_sum", "lambda_grid",
+    "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS", "MIN_LAMBDA",
 ]
 
 
@@ -69,11 +68,12 @@ def bump(t):
 
 
 # fixed rule for the profile integral; the same rule normalizes itself, so
-# smooth_step(0) == 1 exactly
+# smooth_step(0) == 1 exactly.  The rule is applied as a per-row sum, not as
+# a BLAS matvec, whose rounding of a row depends on its place in the batch
 _STEP_X, _STEP_W = np.polynomial.legendre.leggauss(48)
 _STEP_X = 0.5 * (_STEP_X + 1.0)
 _STEP_W = 0.5 * _STEP_W
-_STEP_NORM = float(bump(2.0 * _STEP_X - 1.0) @ _STEP_W)
+_STEP_NORM = float((bump(2.0 * _STEP_X - 1.0) * _STEP_W).sum())
 
 
 def smooth_step(u):
@@ -86,7 +86,7 @@ def smooth_step(u):
     if m.any():
         um = u[m]
         v = um[:, None] + (1.0 - um)[:, None] * _STEP_X
-        out[m] = (1.0 - um) * (bump(2.0 * v - 1.0) @ _STEP_W) / _STEP_NORM
+        out[m] = (1.0 - um) * (bump(2.0 * v - 1.0) * _STEP_W).sum(axis=1) / _STEP_NORM
     return out
 
 
@@ -119,14 +119,13 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One-variable factor: constant, interval indicator, complex exponential,
-    or a sampled table (linear interpolation, zero outside its grid)."""
-    kind: str
+    """One-variable factor: a constant, the indicator of [a, b] times a
+    constant, or the complex exponential exp(i*xi*t)."""
+    kind: str  # "const" | "box" | "exp"
     scale: complex = 1.0
     a: float = 0.0
     b: float = 0.0
     xi: float = 0.0
-    table: tuple[tuple[float, float], ...] = ()
 
     @classmethod
     def const(cls, value: complex = 1.0) -> "FactorSpec":
@@ -142,20 +141,11 @@ class FactorSpec:
     def exponential(cls, xi: float) -> "FactorSpec":
         return cls("exp", xi=float(xi))
 
-    @classmethod
-    def sampled(cls, points: Sequence[tuple[float, float]]) -> "FactorSpec":
-        pts = tuple(sorted((float(t), float(v)) for t, v in points))
-        if len(pts) < 2:
-            raise OscError("sampled factor needs at least two points")
-        return cls("table", table=pts)
-
     @property
     def interval(self) -> tuple[float, float] | None:
         """Support restriction usable for exact per-axis clipping."""
         if self.kind == "box":
             return (self.a, self.b)
-        if self.kind == "table":
-            return (self.table[0][0], self.table[-1][0])
         return None
 
     @property
@@ -170,31 +160,17 @@ class FactorSpec:
         if self.kind == "box":
             ind = np.where((t >= self.a) & (t <= self.b), 1.0, 0.0)
             return self.scale * ind.astype(complex)
-        if self.kind == "exp":
-            return np.exp(1j * self.xi * t)
-        grid = np.array([q[0] for q in self.table])
-        vals = np.array([q[1] for q in self.table])
-        return np.interp(t, grid, vals, left=0.0, right=0.0).astype(complex)
+        return np.exp(1j * self.xi * t)
 
     def norm(self, p, radius: float) -> float:
-        """L^p size over [-radius, radius]; closed form except for tables."""
+        """L^p size over [-radius, radius], in closed form."""
         if self.kind == "const":
             base, measure = abs(self.scale), 2.0 * radius
         elif self.kind == "exp":
             base, measure = 1.0, 2.0 * radius
-        elif self.kind == "box":
+        else:
             lo, hi = max(self.a, -radius), min(self.b, radius)
             base, measure = abs(self.scale), max(hi - lo, 0.0)
-        else:
-            grid = np.array([q[0] for q in self.table])
-            vals = np.abs([q[1] for q in self.table])
-            if p == INF:
-                return float(vals.max())
-            # trapezoid sum written out: numpy 2 removed np.trapz, and
-            # np.trapezoid is missing before numpy 2.0
-            powers = vals ** float(p)
-            area = float(np.sum(np.diff(grid) * (powers[1:] + powers[:-1])) / 2.0)
-            return area ** (1.0 / float(p))
         if p == INF:
             return base
         return base * measure ** (1.0 / float(p))
@@ -263,10 +239,6 @@ class OscResult:
     nodes: int
     certificate: float | None = None
     boxes: tuple[BoxContribution, ...] | None = None
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
@@ -463,33 +435,6 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
 # ---------------------------------------------------------------------------
 # per-box bound and certificate
 
-def _box_term(scale: float, lam: float, t: int, s: float) -> float:
-    """scale * 2^-s * min(1, |lam 2^-t|^(-1/2)): one box's bound."""
-    volume = 2.0 ** -s
-    osc = math.ldexp(abs(lam), -t)
-    gain = min(1.0, osc ** -0.5) if osc > 0 else 1.0
-    return scale * volume * gain
-
-
-def single_box_bound(p: PhasePolynomial, n: NewtonPolyhedron, box: DyadicBox,
-                     query: ExponentQuery, norms: Sequence[float], lam: float,
-                     constant: float = 1.0) -> float:
-    """Dominant-vertex bound for the form restricted to one dyadic box.
-
-    The oscillation gain |lam * eps^alpha|^(-1/2) is best at the vertex with
-    the smallest scale exponent, and never helps beyond the plain volume
-    factor eps^(1/p'); the minimum of the two branches is returned times the
-    product of factor norms.
-    """
-    if len(box.j) != p.dimension:
-        raise OscError("box dimension mismatch")
-    if len(norms) != p.dimension:
-        raise OscError("norm vector dimension mismatch")
-    t = min(dot(v, box.j) for v in n.vertices)
-    s = sum(r * j for r, j in zip(query.dual_reciprocals, box.j))
-    return _box_term(constant * math.prod(norms), lam, t, float(s))
-
-
 def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
                     query: ExponentQuery, norms: Sequence[float], lam: float,
                     *, levels: int = 12, multiplicity: int = 1,
@@ -506,9 +451,13 @@ def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
     nums = [r.numerator * (den // r.denominator) for r in recips]
     total = 0.0
     for j in product(range(levels + 1), repeat=p.dimension):
+        # the box with corner 2^-j: scale * 2^-s * min(1, |lam 2^-t|^(-1/2)),
+        # t the smallest vertex exponent <alpha, j> and s = <1/p', j>
         t = min(dot(v, j) for v in vertices)
         s = sum(a * b for a, b in zip(nums, j)) / den
-        total += _box_term(scale, lam, t, s)
+        osc = math.ldexp(abs(lam), -t)
+        gain = min(1.0, osc ** -0.5) if osc > 0 else 1.0
+        total += scale * 2.0 ** -s * gain
     return constant * multiplicity * total
 
 

@@ -98,12 +98,6 @@ class PhasePolynomial:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def coefficient(self, alpha: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(alpha), Fraction(0))
-
-    def __str__(self) -> str:
-        return format_phase(self)
-
     # -- exact transforms -------------------------------------------------
 
     def derivative(self, *axes: int) -> "PhasePolynomial":
@@ -323,34 +317,6 @@ def parse_phase(text: str, dimension: int) -> PhasePolynomial:
     if not terms:
         raise EmptyPhaseError("all terms cancel; the zero polynomial is not a valid phase")
     return PhasePolynomial(dimension, terms)
-
-
-def format_phase(p: PhasePolynomial) -> str:
-    """Canonical string form; `parse_phase(format_phase(p), d)` round-trips."""
-    if p.is_zero():
-        return "0"
-    parts: list[str] = []
-    for alpha in sorted(p.terms, reverse=True):
-        c = p.terms[alpha]
-        factors = []
-        for k, e in enumerate(alpha):
-            if e == 1:
-                factors.append(f"x{k + 1}")
-            elif e > 1:
-                factors.append(f"x{k + 1}^{e}")
-        mono = "*".join(factors)
-        mag = abs(c)
-        if not mono:
-            body = str(mag)  # constant terms print fine but are not re-parseable
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{mag}*{mono}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"{'+' if c > 0 else '-'} {body}")
-    return " ".join(parts)
 
 
 # ---------------------------------------------------------------------------

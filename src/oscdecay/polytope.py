@@ -22,13 +22,12 @@ normals, Fraction arithmetic for query points and dual vertices.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
-from .phase import MultiIndex, PhasePolynomial
+from .phase import PhasePolynomial
 from .ratlin import affine_rank, dot, primitive, rank
 
 MIN_DIMENSION = 2
@@ -333,10 +332,6 @@ def to_json_dict(n: NewtonPolyhedron) -> dict:
             for f in n.faces
         ],
     }
-
-
-def to_json(n: NewtonPolyhedron) -> str:
-    return json.dumps(to_json_dict(n), indent=2, sort_keys=True)
 
 
 def dual_to_json_dict(dual: DualPolyhedron) -> dict:

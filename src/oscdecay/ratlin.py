@@ -63,16 +63,6 @@ def affine_rank(points: Sequence[Vector]) -> int:
     return rank(diffs) if diffs else 0
 
 
-def solve_square(a: Matrix, b: Vector) -> tuple[Fraction, ...] | None:
-    """Solve a square system exactly.  None when singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    m, pivots = rref(aug)
-    if pivots == list(range(n)):
-        return tuple(m[i][n] for i in range(n))
-    return None
-
-
 def invert(a: Matrix) -> list[list[Fraction]] | None:
     """Exact matrix inverse.  None when singular."""
     n = len(a)

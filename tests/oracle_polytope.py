@@ -23,8 +23,18 @@ from itertools import combinations, product
 
 import numpy as np
 
-from oscdecay.ratlin import affine_rank, dot, rank
+from oscdecay.ratlin import affine_rank, dot, rank, rref
 from oracle_lp import lp_feasible, solve_lp
+
+
+def solve_square(a, b) -> tuple[Fraction, ...] | None:
+    """Solve a square system exactly.  None when singular."""
+    n = len(a)
+    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
+    m, pivots = rref(aug)
+    if pivots == list(range(n)):
+        return tuple(m[i][n] for i in range(n))
+    return None
 
 
 def _dominated(a, b) -> bool:
@@ -97,7 +107,6 @@ def _certify_facets(facets, verts, cands, d) -> bool:
         if rank(tight) != d:
             return False
     # every basic point of the carved polyhedron must belong to the hull
-    from oscdecay.ratlin import solve_square
     for subset in combinations(facets, d):
         mat = [list(w) for w, _ in subset]
         rhs = [b for _, b in subset]

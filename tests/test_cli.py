@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import time
 from pathlib import Path
 
 import jsonschema
@@ -17,6 +18,7 @@ from oscdecay.cli import (
     load_config_file,
     main,
 )
+from oscdecay.decay import MAX_SUM_BOXES
 from oscdecay.nondegen import max_grid
 
 SCHEMA = json.loads(
@@ -135,6 +137,10 @@ class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "1/0,1"],
         ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "abc,1"],
+        ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "1"],
+        ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "0,1"],
+        ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "1,1", "--e-lo", "0"],
+        ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "1,1", "--e-hi", "1024"],
         ["integrate", "--phase", "x1*x2", "--levels", "41", "--lam", "4"],
         ["verify", "--phase", "x1*x2", "--lam-lo", "1", "--lam-count", "2"],
         ["exponent", "--phase", "x1*x2", "--dim", "7"],
@@ -143,7 +149,8 @@ class TestUsageErrors:
         ["exponent", "--phase", "x1"],
         ["check", "--phase", "x1*x2*x3*x4*x5"],
         ["check", "--phase", "x1^3*x2 - x1*x2^3", "--starts", "-1"],
-    ], ids=["z-1/0", "z-abc", "levels-41", "lam-lo-1", "dim-7", "dim-1",
+    ], ids=["z-1/0", "z-abc", "z-length", "z-zero", "e-lo-0", "e-hi-1024",
+            "levels-41", "lam-lo-1", "dim-7", "dim-1",
             "inferred-dim-7", "inferred-dim-1", "check-grid-64-dim-5",
             "starts-negative"])
     def test_configuration_value_is_usage_error(self, capsys, argv):
@@ -159,6 +166,16 @@ class TestUsageErrors:
         assert code == 2
         assert f"use --grid {max_grid(5)} or less" in err
         assert 32 <= max_grid(5) < 64
+
+    def test_oversized_sum_grid_names_an_e_hi_that_fits(self, capsys):
+        start = time.perf_counter()
+        code = main(["sum-oracle", "--phase", "x1^3*x2^3*x3^3*x4^3*x5^3",
+                     "--z", "1,1,1,1,1"])
+        elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 2 and elapsed < 1.0
+        # (4 + 8 + 1)^5 boxes fit at 2^4; adding (6 + 8 + 1)^5 at 2^6 does not
+        assert f"more than {MAX_SUM_BOXES} boxes; use --e-hi 4 or less" in err
 
     def test_numeric_failure_carries_module_text(self, capsys):
         code = main(["sum-oracle", "--phase", "x1^3*x2 + x1*x2^3",

@@ -11,7 +11,6 @@ from oscdecay.decay import (
     dual_lambda_grid,
     fit_decay,
     fit_samples,
-    fourier_decay_sweep,
     sharpness_test,
     summation_oracle,
 )
@@ -249,47 +248,6 @@ class TestSummationOracle:
             summation_oracle(self.n, (Fraction(0), Fraction(1)), self.lams)
         with pytest.raises(DecayError):
             summation_oracle(self.n, z, [1.0, 4.0])
-
-
-class TestFourierSweep:
-    def setup_method(self):
-        self.p = phase("x1*x2")
-        self.chi = CutoffSpec()
-
-    def test_pure_modulation_matches_plain_sweep(self):
-        ts = lambda_grid(16, 256, 9)
-        fs = fourier_decay_sweep(self.p, self.chi, (0.0, 0.0, 1.0), ts)
-        plain = lambda_sweep(self.p, TestFunctionSpec.ones(2), self.chi, ts)
-        assert all(a.value == b.value for a, b in zip(fs.results, plain))
-        assert fs.predicted == varchenko_exponent(build_polyhedron(self.p))
-
-    def test_flat_ray_superalgebraic(self):
-        # no lam-phase at all: only the smooth cutoff transforms, so the
-        # decay along the ray beats every polynomial rate
-        fs = fourier_decay_sweep(self.p, self.chi, (1.0, 0.5, 0.0),
-                                 lambda_grid(2, 32, 9))
-        mags = [abs(r.value) for r in fs.results]
-        assert mags[-1] < 1e-3 * mags[0]
-        assert fs.fit.inv_nu_free > 1.0 / float(fs.predicted.nu) + 1
-
-    def test_generic_ray_stationary_point(self):
-        # the modulation moves the critical point off the axes but not out
-        # of the support; decay is no slower than the origin rate
-        fs = fourier_decay_sweep(self.p, self.chi, (0.3, -0.2, 1.0),
-                                 lambda_grid(16, 256, 9))
-        predicted_inv = 1.0 / float(fs.predicted.nu)
-        assert fs.fit.inv_nu_pinned >= predicted_inv - 0.05
-
-    def test_validation(self):
-        with pytest.raises(DecayError):
-            fourier_decay_sweep(phase("x1*x2*x3", 3), self.chi,
-                                (0.0, 0.0, 0.0, 1.0), lambda_grid(16, 256, 9))
-        with pytest.raises(DecayError):
-            fourier_decay_sweep(self.p, self.chi, (0.0, 1.0),
-                                lambda_grid(16, 256, 9))
-        with pytest.raises(DecayError):
-            fourier_decay_sweep(self.p, self.chi, (0.0, 0.0, 0.0),
-                                lambda_grid(16, 256, 9))
-        with pytest.raises(DecayError):
-            fourier_decay_sweep(self.p, self.chi, (0.0, 0.0, 1.0),
-                                [1.0, 2.0, 4.0])
+        with pytest.raises(DecayError, match="boxes"):
+            # weights 1/10 at 2^110: jmax = 1100 + 8, and 1109^2 > 2^20 boxes
+            summation_oracle(self.n, (Fraction(1, 10), Fraction(1, 10)), [2.0 ** 110])

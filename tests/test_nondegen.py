@@ -1,5 +1,4 @@
-"""Nondegeneracy verdicts, box floors/ceilings, rescaling, domination."""
-import math
+"""Nondegeneracy verdicts, box floors, rescaling."""
 from fractions import Fraction
 
 import numpy as np
@@ -12,16 +11,12 @@ from oscdecay.nondegen import (
     DyadicBox,
     NondegenError,
     check_nondegeneracy,
-    dominant_face,
     max_grid,
     mixed_hessian_floor,
     solve_rescaling,
-    subdivide_box,
-    sweep_derivative_ceiling,
     sweep_hessian_floor,
 )
 from oscdecay.phase import parse_phase, reduce_phase
-from oscdecay.polytope import build_polyhedron
 from oscdecay.ratlin import dot
 
 
@@ -181,61 +176,6 @@ class TestFloorSweep:
         assert fine.floor_constant <= coarse.floor_constant / 10
 
 
-class TestCeilingSweep:
-    def test_product_exact(self):
-        sweep = sweep_derivative_ceiling(phase("x1*x2"), jmax=6)
-        assert sweep.ceiling_constant == 64.0
-        assert sweep.verdict == "PASS"
-
-    def test_two_vertex_phase_finite_and_stable(self):
-        p = phase("x1^2*x2^2 + x1^5*x2")
-        a = sweep_derivative_ceiling(p, jmax=6, grid=8).ceiling_constant
-        b = sweep_derivative_ceiling(p, jmax=6, grid=16).ceiling_constant
-        assert math.isfinite(a) and math.isfinite(b)
-        assert abs(a - b) <= 0.1 * a
-
-    def test_zero_order_included(self):
-        sweep = sweep_derivative_ceiling(phase("x1*x2"), jmax=3, order_cap=0)
-        assert sweep.ceiling_constant == 64.0
-
-
-class TestSubdivision:
-    def test_product_needs_no_split(self):
-        sub = subdivide_box(phase("x1*x2"), DyadicBox((0, 0)), floor_ratio=1.0)
-        assert sub.ok and sub.levels == 0
-        assert len(sub.cells) == 1 and sub.cells[0].pair == (0, 1)
-        assert sub.threshold == 0.5
-
-    def test_two_vertex_phase_small_box(self):
-        sub = subdivide_box(phase("x1^2*x2^2 + x1^5*x2"), DyadicBox((4, 4)))
-        assert sub.ok and sub.levels <= 3
-        assert len(sub.cells) == 4 ** sub.levels
-
-    def test_degenerate_box_inconclusive(self):
-        sub = subdivide_box(phase("x1^3*x2 - x1*x2^3"), DyadicBox((3, 3)),
-                            max_levels=3)
-        assert not sub.ok and sub.levels is None
-
-    def test_three_dim(self):
-        sub = subdivide_box(phase("x1*x2 + x2*x3", 3), DyadicBox((1, 1, 1)))
-        assert sub.ok
-        for cell in sub.cells:
-            i, j = cell.pair
-            assert 0 <= i < j < 3
-
-    def test_cells_tile_the_box(self):
-        box = DyadicBox((2, 2))
-        sub = subdivide_box(phase("x1^2*x2^2 + x1^5*x2"), box)
-        assert sub.ok
-        parts = 2 ** sub.levels
-        assert len(sub.cells) == parts ** 2
-        for cell in sub.cells:
-            for k in range(2):
-                width = (box.hi[k] - box.lo[k]) / parts
-                assert cell.lo[k] == box.lo[k] + cell.index[k] * width
-                assert cell.hi[k] == cell.lo[k] + width
-
-
 class TestRescaling:
     def test_reference_row_is_identity(self):
         r = solve_rescaling([(2, 2)], (2, 2), DyadicBox((2, 6)), Fraction(1, 256))
@@ -299,44 +239,3 @@ class TestRescaling:
             lam = [x / tot for x in lam]
             mix = [sum(l * a[k] for l, a in zip(lam, rows)) for k in range(d)]
             assert dot(mix, r.log2_y) == sum(l * vk for l, vk in zip(lam, v))
-
-
-class TestDominantFace:
-    def test_single_vertex_always_dominates(self):
-        n = build_polyhedron(phase("x1*x2"))
-        res = dominant_face(n, DyadicBox((5, 7)))
-        assert res.dominated and res.order == 0 and res.gap is None
-
-    def test_edge_domination(self):
-        n = build_polyhedron(phase("x1^2*x2^2 + x1^5*x2"))
-        res = dominant_face(n, DyadicBox((1, 3)))
-        assert res.dominated and res.order == 1
-        assert {tuple(v) for v in res.face.vertices} == {(2, 2), (5, 1)}
-
-    def test_vertex_domination_with_gap(self):
-        n = build_polyhedron(phase("x1^2*x2^2 + x1^5*x2"))
-        res = dominant_face(n, DyadicBox((3, 3)))
-        assert res.dominated and res.order == 0 and res.gap == 6
-        assert res.face.vertices == ((2, 2),)
-
-    def test_gap_below_threshold_rejected(self):
-        n = build_polyhedron(phase("x1^2*x2^2 + x1^5*x2"))
-        res = dominant_face(n, DyadicBox((3, 3)),
-                            thresholds=[Fraction(1, 128), Fraction(1, 16)])
-        assert not res.dominated
-
-    def test_tied_vertices_without_common_face(self):
-        n = build_polyhedron(phase("x1^4*x2 + x1^2*x2^2 + x1*x2^4"))
-        res = dominant_face(n, DyadicBox((0, 0)))
-        assert not res.dominated
-
-    @given(st.tuples(st.integers(0, 8), st.integers(0, 8)))
-    def test_permutation_invariance(self, j):
-        n1 = build_polyhedron(phase("x1^2*x2^2 + x1^5*x2"))
-        n2 = build_polyhedron(phase("x1^2*x2^2 + x1*x2^5"))
-        r1 = dominant_face(n1, DyadicBox(j))
-        r2 = dominant_face(n2, DyadicBox((j[1], j[0])))
-        assert r1.dominated == r2.dominated and r1.order == r2.order
-        if r1.dominated:
-            swapped = {(v[1], v[0]) for v in r2.face.vertices}
-            assert {tuple(v) for v in r1.face.vertices} == swapped

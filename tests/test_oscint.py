@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from oscdecay.exponent import ExponentQuery
-from oscdecay.nondegen import DyadicBox
 from oscdecay.oscint import (
     _STEP_NORM,
     _STEP_W,
@@ -29,11 +28,11 @@ from oscdecay.oscint import (
     evaluate_lambda,
     lambda_grid,
     lambda_sweep,
-    single_box_bound,
     smooth_step,
 )
 from oscdecay.phase import PhasePolynomial, parse_phase, reduce_phase
 from oscdecay.polytope import build_polyhedron
+from oscdecay.ratlin import dot
 
 
 def phase(text, d=2):
@@ -72,13 +71,19 @@ class TestBumpAndStep:
         assert np.all(np.diff(v) <= 0)
 
     @staticmethod
-    def unmasked_step(u):
-        # the formula smooth_step used before it was masked: the bump table
-        # runs on every node, and np.where discards the plateau results
+    def unmasked_step(u, matvec=False):
+        # the formula without the mask: the bump table runs on every node,
+        # and np.where discards the plateau results.  matvec=True contracts
+        # the table by a BLAS matvec instead, normalized the same way
         u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, 1.0)
         v = uc[..., None] + (1.0 - uc)[..., None] * _STEP_X
-        out = (1.0 - uc) * (bump(2.0 * v - 1.0) @ _STEP_W) / _STEP_NORM
+        table = bump(2.0 * v - 1.0)
+        if matvec:
+            norm = float(bump(2.0 * _STEP_X - 1.0) @ _STEP_W)
+            out = (1.0 - uc) * (table @ _STEP_W) / norm
+        else:
+            out = (1.0 - uc) * (table * _STEP_W).sum(axis=-1) / _STEP_NORM
         return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, out))
 
     def test_masked_step_matches_unmasked_formula(self):
@@ -90,17 +95,23 @@ class TestBumpAndStep:
             m = (u > 0) & (u < 1)
             # plateau and outside nodes: exactly 1.0 and 0.0, bit for bit
             assert got[~m].tobytes() == self.unmasked_step(u)[~m].tobytes()
-            # transition nodes: bit for bit the old formula on those nodes
+            # transition nodes: bit for bit the formula on those nodes, and
+            # on the whole batch
             assert got[m].tobytes() == self.unmasked_step(u[m]).tobytes()
-            # the BLAS matvec rounds a row by its position in the batch, so
-            # against the old formula on the whole batch a node may move by
-            # an ulp or two: bit-for-bit agreement there is out of reach for
-            # any masked evaluation, and this bound stands in for it
-            whole = self.unmasked_step(u)
+            assert got.tobytes() == self.unmasked_step(u).tobytes()
+            # the BLAS matvec rounds a row by its position in the batch; the
+            # per-row sum stays within 4 ulp of it
+            whole = self.unmasked_step(u, matvec=True)
             assert np.all(np.abs(got - whole) <= 4 * np.finfo(float).eps * whole)
         assert np.isnan(smooth_step(np.nan))
         assert np.isnan(smooth_step(np.array([0.3, np.nan, 2.0]))).tolist() == [
             False, True, False]
+
+    def test_batch_equals_single_calls(self):
+        # a node's weight does not depend on the other nodes of the call
+        u = np.random.default_rng(7).uniform(-0.2, 1.2, 1003)
+        single = np.array([smooth_step(np.array([x]))[0] for x in u])
+        assert smooth_step(u).tobytes() == single.tobytes()
 
     def test_plateau_nodes_skip_the_bump_table(self, monkeypatch):
         sizes = []
@@ -163,28 +174,14 @@ class TestFactors:
         assert f.angular_rate == 3.0
         assert f.norm(math.inf, 1.0) == 1.0
         assert f.norm(Fraction(4), 1.0) == pytest.approx(2.0 ** 0.25)
+        # no modulation: the same values as the constant factor, bit for bit
+        t = np.linspace(-1.0, 1.0, 9)
+        zero = FactorSpec.exponential(0.0)
+        assert zero.angular_rate == 0.0
+        assert zero.values(t).tobytes() == FactorSpec.const().values(t).tobytes()
 
-    def test_sampled(self):
-        f = FactorSpec.sampled([(0.0, 0.0), (1.0, 2.0)])
-        assert abs(f.values([0.5])[0] - 1.0) < 1e-15
-        assert abs(f.values([2.0])[0]) == 0.0  # zero outside the grid
-        assert f.norm(math.inf, 1.0) == 2.0
-        with pytest.raises(OscError):
-            FactorSpec.sampled([(0.0, 1.0)])
-
-    def test_sampled_norms_closed_form(self):
-        # a constant table: the L^p norm over [0, 1/2] is (1/2)^(1/p)
-        flat = FactorSpec.sampled([(0.0, 1.0), (0.5, 1.0)])
-        assert flat.norm(Fraction(2), 1.0) == pytest.approx(math.sqrt(0.5), rel=1e-15)
-        assert flat.norm(Fraction(4), 1.0) == pytest.approx(0.5 ** 0.25, rel=1e-15)
-        # a nonnegative hat: the trapezoid sum is the exact area, 1 + 2
-        hat = FactorSpec.sampled([(0.0, 0.0), (1.0, 2.0), (3.0, 0.0)])
-        assert hat.norm(Fraction(1), 1.0) == pytest.approx(3.0, rel=1e-15)
-        assert hat.norm(math.inf, 1.0) == 2.0
-
-    def test_certified_sampled_factor(self):
-        f = TestFunctionSpec.of(FactorSpec.sampled([(0.0, 1.0), (0.5, 1.0)]),
-                                FactorSpec.sampled([(0.0, 1.0), (0.5, 1.0)]))
+    def test_certified_box_factor(self):
+        f = TestFunctionSpec.of(FactorSpec.box(0.0, 0.5), FactorSpec.box(0.0, 0.5))
         q = ExponentQuery.of(["2", "2"])
         p = phase("x1*x2")
         r = evaluate_lambda(p, f, CHI_POS, 64.0, certify=True, query=q)
@@ -533,32 +530,40 @@ class TestRefinement:
         assert bad <= math.ceil(0.05 * len(grid))
 
 
+def box_bound(n, j, q, norms, lam):
+    """Reference for one term of `certificate_sum`: the bound on the box with
+    corner 2^-j, prod(norms) * 2^-s * min(1, |lam 2^-t|^(-1/2)), where
+    t = min over vertices alpha of <alpha, j> and s = <1/p', j>, exactly."""
+    t = min(dot(v, j) for v in n.vertices)
+    s = float(sum(r * k for r, k in zip(q.dual_reciprocals, j)))
+    osc = math.ldexp(abs(lam), -t)
+    gain = min(1.0, osc ** -0.5) if osc > 0 else 1.0
+    return math.prod(norms) * 2.0 ** -s * gain
+
+
 class TestSingleBoxBound:
     def test_plug_in_example(self):
-        p = phase("x1*x2")
-        n = build_polyhedron(p)
+        n = build_polyhedron(phase("x1*x2"))
         q = ExponentQuery.of([2, 2])
         for k in [2, 3, 5]:
             for lam in [10.0, 1e6, 0.5]:
-                got = single_box_bound(p, n, DyadicBox((k, k)), q, (1.0, 1.0), lam)
+                got = box_bound(n, (k, k), q, (1.0, 1.0), lam)
                 want = min(lam ** -0.5, 2.0 ** -k)
                 assert got == pytest.approx(want, rel=1e-12)
 
     def test_small_lambda_volume_branch(self):
-        p = phase("x1^2*x2^2 + x1^5*x2")
-        n = build_polyhedron(p)
+        n = build_polyhedron(phase("x1^2*x2^2 + x1^5*x2"))
         q = ExponentQuery.all_inf(2)
         # |lam eps^alpha| <= 1 for every vertex: bound is the volume factor
-        got = single_box_bound(p, n, DyadicBox((1, 1)), q, (1.0, 1.0), 3.0)
-        assert got == 2.0 ** -2
-        assert single_box_bound(p, n, DyadicBox((1, 1)), q, (1.0, 1.0), 0.0) == 0.25
+        assert box_bound(n, (1, 1), q, (1.0, 1.0), 3.0) == 2.0 ** -2
+        assert box_bound(n, (1, 1), q, (1.0, 1.0), 0.0) == 0.25
 
     def test_norms_scale_linearly(self):
         p = phase("x1*x2")
         n = build_polyhedron(p)
         q = ExponentQuery.all_inf(2)
-        one = single_box_bound(p, n, DyadicBox((2, 3)), q, (1.0, 1.0), 9.0)
-        two = single_box_bound(p, n, DyadicBox((2, 3)), q, (2.0, 3.0), 9.0)
+        one = certificate_sum(p, n, q, (1.0, 1.0), 9.0)
+        two = certificate_sum(p, n, q, (2.0, 3.0), 9.0)
         assert two == pytest.approx(6 * one, rel=1e-12)
 
     def test_certificate_dominates_measured(self):
@@ -589,8 +594,7 @@ class TestSingleBoxBound:
         levels, multiplicity, constant, lam = 12, 2 ** d, 2.0, 77.0
         total = 0.0
         for j in product(range(levels + 1), repeat=d):
-            total += single_box_bound(ph, n, DyadicBox(j), q, norms, lam,
-                                      constant=1.0)
+            total += box_bound(n, j, q, norms, lam)
         got = certificate_sum(ph, n, q, norms, lam, levels=levels,
                               multiplicity=multiplicity, constant=constant)
         assert got == constant * multiplicity * total

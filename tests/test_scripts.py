@@ -1,5 +1,9 @@
-"""Every script under scripts/ imports the library and prints its help."""
+"""Every script under scripts/ imports the library and prints its help, and
+the names perfbench/ and __all__ promise exist in the library."""
+import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,3 +25,28 @@ def test_help_runs(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def _entry_points():
+    """ENTRY_POINTS of perfbench/spans.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/spans.py defines no ENTRY_POINTS")
+
+
+def test_traced_entry_points_resolve():
+    # the traced benchmark run wraps each of these with getattr
+    for module, function, _ in _entry_points():
+        mod = importlib.import_module(f"oscdecay.{module}")
+        assert callable(getattr(mod, function, None)), f"{module}.{function}"
+
+
+def test_all_names_exist():
+    import oscdecay
+    for info in pkgutil.iter_modules(oscdecay.__path__):
+        mod = importlib.import_module(f"oscdecay.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{info.name}.__all__ names missing {name}"
