@@ -128,12 +128,12 @@ def _parse_tuple(raw: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in raw.split(",") if s.strip())
 
 
+_BOOLS = dict(zip("1 true yes on 0 false no off".split(), [True] * 4 + [False] * 4))
 _COERCE = {
     "phase": str, "dimension": int, "p": _parse_tuple, "lam_lo": float,
     "lam_hi": float, "lam_count": int, "box_scale": str, "grid": int,
     "eta": float, "starts": int, "levels": int,
-    "orthant": lambda s: s.lower() in ("1", "true", "yes", "on"),
-    "sharpness": lambda s: s.lower() in ("1", "true", "yes", "on"),
+    "orthant": lambda s: _BOOLS[s.lower()], "sharpness": lambda s: _BOOLS[s.lower()],
     "sharpness_count": int, "fit_tol": float, "witness_tol": float,
     "z": _parse_tuple, "e_lo": int, "e_hi": int, "e_step": int, "seed": int,
     "out_json": str, "out_csv": str,
@@ -141,7 +141,8 @@ _COERCE = {
 
 
 def load_config_file(path: str) -> dict:
-    """key=value lines, # comments; keys are RunConfig field names."""
+    """key=value lines, # comments; keys are RunConfig field names.  Booleans
+    are 1/true/yes/on or 0/false/no/off."""
     try:
         text = Path(path).read_text()
     except OSError as e:
@@ -154,10 +155,13 @@ def load_config_file(path: str) -> dict:
         if "=" not in s:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, _, value = s.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in _COERCE:
             raise CliError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _COERCE[key](value.strip())
+        try:
+            out[key] = _COERCE[key](value)
+        except (KeyError, ValueError):
+            raise CliError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
     return out
 
 

@@ -3,21 +3,20 @@
 Three instruments: a log-log regression that extracts the decay power and
 the log correction from a quadrature sweep; a lower bound built from a
 dual-polyhedron vertex, realized by indicator boxes thin enough that the
-phase never turns; and a brute-force evaluation of the dyadic box-sum
-envelope.
+phase never turns; and the dyadic box-sum envelope, summed from the
+`oscint.box_envelope` terms that the certificate sums too.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Sequence
 
 import numpy as np
 
 from .exponent import ExponentQuery, ExponentReport, ray_scaling
-from .oscint import (CutoffSpec, OscResult, QuadratureConfig, TestFunctionSpec,
+from .oscint import (CutoffSpec, OscResult, TestFunctionSpec, box_envelope,
                      evaluate_lambda)
 from .phase import PhasePolynomial
 from .polytope import DualPolyhedron, NewtonPolyhedron, dual_polyhedron
@@ -27,7 +26,7 @@ __all__ = [
     "DecayError", "DecayFit", "SharpnessRow", "SharpnessWitness",
     "SummationRow", "SummationReport", "fit_decay", "fit_samples",
     "dual_lambda_grid", "sharpness_test", "check_dual_domination",
-    "summation_oracle", "summation_boxes", "MAX_SUM_BOXES",
+    "summation_oracle", "summation_boxes", "MAX_SUM_BOXES", "SHARPNESS_BAND",
 ]
 
 
@@ -139,6 +138,9 @@ def fit_decay(sweep: Sequence[OscResult], predicted: ExponentReport, *,
 # ---------------------------------------------------------------------------
 # sharpness via dual-polyhedron boxes
 
+SHARPNESS_BAND = (0.9, 1.1)  # |measured| / (L1 norm of f) on a flat box
+
+
 @dataclass(frozen=True)
 class SharpnessRow:
     lam: float
@@ -156,13 +158,12 @@ class SharpnessWitness:
     decay_power: Fraction       # <1, w>: the box volume scales as lam^(-power)
     rows: tuple[SharpnessRow, ...]
     halvings: int
-    band: tuple[float, float]
     chain_ok: bool              # exact <nu/p', w> >= 1 for the query used
 
     @property
     def passed(self) -> bool:
         return self.chain_ok and all(
-            self.band[0] <= r.ratio <= self.band[1] for r in self.rows)
+            SHARPNESS_BAND[0] <= r.ratio <= SHARPNESS_BAND[1] for r in self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -171,7 +172,7 @@ class SharpnessWitness:
             "delta": str(self.delta),
             "decay_power": str(self.decay_power),
             "halvings": self.halvings,
-            "band": list(self.band),
+            "band": list(SHARPNESS_BAND),
             "chain_ok": self.chain_ok,
             "rows": [{"lam": r.lam, "f_norm1": r.f_norm1,
                       "measured": [r.measured.real, r.measured.imag],
@@ -202,10 +203,7 @@ def _exact_corner(delta: Fraction, e: int, wj: Fraction) -> Fraction:
 
 def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
                    w: Sequence[Fraction], delta, lambdas: Sequence[float], *,
-                   chi: CutoffSpec | None = None,
-                   quad: QuadratureConfig | None = None,
-                   max_halvings: int = 80,
-                   band: tuple[float, float] = (0.9, 1.1),
+                   chi: CutoffSpec | None = None, max_halvings: int = 80,
                    dual: DualPolyhedron | None = None) -> SharpnessWitness:
     """Realize the decay rate from below with boxes dual to the polyhedron.
 
@@ -213,7 +211,7 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
     keep |lam * phase| below 1e-10 once delta is small enough (the exponent
     of lam is 1 - <alpha, w> <= 0 termwise, so halving delta always wins).
     On such boxes the integrand is flat and the form measures plain volume:
-    |value| must sit inside `band` times the L1 norm of f.  Pass `dual`
+    |value| must sit inside `SHARPNESS_BAND` times the L1 norm of f.  Pass `dual`
     when it is already built; it is computed from `n` otherwise.
     """
     ws = tuple(Fraction(x) for x in w)
@@ -226,8 +224,6 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
         chi = CutoffSpec()
     if chi.positive_orthant:
         raise DecayError("sharpness boxes are symmetric; need a full cutoff")
-    if quad is None:
-        quad = QuadratureConfig()
     exps = []
     for lam in lambdas:
         e = round(math.log2(lam))
@@ -261,14 +257,14 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
     for lam, e in zip(lambdas, exps):
         half = [float(h) for h in corners(delta, e)]
         f = TestFunctionSpec.boxes([(-h, h) for h in half])
-        r = evaluate_lambda(p, f, chi, lam, quad=quad)
+        r = evaluate_lambda(p, f, chi, lam)
         vol = math.prod(2.0 * h for h in half)
         rows.append(SharpnessRow(lam, tuple(half), vol, r.value,
                                  abs(r.value) / vol, float(phase_bound(delta, e))))
 
     chain_ok, _ = check_dual_domination(n, q, dual)
     power = sum(ws)
-    return SharpnessWitness(ws, delta, power, tuple(rows), halvings, band, chain_ok)
+    return SharpnessWitness(ws, delta, power, tuple(rows), halvings, chain_ok)
 
 
 def check_dual_domination(n: NewtonPolyhedron, q: ExponentQuery,
@@ -324,8 +320,8 @@ class SummationReport:
         }
 
 
-# the oracle spends a few microseconds on each box in pure Python; 2^20 boxes
-# per run admit every frequency up to 2^24 in d <= 3 with unit weights
+# box_envelope peaks at 32-40 bytes a box, 33-40 MiB for one frequency at the
+# cap; 2^20 boxes admit every frequency up to 2^24 in d <= 3 with unit weights
 MAX_SUM_BOXES = 2 ** 20
 
 
@@ -341,10 +337,10 @@ def summation_boxes(d: int, z: Sequence, lam: float, margin: int = 8) -> int:
 def summation_oracle(n: NewtonPolyhedron, z: Sequence, lambdas: Sequence[float],
                      *, margin: int = 8,
                      bound_factor: float = 10.0) -> SummationReport:
-    """Brute-force the dyadic box-sum envelope and normalize by the claim.
+    """Sum the dyadic box-sum envelope and normalize by the claim.
 
-    Every box contributes its volume factor 2^(-<z,j>) damped by the
-    oscillation gain min(1, (2^t / lam)^(1/2)) at the dominant vertex scale
+    Every `box_envelope` term is the volume factor 2^(-<z,j>) damped by the
+    oscillation gain min(1, |lam 2^-t|^(-1/2)) at the dominant vertex scale
     t = min_alpha <alpha, j>.  The grid is truncated where the volume factor
     alone is negligible and the remainder is added as a geometric tail.
     """
@@ -358,30 +354,21 @@ def summation_oracle(n: NewtonPolyhedron, z: Sequence, lambdas: Sequence[float],
     lams = [float(x) for x in lambdas]
     if any(l < 2 for l in lams):
         raise DecayError("envelope grid needs lam >= 2")
-    d = n.dimension
-    boxes = sum(summation_boxes(d, zz, lam, margin) for lam in lams)
+    boxes = sum(summation_boxes(n.dimension, zz, lam, margin) for lam in lams)
     if boxes > MAX_SUM_BOXES:
         raise DecayError(f"the envelope grid has {boxes} boxes, more than {MAX_SUM_BOXES}")
 
-    verts = [tuple(v) for v in n.vertices]
     zf = [float(x) for x in zz]
-    # the full-orthant volume series factors per axis
-    geo = [1.0 / (1.0 - 2.0 ** -x) for x in zf]
     rows = []
     for lam in lams:
         jmax = _summation_jmax(zz, lam, margin)
-        log2lam = math.log2(lam)
-        pieces = []
-        for j in product(range(jmax + 1), repeat=d):
-            t = min(dot(v, j) for v in verts)
-            gain = 1.0 if t >= log2lam else math.sqrt(math.ldexp(1.0 / lam, t))
-            pieces.append(2.0 ** -sum(zk * jk for zk, jk in zip(zf, j)) * gain)
         # gain <= 1 outside the truncation, so the exact volume remainder
         # prod(geo) * (1 - prod(1 - 2^-z(J+1))) bounds the tail without the
-        # corner double-counting a per-axis union bound would add
-        tail = math.prod(geo) * (
+        # corner double-counting a per-axis union bound would add; the
+        # full-orthant volume series factors per axis, geo = 1 / (1 - 2^-z)
+        tail = math.prod(1.0 / (1.0 - 2.0 ** -x) for x in zf) * (
             1.0 - math.prod(1.0 - 2.0 ** (-x * (jmax + 1)) for x in zf))
-        total = math.fsum(pieces) + tail
+        total = math.fsum(box_envelope(n.vertices, zz, lam, jmax)) + tail
         normalized = total / (lam ** (-1.0 / float(nu)) * math.log(lam) ** m)
         rows.append(SummationRow(lam, jmax, total, tail, normalized))
     values = [r.normalized for r in rows]

@@ -15,8 +15,8 @@ t = tan(theta/2) in real arithmetic, which vectorizes where complex exp does
 not.  The cutoff profile runs its bump table only on the transition nodes
 between plateau and zero.  The same cell
 grid indexes a closed-form bound per cell (dominant vertex of the support
-polyhedron), whose sum serves as an a-priori certificate for the measured
-value.
+polyhedron): `box_envelope` gives them all from exact integer exponent
+grids, and their sum is an a-priori certificate for the measured value.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from itertools import product
 from typing import Sequence
 
@@ -33,13 +34,12 @@ import numpy as np
 from .exponent import INF, ExponentQuery
 from .phase import PhasePolynomial
 from .polytope import NewtonPolyhedron, build_polyhedron
-from .ratlin import dot
 
 __all__ = [
     "OscError", "CutoffSpec", "FactorSpec", "TestFunctionSpec",
     "QuadratureConfig", "BoxContribution", "OscResult", "bump",
-    "smooth_step", "evaluate_lambda", "certificate_sum", "lambda_grid",
-    "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS", "MIN_LAMBDA",
+    "smooth_step", "evaluate_lambda", "box_envelope", "certificate_sum",
+    "lambda_grid", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS", "MIN_LAMBDA",
 ]
 
 
@@ -435,30 +435,45 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
 # ---------------------------------------------------------------------------
 # per-box bound and certificate
 
+def box_envelope(vertices: Sequence[Sequence[int]], weights: Sequence, lam: float,
+                 jmax: int, scale: float = 1.0) -> np.ndarray:
+    """Terms scale * 2^-<w, j> * min(1, |lam 2^-t|^(-1/2)), t = min over vertices
+    alpha of <alpha, j>, for j over [0, jmax]^d in `product` order.  Exponents
+    are exact integers, <w, j> over one common denominator; the float factors
+    are scalar libm calls per distinct exponent (numpy's array pow is not libm)."""
+    w = [Fraction(x) for x in weights]
+    d, den = len(w), math.lcm(*(x.denominator for x in w))
+
+    def factor(rows, f):
+        # f of min over rows c of <c, j>, called once per distinct value; the
+        # running minimum is exact, in Python ints where int64 could overflow
+        big = max(abs(x) for c in rows for x in c) * jmax * d >= 2 ** 63
+        axes = [np.arange(jmax + 1, dtype=object if big else np.int64)
+                .reshape([-1] + [1] * (d - 1 - k)) for k in range(d)]
+        e = None
+        for c in rows:
+            ec = sum(ck * ak for ck, ak in zip(c, axes))
+            e = ec if e is None else np.minimum(e, ec, out=e)
+        uniq = np.unique(e)  # not return_inverse: it holds 3 more grid-size arrays
+        return np.array([f(x) for x in uniq.tolist()])[np.searchsorted(uniq, e.ravel())]
+
+    def gain(t):
+        osc = math.ldexp(abs(lam), -t)
+        return min(1.0, osc ** -0.5) if osc > 0 else 1.0
+
+    nums = [x.numerator * (den // x.denominator) for x in w]
+    return factor([nums], lambda s: scale * 2.0 ** -(s / den)) * factor(vertices, gain)
+
+
 def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
                     query: ExponentQuery, norms: Sequence[float], lam: float,
                     *, levels: int = 12, multiplicity: int = 1,
                     constant: float = DEFAULT_CERT_CONSTANT) -> float:
-    """Sum of per-box bounds over the octave grid covering the support."""
+    """Sum of per-box bounds (weights 1/p') over the octave grid, left to right."""
     if len(norms) != p.dimension:
         raise OscError("norm vector dimension mismatch")
-    vertices = n.vertices
-    scale = math.prod(norms)
-    # 1/p' as integer numerators over one denominator: the int true division
-    # below rounds correctly, so it gives the float of the exact Fraction sum
-    recips = query.dual_reciprocals
-    den = math.lcm(*(r.denominator for r in recips))
-    nums = [r.numerator * (den // r.denominator) for r in recips]
-    total = 0.0
-    for j in product(range(levels + 1), repeat=p.dimension):
-        # the box with corner 2^-j: scale * 2^-s * min(1, |lam 2^-t|^(-1/2)),
-        # t the smallest vertex exponent <alpha, j> and s = <1/p', j>
-        t = min(dot(v, j) for v in vertices)
-        s = sum(a * b for a, b in zip(nums, j)) / den
-        osc = math.ldexp(abs(lam), -t)
-        gain = min(1.0, osc ** -0.5) if osc > 0 else 1.0
-        total += scale * 2.0 ** -s * gain
-    return constant * multiplicity * total
+    terms = box_envelope(n.vertices, query.dual_reciprocals, lam, levels, math.prod(norms))
+    return constant * multiplicity * float(np.add.accumulate(terms)[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscdecay.cli import (
@@ -85,6 +85,11 @@ class TestConfigHandling:
             load_config_file(str(bad))
         with pytest.raises(CliError, match="cannot read"):
             load_config_file(str(tmp_path / "missing.cfg"))
+        for line, key in [("grid = abc", "grid"), ("dimension = 2.5", "dimension"),
+                          ("orthant = maybe", "orthant")]:
+            bad.write_text(f"phase=x1*x2\n{line}\n")
+            with pytest.raises(CliError, match=f"bad.cfg:2: bad value for {key}"):
+                load_config_file(str(bad))
 
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -341,6 +346,14 @@ def run_quiet(argv):
 
 GOOD_P = ["inf", "2", "5/2", "3"]
 BAD_P = ["1", "3/2", "0", "-inf", "nan", "abc", "1/0"]
+GOOD_Z = ["1", "1/2", "2/3", "3", "66666666666666666672/100000000000000000007"]
+BAD_Z = ["0", "-1", "-1/2", "abc", "1/0"]
+# each flag draws an in-range value or, half the time, any value
+WEIGHTS = (st.lists(st.sampled_from(GOOD_Z), min_size=2, max_size=2)
+           | st.lists(st.sampled_from(GOOD_Z + BAD_Z), min_size=1, max_size=3))
+EXPONENTS = st.integers(1, 14) | st.sampled_from([-1, 0, 1023, 1024])
+FREQUENCIES = st.floats(2.0, 8.0) | st.floats(max_value=8.0) | st.sampled_from(
+    ["inf", "nan", "abc"])
 FUZZ_PHASES = [("x1*x2", 2), ("x1^3*x2 - x1*x2^3", 2),
                ("x1^2*x2^2 + x1^5*x2", 2), ("x1*x2*x3 + x1^2*x3", 3)]
 
@@ -383,3 +396,29 @@ class TestCliFuzz:
             assert code == 1, err
         else:
             assert code == 0, err
+
+    @settings(max_examples=150)
+    @given(WEIGHTS, EXPONENTS, EXPONENTS, st.integers(1, 3) | st.integers(-1, 0))
+    def test_sum_oracle_flags(self, z, e_lo, e_hi, e_step):
+        code, _, err = run_quiet(["sum-oracle", "--phase", "x1^3*x2^3",
+                                  "--z=" + ",".join(z), f"--e-lo={e_lo}",
+                                  f"--e-hi={e_hi}", f"--e-step={e_step}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if (len(z) != 2 or any(x in BAD_Z for x in z) or e_step < 1
+                or not 1 <= e_lo <= e_hi <= 1023):
+            assert code == 2, err
+
+    @settings(max_examples=150)
+    @given(FREQUENCIES, FREQUENCIES, st.integers(1, 3) | st.integers(-1, 0))
+    def test_integrate_frequency_range(self, lam_lo, lam_hi, count):
+        code, _, err = run_quiet(["integrate", "--phase", "x1*x2",
+                                  f"--lam-lo={lam_lo}", f"--lam-hi={lam_hi}",
+                                  f"--lam-count={count}"])
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        finite = not isinstance(lam_lo, str) and not isinstance(lam_hi, str) and (
+            math.isfinite(lam_lo) and math.isfinite(lam_hi))
+        if not (finite and count >= 1 and lam_lo >= 2
+                and (count == 1 or lam_lo < lam_hi)):
+            assert code == 2, err

@@ -1,6 +1,7 @@
 """Decay-rate fits, sharpness boxes, and the box-sum scaling oracle."""
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from oscdecay.oscint import (
 )
 from oscdecay.phase import parse_phase, reduce_phase
 from oscdecay.polytope import build_polyhedron
+from oscdecay.ratlin import dot
 
 
 def phase(text, d=2):
@@ -251,3 +253,58 @@ class TestSummationOracle:
         with pytest.raises(DecayError, match="boxes"):
             # weights 1/10 at 2^110: jmax = 1100 + 8, and 1109^2 > 2^20 boxes
             summation_oracle(self.n, (Fraction(1, 10), Fraction(1, 10)), [2.0 ** 110])
+
+
+def envelope_reference(n, z, lam, jmax):
+    """Reference for one `summation_oracle` row total, box by box: every j in
+    [0, jmax]^d adds 2^-<z, j> * min(1, sqrt(2^t / lam)), t = min over the
+    vertices alpha of <alpha, j>, and the exact volume remainder closes the
+    tail.  Float weights give float exponent sums; Fraction weights give the
+    float of the exact sum."""
+    log2lam = math.log2(lam)
+    pieces = []
+    for j in product(range(jmax + 1), repeat=len(z)):
+        t = min(dot(v, j) for v in n.vertices)
+        gain = 1.0 if t >= log2lam else math.sqrt(math.ldexp(1.0 / lam, t))
+        pieces.append(2.0 ** -float(sum(zk * jk for zk, jk in zip(z, j))) * gain)
+    zf = [float(x) for x in z]
+    tail = math.prod(1.0 / (1.0 - 2.0 ** -x) for x in zf) * (
+        1.0 - math.prod(1.0 - 2.0 ** (-x * (jmax + 1)) for x in zf))
+    return math.fsum(pieces) + tail
+
+
+class TestSummationReference:
+    LAMS = [2.0 ** e for e in range(4, 17, 4)]
+
+    @pytest.mark.parametrize("text, z, rel", [
+        ("x1^3*x2^3", (Fraction(1), Fraction(1)), 0.0),
+        ("x1^3*x2^3", (Fraction(1, 2), Fraction(1, 2)), 0.0),
+        ("x1^3*x2^3*x3^3", (Fraction(1),) * 3, 0.0),
+        # float weight sums round differently from the exact exponents
+        ("x1^4*x2^3 + x1^2*x2^5", (Fraction(2, 3), Fraction(5, 7)), 1e-15),
+    ])
+    def test_totals_match_per_box_loop(self, text, z, rel):
+        n = build_polyhedron(phase(text, len(z)))
+        rep = summation_oracle(n, z, self.LAMS)
+        for row in rep.rows:
+            want = envelope_reference(n, [float(x) for x in z], row.lam, row.jmax)
+            if rel == 0.0:
+                assert row.total == want
+            else:
+                assert row.total == pytest.approx(want, rel=rel, abs=0.0)
+
+    def test_wide_denominator_is_exact(self):
+        # over the 21-digit common denominator the weight numerators exceed
+        # int64, so the exponents are summed in Python ints
+        den = 10 ** 20 + 7
+        z = (Fraction(2 * den // 3 + 1, den), Fraction(1))
+        assert min(2 * den // 3 + 1, den) > 2 ** 63
+        n = build_polyhedron(phase("x1^3*x2^3"))
+        rep = summation_oracle(n, z, self.LAMS)
+        assert rep.nu == 3 / z[0]
+        floats = [float(x) for x in z]
+        inexact = 0
+        for row in rep.rows:
+            assert row.total == envelope_reference(n, z, row.lam, row.jmax)
+            inexact += row.total != envelope_reference(n, floats, row.lam, row.jmax)
+        assert inexact  # float weight sums would have moved some totals

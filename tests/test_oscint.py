@@ -582,16 +582,19 @@ class TestSingleBoxBound:
         b = certificate_sum(p, n, q, (1.0, 1.0), 100.0, constant=3.0, multiplicity=2)
         assert b == pytest.approx(6 * a, rel=1e-12)
 
-    @pytest.mark.parametrize("text, d, p", [
-        ("x1^2*x2^2 + x1^5*x2", 2, (2, 3)),
-        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (4, "inf", 3)),
-    ])
-    def test_certificate_is_sum_of_box_bounds(self, text, d, p):
+    @pytest.mark.parametrize("text, d, p, lam", [
+        ("x1^2*x2^2 + x1^5*x2", 2, (2, 3), 77.0),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (4, "inf", 3), 77.0),
+        # |lam 2^-t| <= 1 from t = 2 on: most boxes take the gain = 1 branch
+        ("x1*x2*x3", 3, ("inf", "inf", "inf"), 3.0),
+    ], ids=["x1^2*x2^2 + x1^5*x2-2-p0", "x1^2*x2^2*x3^2 + x1^3*x2*x3-3-p1",
+            "x1*x2*x3-3-p2"])
+    def test_certificate_is_sum_of_box_bounds(self, text, d, p, lam):
         ph = phase(text, d)
         n = build_polyhedron(ph)
         q = ExponentQuery.of(p)
         norms = tuple(1.0 + 0.25 * k for k in range(d))
-        levels, multiplicity, constant, lam = 12, 2 ** d, 2.0, 77.0
+        levels, multiplicity, constant = 12, 2 ** d, 2.0
         total = 0.0
         for j in product(range(levels + 1), repeat=d):
             total += box_bound(n, j, q, norms, lam)
