@@ -18,6 +18,8 @@ from pathlib import Path
 
 from .decay import (
     MAX_SUM_BOXES,
+    MIN_FIT_OCTAVES,
+    MIN_FIT_SAMPLES,
     check_dual_domination,
     dual_lambda_grid,
     fit_decay,
@@ -205,21 +207,10 @@ def _build_inputs(cfg: RunConfig):
 
 
 def _report(command: str, cfg: RunConfig, **parts) -> dict:
-    base = {
-        "schema": "report/1",
-        "command": command,
-        "config": cfg.to_json_dict(),
-        "polyhedron": None,
-        "exponent": None,
-        "nondegeneracy": None,
-        "decay_fit": None,
-        "sharpness": None,
-        "summation": None,
-        "sweep": None,
-        "verdicts": [],
-    }
-    base.update(parts)
-    return base
+    empty = ("polyhedron", "exponent", "nondegeneracy", "decay_fit", "sharpness",
+             "summation", "sweep")
+    return {"schema": "report/1", "command": command, "config": cfg.to_json_dict(),
+            **dict.fromkeys(empty), "verdicts": [], **parts}
 
 
 def _emit(report: dict, cfg: RunConfig) -> int:
@@ -353,6 +344,12 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args, cfg: RunConfig) -> int:
+    # refuse, before any work, a grid the decay fit could never accept
+    if cfg.lam_count < MIN_FIT_SAMPLES:
+        raise CliError(f"--lam-count must be at least {MIN_FIT_SAMPLES} for the decay fit")
+    grid = lambda_grid(cfg.lam_lo, cfg.lam_hi, cfg.lam_count)
+    if (octaves := math.log2(grid[-1] / grid[0])) < MIN_FIT_OCTAVES:
+        raise CliError(f"the grid must span {MIN_FIT_OCTAVES:g} octaves, got {octaves:.3g}")
     p, n, q = _build_inputs(cfg)
     _check_grid(cfg, p.dimension)
     er = sharp_exponent(n, q)

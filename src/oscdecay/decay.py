@@ -27,6 +27,7 @@ __all__ = [
     "SummationRow", "SummationReport", "fit_decay", "fit_samples",
     "dual_lambda_grid", "sharpness_test", "check_dual_domination",
     "summation_oracle", "summation_boxes", "MAX_SUM_BOXES", "SHARPNESS_BAND",
+    "MIN_FIT_SAMPLES", "MIN_FIT_OCTAVES",
 ]
 
 
@@ -36,6 +37,10 @@ class DecayError(ValueError):
 
 # ---------------------------------------------------------------------------
 # regression
+
+MIN_FIT_SAMPLES = 8    # the shortest clean sweep a fit accepts: samples,
+MIN_FIT_OCTAVES = 4.0  # and octaves spanned
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -101,8 +106,8 @@ def _solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 def fit_samples(lams: Sequence[float], mags: Sequence[float],
                 inv_nu_predicted: float, m_predicted: float, *,
-                tol: float = 0.05, min_samples: int = 8,
-                min_octaves: float = 4.0, excluded: int = 0) -> DecayFit:
+                tol: float = 0.05, min_samples: int = MIN_FIT_SAMPLES,
+                min_octaves: float = MIN_FIT_OCTAVES, excluded: int = 0) -> DecayFit:
     lams = tuple(float(x) for x in lams)
     mags = tuple(float(x) for x in mags)
     if len(lams) < min_samples:
@@ -123,8 +128,8 @@ def fit_samples(lams: Sequence[float], mags: Sequence[float],
 
 
 def fit_decay(sweep: Sequence[OscResult], predicted: ExponentReport, *,
-              tol: float = 0.05, min_samples: int = 8,
-              min_octaves: float = 4.0) -> DecayFit:
+              tol: float = 0.05, min_samples: int = MIN_FIT_SAMPLES,
+              min_octaves: float = MIN_FIT_OCTAVES) -> DecayFit:
     """Fit the decay law on the clean part of a sweep and compare rates."""
     clean = [(r.lam, abs(r.value)) for r in sweep
              if r.lam >= 2 and not r.low_confidence]

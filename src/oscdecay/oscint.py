@@ -6,17 +6,17 @@ Each axis of the cutoff support is cut into octave pieces, so every product
 cell sees a single oscillation scale; Gauss panel counts then track the phase
 variation cell by cell instead of chasing the worst case globally; each
 per-axis rule is built once per distinct (axis, piece, panel count) and shared
-by every cell that uses it.  Cells with equal panel counts are stacked and
-evaluated together, at most `QuadratureConfig.chunk` nodes per kernel call, so
-the working set stays a few megabytes whatever the frequency.  The kernel
-has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into its one
-full-size buffer, and takes exp(i*theta) from the float64 half-angle tangent
-t = tan(theta/2) in real arithmetic, which vectorizes where complex exp does
-not.  The cutoff profile runs its bump table only on the transition nodes
-between plateau and zero.  The same cell
-grid indexes a closed-form bound per cell (dominant vertex of the support
-polyhedron): `box_envelope` gives them all from exact integer exponent
-grids, and their sum is an a-priori certificate for the measured value.
+by every cell that uses it.  Cells with equal panel counts are gathered from
+per-group rule stacks and evaluated together, at most `QuadratureConfig.chunk`
+nodes per kernel call, in one reused per-thread workspace: the working set
+stays a few megabytes whatever the frequency, and is faulted in once.  The
+kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into
+it, and takes exp(i*theta) from the float64 half-angle tangent tan(theta/2)
+in real arithmetic, which vectorizes where complex exp does not.  The cutoff
+profile runs its bump table only on transition nodes, in blocks.  The same
+cell grid indexes a closed-form bound per cell (dominant vertex of the
+support polyhedron): `box_envelope` gives them all from exact integer
+exponent grids, and their sum is an a-priori certificate for the result.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -24,9 +24,11 @@ has no such limit.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import product
+from functools import lru_cache
+from itertools import accumulate, product
 from typing import Sequence
 
 import numpy as np
@@ -57,12 +59,26 @@ MAX_LEVELS = 40   # cutoff octaves run 1..MAX_LEVELS
 MIN_LAMBDA = 2.0  # decay sweeps start here
 
 
-def bump(t):
-    """The reference bump exp(1 - 1/(1 - t^2)) inside |t| < 1, zero outside."""
+_SCRATCH = threading.local()
+
+
+def _scratch(name, size):
+    """This thread's own float64 array `name`, at least `size` long; it only grows."""
+    buf = getattr(_SCRATCH, name, None)
+    if buf is None or buf.size < size:
+        buf = np.empty(size)
+        setattr(_SCRATCH, name, buf)
+    return buf
+
+
+def bump(t, out=None):
+    """The reference bump exp(1 - 1/(1 - t^2)) inside |t| < 1, zero outside.
+    `out` may be t itself; rounding can put |t| at exactly 1, outside the mask."""
     t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
     m = np.abs(t) < 1
-    tm = t[m]
+    tm = t[m]  # a copy, so out may be t
+    out = np.empty_like(t) if out is None else out
+    out.fill(0.0)
     out[m] = np.exp(1.0 - 1.0 / (1.0 - tm * tm))
     return out
 
@@ -74,6 +90,7 @@ _STEP_X, _STEP_W = np.polynomial.legendre.leggauss(48)
 _STEP_X = 0.5 * (_STEP_X + 1.0)
 _STEP_W = 0.5 * _STEP_W
 _STEP_NORM = float((bump(2.0 * _STEP_X - 1.0) * _STEP_W).sum())
+_STEP_ROWS = 256  # transition nodes per block of the bump table (96 KiB)
 
 
 def smooth_step(u):
@@ -81,12 +98,22 @@ def smooth_step(u):
     u = np.asarray(u, dtype=float)
     out = np.where(u >= 1.0, 0.0, u)  # NaN stays NaN
     out[u <= 0.0] = 1.0
-    # the bump table runs only on the transition nodes 0 < u < 1
+    # the bump table runs only on the transition nodes 0 < u < 1, in blocks
     m = (u > 0.0) & (u < 1.0)
     if m.any():
         um = u[m]
-        v = um[:, None] + (1.0 - um)[:, None] * _STEP_X
-        out[m] = (1.0 - um) * (bump(2.0 * v - 1.0) * _STEP_W).sum(axis=1) / _STEP_NORM
+        rest, sums = 1.0 - um, np.empty_like(um)
+        block = _scratch("step", _STEP_ROWS * _STEP_X.size).reshape(_STEP_ROWS, -1)
+        for s in range(0, um.size, _STEP_ROWS):
+            e = min(s + _STEP_ROWS, um.size)
+            v = np.multiply(rest[s:e, None], _STEP_X, out=block[:e - s])
+            v += um[s:e, None]
+            v *= 2.0
+            v -= 1.0
+            bump(v, out=v)
+            v *= _STEP_W
+            v.sum(axis=1, out=sums[s:e])
+        out[m] = rest * sums / _STEP_NORM
     return out
 
 
@@ -300,79 +327,91 @@ def _kernel(p, lam, axes, weights):
     """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
 
     axes[k] and weights[k] are the (B, n_k) nodes and complex weights of axis
-    k; the result holds the B cell sums.  `PhasePolynomial.evaluate_tensor`
-    writes theta/2 = lam*phi/2 straight into the full-size buffer t, and the
-    steps after it hold one more full-size array.  With t = tan(theta/2),
-    cos(theta) = 2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2): float64 tan is
-    vectorized where complex exp is not, and loses no accuracy.  The real
-    arrays 2/(1+t^2) and sin(theta) are contracted against the last axis's
-    weights as an (n, 2) [re, im] matrix, the cosine's -sum(w) is added
-    after, and only the contracted array is complex.
+    k; the result holds the B cell sums.  t, u, c, s and z are views of this
+    thread's workspace.  `PhasePolynomial.evaluate_tensor` writes
+    theta/2 = lam*phi/2 straight into the full-size buffer t.  With
+    t = tan(theta/2), cos(theta) = 2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2):
+    float64 tan is vectorized where complex exp is not, and loses no
+    accuracy.  The real arrays 2/(1+t^2) and sin(theta) are contracted
+    against the last axis's weights as an (n, 2) [re, im] matrix, the
+    cosine's -sum(w) is added after, and only the contracted array is complex.
     """
     b = axes[0].shape[0]
     sizes = [x.shape[1] for x in axes]
-    t = p.evaluate_tensor(axes, 0.5 * lam, np.empty([b] + sizes))
+    n, m = sizes[-1], math.prod(sizes[:-1])
+    cut = list(accumulate([0] + [b * m * n] * 2 + [2 * b * m] * 3))
+    t, u, c, s, z = np.split(_scratch("kernel", cut[-1])[:cut[-1]], cut[1:-1])
+    t = p.evaluate_tensor(axes, 0.5 * lam, t.reshape([b] + sizes)).reshape(b, m, n)
     np.tan(t, out=t)
-    u = t * t
+    u = np.multiply(t, t, out=u.reshape(b, m, n))
     u += 1.0
     np.divide(2.0, u, out=u)  # 1 + cos(theta)
     t *= u                    # sin(theta)
-    n = sizes[-1]
     w = weights[-1].view(np.float64).reshape(b, n, 2)
-    c = np.matmul(u.reshape(b, -1, n), w)
+    c = np.matmul(u, w, out=c.reshape(b, m, 2))
     c -= w.sum(axis=1)[:, None, :]
-    s = np.matmul(t.reshape(b, -1, n), w)
-    z = np.empty(c.shape[:2], dtype=complex)
-    z.real = c[..., 0] - s[..., 1]
-    z.imag = c[..., 1] + s[..., 0]
+    s = np.matmul(t, w, out=s.reshape(b, m, 2))
+    z = z.view(complex).reshape(b, m)
+    np.subtract(c[..., 0], s[..., 1], out=z.real)
+    np.add(c[..., 1], s[..., 0], out=z.imag)
     for wk, nk in zip(weights[-2::-1], sizes[-2::-1]):
         z = np.matmul(z.reshape(b, -1, nk), wk[:, :, None])
-    return z.reshape(b)
+    return z.reshape(b).copy()
 
 
-def _run_level(p, lam, cells, counts, chi, f, quad, keep_boxes):
-    gx, gw = np.polynomial.legendre.leggauss(quad.order)
-    d = len(f.factors)
+@lru_cache(maxsize=None)
+def _gauss(order):
+    gx, gw = np.polynomial.legendre.leggauss(order)
+    gx.flags.writeable = gw.flags.writeable = False
+    return gx, gw
+
+
+def _run_level(p, lam, axis_pieces, counts, chi, f, quad, keep_boxes):
+    gx, gw = _gauss(quad.order)
+    # per-axis piece index of every cell, cells in product order
+    where = np.unravel_index(np.arange(len(counts)), [len(x) for x in axis_pieces])
     # a per-axis rule depends only on (axis, piece, panel count), so it is
     # built once per distinct key and shared by every cell that uses it
     cache = {}
     # cells with equal panel counts have rules of equal shape: each such
-    # group is stacked and evaluated in batches of at most quad.chunk nodes
+    # group is evaluated in batches of at most quad.chunk nodes
     groups = {}
     for i, cnt in enumerate(counts):
         groups.setdefault(tuple(cnt), []).append(i)
-    values = np.zeros(len(cells), dtype=complex)
-    cell_nodes = [0] * len(cells)
+    values = np.zeros(len(counts), dtype=complex)
+    cell_nodes = np.zeros(len(counts), dtype=np.int64)
     for cnt, members in groups.items():
+        members = np.array(members)
         sizes = [c * quad.order for c in cnt]
         size = math.prod(sizes)
         batch = max(1, quad.chunk // size)
         # a cell above the chunk alone is cut into slices along axis 0
         rows = max(1, quad.chunk // (size // sizes[0]))
+        cell_nodes[members] = size
+        # per axis, the group's distinct rules are stacked once; a batch
+        # gathers its cells' rows from the stacks
+        stacks = []
+        for k, pieces in enumerate(axis_pieces):
+            used, at = np.unique(where[k][members], return_inverse=True)
+            for j in used.tolist():
+                if (k, j, cnt[k]) not in cache:
+                    cache[k, j, cnt[k]] = _axis_rule(pieces[j][2], pieces[j][3], cnt[k],
+                                                     gx, gw, chi, f.factors[k])
+            rules = [cache[k, j, cnt[k]] for j in used.tolist()]
+            stacks.append([np.stack(r) for r in zip(*rules)] + [at])
         for start in range(0, len(members), batch):
             idx = members[start:start + batch]
-            axes, weights = [], []
-            for k in range(d):
-                rules = []
-                for i in idx:
-                    key = (k, cells[i][k], cnt[k])
-                    if key not in cache:
-                        cache[key] = _axis_rule(key[1][2], key[1][3], cnt[k],
-                                                gx, gw, chi, f.factors[k])
-                    rules.append(cache[key])
-                axes.append(np.stack([x for x, _ in rules]))
-                weights.append(np.stack([g for _, g in rules]))
+            axes = [x[at[start:start + batch]] for x, _, at in stacks]
+            weights = [g[at[start:start + batch]] for _, g, at in stacks]
             for s in range(0, sizes[0], rows):
                 values[idx] += _kernel(p, lam, [axes[0][:, s:s + rows]] + axes[1:],
                                        [weights[0][:, s:s + rows]] + weights[1:])
-        for i in members:
-            cell_nodes[i] = size
     boxes = None
     if keep_boxes:
         boxes = [BoxContribution(tuple((sign, level) for sign, level, _, _ in cell),
-                                 complex(v), m)
-                 for cell, v, m in zip(cells, values, cell_nodes)]
-    return complex(values.sum()), sum(cell_nodes), boxes
+                                 complex(v), int(m))
+                 for cell, v, m in zip(product(*axis_pieces), values, cell_nodes)]
+    return complex(values.sum()), int(cell_nodes.sum()), boxes
 
 
 def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
@@ -399,7 +438,6 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
 
     axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
     rates = [fac.angular_rate for fac in f.factors]
-    cells = list(product(*axis_pieces))
     counts = _panel_counts(lam, axis_pieces, grads, rates, quad)
 
     fine_nodes = sum(math.prod(c) for c in counts) * quad.order ** d
@@ -409,12 +447,12 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
         counts = [[max(1, int(c * shrink)) for c in cnt] for cnt in counts]
 
     value, nodes_used, boxes = _run_level(
-        p, lam, cells, counts, chi, f, quad, keep_boxes)
+        p, lam, axis_pieces, counts, chi, f, quad, keep_boxes)
     # halving the Gauss order on the same panels gives a nonzero error signal
     # even for single-panel cells, where halving the count would not
     coarse_quad = replace(quad, order=max(2, quad.order // 2))
     coarse, _, _ = _run_level(
-        p, lam, cells, counts, chi, f, coarse_quad, keep_boxes=False)
+        p, lam, axis_pieces, counts, chi, f, coarse_quad, keep_boxes=False)
     error = abs(value - coarse)
 
     certificate = None

@@ -18,7 +18,7 @@ from oscdecay.cli import (
     load_config_file,
     main,
 )
-from oscdecay.decay import MAX_SUM_BOXES
+from oscdecay.decay import MAX_SUM_BOXES, MIN_FIT_OCTAVES, MIN_FIT_SAMPLES
 from oscdecay.nondegen import max_grid
 
 SCHEMA = json.loads(
@@ -164,6 +164,26 @@ class TestUsageErrors:
         assert code == 2 and not captured.out
         assert "usage error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("argv, text", [
+        (["--lam-count", str(MIN_FIT_SAMPLES - 1)],
+         f"--lam-count must be at least {MIN_FIT_SAMPLES} for the decay fit"),
+        (["--lam-lo", "64", "--lam-hi", "512", "--lam-count", "9"],
+         f"must span {MIN_FIT_OCTAVES:g} octaves, got 3"),
+    ], ids=["lam-count-7", "three-octaves"])
+    def test_short_verify_sweep_is_refused_before_work(self, capsys, monkeypatch,
+                                                       argv, text):
+        # the decay fit could never accept this sweep: no input is built and
+        # no frequency is evaluated before the refusal
+        def never(*args, **kwargs):
+            raise AssertionError("verify did work before refusing its sweep")
+
+        monkeypatch.setattr("oscdecay.cli._build_inputs", never)
+        monkeypatch.setattr("oscdecay.cli.lambda_sweep", never)
+        code = main(["verify", "--phase", "x1*x2"] + argv)
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "usage error:" in captured.err and text in captured.err
+
     @pytest.mark.parametrize("command", ["check", "verify"])
     def test_oversized_grid_names_one_that_fits(self, capsys, command):
         code = main([command, "--phase", "x1*x2*x3*x4*x5", "--grid", "64"])
@@ -190,7 +210,8 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("argv", [
         ["integrate", "--lam", "1e308"],
-        ["verify", "--lam-lo", "1e307", "--lam-hi", "1e308", "--lam-count", "2"],
+        # a sweep the decay fit accepts, so the refusal comes from the overflow
+        ["verify", "--lam-lo", "6e306", "--lam-hi", "1e308", "--lam-count", "8"],
     ], ids=["integrate", "verify"])
     def test_overflowing_turn_count_is_refused(self, tmp_path, capsys, argv):
         # lam times the gradient bound is not finite, so no panel count exists

@@ -1,5 +1,8 @@
 """Quadrature of the oscillatory form: cutoff, factors, parity, certificates."""
 import math
+import threading
+import tracemalloc
+import warnings
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +15,7 @@ from scipy.integrate import dblquad, quad
 from oscdecay.exponent import ExponentQuery
 from oscdecay.oscint import (
     _STEP_NORM,
+    _STEP_ROWS,
     _STEP_W,
     _STEP_X,
     CutoffSpec,
@@ -113,13 +117,32 @@ class TestBumpAndStep:
         single = np.array([smooth_step(np.array([x]))[0] for x in u])
         assert smooth_step(u).tobytes() == single.tobytes()
 
+    def test_blocks_equal_single_calls_near_the_ends(self):
+        # three full blocks of the bump table and a partial one, with nodes
+        # one ulp inside 0 and 1, where rounding puts 2v - 1 at exactly 1:
+        # the masked bump must not divide by zero, and no block may leave
+        # stale rows in the shared block buffer
+        inside = np.random.default_rng(8).uniform(0.0, 1.0, 3 * _STEP_ROWS + 5)
+        u = np.concatenate([inside, [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
+                            [-1.0, 0.0, 1.0, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = smooth_step(u)
+            single = np.array([smooth_step(np.array([x]))[0] for x in u])
+        assert ((u > 0) & (u < 1)).sum() == 3 * _STEP_ROWS + 7
+        assert got.tobytes() == single.tobytes()
+        t = np.linspace(-1.5, 1.5, 301)
+        assert bump(t, out=t.copy()).tobytes() == bump(t).tobytes()
+        same = t.copy()
+        assert bump(same, out=same) is same and same.tobytes() == bump(t).tobytes()
+
     def test_plateau_nodes_skip_the_bump_table(self, monkeypatch):
         sizes = []
         real = bump
 
-        def spy(t):
+        def spy(t, out=None):
             sizes.append(np.size(t))
-            return real(t)
+            return real(t, out)
 
         monkeypatch.setattr("oscdecay.oscint.bump", spy)
         smooth_step(np.array([-np.inf, -2.0, -0.0, 0.0, 1.0, 3.0, np.inf]))
@@ -412,6 +435,78 @@ class TestKernel:
                     row.append(1 + int(turns / quad_cfg.waves_per_panel))
                 want.append(tuple(row))
             assert _panel_counts(lam, pieces, grads, rates, quad_cfg) == want
+
+
+def in_fresh_thread(fn, *args, **kwargs):
+    """fn(*args, **kwargs) in a new thread, whose scratch arrays start empty."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(fn(*args, **kwargs)))
+    worker.start()
+    worker.join()
+    return out[0]
+
+
+def same_result(a, b):
+    return (a.value == b.value and a.error == b.error and a.nodes == b.nodes
+            and [x.value for x in a.boxes] == [x.value for x in b.boxes])
+
+
+class TestWorkspace:
+    # a large batch shape, a small one and a 3D one, all orthant
+    CASES = [("x1^3*x2^3", 2, 2048.0), ("x1*x2", 2, 8.0), ("x1*x2*x3", 3, 16.0)]
+
+    @staticmethod
+    def run(text, d, lam):
+        return evaluate_lambda(phase(text, d), TestFunctionSpec.ones(d), CHI_POS,
+                               lam, keep_boxes=True)
+
+    def test_no_stale_workspace_contents(self):
+        # one thread runs the cases back to back in a workspace grown by the
+        # first; each reference runs alone in a fresh thread
+        seq = in_fresh_thread(lambda: [self.run(*case) for case in self.CASES])
+        for case, got in zip(self.CASES, seq):
+            assert same_result(got, in_fresh_thread(self.run, *case))
+
+    def test_threads_do_not_share_a_workspace(self):
+        cases = [self.CASES[0], self.CASES[2]]
+        want = [in_fresh_thread(self.run, *case) for case in cases]
+        start = threading.Barrier(len(cases))
+        got = [[] for _ in cases]
+
+        def work(case, out):
+            start.wait()
+            for _ in range(3):
+                out.append(self.run(*case))
+
+        workers = [threading.Thread(target=work, args=(case, out))
+                   for case, out in zip(cases, got)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join()
+        for results, ref in zip(got, want):
+            assert len(results) == 3
+            assert all(same_result(r, ref) for r in results)
+
+    @pytest.mark.parametrize("text, d, lam", [
+        ("x1*x2*x3", 3, 64.0),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, 32.0),
+        ("x1^3*x2^3", 2, 2048.0),
+        ("x1*x2", 2, 2048.0),
+    ])
+    def test_warm_evaluation_allocates_little(self, text, d, lam):
+        # a deterministic count, not a timing: once the workspace has grown,
+        # an evaluation's kernel calls and cutoff steps allocate no
+        # full-size arrays (one pair of 2^18-node kernel buffers is 4 MiB)
+        args = (phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lam)
+        evaluate_lambda(*args)
+        tracemalloc.start()
+        try:
+            evaluate_lambda(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
 
 
 class TestOracleParity:
