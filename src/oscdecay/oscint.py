@@ -4,19 +4,25 @@ The quantity computed here is the integral of exp(i*lambda*phi(x)) against a
 smooth compactly supported cutoff times a product of one-variable factors.
 Each axis of the cutoff support is cut into octave pieces, so every product
 cell sees a single oscillation scale; Gauss panel counts then track the phase
-variation cell by cell instead of chasing the worst case globally; each
-per-axis rule is built once per distinct (axis, piece, panel count) and shared
-by every cell that uses it.  Cells with equal panel counts are gathered from
-per-group rule stacks and evaluated together, at most `QuadratureConfig.chunk`
-nodes per kernel call, in one reused per-thread workspace: the working set
-stays a few megabytes whatever the frequency, and is faulted in once.  The
-kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into
-it, and takes exp(i*theta) from the float64 half-angle tangent tan(theta/2)
-in real arithmetic, which vectorizes where complex exp does not.  The cutoff
-profile runs its bump table only on transition nodes, in blocks.  The same
-cell grid indexes a closed-form bound per cell (dominant vertex of the
-support polyhedron): `box_envelope` gives them all from exact integer
-exponent grids, and their sum is an a-priori certificate for the result.
+variation cell by cell instead of chasing the worst case globally.  Each axis
+of each cell is sized from the Gauss remainder bound: the largest panel
+(`QuadratureConfig.order` nodes on `waves_per_panel` turns) sets the error
+target, and an axis whose piece lies on the cutoff plateau, where the
+integrand is analytic, takes the lowest Gauss order that meets it.  The error
+estimate reruns only the full-order axes, at a lower order.  Each per-axis
+rule is built once per distinct (axis, piece, panel count, order) and shared
+by every cell that uses it.  Cells with equal node counts per axis are
+gathered from per-group rule stacks and evaluated together, at most
+`QuadratureConfig.chunk` nodes per kernel call, in one reused per-thread
+workspace: the working set stays a few megabytes whatever the frequency, and
+is faulted in once.  The kernel has `PhasePolynomial.evaluate_tensor` write
+lam*phi/2 straight into it, and takes exp(i*theta) from the float64
+half-angle tangent tan(theta/2) in real arithmetic, which vectorizes where
+complex exp does not.  The cutoff profile runs its bump table only on
+transition nodes, in blocks.  The same cell grid indexes a closed-form bound
+per cell (dominant vertex of the support polyhedron): `box_envelope` gives
+them all from exact integer exponent grids, and their sum is an a-priori
+certificate for the result.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -25,7 +31,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -239,8 +245,11 @@ class TestFunctionSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    order: int = 12                 # Gauss nodes per panel
-    waves_per_panel: float = 1.0    # target phase turns per panel
+    """Gauss panel rule.  `order` nodes on a panel of `waves_per_panel` phase
+    turns is the largest panel; its Gauss remainder bound R(order,
+    waves_per_panel) is the error target every other panel is sized to."""
+    order: int = 16                 # Gauss nodes per full-order panel
+    waves_per_panel: float = 4.0    # most phase turns per panel
     node_budget: int = 300_000_000  # tensor points per evaluation level
     chunk: int = 262_144            # nodes per kernel call: bounds a batch of
                                     # cells and the axis-0 slice of one cell
@@ -261,7 +270,10 @@ class BoxContribution:
 class OscResult:
     lam: float
     value: complex
-    error: float            # difference against the half-order rerun
+    # difference against a rerun at order max(n // 2, n - 4) on the full-order
+    # axes (every axis when low_confidence), plus d * target * weight mass of
+    # the cells without one
+    error: float
     low_confidence: bool
     nodes: int
     certificate: float | None = None
@@ -286,14 +298,47 @@ def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
     return pieces
 
 
-def _panel_counts(lam, axis_pieces, grads, rates, quad):
-    """Gauss panels per axis for every cell, cells in product order of the pieces.
+def _on_plateau(chi, lo, hi):
+    """Whether the cutoff is 1 on all of [lo, hi], so the integrand is analytic there."""
+    return max(abs(lo), abs(hi)) <= chi.inner * chi.radius
 
+
+_LADDER = (4, 8, 12)  # the Gauss orders an axis on the cutoff plateau may take
+
+
+def _log_gauss_constant(n):
+    """log of (n!)^4 / ((2n + 1) ((2n)!)^3): an n-point Gauss panel of width h
+    errs on exp(i w x) by at most h (w h)^(2n) times this (Davis & Rabinowitz,
+    Methods of Numerical Integration, 2.7)."""
+    return 4 * math.lgamma(n + 1) - math.log(2 * n + 1) - 3 * math.lgamma(2 * n + 1)
+
+
+@lru_cache(maxsize=None)
+def _ladder(order, waves):
+    """The per-panel relative error target R(order, waves), capped at 2, and
+    for every ladder order n below `order` the most turns per panel at which
+    R(n, turns) meets it."""
+    log_target = min(2 * order * math.log(2 * math.pi * waves)
+                     + _log_gauss_constant(order), math.log(2.0))
+    rungs = tuple((n, math.exp((log_target - _log_gauss_constant(n)) / (2 * n))
+                   / (2 * math.pi)) for n in _LADDER if n < order)
+    return math.exp(log_target), rungs
+
+
+def _panel_counts(lam, axis_pieces, grads, rates, analytic, quad):
+    """Gauss panel counts and orders, (cells, d) integer arrays, cells in
+    product order of the pieces.
+
+    Counts are 1 + floor(turns / waves_per_panel), capped at 2^53, far above
+    any budget.  An analytic axis (one whose piece lies on the cutoff plateau,
+    per `analytic`) takes the lowest ladder order whose bound meets the
+    target at its turns per panel; every other axis takes the full order.
     Each axis's gradient bound is evaluated once, on the grid of cell-corner
     magnitudes.  The grid holds Python floats (dtype object), so every power
     and product is the one a scalar evaluation at a single corner would give.
     """
     d = len(axis_pieces)
+    _, rungs = _ladder(quad.order, quad.waves_per_panel)
     mags, widths = [], []
     for k, pieces in enumerate(axis_pieces):
         shape = [1] * d
@@ -302,25 +347,66 @@ def _panel_counts(lam, axis_pieces, grads, rates, quad):
                              dtype=object).reshape(shape))
         widths.append(np.array([hi - lo for _, _, lo, hi in pieces]).reshape(shape))
     full = tuple(len(pieces) for pieces in axis_pieces)
-    ratios = []
+    counts, orders = [], []
     for k in range(d):
         bound = np.asarray(grads[k].evaluate(mags), dtype=float)
         with np.errstate(over="ignore"):
-            turns = (abs(lam) * bound + rates[k]) * widths[k] / (2.0 * math.pi)
+            turns = np.broadcast_to(
+                (abs(lam) * bound + rates[k]) * widths[k] / (2.0 * math.pi), full)
             ratio = turns / quad.waves_per_panel
         if not np.all(np.isfinite(ratio)):
             raise OscError(f"phase turns per cell overflow at lam {lam:g}")
-        ratios.append(np.broadcast_to(ratio, full).ravel().tolist())
-    return [tuple(1 + int(r) for r in row) for row in zip(*ratios)]
+        count = (1 + np.minimum(np.floor(ratio), 2.0 ** 53).astype(np.int64)).ravel()
+        per_panel = turns.ravel() / count
+        order = np.full(count.size, quad.order)
+        for n, most in reversed(rungs):
+            order[analytic[:, k] & (per_panel <= most)] = n
+        counts.append(count)
+        orders.append(order)
+    return np.stack(counts, axis=1), np.stack(orders, axis=1)
+
+
+def _nodes(counts, orders):
+    """Total tensor nodes, in floats, which cannot wrap around."""
+    with np.errstate(over="ignore"):
+        return np.multiply(counts, orders, dtype=float).prod(axis=1).sum()
+
+
+def _fit_budget(counts, orders, analytic, quad):
+    """Shrink a rule above the node budget: every panel count by one common
+    factor, the largest that fits.  Only where one panel per axis does not
+    fit do the orders of analytic axes step down the ladder first, as far as
+    needed.  The result fits unless one panel per axis at the lowest allowed
+    orders does not."""
+    for n, _ in reversed(_ladder(quad.order, quad.waves_per_panel)[1]):
+        if _nodes(np.ones_like(counts), orders) <= quad.node_budget:
+            break
+        orders = np.where(analytic, np.minimum(orders, n), orders)
+
+    def scaled(e):
+        return np.maximum(1, np.floor(counts * 2.0 ** e).astype(np.int64))
+
+    # bisect the exponent of the factor; at lo every count is 1
+    lo, hi = -math.log2(counts.max()) - 1.0, 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _nodes(scaled(mid), orders) <= quad.node_budget:
+            lo = mid
+        else:
+            hi = mid
+    return scaled(lo), orders
 
 
 def _axis_rule(lo, hi, panels, gx, gw, chi, factor):
-    """Gauss panel nodes on [lo, hi] and their weights times cutoff and factor."""
+    """Gauss panel nodes on [lo, hi] and their weights times cutoff and factor;
+    on the plateau the cutoff is 1 and is not evaluated."""
     width = (hi - lo) / panels
     starts = lo + width * np.arange(panels)
     nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
     weights = np.tile(width * 0.5 * gw, panels)
-    return nodes, weights * chi.profile(nodes) * factor.values(nodes)
+    if not _on_plateau(chi, lo, hi):
+        weights = weights * chi.profile(nodes)
+    return nodes, weights * factor.values(nodes)
 
 
 def _kernel(p, lam, axes, weights):
@@ -366,52 +452,63 @@ def _gauss(order):
     return gx, gw
 
 
-def _run_level(p, lam, axis_pieces, counts, chi, f, quad, keep_boxes):
-    gx, gw = _gauss(quad.order)
-    # per-axis piece index of every cell, cells in product order
-    where = np.unravel_index(np.arange(len(counts)), [len(x) for x in axis_pieces])
-    # a per-axis rule depends only on (axis, piece, panel count), so it is
-    # built once per distinct key and shared by every cell that uses it
-    cache = {}
-    # cells with equal panel counts have rules of equal shape: each such
-    # group is evaluated in batches of at most quad.chunk nodes
-    groups = {}
-    for i, cnt in enumerate(counts):
-        groups.setdefault(tuple(cnt), []).append(i)
-    values = np.zeros(len(counts), dtype=complex)
-    cell_nodes = np.zeros(len(counts), dtype=np.int64)
-    for cnt, members in groups.items():
-        members = np.array(members)
-        sizes = [c * quad.order for c in cnt]
+def _rows(a):
+    """The distinct rows of the integer array a, in lexicographic order, and
+    the index of each row of a among them: np.unique(a, axis=0) without its
+    sort of a void view, which is 5x slower."""
+    order = np.lexsort(a.T[::-1])
+    a = a[order]
+    step = np.ones(len(a), dtype=bool)
+    step[1:] = (a[1:] != a[:-1]).any(axis=1)
+    inverse = np.empty(len(a), dtype=np.int64)
+    inverse[order] = np.cumsum(step) - 1
+    return a[step], inverse
+
+
+def _run_level(p, lam, axis_pieces, cells, counts, orders, chi, f, quad, cache):
+    """Rule sums and weight masses of the cells, each cell's rule given per
+    axis by its row of `cells` (piece index), `counts` and `orders`."""
+    values = np.zeros(len(cells), dtype=complex)
+    mass = np.ones(len(cells))
+    # a per-axis rule depends only on (axis, piece, panels, order), so it is
+    # built once per distinct key, kept in `cache` across levels, and shared
+    # by every cell that uses it
+    keys, rule_of = [], []
+    for k in range(len(axis_pieces)):
+        uniq, inv = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k]], axis=1))
+        keys.append(uniq.tolist())
+        rule_of.append(inv)
+    # cells with equal node counts per axis have rules of equal shape: each
+    # such group is evaluated in batches of at most quad.chunk nodes
+    shapes, group = _rows(counts * orders)
+    for g, sizes in enumerate(shapes.tolist()):
+        members = np.flatnonzero(group == g)
         size = math.prod(sizes)
         batch = max(1, quad.chunk // size)
         # a cell above the chunk alone is cut into slices along axis 0
         rows = max(1, quad.chunk // (size // sizes[0]))
-        cell_nodes[members] = size
         # per axis, the group's distinct rules are stacked once; a batch
         # gathers its cells' rows from the stacks
         stacks = []
         for k, pieces in enumerate(axis_pieces):
-            used, at = np.unique(where[k][members], return_inverse=True)
-            for j in used.tolist():
-                if (k, j, cnt[k]) not in cache:
-                    cache[k, j, cnt[k]] = _axis_rule(pieces[j][2], pieces[j][3], cnt[k],
-                                                     gx, gw, chi, f.factors[k])
-            rules = [cache[k, j, cnt[k]] for j in used.tolist()]
-            stacks.append([np.stack(r) for r in zip(*rules)] + [at])
+            used, at = np.unique(rule_of[k][members], return_inverse=True)
+            rules = []
+            for j, c, n in (keys[k][u] for u in used.tolist()):
+                if (k, j, c, n) not in cache:
+                    cache[k, j, c, n] = _axis_rule(pieces[j][2], pieces[j][3], c,
+                                                   *_gauss(n), chi, f.factors[k])
+                rules.append(cache[k, j, c, n])
+            x, w = (np.stack(r) for r in zip(*rules))
+            mass[members] *= np.abs(w).sum(axis=1)[at]
+            stacks.append((x, w, at))
         for start in range(0, len(members), batch):
             idx = members[start:start + batch]
             axes = [x[at[start:start + batch]] for x, _, at in stacks]
-            weights = [g[at[start:start + batch]] for _, g, at in stacks]
+            weights = [w[at[start:start + batch]] for _, w, at in stacks]
             for s in range(0, sizes[0], rows):
                 values[idx] += _kernel(p, lam, [axes[0][:, s:s + rows]] + axes[1:],
                                        [weights[0][:, s:s + rows]] + weights[1:])
-    boxes = None
-    if keep_boxes:
-        boxes = [BoxContribution(tuple((sign, level) for sign, level, _, _ in cell),
-                                 complex(v), int(m))
-                 for cell, v, m in zip(product(*axis_pieces), values, cell_nodes)]
-    return complex(values.sum()), int(cell_nodes.sum()), boxes
+    return values, mass
 
 
 def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
@@ -421,10 +518,14 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
                     cert_constant: float = DEFAULT_CERT_CONSTANT) -> OscResult:
     """Tensor-panel quadrature of the oscillatory form at one frequency.
 
-    Panel counts per cell and axis grow with the local phase variation; when
-    the implied node count exceeds the budget, counts are scaled down and
-    the result is flagged low-confidence.  The reported error is the
-    difference against a half-order rerun on the same panels.
+    Panel counts and Gauss orders per cell and axis follow the local phase
+    variation (`_panel_counts`); when the implied node count exceeds the
+    budget, the rule is shrunk to fit (`_fit_budget`) and the result is
+    flagged low-confidence.  The reported error is the difference against a
+    rerun on the same panels at order max(n // 2, n - 4) on the full-order
+    axes (n = order), or on every axis of a shrunk rule.  A cell without one
+    has only analytic axes, each within the error target, and adds
+    d * target times its weight mass instead.
     """
     d = p.dimension
     if d > 3:
@@ -438,22 +539,37 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
 
     axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
     rates = [fac.angular_rate for fac in f.factors]
-    counts = _panel_counts(lam, axis_pieces, grads, rates, quad)
+    # per axis, the piece index of every cell, cells in product order, and
+    # whether that piece lies on the cutoff plateau
+    shape = [len(pieces) for pieces in axis_pieces]
+    cells = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
+    analytic = np.stack([np.array([_on_plateau(chi, lo, hi) for _, _, lo, hi in pieces],
+                                  dtype=bool)[cells[:, k]]
+                         for k, pieces in enumerate(axis_pieces)], axis=1)
+    counts, orders = _panel_counts(lam, axis_pieces, grads, rates, analytic, quad)
 
-    fine_nodes = sum(math.prod(c) for c in counts) * quad.order ** d
-    low_confidence = fine_nodes > quad.node_budget
+    low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
     if low_confidence:
-        shrink = (quad.node_budget / fine_nodes) ** (1.0 / d)
-        counts = [[max(1, int(c * shrink)) for c in cnt] for cnt in counts]
+        counts, orders = _fit_budget(counts, orders, analytic, quad)
 
-    value, nodes_used, boxes = _run_level(
-        p, lam, axis_pieces, counts, chi, f, quad, keep_boxes)
-    # halving the Gauss order on the same panels gives a nonzero error signal
-    # even for single-panel cells, where halving the count would not
-    coarse_quad = replace(quad, order=max(2, quad.order // 2))
-    coarse, _, _ = _run_level(
-        p, lam, axis_pieces, counts, chi, f, coarse_quad, keep_boxes=False)
-    error = abs(value - coarse)
+    cache = {}
+    values, mass = _run_level(p, lam, axis_pieces, cells, counts, orders,
+                              chi, f, quad, cache)
+    # a shrunk rule no longer meets the target on analytic axes: rerun them all
+    full = (orders == quad.order) | low_confidence
+    rerun = full.any(axis=1)
+    coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
+    check, _ = _run_level(p, lam, axis_pieces, cells[rerun], counts[rerun],
+                          coarse[rerun], chi, f, quad, cache)
+    target, _ = _ladder(quad.order, quad.waves_per_panel)
+    error = abs((values[rerun] - check).sum()) + d * target * mass[~rerun].sum()
+
+    cell_nodes = (counts * orders).prod(axis=1)
+    boxes = None
+    if keep_boxes:
+        boxes = tuple(BoxContribution(tuple((sign, level) for sign, level, _, _ in cell),
+                                      complex(v), int(m))
+                      for cell, v, m in zip(product(*axis_pieces), values, cell_nodes))
 
     certificate = None
     if certify:
@@ -466,8 +582,8 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
             p, n, query, norms, lam, levels=chi.levels,
             multiplicity=1 if chi.positive_orthant else 2 ** d,
             constant=cert_constant)
-    return OscResult(lam, value, error, low_confidence, nodes_used,
-                     certificate, tuple(boxes) if boxes is not None else None)
+    return OscResult(lam, complex(values.sum()), float(error), low_confidence,
+                     int(cell_nodes.sum()), certificate, boxes)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from oscdecay.oscint import (
     _axis_rule,
     _kernel,
     _panel_counts,
+    _rows,
     bump,
     certificate_sum,
     evaluate_lambda,
@@ -253,10 +254,44 @@ class TestEvaluateBasics:
         assert r.low_confidence
         assert r.nodes < free.nodes
         assert math.isfinite(abs(r.value))
+        # the budget is below one panel per axis at the lowest orders, so that
+        # floor is used: 13 pieces per axis, one transition piece at order 16
+        # and 12 on the plateau at the lowest ladder order 4
+        assert r.nodes == (16 + 12 * 4) ** 2
+
+    @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 40_000, 60_000])
+    def test_budget_is_a_bound(self, budget):
+        # wherever the floor of test_budget_flag, 4096 nodes, fits
+        free = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, 512.0)
+        r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, 512.0,
+                            quad=QuadratureConfig(node_budget=budget))
+        assert free.nodes > budget and r.low_confidence
+        assert r.nodes <= budget
+        # shrinking keeps most of what fits, and the error stays honest
+        assert r.nodes > budget // 2
+        assert r.error >= abs(r.value - free.value)
+
+    def test_budget_shrinks_panels_before_orders(self):
+        # half the nodes, taken from the panel counts, costs little accuracy;
+        # the same cut from the analytic orders first would cost 1e-2
+        p, f = phase("x1^3*x2^3"), TestFunctionSpec.ones(2)
+        free = evaluate_lambda(p, f, CHI_POS, 1024.0)
+        r = evaluate_lambda(p, f, CHI_POS, 1024.0,
+                            quad=QuadratureConfig(node_budget=free.nodes // 2))
+        assert r.low_confidence and free.nodes // 3 < r.nodes <= free.nodes // 2
+        assert abs(r.value - free.value) <= 1e-8 * abs(free.value) <= r.error
+
+    def test_default_rule_reaches_lam_4096(self):
+        # the top sample of a default verify sweep fits in the node budget
+        r = evaluate_lambda(phase("x1^2*x2^2 + x1^5*x2"), TestFunctionSpec.ones(2),
+                            CHI_POS, 4096.0)
+        assert not r.low_confidence
+        assert r.nodes <= QuadratureConfig().node_budget
+        assert 0 < r.error <= 1e-4 * abs(r.value)
 
     def test_axis_rules_shared_across_cells(self, monkeypatch):
         # 2197 cells with 3 axes each at two Gauss orders would build 13182
-        # per-axis rules; only a few dozen (axis, piece, panel count) differ
+        # per-axis rules; only a few dozen (axis, piece, panels, order) differ
         calls = []
         original = CutoffSpec.profile
 
@@ -286,6 +321,13 @@ class TestEvaluateBasics:
         assert b.nodes == a.nodes
         assert abs(b.value - a.value) <= 1e-10 * abs(a.value)
 
+    def test_box_outside_the_support(self):
+        f = TestFunctionSpec.boxes([(2.0, 3.0), (0.1, 0.5)])
+        for quad_cfg in [QuadratureConfig(), QuadratureConfig(node_budget=1)]:
+            r = evaluate_lambda(phase("x1*x2"), f, CHI_POS, 50.0, quad=quad_cfg,
+                                keep_boxes=True)
+            assert (r.value, r.error, r.nodes, r.low_confidence, r.boxes) == (0, 0, 0, False, ())
+
     def test_box_report(self):
         r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                             8.0, keep_boxes=True)
@@ -296,18 +338,26 @@ class TestEvaluateBasics:
         assert signs == {1}
 
 
+def gauss_remainder(n, turns):
+    """Error bound of n-point Gauss on exp(i w x) over a panel of width h,
+    w h = 2 pi turns, relative to h: (w h)^(2n) (n!)^4 / ((2n+1) ((2n)!)^3)."""
+    return ((2.0 * math.pi * turns) ** (2 * n) * math.factorial(n) ** 4
+            / ((2 * n + 1) * math.factorial(2 * n) ** 3))
+
+
 def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     """Per-cell values with one full np.exp tensor per cell, in cell order."""
     d = p.dimension
-    gx, gw = np.polynomial.legendre.leggauss(quad.order)
     pieces = [_axis_pieces(chi, fac) for fac in f.factors]
     grads = [p.derivative(k).absolute() for k in range(d)]
     rates = [fac.angular_rate for fac in f.factors]
-    counts = _panel_counts(lam, pieces, grads, rates, quad)
+    analytic = np.array([[max(abs(lo), abs(hi)) <= chi.inner * chi.radius
+                          for _, _, lo, hi in cell] for cell in product(*pieces)])
+    counts, orders = _panel_counts(lam, pieces, grads, rates, analytic, quad)
     values = []
-    for cell, cnt in zip(product(*pieces), counts):
-        rules = [_axis_rule(lo, hi, c, gx, gw, chi, fac)
-                 for (_, _, lo, hi), c, fac in zip(cell, cnt, f.factors)]
+    for cell, cnt, ords in zip(product(*pieces), counts.tolist(), orders.tolist()):
+        rules = [_axis_rule(lo, hi, c, *np.polynomial.legendre.leggauss(n), chi, fac)
+                 for (_, _, lo, hi), c, n, fac in zip(cell, cnt, ords, f.factors)]
         grid = np.meshgrid(*[x for x, _ in rules], indexing="ij")
         weight = rules[0][1]
         for _, g in rules[1:]:
@@ -357,17 +407,18 @@ class TestKernel:
         monkeypatch.setattr("oscdecay.oscint._kernel", spy)
         p = phase("x1*x2*x3", 3)
         f = TestFunctionSpec.ones(3)
-        a = evaluate_lambda(p, f, CHI_POS, 16.0)
+        # at lam 128 the largest cells (48^3 and 36^3 nodes) exceed the chunk
+        a = evaluate_lambda(p, f, CHI_POS, 128.0)
         wide = len(calls)
         calls.clear()
-        b = evaluate_lambda(p, f, CHI_POS, 16.0, quad=QuadratureConfig(chunk=5000))
+        b = evaluate_lambda(p, f, CHI_POS, 128.0, quad=QuadratureConfig(chunk=5000))
         assert len(calls) > wide
         # no call exceeds the chunk, yet some hold several cells
         assert all(batch * math.prod(shape) <= 5000 for batch, shape in calls)
         assert any(batch > 1 for batch, _ in calls)
-        # a whole axis has a multiple of 6 nodes (orders 12 and 6), so this
-        # is a cell above the chunk cut along axis 0
-        assert any(shape[0] % 6 for _, shape in calls)
+        # a whole axis has a multiple of 4 nodes (orders 4, 8, 12 and 16), so
+        # this is a cell above the chunk cut along axis 0
+        assert any(shape[0] % 4 for _, shape in calls)
         assert b.nodes == a.nodes
         assert abs(b.value - a.value) <= 1e-13 * abs(a.value)
 
@@ -412,6 +463,14 @@ class TestKernel:
         assert got is out
         assert np.all(np.abs(out - want) <= 1e-13 * size)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 57, 3000])
+    def test_rows_match_numpy_unique(self, n):
+        a = np.random.default_rng(n).integers(-3, 4, (n, 3))
+        want, inverse = np.unique(a, axis=0, return_inverse=True)
+        got, at = _rows(a)
+        assert got.tolist() == want.tolist()
+        assert at.tolist() == inverse.ravel().tolist()
+
     def test_panel_counts_match_scalar_bounds(self):
         # awkward clips, a radius off the powers of two and high powers: the
         # grid evaluation must round exactly like one corner at a time
@@ -420,21 +479,41 @@ class TestKernel:
                                 FactorSpec.exponential(2.7),
                                 FactorSpec.box(-0.45, 0.123))
         p = phase("3*x1^7*x2 + 1/3*x1*x2^5*x3^3 + x2^2*x3^9", 3)
-        quad_cfg = QuadratureConfig(waves_per_panel=0.37)
         pieces = [_axis_pieces(chi, fac) for fac in f.factors]
         grads = [p.derivative(k).absolute() for k in range(3)]
         rates = [fac.angular_rate for fac in f.factors]
-        for lam in [3.0, 77.7, 1234.5]:
-            want = []
-            for cell in product(*pieces):
-                mags = [max(abs(lo), abs(hi)) for _, _, lo, hi in cell]
-                row = []
-                for k, (_, _, lo, hi) in enumerate(cell):
-                    turns = ((abs(lam) * grads[k].evaluate(mags) + rates[k])
-                             * (hi - lo) / (2.0 * math.pi))
-                    row.append(1 + int(turns / quad_cfg.waves_per_panel))
-                want.append(tuple(row))
-            assert _panel_counts(lam, pieces, grads, rates, quad_cfg) == want
+        # on the plateau |t| <= 0.35 the integrand is analytic
+        analytic = np.array([[max(abs(lo), abs(hi)) <= 0.35 for _, _, lo, hi in cell]
+                             for cell in product(*pieces)])
+        seen = set()
+        for quad_cfg in [QuadratureConfig(waves_per_panel=0.37), QuadratureConfig()]:
+            target = gauss_remainder(quad_cfg.order, quad_cfg.waves_per_panel)
+            for lam in [3.0, 77.7, 1234.5]:
+                want_counts, want_orders = [], []
+                for cell in product(*pieces):
+                    mags = [max(abs(lo), abs(hi)) for _, _, lo, hi in cell]
+                    counts, orders = [], []
+                    for k, (_, _, lo, hi) in enumerate(cell):
+                        turns = ((abs(lam) * grads[k].evaluate(mags) + rates[k])
+                                 * (hi - lo) / (2.0 * math.pi))
+                        count = 1 + int(turns / quad_cfg.waves_per_panel)
+                        # on the plateau, the lowest of 4, 8, 12 whose bound
+                        # meets the target; elsewhere the full order
+                        fits = [n for n in (4, 8, 12)
+                                if gauss_remainder(n, turns / count) <= target]
+                        plateau = max(abs(lo), abs(hi)) <= 0.35
+                        counts.append(count)
+                        orders.append(min(fits) if plateau and fits else quad_cfg.order)
+                    want_counts.append(counts)
+                    want_orders.append(orders)
+                got_counts, got_orders = _panel_counts(lam, pieces, grads, rates,
+                                                       analytic, quad_cfg)
+                assert got_counts.dtype == got_orders.dtype == np.int64
+                assert got_counts.tolist() == want_counts
+                assert got_orders.tolist() == want_orders
+                seen.update(x for row in want_orders for x in row)
+        # every order of the ladder occurs
+        assert seen == {4, 8, 12, 16}
 
 
 def in_fresh_thread(fn, *args, **kwargs):
@@ -623,6 +702,32 @@ class TestRefinement:
             if abs(r2.value - r.value) > max(r.error, 1e-15):
                 bad += 1
         assert bad <= math.ceil(0.05 * len(grid))
+
+
+class TestErrorEstimate:
+    # (phase, dimension, orthant, frequencies): every sample is checked
+    # against a rule with 8x the panels, whose own error is far smaller
+    CASES = [("x1*x2", 2, True, (64.0, 1024.0)),
+             ("x1*x2", 2, False, (64.0, 256.0)),
+             ("x1^3*x2^3", 2, True, (64.0, 256.0, 512.0)),
+             ("x1^3*x2^3", 2, False, (64.0,)),
+             ("x1^2*x2^2 + x1^5*x2", 2, True, (64.0, 256.0)),
+             ("x1*x2*x3", 3, True, (16.0, 32.0, 64.0)),
+             ("x1*x2*x3", 3, False, (16.0,)),
+             ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, True, (16.0,))]
+
+    def test_error_bounds_deviation_without_gross_overstatement(self):
+        fine = QuadratureConfig(waves_per_panel=0.5)
+        ratios = []
+        for text, d, orthant, lams in self.CASES:
+            p, f = phase(text, d), TestFunctionSpec.ones(d)
+            chi = CutoffSpec(positive_orthant=orthant)
+            for lam in lams:
+                r = evaluate_lambda(p, f, chi, lam)
+                dev = abs(r.value - evaluate_lambda(p, f, chi, lam, quad=fine).value)
+                assert r.error >= dev, (text, orthant, lam)
+                ratios.append(r.error / dev)
+        assert np.median(ratios) <= 30
 
 
 def box_bound(n, j, q, norms, lam):

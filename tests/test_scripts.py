@@ -27,19 +27,19 @@ def test_help_runs(script):
     assert "Traceback" not in proc.stderr
 
 
-def _entry_points():
-    """ENTRY_POINTS of perfbench/spans.py, read from its source."""
-    tree = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+def _perfbench_constant(script, name):
+    """The literal value of `name` in perfbench/<script>, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / script).read_text())
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "ENTRY_POINTS" for t in node.targets):
+                isinstance(t, ast.Name) and t.id == name for t in node.targets):
             return ast.literal_eval(node.value)
-    raise AssertionError("perfbench/spans.py defines no ENTRY_POINTS")
+    raise AssertionError(f"perfbench/{script} defines no {name}")
 
 
 def test_traced_entry_points_resolve():
     # the traced benchmark run wraps each of these with getattr
-    for module, function, _ in _entry_points():
+    for module, function, _ in _perfbench_constant("spans.py", "ENTRY_POINTS"):
         mod = importlib.import_module(f"oscdecay.{module}")
         assert callable(getattr(mod, function, None)), f"{module}.{function}"
 
@@ -50,3 +50,12 @@ def test_all_names_exist():
         mod = importlib.import_module(f"oscdecay.{info.name}")
         for name in getattr(mod, "__all__", ()):
             assert hasattr(mod, name), f"{info.name}.__all__ names missing {name}"
+
+
+def test_reference_rule_is_a_valid_configuration():
+    # make_refs.py computes the benchmark's reference sweeps with this rule
+    from oscdecay.oscint import QuadratureConfig
+    ref = QuadratureConfig(**_perfbench_constant("make_refs.py", "RULE"))
+    # and it must stay finer than the default rule it checks
+    default = QuadratureConfig()
+    assert ref.order >= default.order and ref.waves_per_panel < default.waves_per_panel
