@@ -5,11 +5,11 @@ of its Newton polyhedron, the off-diagonal second partials of the face
 polynomial have no common zero in the open positive orthant.  Each face
 polynomial is quasi-homogeneous under the anisotropic scaling given by the
 face normal, so its zero set is scale-invariant and the search collapses
-to the slice {x : max_k x_k = 1, min_k x_k >= eta}.  Sampling that slice
-with per-cell derivative bounds yields one of three verdicts per face: a
-certified positive lower bound ("nondegenerate" down to resolution eta), a
-refined near-zero witness off the coordinate hyperplanes ("degenerate"),
-or an honest "inconclusive".
+to the slice {x : max_k x_k = 1, min_k x_k >= eta}.  An exact sign test,
+then branch and bound with derivative bounds over that slice's grid cells,
+yields one of three verdicts per face: a certified positive lower bound
+("nondegenerate" down to resolution eta), a refined near-zero witness off
+the coordinate hyperplanes ("degenerate"), or an honest "inconclusive".
 
 The box-level quantities live on dyadic boxes prod_k [eps_k, 8 eps_k] with
 eps_k = 2^(-j_k).  All comparisons between monomial scales eps^alpha are
@@ -170,21 +170,6 @@ class NondegeneracyReport:
         }
 
 
-def _slice_coords(values: np.ndarray, d: int, fixed_axis: int):
-    """Broadcastable coordinate arrays with axis `fixed_axis` pinned to 1."""
-    coords = []
-    free = 0
-    for k in range(d):
-        if k == fixed_axis:
-            coords.append(np.float64(1.0))
-        else:
-            shape = [1] * (d - 1)
-            shape[free] = values.size
-            coords.append(values.reshape(shape))
-            free += 1
-    return coords
-
-
 def _refine_zero(pairs: Sequence[PhasePolynomial], x0, iters: int = 60):
     """Gauss-Newton descent toward a common zero of the pair polynomials."""
     grads = [[g.derivative(axis) for axis in range(len(x0))] for g in pairs]
@@ -221,16 +206,14 @@ def _normalize_to_slice(x: np.ndarray, weights: Sequence[int]) -> np.ndarray:
 
 
 def _slice_values(pairs: Sequence[PhasePolynomial], centers: np.ndarray, d: int,
-                  m: int):
-    """|g| at the cell centres of the slice x_m = 1, one array per pair, and
-    their pointwise maximum."""
+                  m: int) -> np.ndarray:
+    """max_pairs |g| at the full grid's cell centres on the slice x_m = 1."""
+    coords = [centers.reshape([-1 if j == k else 1 for j in range(d - 1)])
+              for k in range(d - 1)]
+    coords.insert(m, np.float64(1.0))
     cellshape = (centers.size,) * (d - 1)
-    coords = _slice_coords(centers, d, m)
-    gvals = [np.broadcast_to(np.abs(g.evaluate(coords)), cellshape) for g in pairs]
-    valmax = gvals[0]
-    for g in gvals[1:]:
-        valmax = np.maximum(valmax, g)
-    return gvals, valmax
+    return np.max([np.broadcast_to(np.abs(g.evaluate(coords)), cellshape)
+                   for g in pairs], axis=0)
 
 
 def _smallest_cells(values: np.ndarray, k: int) -> np.ndarray:
@@ -245,15 +228,90 @@ def _smallest_cells(values: np.ndarray, k: int) -> np.ndarray:
     return sel[np.lexsort((sel, flat[sel]))]
 
 
+# a box of more than one cell must clear its bound by this share of its terms'
+# size, above the float rounding of its own bound and of its cells' bounds
+ROUNDING = 2.0 ** -40
+# boxes per bound evaluation in `_certify`
+BOX_BATCH = 2 ** 12
+
+
+def _box_bounds(pairs: Sequence[PhasePolynomial], absolutes, nodes: np.ndarray,
+                lo: np.ndarray, hi: np.ndarray):
+    """max_pairs |g| at the centres of the boxes prod_k [nodes[lo_k], nodes[hi_k]]
+    (one row per axis), and their bounds max_pairs |g(centre)| - sum_k sup|d_k g|
+    * halfwidth_k, the sup at the upper corner by `absolutes` (g.absolute() and
+    its gradient), summed in k order, less ROUNDING on wider boxes.  A cell of
+    the slice x_m = 1 (lo_m = hi_m = grid - 1) gets the full grid's values."""
+    a, b = nodes[lo], nodes[hi]
+    halfw = (b - a) / 2
+    centre, upper = list((a + b) / 2), list(b)
+    wide = (hi - lo > 1).any(axis=0)
+    gvals = [np.broadcast_to(np.abs(g.evaluate(centre)), wide.shape) for g in pairs]
+    bounds = []
+    for gv, (gabs, grads) in zip(gvals, absolutes):
+        pen = sum(gk.evaluate(upper) * h for gk, h in zip(grads, halfw))
+        bounds.append(gv - pen - wide * (ROUNDING * (gabs.evaluate(upper) + pen)))
+    return np.max(gvals, axis=0), (np.max(bounds, axis=0) if bounds else None)
+
+
+def _bisect(lo: np.ndarray, hi: np.ndarray):
+    """The children of index boxes: every axis wider than one cell is split
+    at its index midpoint."""
+    for k in range(lo.shape[0]):
+        split = np.flatnonzero(hi[k] - lo[k] > 1)
+        mid = (lo[k, split] + hi[k, split]) // 2
+        lo = np.concatenate([lo, lo[:, split]], axis=1)
+        hi = np.concatenate([hi, hi[:, split]], axis=1)
+        hi[k, split] = mid
+        lo[k, lo.shape[1] - split.size:] = mid
+    return lo, hi
+
+
+def _certify(pairs: Sequence[PhasePolynomial], d: int, grid: int, eta: float,
+             tol: float) -> tuple[bool, float, int]:
+    """Certify max_pairs |g| > tol on the slice cells, by branch and bound.
+
+    Per slice x_m = 1 the search starts from the box of all the cells of
+    np.geomspace(eta, 1, grid) and bisects, BOX_BATCH boxes at a time, only
+    the boxes whose bound fails, up to the first failing cell.  A box's bound
+    never exceeds its sub-boxes', so the verdict is the full grid's.  A pair
+    of one-signed coefficients has no zero in the open orthant and certifies
+    the root boxes.  Returns (certified, least max_pairs |g| at a visited box
+    centre, boxes visited)."""
+    nodes = np.geomspace(eta, 1.0, grid)
+    signed = any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs)
+    absolutes = [] if signed else [(g.absolute(), [g.derivative(k).absolute()
+                                                   for k in range(d)]) for g in pairs]
+    top = grid - 1
+    stack = [((top * np.eye(d)).astype(np.intp), np.full((d, d), top, dtype=np.intp))]
+    margin, visited = math.inf, 0
+    while stack:
+        lo, hi = stack.pop()
+        if lo.shape[1] > BOX_BATCH:
+            stack.append((lo[:, BOX_BATCH:], hi[:, BOX_BATCH:]))
+            lo, hi = lo[:, :BOX_BATCH], hi[:, :BOX_BATCH]
+        valmax, bound = _box_bounds(pairs, absolutes, nodes, lo, hi)
+        margin = min(margin, float(valmax.min()))
+        visited += lo.shape[1]
+        if signed:
+            break
+        fail = ~(bound > tol)
+        lo, hi = lo[:, fail], hi[:, fail]
+        if (hi - lo <= 1).all(axis=0).any():
+            return False, margin, visited
+        if lo.shape[1]:
+            stack.append(_bisect(lo, hi))
+    return True, margin, visited
+
+
 def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
                 tol: float, degen_tol: float, starts: int) -> FaceCheck:
-    """Certify one face on the grid, or search it for a common zero.
+    """Certify one face (`_certify`), or search it for a common zero.
 
-    Every orientation x_m = 1 of the slice is swept first for the margin and
-    the per-cell Lipschitz certificate.  Only a face that fails certification
-    picks witness starts: the max(1, starts // d) cells of smallest slice
-    maximum in each orientation, ties broken by (value, flat index), of which
-    the `starts` smallest overall seed the Gauss-Newton refinement.
+    Only a face that fails certification picks witness starts: the
+    max(1, starts // d) full-grid cells of smallest slice maximum in each
+    orientation, ties broken by (value, flat index), of which the `starts`
+    smallest overall seed the Gauss-Newton refinement.
     """
     d = p.dimension
     fpoly = restrict_to_face(p, face)
@@ -261,59 +319,19 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     if not pairs:
         # a sum of single-variable monomials; impossible for reduced input
         return FaceCheck(face.id, face.dim, "degenerate", 0.0, (1.0,) * d, 0.0)
-    absgrads = [[g.derivative(axis).absolute() for axis in range(d)] for g in pairs]
-
-    nodes = np.geomspace(eta, 1.0, grid)
-    centers = (nodes[:-1] + nodes[1:]) / 2
-    halfw = (nodes[1:] - nodes[:-1]) / 2
-    uppers = nodes[1:]
-
-    margin = math.inf
-    certified = True
-    pen = np.empty((centers.size,) * (d - 1))
-    cellcert = np.empty_like(pen)
-    for m in range(d):
-        u_coords = _slice_coords(uppers, d, m)
-        gvals, valmax = _slice_values(pairs, centers, d, m)
-        margin = min(margin, float(valmax.min()))
-
-        # bound = |g(center)| - sum_k sup|d_k g| * halfwidth, summed in k order
-        for i, (gv, grads) in enumerate(zip(gvals, absgrads)):
-            free = 0
-            for k in range(d):
-                if k == m:
-                    continue
-                shape = [1] * (d - 1)
-                shape[free] = halfw.size
-                term = grads[k].evaluate(u_coords) * halfw.reshape(shape)
-                if free == 0:
-                    pen[...] = term
-                else:
-                    np.add(pen, term, out=pen)
-                free += 1
-            if i == 0:
-                np.subtract(gv, pen, out=cellcert)
-            else:
-                np.maximum(cellcert, np.subtract(gv, pen, out=pen), out=cellcert)
-        if not bool((cellcert > tol).all()):
-            certified = False
-
+    certified, margin, _ = _certify(pairs, d, grid, eta, tol)
     if certified:
         return FaceCheck(face.id, face.dim, "nondegenerate", margin)
 
+    nodes = np.geomspace(eta, 1.0, grid)
+    centers = (nodes[:-1] + nodes[1:]) / 2
     cand: list[tuple[float, tuple[float, ...]]] = []
     for m in range(d):
-        _, valmax = _slice_values(pairs, centers, d, m)
+        valmax = _slice_values(pairs, centers, d, m)
         for idx in _smallest_cells(valmax, max(1, starts // d)):
             multi = np.unravel_index(idx, valmax.shape)
-            point = []
-            free = 0
-            for k in range(d):
-                if k == m:
-                    point.append(1.0)
-                else:
-                    point.append(float(centers[multi[free]]))
-                    free += 1
+            point = [float(centers[i]) for i in multi]
+            point.insert(m, 1.0)
             cand.append((float(valmax[multi]), tuple(point)))
     cand.sort()
     floor = eta * 1e-2
@@ -332,8 +350,8 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     return FaceCheck(face.id, face.dim, "inconclusive", margin)
 
 
-# one face sweep visits d * (grid - 1)^(d - 1) cells; 2^23 admits grid 64 up
-# to d = 4 and grid 32 in d = 5
+# a face's grid has d * (grid - 1)^(d - 1) cells, which its witness search
+# sweeps in full; 2^23 admits grid 129 in d = 4, 36 in d = 5 and 17 in d = 6
 MAX_FACE_CELLS = 2 ** 23
 
 
@@ -356,9 +374,11 @@ def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
     Certification covers the cone {x > 0 : min_k x_k >= eta * max_k x_k}; a
     "nondegenerate" verdict is exact down to that resolution, a "degenerate"
     one carries a positive witness with max_{i<j} |d_i d_j phi_F| <= degen_tol.
-    The witness search runs only on faces that fail certification; its
-    `starts` Gauss-Newton seeds are the grid cells of smallest slice maximum,
-    ties broken by (value, flat index), so witnesses are deterministic.
+    A face's margin is the least max_{i<j} |d_i d_j phi_F| at the centres of
+    the boxes its certification visited.  The witness search runs only on
+    faces that fail certification; its `starts` Gauss-Newton seeds are the
+    grid cells of smallest slice maximum, ties broken by (value, flat
+    index), so witnesses are deterministic.
     """
     if not p.reduced:
         raise NondegenError("phase must be reduced first (reduce_phase)")

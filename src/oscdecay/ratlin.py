@@ -10,7 +10,7 @@ Matrices are lists of row sequences.  Inputs may mix ints and Fractions.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Vector = Sequence[Fraction | int]
@@ -51,7 +51,24 @@ def rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
 
 
 def rank(rows: Matrix) -> int:
-    return len(rref(rows)[1])
+    """Row rank by fraction-free (Bareiss) elimination on the rows scaled to
+    integers by their common denominators; every division is exact."""
+    m = []
+    for row in rows:
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    r, prev = 0, 1
+    for c in range(len(m[0]) if m else 0):
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(pv * x - f * y) // prev for x, y in zip(m[i], m[r])]
+        prev, r = pv, r + 1
+    return r
 
 
 def affine_rank(points: Sequence[Vector]) -> int:

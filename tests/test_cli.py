@@ -270,6 +270,14 @@ class TestCheckCommand:
         assert rep["verdicts"][0]["verdict"] == "FAIL"
         assert rep["nondegeneracy"]["verdict"] == "degenerate"
 
+    def test_monomial_is_not_a_scale_artifact(self, capsys):
+        # 144 x1^11 x2^11 is ~3e-31 at x1 = 0.001 but has no positive zero;
+        # its single-signed coefficients certify it
+        code, rep = run(capsys, "check", "--phase", "x1^12*x2^12")
+        assert code == 0
+        assert rep["nondegeneracy"]["verdict"] == "nondegenerate"
+        assert rep["nondegeneracy"]["faces"][0]["witness"] is None
+
 
 class TestIntegrateCommand:
     def test_single_frequency_with_csv(self, tmp_path, capsys):
