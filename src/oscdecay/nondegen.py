@@ -6,8 +6,8 @@ polynomial have no common zero in the open positive orthant.  Each face
 polynomial is quasi-homogeneous under the anisotropic scaling given by the
 face normal, so its zero set is scale-invariant and the search collapses
 to the slice {x : max_k x_k = 1, min_k x_k >= eta}.  An exact sign test,
-then branch and bound with derivative bounds over that slice's grid cells,
-yields one of three verdicts per face: a certified positive lower bound
+or else derivative bounds on every one of that slice's grid cells, yields
+one of three verdicts per face: a certified positive lower bound
 ("nondegenerate" down to resolution eta), a refined near-zero witness off
 the coordinate hyperplanes ("degenerate"), or an honest "inconclusive".
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, product
 from typing import Sequence
 
@@ -205,15 +206,20 @@ def _normalize_to_slice(x: np.ndarray, weights: Sequence[int]) -> np.ndarray:
     return np.array([math.exp(w * s) * v for v, w in zip(x, weights)])
 
 
-def _slice_values(pairs: Sequence[PhasePolynomial], centers: np.ndarray, d: int,
-                  m: int) -> np.ndarray:
-    """max_pairs |g| at the full grid's cell centres on the slice x_m = 1."""
-    coords = [centers.reshape([-1 if j == k else 1 for j in range(d - 1)])
+def _slice_coords(values: np.ndarray, d: int, m: int) -> list:
+    """Coordinates of the slice x_m = 1, one free axis per k != m."""
+    coords = [values.reshape([-1 if j == k else 1 for j in range(d - 1)])
               for k in range(d - 1)]
     coords.insert(m, np.float64(1.0))
+    return coords
+
+
+def _slice_values(pairs: Sequence[PhasePolynomial], centers: np.ndarray, d: int,
+                  m: int) -> list[np.ndarray]:
+    """|g| at the cell centres of the slice x_m = 1, one array per pair."""
     cellshape = (centers.size,) * (d - 1)
-    return np.max([np.broadcast_to(np.abs(g.evaluate(coords)), cellshape)
-                   for g in pairs], axis=0)
+    coords = _slice_coords(centers, d, m)
+    return [np.broadcast_to(np.abs(g.evaluate(coords)), cellshape) for g in pairs]
 
 
 def _smallest_cells(values: np.ndarray, k: int) -> np.ndarray:
@@ -228,80 +234,45 @@ def _smallest_cells(values: np.ndarray, k: int) -> np.ndarray:
     return sel[np.lexsort((sel, flat[sel]))]
 
 
-# a box of more than one cell must clear its bound by this share of its terms'
-# size, above the float rounding of its own bound and of its cells' bounds
-ROUNDING = 2.0 ** -40
-# boxes per bound evaluation in `_certify`
-BOX_BATCH = 2 ** 12
-
-
-def _box_bounds(pairs: Sequence[PhasePolynomial], absolutes, nodes: np.ndarray,
-                lo: np.ndarray, hi: np.ndarray):
-    """max_pairs |g| at the centres of the boxes prod_k [nodes[lo_k], nodes[hi_k]]
-    (one row per axis), and their bounds max_pairs |g(centre)| - sum_k sup|d_k g|
-    * halfwidth_k, the sup at the upper corner by `absolutes` (g.absolute() and
-    its gradient), summed in k order, less ROUNDING on wider boxes.  A cell of
-    the slice x_m = 1 (lo_m = hi_m = grid - 1) gets the full grid's values."""
-    a, b = nodes[lo], nodes[hi]
-    halfw = (b - a) / 2
-    centre, upper = list((a + b) / 2), list(b)
-    wide = (hi - lo > 1).any(axis=0)
-    gvals = [np.broadcast_to(np.abs(g.evaluate(centre)), wide.shape) for g in pairs]
-    bounds = []
-    for gv, (gabs, grads) in zip(gvals, absolutes):
-        pen = sum(gk.evaluate(upper) * h for gk, h in zip(grads, halfw))
-        bounds.append(gv - pen - wide * (ROUNDING * (gabs.evaluate(upper) + pen)))
-    return np.max(gvals, axis=0), (np.max(bounds, axis=0) if bounds else None)
-
-
-def _bisect(lo: np.ndarray, hi: np.ndarray):
-    """The children of index boxes: every axis wider than one cell is split
-    at its index midpoint."""
-    for k in range(lo.shape[0]):
-        split = np.flatnonzero(hi[k] - lo[k] > 1)
-        mid = (lo[k, split] + hi[k, split]) // 2
-        lo = np.concatenate([lo, lo[:, split]], axis=1)
-        hi = np.concatenate([hi, hi[:, split]], axis=1)
-        hi[k, split] = mid
-        lo[k, lo.shape[1] - split.size:] = mid
-    return lo, hi
+def _cell_bounds(pairs: Sequence[PhasePolynomial], absgrads, nodes: np.ndarray,
+                 d: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """max_pairs |g| at the cell centres of the slice x_m = 1 of the grid
+    `nodes`, and each cell's bound max_pairs |g(centre)| - sum_k sup|d_k g|
+    * halfwidth_k, the sup at the upper corner by `absgrads` (the gradients'
+    g.absolute()), summed in k order."""
+    centers = (nodes[:-1] + nodes[1:]) / 2
+    halfw = _slice_coords((nodes[1:] - nodes[:-1]) / 2, d, m)
+    upper = _slice_coords(nodes[1:], d, m)
+    gvals = _slice_values(pairs, centers, d, m)
+    bounds = (gv - sum(grads[k].evaluate(upper) * halfw[k] for k in range(d) if k != m)
+              for gv, grads in zip(gvals, absgrads))
+    return reduce(np.maximum, gvals), reduce(np.maximum, bounds)
 
 
 def _certify(pairs: Sequence[PhasePolynomial], d: int, grid: int, eta: float,
              tol: float) -> tuple[bool, float, int]:
-    """Certify max_pairs |g| > tol on the slice cells, by branch and bound.
+    """Certify max_pairs |g| > tol on every cell of the slices x_m = 1 of
+    np.geomspace(eta, 1, grid).
 
-    Per slice x_m = 1 the search starts from the box of all the cells of
-    np.geomspace(eta, 1, grid) and bisects, BOX_BATCH boxes at a time, only
-    the boxes whose bound fails, up to the first failing cell.  A box's bound
-    never exceeds its sub-boxes', so the verdict is the full grid's.  A pair
-    of one-signed coefficients has no zero in the open orthant and certifies
-    the root boxes.  Returns (certified, least max_pairs |g| at a visited box
-    centre, boxes visited)."""
+    With tol <= 0, a pair whose nonzero coefficients share one sign has no
+    zero in the open orthant and certifies the face outright; the margin is
+    then taken at the centres of the d root boxes [eta, 1]^(d - 1).  Any
+    other face gets every cell's Lipschitz bound, and its margin is the
+    least max_pairs |g| at a cell centre.  Returns (certified, margin, boxes
+    visited)."""
     nodes = np.geomspace(eta, 1.0, grid)
-    signed = any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs)
-    absolutes = [] if signed else [(g.absolute(), [g.derivative(k).absolute()
-                                                   for k in range(d)]) for g in pairs]
-    top = grid - 1
-    stack = [((top * np.eye(d)).astype(np.intp), np.full((d, d), top, dtype=np.intp))]
-    margin, visited = math.inf, 0
-    while stack:
-        lo, hi = stack.pop()
-        if lo.shape[1] > BOX_BATCH:
-            stack.append((lo[:, BOX_BATCH:], hi[:, BOX_BATCH:]))
-            lo, hi = lo[:, :BOX_BATCH], hi[:, :BOX_BATCH]
-        valmax, bound = _box_bounds(pairs, absolutes, nodes, lo, hi)
+    if tol <= 0 and any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs):
+        centre = np.full((d, d), (nodes[0] + nodes[-1]) / 2)
+        np.fill_diagonal(centre, 1.0)
+        values = np.max([np.abs(g.evaluate(list(centre))) for g in pairs], axis=0)
+        return True, float(values.min()), d
+    absgrads = [[g.derivative(k).absolute() for k in range(d)] for g in pairs]
+    margin, certified = math.inf, True
+    for m in range(d):
+        valmax, bound = _cell_bounds(pairs, absgrads, nodes, d, m)
         margin = min(margin, float(valmax.min()))
-        visited += lo.shape[1]
-        if signed:
-            break
-        fail = ~(bound > tol)
-        lo, hi = lo[:, fail], hi[:, fail]
-        if (hi - lo <= 1).all(axis=0).any():
-            return False, margin, visited
-        if lo.shape[1]:
-            stack.append(_bisect(lo, hi))
-    return True, margin, visited
+        certified = certified and bool((bound > tol).all())
+    return certified, margin, d * (grid - 1) ** (d - 1)
 
 
 def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
@@ -327,7 +298,7 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     centers = (nodes[:-1] + nodes[1:]) / 2
     cand: list[tuple[float, tuple[float, ...]]] = []
     for m in range(d):
-        valmax = _slice_values(pairs, centers, d, m)
+        valmax = reduce(np.maximum, _slice_values(pairs, centers, d, m))
         for idx in _smallest_cells(valmax, max(1, starts // d)):
             multi = np.unravel_index(idx, valmax.shape)
             point = [float(centers[i]) for i in multi]
@@ -350,8 +321,9 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     return FaceCheck(face.id, face.dim, "inconclusive", margin)
 
 
-# a face's grid has d * (grid - 1)^(d - 1) cells, which its witness search
-# sweeps in full; 2^23 admits grid 129 in d = 4, 36 in d = 5 and 17 in d = 6
+# a face's grid has d * (grid - 1)^(d - 1) cells, which its certification
+# (unless the sign test settles the face) and its witness search sweep in
+# full; 2^23 admits grid 129 in d = 4, 36 in d = 5 and 17 in d = 6
 MAX_FACE_CELLS = 2 ** 23
 
 
@@ -374,8 +346,9 @@ def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
     Certification covers the cone {x > 0 : min_k x_k >= eta * max_k x_k}; a
     "nondegenerate" verdict is exact down to that resolution, a "degenerate"
     one carries a positive witness with max_{i<j} |d_i d_j phi_F| <= degen_tol.
-    A face's margin is the least max_{i<j} |d_i d_j phi_F| at the centres of
-    the boxes its certification visited.  The witness search runs only on
+    A face's margin is the least max_{i<j} |d_i d_j phi_F| at the grid's
+    cell centres, or, for a face certified by the sign of its coefficients,
+    at the centres of its d root boxes.  The witness search runs only on
     faces that fail certification; its `starts` Gauss-Newton seeds are the
     grid cells of smallest slice maximum, ties broken by (value, flat
     index), so witnesses are deterministic.

@@ -1,6 +1,6 @@
 """Frozen full-grid oracle for the per-face nondegeneracy check.
 
-This is the face check as it stood before branch and bound: every
+This is the face check as it stood before the sign certificate: every
 orientation x_m = 1 of the slice is swept over all (grid - 1)^(d - 1)
 cells of np.geomspace(eta, 1, grid), each cell gets the Lipschitz bound
 |g(centre)| - sum_k sup|d_k g| * halfwidth (sup at the upper corner, summed

@@ -1,4 +1,5 @@
-"""Branch-and-bound face certification against the frozen full-grid oracle."""
+"""Face certification (sign test, then the full grid) against the frozen
+full-grid oracle."""
 import itertools
 import random
 
@@ -20,7 +21,7 @@ D4_CHECK = ("-63/64*x1^3*x4 - 63/64*x3^2*x4^2 + 63/64*x1*x3^2*x4 + 63/64*x1^2*x3
 
 def shell_phase(rng: random.Random, d: int) -> PhasePolynomial:
     """A signed random subset of a homogeneous shell: faces of several terms
-    with mixed signs, so some certify only after bisection and some fail."""
+    with mixed signs, so some certify on the grid and some fail."""
     degree = rng.randint(3, 7 if d == 2 else 5)
     shell = [a for a in itertools.product(range(degree + 1), repeat=d)
              if sum(a) == degree and sum(e > 0 for e in a) >= 2]
@@ -35,11 +36,6 @@ def pairs_of(p, face):
 
 def single_signed(pairs) -> bool:
     return any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs)
-
-
-def absolutes(pairs, d):
-    return [(g.absolute(), [g.derivative(k).absolute() for k in range(d)])
-            for g in pairs]
 
 
 CASES = [(seed, d) for d in (2, 3, 4) for seed in range(40)]
@@ -60,24 +56,19 @@ class TestAgainstFullGrid:
                 rows.append((p, face, grid, pairs, got, visited))
         return rows
 
-    def test_verdicts_and_witnesses_equal_the_oracle(self, outcomes):
+    def test_verdicts_margins_and_witnesses_equal_the_oracle(self, outcomes):
         compared = 0
-        for p, face, grid, pairs, got, _ in outcomes:
+        for p, face, grid, pairs, got, visited in outcomes:
             if single_signed(pairs):
                 continue
             want = oracle.check_face(p, face, grid, ETA)
-            assert (got.verdict, got.witness, got.witness_value) == \
-                (want[0], want[2], want[3]), (p.terms, face.normal, grid)
+            assert (got.verdict, got.margin, got.witness, got.witness_value) == \
+                want, (p.terms, face.normal, grid)
+            assert visited == p.dimension * (grid - 1) ** (p.dimension - 1)
             compared += 1
         kinds = {row[4].verdict for row in outcomes if not single_signed(row[3])}
         # the sample holds faces that fail as well as faces that certify
         assert compared >= 60 and {"nondegenerate", "degenerate"} <= kinds
-
-    def test_some_mixed_sign_faces_certify_only_after_bisection(self, outcomes):
-        refined = [row for row in outcomes if not single_signed(row[3])
-                   and row[4].verdict == "nondegenerate"
-                   and row[5] > row[0].dimension]
-        assert len(refined) >= 10
 
     def test_single_signed_faces_are_nondegenerate(self, outcomes):
         signed = [row for row in outcomes if single_signed(row[3])]
@@ -91,26 +82,22 @@ class TestAgainstFullGrid:
         for p, face, grid, pairs, got, _ in outcomes:
             if single_signed(pairs):
                 continue  # certified by sign, no bounds taken
-            d, top = p.dimension, grid - 1
+            d = p.dimension
             nodes = np.geomspace(ETA, 1.0, grid)
-            cells = np.indices((top,) * (d - 1)).reshape(d - 1, -1)
+            absgrads = [[g.derivative(k).absolute() for k in range(d)] for g in pairs]
             for m in range(d):
-                lo = np.insert(cells, m, top, axis=0)
-                hi = np.insert(cells + 1, m, top, axis=0)
-                valmax, bound = nondegen._box_bounds(pairs, absolutes(pairs, d),
-                                                     nodes, lo, hi)
+                valmax, bound = nondegen._cell_bounds(pairs, absgrads, nodes, d, m)
                 want_val, want_bound = oracle.cell_bounds(pairs, d, grid, ETA, m)
-                assert np.array_equal(valmax, want_val.ravel())
-                assert np.array_equal(bound, want_bound.ravel())
+                assert np.array_equal(valmax, want_val)
+                assert np.array_equal(bound, want_bound)
             compared += 1
         assert compared >= 60
 
 
 class TestKnownFaces:
     def test_diagonal_zero_on_the_slice_corner_stays_degenerate(self):
-        # d1 d2 = 6 (x2 - x1) vanishes at the corner (1, 1) of every box that
-        # holds it, where the Lipschitz bound is tight: only the rounding
-        # allowance keeps a wide box from certifying there
+        # d1 d2 = 6 (x2 - x1) vanishes at the slice corner (1, 1), where the
+        # Lipschitz bound of the corner cell is tight
         p = reduce_phase(parse_phase("3*x1*x2^2 - 3*x1^2*x2", 2))
         for grid in (8, 31, 39, 64):
             rep = check_nondegeneracy(p, grid=grid)
@@ -122,6 +109,25 @@ class TestKnownFaces:
         # the full grid took 144 x1^11 x2^11 ~ 3e-31 at x1 = 0.001 for a zero
         assert oracle.check_face(p, face)[0] == "degenerate"
         assert check_nondegeneracy(p).verdict == "nondegenerate"
+
+    def test_sign_test_does_not_stand_in_for_a_positive_tol(self):
+        # one sign proves |g| > 0 only; with tol = 1e-3 the face goes to the
+        # grid, where 144 x1^11 x2^11 falls far below tol
+        p = reduce_phase(parse_phase("x1^12*x2^12", 2))
+        face, = build_polyhedron(p).faces
+        got = nondegen._check_face(p, face, 64, ETA, 1e-3, 1e-10, 8)
+        assert got.verdict != "nondegenerate"
+        assert (got.verdict, got.margin, got.witness, got.witness_value) == \
+            oracle.check_face(p, face, tol=1e-3)
+        assert check_nondegeneracy(p, tol=1e-3).verdict != "nondegenerate"
+
+    def test_positive_tol_on_a_one_signed_face_is_checked_on_every_cell(self):
+        # d1 d2 (x1*x2) = 1 clears tol = 0.5 on every cell of both slices
+        p = reduce_phase(parse_phase("x1*x2", 2))
+        face, = build_polyhedron(p).faces
+        certified, margin, visited = nondegen._certify(pairs_of(p, face), 2, 64,
+                                                       ETA, 0.5)
+        assert certified and margin == 1.0 and visited == 2 * 63
 
 
 class TestCost:
@@ -139,11 +145,11 @@ class TestCost:
         ("x1*x3^4 + 2*x1^2*x3^3 - 3*x2^4*x3 - x1^2*x2^2*x3 + x2^2*x3^3"
          " - x1^2*x2*x3^2 + 2*x1*x2*x3^3", 3, 48),
     ])
-    def test_mixed_sign_face_visits_less_than_twice_its_cells(self, text, d, grid):
+    def test_mixed_sign_face_visits_each_cell_once(self, text, d, grid):
         p = reduce_phase(parse_phase(text, d))
         face = next(f for f in build_polyhedron(p).faces if f.dim == d - 1)
         pairs = pairs_of(p, face)
         assert not single_signed(pairs)
         certified, _, visited = nondegen._certify(pairs, d, grid, ETA, 0.0)
         assert certified
-        assert d < visited < d * 2 * (grid - 1) ** (d - 1)
+        assert visited == d * (grid - 1) ** (d - 1)
