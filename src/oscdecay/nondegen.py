@@ -6,10 +6,12 @@ polynomial have no common zero in the open positive orthant.  Each face
 polynomial is quasi-homogeneous under the anisotropic scaling given by the
 face normal, so its zero set is scale-invariant and the search collapses
 to the slice {x : max_k x_k = 1, min_k x_k >= eta}.  An exact sign test,
-or else derivative bounds on every one of that slice's grid cells, yields
-one of three verdicts per face: a certified positive lower bound
-("nondegenerate" down to resolution eta), a refined near-zero witness off
-the coordinate hyperplanes ("degenerate"), or an honest "inconclusive".
+or else one sweep of that slice's grid cells per orientation, yields one of
+three verdicts per face: a certified positive lower bound ("nondegenerate"
+down to resolution eta), a refined near-zero witness off the coordinate
+hyperplanes ("degenerate"), or an honest "inconclusive".  The sweep gives
+each cell's derivative bound, the face's margin and the witness search's
+start cells at once.
 
 The box-level quantities live on dyadic boxes prod_k [eps_k, 8 eps_k] with
 eps_k = 2^(-j_k).  All comparisons between monomial scales eps^alpha are
@@ -101,13 +103,13 @@ def _mixed_pairs(p: PhasePolynomial) -> list[PhasePolynomial]:
     return out
 
 
-def _scaled_pairs(p: PhasePolynomial) -> list[tuple[tuple[int, int], PhasePolynomial]]:
-    """The nonzero polynomials x_i x_j (d^2 p / dx_i dx_j), keyed by (i, j)."""
+def _scaled_pairs(p: PhasePolynomial) -> list[PhasePolynomial]:
+    """The nonzero polynomials x_i x_j (d^2 p / dx_i dx_j), i < j."""
     out = []
     for i, j in combinations(range(p.dimension), 2):
         terms = {a: c * a[i] * a[j] for a, c in p.terms.items() if a[i] and a[j]}
         if terms:
-            out.append(((i, j), PhasePolynomial(p.dimension, terms)))
+            out.append(PhasePolynomial(p.dimension, terms))
     return out
 
 
@@ -171,9 +173,9 @@ class NondegeneracyReport:
         }
 
 
-def _refine_zero(pairs: Sequence[PhasePolynomial], x0, iters: int = 60):
-    """Gauss-Newton descent toward a common zero of the pair polynomials."""
-    grads = [[g.derivative(axis) for axis in range(len(x0))] for g in pairs]
+def _refine_zero(pairs: Sequence[PhasePolynomial], grads, x0, iters: int = 60):
+    """Gauss-Newton descent toward a common zero of the pair polynomials;
+    grads[i][k] is the exact d_k of pairs[i]."""
     x = np.array([float(v) for v in x0])
     fvals = np.array([g.evaluate(x) for g in pairs])
     for _ in range(iters):
@@ -214,12 +216,10 @@ def _slice_coords(values: np.ndarray, d: int, m: int) -> list:
     return coords
 
 
-def _slice_values(pairs: Sequence[PhasePolynomial], centers: np.ndarray, d: int,
-                  m: int) -> list[np.ndarray]:
-    """|g| at the cell centres of the slice x_m = 1, one array per pair."""
-    cellshape = (centers.size,) * (d - 1)
-    coords = _slice_coords(centers, d, m)
-    return [np.broadcast_to(np.abs(g.evaluate(coords)), cellshape) for g in pairs]
+def _abs_values(pairs: Sequence[PhasePolynomial], coords: list,
+                shape: tuple[int, ...]) -> list[np.ndarray]:
+    """|g| at the broadcasting grid `coords`, one array of `shape` per pair."""
+    return [np.broadcast_to(np.abs(g.evaluate(coords)), shape) for g in pairs]
 
 
 def _smallest_cells(values: np.ndarray, k: int) -> np.ndarray:
@@ -243,73 +243,63 @@ def _cell_bounds(pairs: Sequence[PhasePolynomial], absgrads, nodes: np.ndarray,
     centers = (nodes[:-1] + nodes[1:]) / 2
     halfw = _slice_coords((nodes[1:] - nodes[:-1]) / 2, d, m)
     upper = _slice_coords(nodes[1:], d, m)
-    gvals = _slice_values(pairs, centers, d, m)
+    gvals = _abs_values(pairs, _slice_coords(centers, d, m), (centers.size,) * (d - 1))
     bounds = (gv - sum(grads[k].evaluate(upper) * halfw[k] for k in range(d) if k != m)
               for gv, grads in zip(gvals, absgrads))
     return reduce(np.maximum, gvals), reduce(np.maximum, bounds)
 
 
-def _certify(pairs: Sequence[PhasePolynomial], d: int, grid: int, eta: float,
-             tol: float) -> tuple[bool, float, int]:
-    """Certify max_pairs |g| > tol on every cell of the slices x_m = 1 of
-    np.geomspace(eta, 1, grid).
+def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
+                tol: float, degen_tol: float, starts: int) -> FaceCheck:
+    """Certify one face, or search it for a common zero of its pairs.
 
     With tol <= 0, a pair whose nonzero coefficients share one sign has no
     zero in the open orthant and certifies the face outright; the margin is
     then taken at the centres of the d root boxes [eta, 1]^(d - 1).  Any
-    other face gets every cell's Lipschitz bound, and its margin is the
-    least max_pairs |g| at a cell centre.  Returns (certified, margin, boxes
-    visited)."""
+    other face is swept once per orientation x_m = 1 of the slice grid
+    np.geomspace(eta, 1, grid).  Each sweep gives every cell's Lipschitz
+    bound (`_cell_bounds`), the least max_pairs |g| at a cell centre (the
+    margin is the least over the orientations) and the max(1, starts // d)
+    cells of smallest max_pairs |g|, ties broken by (value, flat index).
+    The face is certified when every bound exceeds tol.  Otherwise the
+    `starts` smallest of those cells seed the Gauss-Newton refinement, and
+    a refined point off the open orthant is no witness.
+    """
+    d = p.dimension
+    pairs = _mixed_pairs(restrict_to_face(p, face))
+    if not pairs:
+        # a sum of single-variable monomials; impossible for reduced input
+        return FaceCheck(face.id, face.dim, "degenerate", 0.0, (1.0,) * d, 0.0)
     nodes = np.geomspace(eta, 1.0, grid)
     if tol <= 0 and any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs):
         centre = np.full((d, d), (nodes[0] + nodes[-1]) / 2)
         np.fill_diagonal(centre, 1.0)
         values = np.max([np.abs(g.evaluate(list(centre))) for g in pairs], axis=0)
-        return True, float(values.min()), d
-    absgrads = [[g.derivative(k).absolute() for k in range(d)] for g in pairs]
+        return FaceCheck(face.id, face.dim, "nondegenerate", float(values.min()))
+
+    grads = [[g.derivative(k) for k in range(d)] for g in pairs]
+    absgrads = [[h.absolute() for h in row] for row in grads]
+    centers = (nodes[:-1] + nodes[1:]) / 2
     margin, certified = math.inf, True
+    cand: list[tuple[float, tuple[float, ...]]] = []
     for m in range(d):
         valmax, bound = _cell_bounds(pairs, absgrads, nodes, d, m)
         margin = min(margin, float(valmax.min()))
         certified = certified and bool((bound > tol).all())
-    return certified, margin, d * (grid - 1) ** (d - 1)
-
-
-def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
-                tol: float, degen_tol: float, starts: int) -> FaceCheck:
-    """Certify one face (`_certify`), or search it for a common zero.
-
-    Only a face that fails certification picks witness starts: the
-    max(1, starts // d) full-grid cells of smallest slice maximum in each
-    orientation, ties broken by (value, flat index), of which the `starts`
-    smallest overall seed the Gauss-Newton refinement.
-    """
-    d = p.dimension
-    fpoly = restrict_to_face(p, face)
-    pairs = _mixed_pairs(fpoly)
-    if not pairs:
-        # a sum of single-variable monomials; impossible for reduced input
-        return FaceCheck(face.id, face.dim, "degenerate", 0.0, (1.0,) * d, 0.0)
-    certified, margin, _ = _certify(pairs, d, grid, eta, tol)
-    if certified:
-        return FaceCheck(face.id, face.dim, "nondegenerate", margin)
-
-    nodes = np.geomspace(eta, 1.0, grid)
-    centers = (nodes[:-1] + nodes[1:]) / 2
-    cand: list[tuple[float, tuple[float, ...]]] = []
-    for m in range(d):
-        valmax = reduce(np.maximum, _slice_values(pairs, centers, d, m))
         for idx in _smallest_cells(valmax, max(1, starts // d)):
             multi = np.unravel_index(idx, valmax.shape)
             point = [float(centers[i]) for i in multi]
             point.insert(m, 1.0)
             cand.append((float(valmax[multi]), tuple(point)))
+    if certified:
+        return FaceCheck(face.id, face.dim, "nondegenerate", margin)
+
     cand.sort()
     floor = eta * 1e-2
     best = None
     for _, start in cand[:starts]:
-        x, value = _refine_zero(pairs, start)
-        if value > degen_tol:
+        x, value = _refine_zero(pairs, grads, start)
+        if value > degen_tol or min(x) <= 0:
             continue
         w = _normalize_to_slice(x, face.normal)
         wvalue = max(abs(float(g.evaluate(w))) for g in pairs)
@@ -321,9 +311,9 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     return FaceCheck(face.id, face.dim, "inconclusive", margin)
 
 
-# a face's grid has d * (grid - 1)^(d - 1) cells, which its certification
-# (unless the sign test settles the face) and its witness search sweep in
-# full; 2^23 admits grid 129 in d = 4, 36 in d = 5 and 17 in d = 6
+# a swept face's grid has d * (grid - 1)^(d - 1) cells, one slice array of
+# (grid - 1)^(d - 1) per pair alive at a time; 2^23 admits grid 129 in
+# d = 4, 36 in d = 5 and 17 in d = 6
 MAX_FACE_CELLS = 2 ** 23
 
 
@@ -350,8 +340,9 @@ def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
     cell centres, or, for a face certified by the sign of its coefficients,
     at the centres of its d root boxes.  The witness search runs only on
     faces that fail certification; its `starts` Gauss-Newton seeds are the
-    grid cells of smallest slice maximum, ties broken by (value, flat
-    index), so witnesses are deterministic.
+    grid cells of smallest slice maximum, picked during the certifying
+    sweep with ties broken by (value, flat index), so witnesses are
+    deterministic.
     """
     if not p.reduced:
         raise NondegenError("phase must be reduced first (reduce_phase)")
@@ -395,10 +386,7 @@ def mixed_hessian_floor(p: PhasePolynomial, box: DyadicBox, *,
     for _ in range(refine + 1):
         axes = [np.geomspace(a, b, grid) for a, b in zip(lo, hi)]
         coords = np.meshgrid(*axes, indexing="ij", sparse=True)
-        val = None
-        for _, g in pairs:
-            gv = np.abs(g.evaluate(coords))
-            val = gv if val is None else np.maximum(val, gv)
+        val = reduce(np.maximum, _abs_values(pairs, coords, (grid,) * d))
         idx = np.unravel_index(np.argmin(val), val.shape)
         if float(val[idx]) < best_val:
             best_val = float(val[idx])
@@ -419,10 +407,6 @@ class BoxRatioRow:
     point: tuple[float, ...]
     scale_exponent: int
 
-    def to_json_dict(self) -> dict:
-        return {"j": list(self.j), "ratio": self.ratio, "value": self.value,
-                "point": list(self.point), "scale_exponent": self.scale_exponent}
-
 
 @dataclass(frozen=True)
 class FloorSweep:
@@ -436,12 +420,6 @@ class FloorSweep:
     @property
     def worst(self) -> BoxRatioRow:
         return min(self.rows, key=lambda r: (r.ratio, r.j))
-
-    def to_json_dict(self) -> dict:
-        worst = sorted(self.rows, key=lambda r: (r.ratio, r.j))[:10]
-        return {"floor_constant": self.floor_constant, "verdict": self.verdict,
-                "jmax": self.jmax, "grid": self.grid, "threshold": self.threshold,
-                "worst_boxes": [r.to_json_dict() for r in worst]}
 
 
 def sweep_hessian_floor(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *,

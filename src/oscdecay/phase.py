@@ -357,14 +357,15 @@ def restrict_to_face(p: PhasePolynomial, face) -> PhasePolynomial:
 
     `face` is a polytope face record carrying a supporting normal and offset;
     a support point alpha is on the face iff <normal, alpha> equals the
-    offset.  Raises if the face does not support p's exponent set (e.g. a
+    offset, compared exactly (in ints for the polyhedron's primitive
+    normals).  Raises if the face does not support p's exponent set (e.g. a
     face of some other polynomial's polyhedron).
     """
     w = face.normal
     b = face.offset
     if len(w) != p.dimension:
         raise PhaseError("face dimension mismatch")
-    values = {a: sum(Fraction(wi) * ai for wi, ai in zip(w, a)) for a in p.terms}
+    values = {a: sum(wi * ai for wi, ai in zip(w, a)) for a in p.terms}
     lo = min(values.values())
     if lo != b:
         raise PhaseError("face does not belong to this polynomial's polyhedron")

@@ -278,6 +278,19 @@ class TestCheckCommand:
         assert rep["nondegeneracy"]["verdict"] == "nondegenerate"
         assert rep["nondegeneracy"]["faces"][0]["witness"] is None
 
+    def test_refinement_off_the_orthant_is_not_a_witness(self, capsys):
+        # on a mixed-sign face Gauss-Newton reaches |g| <= witness_tol at a
+        # point with a nonpositive coordinate, which has no slice image
+        code = main(["check", "--grid", "16", "--phase",
+                     "-x1*x2^3 - x1^2*x2^2*x3 + 2*x1*x2*x3^3 - 2*x1^2*x2^3"
+                     " - 2*x2^4*x3"])
+        out, err = capsys.readouterr()
+        assert "error:" not in err
+        rep = json.loads(out)
+        jsonschema.validate(rep, SCHEMA)
+        assert code == 1
+        assert rep["nondegeneracy"]["verdict"] == "inconclusive"
+
 
 class TestIntegrateCommand:
     def test_single_frequency_with_csv(self, tmp_path, capsys):

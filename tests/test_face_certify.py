@@ -1,5 +1,5 @@
-"""Face certification (sign test, then the full grid) against the frozen
-full-grid oracle."""
+"""Face certification (sign test, then one sweep per orientation of the
+full grid) against the frozen full-grid oracle."""
 import itertools
 import random
 
@@ -38,7 +38,31 @@ def single_signed(pairs) -> bool:
     return any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs)
 
 
+def check_counting_sweeps(p, face, grid, tol=0.0):
+    """`_check_face`, and the cells of each slice sweep (`_cell_bounds`) it
+    made."""
+    sizes = []
+    sweep = nondegen._cell_bounds
+
+    def counted(*args):
+        valmax, bound = sweep(*args)
+        sizes.append(bound.size)
+        return valmax, bound
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nondegen, "_cell_bounds", counted)
+        got = nondegen._check_face(p, face, grid, ETA, tol, 1e-10, 8)
+    return got, sizes
+
+
 CASES = [(seed, d) for d in (2, 3, 4) for seed in range(40)]
+
+# faces of dimension d - 1 whose pairs have mixed signs and certify on the grid
+CERTIFIED_MIXED_SIGN = [
+    ("x1^3*x2 - x1^2*x2^2 + x1*x2^3", 2, 64),
+    ("x1*x3^4 + 2*x1^2*x3^3 - 3*x2^4*x3 - x1^2*x2^2*x3 + x2^2*x3^3"
+     " - x1^2*x2*x3^2 + 2*x1*x2*x3^3", 3, 48),
+]
 
 
 class TestAgainstFullGrid:
@@ -50,21 +74,20 @@ class TestAgainstFullGrid:
             p = shell_phase(rng, d)
             grid = rng.randint(8, 64)
             for face in build_polyhedron(p).faces:
-                pairs = pairs_of(p, face)
-                got = nondegen._check_face(p, face, grid, ETA, 0.0, 1e-10, 8)
-                visited = nondegen._certify(pairs, d, grid, ETA, 0.0)[2]
-                rows.append((p, face, grid, pairs, got, visited))
+                got, sizes = check_counting_sweeps(p, face, grid)
+                rows.append((p, face, grid, pairs_of(p, face), got, sizes))
         return rows
 
     def test_verdicts_margins_and_witnesses_equal_the_oracle(self, outcomes):
         compared = 0
-        for p, face, grid, pairs, got, visited in outcomes:
+        for p, face, grid, pairs, got, sizes in outcomes:
             if single_signed(pairs):
                 continue
             want = oracle.check_face(p, face, grid, ETA)
             assert (got.verdict, got.margin, got.witness, got.witness_value) == \
                 want, (p.terms, face.normal, grid)
-            assert visited == p.dimension * (grid - 1) ** (p.dimension - 1)
+            # one sweep per orientation, each over all (grid - 1)^(d - 1) cells
+            assert sizes == [(grid - 1) ** (p.dimension - 1)] * p.dimension
             compared += 1
         kinds = {row[4].verdict for row in outcomes if not single_signed(row[3])}
         # the sample holds faces that fail as well as faces that certify
@@ -73,9 +96,9 @@ class TestAgainstFullGrid:
     def test_single_signed_faces_are_nondegenerate(self, outcomes):
         signed = [row for row in outcomes if single_signed(row[3])]
         assert signed
-        for p, face, grid, pairs, got, visited in signed:
+        for p, face, grid, pairs, got, sizes in signed:
             assert got.verdict == "nondegenerate"
-            assert visited == p.dimension
+            assert sizes == []
 
     def test_cell_bounds_are_the_full_grid_bits(self, outcomes):
         compared = 0
@@ -125,9 +148,9 @@ class TestKnownFaces:
         # d1 d2 (x1*x2) = 1 clears tol = 0.5 on every cell of both slices
         p = reduce_phase(parse_phase("x1*x2", 2))
         face, = build_polyhedron(p).faces
-        certified, margin, visited = nondegen._certify(pairs_of(p, face), 2, 64,
-                                                       ETA, 0.5)
-        assert certified and margin == 1.0 and visited == 2 * 63
+        got, sizes = check_counting_sweeps(p, face, 64, tol=0.5)
+        assert got.verdict == "nondegenerate" and got.margin == 1.0
+        assert sizes == [63, 63]
 
 
 class TestCost:
@@ -136,20 +159,67 @@ class TestCost:
         faces = build_polyhedron(p).faces
         assert len(faces) == 31
         for face in faces:
-            certified, margin, visited = nondegen._certify(pairs_of(p, face), 4, 64,
-                                                           ETA, 0.0)
-            assert certified and margin > 0 and visited <= 4
+            got, sizes = check_counting_sweeps(p, face, 64)
+            assert got.verdict == "nondegenerate" and got.margin > 0
+            assert sizes == []
 
-    @pytest.mark.parametrize("text,d,grid", [
-        ("x1^3*x2 - x1^2*x2^2 + x1*x2^3", 2, 64),
-        ("x1*x3^4 + 2*x1^2*x3^3 - 3*x2^4*x3 - x1^2*x2^2*x3 + x2^2*x3^3"
-         " - x1^2*x2*x3^2 + 2*x1*x2*x3^3", 3, 48),
-    ])
+    @pytest.mark.parametrize("text,d,grid", CERTIFIED_MIXED_SIGN)
     def test_mixed_sign_face_visits_each_cell_once(self, text, d, grid):
         p = reduce_phase(parse_phase(text, d))
         face = next(f for f in build_polyhedron(p).faces if f.dim == d - 1)
+        assert not single_signed(pairs_of(p, face))
+        got, sizes = check_counting_sweeps(p, face, grid)
+        assert got.verdict == "nondegenerate"
+        assert sizes == [(grid - 1) ** (d - 1)] * d
+
+    @pytest.mark.parametrize("text,d,grid", CERTIFIED_MIXED_SIGN)
+    def test_certified_mixed_sign_face_runs_no_refinement(self, monkeypatch, text,
+                                                           d, grid):
+        def refuse(*args, **kwargs):
+            raise AssertionError("Gauss-Newton run on a certified face")
+
+        monkeypatch.setattr(nondegen, "_refine_zero", refuse)
+        p = reduce_phase(parse_phase(text, d))
+        face = next(f for f in build_polyhedron(p).faces if f.dim == d - 1)
+        got = nondegen._check_face(p, face, grid, ETA, 0.0, 1e-10, 8)
+        assert got.verdict == "nondegenerate"
+
+    def test_failing_face_evaluates_its_slice_grid_once(self, monkeypatch):
+        # the edge of x1^3*x2 - x1*x2^3 fails (its pair 3x1^2 - 3x2^2 vanishes
+        # on the diagonal): each pair is evaluated on the slice cells once per
+        # orientation, and Gauss-Newton takes the face's derivatives as given
+        p = reduce_phase(parse_phase("x1^3*x2 - x1*x2^3", 2))
+        face = next(f for f in build_polyhedron(p).faces if f.dim == 1)
         pairs = pairs_of(p, face)
         assert not single_signed(pairs)
-        certified, _, visited = nondegen._certify(pairs, d, grid, ETA, 0.0)
-        assert certified
-        assert visited == d * (grid - 1) ** (d - 1)
+        keys = {frozenset(g.terms.items()) for g in pairs}
+        evaluate, derivative = PhasePolynomial.evaluate, PhasePolynomial.derivative
+        refine = nondegen._refine_zero
+        count = {"grid": 0, "refine": 0, "refine_derivatives": 0}
+        inside = []
+
+        def counted_evaluate(g, x):
+            # a slice grid has array coordinates; a Gauss-Newton point has none
+            if frozenset(g.terms.items()) in keys and any(np.ndim(v) for v in x):
+                count["grid"] += 1
+            return evaluate(g, x)
+
+        def counted_derivative(g, *axes):
+            count["refine_derivatives"] += bool(inside)
+            return derivative(g, *axes)
+
+        def counted_refine(*args, **kwargs):
+            count["refine"] += 1
+            inside.append(True)
+            try:
+                return refine(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(PhasePolynomial, "evaluate", counted_evaluate)
+        monkeypatch.setattr(PhasePolynomial, "derivative", counted_derivative)
+        monkeypatch.setattr(nondegen, "_refine_zero", counted_refine)
+        got = nondegen._check_face(p, face, 64, ETA, 0.0, 1e-10, 8)
+        assert got.verdict == "degenerate"
+        assert count == {"grid": 2 * len(pairs), "refine": 8,
+                         "refine_derivatives": 0}

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oscdecay.phase import (
     EmptyPhaseError,
@@ -191,6 +191,25 @@ class TestRestriction:
             expected = {a for a in p.terms
                         if sum(w * e for w, e in zip(face.normal, a)) == face.offset}
             assert set(r.terms) == expected
+
+    @given(st.data())
+    @settings(max_examples=60)
+    def test_restriction_equals_a_fraction_restriction(self, data):
+        # integer <normal, alpha> against the face test in exact Fractions
+        from oscdecay import polytope as pt
+        from oscdecay.phase import restrict_to_face
+        d = data.draw(st.integers(2, 4))
+        mono = st.tuples(*([st.integers(0, 5)] * d)).filter(
+            lambda a: sum(e > 0 for e in a) >= 2)
+        coef = st.fractions(min_value=-5, max_value=5).filter(lambda c: c != 0)
+        p = reduce_phase(PhasePolynomial.from_terms(
+            data.draw(st.dictionaries(mono, coef, min_size=1, max_size=8)), d))
+        for face in pt.build_polyhedron(p).faces:
+            want = {a: c for a, c in p.terms.items()
+                    if sum(Fraction(w) * Fraction(e) for w, e in zip(face.normal, a))
+                    == Fraction(face.offset)}
+            got = restrict_to_face(p, face)
+            assert terms(got) == want and got.reduced
 
     def test_foreign_face_rejected(self):
         from oscdecay import polytope as pt
