@@ -327,6 +327,8 @@ def cmd_check(args, cfg: RunConfig) -> int:
 def cmd_integrate(args, cfg: RunConfig) -> int:
     if args.lam is not None and not math.isfinite(args.lam):
         raise CliError(f"--lam must be finite, got {args.lam}")
+    if args.lam is not None and not args.lam >= MIN_LAMBDA:
+        raise CliError(f"--lam must be at least {MIN_LAMBDA:g}, got {args.lam:g}")
     p, n, q = _build_inputs(cfg)
     cfg, results = _run_sweep(cfg, p, n, q, args.lam)
     er = sharp_exponent(n, q)
@@ -429,50 +431,60 @@ HANDLERS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is registered, so the top-level
+    help and a bad choice read the same either way; given `command`, only
+    that subcommand gets its arguments."""
     parser = argparse.ArgumentParser(
         prog="oscdecay",
         description="Decay-rate toolkit for separable oscillatory forms.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in HANDLERS:
         sp = sub.add_parser(name)
-        sp.add_argument("--phase", help="polynomial, e.g. 'x1^2*x2^2 + x1^5*x2'")
-        sp.add_argument("--dim", type=int, dest="dimension")
-        sp.add_argument("--p", type=_parse_tuple,
-                        help="comma list of integrabilities, e.g. inf,2")
-        sp.add_argument("--config", help="key=value file, overridden by flags")
-        sp.add_argument("--out", dest="out_json", help="report path (else stdout)")
-        sp.add_argument("--seed", type=int)
-        if name in ("integrate", "verify"):
-            sp.add_argument("--lam-lo", type=float, dest="lam_lo")
-            sp.add_argument("--lam-hi", type=float, dest="lam_hi")
-            sp.add_argument("--lam-count", type=int, dest="lam_count")
-            sp.add_argument("--levels", type=int)
-            sp.add_argument("--orthant", choices=["on", "off"])
-            sp.add_argument("--csv", dest="out_csv")
-        if name == "integrate":
-            sp.add_argument("--lam", type=float, help="single frequency")
-        if name == "verify":
-            sp.add_argument("--sharpness", action="store_const", const=True,
-                            default=None)
-            sp.add_argument("--fit-tol", type=float, dest="fit_tol")
-            sp.add_argument("--box-scale", dest="box_scale")
-        if name == "check" or name == "verify":
-            sp.add_argument("--grid", type=int)
-            sp.add_argument("--eta", type=float)
-            sp.add_argument("--starts", type=int)
-            sp.add_argument("--witness-tol", type=float, dest="witness_tol")
-        if name == "sum-oracle":
-            sp.add_argument("--z", type=_parse_tuple,
-                            help="comma list of weights, e.g. 1,1")
-            sp.add_argument("--e-lo", type=int, dest="e_lo")
-            sp.add_argument("--e-hi", type=int, dest="e_hi")
-            sp.add_argument("--e-step", type=int, dest="e_step")
+        if command is None or name == command:
+            _add_arguments(sp, name)
     return parser
 
 
+def _add_arguments(sp: argparse.ArgumentParser, name: str) -> None:
+    sp.add_argument("--phase", help="polynomial, e.g. 'x1^2*x2^2 + x1^5*x2'")
+    sp.add_argument("--dim", type=int, dest="dimension")
+    sp.add_argument("--p", type=_parse_tuple,
+                    help="comma list of integrabilities, e.g. inf,2")
+    sp.add_argument("--config", help="key=value file, overridden by flags")
+    sp.add_argument("--out", dest="out_json", help="report path (else stdout)")
+    sp.add_argument("--seed", type=int)
+    if name in ("integrate", "verify"):
+        sp.add_argument("--lam-lo", type=float, dest="lam_lo")
+        sp.add_argument("--lam-hi", type=float, dest="lam_hi")
+        sp.add_argument("--lam-count", type=int, dest="lam_count")
+        sp.add_argument("--levels", type=int)
+        sp.add_argument("--orthant", choices=["on", "off"])
+        sp.add_argument("--csv", dest="out_csv")
+    if name == "integrate":
+        sp.add_argument("--lam", type=float, help="single frequency")
+    if name == "verify":
+        sp.add_argument("--sharpness", action="store_const", const=True,
+                        default=None)
+        sp.add_argument("--fit-tol", type=float, dest="fit_tol")
+        sp.add_argument("--box-scale", dest="box_scale")
+    if name == "check" or name == "verify":
+        sp.add_argument("--grid", type=int)
+        sp.add_argument("--eta", type=float)
+        sp.add_argument("--starts", type=int)
+        sp.add_argument("--witness-tol", type=float, dest="witness_tol")
+    if name == "sum-oracle":
+        sp.add_argument("--z", type=_parse_tuple,
+                        help="comma list of weights, e.g. 1,1")
+        sp.add_argument("--e-lo", type=int, dest="e_lo")
+        sp.add_argument("--e-hi", type=int, dest="e_hi")
+        sp.add_argument("--e-step", type=int, dest="e_step")
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the invoked subcommand needs its arguments
+    parser = build_parser(argv[0] if argv and argv[0] in HANDLERS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

@@ -9,20 +9,22 @@ of each cell is sized from the Gauss remainder bound: the largest panel
 (`QuadratureConfig.order` nodes on `waves_per_panel` turns) sets the error
 target, and an axis whose piece lies on the cutoff plateau, where the
 integrand is analytic, takes the lowest Gauss order that meets it.  The error
-estimate reruns only the full-order axes, at a lower order.  Each per-axis
-rule is built once per distinct (axis, piece, panel count, order) and shared
-by every cell that uses it.  Cells with equal node counts per axis are
-gathered from per-group rule stacks and evaluated together, at most
-`QuadratureConfig.chunk` nodes per kernel call, in one reused per-thread
-workspace: the working set stays a few megabytes whatever the frequency, and
-is faulted in once.  The kernel has `PhasePolynomial.evaluate_tensor` write
-lam*phi/2 straight into it, and takes exp(i*theta) from the float64
-half-angle tangent tan(theta/2) in real arithmetic, which vectorizes where
-complex exp does not.  The cutoff profile runs its bump table only on
-transition nodes, in blocks.  The same cell grid indexes a closed-form bound
-per cell (dominant vertex of the support polyhedron): `box_envelope` gives
-them all from exact integer exponent grids, and their sum is an a-priori
-certificate for the result.
+estimate reruns only the full-order axes, at a lower order.  A per-axis rule
+depends on neither lam nor the phase, only on its interval, panel count,
+order and factor.  A frequency sweep therefore builds it once for every cell
+and both levels of every frequency that use it, and keeps it only while the
+current or the previous frequency uses it (`_RuleTable`).  Cells with equal
+node counts per axis are gathered from per-group rule stacks and evaluated
+together, at most `QuadratureConfig.chunk` nodes per kernel call, in one
+reused per-thread workspace: the working set stays a few megabytes whatever
+the frequency, and is faulted in once.  The kernel has
+`PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into it, and takes
+exp(i*theta) from the float64 half-angle tangent tan(theta/2) in real
+arithmetic, which vectorizes where complex exp does not.  The cutoff profile
+runs its bump table only on transition nodes, in blocks.  The same cell grid
+indexes a closed-form bound per cell (dominant vertex of the support
+polyhedron): `box_envelope` gives them all from exact integer exponent grids,
+and their sum is an a-priori certificate for the result.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -409,6 +411,31 @@ def _axis_rule(lo, hi, panels, gx, gw, chi, factor):
     return nodes, weights * factor.values(nodes)
 
 
+class _RuleTable:
+    """The per-axis rules of one frequency sweep under one cutoff, keyed by
+    (lo, hi, panels, order, factor), so axes with equal factors share them.
+    Each evaluation starts a generation (`advance`) that can still reuse the
+    previous generation's rules; older ones are dropped, so the table holds
+    at most two evaluations' rules."""
+
+    def __init__(self, chi: CutoffSpec):
+        self.chi = chi
+        self.current, self.previous = {}, {}
+
+    def advance(self):
+        self.current, self.previous = {}, self.current
+
+    def rule(self, lo, hi, panels, order, factor):
+        key = (lo, hi, panels, order, factor)
+        got = self.current.get(key)
+        if got is None:
+            got = self.previous.get(key)
+            if got is None:
+                got = _axis_rule(lo, hi, panels, *_gauss(order), self.chi, factor)
+            self.current[key] = got
+        return got
+
+
 def _kernel(p, lam, axes, weights):
     """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
 
@@ -465,14 +492,13 @@ def _rows(a):
     return a[step], inverse
 
 
-def _run_level(p, lam, axis_pieces, cells, counts, orders, chi, f, quad, cache):
+def _run_level(p, lam, axis_pieces, cells, counts, orders, f, quad, rules):
     """Rule sums and weight masses of the cells, each cell's rule given per
-    axis by its row of `cells` (piece index), `counts` and `orders`."""
+    axis by its row of `cells` (piece index), `counts` and `orders` and
+    drawn from the table `rules`."""
     values = np.zeros(len(cells), dtype=complex)
     mass = np.ones(len(cells))
-    # a per-axis rule depends only on (axis, piece, panels, order), so it is
-    # built once per distinct key, kept in `cache` across levels, and shared
-    # by every cell that uses it
+    # per axis, the distinct (piece, panels, order) keys, and each cell's among them
     keys, rule_of = [], []
     for k in range(len(axis_pieces)):
         uniq, inv = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k]], axis=1))
@@ -490,15 +516,11 @@ def _run_level(p, lam, axis_pieces, cells, counts, orders, chi, f, quad, cache):
         # per axis, the group's distinct rules are stacked once; a batch
         # gathers its cells' rows from the stacks
         stacks = []
-        for k, pieces in enumerate(axis_pieces):
+        for k, (pieces, factor) in enumerate(zip(axis_pieces, f.factors)):
             used, at = np.unique(rule_of[k][members], return_inverse=True)
-            rules = []
-            for j, c, n in (keys[k][u] for u in used.tolist()):
-                if (k, j, c, n) not in cache:
-                    cache[k, j, c, n] = _axis_rule(pieces[j][2], pieces[j][3], c,
-                                                   *_gauss(n), chi, f.factors[k])
-                rules.append(cache[k, j, c, n])
-            x, w = (np.stack(r) for r in zip(*rules))
+            axis_rules = [rules.rule(pieces[j][2], pieces[j][3], c, n, factor)
+                          for j, c, n in (keys[k][u] for u in used.tolist())]
+            x, w = (np.stack(r) for r in zip(*axis_rules))
             mass[members] *= np.abs(w).sum(axis=1)[at]
             stacks.append((x, w, at))
         for start in range(0, len(members), batch):
@@ -511,11 +533,36 @@ def _run_level(p, lam, axis_pieces, cells, counts, orders, chi, f, quad, cache):
     return values, mass
 
 
+def _plan(p, f, chi, lam, quad):
+    """The cells of an evaluation and their rule before any budget cut: the
+    pieces of each axis; per axis, the piece index of every cell, cells in
+    product order, and whether that piece lies on the cutoff plateau; and
+    the panel counts and Gauss orders (`_panel_counts`)."""
+    d = p.dimension
+    if d > 3:
+        raise OscError("tensor quadrature is limited to dimension <= 3")
+    if f.dimension != d:
+        raise OscError("test function dimension mismatch")
+    # per axis, d_k phi with absolute coefficients; evaluated at the
+    # componentwise magnitude maximum of a cell, it bounds |d_k phi| there
+    grads = [p.derivative(k).absolute() for k in range(d)]
+    axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
+    rates = [fac.angular_rate for fac in f.factors]
+    shape = [len(pieces) for pieces in axis_pieces]
+    cells = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
+    analytic = np.stack([np.array([_on_plateau(chi, lo, hi) for _, _, lo, hi in pieces],
+                                  dtype=bool)[cells[:, k]]
+                         for k, pieces in enumerate(axis_pieces)], axis=1)
+    counts, orders = _panel_counts(lam, axis_pieces, grads, rates, analytic, quad)
+    return axis_pieces, cells, analytic, counts, orders
+
+
 def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
                     lam: float, *, quad: QuadratureConfig = QuadratureConfig(),
                     certify: bool = False, query: ExponentQuery | None = None,
                     n: NewtonPolyhedron | None = None, keep_boxes: bool = False,
-                    cert_constant: float = DEFAULT_CERT_CONSTANT) -> OscResult:
+                    cert_constant: float = DEFAULT_CERT_CONSTANT,
+                    _rules: _RuleTable | None = None) -> OscResult:
     """Tensor-panel quadrature of the oscillatory form at one frequency.
 
     Panel counts and Gauss orders per cell and axis follow the local phase
@@ -525,42 +572,27 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
     rerun on the same panels at order max(n // 2, n - 4) on the full-order
     axes (n = order), or on every axis of a shrunk rule.  A cell without one
     has only analytic axes, each within the error target, and adds
-    d * target times its weight mass instead.
+    d * target times its weight mass instead.  `_rules` is the rule table of
+    the sweep this evaluation belongs to; a lone call builds its own.
     """
     d = p.dimension
-    if d > 3:
-        raise OscError("tensor quadrature is limited to dimension <= 3")
-    if f.dimension != d:
-        raise OscError("test function dimension mismatch")
     lam = float(lam)
-    # per axis, d_k phi with absolute coefficients; evaluated at the
-    # componentwise magnitude maximum of a cell, it bounds |d_k phi| there
-    grads = [p.derivative(k).absolute() for k in range(d)]
-
-    axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
-    rates = [fac.angular_rate for fac in f.factors]
-    # per axis, the piece index of every cell, cells in product order, and
-    # whether that piece lies on the cutoff plateau
-    shape = [len(pieces) for pieces in axis_pieces]
-    cells = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
-    analytic = np.stack([np.array([_on_plateau(chi, lo, hi) for _, _, lo, hi in pieces],
-                                  dtype=bool)[cells[:, k]]
-                         for k, pieces in enumerate(axis_pieces)], axis=1)
-    counts, orders = _panel_counts(lam, axis_pieces, grads, rates, analytic, quad)
+    axis_pieces, cells, analytic, counts, orders = _plan(p, f, chi, lam, quad)
 
     low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
     if low_confidence:
         counts, orders = _fit_budget(counts, orders, analytic, quad)
 
-    cache = {}
+    rules = _RuleTable(chi) if _rules is None else _rules
+    rules.advance()
     values, mass = _run_level(p, lam, axis_pieces, cells, counts, orders,
-                              chi, f, quad, cache)
+                              f, quad, rules)
     # a shrunk rule no longer meets the target on analytic axes: rerun them all
     full = (orders == quad.order) | low_confidence
     rerun = full.any(axis=1)
     coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
     check, _ = _run_level(p, lam, axis_pieces, cells[rerun], counts[rerun],
-                          coarse[rerun], chi, f, quad, cache)
+                          coarse[rerun], f, quad, rules)
     target, _ = _ladder(quad.order, quad.waves_per_panel)
     error = abs((values[rerun] - check).sum()) + d * target * mass[~rerun].sum()
 
@@ -644,7 +676,8 @@ def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[
 
 def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
                  lambdas: Sequence[float], **kwargs) -> tuple[OscResult, ...]:
-    """Evaluate the form on an increasing frequency grid, one result each."""
+    """Evaluate the form on an increasing frequency grid, one result each.
+    Every evaluation draws its per-axis rules from one table of the sweep."""
     lams = [float(x) for x in lambdas]
     if not lams:
         return ()
@@ -652,4 +685,14 @@ def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
         raise OscError("lambda grid must be strictly increasing")
     if lams[0] < MIN_LAMBDA:
         raise OscError(f"decay sweeps start at lambda >= {MIN_LAMBDA:g}")
-    return tuple(evaluate_lambda(p, f, chi, lam, **kwargs) for lam in lams)
+    # turns grow with lam, so if they overflow at the last frequency the sweep
+    # is refused before any quadrature, naming the first frequency where they do
+    quad = kwargs.get("quad", QuadratureConfig())
+    try:
+        _plan(p, f, chi, lams[-1], quad)
+    except OscError:
+        for lam in lams:
+            _plan(p, f, chi, lam, quad)
+        raise
+    rules = _RuleTable(chi)
+    return tuple(evaluate_lambda(p, f, chi, lam, _rules=rules, **kwargs) for lam in lams)

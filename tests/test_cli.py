@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import time
 from pathlib import Path
 
@@ -12,14 +13,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oscdecay.cli import (
+    HANDLERS,
     CliError,
     RunConfig,
     assemble_config,
+    build_parser,
     load_config_file,
     main,
 )
 from oscdecay.decay import MAX_SUM_BOXES, MIN_FIT_OCTAVES, MIN_FIT_SAMPLES
 from oscdecay.nondegen import max_grid
+from oscdecay.oscint import lambda_grid
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.json")
@@ -139,6 +143,14 @@ class TestUsageErrors:
         assert code == 2
         assert "--lam must be finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("lam", ["1.5", "0", "-3"])
+    def test_lam_below_the_sweep_minimum_is_usage_error(self, capsys, lam):
+        # the same bound --lam-lo has, and the same exit code
+        code = main(["integrate", "--phase", "x1*x2", f"--lam={lam}"])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert "usage error: --lam must be at least 2" in captured.err
+
     @pytest.mark.parametrize("argv", [
         ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "1/0,1"],
         ["sum-oracle", "--phase", "x1^3*x2^3", "--z", "abc,1"],
@@ -221,6 +233,54 @@ class TestUsageErrors:
         assert code == 1
         assert err.startswith("error:") and "overflow" in err
         assert "Traceback" not in err
+
+    def test_overflowing_sweep_is_refused_before_any_quadrature(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # turns grow with lam, so the sweep sees before its first sample that
+        # its fifth overflows, and names that one
+        def never(*args):
+            raise AssertionError("quadrature ran before the overflow was refused")
+
+        monkeypatch.setattr("oscdecay.oscint._kernel", never)
+        code = main(["verify", "--phase", "x1^2*x2^2 + x1^5*x2", "--lam-lo", "6e306",
+                     "--lam-hi", "1e308", "--lam-count", "8",
+                     "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        first = lambda_grid(6e306, 1e308, 8)[4]
+        assert code == 1
+        assert err == f"error: phase turns per cell overflow at lam {first:g}\n"
+
+
+# the option strings of every subcommand's --help
+OPTIONS = {
+    name: {"-h", "--help", "--phase", "--dim", "--p", "--config", "--out", "--seed"}
+    for name in HANDLERS}
+OPTIONS["check"] |= {"--grid", "--eta", "--starts", "--witness-tol"}
+OPTIONS["integrate"] |= {"--lam-lo", "--lam-hi", "--lam-count", "--levels", "--orthant",
+                         "--csv", "--lam"}
+OPTIONS["verify"] |= (OPTIONS["check"] | OPTIONS["integrate"] |
+                      {"--sharpness", "--fit-tol", "--box-scale"}) - {"--lam"}
+OPTIONS["sum-oracle"] |= {"--z", "--e-lo", "--e-hi", "--e-step"}
+
+
+class TestParser:
+    @pytest.mark.parametrize("name", list(HANDLERS))
+    def test_subcommand_help_is_unchanged(self, capsys, name):
+        # main gives only the invoked subcommand its arguments; its help is
+        # the one the full parser prints
+        assert main([name, "--help"]) == 0
+        text = capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([name, "--help"])
+        assert capsys.readouterr().out == text
+        assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == OPTIONS[name]
+
+    def test_top_level_help_and_bad_choice(self, capsys):
+        assert main(["--help"]) == 0
+        text = capsys.readouterr().out
+        assert all(name in text for name in HANDLERS)
+        assert main(["bogus"]) == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 class TestExponentCommand:
@@ -432,10 +492,8 @@ class TestCliFuzz:
     def test_integrate_lam(self, lam):
         code, _, err = run_quiet(["integrate", "--phase", "x1*x2", f"--lam={lam}"])
         assert "Traceback" not in err
-        if isinstance(lam, str) or not math.isfinite(lam):
+        if isinstance(lam, str) or not math.isfinite(lam) or lam < 2:
             assert code == 2, err
-        elif lam < 2:
-            assert code == 1, err
         else:
             assert code == 0, err
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from oscdecay import oscint
 from oscdecay.exponent import ExponentQuery
 from oscdecay.oscint import (
     _STEP_NORM,
@@ -23,6 +24,7 @@ from oscdecay.oscint import (
     OscError,
     QuadratureConfig,
     TestFunctionSpec,
+    _RuleTable,
     _axis_pieces,
     _axis_rule,
     _kernel,
@@ -291,7 +293,7 @@ class TestEvaluateBasics:
 
     def test_axis_rules_shared_across_cells(self, monkeypatch):
         # 2197 cells with 3 axes each at two Gauss orders would build 13182
-        # per-axis rules; only a few dozen (axis, piece, panels, order) differ
+        # per-axis rules; only a few dozen (interval, panels, order, factor) differ
         calls = []
         original = CutoffSpec.profile
 
@@ -828,3 +830,72 @@ class TestSweep:
             lambda_sweep(p, f, CHI_POS, [4.0, 3.0])
         with pytest.raises(OscError):
             lambda_sweep(p, f, CHI_POS, [1.0, 3.0])
+
+
+def count_rule_builds(monkeypatch):
+    """A list that gets one entry per per-axis rule built from now on."""
+    calls = []
+    original = oscint._axis_rule
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(oscint, "_axis_rule", counting)
+    return calls
+
+
+def fields(r):
+    return (r.lam, r.value, r.error, r.nodes, r.low_confidence, r.certificate)
+
+
+class TestRuleTable:
+    @pytest.mark.parametrize("text, d, f, chi, lams, quad, flagged", [
+        ("x1*x2", 2, TestFunctionSpec.ones(2), CHI_POS, lambda_grid(64, 2048, 11),
+         QuadratureConfig(), 0),
+        ("x1*x2*x3 + x1^2*x3", 3, TestFunctionSpec.ones(3), CHI_POS, (8.0, 12.0, 16.0),
+         QuadratureConfig(), 0),
+        ("x1^3*x2 + x1*x2^2", 2, TestFunctionSpec.boxes([(-0.2, 0.7), (0.05, 0.9)]),
+         CHI, (20.0, 40.0, 80.0), QuadratureConfig(), 0),
+        # the two upper samples are shrunk to the budget
+        ("x1*x2", 2, TestFunctionSpec.ones(2), CHI_POS, (64.0, 256.0, 512.0),
+         QuadratureConfig(node_budget=20_000), 2),
+    ], ids=["product-orthant", "3d", "boxes", "budget"])
+    def test_sweep_equals_lone_evaluations(self, text, d, f, chi, lams, quad, flagged):
+        p = phase(text, d)
+        sweep = lambda_sweep(p, f, chi, lams, quad=quad, certify=True)
+        lone = [evaluate_lambda(p, f, chi, lam, quad=quad, certify=True) for lam in lams]
+        assert [fields(r) for r in sweep] == [fields(r) for r in lone]
+        assert [r.low_confidence for r in sweep] == ([False] * (len(lams) - flagged)
+                                                     + [True] * flagged)
+
+    def test_sweep_shares_rules_across_frequencies(self, monkeypatch):
+        # 11 lone evaluations of this sweep build 998 rules, 99 of them distinct
+        calls = count_rule_builds(monkeypatch)
+        lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
+                     lambda_grid(64, 2048, 11))
+        assert 0 < len(calls) <= 998 // 3
+
+    def test_nothing_survives_a_sweep(self, monkeypatch):
+        calls = count_rule_builds(monkeypatch)
+        args = (phase("x1^3*x2^3"), TestFunctionSpec.ones(2), CHI_POS, (64.0, 128.0, 256.0))
+        lambda_sweep(*args)
+        first = len(calls)
+        lambda_sweep(*args)
+        assert first > 0 and len(calls) == 2 * first
+
+    def test_rules_live_two_evaluations(self, monkeypatch):
+        calls = count_rule_builds(monkeypatch)
+        rules, const = _RuleTable(CHI), FactorSpec.const()
+        rules.advance()
+        a = rules.rule(0.25, 0.5, 3, 8, const)
+        rules.advance()
+        assert rules.rule(0.25, 0.5, 3, 8, const) is a  # used by the previous one
+        rules.advance()
+        rules.advance()
+        assert rules.rule(0.25, 0.5, 3, 8, const) is not a  # by neither: rebuilt
+        # a rule with another factor, clipping, panel count or order is its own
+        for key in [(0.25, 0.5, 3, 8, FactorSpec.const(2.0)), (0.25, 0.4, 3, 8, const),
+                    (0.25, 0.5, 4, 8, const), (0.25, 0.5, 3, 4, const)]:
+            rules.rule(*key)
+        assert len(calls) == 6
