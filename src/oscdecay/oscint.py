@@ -9,22 +9,23 @@ of each cell is sized from the Gauss remainder bound: the largest panel
 (`QuadratureConfig.order` nodes on `waves_per_panel` turns) sets the error
 target, and an axis whose piece lies on the cutoff plateau, where the
 integrand is analytic, takes the lowest Gauss order that meets it.  The error
-estimate reruns only the full-order axes, at a lower order.  A per-axis rule
-depends on neither lam nor the phase, only on its interval, panel count,
-order and factor.  A frequency sweep therefore builds it once for every cell
-and both levels of every frequency that use it, and keeps it only while the
-current or the previous frequency uses it (`_RuleTable`).  Cells with equal
-node counts per axis are gathered from per-group rule stacks and evaluated
-together, at most `QuadratureConfig.chunk` nodes per kernel call, in one
-reused per-thread workspace: the working set stays a few megabytes whatever
-the frequency, and is faulted in once.  The kernel has
-`PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into it, and takes
-exp(i*theta) from the float64 half-angle tangent tan(theta/2) in real
-arithmetic, which vectorizes where complex exp does not.  The cutoff profile
-runs its bump table only on transition nodes, in blocks.  The same cell grid
-indexes a closed-form bound per cell (dominant vertex of the support
-polyhedron): `box_envelope` gives them all from exact integer exponent grids,
-and their sum is an a-priori certificate for the result.
+estimate reruns only the full-order axes, at a lower order.  A frequency
+sweep is planned whole before any quadrature; then the cells of every
+frequency and both levels are evaluated as one batch of rows, each at its own
+lam (`_evaluate`).  A per-axis rule depends on neither lam nor the phase, so
+each distinct one is built once per sweep.  Rows with equal node counts per
+axis are gathered from per-axis rule stacks and evaluated together: a kernel
+call on several cells needs at most `QuadratureConfig.chunk` workspace
+floats, and one on a single cell at most `chunk` nodes (a larger cell is cut
+along its first axis).  The workspace is one reused per-thread buffer,
+faulted in once.  The kernel has `PhasePolynomial.evaluate_tensor` write
+lam*phi/2 straight into it, and takes exp(i*theta) from the float64
+half-angle tangent tan(theta/2) in real arithmetic, which vectorizes where
+complex exp does not.  The cutoff profile runs its bump table only on
+transition nodes, in blocks.  The same cell grid indexes a closed-form bound
+per cell (dominant vertex of the support polyhedron): `box_envelope` gives
+them all from exact integer exponent grids, and their sum is an a-priori
+certificate for the result.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -253,8 +254,8 @@ class QuadratureConfig:
     order: int = 16                 # Gauss nodes per full-order panel
     waves_per_panel: float = 4.0    # most phase turns per panel
     node_budget: int = 300_000_000  # tensor points per evaluation level
-    chunk: int = 262_144            # nodes per kernel call: bounds a batch of
-                                    # cells and the axis-0 slice of one cell
+    chunk: int = 262_144            # per kernel call: workspace floats of a batch
+                                    # of cells, nodes of one cell's axis-0 slice
 
     def __post_init__(self):
         if self.order < 2 or self.waves_per_panel <= 0 or self.node_budget < 1:
@@ -327,34 +328,20 @@ def _ladder(order, waves):
     return math.exp(log_target), rungs
 
 
-def _panel_counts(lam, axis_pieces, grads, rates, analytic, quad):
+def _panel_counts(lam, sizing, analytic, quad):
     """Gauss panel counts and orders, (cells, d) integer arrays, cells in
-    product order of the pieces.
-
-    Counts are 1 + floor(turns / waves_per_panel), capped at 2^53, far above
-    any budget.  An analytic axis (one whose piece lies on the cutoff plateau,
-    per `analytic`) takes the lowest ladder order whose bound meets the
-    target at its turns per panel; every other axis takes the full order.
-    Each axis's gradient bound is evaluated once, on the grid of cell-corner
-    magnitudes.  The grid holds Python floats (dtype object), so every power
-    and product is the one a scalar evaluation at a single corner would give.
-    """
-    d = len(axis_pieces)
+    product order, from `sizing`: per axis, float arrays over the cell grid
+    of the |d_k phi| bound and the piece width, and the factor's angular rate
+    (`_plan`).  Counts are 1 + floor(turns / waves_per_panel), capped at
+    2^53, far above any budget.  An analytic axis (one whose piece lies on
+    the cutoff plateau, per `analytic`) takes the lowest ladder order whose
+    bound meets the target at its turns per panel; every other axis takes
+    the full order."""
     _, rungs = _ladder(quad.order, quad.waves_per_panel)
-    mags, widths = [], []
-    for k, pieces in enumerate(axis_pieces):
-        shape = [1] * d
-        shape[k] = len(pieces)
-        mags.append(np.array([max(abs(lo), abs(hi)) for _, _, lo, hi in pieces],
-                             dtype=object).reshape(shape))
-        widths.append(np.array([hi - lo for _, _, lo, hi in pieces]).reshape(shape))
-    full = tuple(len(pieces) for pieces in axis_pieces)
     counts, orders = [], []
-    for k in range(d):
-        bound = np.asarray(grads[k].evaluate(mags), dtype=float)
+    for k, (bound, width, rate) in enumerate(sizing):
         with np.errstate(over="ignore"):
-            turns = np.broadcast_to(
-                (abs(lam) * bound + rates[k]) * widths[k] / (2.0 * math.pi), full)
+            turns = (abs(lam) * bound + rate) * width / (2.0 * math.pi)
             ratio = turns / quad.waves_per_panel
         if not np.all(np.isfinite(ratio)):
             raise OscError(f"phase turns per cell overflow at lam {lam:g}")
@@ -411,38 +398,15 @@ def _axis_rule(lo, hi, panels, gx, gw, chi, factor):
     return nodes, weights * factor.values(nodes)
 
 
-class _RuleTable:
-    """The per-axis rules of one frequency sweep under one cutoff, keyed by
-    (lo, hi, panels, order, factor), so axes with equal factors share them.
-    Each evaluation starts a generation (`advance`) that can still reuse the
-    previous generation's rules; older ones are dropped, so the table holds
-    at most two evaluations' rules."""
-
-    def __init__(self, chi: CutoffSpec):
-        self.chi = chi
-        self.current, self.previous = {}, {}
-
-    def advance(self):
-        self.current, self.previous = {}, self.current
-
-    def rule(self, lo, hi, panels, order, factor):
-        key = (lo, hi, panels, order, factor)
-        got = self.current.get(key)
-        if got is None:
-            got = self.previous.get(key)
-            if got is None:
-                got = _axis_rule(lo, hi, panels, *_gauss(order), self.chi, factor)
-            self.current[key] = got
-        return got
-
-
 def _kernel(p, lam, axes, weights):
     """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
 
     axes[k] and weights[k] are the (B, n_k) nodes and complex weights of axis
-    k; the result holds the B cell sums.  t, u, c, s and z are views of this
-    thread's workspace.  `PhasePolynomial.evaluate_tensor` writes
-    theta/2 = lam*phi/2 straight into the full-size buffer t.  With
+    k, and lam (B,) their frequencies; the result holds the B cell sums.
+    t, u, c, s and z are views of this thread's workspace, 2*B*m*(n + 3)
+    floats for n nodes on the last axis and m on the others.
+    `PhasePolynomial.evaluate_tensor` writes theta/2 = lam*phi/2 straight
+    into the full-size buffer t.  With
     t = tan(theta/2), cos(theta) = 2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2):
     float64 tan is vectorized where complex exp is not, and loses no
     accuracy.  The real arrays 2/(1+t^2) and sin(theta) are contracted
@@ -453,7 +417,8 @@ def _kernel(p, lam, axes, weights):
     sizes = [x.shape[1] for x in axes]
     n, m = sizes[-1], math.prod(sizes[:-1])
     cut = list(accumulate([0] + [b * m * n] * 2 + [2 * b * m] * 3))
-    t, u, c, s, z = np.split(_scratch("kernel", cut[-1])[:cut[-1]], cut[1:-1])
+    ws = _scratch("kernel", cut[-1])
+    t, u, c, s, z = (ws[i:j] for i, j in zip(cut, cut[1:]))
     t = p.evaluate_tensor(axes, 0.5 * lam, t.reshape([b] + sizes)).reshape(b, m, n)
     np.tan(t, out=t)
     u = np.multiply(t, t, out=u.reshape(b, m, n))
@@ -492,35 +457,40 @@ def _rows(a):
     return a[step], inverse
 
 
-def _run_level(p, lam, axis_pieces, cells, counts, orders, f, quad, rules):
-    """Rule sums and weight masses of the cells, each cell's rule given per
-    axis by its row of `cells` (piece index), `counts` and `orders` and
-    drawn from the table `rules`."""
+def _run_level(p, lams, axis_pieces, cells, counts, orders, f, chi, quad):
+    """Rule sums and weight masses of rows of cells, each row at its own
+    frequency `lams` and with its rule given per axis by its row of `cells`
+    (piece index), `counts` and `orders`."""
     values = np.zeros(len(cells), dtype=complex)
     mass = np.ones(len(cells))
-    # per axis, the distinct (piece, panels, order) keys, and each cell's among them
+
+    @lru_cache(maxsize=None)
+    def rule(lo, hi, panels, order, factor):
+        # each distinct rule is built once, and axes with equal factors share it
+        return _axis_rule(lo, hi, panels, *_gauss(order), chi, factor)
+
+    # per axis, the distinct rule keys, and each row's among them
     keys, rule_of = [], []
-    for k in range(len(axis_pieces)):
+    for k, (pieces, factor) in enumerate(zip(axis_pieces, f.factors)):
         uniq, inv = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k]], axis=1))
-        keys.append(uniq.tolist())
+        keys.append([(pieces[j][2], pieces[j][3], c, n, factor) for j, c, n in uniq.tolist()])
         rule_of.append(inv)
-    # cells with equal node counts per axis have rules of equal shape: each
-    # such group is evaluated in batches of at most quad.chunk nodes
+    # rows with equal node counts per axis have rules of equal shape: each
+    # such group is evaluated in batches whose kernel workspace,
+    # 2*b*m*(n + 3) floats, stays within quad.chunk
     shapes, group = _rows(counts * orders)
     for g, sizes in enumerate(shapes.tolist()):
         members = np.flatnonzero(group == g)
         size = math.prod(sizes)
-        batch = max(1, quad.chunk // size)
+        batch = max(1, quad.chunk // (2 * (size // sizes[-1]) * (sizes[-1] + 3)))
         # a cell above the chunk alone is cut into slices along axis 0
         rows = max(1, quad.chunk // (size // sizes[0]))
         # per axis, the group's distinct rules are stacked once; a batch
         # gathers its cells' rows from the stacks
         stacks = []
-        for k, (pieces, factor) in enumerate(zip(axis_pieces, f.factors)):
+        for k in range(len(axis_pieces)):
             used, at = np.unique(rule_of[k][members], return_inverse=True)
-            axis_rules = [rules.rule(pieces[j][2], pieces[j][3], c, n, factor)
-                          for j, c, n in (keys[k][u] for u in used.tolist())]
-            x, w = (np.stack(r) for r in zip(*axis_rules))
+            x, w = (np.stack(r) for r in zip(*(rule(*keys[k][u]) for u in used.tolist())))
             mass[members] *= np.abs(w).sum(axis=1)[at]
             stacks.append((x, w, at))
         for start in range(0, len(members), batch):
@@ -528,42 +498,46 @@ def _run_level(p, lam, axis_pieces, cells, counts, orders, f, quad, rules):
             axes = [x[at[start:start + batch]] for x, _, at in stacks]
             weights = [w[at[start:start + batch]] for _, w, at in stacks]
             for s in range(0, sizes[0], rows):
-                values[idx] += _kernel(p, lam, [axes[0][:, s:s + rows]] + axes[1:],
+                values[idx] += _kernel(p, lams[idx], [axes[0][:, s:s + rows]] + axes[1:],
                                        [weights[0][:, s:s + rows]] + weights[1:])
     return values, mass
 
 
-def _plan(p, f, chi, lam, quad):
-    """The cells of an evaluation and their rule before any budget cut: the
-    pieces of each axis; per axis, the piece index of every cell, cells in
-    product order, and whether that piece lies on the cutoff plateau; and
-    the panel counts and Gauss orders (`_panel_counts`)."""
+def _plan(p, f, chi):
+    """What an evaluation's cells and rules depend on besides lam: the pieces
+    of each axis; per axis, the piece index of every cell (cells in product
+    order) and whether that piece lies on the cutoff plateau; and per axis,
+    the sizing `_panel_counts` takes."""
     d = p.dimension
     if d > 3:
         raise OscError("tensor quadrature is limited to dimension <= 3")
     if f.dimension != d:
         raise OscError("test function dimension mismatch")
-    # per axis, d_k phi with absolute coefficients; evaluated at the
-    # componentwise magnitude maximum of a cell, it bounds |d_k phi| there
-    grads = [p.derivative(k).absolute() for k in range(d)]
     axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
-    rates = [fac.angular_rate for fac in f.factors]
-    shape = [len(pieces) for pieces in axis_pieces]
-    cells = np.stack(np.unravel_index(np.arange(math.prod(shape)), shape), axis=1)
+    full = tuple(len(pieces) for pieces in axis_pieces)
+    cells = np.stack(np.unravel_index(np.arange(math.prod(full)), full), axis=1)
     analytic = np.stack([np.array([_on_plateau(chi, lo, hi) for _, _, lo, hi in pieces],
                                   dtype=bool)[cells[:, k]]
                          for k, pieces in enumerate(axis_pieces)], axis=1)
-    counts, orders = _panel_counts(lam, axis_pieces, grads, rates, analytic, quad)
-    return axis_pieces, cells, analytic, counts, orders
+    # d_k phi with absolute coefficients bounds |d_k phi| on a cell at its
+    # corner of largest magnitudes.  It is evaluated once on the grid of those
+    # corners, which holds Python floats (dtype object), so every power and
+    # product is the one a scalar evaluation at a single corner would give
+    mags = [np.array([max(abs(lo), abs(hi)) for _, _, lo, hi in pieces], dtype=object)
+            .reshape([-1] + [1] * (d - 1 - k)) for k, pieces in enumerate(axis_pieces)]
+    sizing = []
+    for k, pieces in enumerate(axis_pieces):
+        bound = np.asarray(p.derivative(k).absolute().evaluate(mags), dtype=float)
+        width = np.array([hi - lo for _, _, lo, hi in pieces]).reshape(mags[k].shape)
+        sizing.append((np.broadcast_to(bound, full), np.broadcast_to(width, full),
+                       f.factors[k].angular_rate))
+    return axis_pieces, cells, analytic, sizing
 
 
-def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
-                    lam: float, *, quad: QuadratureConfig = QuadratureConfig(),
-                    certify: bool = False, query: ExponentQuery | None = None,
-                    n: NewtonPolyhedron | None = None, keep_boxes: bool = False,
-                    cert_constant: float = DEFAULT_CERT_CONSTANT,
-                    _rules: _RuleTable | None = None) -> OscResult:
-    """Tensor-panel quadrature of the oscillatory form at one frequency.
+def _evaluate(p, f, chi, lams, quad):
+    """Tensor-panel quadrature of the oscillatory form at every frequency of
+    `lams`: per frequency, its result (without certificate), and the value
+    and node count of every cell, cells in product order.
 
     Panel counts and Gauss orders per cell and axis follow the local phase
     variation (`_panel_counts`); when the implied node count exceeds the
@@ -572,50 +546,77 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
     rerun on the same panels at order max(n // 2, n - 4) on the full-order
     axes (n = order), or on every axis of a shrunk rule.  A cell without one
     has only analytic axes, each within the error target, and adds
-    d * target times its weight mass instead.  `_rules` is the rule table of
-    the sweep this evaluation belongs to; a lone call builds its own.
+    d * target times its weight mass instead.  Every frequency is planned
+    before any quadrature; then the cells of every frequency and both levels
+    are evaluated as one batch of rows (`_run_level`).
     """
+    lams = [float(lam) for lam in lams]
+    bad = [lam for lam in lams if not math.isfinite(lam)]
+    if bad:
+        raise OscError(f"frequency must be finite, got {bad[0]:g}")
     d = p.dimension
-    lam = float(lam)
-    axis_pieces, cells, analytic, counts, orders = _plan(p, f, chi, lam, quad)
-
-    low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
-    if low_confidence:
-        counts, orders = _fit_budget(counts, orders, analytic, quad)
-
-    rules = _RuleTable(chi) if _rules is None else _rules
-    rules.advance()
-    values, mass = _run_level(p, lam, axis_pieces, cells, counts, orders,
-                              f, quad, rules)
-    # a shrunk rule no longer meets the target on analytic axes: rerun them all
-    full = (orders == quad.order) | low_confidence
-    rerun = full.any(axis=1)
-    coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
-    check, _ = _run_level(p, lam, axis_pieces, cells[rerun], counts[rerun],
-                          coarse[rerun], f, quad, rules)
+    axis_pieces, cells, analytic, sizing = _plan(p, f, chi)
+    plans, main, rerun_rows = [], [], []
+    for lam in lams:
+        counts, orders = _panel_counts(lam, sizing, analytic, quad)
+        low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
+        if low_confidence:
+            counts, orders = _fit_budget(counts, orders, analytic, quad)
+        # a shrunk rule no longer meets the target on analytic axes: rerun them all
+        full = (orders == quad.order) | low_confidence
+        rerun = full.any(axis=1)
+        coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
+        plans.append((lam, counts, orders, low_confidence, rerun))
+        main.append((cells, counts, orders, np.full(len(cells), lam)))
+        rerun_rows.append((cells[rerun], counts[rerun], coarse[rerun],
+                           np.full(int(rerun.sum()), lam)))
+    # every frequency's cells, then every frequency's rerun cells
+    x, c, o, at = (np.concatenate(col) for col in zip(*main, *rerun_rows))
+    values, mass = _run_level(p, at, axis_pieces, x, c, o, f, chi, quad)
     target, _ = _ladder(quad.order, quad.waves_per_panel)
-    error = abs((values[rerun] - check).sum()) + d * target * mass[~rerun].sum()
+    out, top = [], len(lams) * len(cells)
+    checks = np.split(values[top:], np.cumsum([len(r[0]) for r in rerun_rows])[:-1])
+    for (lam, counts, orders, low_confidence, rerun), v, m, check in zip(
+            plans, values[:top].reshape(len(lams), -1), mass[:top].reshape(len(lams), -1), checks):
+        error = abs((v[rerun] - check).sum()) + d * target * m[~rerun].sum()
+        cell_nodes = (counts * orders).prod(axis=1)
+        out.append((OscResult(lam, complex(v.sum()), float(error), low_confidence,
+                              int(cell_nodes.sum())), v, cell_nodes))
+    return out
 
-    cell_nodes = (counts * orders).prod(axis=1)
-    boxes = None
+
+def _certified(results, p, f, chi, query, n, constant):
+    """The results, each with its certificate (`certificate_sum`)."""
+    d = p.dimension
+    if n is None:
+        n = build_polyhedron(p)
+    if query is None:
+        query = ExponentQuery.all_inf(d)
+    norms = f.norms(query, chi.radius)
+    return tuple(replace(r, certificate=certificate_sum(
+        p, n, query, norms, r.lam, levels=chi.levels,
+        multiplicity=1 if chi.positive_orthant else 2 ** d, constant=constant))
+        for r in results)
+
+
+def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
+                    lam: float, *, quad: QuadratureConfig = QuadratureConfig(),
+                    certify: bool = False, query: ExponentQuery | None = None,
+                    n: NewtonPolyhedron | None = None, keep_boxes: bool = False,
+                    cert_constant: float = DEFAULT_CERT_CONSTANT) -> OscResult:
+    """Tensor-panel quadrature of the oscillatory form at one frequency
+    (`_evaluate`).  With `keep_boxes` the result lists every cell's value
+    and node count; with `certify` it carries its certificate."""
+    (r, values, cell_nodes), = _evaluate(p, f, chi, [lam], quad)
     if keep_boxes:
-        boxes = tuple(BoxContribution(tuple((sign, level) for sign, level, _, _ in cell),
-                                      complex(v), int(m))
-                      for cell, v, m in zip(product(*axis_pieces), values, cell_nodes))
-
-    certificate = None
+        cells = product(*(_axis_pieces(chi, fac) for fac in f.factors))
+        r = replace(r, boxes=tuple(
+            BoxContribution(tuple((sign, level) for sign, level, _, _ in cell),
+                            complex(v), int(m))
+            for cell, v, m in zip(cells, values, cell_nodes)))
     if certify:
-        if n is None:
-            n = build_polyhedron(p)
-        if query is None:
-            query = ExponentQuery.all_inf(d)
-        norms = f.norms(query, chi.radius)
-        certificate = certificate_sum(
-            p, n, query, norms, lam, levels=chi.levels,
-            multiplicity=1 if chi.positive_orthant else 2 ** d,
-            constant=cert_constant)
-    return OscResult(lam, complex(values.sum()), float(error), low_confidence,
-                     int(cell_nodes.sum()), certificate, boxes)
+        r, = _certified([r], p, f, chi, query, n, cert_constant)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -675,9 +676,13 @@ def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[
 
 
 def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
-                 lambdas: Sequence[float], **kwargs) -> tuple[OscResult, ...]:
-    """Evaluate the form on an increasing frequency grid, one result each.
-    Every evaluation draws its per-axis rules from one table of the sweep."""
+                 lambdas: Sequence[float], *, quad: QuadratureConfig = QuadratureConfig(),
+                 certify: bool = False, query: ExponentQuery | None = None,
+                 n: NewtonPolyhedron | None = None,
+                 cert_constant: float = DEFAULT_CERT_CONSTANT) -> tuple[OscResult, ...]:
+    """Evaluate the form on an increasing frequency grid, one result each,
+    equal to `evaluate_lambda`'s at each frequency.  The whole grid is
+    evaluated as one batch of cells (`_evaluate`)."""
     lams = [float(x) for x in lambdas]
     if not lams:
         return ()
@@ -685,14 +690,7 @@ def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
         raise OscError("lambda grid must be strictly increasing")
     if lams[0] < MIN_LAMBDA:
         raise OscError(f"decay sweeps start at lambda >= {MIN_LAMBDA:g}")
-    # turns grow with lam, so if they overflow at the last frequency the sweep
-    # is refused before any quadrature, naming the first frequency where they do
-    quad = kwargs.get("quad", QuadratureConfig())
-    try:
-        _plan(p, f, chi, lams[-1], quad)
-    except OscError:
-        for lam in lams:
-            _plan(p, f, chi, lam, quad)
-        raise
-    rules = _RuleTable(chi)
-    return tuple(evaluate_lambda(p, f, chi, lam, _rules=rules, **kwargs) for lam in lams)
+    results = [r for r, _, _ in _evaluate(p, f, chi, lams, quad)]
+    if certify:
+        return _certified(results, p, f, chi, query, n, cert_constant)
+    return tuple(results)

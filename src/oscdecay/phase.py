@@ -140,22 +140,23 @@ class PhasePolynomial:
             total = total + mono
         return total
 
-    def evaluate_tensor(self, axes: Sequence, scale: float, out):
+    def evaluate_tensor(self, axes: Sequence, scale, out):
         """Write scale * self on a batch of tensor grids into `out`.
 
-        axes[k] holds the (B, n_k) nodes of variable k, and `out` is a
-        C-contiguous float array of shape (B, n_0, ..., n_{d-1}); it is
-        returned.  `scale` is folded into the coefficients, so no full-size
-        temporary is made.  A single monomial is an outer product of per-axis
-        powers whose last multiply writes `out`.  A sum of terms contracts
-        the per-axis power tables P_k, of shape (B, n_k, E_k) for the E_k
-        distinct exponents of variable k, against the coefficient tensor:
-        P_0 @ C @ P_1^T in two dimensions, one more contraction per axis
-        beyond.
+        axes[k] holds the (B, n_k) nodes of variable k, `scale` one float per
+        grid, shape (B,), or one for all, and `out` is a C-contiguous float
+        array of shape (B, n_0, ..., n_{d-1}); it is returned.  Each grid's
+        scale is folded into the coefficients, so no full-size temporary is
+        made.  A single monomial is an outer product of per-axis powers whose
+        last multiply writes `out`.  A sum of terms contracts the per-axis
+        power tables P_k, of shape (B, n_k, E_k) for the E_k distinct
+        exponents of variable k, against the coefficient tensor: P_0 @ C @
+        P_1^T in two dimensions, one more contraction per axis beyond.
         """
         if len(axes) != self.dimension:
             raise PhaseError("point has wrong dimension")
         b, d = axes[0].shape[0], self.dimension
+        scale = np.broadcast_to(scale, (b,))
         coeffs = self._float_coefficients
         # the contraction handles a monomial too, but its matmuls with an
         # inner dimension of 1 cost verify2d 16 % more wall time
@@ -167,18 +168,18 @@ class PhasePolynomial:
                     shape = [b] + [1] * d
                     shape[k + 1] = x.shape[1]
                     powers.append((x ** e).reshape(shape))
-            acc = scale * c
+            acc = (scale * c).reshape([b] + [1] * d)
             for part in powers[:-1]:
                 acc = acc * part
             return np.multiply(acc, powers[-1] if powers else 1.0, out=out)
         exps = [sorted({alpha[k] for alpha, _ in coeffs}) for k in range(d)]
-        tensor = np.zeros([len(e) for e in exps])
+        tensor = np.zeros([b] + [len(e) for e in exps])
         for alpha, c in coeffs:
-            tensor[tuple(e.index(a) for e, a in zip(exps, alpha))] = scale * c
+            tensor[(slice(None),) + tuple(e.index(a) for e, a in zip(exps, alpha))] = scale * c
         tables = [x[:, :, None] ** np.array(e, dtype=float)
                   for x, e in zip(axes, exps)]
         # contract the leading axes one at a time: t is (B, rows, E_k, rest)
-        t = np.matmul(tables[0], tensor.reshape(len(exps[0]), -1))
+        t = np.matmul(tables[0], tensor.reshape(b, len(exps[0]), -1))
         rows = axes[0].shape[1]
         for k in range(1, d - 1):
             t = np.matmul(tables[k][:, None],

@@ -24,9 +24,9 @@ from oscdecay.oscint import (
     OscError,
     QuadratureConfig,
     TestFunctionSpec,
-    _RuleTable,
     _axis_pieces,
     _axis_rule,
+    _plan,
     _kernel,
     _panel_counts,
     _rows,
@@ -351,11 +351,9 @@ def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     """Per-cell values with one full np.exp tensor per cell, in cell order."""
     d = p.dimension
     pieces = [_axis_pieces(chi, fac) for fac in f.factors]
-    grads = [p.derivative(k).absolute() for k in range(d)]
-    rates = [fac.angular_rate for fac in f.factors]
     analytic = np.array([[max(abs(lo), abs(hi)) <= chi.inner * chi.radius
                           for _, _, lo, hi in cell] for cell in product(*pieces)])
-    counts, orders = _panel_counts(lam, pieces, grads, rates, analytic, quad)
+    counts, orders = _panel_counts(lam, _plan(p, f, chi)[3], analytic, quad)
     values = []
     for cell, cnt, ords in zip(product(*pieces), counts.tolist(), orders.tolist()):
         rules = [_axis_rule(lo, hi, c, *np.polynomial.legendre.leggauss(n), chi, fac)
@@ -464,6 +462,13 @@ class TestKernel:
         got = p.evaluate_tensor(axes, scale, out)
         assert got is out
         assert np.all(np.abs(out - want) <= 1e-13 * size)
+        # one scale per grid: each grid bit for bit as if evaluated alone
+        scales = scale * np.array([1.0, -0.3, 7.25, 1e-3])
+        rows = p.evaluate_tensor(axes, scales, np.full([b] + sizes, np.nan))
+        for i in range(b):
+            alone = p.evaluate_tensor([x[i:i + 1] for x in axes], float(scales[i]),
+                                      np.full([1] + sizes, np.nan))
+            assert rows[i].tobytes() == alone[0].tobytes()
 
     @pytest.mark.parametrize("n", [0, 1, 2, 57, 3000])
     def test_rows_match_numpy_unique(self, n):
@@ -508,7 +513,7 @@ class TestKernel:
                         orders.append(min(fits) if plateau and fits else quad_cfg.order)
                     want_counts.append(counts)
                     want_orders.append(orders)
-                got_counts, got_orders = _panel_counts(lam, pieces, grads, rates,
+                got_counts, got_orders = _panel_counts(lam, _plan(p, f, chi)[3],
                                                        analytic, quad_cfg)
                 assert got_counts.dtype == got_orders.dtype == np.int64
                 assert got_counts.tolist() == want_counts
@@ -831,6 +836,52 @@ class TestSweep:
         with pytest.raises(OscError):
             lambda_sweep(p, f, CHI_POS, [1.0, 3.0])
 
+    @pytest.mark.parametrize("lams", [[64.0, math.nan], [64.0, math.inf], [math.nan, 64.0]])
+    def test_sweep_refuses_non_finite_frequency(self, lams):
+        with pytest.raises(OscError, match="frequency must be finite"):
+            lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, lams)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_evaluation_refuses_non_finite_frequency(self, lam):
+        with pytest.raises(OscError, match="frequency must be finite"):
+            evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, lam)
+
+    def test_sweep_is_one_batch_of_cells(self, monkeypatch):
+        # cells of one shape from every frequency and both levels share
+        # kernel calls: evaluated one frequency at a time, this sweep makes
+        # 238 calls
+        calls = kernel_calls(monkeypatch)
+        lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
+                     lambda_grid(64, 2048, 11))
+        assert 0 < len(calls) <= 80
+
+    @pytest.mark.parametrize("text, lams", [
+        ("x1*x2*x3", (16.0, 32.0, 64.0)),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", (16.0, 32.0)),
+    ])
+    def test_batches_keep_workspace_within_chunk(self, monkeypatch, text, lams):
+        # a call of several cells needs 2*b*m*(n + 3) workspace floats, for
+        # n nodes on the last axis and m on the others
+        calls = kernel_calls(monkeypatch)
+        lambda_sweep(phase(text, 3), TestFunctionSpec.ones(3), CHI_POS, lams)
+        chunk = QuadratureConfig().chunk
+        several = [2 * b * math.prod(sizes[:-1]) * (sizes[-1] + 3)
+                   for b, sizes in calls if b > 1]
+        assert several and max(several) <= chunk
+
+
+def kernel_calls(monkeypatch):
+    """A list that gets (cells, nodes per axis) for every kernel call from now on."""
+    calls = []
+    real = oscint._kernel
+
+    def spy(p, lam, axes, weights):
+        calls.append((axes[0].shape[0], [x.shape[1] for x in axes]))
+        return real(p, lam, axes, weights)
+
+    monkeypatch.setattr(oscint, "_kernel", spy)
+    return calls
+
 
 def count_rule_builds(monkeypatch):
     """A list that gets one entry per per-axis rule built from now on."""
@@ -884,18 +935,12 @@ class TestRuleTable:
         lambda_sweep(*args)
         assert first > 0 and len(calls) == 2 * first
 
-    def test_rules_live_two_evaluations(self, monkeypatch):
+    def test_each_rule_built_once_per_sweep(self, monkeypatch):
+        # the sweep's 99 distinct rules, keyed by (lo, hi, panels, order,
+        # factor), each built once
         calls = count_rule_builds(monkeypatch)
-        rules, const = _RuleTable(CHI), FactorSpec.const()
-        rules.advance()
-        a = rules.rule(0.25, 0.5, 3, 8, const)
-        rules.advance()
-        assert rules.rule(0.25, 0.5, 3, 8, const) is a  # used by the previous one
-        rules.advance()
-        rules.advance()
-        assert rules.rule(0.25, 0.5, 3, 8, const) is not a  # by neither: rebuilt
-        # a rule with another factor, clipping, panel count or order is its own
-        for key in [(0.25, 0.5, 3, 8, FactorSpec.const(2.0)), (0.25, 0.4, 3, 8, const),
-                    (0.25, 0.5, 4, 8, const), (0.25, 0.5, 3, 4, const)]:
-            rules.rule(*key)
-        assert len(calls) == 6
+        lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
+                     lambda_grid(64, 2048, 11))
+        keys = [(lo, hi, panels, len(gx), factor)
+                for lo, hi, panels, gx, _, _, factor in calls]
+        assert len(keys) == len(set(keys)) == 99
