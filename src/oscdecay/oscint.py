@@ -457,7 +457,7 @@ def _rows(a):
     return a[step], inverse
 
 
-def _run_level(p, lams, axis_pieces, cells, counts, orders, f, chi, quad):
+def _run_level(p, axis_pieces, cells, counts, orders, lams, f, chi, quad):
     """Rule sums and weight masses of rows of cells, each row at its own
     frequency `lams` and with its rule given per axis by its row of `cells`
     (piece index), `counts` and `orders`."""
@@ -554,7 +554,6 @@ def _evaluate(p, f, chi, lams, quad):
     bad = [lam for lam in lams if not math.isfinite(lam)]
     if bad:
         raise OscError(f"frequency must be finite, got {bad[0]:g}")
-    d = p.dimension
     axis_pieces, cells, analytic, sizing = _plan(p, f, chi)
     plans, main, rerun_rows = [], [], []
     for lam in lams:
@@ -570,15 +569,16 @@ def _evaluate(p, f, chi, lams, quad):
         main.append((cells, counts, orders, np.full(len(cells), lam)))
         rerun_rows.append((cells[rerun], counts[rerun], coarse[rerun],
                            np.full(int(rerun.sum()), lam)))
-    # every frequency's cells, then every frequency's rerun cells
-    x, c, o, at = (np.concatenate(col) for col in zip(*main, *rerun_rows))
-    values, mass = _run_level(p, at, axis_pieces, x, c, o, f, chi, quad)
+    # the cells, counts, orders and lam of every frequency's rows, then of
+    # every frequency's rerun rows
+    rows = (np.concatenate(col) for col in zip(*main, *rerun_rows))
+    values, mass = _run_level(p, axis_pieces, *rows, f, chi, quad)
     target, _ = _ladder(quad.order, quad.waves_per_panel)
     out, top = [], len(lams) * len(cells)
     checks = np.split(values[top:], np.cumsum([len(r[0]) for r in rerun_rows])[:-1])
     for (lam, counts, orders, low_confidence, rerun), v, m, check in zip(
             plans, values[:top].reshape(len(lams), -1), mass[:top].reshape(len(lams), -1), checks):
-        error = abs((v[rerun] - check).sum()) + d * target * m[~rerun].sum()
+        error = abs((v[rerun] - check).sum()) + p.dimension * target * m[~rerun].sum()
         cell_nodes = (counts * orders).prod(axis=1)
         out.append((OscResult(lam, complex(v.sum()), float(error), low_confidence,
                               int(cell_nodes.sum())), v, cell_nodes))

@@ -26,9 +26,9 @@ from oscdecay.oscint import (
     TestFunctionSpec,
     _axis_pieces,
     _axis_rule,
-    _plan,
     _kernel,
     _panel_counts,
+    _plan,
     _rows,
     bump,
     certificate_sum,
@@ -349,7 +349,6 @@ def gauss_remainder(n, turns):
 
 def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     """Per-cell values with one full np.exp tensor per cell, in cell order."""
-    d = p.dimension
     pieces = [_axis_pieces(chi, fac) for fac in f.factors]
     analytic = np.array([[max(abs(lo), abs(hi)) <= chi.inner * chi.radius
                           for _, _, lo, hi in cell] for cell in product(*pieces)])
