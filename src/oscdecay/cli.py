@@ -15,6 +15,7 @@ import sys
 from dataclasses import asdict, dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
+from typing import get_type_hints
 
 from .decay import (
     MAX_SUM_BOXES,
@@ -77,8 +78,8 @@ class RunConfig:
 
     def validate(self) -> None:
         # comparisons are written so that NaN fails them
-        if not (self.fit_tol > 0 and self.witness_tol > 0):
-            raise CliError("tolerances must be positive")
+        if not (0 < self.fit_tol < math.inf and 0 < self.witness_tol < math.inf):
+            raise CliError("tolerances must be positive and finite")
         if not 0 < self.eta < 1:
             raise CliError("eta must lie in (0, 1)")
         if not (math.isfinite(self.lam_lo) and math.isfinite(self.lam_hi)):
@@ -131,15 +132,10 @@ def _parse_tuple(raw: str) -> tuple[str, ...]:
 
 
 _BOOLS = dict(zip("1 true yes on 0 false no off".split(), [True] * 4 + [False] * 4))
-_COERCE = {
-    "phase": str, "dimension": int, "p": _parse_tuple, "lam_lo": float,
-    "lam_hi": float, "lam_count": int, "box_scale": str, "grid": int,
-    "eta": float, "starts": int, "levels": int,
-    "orthant": lambda s: _BOOLS[s.lower()], "sharpness": lambda s: _BOOLS[s.lower()],
-    "sharpness_count": int, "fit_tol": float, "witness_tol": float,
-    "z": _parse_tuple, "e_lo": int, "e_hi": int, "e_step": int, "seed": int,
-    "out_json": str, "out_csv": str,
-}
+_PARSERS = {str: str, int: int, float: float, bool: lambda s: _BOOLS[s.lower()],
+            tuple[str, ...]: _parse_tuple}
+# a config key per RunConfig field, parsed by its type
+_COERCE = {name: _PARSERS[kind] for name, kind in get_type_hints(RunConfig).items()}
 
 
 def load_config_file(path: str) -> dict:

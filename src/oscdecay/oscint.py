@@ -37,7 +37,7 @@ import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -48,7 +48,7 @@ from .polytope import NewtonPolyhedron, build_polyhedron
 
 __all__ = [
     "OscError", "CutoffSpec", "FactorSpec", "TestFunctionSpec",
-    "QuadratureConfig", "BoxContribution", "OscResult", "bump",
+    "QuadratureConfig", "OscResult", "bump",
     "smooth_step", "evaluate_lambda", "box_envelope", "certificate_sum",
     "lambda_grid", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS", "MIN_LAMBDA",
 ]
@@ -155,58 +155,31 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One-variable factor: a constant, the indicator of [a, b] times a
-    constant, or the complex exponential exp(i*xi*t)."""
-    kind: str  # "const" | "box" | "exp"
+    """One-variable factor: `scale` times the indicator of [a, b].  A constant
+    is the whole line."""
     scale: complex = 1.0
-    a: float = 0.0
-    b: float = 0.0
-    xi: float = 0.0
+    a: float = -math.inf
+    b: float = math.inf
 
     @classmethod
     def const(cls, value: complex = 1.0) -> "FactorSpec":
-        return cls("const", scale=complex(value))
+        return cls(complex(value))
 
     @classmethod
     def box(cls, a: float, b: float, scale: complex = 1.0) -> "FactorSpec":
         if not a < b:
             raise OscError("box indicator needs a < b")
-        return cls("box", scale=complex(scale), a=float(a), b=float(b))
-
-    @classmethod
-    def exponential(cls, xi: float) -> "FactorSpec":
-        return cls("exp", xi=float(xi))
-
-    @property
-    def interval(self) -> tuple[float, float] | None:
-        """Support restriction usable for exact per-axis clipping."""
-        if self.kind == "box":
-            return (self.a, self.b)
-        return None
-
-    @property
-    def angular_rate(self) -> float:
-        """Oscillation the factor itself adds, which panels must resolve."""
-        return abs(self.xi) if self.kind == "exp" else 0.0
+        return cls(complex(scale), float(a), float(b))
 
     def values(self, t):
         t = np.asarray(t, dtype=float)
-        if self.kind == "const":
-            return np.full(t.shape, self.scale)
-        if self.kind == "box":
-            ind = np.where((t >= self.a) & (t <= self.b), 1.0, 0.0)
-            return self.scale * ind.astype(complex)
-        return np.exp(1j * self.xi * t)
+        inside = (t >= self.a) & (t <= self.b)
+        return self.scale * inside.astype(complex)
 
     def norm(self, p, radius: float) -> float:
         """L^p size over [-radius, radius], in closed form."""
-        if self.kind == "const":
-            base, measure = abs(self.scale), 2.0 * radius
-        elif self.kind == "exp":
-            base, measure = 1.0, 2.0 * radius
-        else:
-            lo, hi = max(self.a, -radius), min(self.b, radius)
-            base, measure = abs(self.scale), max(hi - lo, 0.0)
+        lo, hi = max(self.a, -radius), min(self.b, radius)
+        base, measure = abs(self.scale), max(hi - lo, 0.0)
         if p == INF:
             return base
         return base * measure ** (1.0 / float(p))
@@ -229,10 +202,6 @@ class TestFunctionSpec:
     @classmethod
     def boxes(cls, intervals: Sequence[tuple[float, float]]) -> "TestFunctionSpec":
         return cls(tuple(FactorSpec.box(a, b) for a, b in intervals))
-
-    @classmethod
-    def exponentials(cls, xis: Sequence[float]) -> "TestFunctionSpec":
-        return cls(tuple(FactorSpec.exponential(x) for x in xis))
 
     @property
     def dimension(self) -> int:
@@ -258,15 +227,9 @@ class QuadratureConfig:
                                     # of cells, nodes of one cell's axis-0 slice
 
     def __post_init__(self):
-        if self.order < 2 or self.waves_per_panel <= 0 or self.node_budget < 1:
+        # comparisons are written so that NaN fails them
+        if not (self.order >= 2 and self.waves_per_panel > 0 and self.node_budget >= 1):
             raise OscError("bad quadrature configuration")
-
-
-@dataclass(frozen=True)
-class BoxContribution:
-    index: tuple[tuple[int, int], ...]  # per axis: (sign, octave level)
-    value: complex
-    nodes: int
 
 
 @dataclass(frozen=True)
@@ -280,7 +243,6 @@ class OscResult:
     low_confidence: bool
     nodes: int
     certificate: float | None = None
-    boxes: tuple[BoxContribution, ...] | None = None
 
 
 def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
@@ -289,13 +251,11 @@ def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
     mags = [(r * 2.0 ** -(l + 1), r * 2.0 ** -l, l) for l in range(levels)]
     mags.append((0.0, r * 2.0 ** -levels, levels))
     signs = (1,) if chi.positive_orthant else (1, -1)
-    clip = factor.interval
     pieces = []
     for sign in signs:
         for mlo, mhi, level in mags:
             lo, hi = (mlo, mhi) if sign > 0 else (-mhi, -mlo)
-            if clip is not None:
-                lo, hi = max(lo, clip[0]), min(hi, clip[1])
+            lo, hi = max(lo, factor.a), min(hi, factor.b)
             if hi > lo:
                 pieces.append((sign, level, lo, hi))
     return pieces
@@ -331,17 +291,16 @@ def _ladder(order, waves):
 def _panel_counts(lam, sizing, analytic, quad):
     """Gauss panel counts and orders, (cells, d) integer arrays, cells in
     product order, from `sizing`: per axis, float arrays over the cell grid
-    of the |d_k phi| bound and the piece width, and the factor's angular rate
-    (`_plan`).  Counts are 1 + floor(turns / waves_per_panel), capped at
+    of the |d_k phi| bound and the piece width (`_plan`).  Counts are 1 + floor(turns / waves_per_panel), capped at
     2^53, far above any budget.  An analytic axis (one whose piece lies on
     the cutoff plateau, per `analytic`) takes the lowest ladder order whose
     bound meets the target at its turns per panel; every other axis takes
     the full order."""
     _, rungs = _ladder(quad.order, quad.waves_per_panel)
     counts, orders = [], []
-    for k, (bound, width, rate) in enumerate(sizing):
+    for k, (bound, width) in enumerate(sizing):
         with np.errstate(over="ignore"):
-            turns = (abs(lam) * bound + rate) * width / (2.0 * math.pi)
+            turns = abs(lam) * bound * width / (2.0 * math.pi)
             ratio = turns / quad.waves_per_panel
         if not np.all(np.isfinite(ratio)):
             raise OscError(f"phase turns per cell overflow at lam {lam:g}")
@@ -529,8 +488,7 @@ def _plan(p, f, chi):
     for k, pieces in enumerate(axis_pieces):
         bound = np.asarray(p.derivative(k).absolute().evaluate(mags), dtype=float)
         width = np.array([hi - lo for _, _, lo, hi in pieces]).reshape(mags[k].shape)
-        sizing.append((np.broadcast_to(bound, full), np.broadcast_to(width, full),
-                       f.factors[k].angular_rate))
+        sizing.append((np.broadcast_to(bound, full), np.broadcast_to(width, full)))
     return axis_pieces, cells, analytic, sizing
 
 
@@ -602,18 +560,11 @@ def _certified(results, p, f, chi, query, n, constant):
 def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
                     lam: float, *, quad: QuadratureConfig = QuadratureConfig(),
                     certify: bool = False, query: ExponentQuery | None = None,
-                    n: NewtonPolyhedron | None = None, keep_boxes: bool = False,
+                    n: NewtonPolyhedron | None = None,
                     cert_constant: float = DEFAULT_CERT_CONSTANT) -> OscResult:
     """Tensor-panel quadrature of the oscillatory form at one frequency
-    (`_evaluate`).  With `keep_boxes` the result lists every cell's value
-    and node count; with `certify` it carries its certificate."""
-    (r, values, cell_nodes), = _evaluate(p, f, chi, [lam], quad)
-    if keep_boxes:
-        cells = product(*(_axis_pieces(chi, fac) for fac in f.factors))
-        r = replace(r, boxes=tuple(
-            BoxContribution(tuple((sign, level) for sign, level, _, _ in cell),
-                            complex(v), int(m))
-            for cell, v, m in zip(cells, values, cell_nodes)))
+    (`_evaluate`); with `certify` the result carries its certificate."""
+    (r, _, _), = _evaluate(p, f, chi, [lam], quad)
     if certify:
         r, = _certified([r], p, f, chi, query, n, cert_constant)
     return r

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import jsonschema
@@ -78,6 +79,14 @@ class TestConfigHandling:
         got = load_config_file(str(cfg))
         assert got == {"phase": "x1*x2", "lam_count": 5, "orthant": False,
                        "p": ("inf", "2")}
+        # every field, at its default, reads back with its value and type
+        defaults = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
+        cfg.write_text("".join(
+            f"{name}={','.join(value) if isinstance(value, tuple) else value}\n"
+            for name, value in defaults.items()))
+        got = load_config_file(str(cfg))
+        assert {k: (type(v), v) for k, v in got.items()} == {
+            k: (type(v), v) for k, v in defaults.items()}
 
     def test_config_file_errors(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -166,10 +175,12 @@ class TestUsageErrors:
         ["exponent", "--phase", "x1"],
         ["check", "--phase", "x1*x2*x3*x4*x5"],
         ["check", "--phase", "x1^3*x2 - x1*x2^3", "--starts", "-1"],
+        ["verify", "--phase", "x1*x2", "--fit-tol", "inf"],
+        ["check", "--phase", "x1*x2", "--witness-tol", "inf"],
     ], ids=["z-1/0", "z-abc", "z-length", "z-zero", "e-lo-0", "e-hi-1024",
             "levels-41", "lam-lo-1", "dim-7", "dim-1",
             "inferred-dim-7", "inferred-dim-1", "check-grid-64-dim-5",
-            "starts-negative"])
+            "starts-negative", "fit-tol-inf", "witness-tol-inf"])
     def test_configuration_value_is_usage_error(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()

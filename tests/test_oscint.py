@@ -26,6 +26,7 @@ from oscdecay.oscint import (
     TestFunctionSpec,
     _axis_pieces,
     _axis_rule,
+    _evaluate,
     _kernel,
     _panel_counts,
     _plan,
@@ -176,6 +177,16 @@ class TestCutoff:
         assert 0 < float(CHI.profile(0.75)) < 1
 
 
+class TestQuadratureConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("order", 1), ("order", math.nan), ("waves_per_panel", 0.0),
+        ("waves_per_panel", math.nan), ("node_budget", 0), ("node_budget", math.nan)])
+    def test_bad_value_is_refused(self, field, value):
+        # a NaN budget must not switch the budget off without a word
+        with pytest.raises(OscError, match="bad quadrature configuration"):
+            QuadratureConfig(**{field: value})
+
+
 class TestFactors:
     def test_const(self):
         f = FactorSpec.const(2.5)
@@ -186,25 +197,12 @@ class TestFactors:
     def test_box(self):
         f = FactorSpec.box(0.25, 0.75)
         assert list(f.values([0.1, 0.5, 0.9])) == [0.0, 1.0, 0.0]
-        assert f.interval == (0.25, 0.75)
+        assert (f.a, f.b) == (0.25, 0.75)
         assert f.norm(math.inf, 1.0) == 1.0
         assert f.norm(Fraction(2), 1.0) == pytest.approx(math.sqrt(0.5))
         assert FactorSpec.box(-5.0, 5.0).norm(Fraction(1), 1.0) == pytest.approx(2.0)
         with pytest.raises(OscError):
             FactorSpec.box(1.0, 1.0)
-
-    def test_exponential(self):
-        f = FactorSpec.exponential(3.0)
-        v = f.values([0.5])
-        assert abs(v[0] - np.exp(1.5j)) < 1e-15
-        assert f.angular_rate == 3.0
-        assert f.norm(math.inf, 1.0) == 1.0
-        assert f.norm(Fraction(4), 1.0) == pytest.approx(2.0 ** 0.25)
-        # no modulation: the same values as the constant factor, bit for bit
-        t = np.linspace(-1.0, 1.0, 9)
-        zero = FactorSpec.exponential(0.0)
-        assert zero.angular_rate == 0.0
-        assert zero.values(t).tobytes() == FactorSpec.const().values(t).tobytes()
 
     def test_certified_box_factor(self):
         f = TestFunctionSpec.of(FactorSpec.box(0.0, 0.5), FactorSpec.box(0.0, 0.5))
@@ -309,7 +307,7 @@ class TestEvaluateBasics:
     def test_axis_permutation_with_distinct_factors(self):
         # every axis has its own factor and clipping, so a rule cached
         # without its axis would hand one axis's weights to another
-        factors = (FactorSpec.box(0.1, 0.7), FactorSpec.exponential(3.0),
+        factors = (FactorSpec.box(0.1, 0.7), FactorSpec.box(0.2, 0.9, scale=-1.5j),
                    FactorSpec.const(2.0))
         text = "x1^2*x2*x3 + x1*x3^2"
         a = evaluate_lambda(phase(text, 3), TestFunctionSpec.of(*factors),
@@ -326,18 +324,26 @@ class TestEvaluateBasics:
     def test_box_outside_the_support(self):
         f = TestFunctionSpec.boxes([(2.0, 3.0), (0.1, 0.5)])
         for quad_cfg in [QuadratureConfig(), QuadratureConfig(node_budget=1)]:
-            r = evaluate_lambda(phase("x1*x2"), f, CHI_POS, 50.0, quad=quad_cfg,
-                                keep_boxes=True)
-            assert (r.value, r.error, r.nodes, r.low_confidence, r.boxes) == (0, 0, 0, False, ())
+            r, values, nodes = lone_cells(phase("x1*x2"), f, CHI_POS, 50.0, quad_cfg)
+            assert (r.value, r.error, r.nodes, r.low_confidence) == (0, 0, 0, False)
+            assert values.size == nodes.size == 0
 
     def test_box_report(self):
-        r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
-                            8.0, keep_boxes=True)
-        assert r.boxes is not None
-        assert abs(sum(b.value for b in r.boxes) - r.value) < 1e-14
-        assert sum(b.nodes for b in r.boxes) == r.nodes
-        signs = {s for b in r.boxes for s, _ in b.index}
+        f = TestFunctionSpec.ones(2)
+        r, values, nodes = lone_cells(phase("x1*x2"), f, CHI_POS, 8.0)
+        assert abs(values.sum() - r.value) < 1e-14
+        assert nodes.sum() == r.nodes
+        cells = list(product(*(_axis_pieces(CHI_POS, fac) for fac in f.factors)))
+        assert len(cells) == values.size == nodes.size
+        signs = {s for cell in cells for s, _, _, _ in cell}
         assert signs == {1}
+
+
+def lone_cells(p, f, chi, lam, quad=QuadratureConfig()):
+    """`evaluate_lambda`'s result at lam, with the value and node count of
+    every cell, cells in product order."""
+    (r, values, nodes), = _evaluate(p, f, chi, [lam], quad)
+    return r, values, nodes
 
 
 def gauss_remainder(n, turns):
@@ -381,19 +387,19 @@ class TestKernel:
 
     @pytest.mark.parametrize("text, factors, lam", [
         ("x1^2*x2 + x1*x2^3",
-         (FactorSpec.box(0.1, 0.7), FactorSpec.exponential(3.0)), 40.0),
+         (FactorSpec.box(0.1, 0.7), FactorSpec.box(0.05, 0.8, scale=-3.0)), 40.0),
         ("x1^2*x2*x3 + x1*x3^2",
-         (FactorSpec.box(0.1, 0.7), FactorSpec.exponential(3.0),
+         (FactorSpec.box(0.1, 0.7), FactorSpec.box(0.05, 0.8, scale=-3.0),
           FactorSpec.const(2.0 - 1j)), 12.0),
     ], ids=["2d", "3d"])
     def test_boxes_match_per_cell_exp(self, text, factors, lam):
         p = phase(text, len(factors))
         f = TestFunctionSpec.of(*factors)
-        r = evaluate_lambda(p, f, CHI_POS, lam, keep_boxes=True)
+        _, values, _ = lone_cells(p, f, CHI_POS, lam)
         ref = reference_boxes(p, f, CHI_POS, lam)
-        assert len(r.boxes) == len(ref)
-        for box, want in zip(r.boxes, ref):
-            assert abs(box.value - want) <= 1e-13 * abs(want)
+        assert len(values) == len(ref)
+        for value, want in zip(values, ref):
+            assert abs(value - want) <= 1e-13 * abs(want)
 
     def test_tiny_chunk_batches_and_slices(self, monkeypatch):
         calls = []
@@ -482,12 +488,11 @@ class TestKernel:
         # grid evaluation must round exactly like one corner at a time
         chi = CutoffSpec(radius=0.7, positive_orthant=False, levels=5)
         f = TestFunctionSpec.of(FactorSpec.box(-0.33, 0.61),
-                                FactorSpec.exponential(2.7),
+                                FactorSpec.box(-0.52, 0.47, scale=2.7),
                                 FactorSpec.box(-0.45, 0.123))
         p = phase("3*x1^7*x2 + 1/3*x1*x2^5*x3^3 + x2^2*x3^9", 3)
         pieces = [_axis_pieces(chi, fac) for fac in f.factors]
         grads = [p.derivative(k).absolute() for k in range(3)]
-        rates = [fac.angular_rate for fac in f.factors]
         # on the plateau |t| <= 0.35 the integrand is analytic
         analytic = np.array([[max(abs(lo), abs(hi)) <= 0.35 for _, _, lo, hi in cell]
                              for cell in product(*pieces)])
@@ -500,7 +505,7 @@ class TestKernel:
                     mags = [max(abs(lo), abs(hi)) for _, _, lo, hi in cell]
                     counts, orders = [], []
                     for k, (_, _, lo, hi) in enumerate(cell):
-                        turns = ((abs(lam) * grads[k].evaluate(mags) + rates[k])
+                        turns = (abs(lam) * grads[k].evaluate(mags)
                                  * (hi - lo) / (2.0 * math.pi))
                         count = 1 + int(turns / quad_cfg.waves_per_panel)
                         # on the plateau, the lowest of 4, 8, 12 whose bound
@@ -532,8 +537,9 @@ def in_fresh_thread(fn, *args, **kwargs):
 
 
 def same_result(a, b):
-    return (a.value == b.value and a.error == b.error and a.nodes == b.nodes
-            and [x.value for x in a.boxes] == [x.value for x in b.boxes])
+    (ra, va, _), (rb, vb, _) = a, b
+    return (ra.value == rb.value and ra.error == rb.error and ra.nodes == rb.nodes
+            and va.tolist() == vb.tolist())
 
 
 class TestWorkspace:
@@ -542,8 +548,7 @@ class TestWorkspace:
 
     @staticmethod
     def run(text, d, lam):
-        return evaluate_lambda(phase(text, d), TestFunctionSpec.ones(d), CHI_POS,
-                               lam, keep_boxes=True)
+        return lone_cells(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lam)
 
     def test_no_stale_workspace_contents(self):
         # one thread runs the cases back to back in a workspace grown by the
@@ -623,20 +628,6 @@ class TestOracleParity:
         im = dblquad(lambda y, x: math.sin(60 * x * y), 0.05, 0.4, 0.1, 0.3,
                      epsabs=1e-12)[0]
         assert abs(r.value - complex(re, im)) < 1e-10
-
-    def test_exponential_factors_against_dblquad(self):
-        r = evaluate_lambda(phase("x1*x2"),
-                            TestFunctionSpec.exponentials([80.0, -33.0]),
-                            CHI_POS, 40.0)
-
-        def g(y, x):
-            return profile(x) * profile(y)
-
-        re = dblquad(lambda y, x: g(y, x) * math.cos(80 * x - 33 * y + 40 * x * y),
-                     0, 1, 0, 1, epsabs=1e-12)[0]
-        im = dblquad(lambda y, x: g(y, x) * math.sin(80 * x - 33 * y + 40 * x * y),
-                     0, 1, 0, 1, epsabs=1e-12)[0]
-        assert abs(r.value - complex(re, im)) < 1e-8
 
     def test_three_dim_against_reduction(self):
         # phi = x2 (x1 + x3): transform the middle axis once on a dense
