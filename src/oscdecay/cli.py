@@ -212,7 +212,10 @@ def _report(command: str, cfg: RunConfig, **parts) -> dict:
 def _emit(report: dict, cfg: RunConfig) -> int:
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if cfg.out_json:
-        Path(cfg.out_json).write_text(text)
+        try:
+            Path(cfg.out_json).write_text(text)
+        except OSError as e:
+            raise CliError(f"cannot write --out file: {e}") from None
     else:
         sys.stdout.write(text)
     return 0 if all(v["verdict"] == "PASS" for v in report["verdicts"]) else 1
@@ -246,10 +249,13 @@ CSV_COLUMNS = ["lam", "re", "im", "abs", "err", "nodes", "low_confidence",
 
 
 def _write_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+    try:
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            writer.writerows(rows)
+    except OSError as e:
+        raise CliError(f"cannot write --csv file: {e}") from None
 
 
 def _run_sweep(cfg: RunConfig, p, n, q, lam_override: float | None):

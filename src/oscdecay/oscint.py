@@ -228,7 +228,9 @@ class QuadratureConfig:
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
-        if not (self.order >= 2 and self.waves_per_panel > 0 and self.node_budget >= 1):
+        if not (self.order >= 2 and 0 < self.waves_per_panel < math.inf
+                and 1 <= self.node_budget < math.inf
+                and isinstance(self.chunk, int) and self.chunk >= 1):
             raise OscError("bad quadrature configuration")
 
 

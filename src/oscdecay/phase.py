@@ -17,6 +17,7 @@ Newton polyhedron honest about the oscillation that actually matters.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,7 +121,15 @@ class PhasePolynomial:
     def _float_coefficients(self) -> tuple[tuple[MultiIndex, float], ...]:
         # converted once per polynomial; sorted, so every caller sums the
         # terms in the same order
-        return tuple((a, float(c)) for a, c in sorted(self.terms.items()))
+        try:
+            return tuple((a, float(c)) for a, c in sorted(self.terms.items()))
+        except OverflowError:
+            a, c = max(self.terms.items(), key=lambda t: abs(t[1]))
+        mono = "*".join(f"x{i + 1}" + (f"^{e}" if e > 1 else "")
+                        for i, e in enumerate(a) if e) or "1"
+        size = math.log10(abs(c.numerator)) - math.log10(c.denominator)
+        raise PhaseError(f"coefficient of about 1e{size:.0f} on the term {mono} (of the "
+                         "phase or a derivative of it) is beyond the float range")
 
     def evaluate(self, x: Sequence):
         """Evaluate at float coordinates, one entry per variable.

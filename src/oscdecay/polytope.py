@@ -14,21 +14,23 @@ offset of its Newton polyhedron, scaled to offset 1; the remaining facets
 are the coordinate hyperplanes x_i >= 0 that touch a support point.  The
 vertices come from the double description method on integer rays, so the
 cost follows the size of the output rather than the number of subsets of
-the support.  The face lattice follows from vertex/facet incidence closed
-under intersection.
+the support.  The compact faces come from the facets' vertex and ray ids,
+held as integer bit sets and closed under intersection (bitwise AND).  Every
+face record, in the lattice and the transient unbounded one a query may
+return, is built by `_face` from the ids of the facets that contain it.
 
 Everything here is exact: integer support points, integer primitive facet
 normals, Fraction arithmetic for query points and dual vertices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .phase import PhasePolynomial
-from .ratlin import affine_rank, dot, primitive, rank
+from .ratlin import dot, primitive, rank
 
 MIN_DIMENSION = 2
 MAX_DIMENSION = 6
@@ -64,7 +66,6 @@ class Face:
     offset: object         # value of <normal, x> on the face
     compact: bool
     rays: tuple[int, ...]
-    tight_facets: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -163,50 +164,63 @@ def from_support(points: Iterable[Sequence[int]], dimension: int) -> NewtonPolyh
         if len(normals) >= dimension and rank(normals) == dimension:
             verts.append(p)
     facets = _facets(planes, verts, dimension)
-    faces = _face_lattice(verts, facets, dimension)
+    faces = _face_lattice(verts, facets)
     return NewtonPolyhedron(dimension, tuple(verts), facets, faces)
 
 
-def _face_witness(facets, vs, rs, d) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The facets containing the face (vertex ids vs, rays rs), and the
-    primitive sum of their normals, which supports exactly that face."""
-    tight = tuple(k for k, f in enumerate(facets)
-                  if set(vs) <= set(f.vertex_ids) and set(rs) <= set(f.rays))
-    return tight, primitive([sum(facets[k].normal[i] for k in tight) for i in range(d)])
+def _bits(ids: Iterable[int]) -> int:
+    return sum(1 << i for i in ids)
 
 
-def _face_lattice(verts, facets, d) -> tuple[Face, ...]:
-    """All compact faces, from facet incidences closed under intersection."""
-    seeds = {(f.vertex_ids, f.rays) for f in facets if f.vertex_ids}
-    closed = set(seeds)
-    frontier = list(seeds)
+def _ids(bits: int) -> tuple[int, ...]:
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def _face(verts, facets, tight: Sequence[int]) -> Face:
+    """The face cut out by the facets `tight`, the ids of every facet that
+    contains it.  The primitive sum of their normals is its witness: on the
+    polyhedron its minimum is attained on exactly that face, so it is zero
+    on the face's rays and positive on every other axis.  Its id is -1."""
+    vbits = rbits = -1
+    for k in tight:
+        vbits &= _bits(facets[k].vertex_ids)
+        rbits &= _bits(facets[k].rays)
+    vs, rs = _ids(vbits), _ids(rbits)
+    d = len(verts[0])
+    wit = primitive([sum(facets[k].normal[i] for k in tight) for i in range(d)])
+    if any((x > 0) == bool(rbits >> i & 1) for i, x in enumerate(wit)):
+        raise PolytopeError("internal error: face witness not positive off the face's rays")
+    coords = tuple(verts[i] for i in vs)
+    lo = dot(wit, coords[0])
+    if any(dot(wit, v) == lo for j, v in enumerate(verts) if not vbits >> j & 1):
+        raise PolytopeError("internal error: face witness exposes a larger face")
+    span = [[x - y for x, y in zip(p, coords[0])] for p in coords[1:]]
+    span += [[int(j == i) for j in range(d)] for i in rs]
+    return Face(-1, vs, coords, rank(span), wit, lo, not rs, rs)
+
+
+def _face_lattice(verts, facets) -> tuple[Face, ...]:
+    """All compact faces, sorted by (dim, vertex ids).
+
+    A face is keyed by one bit set: its vertex ids, then its ray axes above
+    them.  The facets' keys closed under intersection (AND) give every face;
+    the compact ones have no ray bits.  Each face meets every facet once in
+    the closure, which finds the facets containing it on the way."""
+    nv = len(verts)
+    every = (1 << nv) - 1
+    keys = [_bits(f.vertex_ids) | _bits(f.rays) << nv for f in facets]
+    tight = {}  # face key -> ids of the facets containing the face
+    frontier = set(keys)
     while frontier:
-        nxt = []
-        for vs1, rs1 in frontier:
-            for vs2, rs2 in seeds:
-                vs = tuple(sorted(set(vs1) & set(vs2)))
-                if not vs:
-                    continue
-                rs = tuple(sorted(set(rs1) & set(rs2)))
-                key = (vs, rs)
-                if key not in closed:
-                    closed.add(key)
-                    nxt.append(key)
-        frontier = nxt
-
-    faces = []
-    compact = sorted((affine_rank([verts[i] for i in vs]), vs)
-                     for vs, rs in closed if not rs)
-    for fid, (dim, vs) in enumerate(compact):
-        coords = [verts[i] for i in vs]
-        tight, wit = _face_witness(facets, vs, (), d)
-        if any(x <= 0 for x in wit):
-            raise PolytopeError("internal error: compact face without positive witness")
-        lo = min(dot(wit, v) for v in coords)
-        if any(dot(wit, v) == lo for j, v in enumerate(verts) if j not in vs):
-            raise PolytopeError("internal error: face witness exposes a larger face")
-        faces.append(Face(fid, vs, tuple(coords), dim, wit, lo, True, (), tight))
-    return tuple(faces)
+        meets = set()
+        for a in frontier:
+            cut = [a & b for b in keys]
+            tight[a] = [k for k, m in enumerate(cut) if m == a]
+            meets.update(m for m in cut if m & every)
+        frontier = meets - tight.keys()
+    faces = sorted((_face(verts, facets, t) for a, t in tight.items() if not a >> nv),
+                   key=lambda f: (f.dim, f.vertex_ids))
+    return tuple(replace(f, id=k) for k, f in enumerate(faces))
 
 
 def build_polyhedron(p: PhasePolynomial) -> NewtonPolyhedron:
@@ -245,25 +259,14 @@ def lowest_face_containing(n: NewtonPolyhedron, q: Sequence) -> Face:
     tight = [k for k, f in enumerate(n.facets) if dot(f.normal, qq) == f.offset]
     if not tight:
         raise PolytopeError(f"point {q} is interior; no proper face contains it")
-    vs = set(n.facets[tight[0]].vertex_ids)
-    rs = set(n.facets[tight[0]].rays)
-    for k in tight[1:]:
-        vs &= set(n.facets[k].vertex_ids)
-        rs &= set(n.facets[k].rays)
-    vs = tuple(sorted(vs))
-    rs = tuple(sorted(rs))
-    if not rs:
-        for f in n.faces:
-            if f.vertex_ids == vs:
-                return f
-        raise PolytopeError("internal error: compact face missing from lattice")
-    # unbounded face: assemble a transient record
-    coords = [n.vertices[i] for i in vs]
-    full_tight, wit = _face_witness(n.facets, vs, rs, n.dimension)
-    span = [[x - y for x, y in zip(p, coords[0])] for p in coords[1:]]
-    span += [[int(j == i) for j in range(n.dimension)] for i in rs]
-    return Face(-1, vs, tuple(coords), rank(span), wit, dot(wit, coords[0]),
-                False, rs, full_tight)
+    # the facets tight at q are the facets containing its lowest face
+    face = _face(n.vertices, n.facets, tight)
+    if not face.compact:
+        return face
+    for f in n.faces:
+        if f.vertex_ids == face.vertex_ids:
+            return f
+    raise PolytopeError("internal error: compact face missing from lattice")
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +313,18 @@ def _num_json(x):
     return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
+def _facets_json(facets) -> list[dict]:
+    return [{"normal": [_num_json(x) for x in f.normal], "offset": _num_json(f.offset),
+             "vertex_ids": list(f.vertex_ids), "rays": list(f.rays)} for f in facets]
+
+
 def to_json_dict(n: NewtonPolyhedron) -> dict:
     """Deterministic JSON form of the V-rep, H-rep and compact face lattice."""
     return {
         "schema": "newton-polyhedron/1",
         "dimension": n.dimension,
         "vertices": [[_num_json(x) for x in v] for v in n.vertices],
-        "facets": [
-            {"normal": [_num_json(x) for x in f.normal],
-             "offset": _num_json(f.offset),
-             "vertex_ids": list(f.vertex_ids),
-             "rays": list(f.rays)}
-            for f in n.facets
-        ],
+        "facets": _facets_json(n.facets),
         "compact_faces": [
             {"id": f.id,
              "dim": f.dim,
@@ -339,11 +341,5 @@ def dual_to_json_dict(dual: DualPolyhedron) -> dict:
         "schema": "dual-polyhedron/1",
         "dimension": dual.dimension,
         "vertices": [[_num_json(x) for x in v] for v in dual.vertices],
-        "facets": [
-            {"normal": [_num_json(x) for x in f.normal],
-             "offset": _num_json(f.offset),
-             "vertex_ids": list(f.vertex_ids),
-             "rays": list(f.rays)}
-            for f in dual.facets
-        ],
+        "facets": _facets_json(dual.facets),
     }

@@ -71,15 +71,6 @@ def rank(rows: Matrix) -> int:
     return r
 
 
-def affine_rank(points: Sequence[Vector]) -> int:
-    """Dimension of the affine hull of a point set (0 for a single point)."""
-    if not points:
-        raise ValueError("affine_rank of empty point set")
-    base = points[0]
-    diffs = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    return rank(diffs) if diffs else 0
-
-
 def invert(a: Matrix) -> list[list[Fraction]] | None:
     """Exact matrix inverse.  None when singular."""
     n = len(a)
@@ -101,14 +92,9 @@ def primitive(vec: Vector) -> tuple[int, ...]:
 
     Direction is preserved (no sign flip); the zero vector is rejected.
     """
-    fr = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fr):
+    if not any(vec):
         raise ValueError("primitive of zero vector")
-    den = 1
-    for x in fr:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
     return tuple(x // g for x in ints)

@@ -23,8 +23,14 @@ from itertools import combinations, product
 
 import numpy as np
 
-from oscdecay.ratlin import affine_rank, dot, rank, rref
+from oscdecay.ratlin import dot, rank, rref
 from oracle_lp import lp_feasible, solve_lp
+
+
+def affine_rank(points) -> int:
+    """Dimension of the affine hull of a point set (0 for a single point)."""
+    base = points[0]
+    return rank([[x - b for x, b in zip(p, base)] for p in points[1:]])
 
 
 def solve_square(a, b) -> tuple[Fraction, ...] | None:

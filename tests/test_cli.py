@@ -187,6 +187,14 @@ class TestUsageErrors:
         assert code == 2 and not captured.out
         assert "usage error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
+        path = tmp_path / "missing" / "r.out"
+        code = main(["integrate", "--phase", "x1*x2", "--lam", "4", flag, str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"usage error: cannot write {flag} file" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, text", [
         (["--lam-count", str(MIN_FIT_SAMPLES - 1)],
          f"--lam-count must be at least {MIN_FIT_SAMPLES} for the decay fit"),
@@ -377,6 +385,20 @@ class TestIntegrateCommand:
         assert header == ("lam,re,im,abs,err,nodes,low_confidence,"
                           "certificate,envelope")
         assert data.startswith("64.0,")
+
+    @pytest.mark.parametrize("command", ["check", "integrate", "verify",
+                                         "polyhedron", "dual", "exponent"])
+    def test_coefficient_beyond_float_range(self, capsys, command):
+        # the float commands end with an error naming the term; the exact
+        # geometry commands do not need floats and still run
+        code = main([command, "--phase", f"1{'0' * 400}*x1*x2 + x1^3"])
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if command in ("polyhedron", "dual", "exponent"):
+            assert code == 0, err
+        else:
+            assert code == 1
+            assert "error: coefficient of about 1e400 on the term" in err
 
     def test_low_confidence_sample_is_refused(self, tmp_path, capsys):
         # at lam 1e300 the node budget caps the panels far below the phase's

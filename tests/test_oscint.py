@@ -180,9 +180,14 @@ class TestCutoff:
 class TestQuadratureConfig:
     @pytest.mark.parametrize("field, value", [
         ("order", 1), ("order", math.nan), ("waves_per_panel", 0.0),
-        ("waves_per_panel", math.nan), ("node_budget", 0), ("node_budget", math.nan)])
+        ("waves_per_panel", math.nan), ("waves_per_panel", math.inf),
+        ("node_budget", 0), ("node_budget", math.nan), ("node_budget", math.inf),
+        ("chunk", 0), ("chunk", -1), ("chunk", math.nan), ("chunk", math.inf),
+        ("chunk", 2.5)])
     def test_bad_value_is_refused(self, field, value):
-        # a NaN budget must not switch the budget off without a word
+        # a NaN or infinite budget must not switch the budget off without a
+        # word, and a chunk that is not a positive int must not silently
+        # mean one cell per kernel call
         with pytest.raises(OscError, match="bad quadrature configuration"):
             QuadratureConfig(**{field: value})
 
