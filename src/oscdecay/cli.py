@@ -112,6 +112,11 @@ class RunConfig:
             raise CliError("--p entries must be rationals in [2, inf] or inf, "
                            f"got {','.join(self.p)}") from None
         self.weights()
+        # a report that could never be written is refused before any work
+        for flag, path in (("--out", self.out_json), ("--csv", self.out_csv)):
+            if path and not Path(path).parent.is_dir():
+                raise CliError(f"cannot write {flag} file: "
+                               f"{str(Path(path).parent)!r} is not a directory")
 
     def weights(self) -> tuple[Fraction, ...]:
         """The summation weights `z` as exact rationals."""

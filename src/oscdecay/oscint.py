@@ -5,11 +5,14 @@ smooth compactly supported cutoff times a product of one-variable factors.
 Each axis of the cutoff support is cut into octave pieces, so every product
 cell sees a single oscillation scale; Gauss panel counts then track the phase
 variation cell by cell instead of chasing the worst case globally.  Each axis
-of each cell is sized from the Gauss remainder bound: the largest panel
-(`QuadratureConfig.order` nodes on `waves_per_panel` turns) sets the error
-target, and an axis whose piece lies on the cutoff plateau, where the
-integrand is analytic, takes the lowest Gauss order that meets it.  The error
-estimate reruns only the full-order axes, at a lower order.  A frequency
+of each cell is sized from the Gauss remainder bound: the panel of
+`QuadratureConfig.order` nodes on `waves_per_panel` turns sets the per-panel
+error target, and the axis takes the Gauss order whose panels, as many as
+meet that target, have the fewest nodes in all.  Every axis may take
+`order` or the orders 24 and 32 above it, on wider panels; an axis
+whose piece lies on the cutoff plateau, where the integrand is analytic, may
+also take 4, 8 or 12.  The error estimate reruns only the axes at `order` or
+above, at order max(n // 2, n - 4): 12, 20 and 28 by default.  A frequency
 sweep is planned whole before any quadrature; then the cells of every
 frequency and both levels are evaluated as one batch of rows, each at its own
 lam (`_evaluate`).  A per-axis rule depends on neither lam nor the phase, so
@@ -217,11 +220,15 @@ class TestFunctionSpec:
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Gauss panel rule.  `order` nodes on a panel of `waves_per_panel` phase
-    turns is the largest panel; its Gauss remainder bound R(order,
-    waves_per_panel) is the error target every other panel is sized to."""
-    order: int = 16                 # Gauss nodes per full-order panel
-    waves_per_panel: float = 4.0    # most phase turns per panel
+    """Gauss panel rule.  The Gauss remainder bound R(order, waves_per_panel)
+    of `order` nodes on a panel of `waves_per_panel` phase turns is the error
+    target every panel is sized to.  Each axis of each cell takes the order
+    with the fewest nodes that meets it: `order`, 24 or 32 (the last two on
+    wider panels), or on the cutoff plateau also 4, 8 or 12.  A rule shrunk
+    to the node budget keeps at least one panel per axis, at order 4 on the
+    plateau and `order` elsewhere."""
+    order: int = 16                 # Gauss nodes per panel of the target
+    waves_per_panel: float = 4.0    # phase turns per panel of the target
     node_budget: int = 300_000_000  # tensor points per evaluation level
     chunk: int = 262_144            # per kernel call: workspace floats of a batch
                                     # of cells, nodes of one cell's axis-0 slice
@@ -238,9 +245,10 @@ class QuadratureConfig:
 class OscResult:
     lam: float
     value: complex
-    # difference against a rerun at order max(n // 2, n - 4) on the full-order
-    # axes (every axis when low_confidence), plus d * target * weight mass of
-    # the cells without one
+    # difference against a rerun at order max(n // 2, n - 4) on the axes at
+    # order n >= QuadratureConfig.order (12, 20 and 28 for 16, 24 and 32; every
+    # axis when low_confidence), plus d * target * weight mass of the cells
+    # without one
     error: float
     low_confidence: bool
     nodes: int
@@ -268,7 +276,8 @@ def _on_plateau(chi, lo, hi):
     return max(abs(lo), abs(hi)) <= chi.inner * chi.radius
 
 
-_LADDER = (4, 8, 12)  # the Gauss orders an axis on the cutoff plateau may take
+_LADDER = (4, 8, 12)  # Gauss orders below `order`, for axes on the cutoff plateau only
+_HIGHER = (24, 32)    # Gauss orders above `order`, for any axis
 
 
 def _log_gauss_constant(n):
@@ -281,39 +290,52 @@ def _log_gauss_constant(n):
 @lru_cache(maxsize=None)
 def _ladder(order, waves):
     """The per-panel relative error target R(order, waves), capped at 2, and
-    for every ladder order n below `order` the most turns per panel at which
-    R(n, turns) meets it."""
+    every Gauss order n an axis may take, ascending, as (n, most, plateau):
+    `most` is the most turns per panel at which R(n, turns) meets the target
+    (`waves` for `order` itself), and `plateau` whether only an axis on the
+    cutoff plateau may take n (the orders of _LADDER below `order`; those of
+    _HIGHER above it are open to every axis)."""
     log_target = min(2 * order * math.log(2 * math.pi * waves)
                      + _log_gauss_constant(order), math.log(2.0))
-    rungs = tuple((n, math.exp((log_target - _log_gauss_constant(n)) / (2 * n))
-                   / (2 * math.pi)) for n in _LADDER if n < order)
-    return math.exp(log_target), rungs
+
+    def most(n):
+        return math.exp((log_target - _log_gauss_constant(n)) / (2 * n)) / (2 * math.pi)
+
+    rungs = ([(n, most(n), True) for n in _LADDER if n < order] + [(order, waves, False)]
+             + [(n, most(n), False) for n in _HIGHER if n > order])
+    return math.exp(log_target), tuple(rungs)
 
 
 def _panel_counts(lam, sizing, analytic, quad):
     """Gauss panel counts and orders, (cells, d) integer arrays, cells in
-    product order, from `sizing`: per axis, float arrays over the cell grid
-    of the |d_k phi| bound and the piece width (`_plan`).  Counts are 1 + floor(turns / waves_per_panel), capped at
-    2^53, far above any budget.  An analytic axis (one whose piece lies on
-    the cutoff plateau, per `analytic`) takes the lowest ladder order whose
-    bound meets the target at its turns per panel; every other axis takes
-    the full order."""
-    _, rungs = _ladder(quad.order, quad.waves_per_panel)
-    counts, orders = [], []
-    for k, (bound, width) in enumerate(sizing):
-        with np.errstate(over="ignore"):
-            turns = abs(lam) * bound * width / (2.0 * math.pi)
-            ratio = turns / quad.waves_per_panel
-        if not np.all(np.isfinite(ratio)):
+    product order, from `sizing`: the (cells, d) float arrays of the
+    |d_k phi| bound and the piece width (`_plan`).  Each axis of each cell
+    takes, among the orders n it may take (`_ladder`; the plateau ones only
+    where `analytic` says its piece lies on the cutoff plateau), the one
+    with the fewest nodes at 1 + floor(turns / most_n) panels, ties to the
+    lower order: by default 16 points on at most 4 turns, 24 on 7.43 or 32 on
+    11.0, and on the plateau also 4, 8 or 12.  Every panel meets the same
+    target relative to its width, so the summed bound per axis is that of
+    16-point panels alone.  Counts are capped at 2^53, far above any budget."""
+    bounds, widths = sizing
+    with np.errstate(over="ignore"):
+        turns = abs(lam) * bounds * widths / (2.0 * math.pi)
+        if not np.all(np.isfinite(turns / quad.waves_per_panel)):
             raise OscError(f"phase turns per cell overflow at lam {lam:g}")
-        count = (1 + np.minimum(np.floor(ratio), 2.0 ** 53).astype(np.int64)).ravel()
-        per_panel = turns.ravel() / count
-        order = np.full(count.size, quad.order)
-        for n, most in reversed(rungs):
-            order[analytic[:, k] & (per_panel <= most)] = n
-        counts.append(count)
-        orders.append(order)
-    return np.stack(counts, axis=1), np.stack(orders, axis=1)
+        # the fewest nodes so far per cell and axis, with their count and
+        # order; orders ascend, and a later one needs strictly fewer nodes
+        nodes = np.full(turns.shape, np.iinfo(np.int64).max)
+        counts, orders = np.zeros_like(nodes), np.zeros_like(nodes)
+        for n, most, plateau in _ladder(quad.order, quad.waves_per_panel)[1]:
+            count = 1 + np.minimum(np.floor(turns / most), 2.0 ** 53).astype(np.int64)
+            size = count * n
+            take = size < nodes
+            if plateau:
+                take &= analytic
+            np.copyto(nodes, size, where=take)
+            np.copyto(counts, count, where=take)
+            np.copyto(orders, n, where=take)
+    return counts, orders
 
 
 def _nodes(counts, orders):
@@ -325,13 +347,16 @@ def _nodes(counts, orders):
 def _fit_budget(counts, orders, analytic, quad):
     """Shrink a rule above the node budget: every panel count by one common
     factor, the largest that fits.  Only where one panel per axis does not
-    fit do the orders of analytic axes step down the ladder first, as far as
-    needed.  The result fits unless one panel per axis at the lowest allowed
-    orders does not."""
-    for n, _ in reversed(_ladder(quad.order, quad.waves_per_panel)[1]):
+    fit are orders above `order` first capped at it, and then, as far as
+    needed, the orders of analytic axes stepped down the ladder.  The result
+    fits unless one panel per axis at the lowest allowed orders (4 on the
+    plateau, `order` elsewhere) does not."""
+    _, rungs = _ladder(quad.order, quad.waves_per_panel)
+    caps = [(quad.order, True)] + [(n, analytic) for n, _, plateau in reversed(rungs) if plateau]
+    for n, where in caps:
         if _nodes(np.ones_like(counts), orders) <= quad.node_budget:
             break
-        orders = np.where(analytic, np.minimum(orders, n), orders)
+        orders = np.where(where, np.minimum(orders, n), orders)
 
     def scaled(e):
         return np.maximum(1, np.floor(counts * 2.0 ** e).astype(np.int64))
@@ -466,9 +491,10 @@ def _run_level(p, axis_pieces, cells, counts, orders, lams, f, chi, quad):
 
 def _plan(p, f, chi):
     """What an evaluation's cells and rules depend on besides lam: the pieces
-    of each axis; per axis, the piece index of every cell (cells in product
-    order) and whether that piece lies on the cutoff plateau; and per axis,
-    the sizing `_panel_counts` takes."""
+    of each axis; then per cell (in product order) and axis, as (cells, d)
+    arrays: the piece index, whether that piece lies on the cutoff plateau,
+    and the sizing `_panel_counts` takes, the |d_k phi| bound and the piece
+    width."""
     d = p.dimension
     if d > 3:
         raise OscError("tensor quadrature is limited to dimension <= 3")
@@ -486,12 +512,12 @@ def _plan(p, f, chi):
     # product is the one a scalar evaluation at a single corner would give
     mags = [np.array([max(abs(lo), abs(hi)) for _, _, lo, hi in pieces], dtype=object)
             .reshape([-1] + [1] * (d - 1 - k)) for k, pieces in enumerate(axis_pieces)]
-    sizing = []
-    for k, pieces in enumerate(axis_pieces):
-        bound = np.asarray(p.derivative(k).absolute().evaluate(mags), dtype=float)
-        width = np.array([hi - lo for _, _, lo, hi in pieces]).reshape(mags[k].shape)
-        sizing.append((np.broadcast_to(bound, full), np.broadcast_to(width, full)))
-    return axis_pieces, cells, analytic, sizing
+    bounds = np.stack([np.broadcast_to(np.asarray(p.derivative(k).absolute().evaluate(mags),
+                                                  dtype=float), full).ravel()
+                       for k in range(d)], axis=1)
+    widths = np.stack([np.array([hi - lo for _, _, lo, hi in pieces])[cells[:, k]]
+                       for k, pieces in enumerate(axis_pieces)], axis=1)
+    return axis_pieces, cells, analytic, (bounds, widths)
 
 
 def _evaluate(p, f, chi, lams, quad):
@@ -503,8 +529,8 @@ def _evaluate(p, f, chi, lams, quad):
     variation (`_panel_counts`); when the implied node count exceeds the
     budget, the rule is shrunk to fit (`_fit_budget`) and the result is
     flagged low-confidence.  The reported error is the difference against a
-    rerun on the same panels at order max(n // 2, n - 4) on the full-order
-    axes (n = order), or on every axis of a shrunk rule.  A cell without one
+    rerun on the same panels at order max(n // 2, n - 4) on the axes at order
+    n >= `order`, or on every axis of a shrunk rule.  A cell without one
     has only analytic axes, each within the error target, and adds
     d * target times its weight mass instead.  Every frequency is planned
     before any quadrature; then the cells of every frequency and both levels
@@ -522,7 +548,7 @@ def _evaluate(p, f, chi, lams, quad):
         if low_confidence:
             counts, orders = _fit_budget(counts, orders, analytic, quad)
         # a shrunk rule no longer meets the target on analytic axes: rerun them all
-        full = (orders == quad.order) | low_confidence
+        full = (orders >= quad.order) | low_confidence
         rerun = full.any(axis=1)
         coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
         plans.append((lam, counts, orders, low_confidence, rerun))

@@ -195,6 +195,34 @@ class TestUsageErrors:
         assert code == 2
         assert f"usage error: cannot write {flag} file" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["integrate", "verify"])
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("parent", ["missing", "file"])
+    def test_output_without_directory_is_refused_before_work(
+            self, tmp_path, capsys, monkeypatch, command, flag, parent):
+        # the report's directory is missing, or is a file: no frequency is
+        # evaluated before the refusal
+        def never(*args, **kwargs):
+            raise AssertionError(f"{command} did work before refusing {flag}")
+
+        monkeypatch.setattr("oscdecay.cli.lambda_sweep", never)
+        (tmp_path / "file").write_text("")
+        path = tmp_path / parent / "r.out"
+        code = main([command, "--phase", "x1*x2", flag, str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and not captured.out
+        assert (f"usage error: cannot write {flag} file: {str(path.parent)!r} "
+                "is not a directory") in captured.err
+        assert not path.parent.is_dir()
+
+    def test_output_onto_a_directory_fails_when_written(self, tmp_path, capsys):
+        # the directory exists, so only the write itself can find the fault
+        code = main(["integrate", "--phase", "x1*x2", "--lam", "4", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "usage error: cannot write --out file:" in err
+        assert "is not a directory" not in err and "Traceback" not in err
+
     @pytest.mark.parametrize("argv, text", [
         (["--lam-count", str(MIN_FIT_SAMPLES - 1)],
          f"--lam-count must be at least {MIN_FIT_SAMPLES} for the decay fit"),

@@ -42,6 +42,8 @@ from oscdecay.phase import PhasePolynomial, parse_phase, reduce_phase
 from oscdecay.polytope import build_polyhedron
 from oscdecay.ratlin import dot
 
+import oracle_fine_rule
+
 
 def phase(text, d=2):
     return reduce_phase(parse_phase(text, d))
@@ -264,7 +266,7 @@ class TestEvaluateBasics:
         # and 12 on the plateau at the lowest ladder order 4
         assert r.nodes == (16 + 12 * 4) ** 2
 
-    @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 40_000, 60_000])
+    @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 30_000, 36_000])
     def test_budget_is_a_bound(self, budget):
         # wherever the floor of test_budget_flag, 4096 nodes, fits
         free = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, 512.0)
@@ -358,6 +360,20 @@ def gauss_remainder(n, turns):
             / ((2 * n + 1) * math.factorial(2 * n) ** 3))
 
 
+def most_turns(n, target):
+    """The most turns per panel at which gauss_remainder(n, turns) is at most
+    `target`, by bisection on the increasing remainder."""
+    lo, hi = 0.0, 1.0
+    while gauss_remainder(n, hi) <= target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if gauss_remainder(n, mid) <= target else (lo, mid)
+    return lo
+
+
 def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     """Per-cell values with one full np.exp tensor per cell, in cell order."""
     pieces = [_axis_pieces(chi, fac) for fac in f.factors]
@@ -417,7 +433,7 @@ class TestKernel:
         monkeypatch.setattr("oscdecay.oscint._kernel", spy)
         p = phase("x1*x2*x3", 3)
         f = TestFunctionSpec.ones(3)
-        # at lam 128 the largest cells (48^3 and 36^3 nodes) exceed the chunk
+        # at lam 128 the largest cells (32^3 and 24^3 nodes) exceed the chunk
         a = evaluate_lambda(p, f, CHI_POS, 128.0)
         wide = len(calls)
         calls.clear()
@@ -426,8 +442,9 @@ class TestKernel:
         # no call exceeds the chunk, yet some hold several cells
         assert all(batch * math.prod(shape) <= 5000 for batch, shape in calls)
         assert any(batch > 1 for batch, _ in calls)
-        # a whole axis has a multiple of 4 nodes (orders 4, 8, 12 and 16), so
-        # this is a cell above the chunk cut along axis 0
+        # a whole axis has a multiple of 4 nodes (orders 4 to 32 and the
+        # rerun orders 12, 20 and 28), so this is a cell above the chunk cut
+        # along axis 0
         assert any(shape[0] % 4 for _, shape in calls)
         assert b.nodes == a.nodes
         assert abs(b.value - a.value) <= 1e-13 * abs(a.value)
@@ -504,6 +521,8 @@ class TestKernel:
         seen = set()
         for quad_cfg in [QuadratureConfig(waves_per_panel=0.37), QuadratureConfig()]:
             target = gauss_remainder(quad_cfg.order, quad_cfg.waves_per_panel)
+            # per order, the most turns per panel whose bound meets the target
+            most = {n: most_turns(n, target) for n in (4, 8, 12, 16, 24, 32)}
             for lam in [3.0, 77.7, 1234.5]:
                 want_counts, want_orders = [], []
                 for cell in product(*pieces):
@@ -512,14 +531,15 @@ class TestKernel:
                     for k, (_, _, lo, hi) in enumerate(cell):
                         turns = (abs(lam) * grads[k].evaluate(mags)
                                  * (hi - lo) / (2.0 * math.pi))
-                        count = 1 + int(turns / quad_cfg.waves_per_panel)
-                        # on the plateau, the lowest of 4, 8, 12 whose bound
-                        # meets the target; elsewhere the full order
-                        fits = [n for n in (4, 8, 12)
-                                if gauss_remainder(n, turns / count) <= target]
+                        # the fewest nodes among 16, 24 and 32, and on the
+                        # plateau also 4, 8 and 12; ties to the lower order
                         plateau = max(abs(lo), abs(hi)) <= 0.35
+                        rules = [(n * (1 + int(turns / most[n])), n, 1 + int(turns / most[n]))
+                                 for n in ((4, 8, 12) if plateau else ()) + (16, 24, 32)]
+                        _, order, count = min(rules)
+                        assert gauss_remainder(order, turns / count) <= target * (1 + 1e-12)
                         counts.append(count)
-                        orders.append(min(fits) if plateau and fits else quad_cfg.order)
+                        orders.append(order)
                     want_counts.append(counts)
                     want_orders.append(orders)
                 got_counts, got_orders = _panel_counts(lam, _plan(p, f, chi)[3],
@@ -528,8 +548,8 @@ class TestKernel:
                 assert got_counts.tolist() == want_counts
                 assert got_orders.tolist() == want_orders
                 seen.update(x for row in want_orders for x in row)
-        # every order of the ladder occurs
-        assert seen == {4, 8, 12, 16}
+        # every order an axis may take occurs
+        assert seen == {4, 8, 12, 16, 24, 32}
 
 
 def in_fresh_thread(fn, *args, **kwargs):
@@ -732,6 +752,23 @@ class TestErrorEstimate:
         assert np.median(ratios) <= 30
 
 
+class TestFrozenFineRule:
+    def test_error_bounds_deviation_from_frozen_fine_rule(self):
+        # the samples of TestErrorEstimate against the frozen values of the
+        # 16-point fine rule, which share no panel with the default rule
+        samples = [(text, d, orthant, lam) for text, d, orthant, lams in TestErrorEstimate.CASES
+                   for lam in lams]
+        assert sorted(samples) == sorted(oracle_fine_rule.VALUES)
+        ratios = []
+        for text, d, orthant, lam in samples:
+            r = evaluate_lambda(phase(text, d), TestFunctionSpec.ones(d),
+                                CutoffSpec(positive_orthant=orthant), lam)
+            dev = abs(r.value - oracle_fine_rule.VALUES[text, d, orthant, lam])
+            assert r.error >= dev, (text, orthant, lam)
+            ratios.append(r.error / dev)
+        assert np.median(ratios) <= 30
+
+
 def box_bound(n, j, q, norms, lam):
     """Reference for one term of `certificate_sum`: the bound on the box with
     corner 2^-j, prod(norms) * 2^-s * min(1, |lam 2^-t|^(-1/2)), where
@@ -850,6 +887,14 @@ class TestSweep:
                      lambda_grid(64, 2048, 11))
         assert 0 < len(calls) <= 80
 
+    @pytest.mark.parametrize("text, most", [("x1*x2", 1_100_000), ("x1^3*x2^3", 5_000_000)])
+    def test_sweep_nodes(self, text, most):
+        # 16-point panels on at most 4 turns took 1,714,608 and 8,099,952
+        # nodes; orders 24 and 32 on wider panels meet the same target with fewer
+        results = lambda_sweep(phase(text), TestFunctionSpec.ones(2), CHI_POS,
+                               lambda_grid(64, 2048, 11))
+        assert sum(r.nodes for r in results) <= most
+
     @pytest.mark.parametrize("text, lams", [
         ("x1*x2*x3", (16.0, 32.0, 64.0)),
         ("x1^2*x2^2*x3^2 + x1^3*x2*x3", (16.0, 32.0)),
@@ -905,7 +950,7 @@ class TestRuleTable:
          CHI, (20.0, 40.0, 80.0), QuadratureConfig(), 0),
         # the two upper samples are shrunk to the budget
         ("x1*x2", 2, TestFunctionSpec.ones(2), CHI_POS, (64.0, 256.0, 512.0),
-         QuadratureConfig(node_budget=20_000), 2),
+         QuadratureConfig(node_budget=10_000), 2),
     ], ids=["product-orthant", "3d", "boxes", "budget"])
     def test_sweep_equals_lone_evaluations(self, text, d, f, chi, lams, quad, flagged):
         p = phase(text, d)
@@ -916,11 +961,11 @@ class TestRuleTable:
                                                      + [True] * flagged)
 
     def test_sweep_shares_rules_across_frequencies(self, monkeypatch):
-        # 11 lone evaluations of this sweep build 998 rules, 99 of them distinct
+        # 11 lone evaluations of this sweep build 568 rules, 108 of them distinct
         calls = count_rule_builds(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
-        assert 0 < len(calls) <= 998 // 3
+        assert 0 < len(calls) <= 568 // 3
 
     def test_nothing_survives_a_sweep(self, monkeypatch):
         calls = count_rule_builds(monkeypatch)
@@ -931,11 +976,11 @@ class TestRuleTable:
         assert first > 0 and len(calls) == 2 * first
 
     def test_each_rule_built_once_per_sweep(self, monkeypatch):
-        # the sweep's 99 distinct rules, keyed by (lo, hi, panels, order,
+        # the sweep's 108 distinct rules, keyed by (lo, hi, panels, order,
         # factor), each built once
         calls = count_rule_builds(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
         keys = [(lo, hi, panels, len(gx), factor)
                 for lo, hi, panels, gx, _, _, factor in calls]
-        assert len(keys) == len(set(keys)) == 99
+        assert len(keys) == len(set(keys)) == 108
