@@ -100,8 +100,10 @@ class RunConfig:
             box_scale = Fraction(self.box_scale)
         except (ValueError, ZeroDivisionError):
             raise CliError(f"box scale {self.box_scale!r} is not a rational number") from None
-        if box_scale <= 0:
-            raise CliError("box scale must be positive")
+        plateau = Fraction(CutoffSpec().inner * CutoffSpec().radius)  # of verify's cutoff
+        if not 0 < box_scale <= plateau:
+            raise CliError(f"box scale must lie in (0, {plateau}], the cutoff plateau, "
+                           f"got {self.box_scale}")
         # 2^1023 is the largest power of two a float holds
         if not (self.e_step >= 1 and 1 <= self.e_lo <= self.e_hi <= 1023):
             raise CliError("summation exponents need e-step >= 1 and "
@@ -364,6 +366,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     er = sharp_exponent(n, q)
     nd = check_nondegeneracy(p, n, grid=cfg.grid, eta=cfg.eta,
                              starts=cfg.starts, degen_tol=cfg.witness_tol)
+    if cfg.sharpness:  # every dual vertex's grid, refused before any quadrature
+        dual = dual_polyhedron(n)
+        grids = [(w, dual_lambda_grid(w, count=cfg.sharpness_count)) for w in dual.vertices]
     cfg, results = _run_sweep(cfg, p, n, q, None)
     fit = fit_decay(results, er, tol=cfg.fit_tol)
     rows = _sweep_rows(results, er)
@@ -382,10 +387,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if cfg.sharpness:
         sharp_part = []
         all_ok = True
-        dual = dual_polyhedron(n)
-        for w in dual.vertices:
-            wit = sharpness_test(p, n, q, w, Fraction(cfg.box_scale),
-                                 dual_lambda_grid(w, count=cfg.sharpness_count),
+        for w, lams in grids:
+            wit = sharpness_test(p, n, q, w, Fraction(cfg.box_scale), lams,
                                  chi=CutoffSpec(levels=cfg.levels), dual=dual)
             sharp_part.append(wit.to_json_dict())
             all_ok = all_ok and wit.passed

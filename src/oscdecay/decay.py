@@ -9,6 +9,7 @@ phase never turns; and the dyadic box-sum envelope, summed from the
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -106,16 +107,15 @@ def _solve(a: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, float]:
 
 def fit_samples(lams: Sequence[float], mags: Sequence[float],
                 inv_nu_predicted: float, m_predicted: float, *,
-                tol: float = 0.05, min_samples: int = MIN_FIT_SAMPLES,
-                min_octaves: float = MIN_FIT_OCTAVES, excluded: int = 0) -> DecayFit:
+                tol: float = 0.05, excluded: int = 0) -> DecayFit:
     lams = tuple(float(x) for x in lams)
     mags = tuple(float(x) for x in mags)
-    if len(lams) < min_samples:
-        raise DecayError(f"need at least {min_samples} clean samples, got {len(lams)}")
+    if len(lams) < MIN_FIT_SAMPLES:
+        raise DecayError(f"need at least {MIN_FIT_SAMPLES} clean samples, got {len(lams)}")
     if any(l < 2 for l in lams) or any(m <= 0 for m in mags):
         raise DecayError("samples must have lam >= 2 and positive magnitude")
-    if math.log2(max(lams) / min(lams)) < min_octaves:
-        raise DecayError(f"samples must span at least {min_octaves} octaves")
+    if math.log2(max(lams) / min(lams)) < MIN_FIT_OCTAVES:
+        raise DecayError(f"samples must span at least {MIN_FIT_OCTAVES} octaves")
     x = np.log(np.array(lams))
     xx = np.log(x)
     y = np.log(np.array(mags))
@@ -128,15 +128,13 @@ def fit_samples(lams: Sequence[float], mags: Sequence[float],
 
 
 def fit_decay(sweep: Sequence[OscResult], predicted: ExponentReport, *,
-              tol: float = 0.05, min_samples: int = MIN_FIT_SAMPLES,
-              min_octaves: float = MIN_FIT_OCTAVES) -> DecayFit:
+              tol: float = 0.05) -> DecayFit:
     """Fit the decay law on the clean part of a sweep and compare rates."""
     clean = [(r.lam, abs(r.value)) for r in sweep
              if r.lam >= 2 and not r.low_confidence]
     excluded = len(sweep) - len(clean)
     return fit_samples([l for l, _ in clean], [m for _, m in clean],
                        1.0 / float(predicted.nu), predicted.m, tol=tol,
-                       min_samples=min_samples, min_octaves=min_octaves,
                        excluded=excluded)
 
 
@@ -196,6 +194,10 @@ def dual_lambda_grid(w: Sequence[Fraction], count: int = 8,
     ws = [Fraction(x) for x in w]
     step = math.lcm(*(x.denominator for x in ws)) if ws else 1
     e0 = max(step, step * math.ceil(start / step))
+    top = e0 + (count - 1) * step
+    if top > 1023:  # 2^1023 is the largest power of two a float holds
+        raise DecayError(f"sharpness grid at w = ({', '.join(map(str, ws))}) "
+                         f"reaches lam 2^{top}, beyond the largest float")
     return tuple(float(2 ** (e0 + k * step)) for k in range(count))
 
 
@@ -261,9 +263,12 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
     rows = []
     for lam, e in zip(lambdas, exps):
         half = [float(h) for h in corners(delta, e)]
+        vol = math.prod(2.0 * h for h in half)
+        if vol < sys.float_info.min:
+            raise DecayError(f"sharpness box at lam {lam:g} has volume {vol:g}, "
+                             "below the smallest normal float; use a larger delta")
         f = TestFunctionSpec.boxes([(-h, h) for h in half])
         r = evaluate_lambda(p, f, chi, lam)
-        vol = math.prod(2.0 * h for h in half)
         rows.append(SharpnessRow(lam, tuple(half), vol, r.value,
                                  abs(r.value) / vol, float(phase_bound(delta, e))))
 
@@ -325,6 +330,7 @@ class SummationReport:
         }
 
 
+SUM_BOUND_FACTOR = 10.0  # the largest normalized spread `summation_oracle` passes
 # box_envelope peaks at 32-40 bytes a box, 33-40 MiB for one frequency at the
 # cap; 2^20 boxes admit every frequency up to 2^24 in d <= 3 with unit weights
 MAX_SUM_BOXES = 2 ** 20
@@ -340,8 +346,7 @@ def summation_boxes(d: int, z: Sequence, lam: float, margin: int = 8) -> int:
 
 
 def summation_oracle(n: NewtonPolyhedron, z: Sequence, lambdas: Sequence[float],
-                     *, margin: int = 8,
-                     bound_factor: float = 10.0) -> SummationReport:
+                     *, margin: int = 8) -> SummationReport:
     """Sum the dyadic box-sum envelope and normalize by the claim.
 
     Every `box_envelope` term is the volume factor 2^(-<z,j>) damped by the
@@ -378,5 +383,5 @@ def summation_oracle(n: NewtonPolyhedron, z: Sequence, lambdas: Sequence[float],
         rows.append(SummationRow(lam, jmax, total, tail, normalized))
     values = [r.normalized for r in rows]
     spread = max(values) / min(values)
-    return SummationReport(nu, m, zz, tuple(rows), spread, bound_factor)
+    return SummationReport(nu, m, zz, tuple(rows), spread, SUM_BOUND_FACTOR)
 

@@ -1,34 +1,36 @@
 """Quadrature for the separable oscillatory form, with per-box certificates.
 
 The quantity computed here is the integral of exp(i*lambda*phi(x)) against a
-smooth compactly supported cutoff times a product of one-variable factors.
-Each axis of the cutoff support is cut into octave pieces, so every product
-cell sees a single oscillation scale; Gauss panel counts then track the phase
-variation cell by cell instead of chasing the worst case globally.  Each axis
-of each cell is sized from the Gauss remainder bound: the panel of
-`QuadratureConfig.order` nodes on `waves_per_panel` turns sets the per-panel
-error target, and the axis takes the Gauss order whose panels, as many as
-meet that target, have the fewest nodes in all.  Every axis may take
-`order` or the orders 24 and 32 above it, on wider panels; an axis
-whose piece lies on the cutoff plateau, where the integrand is analytic, may
-also take 4, 8 or 12.  The error estimate reruns only the axes at `order` or
-above, at order max(n // 2, n - 4): 12, 20 and 28 by default.  A frequency
-sweep is planned whole before any quadrature; then the cells of every
-frequency and both levels are evaluated as one batch of rows, each at its own
-lam (`_evaluate`).  A per-axis rule depends on neither lam nor the phase, so
-each distinct one is built once per sweep.  Rows with equal node counts per
-axis are gathered from per-axis rule stacks and evaluated together: a kernel
-call on several cells needs at most `QuadratureConfig.chunk` workspace
-floats, and one on a single cell at most `chunk` nodes (a larger cell is cut
-along its first axis).  The workspace is one reused per-thread buffer,
-faulted in once.  The kernel has `PhasePolynomial.evaluate_tensor` write
-lam*phi/2 straight into it, and takes exp(i*theta) from the float64
-half-angle tangent tan(theta/2) in real arithmetic, which vectorizes where
-complex exp does not.  The cutoff profile runs its bump table only on
-transition nodes, in blocks.  The same cell grid indexes a closed-form bound
-per cell (dominant vertex of the support polyhedron): `box_envelope` gives
-them all from exact integer exponent grids, and their sum is an a-priori
-certificate for the result.
+smooth compactly supported cutoff times a product of one-variable factors,
+each the indicator of an interval.  Each axis of the cutoff support is cut
+into octave pieces, so every product cell sees a single oscillation scale;
+Gauss panel counts then track the phase variation cell by cell instead of
+chasing the worst case globally.  Each axis of each cell is sized from the
+Gauss remainder bound: the panel of `QuadratureConfig.order` nodes on
+`waves_per_panel` turns sets the per-panel error target, and the axis takes
+the Gauss order whose panels, as many as meet that target, have the fewest
+nodes in all.  Every axis may take `order` or the orders 24 and 32 above it,
+on wider panels; an axis whose piece lies on the cutoff plateau, where the
+integrand is analytic, may also take 4, 8 or 12.  The error estimate reruns
+only the axes at `order` or above, at order max(n // 2, n - 4): 12, 20 and 28
+by default.  A frequency sweep is planned whole before any quadrature; then
+the cells of every frequency and both levels are evaluated as one batch of
+rows, each at its own lam (`_evaluate`).  Each axis's pieces are clipped to
+its factor's interval, so the factor is 1 on every node, and a per-axis rule,
+real weights times the cutoff, depends only on its piece, panel count and
+order: each distinct one is built once per sweep.  Rows with equal node counts
+per axis are gathered from per-axis rule stacks and evaluated together: a
+kernel call on several cells needs at most `_CHUNK` workspace floats, and one
+on a single cell at most `_CHUNK` nodes (a larger cell is cut along its first
+axis).  The workspace is one reused per-thread buffer, faulted in once.  The
+kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into it,
+takes cos and sin of theta from the float64 half-angle tangent tan(theta/2),
+which vectorizes where complex exp does not, and contracts them in real
+arithmetic.  The cutoff profile runs its bump table only on transition nodes,
+in blocks.  The same cell grid indexes a closed-form bound per cell (dominant
+vertex of the support polyhedron): `box_envelope` gives them all from exact
+integer exponent grids, and their sum is an a-priori certificate for the
+result.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -40,7 +42,6 @@ import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -158,34 +159,22 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One-variable factor: `scale` times the indicator of [a, b].  A constant
-    is the whole line."""
-    scale: complex = 1.0
+    """One-variable factor: the indicator of [a, b].  `FactorSpec()` is the
+    whole line.  Quadrature clips each axis's pieces to [a, b], so the factor
+    is 1 on every node and never evaluated."""
     a: float = -math.inf
     b: float = math.inf
 
     @classmethod
-    def const(cls, value: complex = 1.0) -> "FactorSpec":
-        return cls(complex(value))
-
-    @classmethod
-    def box(cls, a: float, b: float, scale: complex = 1.0) -> "FactorSpec":
+    def box(cls, a: float, b: float) -> "FactorSpec":
         if not a < b:
             raise OscError("box indicator needs a < b")
-        return cls(complex(scale), float(a), float(b))
-
-    def values(self, t):
-        t = np.asarray(t, dtype=float)
-        inside = (t >= self.a) & (t <= self.b)
-        return self.scale * inside.astype(complex)
+        return cls(float(a), float(b))
 
     def norm(self, p, radius: float) -> float:
         """L^p size over [-radius, radius], in closed form."""
-        lo, hi = max(self.a, -radius), min(self.b, radius)
-        base, measure = abs(self.scale), max(hi - lo, 0.0)
-        if p == INF:
-            return base
-        return base * measure ** (1.0 / float(p))
+        measure = max(min(self.b, radius) - max(self.a, -radius), 0.0)
+        return measure ** (0.0 if p == INF else 1.0 / float(p))
 
 
 @dataclass(frozen=True)
@@ -200,7 +189,7 @@ class TestFunctionSpec:
 
     @classmethod
     def ones(cls, dimension: int) -> "TestFunctionSpec":
-        return cls(tuple(FactorSpec.const() for _ in range(dimension)))
+        return cls(tuple(FactorSpec() for _ in range(dimension)))
 
     @classmethod
     def boxes(cls, intervals: Sequence[tuple[float, float]]) -> "TestFunctionSpec":
@@ -230,15 +219,15 @@ class QuadratureConfig:
     order: int = 16                 # Gauss nodes per panel of the target
     waves_per_panel: float = 4.0    # phase turns per panel of the target
     node_budget: int = 300_000_000  # tensor points per evaluation level
-    chunk: int = 262_144            # per kernel call: workspace floats of a batch
-                                    # of cells, nodes of one cell's axis-0 slice
 
     def __post_init__(self):
         # comparisons are written so that NaN fails them
         if not (self.order >= 2 and 0 < self.waves_per_panel < math.inf
-                and 1 <= self.node_budget < math.inf
-                and isinstance(self.chunk, int) and self.chunk >= 1):
+                and 1 <= self.node_budget < math.inf):
             raise OscError("bad quadrature configuration")
+
+
+_CHUNK = 262_144  # per kernel call: workspace floats of a batch, nodes of a lone cell
 
 
 @dataclass(frozen=True)
@@ -372,55 +361,51 @@ def _fit_budget(counts, orders, analytic, quad):
     return scaled(lo), orders
 
 
-def _axis_rule(lo, hi, panels, gx, gw, chi, factor):
-    """Gauss panel nodes on [lo, hi] and their weights times cutoff and factor;
-    on the plateau the cutoff is 1 and is not evaluated."""
+def _axis_rule(lo, hi, panels, gx, gw, chi):
+    """Gauss panel nodes on [lo, hi] and their weights times the cutoff; on
+    the plateau the cutoff is 1 and is not evaluated."""
     width = (hi - lo) / panels
     starts = lo + width * np.arange(panels)
     nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
     weights = np.tile(width * 0.5 * gw, panels)
     if not _on_plateau(chi, lo, hi):
-        weights = weights * chi.profile(nodes)
-    return nodes, weights * factor.values(nodes)
+        weights *= chi.profile(nodes)
+    return nodes, weights
 
 
 def _kernel(p, lam, axes, weights):
     """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
 
-    axes[k] and weights[k] are the (B, n_k) nodes and complex weights of axis
+    axes[k] and weights[k] are the (B, n_k) nodes and real weights of axis
     k, and lam (B,) their frequencies; the result holds the B cell sums.
-    t, u, c, s and z are views of this thread's workspace, 2*B*m*(n + 3)
-    floats for n nodes on the last axis and m on the others.
-    `PhasePolynomial.evaluate_tensor` writes theta/2 = lam*phi/2 straight
-    into the full-size buffer t.  With
-    t = tan(theta/2), cos(theta) = 2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2):
-    float64 tan is vectorized where complex exp is not, and loses no
-    accuracy.  The real arrays 2/(1+t^2) and sin(theta) are contracted
-    against the last axis's weights as an (n, 2) [re, im] matrix, the
-    cosine's -sum(w) is added after, and only the contracted array is complex.
+    cs, (2, B, m, n) for n nodes on the last axis and m on the others, and
+    its last axis's contraction are views of this thread's workspace,
+    2*B*m*(n + 1) floats.  `PhasePolynomial.evaluate_tensor` writes
+    theta/2 = lam*phi/2 straight into cs[1].  With t = tan(theta/2),
+    cos(theta) = 2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2): float64 tan is
+    vectorized where complex exp is not, and loses no accuracy.  cs holds
+    1 + cos(theta) and sin(theta); each axis is contracted by one real
+    matmul, the cosine's -sum(w) is added after the last axis's, and only
+    the B cell sums are complex.
     """
     b = axes[0].shape[0]
     sizes = [x.shape[1] for x in axes]
     n, m = sizes[-1], math.prod(sizes[:-1])
-    cut = list(accumulate([0] + [b * m * n] * 2 + [2 * b * m] * 3))
-    ws = _scratch("kernel", cut[-1])
-    t, u, c, s, z = (ws[i:j] for i, j in zip(cut, cut[1:]))
-    t = p.evaluate_tensor(axes, 0.5 * lam, t.reshape([b] + sizes)).reshape(b, m, n)
-    np.tan(t, out=t)
-    u = np.multiply(t, t, out=u.reshape(b, m, n))
-    u += 1.0
-    np.divide(2.0, u, out=u)  # 1 + cos(theta)
-    t *= u                    # sin(theta)
-    w = weights[-1].view(np.float64).reshape(b, n, 2)
-    c = np.matmul(u, w, out=c.reshape(b, m, 2))
-    c -= w.sum(axis=1)[:, None, :]
-    s = np.matmul(t, w, out=s.reshape(b, m, 2))
-    z = z.view(complex).reshape(b, m)
-    np.subtract(c[..., 0], s[..., 1], out=z.real)
-    np.add(c[..., 1], s[..., 0], out=z.imag)
+    size = 2 * b * m * n
+    ws = _scratch("kernel", size + 2 * b * m)
+    cs = ws[:size].reshape(2, b, m, n)
+    p.evaluate_tensor(axes, 0.5 * lam, cs[1].reshape([b] + sizes))
+    np.tan(cs[1], out=cs[1])
+    np.multiply(cs[1], cs[1], out=cs[0])
+    cs[0] += 1.0
+    np.divide(2.0, cs[0], out=cs[0])  # 1 + cos(theta)
+    cs[1] *= cs[0]                    # sin(theta)
+    w = weights[-1]
+    z = np.matmul(cs, w[:, :, None], out=ws[size:size + 2 * b * m].reshape(2, b, m, 1))
+    z[0] -= w.sum(axis=1)[:, None, None]
     for wk, nk in zip(weights[-2::-1], sizes[-2::-1]):
-        z = np.matmul(z.reshape(b, -1, nk), wk[:, :, None])
-    return z.reshape(b).copy()
+        z = np.matmul(z.reshape(2, b, -1, nk), wk[:, :, None])
+    return z[0].reshape(b) + 1j * z[1].reshape(b)
 
 
 @lru_cache(maxsize=None)
@@ -443,34 +428,36 @@ def _rows(a):
     return a[step], inverse
 
 
-def _run_level(p, axis_pieces, cells, counts, orders, lams, f, chi, quad):
+def _run_level(p, axis_pieces, cells, counts, orders, lams, chi):
     """Rule sums and weight masses of rows of cells, each row at its own
     frequency `lams` and with its rule given per axis by its row of `cells`
-    (piece index), `counts` and `orders`."""
+    (piece index), `counts` and `orders`.  The pieces are already clipped to
+    the factors, so a rule is the real Gauss weights times the cutoff, keyed
+    by (lo, hi, panels, order) alone."""
     values = np.zeros(len(cells), dtype=complex)
     mass = np.ones(len(cells))
 
     @lru_cache(maxsize=None)
-    def rule(lo, hi, panels, order, factor):
-        # each distinct rule is built once, and axes with equal factors share it
-        return _axis_rule(lo, hi, panels, *_gauss(order), chi, factor)
+    def rule(lo, hi, panels, order):
+        # each distinct rule is built once, and every axis and cell shares it
+        return _axis_rule(lo, hi, panels, *_gauss(order), chi)
 
     # per axis, the distinct rule keys, and each row's among them
     keys, rule_of = [], []
-    for k, (pieces, factor) in enumerate(zip(axis_pieces, f.factors)):
+    for k, pieces in enumerate(axis_pieces):
         uniq, inv = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k]], axis=1))
-        keys.append([(pieces[j][2], pieces[j][3], c, n, factor) for j, c, n in uniq.tolist()])
+        keys.append([(pieces[j][2], pieces[j][3], c, n) for j, c, n in uniq.tolist()])
         rule_of.append(inv)
     # rows with equal node counts per axis have rules of equal shape: each
     # such group is evaluated in batches whose kernel workspace,
-    # 2*b*m*(n + 3) floats, stays within quad.chunk
+    # 2*b*m*(n + 1) floats, stays within _CHUNK
     shapes, group = _rows(counts * orders)
     for g, sizes in enumerate(shapes.tolist()):
         members = np.flatnonzero(group == g)
         size = math.prod(sizes)
-        batch = max(1, quad.chunk // (2 * (size // sizes[-1]) * (sizes[-1] + 3)))
+        batch = max(1, _CHUNK // (2 * (size + size // sizes[-1])))
         # a cell above the chunk alone is cut into slices along axis 0
-        rows = max(1, quad.chunk // (size // sizes[0]))
+        rows = max(1, _CHUNK // (size // sizes[0]))
         # per axis, the group's distinct rules are stacked once; a batch
         # gathers its cells' rows from the stacks
         stacks = []
@@ -558,7 +545,7 @@ def _evaluate(p, f, chi, lams, quad):
     # the cells, counts, orders and lam of every frequency's rows, then of
     # every frequency's rerun rows
     rows = (np.concatenate(col) for col in zip(*main, *rerun_rows))
-    values, mass = _run_level(p, axis_pieces, *rows, f, chi, quad)
+    values, mass = _run_level(p, axis_pieces, *rows, chi)
     target, _ = _ladder(quad.order, quad.waves_per_panel)
     out, top = [], len(lams) * len(cells)
     checks = np.split(values[top:], np.cumsum([len(r[0]) for r in rerun_rows])[:-1])

@@ -177,10 +177,14 @@ class TestUsageErrors:
         ["check", "--phase", "x1^3*x2 - x1*x2^3", "--starts", "-1"],
         ["verify", "--phase", "x1*x2", "--fit-tol", "inf"],
         ["check", "--phase", "x1*x2", "--witness-tol", "inf"],
+        # sharpness boxes start inside the plateau |t| <= 1/2 of verify's cutoff
+        ["verify", "--phase", "x1*x2", "--sharpness", "--box-scale", "1"],
+        ["verify", "--phase", "x1*x2", "--sharpness", "--box-scale", "3/4"],
     ], ids=["z-1/0", "z-abc", "z-length", "z-zero", "e-lo-0", "e-hi-1024",
             "levels-41", "lam-lo-1", "dim-7", "dim-1",
             "inferred-dim-7", "inferred-dim-1", "check-grid-64-dim-5",
-            "starts-negative", "fit-tol-inf", "witness-tol-inf"])
+            "starts-negative", "fit-tol-inf", "witness-tol-inf",
+            "box-scale-1", "box-scale-3/4"])
     def test_configuration_value_is_usage_error(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
@@ -242,6 +246,31 @@ class TestUsageErrors:
         captured = capsys.readouterr()
         assert code == 2 and not captured.out
         assert "usage error:" in captured.err and text in captured.err
+
+    def test_overflowing_sharpness_grid_is_refused_before_any_quadrature(
+            self, tmp_path, capsys, monkeypatch):
+        # the dual vertex (12/181, 13/181) puts its grid on powers 2^(181 k)
+        def never(*args):
+            raise AssertionError("quadrature ran before the sharpness grid was refused")
+
+        monkeypatch.setattr("oscdecay.oscint._kernel", never)
+        code = main(["verify", "--phase", "x1^14*x2 + x1*x2^13", "--sharpness",
+                     "--lam-lo", "64", "--lam-hi", "1024", "--lam-count", "8",
+                     "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: sharpness grid at w = (")
+        assert err.endswith("beyond the largest float\n")
+
+    def test_underflowing_sharpness_box_is_refused_by_name(self, tmp_path, capsys):
+        # a half-width of 1e-400 rounds to 0 as a float
+        code = main(["verify", "--phase", "x1*x2", "--lam-lo", "64", "--lam-hi", "1024",
+                     "--lam-count", "8", "--sharpness", "--box-scale", "1e-400",
+                     "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == ("error: sharpness box at lam 64 has volume 0, below the smallest "
+                       "normal float; use a larger delta\n")
 
     @pytest.mark.parametrize("command", ["check", "verify"])
     def test_oversized_grid_names_one_that_fits(self, capsys, command):
