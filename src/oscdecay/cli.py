@@ -24,6 +24,7 @@ from .decay import (
     check_dual_domination,
     dual_lambda_grid,
     fit_decay,
+    sharpness_boxes,
     sharpness_test,
     summation_boxes,
     summation_oracle,
@@ -366,9 +367,11 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     er = sharp_exponent(n, q)
     nd = check_nondegeneracy(p, n, grid=cfg.grid, eta=cfg.eta,
                              starts=cfg.starts, degen_tol=cfg.witness_tol)
-    if cfg.sharpness:  # every dual vertex's grid, refused before any quadrature
-        dual = dual_polyhedron(n)
+    if cfg.sharpness:  # every dual vertex's grid, then boxes, refused before any quadrature
+        dual, sharp_chi = dual_polyhedron(n), CutoffSpec(levels=cfg.levels)
         grids = [(w, dual_lambda_grid(w, count=cfg.sharpness_count)) for w in dual.vertices]
+        boxes = [sharpness_boxes(p, n, w, Fraction(cfg.box_scale), lams, chi=sharp_chi,
+                                 dual=dual) for w, lams in grids]
     cfg, results = _run_sweep(cfg, p, n, q, None)
     fit = fit_decay(results, er, tol=cfg.fit_tol)
     rows = _sweep_rows(results, er)
@@ -387,9 +390,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if cfg.sharpness:
         sharp_part = []
         all_ok = True
-        for w, lams in grids:
+        for (w, lams), b in zip(grids, boxes):
             wit = sharpness_test(p, n, q, w, Fraction(cfg.box_scale), lams,
-                                 chi=CutoffSpec(levels=cfg.levels), dual=dual)
+                                 chi=sharp_chi, dual=dual, boxes=b)
             sharp_part.append(wit.to_json_dict())
             all_ok = all_ok and wit.passed
         verdicts.append(_verdict("sharpness", all_ok,

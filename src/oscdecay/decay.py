@@ -18,7 +18,7 @@ import numpy as np
 
 from .exponent import ExponentQuery, ExponentReport, ray_scaling
 from .oscint import (CutoffSpec, OscResult, TestFunctionSpec, box_envelope,
-                     evaluate_lambda)
+                     lambda_sweep)
 from .phase import PhasePolynomial
 from .polytope import DualPolyhedron, NewtonPolyhedron, dual_polyhedron
 from .ratlin import dot
@@ -26,7 +26,7 @@ from .ratlin import dot
 __all__ = [
     "DecayError", "DecayFit", "SharpnessRow", "SharpnessWitness",
     "SummationRow", "SummationReport", "fit_decay", "fit_samples",
-    "dual_lambda_grid", "sharpness_test", "check_dual_domination",
+    "dual_lambda_grid", "sharpness_boxes", "sharpness_test", "check_dual_domination",
     "summation_oracle", "summation_boxes", "MAX_SUM_BOXES", "SHARPNESS_BAND",
     "MIN_FIT_SAMPLES", "MIN_FIT_OCTAVES",
 ]
@@ -208,27 +208,16 @@ def _exact_corner(delta: Fraction, e: int, wj: Fraction) -> Fraction:
     return delta * Fraction(1, 2 ** int(exp)) if exp >= 0 else delta * 2 ** int(-exp)
 
 
-def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
-                   w: Sequence[Fraction], delta, lambdas: Sequence[float], *,
-                   chi: CutoffSpec | None = None, max_halvings: int = 80,
-                   dual: DualPolyhedron | None = None) -> SharpnessWitness:
-    """Realize the decay rate from below with boxes dual to the polyhedron.
-
-    Indicator boxes |x_j| <= delta * lam^(-w_j) built from a dual vertex w
-    keep |lam * phase| below 1e-10 once delta is small enough (the exponent
-    of lam is 1 - <alpha, w> <= 0 termwise, so halving delta always wins).
-    On such boxes the integrand is flat and the form measures plain volume:
-    |value| must sit inside `SHARPNESS_BAND` times the L1 norm of f.  Pass `dual`
-    when it is already built; it is computed from `n` otherwise.
-    """
+def sharpness_boxes(p: PhasePolynomial, n: NewtonPolyhedron, w: Sequence[Fraction],
+                    delta, lambdas: Sequence[float], *, chi: CutoffSpec, dual: DualPolyhedron,
+                    max_halvings: int = 80) -> tuple:
+    """The exact boxes of `sharpness_test`, without quadrature: (w, delta,
+    halvings, boxes), one box per frequency as (lam, half-widths, volume,
+    phase bound)."""
     ws = tuple(Fraction(x) for x in w)
-    if dual is None:
-        dual = dual_polyhedron(n)
     if ws not in set(dual.vertices):
         raise DecayError("w must be a vertex of the dual polyhedron")
     assert all(dot(v, ws) >= 1 for v in n.vertices)
-    if chi is None:
-        chi = CutoffSpec()
     if chi.positive_orthant:
         raise DecayError("sharpness boxes are symmetric; need a full cutoff")
     exps = []
@@ -260,21 +249,43 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
         if halvings > max_halvings:
             raise DecayError("phase bound unattainable within retry budget")
 
-    rows = []
+    boxes = []
     for lam, e in zip(lambdas, exps):
-        half = [float(h) for h in corners(delta, e)]
+        half = tuple(float(h) for h in corners(delta, e))
         vol = math.prod(2.0 * h for h in half)
         if vol < sys.float_info.min:
             raise DecayError(f"sharpness box at lam {lam:g} has volume {vol:g}, "
                              "below the smallest normal float; use a larger delta")
-        f = TestFunctionSpec.boxes([(-h, h) for h in half])
-        r = evaluate_lambda(p, f, chi, lam)
-        rows.append(SharpnessRow(lam, tuple(half), vol, r.value,
-                                 abs(r.value) / vol, float(phase_bound(delta, e))))
+        boxes.append((lam, half, vol, float(phase_bound(delta, e))))
+    return ws, delta, halvings, boxes
 
+
+def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
+                   w: Sequence[Fraction], delta, lambdas: Sequence[float], *,
+                   chi: CutoffSpec = CutoffSpec(), max_halvings: int = 80,
+                   dual: DualPolyhedron | None = None,
+                   boxes: tuple | None = None) -> SharpnessWitness:
+    """Realize the decay rate from below with boxes dual to the polyhedron.
+
+    Indicator boxes |x_j| <= delta * lam^(-w_j) built from a dual vertex w
+    keep |lam * phase| below 1e-10 once delta is small enough (the exponent
+    of lam is 1 - <alpha, w> <= 0 termwise, so halving delta always wins).
+    On such boxes the integrand is flat and the form measures plain volume:
+    |value| must sit inside `SHARPNESS_BAND` times the L1 norm of f.  Pass `dual`
+    when it is already built; it is computed from `n` otherwise.  `boxes`,
+    when given, is `sharpness_boxes` of the same arguments.  All boxes are
+    evaluated in one `lambda_sweep` call, one test function per frequency.
+    """
+    if dual is None:
+        dual = dual_polyhedron(n)
+    ws, delta, halvings, boxes = boxes or sharpness_boxes(
+        p, n, w, delta, lambdas, chi=chi, dual=dual, max_halvings=max_halvings)
+    results = lambda_sweep(p, [TestFunctionSpec.boxes([(-h, h) for h in half])
+                               for _, half, _, _ in boxes], chi, [b[0] for b in boxes])
+    rows = [SharpnessRow(lam, half, vol, r.value, abs(r.value) / vol, bound)
+            for (lam, half, vol, bound), r in zip(boxes, results)]
     chain_ok, _ = check_dual_domination(n, q, dual)
-    power = sum(ws)
-    return SharpnessWitness(ws, delta, power, tuple(rows), halvings, chain_ok)
+    return SharpnessWitness(ws, delta, sum(ws), tuple(rows), halvings, chain_ok)
 
 
 def check_dual_domination(n: NewtonPolyhedron, q: ExponentQuery,

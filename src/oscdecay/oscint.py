@@ -3,34 +3,26 @@
 The quantity computed here is the integral of exp(i*lambda*phi(x)) against a
 smooth compactly supported cutoff times a product of one-variable factors,
 each the indicator of an interval.  Each axis of the cutoff support is cut
-into octave pieces, so every product cell sees a single oscillation scale;
-Gauss panel counts then track the phase variation cell by cell instead of
-chasing the worst case globally.  Each axis of each cell is sized from the
-Gauss remainder bound: the panel of `QuadratureConfig.order` nodes on
-`waves_per_panel` turns sets the per-panel error target, and the axis takes
-the Gauss order whose panels, as many as meet that target, have the fewest
-nodes in all.  Every axis may take `order` or the orders 24 and 32 above it,
-on wider panels; an axis whose piece lies on the cutoff plateau, where the
-integrand is analytic, may also take 4, 8 or 12.  The error estimate reruns
-only the axes at `order` or above, at order max(n // 2, n - 4): 12, 20 and 28
-by default.  A frequency sweep is planned whole before any quadrature; then
-the cells of every frequency and both levels are evaluated as one batch of
-rows, each at its own lam (`_evaluate`).  Each axis's pieces are clipped to
-its factor's interval, so the factor is 1 on every node, and a per-axis rule,
-real weights times the cutoff, depends only on its piece, panel count and
-order: each distinct one is built once per sweep.  Rows with equal node counts
-per axis are gathered from per-axis rule stacks and evaluated together: a
-kernel call on several cells needs at most `_CHUNK` workspace floats, and one
-on a single cell at most `_CHUNK` nodes (a larger cell is cut along its first
-axis).  The workspace is one reused per-thread buffer, faulted in once.  The
-kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into it,
-takes cos and sin of theta from the float64 half-angle tangent tan(theta/2),
-which vectorizes where complex exp does not, and contracts them in real
-arithmetic.  The cutoff profile runs its bump table only on transition nodes,
-in blocks.  The same cell grid indexes a closed-form bound per cell (dominant
-vertex of the support polyhedron): `box_envelope` gives them all from exact
-integer exponent grids, and their sum is an a-priori certificate for the
-result.
+into octave pieces, clipped to the factor's interval, so every product cell
+sees a single oscillation scale and the factor is 1 on every node.  Each axis
+of each cell takes the Gauss order and panel count with the fewest nodes that
+meet one per-panel error target (`_panel_counts`); the error estimate reruns
+the axes at `QuadratureConfig.order` or above at a lower order.  A call is
+planned whole before any quadrature, one row per frequency, each row with
+its own test function (one plan per distinct one); then the cells of every
+row and both levels are evaluated as one batch (`_evaluate`).  A per-axis
+rule, real weights times the cutoff, depends only on its piece, panel count
+and order: each distinct one is built and stacked once per call, and rows
+with equal node counts per axis gather theirs from the stacks.  A kernel call
+on several cells needs at most `_CHUNK` workspace floats, and one on a single
+cell at most `_CHUNK` nodes (a larger cell is cut along its first axis).  The
+kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into a
+reused per-thread workspace, takes cos and sin of theta from the half-angle
+tangent tan(theta/2), which vectorizes where complex exp does not, and
+contracts them in real arithmetic.  The same cell grid indexes a closed-form
+bound per cell (dominant vertex of the support polyhedron): `box_envelope`
+gives them all from exact integer exponent grids, and their sum is an
+a-priori certificate for the result.
 
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
@@ -433,7 +425,8 @@ def _run_level(p, axis_pieces, cells, counts, orders, lams, chi):
     frequency `lams` and with its rule given per axis by its row of `cells`
     (piece index), `counts` and `orders`.  The pieces are already clipped to
     the factors, so a rule is the real Gauss weights times the cutoff, keyed
-    by (lo, hi, panels, order) alone."""
+    by (lo, hi, panels, order) alone.  Per axis, the distinct rules of each
+    node count are stacked once; each shape group gathers its rows from them."""
     values = np.zeros(len(cells), dtype=complex)
     mass = np.ones(len(cells))
 
@@ -442,46 +435,46 @@ def _run_level(p, axis_pieces, cells, counts, orders, lams, chi):
         # each distinct rule is built once, and every axis and cell shares it
         return _axis_rule(lo, hi, panels, *_gauss(order), chi)
 
-    # per axis, the distinct rule keys, and each row's among them
-    keys, rule_of = [], []
+    # per axis, {node count: stacked nodes and weights} and each row's place
+    stacks, place = [], []
     for k, pieces in enumerate(axis_pieces):
-        uniq, inv = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k]], axis=1))
-        keys.append([(pieces[j][2], pieces[j][3], c, n) for j, c, n in uniq.tolist()])
-        rule_of.append(inv)
+        keys, inv = _rows(np.stack([counts[:, k] * orders[:, k], cells[:, k],
+                                    counts[:, k], orders[:, k]], axis=1))
+        sizes, first, many = np.unique(keys[:, 0], return_index=True, return_counts=True)
+        built = [rule(pieces[j][2], pieces[j][3], c, o) for _, j, c, o in keys.tolist()]
+        stacks.append({n: [np.stack(r) for r in zip(*built[a:a + m])]
+                       for n, a, m in zip(sizes.tolist(), first.tolist(), many.tolist())})
+        mass *= np.concatenate([np.zeros(0)] + [np.abs(w).sum(axis=1)
+                                                for _, w in stacks[-1].values()])[inv]
+        place.append((np.arange(len(keys)) - np.repeat(first, many))[inv])
     # rows with equal node counts per axis have rules of equal shape: each
     # such group is evaluated in batches whose kernel workspace,
     # 2*b*m*(n + 1) floats, stays within _CHUNK
     shapes, group = _rows(counts * orders)
-    for g, sizes in enumerate(shapes.tolist()):
-        members = np.flatnonzero(group == g)
+    by_group = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
+    for sizes, members in zip(shapes.tolist(), by_group):
         size = math.prod(sizes)
         batch = max(1, _CHUNK // (2 * (size + size // sizes[-1])))
         # a cell above the chunk alone is cut into slices along axis 0
         rows = max(1, _CHUNK // (size // sizes[0]))
-        # per axis, the group's distinct rules are stacked once; a batch
-        # gathers its cells' rows from the stacks
-        stacks = []
-        for k in range(len(axis_pieces)):
-            used, at = np.unique(rule_of[k][members], return_inverse=True)
-            x, w = (np.stack(r) for r in zip(*(rule(*keys[k][u]) for u in used.tolist())))
-            mass[members] *= np.abs(w).sum(axis=1)[at]
-            stacks.append((x, w, at))
+        # per axis, the stack of the group's node count and its rows' places
+        gathered = [(*by_size[n], at[members]) for by_size, at, n in zip(stacks, place, sizes)]
         for start in range(0, len(members), batch):
             idx = members[start:start + batch]
-            axes = [x[at[start:start + batch]] for x, _, at in stacks]
-            weights = [w[at[start:start + batch]] for _, w, at in stacks]
+            axes = [x[at[start:start + batch]] for x, _, at in gathered]
+            weights = [w[at[start:start + batch]] for _, w, at in gathered]
             for s in range(0, sizes[0], rows):
                 values[idx] += _kernel(p, lams[idx], [axes[0][:, s:s + rows]] + axes[1:],
                                        [weights[0][:, s:s + rows]] + weights[1:])
     return values, mass
 
 
-def _plan(p, f, chi):
+def _plan(p, f, chi, grads=None):
     """What an evaluation's cells and rules depend on besides lam: the pieces
     of each axis; then per cell (in product order) and axis, as (cells, d)
     arrays: the piece index, whether that piece lies on the cutoff plateau,
     and the sizing `_panel_counts` takes, the |d_k phi| bound and the piece
-    width."""
+    width.  `grads`, p's derivatives with absolute coefficients, may be given."""
     d = p.dimension
     if d > 3:
         raise OscError("tensor quadrature is limited to dimension <= 3")
@@ -499,18 +492,27 @@ def _plan(p, f, chi):
     # product is the one a scalar evaluation at a single corner would give
     mags = [np.array([max(abs(lo), abs(hi)) for _, _, lo, hi in pieces], dtype=object)
             .reshape([-1] + [1] * (d - 1 - k)) for k, pieces in enumerate(axis_pieces)]
-    bounds = np.stack([np.broadcast_to(np.asarray(p.derivative(k).absolute().evaluate(mags),
-                                                  dtype=float), full).ravel()
-                       for k in range(d)], axis=1)
+    grads = grads or [p.derivative(k).absolute() for k in range(d)]
+    bounds = np.stack([np.broadcast_to(np.asarray(g.evaluate(mags), dtype=float), full).ravel()
+                       for g in grads], axis=1)
     widths = np.stack([np.array([hi - lo for _, _, lo, hi in pieces])[cells[:, k]]
                        for k, pieces in enumerate(axis_pieces)], axis=1)
     return axis_pieces, cells, analytic, (bounds, widths)
 
 
+def _per_row(f, rows):
+    """`f` once per row: one `TestFunctionSpec` repeated, or a sequence of one per row."""
+    fs = [f] * rows if isinstance(f, TestFunctionSpec) else list(f)
+    if len(fs) != rows:
+        raise OscError(f"{len(fs)} test functions for {rows} frequencies")
+    return fs
+
+
 def _evaluate(p, f, chi, lams, quad):
     """Tensor-panel quadrature of the oscillatory form at every frequency of
-    `lams`: per frequency, its result (without certificate), and the value
-    and node count of every cell, cells in product order.
+    `lams`, with one test function `f` or one per frequency: per frequency,
+    its result (without certificate), and the value and node count of every
+    cell, cells in product order.
 
     Panel counts and Gauss orders per cell and axis follow the local phase
     variation (`_panel_counts`); when the implied node count exceeds the
@@ -519,17 +521,25 @@ def _evaluate(p, f, chi, lams, quad):
     rerun on the same panels at order max(n // 2, n - 4) on the axes at order
     n >= `order`, or on every axis of a shrunk rule.  A cell without one
     has only analytic axes, each within the error target, and adds
-    d * target times its weight mass instead.  Every frequency is planned
-    before any quadrature; then the cells of every frequency and both levels
-    are evaluated as one batch of rows (`_run_level`).
+    d * target times its weight mass instead.  Each distinct test function
+    is planned once, with p's derivative bounds formed once per call; their
+    pieces join one list per axis, and all rows run in one `_run_level`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
     if bad:
         raise OscError(f"frequency must be finite, got {bad[0]:g}")
-    axis_pieces, cells, analytic, sizing = _plan(p, f, chi)
-    plans, main, rerun_rows = [], [], []
-    for lam in lams:
+    fs = _per_row(f, len(lams))
+    grads = [p.derivative(k).absolute() for k in range(p.dimension)]
+    axis_pieces, plans = [[] for _ in grads], {}
+    for g in dict.fromkeys(fs):
+        pieces, cells, analytic, sizing = _plan(p, g, chi, grads)
+        plans[g] = cells + [len(all_k) for all_k in axis_pieces], analytic, sizing
+        for all_k, pieces_k in zip(axis_pieces, pieces):
+            all_k.extend(pieces_k)
+    rows, main, rerun_rows = [], [], []
+    for lam, g in zip(lams, fs):
+        cells, analytic, sizing = plans[g]
         counts, orders = _panel_counts(lam, sizing, analytic, quad)
         low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
         if low_confidence:
@@ -538,19 +548,19 @@ def _evaluate(p, f, chi, lams, quad):
         full = (orders >= quad.order) | low_confidence
         rerun = full.any(axis=1)
         coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
-        plans.append((lam, counts, orders, low_confidence, rerun))
+        rows.append((lam, counts, orders, low_confidence, rerun))
         main.append((cells, counts, orders, np.full(len(cells), lam)))
         rerun_rows.append((cells[rerun], counts[rerun], coarse[rerun],
                            np.full(int(rerun.sum()), lam)))
     # the cells, counts, orders and lam of every frequency's rows, then of
     # every frequency's rerun rows
-    rows = (np.concatenate(col) for col in zip(*main, *rerun_rows))
-    values, mass = _run_level(p, axis_pieces, *rows, chi)
+    values, mass = _run_level(p, axis_pieces, *(np.concatenate(col) for col in
+                                                zip(*main, *rerun_rows)), chi)
     target, _ = _ladder(quad.order, quad.waves_per_panel)
-    out, top = [], len(lams) * len(cells)
-    checks = np.split(values[top:], np.cumsum([len(r[0]) for r in rerun_rows])[:-1])
+    ends = np.cumsum([len(r[0]) for r in main + rerun_rows])[:-1]
+    parts, masses, out = np.split(values, ends), np.split(mass, ends), []
     for (lam, counts, orders, low_confidence, rerun), v, m, check in zip(
-            plans, values[:top].reshape(len(lams), -1), mass[:top].reshape(len(lams), -1), checks):
+            rows, parts, masses, parts[len(lams):]):
         error = abs((v[rerun] - check).sum()) + p.dimension * target * m[~rerun].sum()
         cell_nodes = (counts * orders).prod(axis=1)
         out.append((OscResult(lam, complex(v.sum()), float(error), low_confidence,
@@ -558,18 +568,17 @@ def _evaluate(p, f, chi, lams, quad):
     return out
 
 
-def _certified(results, p, f, chi, query, n, constant):
-    """The results, each with its certificate (`certificate_sum`)."""
+def _certified(results, p, fs, chi, query, n, constant):
+    """The results, each certified (`certificate_sum`) with its test function in `fs`."""
     d = p.dimension
     if n is None:
         n = build_polyhedron(p)
     if query is None:
         query = ExponentQuery.all_inf(d)
-    norms = f.norms(query, chi.radius)
     return tuple(replace(r, certificate=certificate_sum(
-        p, n, query, norms, r.lam, levels=chi.levels,
+        p, n, query, f.norms(query, chi.radius), r.lam, levels=chi.levels,
         multiplicity=1 if chi.positive_orthant else 2 ** d, constant=constant))
-        for r in results)
+        for r, f in zip(results, fs))
 
 
 def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
@@ -577,11 +586,11 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
                     certify: bool = False, query: ExponentQuery | None = None,
                     n: NewtonPolyhedron | None = None,
                     cert_constant: float = DEFAULT_CERT_CONSTANT) -> OscResult:
-    """Tensor-panel quadrature of the oscillatory form at one frequency
-    (`_evaluate`); with `certify` the result carries its certificate."""
+    """Tensor-panel quadrature of the oscillatory form at one frequency, the
+    one-row case of `_evaluate`; with `certify` it carries its certificate."""
     (r, _, _), = _evaluate(p, f, chi, [lam], quad)
     if certify:
-        r, = _certified([r], p, f, chi, query, n, cert_constant)
+        r, = _certified([r], p, [f], chi, query, n, cert_constant)
     return r
 
 
@@ -641,22 +650,25 @@ def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[
     return tuple(lo * ratio ** i for i in range(count))
 
 
-def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
-                 lambdas: Sequence[float], *, quad: QuadratureConfig = QuadratureConfig(),
+def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunctionSpec],
+                 chi: CutoffSpec, lambdas: Sequence[float], *,
+                 quad: QuadratureConfig = QuadratureConfig(),
                  certify: bool = False, query: ExponentQuery | None = None,
                  n: NewtonPolyhedron | None = None,
                  cert_constant: float = DEFAULT_CERT_CONSTANT) -> tuple[OscResult, ...]:
     """Evaluate the form on an increasing frequency grid, one result each,
-    equal to `evaluate_lambda`'s at each frequency.  The whole grid is
-    evaluated as one batch of cells (`_evaluate`)."""
+    equal to `evaluate_lambda`'s at each frequency.  `f` is one test function
+    for the whole grid, or a sequence of one per frequency.  The whole grid
+    is evaluated as one batch of cells (`_evaluate`)."""
     lams = [float(x) for x in lambdas]
+    fs = _per_row(f, len(lams))
     if not lams:
         return ()
     if any(b <= a for a, b in zip(lams, lams[1:])):
         raise OscError("lambda grid must be strictly increasing")
     if lams[0] < MIN_LAMBDA:
         raise OscError(f"decay sweeps start at lambda >= {MIN_LAMBDA:g}")
-    results = [r for r, _, _ in _evaluate(p, f, chi, lams, quad)]
+    results = [r for r, _, _ in _evaluate(p, fs, chi, lams, quad)]
     if certify:
-        return _certified(results, p, f, chi, query, n, cert_constant)
+        return _certified(results, p, fs, chi, query, n, cert_constant)
     return tuple(results)

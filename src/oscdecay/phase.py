@@ -156,8 +156,9 @@ class PhasePolynomial:
         grid, shape (B,), or one for all, and `out` is a C-contiguous float
         array of shape (B, n_0, ..., n_{d-1}); it is returned.  Each grid's
         scale is folded into the coefficients, so no full-size temporary is
-        made.  A single monomial is an outer product of per-axis powers whose
-        last multiply writes `out`.  A sum of terms contracts the per-axis
+        made.  A single monomial is an outer product of per-axis powers, the
+        scale folded into the first, formed axis by axis by `np.einsum`,
+        whose last product writes `out`.  A sum of terms contracts the per-axis
         power tables P_k, of shape (B, n_k, E_k) for the E_k distinct
         exponents of variable k, against the coefficient tensor: P_0 @ C @
         P_1^T in two dimensions, one more contraction per axis beyond.
@@ -167,20 +168,17 @@ class PhasePolynomial:
         b, d = axes[0].shape[0], self.dimension
         scale = np.broadcast_to(scale, (b,))
         coeffs = self._float_coefficients
-        # the contraction handles a monomial too, but its matmuls with an
-        # inner dimension of 1 cost verify2d 16 % more wall time
+        # einsum forms the outer product of a monomial on a 256x1024 cell in
+        # about 200 us against 400 us for a broadcast multiply (numpy 2.4).
+        # The products keep their order, and exponent 0 multiplies by 1.0
+        # exactly; a zero product comes out +0.0, a sign no contraction sees
         if len(coeffs) == 1:
             (alpha, c), = coeffs
-            powers = []
-            for k, (e, x) in enumerate(zip(alpha, axes)):
-                if e:
-                    shape = [b] + [1] * d
-                    shape[k + 1] = x.shape[1]
-                    powers.append((x ** e).reshape(shape))
-            acc = (scale * c).reshape([b] + [1] * d)
-            for part in powers[:-1]:
-                acc = acc * part
-            return np.multiply(acc, powers[-1] if powers else 1.0, out=out)
+            acc = (scale * c)[:, None] * axes[0] ** alpha[0]
+            for k in range(1, d):
+                acc = np.einsum("bi,bj->bij", acc.reshape(b, -1), axes[k] ** alpha[k],
+                                out=out.reshape(b, -1, axes[k].shape[1]) if k == d - 1 else None)
+            return out
         exps = [sorted({alpha[k] for alpha, _ in coeffs}) for k in range(d)]
         tensor = np.zeros([b] + [len(e) for e in exps])
         for alpha, c in coeffs:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oscdecay import oscint
 from oscdecay.cli import (
     HANDLERS,
     CliError,
@@ -269,6 +270,24 @@ class TestUsageErrors:
                      "--out", str(tmp_path / "report.json")])
         err = capsys.readouterr().err
         assert code == 1
+        assert err == ("error: sharpness box at lam 64 has volume 0, below the smallest "
+                       "normal float; use a larger delta\n")
+
+    def test_underflowing_sharpness_box_is_refused_before_any_quadrature(
+            self, tmp_path, capsys, monkeypatch):
+        # every witness's exact boxes are built before the decay sweep
+        calls = []
+        real = oscint._kernel
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(oscint, "_kernel", spy)
+        code = main(["verify", "--phase", "x1^2*x2^2 + x1^5*x2", "--sharpness",
+                     "--box-scale", "1e-400", "--out", str(tmp_path / "report.json")])
+        err = capsys.readouterr().err
+        assert code == 1 and not calls
         assert err == ("error: sharpness box at lam 64 has volume 0, below the smallest "
                        "normal float; use a larger delta\n")
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from oscdecay import oscint
+from oscdecay.decay import dual_lambda_grid, sharpness_test
 from oscdecay.exponent import ExponentQuery
 from oscdecay.oscint import (
     _STEP_NORM,
@@ -968,3 +969,55 @@ class TestRuleTable:
                      lambda_grid(64, 2048, 11))
         keys = [(lo, hi, panels, len(gx)) for lo, hi, panels, gx, _, _ in calls]
         assert len(keys) == len(set(keys)) == 108
+
+
+class TestBatchedRows:
+    # one test function per frequency: distinct boxes, one box twice, and
+    # whole lines, on the full cutoff
+    BOX = TestFunctionSpec.boxes([(-0.2, 0.7), (0.05, 0.9)])
+    FS = (BOX, TestFunctionSpec.ones(2), TestFunctionSpec.boxes([(-0.01, 0.01), (-0.3, 0.002)]),
+          BOX, TestFunctionSpec.ones(2))
+    LAMS = (8.0, 16.0, 32.0, 64.0, 128.0)
+
+    @pytest.mark.parametrize("quad, flagged", [
+        (QuadratureConfig(), False),
+        # the upper samples are shrunk to the budget
+        (QuadratureConfig(node_budget=3_000), True),
+    ], ids=["default", "budget"])
+    def test_rows_equal_lone_evaluations(self, quad, flagged):
+        p = phase("x1^3*x2 + x1*x2^2")
+        sweep = lambda_sweep(p, self.FS, CHI, self.LAMS, quad=quad, certify=True)
+        lone = [evaluate_lambda(p, f, CHI, lam, quad=quad, certify=True)
+                for f, lam in zip(self.FS, self.LAMS)]
+        assert [fields(r) for r in sweep] == [fields(r) for r in lone]
+        assert any(r.low_confidence for r in sweep) == flagged
+        # and every cell of every row, bit for bit
+        rows = _evaluate(p, self.FS, CHI, self.LAMS, quad)
+        for (_, values, nodes), f, lam in zip(rows, self.FS, self.LAMS):
+            _, want_values, want_nodes = lone_cells(p, f, CHI, lam, quad)
+            assert values.tobytes() == want_values.tobytes()
+            assert nodes.tolist() == want_nodes.tolist()
+
+    def test_one_level_run_per_sharpness_test(self, monkeypatch):
+        calls = []
+        real = oscint._run_level
+
+        def spy(*args):
+            calls.append(len(args[2]))
+            return real(*args)
+
+        monkeypatch.setattr(oscint, "_run_level", spy)
+        p = phase("x1*x2")
+        w = (Fraction(1), Fraction(0))
+        rep = sharpness_test(p, build_polyhedron(p), ExponentQuery.all_inf(2), w,
+                             Fraction(1, 4), dual_lambda_grid(w, count=6, start=6))
+        assert len(rep.rows) == 6 and len(calls) == 1 and calls[0] > 0
+
+    def test_bad_per_frequency_list_is_refused(self):
+        p, ones = phase("x1*x2"), TestFunctionSpec.ones
+        with pytest.raises(OscError, match="2 test functions for 3 frequencies"):
+            lambda_sweep(p, [ones(2)] * 2, CHI, (8.0, 16.0, 32.0))
+        with pytest.raises(OscError, match="1 test functions for 0 frequencies"):
+            lambda_sweep(p, [ones(2)], CHI, ())
+        with pytest.raises(OscError, match="dimension mismatch"):
+            lambda_sweep(p, [ones(2), ones(3)], CHI, (8.0, 16.0))

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -218,3 +219,52 @@ class TestRestriction:
         other = pt.from_support([(7, 7)], 2)
         with pytest.raises(PhaseError):
             restrict_to_face(p, other.faces[0])
+
+
+class TestTensorMonomial:
+    @staticmethod
+    def broadcast_monomial(p, axes, scale):
+        # the outer product by broadcast multiplies: scale * c, then each
+        # axis of nonzero exponent's powers, in axis order
+        (alpha, c), = p._float_coefficients
+        b, d = axes[0].shape[0], p.dimension
+        acc = (np.broadcast_to(scale, (b,)) * c).reshape([b] + [1] * d)
+        for k, (e, x) in enumerate(zip(alpha, axes)):
+            if e:
+                shape = [b] + [1] * d
+                shape[k + 1] = x.shape[1]
+                acc = acc * (x ** e).reshape(shape)
+        return np.ascontiguousarray(np.broadcast_to(acc, [b] + [x.shape[1] for x in axes]))
+
+    @pytest.mark.parametrize("alpha, c", [
+        ((1, 1), 1), ((3, 2), Fraction(-3, 2)), ((0, 5), 7), ((4, 0), Fraction(1, 3)),
+        ((0, 0), Fraction(-5, 4)),
+        ((1, 2, 4), 1), ((0, 3, 1), Fraction(-2, 7)), ((2, 0, 0), 3), ((0, 0, 0), 2),
+        ((1, 0, 2, 3), Fraction(9, 8)), ((2, 1, 1, 1, 0, 3), -1),
+    ])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("per_row", [False, True], ids=["scalar-scale", "row-scales"])
+    def test_equals_broadcast_bit_for_bit(self, alpha, c, b, per_row):
+        d = len(alpha)
+        p = PhasePolynomial.from_terms({alpha: c}, d)
+        rng = np.random.default_rng(sum(alpha) + 10 * d + b)
+        sizes = [7, 4, 5, 3, 2, 3][:d]
+        axes = [rng.uniform(-1.5, 1.5, (b, n)) for n in sizes]
+        scale = 617.25 * rng.uniform(-1.0, 1.0, b) if per_row else 617.25
+        out = np.full([b] + sizes, np.nan)
+        got = p.evaluate_tensor(axes, scale, out)
+        assert got is out
+        assert got.tobytes() == self.broadcast_monomial(p, axes, scale).tobytes()
+
+    def test_zero_product_is_positive_zero(self):
+        # einsum sums into a zeroed output: a product of exactly zero is
+        # +0.0 where a broadcast multiply keeps its sign; every other entry
+        # is the same bits
+        p = PhasePolynomial.from_terms({(1, 1): -2}, 2)
+        axes = [np.array([[0.0, 0.5, -0.25]]), np.array([[0.75, -0.0, 1.0]])]
+        got = p.evaluate_tensor(axes, 3.0, np.empty((1, 3, 3)))
+        want = self.broadcast_monomial(p, axes, 3.0)
+        assert np.array_equal(got, want)
+        zero = want == 0.0
+        assert np.signbit(want[zero]).any() and not np.signbit(got[zero]).any()
+        assert got[~zero].tobytes() == want[~zero].tobytes()
