@@ -6,14 +6,19 @@ each the indicator of an interval.  Each axis of the cutoff support is cut
 into octave pieces, clipped to the factor's interval, so every product cell
 sees a single oscillation scale and the factor is 1 on every node.  Each axis
 of each cell takes the Gauss order and panel count with the fewest nodes that
-meet one per-panel error target (`_panel_counts`); the error estimate reruns
-the axes at `QuadratureConfig.order` or above at a lower order.  A call is
-planned whole before any quadrature, one row per frequency, each row with
-its own test function (one plan per distinct one); then the cells of every
-row and both levels are evaluated as one batch (`_evaluate`).  A per-axis
-rule, real weights times the cutoff, depends only on its piece, panel count
-and order: each distinct one is built and stacked once per call, and rows
-with equal node counts per axis gather theirs from the stacks.  A kernel call
+meet one per-panel error target (`_panel_counts`).  The error estimate reruns
+at a lower order only the cells that may miss the target: those of a rule
+shrunk to the node budget, and those with an axis off the cutoff plateau
+that is clipped or on panels too wide for the cutoff's transition
+(`_TRANSITION_PANELS`; a rule without an entry reruns every cell with an
+axis at `QuadratureConfig.order` or above); every other cell adds the target
+times its weight mass.  A call is planned whole before any quadrature, one
+row per frequency, each row with its own test function (one plan per
+distinct one); then the cells of every row and both levels are evaluated as
+one batch (`_evaluate`).  A per-axis rule, real weights times the cutoff,
+depends only on its piece, panel count and order: each distinct one is
+built and stacked once per call, and rows with equal node counts per axis
+gather theirs from the stacks.  A kernel call
 on several cells needs at most `_CHUNK` workspace floats, and one on a single
 cell at most `_CHUNK` nodes (a larger cell is cut along its first axis).  The
 kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into a
@@ -29,11 +34,13 @@ has no such limit.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
 from typing import Sequence
 
 import numpy as np
@@ -229,7 +236,9 @@ class OscResult:
     # difference against a rerun at order max(n // 2, n - 4) on the axes at
     # order n >= QuadratureConfig.order (12, 20 and 28 for 16, 24 and 32; every
     # axis when low_confidence), plus d * target * weight mass of the cells
-    # without one
+    # not rerun.  Every cell is rerun when low_confidence; otherwise, for a
+    # rule in _TRANSITION_PANELS, only the cells with an axis off the cutoff
+    # plateau that the table does not resolve (_evaluate)
     error: float
     low_confidence: bool
     nodes: int
@@ -287,6 +296,14 @@ def _ladder(order, waves):
     return math.exp(log_target), tuple(rungs)
 
 
+def _turns(lam, sizing):
+    """Phase turns per cell and axis, a (cells, d) float array, from `sizing`:
+    the |d_k phi| bound and the piece width (`_plan`)."""
+    bounds, widths = sizing
+    with np.errstate(over="ignore"):
+        return abs(lam) * bounds * widths / (2.0 * math.pi)
+
+
 def _panel_counts(lam, sizing, analytic, quad):
     """Gauss panel counts and orders, (cells, d) integer arrays, cells in
     product order, from `sizing`: the (cells, d) float arrays of the
@@ -298,9 +315,8 @@ def _panel_counts(lam, sizing, analytic, quad):
     11.0, and on the plateau also 4, 8 or 12.  Every panel meets the same
     target relative to its width, so the summed bound per axis is that of
     16-point panels alone.  Counts are capped at 2^53, far above any budget."""
-    bounds, widths = sizing
+    turns = _turns(lam, sizing)
     with np.errstate(over="ignore"):
-        turns = abs(lam) * bounds * widths / (2.0 * math.pi)
         if not np.all(np.isfinite(turns / quad.waves_per_panel)):
             raise OscError(f"phase turns per cell overflow at lam {lam:g}")
         # the fewest nodes so far per cell and axis, with their count and
@@ -319,19 +335,31 @@ def _panel_counts(lam, sizing, analytic, quad):
     return counts, orders
 
 
+# P0(n) per Gauss order n an axis off the cutoff plateau may take, for a rule
+# (order, waves_per_panel): the panel count from which on n-point panels on
+# the cutoff's transition piece [1/2, 1] (inner 1/2) integrate
+# profile * exp(i w x) there within the target relative to the profile's
+# mass, the allowance a cell not rerun adds per axis, at every w up to n's
+# most turns per panel (derived by scripts/calibrate_transition.py).  An
+# axis on that whole piece whose panels are that narrow keeps the target; a
+# missing order resolves none, and a missing rule keeps every rerun
+_TRANSITION_PANELS = MappingProxyType({(16, 4.0): ((16, 6), (24, 3), (32, 2))})
+
+
 def _nodes(counts, orders):
     """Total tensor nodes, in floats, which cannot wrap around."""
     with np.errstate(over="ignore"):
         return np.multiply(counts, orders, dtype=float).prod(axis=1).sum()
 
 
-def _fit_budget(counts, orders, analytic, quad):
+def _fit_budget(counts, orders, analytic, turns, quad):
     """Shrink a rule above the node budget: every panel count by one common
-    factor, the largest that fits.  Only where one panel per axis does not
-    fit are orders above `order` first capped at it, and then, as far as
-    needed, the orders of analytic axes stepped down the ladder.  The result
-    fits unless one panel per axis at the lowest allowed orders (4 on the
-    plateau, `order` elsewhere) does not."""
+    factor, the largest that fits, then one panel more at a time to the axis
+    with the most `turns` per panel, while the rule still fits.  Only where
+    one panel per axis does not fit are orders above `order` first capped at
+    it, and then, as far as needed, the orders of analytic axes stepped down
+    the ladder.  The result fits unless one panel per axis at the lowest
+    allowed orders (4 on the plateau, `order` elsewhere) does not."""
     _, rungs = _ladder(quad.order, quad.waves_per_panel)
     caps = [(quad.order, True)] + [(n, analytic) for n, _, plateau in reversed(rungs) if plateau]
     for n, where in caps:
@@ -350,7 +378,25 @@ def _fit_budget(counts, orders, analytic, quad):
             lo = mid
         else:
             hi = mid
-    return scaled(lo), orders
+    counts = scaled(lo)
+    # then one panel more at a time, to the axis with the most turns per
+    # panel first, while the rule still fits; a panel more on axis k of
+    # cell c adds that cell's nodes / counts[c, k]
+    cell_nodes = np.multiply(counts, orders, dtype=float).prod(axis=1)
+    room = quad.node_budget - cell_nodes.sum()
+    heap = list(zip((-turns / counts).ravel().tolist(),
+                    *np.indices(counts.shape).reshape(2, -1).tolist()))
+    heapq.heapify(heap)
+    while heap:
+        _, c, k = heapq.heappop(heap)
+        add = cell_nodes[c] / counts[c, k]
+        if add > room:
+            break
+        room -= add
+        cell_nodes[c] += add
+        counts[c, k] += 1
+        heapq.heappush(heap, (-turns[c, k] / counts[c, k], c, k))
+    return counts, orders
 
 
 def _axis_rule(lo, hi, panels, gx, gw, chi):
@@ -519,11 +565,18 @@ def _evaluate(p, f, chi, lams, quad):
     budget, the rule is shrunk to fit (`_fit_budget`) and the result is
     flagged low-confidence.  The reported error is the difference against a
     rerun on the same panels at order max(n // 2, n - 4) on the axes at order
-    n >= `order`, or on every axis of a shrunk rule.  A cell without one
-    has only analytic axes, each within the error target, and adds
-    d * target times its weight mass instead.  Each distinct test function
-    is planned once, with p's derivative bounds formed once per call; their
-    pieces join one list per axis, and all rows run in one `_run_level`.
+    n >= `order`, or on every axis of a shrunk rule.  For a rule with an
+    entry in `_TRANSITION_PANELS` only two kinds of cell are rerun: every
+    cell of a shrunk rule, and a cell with an axis off the cutoff plateau
+    that is not resolved.  An axis is resolved when inner is 1/2, its piece
+    is the whole transition [radius/2, radius], unclipped, and its panels
+    are at most radius / (2 P0(n)) wide, on which n-point panels meet the
+    target across the transition.  Every other cell has each axis within
+    the error target, analytic or resolved, and adds d * target times its
+    weight mass instead.  A rule without an entry reruns every cell with an
+    axis at order n >= `order`.  Each distinct test function is planned
+    once, with p's derivative bounds formed once per call; their pieces join
+    one list per axis, and all rows run in one `_run_level`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -537,16 +590,33 @@ def _evaluate(p, f, chi, lams, quad):
         plans[g] = cells + [len(all_k) for all_k in axis_pieces], analytic, sizing
         for all_k, pieces_k in zip(axis_pieces, pieces):
             all_k.extend(pieces_k)
+    # per Gauss order, the widest panel that keeps the target on the cutoff's
+    # transition piece, 0 where none does.  The table holds for inner 1/2,
+    # where that piece is the octave piece [radius/2, radius]; for another
+    # inner no axis off the plateau is resolved
+    entry = _TRANSITION_PANELS.get((quad.order, quad.waves_per_panel))
+    widest = np.zeros(max(quad.order, _HIGHER[-1]) + 1)
+    for n, panels in entry if entry and chi.inner == 0.5 else ():
+        widest[n] = 0.5 * chi.radius / panels
     rows, main, rerun_rows = [], [], []
     for lam, g in zip(lams, fs):
         cells, analytic, sizing = plans[g]
         counts, orders = _panel_counts(lam, sizing, analytic, quad)
         low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
         if low_confidence:
-            counts, orders = _fit_budget(counts, orders, analytic, quad)
-        # a shrunk rule no longer meets the target on analytic axes: rerun them all
+            counts, orders = _fit_budget(counts, orders, analytic, _turns(lam, sizing), quad)
+        # a shrunk rule no longer meets the target on analytic axes: rerun
+        # them all.  Otherwise, with a table entry, only a cell with an axis
+        # off the plateau that is clipped or on panels too wide for the
+        # transition is rerun
         full = (orders >= quad.order) | low_confidence
-        rerun = full.any(axis=1)
+        if entry is None:
+            rerun = full.any(axis=1)
+        else:
+            widths = sizing[1]
+            resolved = analytic | ((widths == 0.5 * chi.radius)
+                                   & (widths <= widest[orders] * counts))
+            rerun = ~resolved.all(axis=1) | low_confidence
         coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
         rows.append((lam, counts, orders, low_confidence, rerun))
         main.append((cells, counts, orders, np.full(len(cells), lam)))

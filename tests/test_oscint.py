@@ -44,6 +44,7 @@ from oscdecay.polytope import build_polyhedron
 from oscdecay.ratlin import dot
 
 import oracle_fine_rule
+import oracle_mellin
 
 
 def phase(text, d=2):
@@ -273,6 +274,14 @@ class TestEvaluateBasics:
         # shrinking keeps most of what fits, and the error stays honest
         assert r.nodes > budget // 2
         assert r.error >= abs(r.value - free.value)
+
+    @pytest.mark.parametrize("budget", [30_000, 36_000])
+    def test_budget_is_mostly_used(self, budget):
+        # one common factor alone left both rules at 22,704 nodes; panels
+        # added one at a time fill most of the gap it leaves
+        r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, 512.0,
+                            quad=QuadratureConfig(node_budget=budget))
+        assert r.low_confidence and 0.85 * budget <= r.nodes <= budget
 
     def test_budget_shrinks_panels_before_orders(self):
         # half the nodes, taken from the panel counts, costs little accuracy;
@@ -755,6 +764,41 @@ class TestFrozenFineRule:
         assert np.median(ratios) <= 30
 
 
+class TestMellinOracle:
+    # monomials over the orthant against their exact residue expansion,
+    # whose remainder has died out from lam 1024 on
+    CASES = [("x1*x2", (1, 1)), ("x1*x2^2", (1, 2)), ("x1^2*x2^3", (2, 3)),
+             ("x1^3*x2^3", (3, 3)), ("x1^3*x2^4", (3, 4))]
+
+    def test_error_bounds_deviation_from_exact_value(self):
+        ratios = []
+        for text, a in self.CASES:
+            for r in lambda_sweep(phase(text), TestFunctionSpec.ones(2), CHI_POS,
+                                  lambda_grid(1024, 16384, 5)):
+                dev = abs(r.value - oracle_mellin.orthant(a, 1.0, r.lam))
+                assert r.error >= dev, (text, r.lam)
+                ratios.append(r.error / dev)
+        r = evaluate_lambda(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3), CHI_POS, 1024.0)
+        dev = abs(r.value - oracle_mellin.orthant((1, 1, 1), 1.0, 1024.0))
+        assert r.error >= dev
+        ratios.append(r.error / dev)
+        assert np.median(ratios) <= 30
+
+    def test_full_space_product_phase_is_two_pi_over_lam(self):
+        # the logarithmic terms of the four orthants cancel
+        for r in lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI,
+                              (1024.0, 2048.0, 4096.0)):
+            exact = 2 * math.pi / r.lam
+            assert abs(oracle_mellin.whole_space((1, 1), 1.0, r.lam) - exact) <= 1e-12 * exact
+            assert abs(r.value - exact) <= r.error
+
+    def test_oracle_conjugates_negative_coefficients(self):
+        a, lam = (2, 3), 2048.0
+        assert oracle_mellin.orthant(a, -1.0, lam) == oracle_mellin.orthant(a, 1.0, lam).conjugate()
+        r = evaluate_lambda(phase("-x1^2*x2^3"), TestFunctionSpec.ones(2), CHI_POS, lam)
+        assert abs(r.value - oracle_mellin.orthant(a, -1.0, lam)) <= r.error
+
+
 def box_bound(n, j, q, norms, lam):
     """Reference for one term of `certificate_sum`: the bound on the box with
     corner 2^-j, prod(norms) * 2^-s * min(1, |lam 2^-t|^(-1/2)), where
@@ -867,7 +911,7 @@ class TestSweep:
     def test_sweep_is_one_batch_of_cells(self, monkeypatch):
         # cells of one shape from every frequency and both levels share
         # kernel calls: evaluated one frequency at a time, this sweep makes
-        # 238 calls
+        # 211 calls
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
@@ -880,6 +924,64 @@ class TestSweep:
         results = lambda_sweep(phase(text), TestFunctionSpec.ones(2), CHI_POS,
                                lambda_grid(64, 2048, 11))
         assert sum(r.nodes for r in results) <= most
+
+    def test_rerun_skips_resolved_cells(self, monkeypatch):
+        # only cells with a transition axis on too few panels are rerun: a
+        # rerun on every cell with an axis at order 16 or above ran 1.76x
+        # the reported nodes through the kernel
+        calls = kernel_calls(monkeypatch)
+        results = lambda_sweep(phase("x1^3*x2^3"), TestFunctionSpec.ones(2), CHI_POS,
+                               lambda_grid(64, 2048, 11))
+        kernel = sum(b * math.prod(sizes) for b, sizes in calls)
+        assert kernel <= 1.05 * sum(r.nodes for r in results)
+
+    @pytest.mark.parametrize("text, d, lams, kernel", [
+        ("x1*x2", 2, (64.0,), 8_224),
+        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 1_283_776),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 873_088),
+    ])
+    def test_rerun_keeps_unresolved_transition_cells(self, monkeypatch, text, d, lams, kernel):
+        # at these frequencies every cell with an axis at order 16 or above
+        # has a transition axis on fewer panels than the table resolves, so
+        # the kernel runs exactly the nodes of a rerun on all of them
+        calls = kernel_calls(monkeypatch)
+        lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
+
+    @pytest.mark.parametrize("chi, f", [
+        (CutoffSpec(positive_orthant=True, inner=0.3), TestFunctionSpec.ones(2)),
+        (CHI_POS, TestFunctionSpec.of(FactorSpec.box(0.0, 0.9), FactorSpec.box(0.0, 0.8))),
+    ])
+    def test_rerun_keeps_transition_cells_the_table_was_not_calibrated_for(
+            self, monkeypatch, chi, f):
+        # the table holds for the whole piece [radius/2, radius] of inner
+        # 1/2: for another inner, or a piece clipped by a factor, every
+        # transition cell is rerun, as if the table resolved no order
+        calls = kernel_calls(monkeypatch)
+        key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
+        kernel = []
+        for table in (oscint._TRANSITION_PANELS, {key: ()}):
+            monkeypatch.setattr(oscint, "_TRANSITION_PANELS", table)
+            calls.clear()
+            lambda_sweep(phase("x1*x2"), f, chi, (1024.0, 2048.0))
+            kernel.append(sum(b * math.prod(sizes) for b, sizes in calls))
+        assert kernel[0] == kernel[1]
+
+    @pytest.mark.parametrize("waves, lam, kernel, error", [
+        (2.0, 256.0, 51_376, 8.209120413601127e-09),
+        (0.5, 64.0, 34_592, 3.485047506192388e-08),
+    ])
+    def test_rule_without_table_entry_reruns_every_cell_at_order(
+            self, monkeypatch, waves, lam, kernel, error):
+        # no panel count resolves the transition for these rules, whose
+        # targets lie below the float floor: every cell with an axis at
+        # order 16 or above keeps its rerun, plateau-only ones too, and err
+        # is what that rerun gives
+        calls = kernel_calls(monkeypatch)
+        r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, lam,
+                            quad=QuadratureConfig(waves_per_panel=waves))
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
+        assert r.error == pytest.approx(error, rel=1e-9)
 
     @pytest.mark.parametrize("text, lams", [
         ("x1*x2*x3", (16.0, 32.0, 64.0)),
@@ -962,13 +1064,14 @@ class TestRuleTable:
         assert first > 0 and len(calls) == 2 * first
 
     def test_each_rule_built_once_per_sweep(self, monkeypatch):
-        # the sweep's 108 distinct rules, keyed by (lo, hi, panels, order),
-        # each built once
+        # the sweep's 92 distinct rules, keyed by (lo, hi, panels, order),
+        # each built once; a rerun on every cell with an axis at order 16 or
+        # above built 108
         calls = count_rule_builds(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
         keys = [(lo, hi, panels, len(gx)) for lo, hi, panels, gx, _, _ in calls]
-        assert len(keys) == len(set(keys)) == 108
+        assert len(keys) == len(set(keys)) == 92
 
 
 class TestBatchedRows:

@@ -2,6 +2,7 @@
 the names perfbench/ and __all__ promise exist in the library."""
 import ast
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -59,3 +60,21 @@ def test_reference_rule_is_a_valid_configuration():
     # and it must stay finer than the default rule it checks
     default = QuadratureConfig()
     assert ref.order >= default.order and ref.waves_per_panel < default.waves_per_panel
+
+
+def test_transition_table_is_the_calibrated_one():
+    # the shipped entry for the default rule is what the calibration derives:
+    # every count from P0 up to MAX_PANELS meets the target relative to the
+    # profile's mass, and P0 - 1 does not
+    spec = importlib.util.spec_from_file_location(
+        "calibrate_transition", ROOT / "scripts" / "calibrate_transition.py")
+    cal = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cal)
+    from oscdecay.oscint import _TRANSITION_PANELS, QuadratureConfig, _ladder
+    key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
+    table = cal.transition_panels(*key)
+    assert table == _TRANSITION_PANELS[key] == ((16, 6), (24, 3), (32, 2))
+    target, rungs = _ladder(*key)
+    most = {n: m for n, m, _ in rungs}
+    for n, panels in table:
+        assert cal.worst_error(n, panels - 1, most[n]) > target
