@@ -31,7 +31,7 @@ from .decay import (
 )
 from .exponent import ExponentQuery, sharp_exponent
 from .nondegen import MAX_FACE_CELLS, check_nondegeneracy, max_grid
-from .oscint import (MAX_LEVELS, MIN_LAMBDA, CutoffSpec, TestFunctionSpec,
+from .oscint import (MAX_LEVELS, MIN_LAMBDA, PLATEAU, CutoffSpec, TestFunctionSpec,
                      lambda_grid, lambda_sweep)
 from .phase import parse_phase, reduce_phase
 from .polytope import (
@@ -101,9 +101,8 @@ class RunConfig:
             box_scale = Fraction(self.box_scale)
         except (ValueError, ZeroDivisionError):
             raise CliError(f"box scale {self.box_scale!r} is not a rational number") from None
-        plateau = Fraction(CutoffSpec().inner * CutoffSpec().radius)  # of verify's cutoff
-        if not 0 < box_scale <= plateau:
-            raise CliError(f"box scale must lie in (0, {plateau}], the cutoff plateau, "
+        if not 0 < box_scale <= PLATEAU:
+            raise CliError(f"box scale must lie in (0, {PLATEAU}], the cutoff plateau, "
                            f"got {self.box_scale}")
         # 2^1023 is the largest power of two a float holds
         if not (self.e_step >= 1 and 1 <= self.e_lo <= self.e_hi <= 1023):
@@ -270,8 +269,6 @@ def _run_sweep(cfg: RunConfig, p, n, q, lam_override: float | None):
     if lam_override is not None:
         grid = (float(lam_override),)
         cfg = replace(cfg, lam_lo=grid[0], lam_hi=grid[0], lam_count=1)
-    elif cfg.lam_count == 1:
-        grid = (cfg.lam_lo,)
     else:
         grid = lambda_grid(cfg.lam_lo, cfg.lam_hi, cfg.lam_count)
     chi = CutoffSpec(positive_orthant=cfg.orthant, levels=cfg.levels)

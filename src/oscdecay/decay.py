@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .exponent import ExponentQuery, ExponentReport, ray_scaling
-from .oscint import (CutoffSpec, OscResult, TestFunctionSpec, box_envelope,
+from .oscint import (PLATEAU, CutoffSpec, OscResult, TestFunctionSpec, box_envelope,
                      lambda_sweep)
 from .phase import PhasePolynomial
 from .polytope import DualPolyhedron, NewtonPolyhedron, dual_polyhedron
@@ -48,10 +48,9 @@ class DecayFit:
     """Least squares of log|value| against [1, log lam, log log lam].
 
     All rate fields live on the 1/nu scale, where the regression is linear
-    and tolerances are honest; nu itself is exposed as a property.  The free
-    fit estimates the log power m too; the pinned fit fixes m to the
-    prediction, which breaks the near-collinearity of the two regressors
-    over desk-scale grids.
+    and tolerances are honest.  The free fit estimates the log power m too;
+    the pinned fit fixes m to the prediction, which breaks the
+    near-collinearity of the two regressors over desk-scale grids.
     """
     lams: tuple[float, ...]
     mags: tuple[float, ...]
@@ -72,14 +71,6 @@ class DecayFit:
     @property
     def passed(self) -> bool:
         return self.inv_nu_gap <= self.tol
-
-    @property
-    def nu_free(self) -> float:
-        return 1.0 / self.inv_nu_free if self.inv_nu_free > 0 else math.inf
-
-    @property
-    def nu_pinned(self) -> float:
-        return 1.0 / self.inv_nu_pinned if self.inv_nu_pinned > 0 else math.inf
 
     def to_json_dict(self) -> dict:
         return {
@@ -229,7 +220,7 @@ def sharpness_boxes(p: PhasePolynomial, n: NewtonPolyhedron, w: Sequence[Fractio
 
     cap = Fraction(1, 10 ** 10)
     delta = Fraction(delta)
-    if not 0 < delta <= Fraction(chi.inner * chi.radius).limit_denominator(10 ** 6):
+    if not 0 < delta <= PLATEAU:
         raise DecayError("delta must sit inside the cutoff plateau")
 
     # sup of |lam * phase| over the box: the absolute-coefficient polynomial

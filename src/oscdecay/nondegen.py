@@ -250,18 +250,18 @@ def _cell_bounds(pairs: Sequence[PhasePolynomial], absgrads, nodes: np.ndarray,
 
 
 def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
-                tol: float, degen_tol: float, starts: int) -> FaceCheck:
+                degen_tol: float, starts: int) -> FaceCheck:
     """Certify one face, or search it for a common zero of its pairs.
 
-    With tol <= 0, a pair whose nonzero coefficients share one sign has no
-    zero in the open orthant and certifies the face outright; the margin is
-    then taken at the centres of the d root boxes [eta, 1]^(d - 1).  Any
-    other face is swept once per orientation x_m = 1 of the slice grid
+    A pair whose nonzero coefficients share one sign has no zero in the
+    open orthant and certifies the face outright; the margin is then taken
+    at the centres of the d root boxes [eta, 1]^(d - 1).  Any other face is
+    swept once per orientation x_m = 1 of the slice grid
     np.geomspace(eta, 1, grid).  Each sweep gives every cell's Lipschitz
     bound (`_cell_bounds`), the least max_pairs |g| at a cell centre (the
     margin is the least over the orientations) and the max(1, starts // d)
     cells of smallest max_pairs |g|, ties broken by (value, flat index).
-    The face is certified when every bound exceeds tol.  Otherwise the
+    The face is certified when every bound is positive.  Otherwise the
     `starts` smallest of those cells seed the Gauss-Newton refinement, and
     a refined point off the open orthant is no witness.
     """
@@ -271,7 +271,7 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
         # a sum of single-variable monomials; impossible for reduced input
         return FaceCheck(face.id, face.dim, "degenerate", 0.0, (1.0,) * d, 0.0)
     nodes = np.geomspace(eta, 1.0, grid)
-    if tol <= 0 and any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs):
+    if any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs):
         centre = np.full((d, d), (nodes[0] + nodes[-1]) / 2)
         np.fill_diagonal(centre, 1.0)
         values = np.max([np.abs(g.evaluate(list(centre))) for g in pairs], axis=0)
@@ -285,7 +285,7 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     for m in range(d):
         valmax, bound = _cell_bounds(pairs, absgrads, nodes, d, m)
         margin = min(margin, float(valmax.min()))
-        certified = certified and bool((bound > tol).all())
+        certified = certified and bool((bound > 0).all())
         for idx in _smallest_cells(valmax, max(1, starts // d)):
             multi = np.unravel_index(idx, valmax.shape)
             point = [float(centers[i]) for i in multi]
@@ -329,8 +329,8 @@ def max_grid(dimension: int) -> int:
 
 
 def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *,
-                        grid: int = 64, eta: float = 1e-3, tol: float = 0.0,
-                        degen_tol: float = 1e-10, starts: int = 8) -> NondegeneracyReport:
+                        grid: int = 64, eta: float = 1e-3, degen_tol: float = 1e-10,
+                        starts: int = 8) -> NondegeneracyReport:
     """Face-by-face common-zero search for the off-diagonal Hessian entries.
 
     Certification covers the cone {x > 0 : min_k x_k >= eta * max_k x_k}; a
@@ -356,7 +356,7 @@ def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
                             f"grid that fits is {max_grid(p.dimension)}")
     if n is None:
         n = build_polyhedron(p)
-    checks = tuple(_check_face(p, face, grid, eta, tol, degen_tol, starts)
+    checks = tuple(_check_face(p, face, grid, eta, degen_tol, starts)
                    for face in n.faces)
     return NondegeneracyReport(p.dimension, grid, eta, checks)
 

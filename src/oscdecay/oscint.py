@@ -7,28 +7,25 @@ into octave pieces, clipped to the factor's interval, so every product cell
 sees a single oscillation scale and the factor is 1 on every node.  Each axis
 of each cell takes the Gauss order and panel count with the fewest nodes that
 meet one per-panel error target (`_panel_counts`).  The error estimate reruns
-at a lower order only the cells that may miss the target: those of a rule
-shrunk to the node budget, and those with an axis off the cutoff plateau
-that is clipped or on panels too wide for the cutoff's transition
-(`_TRANSITION_PANELS`; a rule without an entry reruns every cell with an
-axis at `QuadratureConfig.order` or above); every other cell adds the target
-times its weight mass.  A call is planned whole before any quadrature, one
-row per frequency, each row with its own test function (one plan per
-distinct one); then the cells of every row and both levels are evaluated as
-one batch (`_evaluate`).  A per-axis rule, real weights times the cutoff,
-depends only on its piece, panel count and order: each distinct one is
-built and stacked once per call, and rows with equal node counts per axis
-gather theirs from the stacks.  A kernel call
-on several cells needs at most `_CHUNK` workspace floats, and one on a single
-cell at most `_CHUNK` nodes (a larger cell is cut along its first axis).  The
-kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight into a
-reused per-thread workspace, takes cos and sin of theta from the half-angle
-tangent tan(theta/2), which vectorizes where complex exp does not, and
-contracts them in real arithmetic.  The same cell grid indexes a closed-form
-bound per cell (dominant vertex of the support polyhedron): `box_envelope`
-gives them all from exact integer exponent grids, and their sum is an
-a-priori certificate for the result.
+at a lower order only the cells that may miss the target (`_evaluate` states
+the rule); every other cell adds the target times its weight mass.  A call
+is planned whole before any quadrature, one row per frequency, each row with
+its own test function (one plan per distinct one); then the cells of every
+row and both levels are evaluated as one batch (`_evaluate`).  A per-axis
+rule, real weights times the cutoff, depends only on its piece, panel count
+and order: each distinct one is built and stacked once per call, and rows
+with equal node counts per axis gather theirs from the stacks.  A kernel
+call on several cells needs at most `_CHUNK` workspace floats, and one on a
+single cell at most `_CHUNK` nodes (a larger cell is cut along its first
+axis).  The kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2
+straight into a reused per-thread workspace, takes cos and sin of theta from
+the half-angle tangent tan(theta/2), which vectorizes where complex exp does
+not, and contracts them in real arithmetic.  The same cell grid indexes a
+closed-form bound per cell (dominant vertex of the support polyhedron):
+`box_envelope` gives them all from exact integer exponent grids, and their
+sum is an a-priori certificate for the result.
 
+The cutoff has one fixed shape, 1 on |t| <= PLATEAU and 0 on |t| >= 1.
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
 """
@@ -54,6 +51,7 @@ __all__ = [
     "QuadratureConfig", "OscResult", "bump",
     "smooth_step", "evaluate_lambda", "box_envelope", "certificate_sum",
     "lambda_grid", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS", "MIN_LAMBDA",
+    "PLATEAU",
 ]
 
 
@@ -68,6 +66,8 @@ class OscError(ValueError):
 DEFAULT_CERT_CONSTANT = 2.0
 
 MAX_LEVELS = 40   # cutoff octaves run 1..MAX_LEVELS
+PLATEAU = Fraction(1, 2)  # the cutoff is 1 on |t| <= PLATEAU and 0 on |t| >= 1
+_PLATEAU = float(PLATEAU)  # floats compare with a Fraction 100x slower
 MIN_LAMBDA = 2.0  # decay sweeps start here
 
 
@@ -133,24 +133,20 @@ def smooth_step(u):
 class CutoffSpec:
     """Tensorized plateau cutoff.
 
-    The per-axis profile equals one on |t| <= inner*radius and vanishes
-    beyond |t| >= radius.  `levels` fixes the octave granularity of the
-    quadrature cells and the truncation of the certificate sum.
+    The per-axis profile equals one on |t| <= PLATEAU and vanishes beyond
+    |t| >= 1.  `levels` fixes the octave granularity of the quadrature
+    cells and the truncation of the certificate sum.
     """
-    radius: float = 1.0
-    inner: float = 0.5
     positive_orthant: bool = False
     levels: int = 12
 
     def __post_init__(self):
-        if not (self.radius > 0 and 0 < self.inner < 1):
-            raise OscError("cutoff needs radius > 0 and inner fraction in (0, 1)")
         if not 1 <= self.levels <= MAX_LEVELS:
             raise OscError("levels out of range")
 
     def profile(self, t):
-        u = (np.abs(np.asarray(t, dtype=float)) / self.radius - self.inner)
-        return smooth_step(u / (1.0 - self.inner))
+        t = np.abs(np.asarray(t, dtype=float))
+        return smooth_step((t - _PLATEAU) / (1.0 - _PLATEAU))
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +166,9 @@ class FactorSpec:
             raise OscError("box indicator needs a < b")
         return cls(float(a), float(b))
 
-    def norm(self, p, radius: float) -> float:
-        """L^p size over [-radius, radius], in closed form."""
-        measure = max(min(self.b, radius) - max(self.a, -radius), 0.0)
+    def norm(self, p) -> float:
+        """L^p size over the cutoff's support [-1, 1], in closed form."""
+        measure = max(min(self.b, 1.0) - max(self.a, -1.0), 0.0)
         return measure ** (0.0 if p == INF else 1.0 / float(p))
 
 
@@ -198,9 +194,8 @@ class TestFunctionSpec:
     def dimension(self) -> int:
         return len(self.factors)
 
-    def norms(self, query: ExponentQuery, radius: float) -> tuple[float, ...]:
-        return tuple(fac.norm(p, radius)
-                     for fac, p in zip(self.factors, query.p))
+    def norms(self, query: ExponentQuery) -> tuple[float, ...]:
+        return tuple(fac.norm(p) for fac, p in zip(self.factors, query.p))
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +228,8 @@ _CHUNK = 262_144  # per kernel call: workspace floats of a batch, nodes of a lon
 class OscResult:
     lam: float
     value: complex
-    # difference against a rerun at order max(n // 2, n - 4) on the axes at
-    # order n >= QuadratureConfig.order (12, 20 and 28 for 16, 24 and 32; every
-    # axis when low_confidence), plus d * target * weight mass of the cells
-    # not rerun.  Every cell is rerun when low_confidence; otherwise, for a
-    # rule in _TRANSITION_PANELS, only the cells with an axis off the cutoff
-    # plateau that the table does not resolve (_evaluate)
+    # difference against a lower-order rerun of some cells, plus the
+    # allowance of the others (the rule is in _evaluate's docstring)
     error: float
     low_confidence: bool
     nodes: int
@@ -247,9 +238,9 @@ class OscResult:
 
 def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
     """Signed octave intervals covering the support, clipped to the factor."""
-    r, levels = chi.radius, chi.levels
-    mags = [(r * 2.0 ** -(l + 1), r * 2.0 ** -l, l) for l in range(levels)]
-    mags.append((0.0, r * 2.0 ** -levels, levels))
+    levels = chi.levels
+    mags = [(2.0 ** -(l + 1), 2.0 ** -l, l) for l in range(levels)]
+    mags.append((0.0, 2.0 ** -levels, levels))
     signs = (1,) if chi.positive_orthant else (1, -1)
     pieces = []
     for sign in signs:
@@ -261,9 +252,9 @@ def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
     return pieces
 
 
-def _on_plateau(chi, lo, hi):
+def _on_plateau(lo, hi):
     """Whether the cutoff is 1 on all of [lo, hi], so the integrand is analytic there."""
-    return max(abs(lo), abs(hi)) <= chi.inner * chi.radius
+    return max(abs(lo), abs(hi)) <= _PLATEAU
 
 
 _LADDER = (4, 8, 12)  # Gauss orders below `order`, for axes on the cutoff plateau only
@@ -337,7 +328,7 @@ def _panel_counts(lam, sizing, analytic, quad):
 
 # P0(n) per Gauss order n an axis off the cutoff plateau may take, for a rule
 # (order, waves_per_panel): the panel count from which on n-point panels on
-# the cutoff's transition piece [1/2, 1] (inner 1/2) integrate
+# the cutoff's transition piece [PLATEAU, 1] integrate
 # profile * exp(i w x) there within the target relative to the profile's
 # mass, the allowance a cell not rerun adds per axis, at every w up to n's
 # most turns per panel (derived by scripts/calibrate_transition.py).  An
@@ -406,7 +397,7 @@ def _axis_rule(lo, hi, panels, gx, gw, chi):
     starts = lo + width * np.arange(panels)
     nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
     weights = np.tile(width * 0.5 * gw, panels)
-    if not _on_plateau(chi, lo, hi):
+    if not _on_plateau(lo, hi):
         weights *= chi.profile(nodes)
     return nodes, weights
 
@@ -529,7 +520,7 @@ def _plan(p, f, chi, grads=None):
     axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
     full = tuple(len(pieces) for pieces in axis_pieces)
     cells = np.stack(np.unravel_index(np.arange(math.prod(full)), full), axis=1)
-    analytic = np.stack([np.array([_on_plateau(chi, lo, hi) for _, _, lo, hi in pieces],
+    analytic = np.stack([np.array([_on_plateau(lo, hi) for _, _, lo, hi in pieces],
                                   dtype=bool)[cells[:, k]]
                          for k, pieces in enumerate(axis_pieces)], axis=1)
     # d_k phi with absolute coefficients bounds |d_k phi| on a cell at its
@@ -565,18 +556,19 @@ def _evaluate(p, f, chi, lams, quad):
     budget, the rule is shrunk to fit (`_fit_budget`) and the result is
     flagged low-confidence.  The reported error is the difference against a
     rerun on the same panels at order max(n // 2, n - 4) on the axes at order
-    n >= `order`, or on every axis of a shrunk rule.  For a rule with an
-    entry in `_TRANSITION_PANELS` only two kinds of cell are rerun: every
-    cell of a shrunk rule, and a cell with an axis off the cutoff plateau
-    that is not resolved.  An axis is resolved when inner is 1/2, its piece
-    is the whole transition [radius/2, radius], unclipped, and its panels
-    are at most radius / (2 P0(n)) wide, on which n-point panels meet the
-    target across the transition.  Every other cell has each axis within
-    the error target, analytic or resolved, and adds d * target times its
-    weight mass instead.  A rule without an entry reruns every cell with an
-    axis at order n >= `order`.  Each distinct test function is planned
-    once, with p's derivative bounds formed once per call; their pieces join
-    one list per axis, and all rows run in one `_run_level`.
+    n >= `order` (12, 20 and 28 for 16, 24 and 32), or on every axis of a
+    shrunk rule, plus d * target times the weight mass of each cell not
+    rerun.  For a rule with an entry in `_TRANSITION_PANELS` only two kinds
+    of cell are rerun: every cell of a shrunk rule, and a cell with an axis
+    off the cutoff plateau that is not resolved.  An axis is resolved when
+    its piece is the whole transition [PLATEAU, 1], unclipped, and its
+    panels are at most (1 - PLATEAU) / P0(n) wide, on which n-point panels
+    meet the target across the transition.  Every other cell has each axis
+    within the error target, analytic or resolved.  A rule without an entry
+    reruns every cell with an axis at order n >= `order`.  Each distinct
+    test function is planned once, with p's derivative bounds formed once
+    per call; their pieces join one list per axis, and all rows run in one
+    `_run_level`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -591,13 +583,12 @@ def _evaluate(p, f, chi, lams, quad):
         for all_k, pieces_k in zip(axis_pieces, pieces):
             all_k.extend(pieces_k)
     # per Gauss order, the widest panel that keeps the target on the cutoff's
-    # transition piece, 0 where none does.  The table holds for inner 1/2,
-    # where that piece is the octave piece [radius/2, radius]; for another
-    # inner no axis off the plateau is resolved
+    # transition piece, the octave piece [PLATEAU, 1]; 0 where none does
+    transition = 1.0 - _PLATEAU
     entry = _TRANSITION_PANELS.get((quad.order, quad.waves_per_panel))
     widest = np.zeros(max(quad.order, _HIGHER[-1]) + 1)
-    for n, panels in entry if entry and chi.inner == 0.5 else ():
-        widest[n] = 0.5 * chi.radius / panels
+    for n, panels in entry or ():
+        widest[n] = transition / panels
     rows, main, rerun_rows = [], [], []
     for lam, g in zip(lams, fs):
         cells, analytic, sizing = plans[g]
@@ -614,7 +605,7 @@ def _evaluate(p, f, chi, lams, quad):
             rerun = full.any(axis=1)
         else:
             widths = sizing[1]
-            resolved = analytic | ((widths == 0.5 * chi.radius)
+            resolved = analytic | ((widths == transition)
                                    & (widths <= widest[orders] * counts))
             rerun = ~resolved.all(axis=1) | low_confidence
         coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
@@ -646,7 +637,7 @@ def _certified(results, p, fs, chi, query, n, constant):
     if query is None:
         query = ExponentQuery.all_inf(d)
     return tuple(replace(r, certificate=certificate_sum(
-        p, n, query, f.norms(query, chi.radius), r.lam, levels=chi.levels,
+        p, n, query, f.norms(query), r.lam, levels=chi.levels,
         multiplicity=1 if chi.positive_orthant else 2 ** d, constant=constant))
         for r, f in zip(results, fs))
 
@@ -712,7 +703,9 @@ def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
 # sweeps
 
 def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[float, ...]:
-    if count < 1 or not MIN_LAMBDA <= lo < hi:
+    """`count` frequencies from lo to hi in geometric progression; a single
+    point is lo, whatever hi is."""
+    if count < 1 or not lo >= MIN_LAMBDA or (count > 1 and not lo < hi):
         raise OscError("bad lambda grid request")
     if count == 1:
         return (float(lo),)
@@ -724,8 +717,7 @@ def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunction
                  chi: CutoffSpec, lambdas: Sequence[float], *,
                  quad: QuadratureConfig = QuadratureConfig(),
                  certify: bool = False, query: ExponentQuery | None = None,
-                 n: NewtonPolyhedron | None = None,
-                 cert_constant: float = DEFAULT_CERT_CONSTANT) -> tuple[OscResult, ...]:
+                 n: NewtonPolyhedron | None = None) -> tuple[OscResult, ...]:
     """Evaluate the form on an increasing frequency grid, one result each,
     equal to `evaluate_lambda`'s at each frequency.  `f` is one test function
     for the whole grid, or a sequence of one per frequency.  The whole grid
@@ -740,5 +732,5 @@ def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunction
         raise OscError(f"decay sweeps start at lambda >= {MIN_LAMBDA:g}")
     results = [r for r, _, _ in _evaluate(p, fs, chi, lams, quad)]
     if certify:
-        return _certified(results, p, fs, chi, query, n, cert_constant)
+        return _certified(results, p, fs, chi, query, n, DEFAULT_CERT_CONSTANT)
     return tuple(results)

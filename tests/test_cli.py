@@ -6,6 +6,7 @@ import math
 import re
 import time
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -23,9 +24,18 @@ from oscdecay.cli import (
     load_config_file,
     main,
 )
-from oscdecay.decay import MAX_SUM_BOXES, MIN_FIT_OCTAVES, MIN_FIT_SAMPLES
+from oscdecay.decay import (
+    MAX_SUM_BOXES,
+    MIN_FIT_OCTAVES,
+    MIN_FIT_SAMPLES,
+    DecayError,
+    dual_lambda_grid,
+    sharpness_boxes,
+)
 from oscdecay.nondegen import max_grid
-from oscdecay.oscint import lambda_grid
+from oscdecay.oscint import CutoffSpec, lambda_grid
+from oscdecay.phase import parse_phase, reduce_phase
+from oscdecay.polytope import build_polyhedron, dual_polyhedron
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "schemas" / "report.json")
@@ -531,6 +541,24 @@ class TestVerifyCommand:
         assert len(rep["sharpness"]) == 2  # one witness per dual vertex
         assert all(w["verdict"] == "PASS" for w in rep["sharpness"])
         assert {v["name"] for v in rep["verdicts"]} >= {"sharpness"}
+
+    def test_box_scale_ends_at_the_plateau(self, capsys):
+        # --box-scale and the delta of sharpness_boxes share one bound, the
+        # cutoff's plateau 1/2, which is admitted
+        assert oscint.PLATEAU == Fraction(1, 2)
+        code, rep = run(capsys, *self.ARGS, "--sharpness", "--box-scale", "1/2")
+        assert code == 0 and rep["config"]["box_scale"] == "1/2"
+        code, rep = run(capsys, *self.ARGS, "--sharpness", "--box-scale", "500001/1000000")
+        assert code == 2 and rep is None
+        p = reduce_phase(parse_phase("x1*x2", 2))
+        n = build_polyhedron(p)
+        dual = dual_polyhedron(n)
+        w = dual.vertices[0]
+        lams = dual_lambda_grid(w, count=2)
+        sharpness_boxes(p, n, w, Fraction(1, 2), lams, chi=CutoffSpec(), dual=dual)
+        with pytest.raises(DecayError, match="plateau"):
+            sharpness_boxes(p, n, w, Fraction(1, 2) + Fraction(1, 10 ** 12), lams,
+                            chi=CutoffSpec(), dual=dual)
 
     def test_byte_identical_reruns(self, capsys):
         main(list(self.ARGS))

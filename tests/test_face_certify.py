@@ -38,7 +38,7 @@ def single_signed(pairs) -> bool:
     return any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs)
 
 
-def check_counting_sweeps(p, face, grid, tol=0.0):
+def check_counting_sweeps(p, face, grid):
     """`_check_face`, and the cells of each slice sweep (`_cell_bounds`) it
     made."""
     sizes = []
@@ -51,7 +51,7 @@ def check_counting_sweeps(p, face, grid, tol=0.0):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nondegen, "_cell_bounds", counted)
-        got = nondegen._check_face(p, face, grid, ETA, tol, 1e-10, 8)
+        got = nondegen._check_face(p, face, grid, ETA, 1e-10, 8)
     return got, sizes
 
 
@@ -133,25 +133,6 @@ class TestKnownFaces:
         assert oracle.check_face(p, face)[0] == "degenerate"
         assert check_nondegeneracy(p).verdict == "nondegenerate"
 
-    def test_sign_test_does_not_stand_in_for_a_positive_tol(self):
-        # one sign proves |g| > 0 only; with tol = 1e-3 the face goes to the
-        # grid, where 144 x1^11 x2^11 falls far below tol
-        p = reduce_phase(parse_phase("x1^12*x2^12", 2))
-        face, = build_polyhedron(p).faces
-        got = nondegen._check_face(p, face, 64, ETA, 1e-3, 1e-10, 8)
-        assert got.verdict != "nondegenerate"
-        assert (got.verdict, got.margin, got.witness, got.witness_value) == \
-            oracle.check_face(p, face, tol=1e-3)
-        assert check_nondegeneracy(p, tol=1e-3).verdict != "nondegenerate"
-
-    def test_positive_tol_on_a_one_signed_face_is_checked_on_every_cell(self):
-        # d1 d2 (x1*x2) = 1 clears tol = 0.5 on every cell of both slices
-        p = reduce_phase(parse_phase("x1*x2", 2))
-        face, = build_polyhedron(p).faces
-        got, sizes = check_counting_sweeps(p, face, 64, tol=0.5)
-        assert got.verdict == "nondegenerate" and got.margin == 1.0
-        assert sizes == [63, 63]
-
 
 class TestCost:
     def test_benchmark_d4_faces_visit_at_most_d_boxes(self):
@@ -181,7 +162,7 @@ class TestCost:
         monkeypatch.setattr(nondegen, "_refine_zero", refuse)
         p = reduce_phase(parse_phase(text, d))
         face = next(f for f in build_polyhedron(p).faces if f.dim == d - 1)
-        got = nondegen._check_face(p, face, grid, ETA, 0.0, 1e-10, 8)
+        got = nondegen._check_face(p, face, grid, ETA, 1e-10, 8)
         assert got.verdict == "nondegenerate"
 
     def test_failing_face_evaluates_its_slice_grid_once(self, monkeypatch):
@@ -219,7 +200,7 @@ class TestCost:
         monkeypatch.setattr(PhasePolynomial, "evaluate", counted_evaluate)
         monkeypatch.setattr(PhasePolynomial, "derivative", counted_derivative)
         monkeypatch.setattr(nondegen, "_refine_zero", counted_refine)
-        got = nondegen._check_face(p, face, 64, ETA, 0.0, 1e-10, 8)
+        got = nondegen._check_face(p, face, 64, ETA, 1e-10, 8)
         assert got.verdict == "degenerate"
         assert count == {"grid": 2 * len(pairs), "refine": 8,
                          "refine_derivatives": 0}
