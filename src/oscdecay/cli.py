@@ -85,8 +85,11 @@ class RunConfig:
             raise CliError("eta must lie in (0, 1)")
         if not (math.isfinite(self.lam_lo) and math.isfinite(self.lam_hi)):
             raise CliError("frequency range must be finite")
-        if self.lam_count < 1 or self.sharpness_count < 1 or self.grid < 2:
-            raise CliError("grid sizes must be positive")
+        for name, value, least in (("--lam-count", self.lam_count, 1),
+                                   ("sharpness_count", self.sharpness_count, 1),
+                                   ("--grid", self.grid, 2)):
+            if value < least:
+                raise CliError(f"{name} must be at least {least}, got {value}")
         if self.starts < 0:
             raise CliError(f"starts must be nonnegative, got {self.starts}")
         if not 1 <= self.levels <= MAX_LEVELS:

@@ -5,16 +5,19 @@ smooth compactly supported cutoff times a product of one-variable factors,
 each the indicator of an interval.  Each axis of the cutoff support is cut
 into octave pieces, clipped to the factor's interval, so every product cell
 sees a single oscillation scale and the factor is 1 on every node.  Each axis
-of each cell takes the Gauss order and panel count with the fewest nodes that
-meet one per-panel error target (`_panel_counts`).  The error estimate reruns
-at a lower order only the cells that may miss the target (`_evaluate` states
-the rule); every other cell adds the target times its weight mass.  A call
-is planned whole before any quadrature, one row per frequency, each row with
-its own test function (one plan per distinct one); then the cells of every
-row and both levels are evaluated as one batch (`_evaluate`).  A per-axis
-rule, real weights times the cutoff, depends only on its piece, panel count
-and order: each distinct one is built and stacked once per call, and rows
-with equal node counts per axis gather theirs from the stacks.  A kernel
+of each cell takes the Gauss order, map exponent e and panel count with the
+fewest nodes that meet one per-panel error target (`_panel_counts`); its
+panels lie at equal steps of x^e, so each panel of a monomial axis carries
+an equal share of the phase.  The error estimate reruns at a lower order
+only the cells that may miss the target (`_evaluate` states the rule); every
+other cell adds the target times its weight mass.  A call is planned whole
+before any quadrature, one row per frequency, each row with its own test
+function (one plan per distinct one, whose frequencies are sized in one
+batch); then the cells of every row and both levels are evaluated as one
+batch (`_evaluate`).  A per-axis rule, real weights times the cutoff,
+depends only on its piece, panel count, order and map exponent: each
+distinct one is built and stacked once per call, and rows with equal node
+counts per axis gather theirs from the stacks.  A kernel
 call on several cells needs at most `_CHUNK` workspace floats, and one on a
 single cell at most `_CHUNK` nodes (a larger cell is cut along its first
 axis).  The kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2
@@ -206,10 +209,11 @@ class QuadratureConfig:
     """Gauss panel rule.  The Gauss remainder bound R(order, waves_per_panel)
     of `order` nodes on a panel of `waves_per_panel` phase turns is the error
     target every panel is sized to.  Each axis of each cell takes the order
-    with the fewest nodes that meets it: `order`, 24 or 32 (the last two on
-    wider panels), or on the cutoff plateau also 4, 8 or 12.  A rule shrunk
-    to the node budget keeps at least one panel per axis, at order 4 on the
-    plateau and `order` elsewhere."""
+    and map exponent with the fewest nodes that meet it: `order`, 24 or 32
+    (the last two on wider panels), or on the cutoff plateau also 4, 8 or 12,
+    on panels at equal steps of x^e, e = 1..5 (`_panel_counts`).  A rule
+    shrunk to the node budget has equal panels (e = 1) and keeps at least one
+    panel per axis, at order 4 on the plateau and `order` elsewhere."""
     order: int = 16                 # Gauss nodes per panel of the target
     waves_per_panel: float = 4.0    # phase turns per panel of the target
     node_budget: int = 300_000_000  # tensor points per evaluation level
@@ -287,31 +291,29 @@ def _ladder(order, waves):
     return math.exp(log_target), tuple(rungs)
 
 
-def _turns(lam, sizing):
-    """Phase turns per cell and axis, a (cells, d) float array, from `sizing`:
-    the |d_k phi| bound and the piece width (`_plan`)."""
-    bounds, widths = sizing
-    with np.errstate(over="ignore"):
-        return abs(lam) * bounds * widths / (2.0 * math.pi)
+_MAX_MAP = 5  # map exponents e run 1.._MAX_MAP
+_BLOCK = 4096  # entries per block of `_panel_counts`'s equal-panel sizing
 
 
-def _panel_counts(lam, sizing, analytic, quad):
-    """Gauss panel counts and orders, (cells, d) integer arrays, cells in
-    product order, from `sizing`: the (cells, d) float arrays of the
-    |d_k phi| bound and the piece width (`_plan`).  Each axis of each cell
-    takes, among the orders n it may take (`_ladder`; the plateau ones only
-    where `analytic` says its piece lies on the cutoff plateau), the one
-    with the fewest nodes at 1 + floor(turns / most_n) panels, ties to the
-    lower order: by default 16 points on at most 4 turns, 24 on 7.43 or 32 on
-    11.0, and on the plateau also 4, 8 or 12.  Every panel meets the same
-    target relative to its width, so the summed bound per axis is that of
-    16-point panels alone.  Counts are capped at 2^53, far above any budget."""
-    turns = _turns(lam, sizing)
+def _turns(lams, sizing):
+    """Phase turns per frequency, cell and axis, an (F, cells, d) float
+    array for the F frequencies `lams`, from `sizing`: the |d_k phi| bound
+    and the piece width (`_plan`)."""
+    bounds, widths = sizing[:2]
+    lams = np.abs(np.asarray(lams, dtype=float)).reshape(-1, 1, 1)
     with np.errstate(over="ignore"):
-        if not np.all(np.isfinite(turns / quad.waves_per_panel)):
-            raise OscError(f"phase turns per cell overflow at lam {lam:g}")
-        # the fewest nodes so far per cell and axis, with their count and
-        # order; orders ascend, and a later one needs strictly fewer nodes
+        return lams * bounds * widths / (2.0 * math.pi)
+
+
+def _uniform_counts(turns, analytic, quad):
+    """Gauss panel counts and orders of equal panels (map exponent 1),
+    integer arrays shaped like `turns`: among the orders n an axis may take
+    (`_ladder`; the plateau ones only where `analytic` says its piece lies
+    on the cutoff plateau), the one with the fewest nodes at
+    1 + floor(turns / most_n) panels, ties to the lower order."""
+    with np.errstate(over="ignore"):
+        # the fewest nodes so far per entry, with their count and order;
+        # orders ascend, and a later one needs strictly fewer nodes
         nodes = np.full(turns.shape, np.iinfo(np.int64).max)
         counts, orders = np.zeros_like(nodes), np.zeros_like(nodes)
         for n, most, plateau in _ladder(quad.order, quad.waves_per_panel)[1]:
@@ -326,15 +328,86 @@ def _panel_counts(lam, sizing, analytic, quad):
     return counts, orders
 
 
-# P0(n) per Gauss order n an axis off the cutoff plateau may take, for a rule
-# (order, waves_per_panel): the panel count from which on n-point panels on
-# the cutoff's transition piece [PLATEAU, 1] integrate
-# profile * exp(i w x) there within the target relative to the profile's
+def _panel_counts(lams, sizing, analytic, quad):
+    """Gauss panel counts, orders and map exponents, (F, cells, d) integer
+    arrays for the F frequencies `lams`, cells in product order, from
+    `sizing`: the (cells, d) |d_k phi| bounds and piece widths (`_plan`),
+    then the two arrays of `_mapped_sizing`.  An axis with map exponent e
+    has its P panels at equal steps of x^e (`_axis_rule`).  At e = 1 it
+    takes 1 + floor(turns / most_n) panels of the order n with the fewest
+    nodes (`_uniform_counts`): by default 16 points on at most 4 turns, 24
+    on 7.43 or 32 on 11.0, and on the plateau also 4, 8 or 12.  Where some
+    e > 1 is allowed and that needs more than one panel, each allowed e and
+    n is sized too: with T the turns across the piece in x^e and
+    F(P) = (1 + ((hi/lo)^e - 1) / P)^((e - 1)/e) the bottom panel's ratio of
+    ends, no panel of P = 1 + floor(T F(P0) / most_n) exceeds most_n turns,
+    for P0 = 1 + floor(T / most_n), since F falls as P grows.  The fewest
+    nodes win, ties to e = 1, then to the lower e and order.  Every panel
+    meets the same target relative to its width, so the summed bound per
+    axis is that of 16-point panels alone.  Counts are capped at 2^53, far
+    above any budget; turns that overflow are refused, naming the first
+    frequency where they do."""
+    turns = _turns(lams, sizing)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(turns / quad.waves_per_panel).reshape(len(turns), -1).all(axis=1)
+    if not finite.all():
+        raise OscError(f"phase turns per cell overflow at lam {lams[int(np.argmin(finite))]:g}")
+    # equal panels a block of frequencies at a time: on arrays much above
+    # _BLOCK entries the temporaries of the order ladder outgrow the cache
+    counts, orders = (np.empty(turns.shape, dtype=np.int64) for _ in range(2))
+    step = max(1, _BLOCK // max(1, turns[0].size))
+    for i in range(0, len(turns), step):
+        counts[i:i + step], orders[i:i + step] = _uniform_counts(turns[i:i + step], analytic, quad)
+    exps = np.ones_like(counts)
+    rates, ratios = sizing[2:]
+    # the mapped rules, only where some e > 1 is allowed and equal panels
+    # need more than one
+    f, c, k = (np.nonzero((counts > 1) & np.isfinite(rates).any(axis=0)) if len(rates)
+               else (np.zeros(0, dtype=np.int64),) * 3)
+    if not f.size:
+        return counts, orders, exps
+    # one row per order, one column per entry; plateau orders only on
+    # analytic axes
+    rungs = _ladder(quad.order, quad.waves_per_panel)[1]
+    n, most = (np.array(col)[:, None] for col in list(zip(*rungs))[:2])
+    allowed = ~np.array([plateau for _, _, plateau in rungs])[:, None] | analytic[c, k]
+    lam, at = np.abs(np.asarray(lams, dtype=float))[f], np.arange(f.size)
+    best = counts[f, c, k] * orders[f, c, k]
+    picked = counts[f, c, k], orders[f, c, k], exps[f, c, k]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, rate in enumerate(rates[:, c, k], 2):
+            spread, grow = lam * rate, ratios[c, k] ** e - 1.0
+            first = 1 + np.minimum(np.floor(spread / most), 2.0 ** 53)
+            turns = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
+            ok = allowed & np.isfinite(turns)
+            count = 1 + np.minimum(np.floor(np.where(ok, turns, 0.0)), 2.0 ** 53).astype(np.int64)
+            size = np.where(ok, count * n, np.iinfo(np.int64).max)
+            j = size.argmin(axis=0)  # ties to the lower order
+            take = size[j, at] < best
+            np.copyto(best, size[j, at], where=take)
+            for out, value in zip(picked, (count[j, at], n[j, 0], e)):
+                np.copyto(out, value, where=take)
+    for out, value in zip((counts, orders, exps), picked):
+        out[f, c, k] = value
+    return counts, orders, exps
+
+
+# P0(n, e) per map exponent e and Gauss order n an axis off the cutoff
+# plateau may take, for a rule (order, waves_per_panel), as (e, ((n, P0),
+# ...)) pairs: the panel count from which on n-point panels at map exponent
+# e on the cutoff's transition piece [PLATEAU, 1] integrate
+# profile * exp(i w x^e) there within the target relative to the profile's
 # mass, the allowance a cell not rerun adds per axis, at every w up to n's
 # most turns per panel (derived by scripts/calibrate_transition.py).  An
-# axis on that whole piece whose panels are that narrow keeps the target; a
-# missing order resolves none, and a missing rule keeps every rerun
-_TRANSITION_PANELS = MappingProxyType({(16, 4.0): ((16, 6), (24, 3), (32, 2))})
+# axis on that whole piece with at least P0 panels keeps the target; a
+# missing (n, e) resolves none, and a missing rule keeps every rerun
+_TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
+    (1, ((16, 6), (24, 3), (32, 2))),
+    (2, ((16, 8), (24, 3), (32, 2))),
+    (3, ((16, 10), (24, 6), (32, 5))),
+    (4, ((16, 18), (24, 13), (32, 10))),
+    (5, ((24, 27), (32, 20))),
+)})
 
 
 def _nodes(counts, orders):
@@ -390,13 +463,25 @@ def _fit_budget(counts, orders, analytic, turns, quad):
     return counts, orders
 
 
-def _axis_rule(lo, hi, panels, gx, gw, chi):
+def _axis_rule(lo, hi, panels, e, gx, gw, chi):
     """Gauss panel nodes on [lo, hi] and their weights times the cutoff; on
-    the plateau the cutoff is 1 and is not evaluated."""
-    width = (hi - lo) / panels
-    starts = lo + width * np.arange(panels)
-    nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
-    weights = np.tile(width * 0.5 * gw, panels)
+    the plateau the cutoff is 1 and is not evaluated.  At map exponent e the
+    panels lie between (a^e + j (b^e - a^e) / panels)^(1/e), a < b the
+    magnitudes of the ends, mirrored below 0: Gauss in x, no Jacobian."""
+    if e == 1:
+        width = (hi - lo) / panels
+        starts = lo + width * np.arange(panels)
+        nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
+        weights = np.tile(width * 0.5 * gw, panels)
+    else:
+        a, b = sorted((abs(lo), abs(hi)))
+        ends = (a ** e + (b ** e - a ** e) * np.arange(panels + 1) / panels) ** (1.0 / e)
+        ends[0], ends[-1] = a, b
+        if hi <= 0:
+            ends = -ends[::-1]
+        widths = np.diff(ends)[:, None]
+        nodes = (ends[:-1, None] + widths * 0.5 * (gx + 1.0)).ravel()
+        weights = (widths * 0.5 * gw).ravel()
     if not _on_plateau(lo, hi):
         weights *= chi.profile(nodes)
     return nodes, weights
@@ -457,28 +542,29 @@ def _rows(a):
     return a[step], inverse
 
 
-def _run_level(p, axis_pieces, cells, counts, orders, lams, chi):
+def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
     """Rule sums and weight masses of rows of cells, each row at its own
     frequency `lams` and with its rule given per axis by its row of `cells`
-    (piece index), `counts` and `orders`.  The pieces are already clipped to
-    the factors, so a rule is the real Gauss weights times the cutoff, keyed
-    by (lo, hi, panels, order) alone.  Per axis, the distinct rules of each
-    node count are stacked once; each shape group gathers its rows from them."""
+    (piece index), `counts`, `orders` and `exps` (map exponents).  The
+    pieces are already clipped to the factors, so a rule is the real Gauss
+    weights times the cutoff, keyed by (lo, hi, panels, order, e) alone.
+    Per axis, the distinct rules of each node count are stacked once; each
+    shape group gathers its rows from them."""
     values = np.zeros(len(cells), dtype=complex)
     mass = np.ones(len(cells))
 
     @lru_cache(maxsize=None)
-    def rule(lo, hi, panels, order):
+    def rule(lo, hi, panels, order, e):
         # each distinct rule is built once, and every axis and cell shares it
-        return _axis_rule(lo, hi, panels, *_gauss(order), chi)
+        return _axis_rule(lo, hi, panels, e, *_gauss(order), chi)
 
     # per axis, {node count: stacked nodes and weights} and each row's place
     stacks, place = [], []
     for k, pieces in enumerate(axis_pieces):
         keys, inv = _rows(np.stack([counts[:, k] * orders[:, k], cells[:, k],
-                                    counts[:, k], orders[:, k]], axis=1))
+                                    counts[:, k], orders[:, k], exps[:, k]], axis=1))
         sizes, first, many = np.unique(keys[:, 0], return_index=True, return_counts=True)
-        built = [rule(pieces[j][2], pieces[j][3], c, o) for _, j, c, o in keys.tolist()]
+        built = [rule(pieces[j][2], pieces[j][3], c, o, e) for _, j, c, o, e in keys.tolist()]
         stacks.append({n: [np.stack(r) for r in zip(*built[a:a + m])]
                        for n, a, m in zip(sizes.tolist(), first.tolist(), many.tolist())})
         mass *= np.concatenate([np.zeros(0)] + [np.abs(w).sum(axis=1)
@@ -510,8 +596,9 @@ def _plan(p, f, chi, grads=None):
     """What an evaluation's cells and rules depend on besides lam: the pieces
     of each axis; then per cell (in product order) and axis, as (cells, d)
     arrays: the piece index, whether that piece lies on the cutoff plateau,
-    and the sizing `_panel_counts` takes, the |d_k phi| bound and the piece
-    width.  `grads`, p's derivatives with absolute coefficients, may be given."""
+    and the sizing `_panel_counts` takes first, the |d_k phi| bound and the
+    piece width.  `grads`, p's derivatives with absolute coefficients, may
+    be given."""
     d = p.dimension
     if d > 3:
         raise OscError("tensor quadrature is limited to dimension <= 3")
@@ -537,6 +624,41 @@ def _plan(p, f, chi, grads=None):
     return axis_pieces, cells, analytic, (bounds, widths)
 
 
+def _mapped_sizing(grads, axis_pieces, cells):
+    """The sizing of the mapped rules for `cells`, rows of piece indices
+    into `axis_pieces`: an (E, cells, d) float array, per map exponent
+    e = 2..E + 1 (E + 1 the largest e any axis may take), cell and axis k,
+    of the phase turns per unit lam across the piece in the variable x^e,
+    and a (cells, d) one of hi / lo, for lo < hi the magnitudes of the
+    piece's ends.  The turns are (hi^e - lo^e) / (2 pi) times the sum over
+    the terms of d_k phi, with absolute coefficients, of |c| (a_k / e)
+    x*^(a_k - e), a_k the term's exponent of x_k in phi, x* = lo if
+    a_k < e else hi, and the other axes at their largest magnitudes.  They
+    are inf where e may not be taken: e above the largest exponent of x_k
+    in phi, and the piece touching 0."""
+    d = len(axis_pieces)
+    terms = [[(a, float(c)) for a, c in sorted(g.terms.items())] for g in grads]
+    tops = [min(1 + max((a[k] for a, _ in t), default=-1), _MAX_MAP) for k, t in enumerate(terms)]
+    rates = np.full((max(tops + [1]) - 1, len(cells), d), np.inf)
+    mags, mins = ([np.array([pick(abs(lo), abs(hi)) for _, _, lo, hi in pieces])
+                   for pieces in axis_pieces] for pick in (max, min))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        ratios = np.stack([(mags[k] / mins[k])[cells[:, k]] for k in range(d)], axis=1)
+        for k, top in enumerate(tops):
+            for e in range(2, top + 1):
+                span = np.where(mins[k] > 0, mags[k] ** e - mins[k] ** e, np.inf)
+                total = 0.0
+                for a, c in terms[k]:
+                    x = (span * (c / e / (2.0 * math.pi))
+                         * (mins if a[k] + 1 < e else mags)[k] ** (a[k] + 1 - e))[cells[:, k]]
+                    for j, aj in enumerate(a):
+                        if j != k and aj:
+                            x = x * (mags[j] ** aj)[cells[:, j]]
+                    total = total + x
+                rates[e - 2, :, k] = total
+    return rates, ratios
+
+
 def _per_row(f, rows):
     """`f` once per row: one `TestFunctionSpec` repeated, or a sequence of one per row."""
     fs = [f] * rows if isinstance(f, TestFunctionSpec) else list(f)
@@ -551,70 +673,87 @@ def _evaluate(p, f, chi, lams, quad):
     its result (without certificate), and the value and node count of every
     cell, cells in product order.
 
-    Panel counts and Gauss orders per cell and axis follow the local phase
-    variation (`_panel_counts`); when the implied node count exceeds the
-    budget, the rule is shrunk to fit (`_fit_budget`) and the result is
-    flagged low-confidence.  The reported error is the difference against a
-    rerun on the same panels at order max(n // 2, n - 4) on the axes at order
-    n >= `order` (12, 20 and 28 for 16, 24 and 32), or on every axis of a
-    shrunk rule, plus d * target times the weight mass of each cell not
-    rerun.  For a rule with an entry in `_TRANSITION_PANELS` only two kinds
-    of cell are rerun: every cell of a shrunk rule, and a cell with an axis
-    off the cutoff plateau that is not resolved.  An axis is resolved when
-    its piece is the whole transition [PLATEAU, 1], unclipped, and its
-    panels are at most (1 - PLATEAU) / P0(n) wide, on which n-point panels
-    meet the target across the transition.  Every other cell has each axis
-    within the error target, analytic or resolved.  A rule without an entry
-    reruns every cell with an axis at order n >= `order`.  Each distinct
-    test function is planned once, with p's derivative bounds formed once
-    per call; their pieces join one list per axis, and all rows run in one
-    `_run_level`.
+    Panel counts, Gauss orders and map exponents per cell and axis follow
+    the local phase variation (`_panel_counts`); when the implied node count
+    exceeds the budget, the equal-panel rule is shrunk to fit (`_fit_budget`)
+    and the result is flagged low-confidence.  The reported error is the
+    difference against a rerun on the same panels at order max(n // 2, n - 4)
+    on the axes at order n >= `order` (12, 20 and 28 for 16, 24 and 32), or
+    on every axis of a shrunk rule, plus d * target times the weight mass of
+    each cell not rerun.  For a rule with an entry in `_TRANSITION_PANELS`
+    only two kinds of cell are rerun: every cell of a shrunk rule, and a
+    cell with an axis off the cutoff plateau that is not resolved.  An axis
+    is resolved when its piece is the whole transition [PLATEAU, 1],
+    unclipped, and it has at least P0(n, e) panels for its order n and map
+    exponent e, from which on n-point panels meet the target across the
+    transition.  Every other cell has each axis within the error target,
+    analytic or resolved.  A rule without an entry reruns every cell with an
+    axis at order n >= `order`.  Each distinct test function is planned
+    once, with p's derivative bounds formed once per call, and all its
+    frequencies are sized in one `_panel_counts` call; the plans' pieces
+    join one list per axis, and all rows run in one `_run_level`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
     if bad:
         raise OscError(f"frequency must be finite, got {bad[0]:g}")
     fs = _per_row(f, len(lams))
+    rows_of = {}
+    for i, g in enumerate(fs):
+        rows_of.setdefault(g, []).append(i)
     grads = [p.derivative(k).absolute() for k in range(p.dimension)]
     axis_pieces, plans = [[] for _ in grads], {}
-    for g in dict.fromkeys(fs):
+    for g in rows_of:
         pieces, cells, analytic, sizing = _plan(p, g, chi, grads)
         plans[g] = cells + [len(all_k) for all_k in axis_pieces], analytic, sizing
         for all_k, pieces_k in zip(axis_pieces, pieces):
             all_k.extend(pieces_k)
-    # per Gauss order, the widest panel that keeps the target on the cutoff's
-    # transition piece, the octave piece [PLATEAU, 1]; 0 where none does
+    # the mapped sizing of every plan's cells in one call, then all the
+    # frequencies of each plan in one `_panel_counts` call
+    rates, ratios = _mapped_sizing(grads, axis_pieces,
+                                   np.concatenate([cells for cells, _, _ in plans.values()]))
+    sized, start = [None] * len(lams), 0
+    for (cells, analytic, sizing), at in zip(plans.values(), rows_of.values()):
+        end = start + len(cells)
+        sizing = (*sizing, rates[:, start:end], ratios[start:end])
+        for i, *rule in zip(at, *_panel_counts([lams[i] for i in at], sizing, analytic, quad)):
+            sized[i] = rule
+        start = end
+    # P0 per Gauss order and map exponent on the cutoff's transition piece,
+    # the octave piece [PLATEAU, 1]; above any count where none is given
     transition = 1.0 - _PLATEAU
     entry = _TRANSITION_PANELS.get((quad.order, quad.waves_per_panel))
-    widest = np.zeros(max(quad.order, _HIGHER[-1]) + 1)
-    for n, panels in entry or ():
-        widest[n] = transition / panels
+    least = np.full((max(quad.order, _HIGHER[-1]) + 1, _MAX_MAP + 1), np.iinfo(np.int64).max)
+    for e, panels in entry or ():
+        for n, count in panels:
+            least[n, e] = count
     rows, main, rerun_rows = [], [], []
-    for lam, g in zip(lams, fs):
-        cells, analytic, sizing = plans[g]
-        counts, orders = _panel_counts(lam, sizing, analytic, quad)
+    for lam, g, (counts, orders, exps) in zip(lams, fs, sized):
+        cells, analytic, (_, widths) = plans[g]
         low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
         if low_confidence:
-            counts, orders = _fit_budget(counts, orders, analytic, _turns(lam, sizing), quad)
+            # a shrunk rule has equal panels on every axis
+            turns = _turns([lam], plans[g][2])[0]
+            counts, orders = _fit_budget(*_uniform_counts(turns, analytic, quad),
+                                         analytic, turns, quad)
+            exps = np.ones_like(counts)
         # a shrunk rule no longer meets the target on analytic axes: rerun
         # them all.  Otherwise, with a table entry, only a cell with an axis
-        # off the plateau that is clipped or on panels too wide for the
+        # off the plateau that is clipped or on too few panels for the
         # transition is rerun
         full = (orders >= quad.order) | low_confidence
         if entry is None:
             rerun = full.any(axis=1)
         else:
-            widths = sizing[1]
-            resolved = analytic | ((widths == transition)
-                                   & (widths <= widest[orders] * counts))
+            resolved = analytic | ((widths == transition) & (counts >= least[orders, exps]))
             rerun = ~resolved.all(axis=1) | low_confidence
         coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
         rows.append((lam, counts, orders, low_confidence, rerun))
-        main.append((cells, counts, orders, np.full(len(cells), lam)))
-        rerun_rows.append((cells[rerun], counts[rerun], coarse[rerun],
+        main.append((cells, counts, orders, exps, np.full(len(cells), lam)))
+        rerun_rows.append((cells[rerun], counts[rerun], coarse[rerun], exps[rerun],
                            np.full(int(rerun.sum()), lam)))
-    # the cells, counts, orders and lam of every frequency's rows, then of
-    # every frequency's rerun rows
+    # the cells, counts, orders, map exponents and lam of every frequency's
+    # rows, then of every frequency's rerun rows
     values, mass = _run_level(p, axis_pieces, *(np.concatenate(col) for col in
                                                 zip(*main, *rerun_rows)), chi)
     target, _ = _ladder(quad.order, quad.waves_per_panel)

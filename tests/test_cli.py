@@ -202,6 +202,26 @@ class TestUsageErrors:
         assert code == 2 and not captured.out
         assert "usage error:" in captured.err and "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("command, flag, key, value, least", [
+        ("integrate", "--lam-count", "lam_count", 0, 1),
+        ("check", "--grid", "grid", 1, 2),
+        ("verify", None, "sharpness_count", 0, 1),  # a config key with no flag
+    ])
+    def test_grid_size_is_refused_by_name(self, tmp_path, capsys, command, flag, key,
+                                          value, least):
+        # from the flag and from a config file; a grid of 1 was refused as
+        # not positive
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={value}\n")
+        base = [command, "--phase", "x1*x2"]
+        runs = [base + ["--config", str(cfg)]] + ([base + [flag, str(value)]] if flag else [])
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and not captured.out
+            assert captured.err.startswith(
+                f"usage error: {flag or key} must be at least {least}, got {value}\n")
+
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
         path = tmp_path / "missing" / "r.out"

@@ -29,6 +29,7 @@ from oscdecay.oscint import (
     _axis_rule,
     _evaluate,
     _kernel,
+    _mapped_sizing,
     _panel_counts,
     _plan,
     _rows,
@@ -375,16 +376,26 @@ def most_turns(n, target):
     return lo
 
 
+def panel_rules(p, f, chi, lam, analytic, quad=QuadratureConfig()):
+    """`_panel_counts` at lam on every cell of the plan of (p, f, chi), cells
+    in product order, with the plateau mask `analytic`."""
+    grads = [p.derivative(k).absolute() for k in range(p.dimension)]
+    pieces, cells, _, sizing = _plan(p, f, chi, grads)
+    sizing = (*sizing, *_mapped_sizing(grads, pieces, cells))
+    return [a[0] for a in _panel_counts([lam], sizing, analytic, quad)]
+
+
 def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     """Per-cell values with one full np.exp tensor per cell, in cell order."""
     pieces = [_axis_pieces(chi, fac) for fac in f.factors]
     analytic = np.array([[max(abs(lo), abs(hi)) <= 0.5
                           for _, _, lo, hi in cell] for cell in product(*pieces)])
-    counts, orders = _panel_counts(lam, _plan(p, f, chi)[3], analytic, quad)
+    counts, orders, exps = panel_rules(p, f, chi, lam, analytic, quad)
     values = []
-    for cell, cnt, ords in zip(product(*pieces), counts.tolist(), orders.tolist()):
-        rules = [_axis_rule(lo, hi, c, *np.polynomial.legendre.leggauss(n), chi)
-                 for (_, _, lo, hi), c, n in zip(cell, cnt, ords)]
+    for cell, cnt, ords, es in zip(product(*pieces), counts.tolist(), orders.tolist(),
+                                   exps.tolist()):
+        rules = [_axis_rule(lo, hi, c, e, *np.polynomial.legendre.leggauss(n), chi)
+                 for (_, _, lo, hi), c, n, e in zip(cell, cnt, ords, es)]
         grid = np.meshgrid(*[x for x, _ in rules], indexing="ij")
         weight = rules[0][1]
         for _, g in rules[1:]:
@@ -411,7 +422,9 @@ class TestKernel:
          (FactorSpec.box(0.1, 0.7), FactorSpec.box(0.05, 0.8)), 40.0),
         ("x1^2*x2*x3 + x1*x3^2",
          (FactorSpec.box(0.1, 0.7), FactorSpec.box(0.05, 0.8), FactorSpec()), 12.0),
-    ], ids=["2d", "3d"])
+        # both axes on mapped panels in most cells
+        ("x1^3*x2^3", (FactorSpec(), FactorSpec()), 2048.0),
+    ], ids=["2d", "3d", "2d-mapped"])
     def test_boxes_match_per_cell_exp(self, text, factors, lam):
         p = phase(text, len(factors))
         f = TestFunctionSpec.of(*factors)
@@ -515,41 +528,102 @@ class TestKernel:
         p = phase("3*x1^7*x2 + 1/3*x1*x2^5*x3^3 + x2^2*x3^9", 3)
         pieces = [_axis_pieces(chi, fac) for fac in f.factors]
         grads = [p.derivative(k).absolute() for k in range(3)]
+        top = [max(a[k] for a in p.terms) for k in range(3)]
         # on the plateau |t| <= 1/2 the integrand is analytic
         analytic = np.array([[max(abs(lo), abs(hi)) <= 0.5 for _, _, lo, hi in cell]
                              for cell in product(*pieces)])
-        seen = set()
+        seen, mapped = set(), set()
         for quad_cfg in [QuadratureConfig(waves_per_panel=0.37), QuadratureConfig()]:
             target = gauss_remainder(quad_cfg.order, quad_cfg.waves_per_panel)
             # per order, the most turns per panel whose bound meets the target
             most = {n: most_turns(n, target) for n in (4, 8, 12, 16, 24, 32)}
-            for lam in [3.0, 77.7, 1234.5]:
-                want_counts, want_orders = [], []
-                for cell in product(*pieces):
+            # the last two map some axes
+            for lam in [3.0, 77.7, 1234.5, 2e4, 1e5]:
+                got_counts, got_orders, got_exps = panel_rules(p, f, chi, lam, analytic,
+                                                               quad_cfg)
+                assert got_counts.dtype == got_orders.dtype == got_exps.dtype == np.int64
+                for cell, counts, orders, exps in zip(product(*pieces), got_counts.tolist(),
+                                                      got_orders.tolist(), got_exps.tolist()):
                     mags = [max(abs(lo), abs(hi)) for _, _, lo, hi in cell]
-                    counts, orders = [], []
                     for k, (_, _, lo, hi) in enumerate(cell):
                         turns = (abs(lam) * grads[k].evaluate(mags)
                                  * (hi - lo) / (2.0 * math.pi))
-                        # the fewest nodes among 16, 24 and 32, and on the
-                        # plateau also 4, 8 and 12; ties to the lower order
+                        # equal panels: the fewest nodes among 16, 24 and 32,
+                        # and on the plateau also 4, 8 and 12; ties to the
+                        # lower order
                         plateau = max(abs(lo), abs(hi)) <= 0.5
                         rules = [(n * (1 + int(turns / most[n])), n, 1 + int(turns / most[n]))
                                  for n in ((4, 8, 12) if plateau else ()) + (16, 24, 32)]
-                        _, order, count = min(rules)
+                        size, order, count = min(rules)
                         assert gauss_remainder(order, turns / count) <= target * (1 + 1e-12)
-                        counts.append(count)
-                        orders.append(order)
-                    want_counts.append(counts)
-                    want_orders.append(orders)
-                got_counts, got_orders = _panel_counts(lam, _plan(p, f, chi)[3],
-                                                       analytic, quad_cfg)
-                assert got_counts.dtype == got_orders.dtype == np.int64
-                assert got_counts.tolist() == want_counts
-                assert got_orders.tolist() == want_orders
-                seen.update(x for row in want_orders for x in row)
-        # every order an axis may take occurs
+                        if exps[k] == 1:
+                            assert (counts[k], orders[k]) == (count, order)
+                            continue
+                        # a mapped rule takes strictly fewer nodes, away from
+                        # 0, at e up to the axis's largest exponent, and
+                        # every panel, sized at its top with the other axes
+                        # at the cell's maximum, stays within most turns
+                        e, count, order = exps[k], counts[k], orders[k]
+                        assert count * order < size and 2 <= e <= min(5, top[k])
+                        assert plateau or order >= 16
+                        a, b = sorted((abs(lo), abs(hi)))
+                        assert a > 0
+                        ends = [(a ** e + j * (b ** e - a ** e) / count) ** (1 / e)
+                                for j in range(count + 1)]
+                        for x0, x1 in zip(ends, ends[1:]):
+                            at = mags[:k] + [x1] + mags[k + 1:]
+                            panel_turns = (abs(lam) * grads[k].evaluate(at)
+                                           * (x1 - x0) / (2.0 * math.pi))
+                            assert panel_turns <= most[order] * (1 + 1e-12)
+                        mapped.add(e)
+                    seen.update(orders)
+        # every order an axis may take occurs, and every map exponent
         assert seen == {4, 8, 12, 16, 24, 32}
+        assert mapped == {2, 3, 4, 5}
+
+    @pytest.mark.parametrize("lo, hi, panels", [
+        (0.25, 0.5, 3), (-0.5, -0.25, 7), (0.5, 1.0, 5), (-1.0, -0.5, 2),
+        (0.1, 0.123, 4), (0.0, 2.0 ** -12, 1), (-0.33, -0.25, 9)])
+    def test_axis_rule_at_map_exponent_one_is_the_uniform_rule(self, lo, hi, panels):
+        # bit for bit the equal panels of before the map exponent
+        gx, gw = np.polynomial.legendre.leggauss(16)
+        width = (hi - lo) / panels
+        starts = lo + width * np.arange(panels)
+        want_nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
+        want_weights = np.tile(width * 0.5 * gw, panels)
+        if max(abs(lo), abs(hi)) > 0.5:
+            want_weights *= CHI.profile(want_nodes)
+        nodes, weights = _axis_rule(lo, hi, panels, 1, gx, gw, CHI)
+        assert nodes.tobytes() == want_nodes.tobytes()
+        assert weights.tobytes() == want_weights.tobytes()
+        if lo == 0.0:  # the piece at 0 keeps equal panels
+            return
+        # a mapped rule has its Gauss panels between equal steps of |x|^e,
+        # mirrored below 0, and integrates x^2 on the piece as exactly
+        for e in (2, 5):
+            a, b = sorted((abs(lo), abs(hi)))
+            ends = [(a ** e + j * (b ** e - a ** e) / panels) ** (1 / e)
+                    for j in range(panels + 1)]
+            if hi < 0:
+                ends = [-x for x in reversed(ends)]
+            want = np.concatenate([x0 + (x1 - x0) * 0.5 * (gx + 1.0)
+                                   for x0, x1 in zip(ends, ends[1:])])
+            nodes, weights = _axis_rule(lo, hi, panels, e, gx, gw, CHI)
+            assert nodes == pytest.approx(want, rel=1e-14)
+            if max(abs(lo), abs(hi)) <= 0.5:
+                assert weights @ nodes ** 2 == pytest.approx((hi ** 3 - lo ** 3) / 3,
+                                                             rel=1e-14)
+
+    def test_axis_with_exponent_one_keeps_equal_panels(self):
+        # x1 has exponent 1 in every term: its panels stay equal, while the
+        # other axes of the same cells are mapped
+        p = phase("x1*x2^4*x3^2 + x1*x2^3 + 2*x1*x3^5", 3)
+        f = TestFunctionSpec.ones(3)
+        analytic = _plan(p, f, CHI)[2]
+        exps = np.stack([panel_rules(p, f, CHI, lam, analytic)[2]
+                         for lam in lambda_grid(64, 4096, 4)])
+        assert np.all(exps[:, :, 0] == 1)
+        assert set(np.unique(exps[:, :, 1:]).tolist()) == {1, 2, 3, 4, 5}
 
 
 def in_fresh_thread(fn, *args, **kwargs):
@@ -797,6 +871,25 @@ class TestMellinOracle:
         assert abs(r.value - oracle_mellin.orthant(a, -1.0, lam)) <= r.error
 
 
+class TestMappedPanelsAgainstMellinOracle:
+    # monomials of higher degree, whose axes take map exponents up to 5, over
+    # the orthant against their exact residue expansion (x1^5*x2^5 and
+    # x1^6*x2^2 are left out: at lam 1024 their remainder has not died out)
+    CASES = [("x1^4*x2^4", (4, 4)), ("x1*x2^5", (1, 5)), ("x1^2*x2^5", (2, 5))]
+
+    def test_error_bounds_deviation_from_exact_value(self, monkeypatch):
+        calls = count_rule_builds(monkeypatch)
+        ratios = []
+        for text, a in self.CASES:
+            for r in lambda_sweep(phase(text), TestFunctionSpec.ones(2), CHI_POS,
+                                  lambda_grid(1024, 16384, 5)):
+                dev = abs(r.value - oracle_mellin.orthant(a, 1.0, r.lam))
+                assert r.error >= dev, (text, r.lam)
+                ratios.append(r.error / dev)
+        assert np.median(ratios) <= 30
+        assert {args[3] for args in calls} == {1, 2, 3, 4, 5}
+
+
 def box_bound(n, j, q, norms, lam):
     """Reference for one term of `certificate_sum`: the bound on the box with
     corner 2^-j, prod(norms) * 2^-s * min(1, |lam 2^-t|^(-1/2)), where
@@ -976,6 +1069,30 @@ class TestSweep:
             kernel.append(sum(b * math.prod(sizes) for b, sizes in calls))
         assert kernel[0] == kernel[1]
 
+    def test_rerun_reads_the_table_at_each_axis_map_exponent(self, monkeypatch):
+        # at these frequencies some transition axes take e = 2 or 3 with
+        # more panels than P0(n, e): the shipped table resolves them, and
+        # one without rows for e > 1 reruns their cells
+        calls = kernel_calls(monkeypatch)
+        key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
+        shipped = oscint._TRANSITION_PANELS
+        kernel = []
+        for table in (shipped, {key: shipped[key][:1]}):
+            monkeypatch.setattr(oscint, "_TRANSITION_PANELS", table)
+            calls.clear()
+            lambda_sweep(phase("x1^3*x2^3"), TestFunctionSpec.ones(2), CHI_POS,
+                         (2048.0, 4096.0))
+            kernel.append(sum(b * math.prod(sizes) for b, sizes in calls))
+        assert kernel[0] < kernel[1]
+
+    def test_map_exponents_cut_nodes_of_higher_degree_axes(self):
+        # equal panels took 983,984 and 4,407,216 nodes; x1*x2, whose
+        # exponents are all 1, keeps them
+        nodes = [sum(r.nodes for r in lambda_sweep(phase(text), TestFunctionSpec.ones(2),
+                                                   CHI_POS, lambda_grid(64, 2048, 11)))
+                 for text in ("x1*x2", "x1^3*x2^3")]
+        assert nodes == [983_984, 2_480_304]
+
     @pytest.mark.parametrize("waves, lam, kernel, error", [
         (2.0, 256.0, 51_376, 8.209120413601127e-09),
         (0.5, 64.0, 34_592, 3.485047506192388e-08),
@@ -1073,13 +1190,13 @@ class TestRuleTable:
         assert first > 0 and len(calls) == 2 * first
 
     def test_each_rule_built_once_per_sweep(self, monkeypatch):
-        # the sweep's 92 distinct rules, keyed by (lo, hi, panels, order),
+        # the sweep's 92 distinct rules, keyed by (lo, hi, panels, order, e),
         # each built once; a rerun on every cell with an axis at order 16 or
         # above built 108
         calls = count_rule_builds(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
-        keys = [(lo, hi, panels, len(gx)) for lo, hi, panels, gx, _, _ in calls]
+        keys = [(lo, hi, panels, len(gx), e) for lo, hi, panels, e, gx, _, _ in calls]
         assert len(keys) == len(set(keys)) == 92
 
 

@@ -63,18 +63,22 @@ def test_reference_rule_is_a_valid_configuration():
 
 
 def test_transition_table_is_the_calibrated_one():
-    # the shipped entry for the default rule is what the calibration derives:
-    # every count from P0 up to MAX_PANELS meets the target relative to the
-    # profile's mass, and P0 - 1 does not
+    # the shipped entry for the default rule is what the calibration derives,
+    # at every map exponent: every count from P0 up to MAX_PANELS meets the
+    # target relative to the profile's mass, and P0 - 1 does not
     spec = importlib.util.spec_from_file_location(
         "calibrate_transition", ROOT / "scripts" / "calibrate_transition.py")
     cal = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cal)
-    from oscdecay.oscint import _TRANSITION_PANELS, QuadratureConfig, _ladder
+    from oscdecay.oscint import _MAX_MAP, _TRANSITION_PANELS, QuadratureConfig, _ladder
     key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
-    table = cal.transition_panels(*key)
-    assert table == _TRANSITION_PANELS[key] == ((16, 6), (24, 3), (32, 2))
+    table = cal.transition_table(*key)
+    assert table == _TRANSITION_PANELS[key]
+    assert [e for e, _ in table] == list(range(1, _MAX_MAP + 1))
+    # equal panels keep the table of before the map exponent
+    assert table[0] == (1, ((16, 6), (24, 3), (32, 2)))
     target, rungs = _ladder(*key)
     most = {n: m for n, m, _ in rungs}
-    for n, panels in table:
-        assert cal.worst_error(n, panels - 1, most[n]) > target
+    for e, row in table:
+        for n, panels in row:
+            assert cal.worst_error(n, panels - 1, most[n], e) > target
