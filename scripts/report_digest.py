@@ -1,0 +1,69 @@
+"""Print a sha256 of each of a fixed list of `oscdecay` runs, and of them all.
+
+Each run is `oscdecay.cli.main` called in-process.  Its hash covers the
+report with `config.out_json` blanked, everything written to stderr and
+the exit code, so two source trees whose digests agree produced the same
+report bytes on every job.  The jobs are the benchmark's four sweep
+templates at coefficient scale 1 and its two warm-up sweeps, the three
+`verify` rows of ROADMAP's Baseline, and `verify --orthant off` on x1*x2.
+
+    PYTHONPATH=src python scripts/report_digest.py
+"""
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+from oscdecay import cli
+
+JOBS = (
+    # benchmark sweep templates at scale 1, then the warm-up sweeps
+    ("verify", "--phase", "x1*x2", "--dim", "2", "--lam-lo", "64.0", "--lam-hi", "2048.0",
+     "--lam-count", "11"),
+    ("verify", "--phase", "x1^3*x2^3", "--dim", "2", "--lam-lo", "64.0", "--lam-hi", "2048.0",
+     "--lam-count", "11", "--sharpness"),
+    ("integrate", "--phase", "x1*x2*x3", "--dim", "3", "--lam-lo", "16.0", "--lam-hi", "64.0",
+     "--lam-count", "3"),
+    ("integrate", "--phase", "x1^2*x2^2*x3^2 + x1^3*x2*x3", "--dim", "3", "--lam-lo", "16.0",
+     "--lam-hi", "32.0", "--lam-count", "2"),
+    ("verify", "--phase", "1/2*x1*x2", "--dim", "2", "--lam-lo", "32.0", "--lam-hi", "512.0",
+     "--lam-count", "8", "--sharpness"),
+    ("integrate", "--phase", "1/2*x1*x2*x3", "--dim", "3", "--lam-lo", "16.0", "--lam-hi", "16.0",
+     "--lam-count", "1"),
+    # `verify` with defaults
+    ("verify", "--phase", "x1*x2"),
+    ("verify", "--phase", "x1^2*x2^2 + x1^5*x2"),
+    ("verify", "--phase", "x1^3*x2^3", "--sharpness"),
+    ("verify", "--phase", "x1*x2", "--orthant", "off"),
+)
+
+
+def run_digest(argv) -> str:
+    """The sha256 of one run's blanked report, stderr and exit code."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "report.json"
+        with contextlib.redirect_stderr(err):
+            code = cli.main([*argv, "--out", str(out)])
+        report = json.loads(out.read_text()) if out.exists() else None
+    if report is not None:
+        report["config"]["out_json"] = ""
+    text = json.dumps([report, err.getvalue(), code], indent=2, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def main() -> None:
+    argparse.ArgumentParser(description=__doc__,
+                            formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
+    digests = []
+    for argv in JOBS:
+        digests.append(run_digest(argv))
+        print(digests[-1], " ".join(argv), flush=True)
+    print(hashlib.sha256("".join(digests).encode()).hexdigest(), "all")
+
+
+if __name__ == "__main__":
+    main()

@@ -8,17 +8,19 @@ sees a single oscillation scale and the factor is 1 on every node.  Each axis
 of each cell takes the Gauss order, map exponent e and panel count with the
 fewest nodes that meet one per-panel error target (`_panel_counts`); its
 panels lie at equal steps of x^e, so each panel of a monomial axis carries
-an equal share of the phase.  The error estimate reruns at a lower order
-only the cells that may miss the target (`_evaluate` states the rule); every
-other cell adds the target times its weight mass.  A call is planned whole
-before any quadrature, one row per frequency, each row with its own test
-function (one plan per distinct one, whose frequencies are sized in one
-batch); then the cells of every row and both levels are evaluated as one
-batch (`_evaluate`).  A per-axis rule, real weights times the cutoff,
-depends only on its piece, panel count, order and map exponent: each
-distinct one is built and stacked once per call, and rows with equal node
-counts per axis gather theirs from the stacks.  A kernel
-call on several cells needs at most `_CHUNK` workspace floats, and one on a
+an equal share of the phase.  One table, read term by term off the phase's
+derivatives, gives the turns across each piece in x^e for every e, equal
+panels (e = 1) included (`_sizing`).  The error estimate reruns at a lower
+order only the cells that may miss the target (`_evaluate` states the rule);
+every other cell adds the target times its weight mass.  A call is planned
+whole before any quadrature, one row per frequency, each row with its own
+test function (one plan per distinct one; all plans are sized in one table,
+and each one's frequencies in one batch); then the cells of every row and
+both levels are evaluated as one batch (`_evaluate`).  A per-axis rule, real
+weights times the cutoff, depends only on its piece, panel count, order and
+map exponent: each distinct one is built and stacked once per call, and rows
+with equal node counts per axis gather theirs from the stacks.  A kernel call
+on several cells needs at most `_CHUNK` workspace floats, and one on a
 single cell at most `_CHUNK` nodes (a larger cell is cut along its first
 axis).  The kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2
 straight into a reused per-thread workspace, takes cos and sin of theta from
@@ -170,9 +172,10 @@ class FactorSpec:
         return cls(float(a), float(b))
 
     def norm(self, p) -> float:
-        """L^p size over the cutoff's support [-1, 1], in closed form."""
+        """L^p size over the cutoff's support [-1, 1], in closed form: 0 for
+        an interval that misses it."""
         measure = max(min(self.b, 1.0) - max(self.a, -1.0), 0.0)
-        return measure ** (0.0 if p == INF else 1.0 / float(p))
+        return float(measure > 0) if p == INF else measure ** (1.0 / float(p))
 
 
 @dataclass(frozen=True)
@@ -241,18 +244,15 @@ class OscResult:
 
 
 def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
-    """Signed octave intervals covering the support, clipped to the factor."""
-    levels = chi.levels
-    mags = [(2.0 ** -(l + 1), 2.0 ** -l, l) for l in range(levels)]
-    mags.append((0.0, 2.0 ** -levels, levels))
-    signs = (1,) if chi.positive_orthant else (1, -1)
+    """Octave intervals (lo, hi) covering the support, clipped to the factor."""
+    ends = [2.0 ** -l for l in range(chi.levels + 1)] + [0.0]
     pieces = []
-    for sign in signs:
-        for mlo, mhi, level in mags:
+    for sign in (1,) if chi.positive_orthant else (1, -1):
+        for mhi, mlo in zip(ends, ends[1:]):
             lo, hi = (mlo, mhi) if sign > 0 else (-mhi, -mlo)
             lo, hi = max(lo, factor.a), min(hi, factor.b)
             if hi > lo:
-                pieces.append((sign, level, lo, hi))
+                pieces.append((lo, hi))
     return pieces
 
 
@@ -295,16 +295,6 @@ _MAX_MAP = 5  # map exponents e run 1.._MAX_MAP
 _BLOCK = 4096  # entries per block of `_panel_counts`'s equal-panel sizing
 
 
-def _turns(lams, sizing):
-    """Phase turns per frequency, cell and axis, an (F, cells, d) float
-    array for the F frequencies `lams`, from `sizing`: the |d_k phi| bound
-    and the piece width (`_plan`)."""
-    bounds, widths = sizing[:2]
-    lams = np.abs(np.asarray(lams, dtype=float)).reshape(-1, 1, 1)
-    with np.errstate(over="ignore"):
-        return lams * bounds * widths / (2.0 * math.pi)
-
-
 def _uniform_counts(turns, analytic, quad):
     """Gauss panel counts and orders of equal panels (map exponent 1),
     integer arrays shaped like `turns`: among the orders n an axis may take
@@ -328,27 +318,30 @@ def _uniform_counts(turns, analytic, quad):
     return counts, orders
 
 
-def _panel_counts(lams, sizing, analytic, quad):
+def _panel_counts(lams, sizing, quad):
     """Gauss panel counts, orders and map exponents, (F, cells, d) integer
-    arrays for the F frequencies `lams`, cells in product order, from
-    `sizing`: the (cells, d) |d_k phi| bounds and piece widths (`_plan`),
-    then the two arrays of `_mapped_sizing`.  An axis with map exponent e
-    has its P panels at equal steps of x^e (`_axis_rule`).  At e = 1 it
-    takes 1 + floor(turns / most_n) panels of the order n with the fewest
-    nodes (`_uniform_counts`): by default 16 points on at most 4 turns, 24
-    on 7.43 or 32 on 11.0, and on the plateau also 4, 8 or 12.  Where some
-    e > 1 is allowed and that needs more than one panel, each allowed e and
-    n is sized too: with T the turns across the piece in x^e and
+    arrays for the F frequencies `lams`, cells in product order, and T at
+    e = 1, a float array of that shape, from `sizing` (`_sizing`).  T is
+    the turns across the piece in x^e: lam times the bound, times the span
+    over 2 pi.  An axis with map exponent e has its P panels at equal steps
+    of x^e (`_axis_rule`).  At e = 1 it takes 1 + floor(T / most_n) panels
+    of the order n with the fewest nodes (`_uniform_counts`): by default 16
+    points on at most 4 turns, 24 on 7.43 or 32 on 11.0, and on the plateau
+    also 4, 8 or 12.  Where some e > 1 is allowed and that needs more than
+    one panel, each allowed e and n is sized too: with
     F(P) = (1 + ((hi/lo)^e - 1) / P)^((e - 1)/e) the bottom panel's ratio of
     ends, no panel of P = 1 + floor(T F(P0) / most_n) exceeds most_n turns,
     for P0 = 1 + floor(T / most_n), since F falls as P grows.  The fewest
     nodes win, ties to e = 1, then to the lower e and order.  Every panel
     meets the same target relative to its width, so the summed bound per
     axis is that of 16-point panels alone.  Counts are capped at 2^53, far
-    above any budget; turns that overflow are refused, naming the first
-    frequency where they do."""
-    turns = _turns(lams, sizing)
+    above any budget; turns at e = 1 that overflow are refused, naming the
+    first frequency where they do."""
+    bounds, spans, ratios, analytic = sizing
+    lam = np.abs(np.asarray(lams, dtype=float))
     with np.errstate(over="ignore"):
+        # lam times the bound first: a product past the float range is refused
+        turns = lam[:, None, None] * bounds[0] * spans[0] / (2.0 * math.pi)
         finite = np.isfinite(turns / quad.waves_per_panel).reshape(len(turns), -1).all(axis=1)
     if not finite.all():
         raise OscError(f"phase turns per cell overflow at lam {lams[int(np.argmin(finite))]:g}")
@@ -359,28 +352,26 @@ def _panel_counts(lams, sizing, analytic, quad):
     for i in range(0, len(turns), step):
         counts[i:i + step], orders[i:i + step] = _uniform_counts(turns[i:i + step], analytic, quad)
     exps = np.ones_like(counts)
-    rates, ratios = sizing[2:]
     # the mapped rules, only where some e > 1 is allowed and equal panels
     # need more than one
-    f, c, k = (np.nonzero((counts > 1) & np.isfinite(rates).any(axis=0)) if len(rates)
-               else (np.zeros(0, dtype=np.int64),) * 3)
+    f, c, k = np.nonzero((counts > 1) & np.isfinite(spans[1:]).any(axis=0))
     if not f.size:
-        return counts, orders, exps
+        return counts, orders, exps, turns
     # one row per order, one column per entry; plateau orders only on
     # analytic axes
     rungs = _ladder(quad.order, quad.waves_per_panel)[1]
     n, most = (np.array(col)[:, None] for col in list(zip(*rungs))[:2])
     allowed = ~np.array([plateau for _, _, plateau in rungs])[:, None] | analytic[c, k]
-    lam, at = np.abs(np.asarray(lams, dtype=float))[f], np.arange(f.size)
+    at = np.arange(f.size)
     best = counts[f, c, k] * orders[f, c, k]
     picked = counts[f, c, k], orders[f, c, k], exps[f, c, k]
     with np.errstate(over="ignore", invalid="ignore"):
-        for e, rate in enumerate(rates[:, c, k], 2):
-            spread, grow = lam * rate, ratios[c, k] ** e - 1.0
+        for e, bound, span in zip(range(2, _MAX_MAP + 1), bounds[1:, c, k], spans[1:, c, k]):
+            spread, grow = lam[f] * bound * span / (2.0 * math.pi), ratios[c, k] ** e - 1.0
             first = 1 + np.minimum(np.floor(spread / most), 2.0 ** 53)
-            turns = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
-            ok = allowed & np.isfinite(turns)
-            count = 1 + np.minimum(np.floor(np.where(ok, turns, 0.0)), 2.0 ** 53).astype(np.int64)
+            need = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
+            ok = allowed & np.isfinite(need)
+            count = 1 + np.minimum(np.floor(np.where(ok, need, 0.0)), 2.0 ** 53).astype(np.int64)
             size = np.where(ok, count * n, np.iinfo(np.int64).max)
             j = size.argmin(axis=0)  # ties to the lower order
             take = size[j, at] < best
@@ -389,7 +380,7 @@ def _panel_counts(lams, sizing, analytic, quad):
                 np.copyto(out, value, where=take)
     for out, value in zip((counts, orders, exps), picked):
         out[f, c, k] = value
-    return counts, orders, exps
+    return counts, orders, exps, turns
 
 
 # P0(n, e) per map exponent e and Gauss order n an axis off the cutoff
@@ -564,7 +555,7 @@ def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
         keys, inv = _rows(np.stack([counts[:, k] * orders[:, k], cells[:, k],
                                     counts[:, k], orders[:, k], exps[:, k]], axis=1))
         sizes, first, many = np.unique(keys[:, 0], return_index=True, return_counts=True)
-        built = [rule(pieces[j][2], pieces[j][3], c, o, e) for _, j, c, o, e in keys.tolist()]
+        built = [rule(*pieces[j], c, o, e) for _, j, c, o, e in keys.tolist()]
         stacks.append({n: [np.stack(r) for r in zip(*built[a:a + m])]
                        for n, a, m in zip(sizes.tolist(), first.tolist(), many.tolist())})
         mass *= np.concatenate([np.zeros(0)] + [np.abs(w).sum(axis=1)
@@ -592,13 +583,9 @@ def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
     return values, mass
 
 
-def _plan(p, f, chi, grads=None):
-    """What an evaluation's cells and rules depend on besides lam: the pieces
-    of each axis; then per cell (in product order) and axis, as (cells, d)
-    arrays: the piece index, whether that piece lies on the cutoff plateau,
-    and the sizing `_panel_counts` takes first, the |d_k phi| bound and the
-    piece width.  `grads`, p's derivatives with absolute coefficients, may
-    be given."""
+def _plan(p, f, chi):
+    """The pieces of each axis, and the cells, a (cells, d) array of piece
+    indices in product order."""
     d = p.dimension
     if d > 3:
         raise OscError("tensor quadrature is limited to dimension <= 3")
@@ -606,57 +593,55 @@ def _plan(p, f, chi, grads=None):
         raise OscError("test function dimension mismatch")
     axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
     full = tuple(len(pieces) for pieces in axis_pieces)
-    cells = np.stack(np.unravel_index(np.arange(math.prod(full)), full), axis=1)
-    analytic = np.stack([np.array([_on_plateau(lo, hi) for _, _, lo, hi in pieces],
-                                  dtype=bool)[cells[:, k]]
-                         for k, pieces in enumerate(axis_pieces)], axis=1)
-    # d_k phi with absolute coefficients bounds |d_k phi| on a cell at its
-    # corner of largest magnitudes.  It is evaluated once on the grid of those
-    # corners, which holds Python floats (dtype object), so every power and
-    # product is the one a scalar evaluation at a single corner would give
-    mags = [np.array([max(abs(lo), abs(hi)) for _, _, lo, hi in pieces], dtype=object)
-            .reshape([-1] + [1] * (d - 1 - k)) for k, pieces in enumerate(axis_pieces)]
-    grads = grads or [p.derivative(k).absolute() for k in range(d)]
-    bounds = np.stack([np.broadcast_to(np.asarray(g.evaluate(mags), dtype=float), full).ravel()
-                       for g in grads], axis=1)
-    widths = np.stack([np.array([hi - lo for _, _, lo, hi in pieces])[cells[:, k]]
-                       for k, pieces in enumerate(axis_pieces)], axis=1)
-    return axis_pieces, cells, analytic, (bounds, widths)
+    return axis_pieces, np.stack(np.unravel_index(np.arange(math.prod(full)), full), axis=1)
 
 
-def _mapped_sizing(grads, axis_pieces, cells):
-    """The sizing of the mapped rules for `cells`, rows of piece indices
-    into `axis_pieces`: an (E, cells, d) float array, per map exponent
-    e = 2..E + 1 (E + 1 the largest e any axis may take), cell and axis k,
-    of the phase turns per unit lam across the piece in the variable x^e,
-    and a (cells, d) one of hi / lo, for lo < hi the magnitudes of the
-    piece's ends.  The turns are (hi^e - lo^e) / (2 pi) times the sum over
-    the terms of d_k phi, with absolute coefficients, of |c| (a_k / e)
-    x*^(a_k - e), a_k the term's exponent of x_k in phi, x* = lo if
-    a_k < e else hi, and the other axes at their largest magnitudes.  They
-    are inf where e may not be taken: e above the largest exponent of x_k
-    in phi, and the piece touching 0."""
-    d = len(axis_pieces)
-    terms = [[(a, float(c)) for a, c in sorted(g.terms.items())] for g in grads]
-    tops = [min(1 + max((a[k] for a, _ in t), default=-1), _MAX_MAP) for k, t in enumerate(terms)]
-    rates = np.full((max(tops + [1]) - 1, len(cells), d), np.inf)
-    mags, mins = ([np.array([pick(abs(lo), abs(hi)) for _, _, lo, hi in pieces])
-                   for pieces in axis_pieces] for pick in (max, min))
+def _sizing(grads, axis_pieces, cells):
+    """What sizes the rules of `cells`, rows of piece indices into
+    `axis_pieces`, given `grads`, d_k phi with absolute coefficients:
+    `bounds` and `spans`, (E, cells, d) float arrays per map exponent
+    e = 1..E (E the largest e any axis may take), cell and axis k, whose
+    product over 2 pi is the phase turns per unit lam across the piece in
+    the variable x^e; then (cells, d) arrays of hi / lo, for lo < hi the
+    magnitudes of the piece's ends, and of whether the piece lies on the
+    cutoff plateau.  The span is hi^e - lo^e, and the bound the sum over
+    the terms of phi of |c| (a_k / e) x*^(a_k - e), a_k the term's exponent
+    of x_k, x* = lo if a_k < e else hi, times the other axes at hi.  At
+    e = 1 that is d_k phi at the cell's corner of largest
+    magnitudes, each power and product rounded as `PhasePolynomial.evaluate`
+    rounds them there.  The span is inf where e may not be taken: e above
+    the largest exponent of x_k in phi, and e > 1 on the piece touching 0."""
+    # per axis, the magnitudes lo (row 0) and hi (row 1) of each piece's ends
+    ends = [np.sort(np.abs(np.array(pieces, dtype=float).reshape(-1, 2)), axis=1).T
+            for pieces in axis_pieces]
+
+    @lru_cache(maxsize=None)
+    def power(j, q, end):
+        # x^q on each cell, x its axis j piece's end; q >= 0 as Python
+        # floats, since numpy's array power can round differently
+        x = ends[j][end]
+        return (x ** float(q) if q < 0 else np.array([v ** q for v in x.tolist()]))[cells[:, j]]
+
+    terms = [g._float_coefficients for g in grads]
+    tops = [min(1 + max([a[k] for a, _ in t] + [0]), _MAX_MAP) for k, t in enumerate(terms)]
+    bounds, spans = np.full((2, max(tops), len(cells), len(grads)), np.inf)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        ratios = np.stack([(mags[k] / mins[k])[cells[:, k]] for k in range(d)], axis=1)
         for k, top in enumerate(tops):
-            for e in range(2, top + 1):
-                span = np.where(mins[k] > 0, mags[k] ** e - mins[k] ** e, np.inf)
+            for e in range(1, top + 1):
                 total = 0.0
                 for a, c in terms[k]:
-                    x = (span * (c / e / (2.0 * math.pi))
-                         * (mins if a[k] + 1 < e else mags)[k] ** (a[k] + 1 - e))[cells[:, k]]
+                    mono = c / e
                     for j, aj in enumerate(a):
-                        if j != k and aj:
-                            x = x * (mags[j] ** aj)[cells[:, j]]
-                    total = total + x
-                rates[e - 2, :, k] = total
-    return rates, ratios
+                        q = aj + 1 - e if j == k else aj
+                        if q:
+                            mono = mono * power(j, q, int(q > 0))
+                    total = total + mono
+                bounds[e - 1, :, k] = total
+                span = power(k, e, 1) - power(k, e, 0)
+                spans[e - 1, :, k] = np.where((power(k, 1, 0) > 0) | (e == 1), span, np.inf)
+        ratios = np.stack([power(k, 1, 1) / power(k, 1, 0) for k in range(len(grads))], axis=1)
+    analytic = np.stack([power(k, 1, 1) <= _PLATEAU for k in range(len(grads))], axis=1)
+    return bounds, spans, ratios, analytic
 
 
 def _per_row(f, rows):
@@ -689,9 +674,9 @@ def _evaluate(p, f, chi, lams, quad):
     transition.  Every other cell has each axis within the error target,
     analytic or resolved.  A rule without an entry reruns every cell with an
     axis at order n >= `order`.  Each distinct test function is planned
-    once, with p's derivative bounds formed once per call, and all its
-    frequencies are sized in one `_panel_counts` call; the plans' pieces
-    join one list per axis, and all rows run in one `_run_level`.
+    once; the plans' pieces join one list per axis, all their cells are
+    sized in one `_sizing` call, the frequencies of each plan in one
+    `_panel_counts` call, and all rows run in one `_run_level`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -704,19 +689,18 @@ def _evaluate(p, f, chi, lams, quad):
     grads = [p.derivative(k).absolute() for k in range(p.dimension)]
     axis_pieces, plans = [[] for _ in grads], {}
     for g in rows_of:
-        pieces, cells, analytic, sizing = _plan(p, g, chi, grads)
-        plans[g] = cells + [len(all_k) for all_k in axis_pieces], analytic, sizing
+        pieces, cells = _plan(p, g, chi)
+        plans[g] = cells + [len(all_k) for all_k in axis_pieces]
         for all_k, pieces_k in zip(axis_pieces, pieces):
             all_k.extend(pieces_k)
-    # the mapped sizing of every plan's cells in one call, then all the
+    # the sizing of every plan's cells in one call, then all the
     # frequencies of each plan in one `_panel_counts` call
-    rates, ratios = _mapped_sizing(grads, axis_pieces,
-                                   np.concatenate([cells for cells, _, _ in plans.values()]))
+    sizing = _sizing(grads, axis_pieces, np.concatenate(list(plans.values())))
     sized, start = [None] * len(lams), 0
-    for (cells, analytic, sizing), at in zip(plans.values(), rows_of.values()):
-        end = start + len(cells)
-        sizing = (*sizing, rates[:, start:end], ratios[start:end])
-        for i, *rule in zip(at, *_panel_counts([lams[i] for i in at], sizing, analytic, quad)):
+    for g, at in rows_of.items():
+        end = start + len(plans[g])
+        plans[g] = plans[g], tuple(a[..., start:end, :] for a in sizing)
+        for i, *rule in zip(at, *_panel_counts([lams[i] for i in at], plans[g][1], quad)):
             sized[i] = rule
         start = end
     # P0 per Gauss order and map exponent on the cutoff's transition piece,
@@ -728,12 +712,11 @@ def _evaluate(p, f, chi, lams, quad):
         for n, count in panels:
             least[n, e] = count
     rows, main, rerun_rows = [], [], []
-    for lam, g, (counts, orders, exps) in zip(lams, fs, sized):
-        cells, analytic, (_, widths) = plans[g]
+    for lam, g, (counts, orders, exps, turns) in zip(lams, fs, sized):
+        cells, (_, spans, _, analytic) = plans[g]
         low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
         if low_confidence:
             # a shrunk rule has equal panels on every axis
-            turns = _turns([lam], plans[g][2])[0]
             counts, orders = _fit_budget(*_uniform_counts(turns, analytic, quad),
                                          analytic, turns, quad)
             exps = np.ones_like(counts)
@@ -745,7 +728,7 @@ def _evaluate(p, f, chi, lams, quad):
         if entry is None:
             rerun = full.any(axis=1)
         else:
-            resolved = analytic | ((widths == transition) & (counts >= least[orders, exps]))
+            resolved = analytic | ((spans[0] == transition) & (counts >= least[orders, exps]))
             rerun = ~resolved.all(axis=1) | low_confidence
         coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
         rows.append((lam, counts, orders, low_confidence, rerun))

@@ -4,11 +4,11 @@ A phase is a sparse multivariate polynomial over Q: a mapping from exponent
 multi-indices (tuples of nonnegative ints, one entry per variable) to nonzero
 Fraction coefficients.  All symbolic work (parsing, differentiation, face
 restriction, coefficient transforms) is exact and returns another
-`PhasePolynomial`.  Floats only appear in two evaluators that share one
-cached float conversion of the coefficients: `evaluate` takes points or
-broadcasting arrays and serves the nondegeneracy sweeps and the panel-count
-bounds, and `evaluate_tensor` writes a scaled phase on a batch of tensor
-grids into a given buffer for the quadrature kernel.
+`PhasePolynomial`.  Floats only appear in one cached float conversion of the
+coefficients, which the quadrature's panel sizing reads term by term and two
+evaluators share: `evaluate` takes points or broadcasting arrays and serves
+the nondegeneracy sweeps, and `evaluate_tensor` writes a scaled phase on a
+batch of tensor grids into a given buffer for the quadrature kernel.
 
 The *reduced* form drops every term whose exponent has fewer than two
 strictly positive entries: such terms never influence the mixed second

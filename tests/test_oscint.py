@@ -29,10 +29,10 @@ from oscdecay.oscint import (
     _axis_rule,
     _evaluate,
     _kernel,
-    _mapped_sizing,
     _panel_counts,
     _plan,
     _rows,
+    _sizing,
     bump,
     certificate_sum,
     evaluate_lambda,
@@ -205,6 +205,11 @@ class TestFactors:
         with pytest.raises(OscError):
             FactorSpec.box(1.0, 1.0)
 
+    def test_box_outside_the_support_has_norm_zero(self):
+        # the integrand is 0 there, so every norm bounding it is 0
+        for p in (math.inf, Fraction(1), Fraction(2)):
+            assert FactorSpec.box(2.0, 3.0).norm(p) == 0
+
     def test_certified_box_factor(self):
         f = TestFunctionSpec.of(FactorSpec.box(0.0, 0.5), FactorSpec.box(0.0, 0.5))
         q = ExponentQuery.of(["2", "2"])
@@ -344,8 +349,7 @@ class TestEvaluateBasics:
         assert nodes.sum() == r.nodes
         cells = list(product(*(_axis_pieces(CHI_POS, fac) for fac in f.factors)))
         assert len(cells) == values.size == nodes.size
-        signs = {s for cell in cells for s, _, _, _ in cell}
-        assert signs == {1}
+        assert all(lo >= 0 for cell in cells for lo, _ in cell)
 
 
 def lone_cells(p, f, chi, lam, quad=QuadratureConfig()):
@@ -376,26 +380,27 @@ def most_turns(n, target):
     return lo
 
 
-def panel_rules(p, f, chi, lam, analytic, quad=QuadratureConfig()):
-    """`_panel_counts` at lam on every cell of the plan of (p, f, chi), cells
-    in product order, with the plateau mask `analytic`."""
+def panel_rules(p, f, chi, lam, analytic=None, quad=QuadratureConfig()):
+    """`_panel_counts`'s counts, orders and map exponents at lam on every cell
+    of the plan of (p, f, chi), cells in product order, with the plateau mask
+    `analytic` if given."""
     grads = [p.derivative(k).absolute() for k in range(p.dimension)]
-    pieces, cells, _, sizing = _plan(p, f, chi, grads)
-    sizing = (*sizing, *_mapped_sizing(grads, pieces, cells))
-    return [a[0] for a in _panel_counts([lam], sizing, analytic, quad)]
+    *sizing, own = _sizing(grads, *_plan(p, f, chi))
+    sizing.append(own if analytic is None else analytic)
+    return [a[0] for a in _panel_counts([lam], sizing, quad)[:3]]
 
 
 def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     """Per-cell values with one full np.exp tensor per cell, in cell order."""
     pieces = [_axis_pieces(chi, fac) for fac in f.factors]
     analytic = np.array([[max(abs(lo), abs(hi)) <= 0.5
-                          for _, _, lo, hi in cell] for cell in product(*pieces)])
+                          for lo, hi in cell] for cell in product(*pieces)])
     counts, orders, exps = panel_rules(p, f, chi, lam, analytic, quad)
     values = []
     for cell, cnt, ords, es in zip(product(*pieces), counts.tolist(), orders.tolist(),
                                    exps.tolist()):
         rules = [_axis_rule(lo, hi, c, e, *np.polynomial.legendre.leggauss(n), chi)
-                 for (_, _, lo, hi), c, n, e in zip(cell, cnt, ords, es)]
+                 for (lo, hi), c, n, e in zip(cell, cnt, ords, es)]
         grid = np.meshgrid(*[x for x, _ in rules], indexing="ij")
         weight = rules[0][1]
         for _, g in rules[1:]:
@@ -464,18 +469,26 @@ class TestKernel:
 
     def test_phase_evaluated_per_batch(self, monkeypatch):
         # per cell, this took about 6,600 evaluations: panel-count bounds and
-        # phase tensors for 2197 cells at two Gauss orders
-        # point, broadcast and tensor evaluations all count
+        # phase tensors for 2197 cells at two Gauss orders.  The sizing reads
+        # the derivatives' terms without evaluating them, and each kernel
+        # call writes its batch's phase tensor in one call
         calls = []
         for name in ("evaluate", "evaluate_tensor"):
-            def counting(self, *args, _original=getattr(PhasePolynomial, name)):
-                calls.append(1)
+            def counting(self, *args, _name=name, _original=getattr(PhasePolynomial, name)):
+                calls.append(_name)
                 return _original(self, *args)
 
             monkeypatch.setattr(PhasePolynomial, name, counting)
+
+        def kernel(*args, _original=_kernel):
+            calls.append("_kernel")
+            return _original(*args)
+
+        monkeypatch.setattr(oscint, "_kernel", kernel)
         evaluate_lambda(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3),
                         CHI_POS, 16.0)
-        assert 0 < len(calls) <= 36
+        assert "evaluate" not in calls
+        assert 0 < calls.count("evaluate_tensor") == calls.count("_kernel") <= 36
 
     @pytest.mark.parametrize("text, d", [
         ("x1^3*x2^2", 2),
@@ -530,7 +543,7 @@ class TestKernel:
         grads = [p.derivative(k).absolute() for k in range(3)]
         top = [max(a[k] for a in p.terms) for k in range(3)]
         # on the plateau |t| <= 1/2 the integrand is analytic
-        analytic = np.array([[max(abs(lo), abs(hi)) <= 0.5 for _, _, lo, hi in cell]
+        analytic = np.array([[max(abs(lo), abs(hi)) <= 0.5 for lo, hi in cell]
                              for cell in product(*pieces)])
         seen, mapped = set(), set()
         for quad_cfg in [QuadratureConfig(waves_per_panel=0.37), QuadratureConfig()]:
@@ -544,8 +557,8 @@ class TestKernel:
                 assert got_counts.dtype == got_orders.dtype == got_exps.dtype == np.int64
                 for cell, counts, orders, exps in zip(product(*pieces), got_counts.tolist(),
                                                       got_orders.tolist(), got_exps.tolist()):
-                    mags = [max(abs(lo), abs(hi)) for _, _, lo, hi in cell]
-                    for k, (_, _, lo, hi) in enumerate(cell):
+                    mags = [max(abs(lo), abs(hi)) for lo, hi in cell]
+                    for k, (lo, hi) in enumerate(cell):
                         turns = (abs(lam) * grads[k].evaluate(mags)
                                  * (hi - lo) / (2.0 * math.pi))
                         # equal panels: the fewest nodes among 16, 24 and 32,
@@ -619,11 +632,54 @@ class TestKernel:
         # other axes of the same cells are mapped
         p = phase("x1*x2^4*x3^2 + x1*x2^3 + 2*x1*x3^5", 3)
         f = TestFunctionSpec.ones(3)
-        analytic = _plan(p, f, CHI)[2]
-        exps = np.stack([panel_rules(p, f, CHI, lam, analytic)[2]
+        exps = np.stack([panel_rules(p, f, CHI, lam)[2]
                          for lam in lambda_grid(64, 4096, 4)])
         assert np.all(exps[:, :, 0] == 1)
         assert set(np.unique(exps[:, :, 1:]).tolist()) == {1, 2, 3, 4, 5}
+
+    @pytest.mark.parametrize("text", [
+        "3*x1^7*x2 + 1/3*x1*x2^5*x3^3 + x2^2*x3^9",
+        # largest exponents 1, 4 and 5: some e are barred on every piece
+        "x1*x2^4*x3^2 + x1*x2^3 + 2*x1*x3^5",
+    ])
+    def test_sizing_matches_scalar_terms(self, text):
+        # the clipped inputs of test_panel_counts_match_scalar_bounds
+        chi = CutoffSpec(positive_orthant=False, levels=5)
+        f = TestFunctionSpec.of(FactorSpec.box(-0.33, 0.61),
+                                FactorSpec.box(-0.52, 0.47),
+                                FactorSpec.box(-0.45, 0.123))
+        p = phase(text, 3)
+        grads = [p.derivative(k).absolute() for k in range(3)]
+        top = [max(a[k] for a in p.terms) for k in range(3)]
+        pieces, cells = _plan(p, f, chi)
+        bounds, spans, ratios, analytic = _sizing(grads, pieces, cells)
+        with np.errstate(invalid="ignore"):
+            rates = bounds * spans / (2.0 * math.pi)
+        assert rates.shape == (min(5, max(top)), len(cells), 3)
+        for i, cell in enumerate(product(*pieces)):
+            mags = [max(abs(lo), abs(hi)) for lo, hi in cell]
+            for k, (lo, hi) in enumerate(cell):
+                a, b = sorted((abs(lo), abs(hi)))
+                assert ratios[i, k] == (b / a if a else math.inf)
+                assert analytic[i, k] == (b <= 0.5)
+                # equal panels: the bound at the corner, scaled by the width
+                assert rates[0, i, k] == grads[k].evaluate(mags) * (hi - lo) / (2.0 * math.pi)
+                for e in range(2, len(rates) + 1):
+                    if e > top[k] or a == 0:
+                        assert rates[e - 1, i, k] == math.inf
+                        continue
+                    # per term of phi, |c| (a_k / e) x*^(a_k - e) times the
+                    # other axes at their largest magnitudes
+                    total = 0.0
+                    for alpha, c in sorted(p.terms.items()):
+                        if alpha[k]:
+                            mono = float(abs(c) * alpha[k]) / e
+                            for j, aj in enumerate(alpha):
+                                x, q = ((a if alpha[k] < e else b), aj - e) if j == k else (mags[j], aj)
+                                mono *= x ** q
+                            total += mono
+                    want = total * (b ** e - a ** e) / (2.0 * math.pi)
+                    assert rates[e - 1, i, k] == pytest.approx(want, rel=1e-15, abs=0)
 
 
 def in_fresh_thread(fn, *args, **kwargs):
