@@ -5,7 +5,8 @@ report with `config.out_json` blanked, everything written to stderr and
 the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
-`verify` rows of ROADMAP's Baseline, and `verify --orthant off` on x1*x2.
+`verify` rows of ROADMAP's Baseline, `verify --orthant off` on x1*x2 and
+`integrate` on x1*x2*x3 over the full space.
 
     PYTHONPATH=src python scripts/report_digest.py
 """
@@ -38,6 +39,9 @@ JOBS = (
     ("verify", "--phase", "x1^2*x2^2 + x1^5*x2"),
     ("verify", "--phase", "x1^3*x2^3", "--sharpness"),
     ("verify", "--phase", "x1*x2", "--orthant", "off"),
+    # a full-space 3D sweep
+    ("integrate", "--phase", "x1*x2*x3", "--dim", "3", "--orthant", "off", "--lam-lo", "16",
+     "--lam-hi", "64", "--lam-count", "3"),
 )
 
 

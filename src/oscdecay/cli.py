@@ -63,7 +63,7 @@ class RunConfig:
     grid: int = 64                # nondegeneracy samples per axis
     eta: float = 1e-3
     starts: int = 8
-    levels: int = 12              # cutoff octaves, also certificate truncation
+    levels: int = 12              # deepest cutoff octave, also certificate truncation
     orthant: bool = True          # sweep over the positive orthant only
     sharpness: bool = False       # run the box-family check inside verify
     sharpness_count: int = 6

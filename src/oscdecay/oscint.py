@@ -4,17 +4,21 @@ The quantity computed here is the integral of exp(i*lambda*phi(x)) against a
 smooth compactly supported cutoff times a product of one-variable factors,
 each the indicator of an interval.  Each axis of the cutoff support is cut
 into octave pieces, clipped to the factor's interval, so every product cell
-sees a single oscillation scale and the factor is 1 on every node.  Each axis
-of each cell takes the Gauss order, map exponent e and panel count with the
-fewest nodes that meet one per-panel error target (`_panel_counts`); its
-panels lie at equal steps of x^e, so each panel of a monomial axis carries
-an equal share of the phase.  One table, read term by term off the phase's
-derivatives, gives the turns across each piece in x^e for every e, equal
-panels (e = 1) included (`_sizing`).  The error estimate reruns at a lower
-order only the cells that may miss the target (`_evaluate` states the rule);
-every other cell adds the target times its weight mass.  A call is planned
-whole before any quadrature, one row per frequency, each row with its own
-test function (one plan per distinct one; all plans are sized in one table,
+sees a single oscillation scale and the factor is 1 on every node.  Near 0,
+where the phase barely turns, the octaves below 2^-L are one merged piece
+[0, 2^-L] on a single Gauss panel: per frequency and axis, L is the smallest
+depth at which a bound that holds exactly, not the turns model, keeps that
+panel within the target (`_depths`).  On every other piece an axis takes
+the Gauss order, map exponent e and panel count with the fewest nodes that
+meet one per-panel error target (`_panel_counts`); its panels lie at equal
+steps of x^e, so each panel of a monomial axis carries an equal share of
+the phase.  One table, read term by term off the phase's derivatives, gives
+the turns across each piece in x^e for every e, equal panels (e = 1)
+included (`_sizing`).  The error estimate reruns at a lower order only the
+cells that may miss the target (`_evaluate` states the rule); every other
+cell adds the target times its weight mass.  A call is planned whole before
+any quadrature, one row per frequency, each row with its own test function
+and depths (one plan per distinct pair; all plans are sized in one table,
 and each one's frequencies in one batch); then the cells of every row and
 both levels are evaluated as one batch (`_evaluate`).  A per-axis rule, real
 weights times the cutoff, depends only on its piece, panel count, order and
@@ -139,8 +143,9 @@ class CutoffSpec:
     """Tensorized plateau cutoff.
 
     The per-axis profile equals one on |t| <= PLATEAU and vanishes beyond
-    |t| >= 1.  `levels` fixes the octave granularity of the quadrature
-    cells and the truncation of the certificate sum.
+    |t| >= 1.  `levels` is the deepest octave 2^-levels the quadrature may
+    cut an axis to (each frequency takes its own depth, `_depths`) and the
+    truncation of the certificate sum.
     """
     positive_orthant: bool = False
     levels: int = 12
@@ -243,9 +248,11 @@ class OscResult:
     certificate: float | None = None
 
 
-def _axis_pieces(chi: CutoffSpec, factor: FactorSpec):
-    """Octave intervals (lo, hi) covering the support, clipped to the factor."""
-    ends = [2.0 ** -l for l in range(chi.levels + 1)] + [0.0]
+def _axis_pieces(chi: CutoffSpec, factor: FactorSpec, depth: int):
+    """Intervals (lo, hi) covering the support, clipped to the factor: the
+    octaves [2^-(l+1), 2^-l] for l < depth and [0, 2^-depth], mirrored below
+    0 unless the cutoff is on the positive orthant."""
+    ends = [2.0 ** -l for l in range(depth + 1)] + [0.0]
     pieces = []
     for sign in (1,) if chi.positive_orthant else (1, -1):
         for mhi, mlo in zip(ends, ends[1:]):
@@ -289,6 +296,39 @@ def _ladder(order, waves):
     rungs = ([(n, most(n), True) for n in _LADDER if n < order] + [(order, waves, False)]
              + [(n, most(n), False) for n in _HIGHER if n > order])
     return math.exp(log_target), tuple(rungs)
+
+
+@lru_cache(maxsize=None)
+def _merge_reach(order, waves, degree):
+    """Per Gauss order n <= `order` of the ladder, ascending, (n, theta_n):
+    the largest theta at which 2 theta^j0 / j0! e^theta, j0 = ceil(2n /
+    degree), is at most the target R(order, waves).  On [0, h], where
+    |lam g| <= theta for g a polynomial of that degree, n-point Gauss
+    integrates every term (i lam g)^j / j! of exp(i lam g) with j < j0
+    exactly, so it errs by at most that much times h.  theta_n is inf at
+    degree 0."""
+    target, rungs = _ladder(order, waves)
+    reach = []
+    for n, _, _ in rungs:
+        if n > order:
+            break
+        if degree == 0:
+            reach.append((n, math.inf))
+            continue
+        j0 = -(-2 * n // degree)
+
+        def fits(theta):
+            return (math.log(2.0) + j0 * math.log(theta) - math.lgamma(j0 + 1) + theta
+                    <= math.log(target))
+
+        lo, hi = 0.0, 1.0
+        while fits(hi):
+            lo, hi = hi, 2.0 * hi
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+        reach.append((n, lo))
+    return tuple(reach)
 
 
 _MAX_MAP = 5  # map exponents e run 1.._MAX_MAP
@@ -583,17 +623,59 @@ def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
     return values, mass
 
 
-def _plan(p, f, chi):
-    """The pieces of each axis, and the cells, a (cells, d) array of piece
+def _plan(f, chi, depths):
+    """The pieces of each axis k of test function `f`, cut to depth
+    `depths[k]` (`_axis_pieces`), and the cells, a (cells, d) array of piece
     indices in product order."""
-    d = p.dimension
-    if d > 3:
-        raise OscError("tensor quadrature is limited to dimension <= 3")
-    if f.dimension != d:
-        raise OscError("test function dimension mismatch")
-    axis_pieces = [_axis_pieces(chi, f.factors[k]) for k in range(d)]
+    axis_pieces = [_axis_pieces(chi, fac, depth) for fac, depth in zip(f.factors, depths)]
     full = tuple(len(pieces) for pieces in axis_pieces)
     return axis_pieces, np.stack(np.unravel_index(np.arange(math.prod(full)), full), axis=1)
+
+
+def _depths(grads, f, chi, lams, quad):
+    """Per frequency of `lams`, with test function `f` or its own one of a
+    sequence `f` (`_per_row`), and axis k: the depth L_k to which axis k is
+    cut into octaves, and the Gauss order n of its merged piece [0, 2^-L_k],
+    or 0 where it has none, as two (F, d) integer arrays.  With g the terms
+    of phi with a_k >= 1 and G the same terms with absolute coefficients and
+    the other axes at their largest magnitude over the support and the
+    factor, |lam g| <= theta = |lam| G(2^-L) on the piece, so `_merge_reach`
+    bounds one n-point panel's error there.  G is read off `grads`, d_k phi
+    with absolute coefficients: each of its terms c x^b is one of g's
+    divided by a_k = b_k + 1.  L_k is the smallest level, at most `levels`,
+    at which some order meets the target, and n the least such order; where
+    none does, or some theta of the row is not finite, L_k = `levels` and
+    n = 0, the octave layout to the truncation.  A row depends only on its
+    own lam and test function: G per level and axis is tabled once per test
+    function."""
+    d, levels = len(grads), chi.levels
+    terms = [g._float_coefficients for g in grads]
+    reach = [_merge_reach(quad.order, quad.waves_per_panel,
+                          max((b[k] + 1 for b, _ in t), default=0))
+             for k, t in enumerate(terms)]
+    x = 2.0 ** -np.arange(1, levels + 1)
+    fs, tables = _per_row(f, len(lams)), {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g in fs:
+            if g in tables:
+                continue
+            # largest magnitude of each axis over the support, clipped to the factor
+            tops = [max((max(-lo, hi) for lo, hi in _axis_pieces(chi, fac, 1)), default=0.0)
+                    for fac in g.factors]
+            table = tables[g] = np.zeros((levels, d))
+            for k, t in enumerate(terms):
+                for b, c in t:
+                    others = math.prod(tops[j] ** b[j] for j in range(d) if j != k)
+                    table[:, k] += c / (b[k] + 1) * others * x ** (b[k] + 1)
+        theta = np.abs(np.asarray(lams))[:, None, None] * np.stack([tables[g] for g in fs])
+    ns = np.array([n for n, _ in reach[0]])
+    reach = np.array([[t for _, t in r] for r in reach])  # (d, orders)
+    admitted = theta <= reach.max(axis=1)
+    merges = admitted.any(axis=1) & np.isfinite(theta).all(axis=(1, 2))[:, None]
+    depth = np.where(merges, admitted.argmax(axis=1) + 1, levels)
+    at = np.take_along_axis(theta, (depth - 1)[:, None, :], axis=1)[:, 0, :]
+    order = ns[(at[..., None] <= reach).argmax(axis=-1)]
+    return depth, np.where(merges, order, 0)
 
 
 def _sizing(grads, axis_pieces, cells):
@@ -652,19 +734,73 @@ def _per_row(f, rows):
     return fs
 
 
+def _layout(grads, fs, chi, lams, quad, depths, merged, rows, index):
+    """The rule of each row of `rows`, as {row: (cells, counts, orders, exps,
+    turns, spans, analytic)}: its cells, a (cells, d) array of piece indices,
+    their (cells, d) panel counts, Gauss orders, map exponents and turns at
+    e = 1 (`_panel_counts`), and the spans at e = 1 and plateau mask of their
+    pieces (`_sizing`).  A row's pieces are those of its test function cut to
+    its `depths` (`_plan`); `index` holds per axis a dict from piece (lo, hi)
+    to its index, which grows as pieces are met, so rows at different depths
+    share the pieces they have in common.  Rows are planned once per
+    (test function, depths), all cells are sized in one `_sizing` call and
+    each group's frequencies in one `_panel_counts` call; then the merged
+    piece of each axis with a `merged` order takes one panel of it at map
+    exponent 1.  Groups are sized in the order of their test functions'
+    first rows, then of their own: an overflow refusal names the first
+    frequency that overflows of the first test function that does."""
+    first, groups = {}, {}
+    for i, g in enumerate(fs):
+        first.setdefault(g, i)
+    for i in sorted(rows, key=lambda i: (first[fs[i]], i)):
+        groups.setdefault((fs[i], tuple(depths[i].tolist())), []).append(i)
+    plans = []
+    for (g, depth), at in groups.items():
+        pieces, cells = _plan(g, chi, depth)
+        ids, on = [], []
+        for ix, pieces_k, level in zip(index, pieces, depth):
+            ids.append(np.array([ix.setdefault(piece, len(ix)) for piece in pieces_k],
+                                dtype=np.int64))
+            # the merged piece is the one within [-2^-depth, 2^-depth]
+            on.append(np.array([max(-lo, hi) <= 2.0 ** -level for lo, hi in pieces_k],
+                               dtype=bool))
+        plans.append((at, np.stack([a[cells[:, k]] for k, a in enumerate(ids)], axis=1),
+                      np.stack([a[cells[:, k]] for k, a in enumerate(on)], axis=1)))
+    sizing = _sizing(grads, [list(ix) for ix in index],
+                     np.concatenate([cells for _, cells, _ in plans]))
+    out, start = {}, 0
+    for at, cells, on in plans:
+        end = start + len(cells)
+        own = tuple(a[..., start:end, :] for a in sizing)
+        counts, orders, exps, turns = _panel_counts([lams[i] for i in at], own, quad)
+        n = merged[at][:, None, :]
+        on = on & (n > 0)
+        counts, orders, exps = (np.where(on, v, a) for v, a in
+                                ((1, counts), (n, orders), (1, exps)))
+        for j, i in enumerate(at):
+            out[i] = cells, counts[j], orders[j], exps[j], turns[j], own[1][0], own[3]
+        start = end
+    return out
+
+
 def _evaluate(p, f, chi, lams, quad):
     """Tensor-panel quadrature of the oscillatory form at every frequency of
     `lams`, with one test function `f` or one per frequency: per frequency,
     its result (without certificate), and the value and node count of every
-    cell, cells in product order.
+    cell, cells in product order of the row's pieces.
 
+    Each axis of each row is cut into octaves to its own depth L
+    (`_depths`), and [0, 2^-L] is one merged piece on one Gauss panel whose
+    order a bound that holds exactly fixes; where no depth admits it, the
+    axis is cut to `levels`, with its piece at 0 sized like every other.
     Panel counts, Gauss orders and map exponents per cell and axis follow
-    the local phase variation (`_panel_counts`); when the implied node count
-    exceeds the budget, the equal-panel rule is shrunk to fit (`_fit_budget`)
-    and the result is flagged low-confidence.  The reported error is the
-    difference against a rerun on the same panels at order max(n // 2, n - 4)
-    on the axes at order n >= `order` (12, 20 and 28 for 16, 24 and 32), or
-    on every axis of a shrunk rule, plus d * target times the weight mass of
+    the local phase variation (`_panel_counts`).  When the implied node
+    count exceeds the budget, the row is cut to `levels` on every axis, the
+    equal-panel rule there is shrunk to fit (`_fit_budget`) and the result
+    is flagged low-confidence.  The reported error is the difference
+    against a rerun on the same panels at order max(n // 2, n - 4) on the
+    axes at order n >= `order` (12, 20 and 28 for 16, 24 and 32), or on
+    every axis of a shrunk rule, plus d * target times the weight mass of
     each cell not rerun.  For a rule with an entry in `_TRANSITION_PANELS`
     only two kinds of cell are rerun: every cell of a shrunk rule, and a
     cell with an axis off the cutoff plateau that is not resolved.  An axis
@@ -672,37 +808,31 @@ def _evaluate(p, f, chi, lams, quad):
     unclipped, and it has at least P0(n, e) panels for its order n and map
     exponent e, from which on n-point panels meet the target across the
     transition.  Every other cell has each axis within the error target,
-    analytic or resolved.  A rule without an entry reruns every cell with an
-    axis at order n >= `order`.  Each distinct test function is planned
-    once; the plans' pieces join one list per axis, all their cells are
-    sized in one `_sizing` call, the frequencies of each plan in one
-    `_panel_counts` call, and all rows run in one `_run_level`.
+    analytic (a merged piece too) or resolved.  A rule without an entry
+    reruns every cell with an axis at order n >= `order`.  All rows run in
+    one `_run_level`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
     if bad:
         raise OscError(f"frequency must be finite, got {bad[0]:g}")
     fs = _per_row(f, len(lams))
-    rows_of = {}
-    for i, g in enumerate(fs):
-        rows_of.setdefault(g, []).append(i)
-    grads = [p.derivative(k).absolute() for k in range(p.dimension)]
-    axis_pieces, plans = [[] for _ in grads], {}
-    for g in rows_of:
-        pieces, cells = _plan(p, g, chi)
-        plans[g] = cells + [len(all_k) for all_k in axis_pieces]
-        for all_k, pieces_k in zip(axis_pieces, pieces):
-            all_k.extend(pieces_k)
-    # the sizing of every plan's cells in one call, then all the
-    # frequencies of each plan in one `_panel_counts` call
-    sizing = _sizing(grads, axis_pieces, np.concatenate(list(plans.values())))
-    sized, start = [None] * len(lams), 0
-    for g, at in rows_of.items():
-        end = start + len(plans[g])
-        plans[g] = plans[g], tuple(a[..., start:end, :] for a in sizing)
-        for i, *rule in zip(at, *_panel_counts([lams[i] for i in at], plans[g][1], quad)):
-            sized[i] = rule
-        start = end
+    d = p.dimension
+    if d > 3:
+        raise OscError("tensor quadrature is limited to dimension <= 3")
+    if any(g.dimension != d for g in set(fs)):
+        raise OscError("test function dimension mismatch")
+    grads = [p.derivative(k).absolute() for k in range(d)]
+    depths, merged = _depths(grads, fs, chi, lams, quad)
+    index = [{} for _ in range(d)]
+    sized = _layout(grads, fs, chi, lams, quad, depths, merged, range(len(lams)), index)
+    # a merged rule above the budget gives way to the octaves to `levels`
+    # on every axis, which `_fit_budget` shrinks below
+    over = [i for i, (_, counts, orders, *_) in sized.items()
+            if merged[i].any() and _nodes(counts, orders) > quad.node_budget]
+    if over:
+        depths[over], merged[over] = chi.levels, 0
+        sized.update(_layout(grads, fs, chi, lams, quad, depths, merged, over, index))
     # P0 per Gauss order and map exponent on the cutoff's transition piece,
     # the octave piece [PLATEAU, 1]; above any count where none is given
     transition = 1.0 - _PLATEAU
@@ -712,8 +842,8 @@ def _evaluate(p, f, chi, lams, quad):
         for n, count in panels:
             least[n, e] = count
     rows, main, rerun_rows = [], [], []
-    for lam, g, (counts, orders, exps, turns) in zip(lams, fs, sized):
-        cells, (_, spans, _, analytic) = plans[g]
+    for i, lam in enumerate(lams):
+        cells, counts, orders, exps, turns, spans, analytic = sized[i]
         low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
         if low_confidence:
             # a shrunk rule has equal panels on every axis
@@ -728,7 +858,7 @@ def _evaluate(p, f, chi, lams, quad):
         if entry is None:
             rerun = full.any(axis=1)
         else:
-            resolved = analytic | ((spans[0] == transition) & (counts >= least[orders, exps]))
+            resolved = analytic | ((spans == transition) & (counts >= least[orders, exps]))
             rerun = ~resolved.all(axis=1) | low_confidence
         coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
         rows.append((lam, counts, orders, low_confidence, rerun))
@@ -737,8 +867,8 @@ def _evaluate(p, f, chi, lams, quad):
                            np.full(int(rerun.sum()), lam)))
     # the cells, counts, orders, map exponents and lam of every frequency's
     # rows, then of every frequency's rerun rows
-    values, mass = _run_level(p, axis_pieces, *(np.concatenate(col) for col in
-                                                zip(*main, *rerun_rows)), chi)
+    values, mass = _run_level(p, [list(ix) for ix in index],
+                              *(np.concatenate(col) for col in zip(*main, *rerun_rows)), chi)
     target, _ = _ladder(quad.order, quad.waves_per_panel)
     ends = np.cumsum([len(r[0]) for r in main + rerun_rows])[:-1]
     parts, masses, out = np.split(values, ends), np.split(mass, ends), []

@@ -27,8 +27,10 @@ from oscdecay.oscint import (
     TestFunctionSpec,
     _axis_pieces,
     _axis_rule,
+    _depths,
     _evaluate,
     _kernel,
+    _merge_reach,
     _panel_counts,
     _plan,
     _rows,
@@ -265,7 +267,8 @@ class TestEvaluateBasics:
         # and 12 on the plateau at the lowest ladder order 4
         assert r.nodes == (16 + 12 * 4) ** 2
 
-    @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 30_000, 36_000])
+    # the free rule, on merged pieces near 0, takes 35,296 nodes
+    @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 30_000, 35_000])
     def test_budget_is_a_bound(self, budget):
         # wherever the floor of test_budget_flag, 4096 nodes, fits
         free = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, 512.0)
@@ -277,7 +280,7 @@ class TestEvaluateBasics:
         assert r.nodes > budget // 2
         assert r.error >= abs(r.value - free.value)
 
-    @pytest.mark.parametrize("budget", [30_000, 36_000])
+    @pytest.mark.parametrize("budget", [30_000, 35_000])
     def test_budget_is_mostly_used(self, budget):
         # one common factor alone left both rules at 22,704 nodes; panels
         # added one at a time fill most of the gap it leaves
@@ -304,9 +307,10 @@ class TestEvaluateBasics:
         assert 0 < r.error <= 1e-4 * abs(r.value)
 
     def test_axis_rules_shared_across_cells(self, monkeypatch):
-        # 2197 cells with 3 axes each at two Gauss orders would build 13182
-        # per-axis rules; only a few dozen (interval, panels, order) differ,
-        # and axes share them
+        # at lam 256, cut to depth 6, the 343 cells with 3 axes each at two
+        # Gauss orders would build 2058 per-axis rules, 147 per order on the
+        # transition piece, where the profile is evaluated; only a few
+        # (interval, panels, order) differ, and axes share them
         calls = []
         original = CutoffSpec.profile
 
@@ -316,7 +320,7 @@ class TestEvaluateBasics:
 
         monkeypatch.setattr(CutoffSpec, "profile", counting)
         evaluate_lambda(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3),
-                        CHI_POS, 16.0)
+                        CHI_POS, 256.0)
         assert 0 < len(calls) < 150
 
     def test_axis_permutation_with_distinct_factors(self):
@@ -347,9 +351,13 @@ class TestEvaluateBasics:
         r, values, nodes = lone_cells(phase("x1*x2"), f, CHI_POS, 8.0)
         assert abs(values.sum() - r.value) < 1e-14
         assert nodes.sum() == r.nodes
-        cells = list(product(*(_axis_pieces(CHI_POS, fac) for fac in f.factors)))
+        pieces, depths, merged = row_pieces(phase("x1*x2"), f, CHI_POS, 8.0)
+        cells = list(product(*pieces))
         assert len(cells) == values.size == nodes.size
         assert all(lo >= 0 for cell in cells for lo, _ in cell)
+        # at lam 8 one 16-point panel covers [0, 1/2]: 2 pieces per axis,
+        # against 13 when every axis was cut to `levels`
+        assert (depths, merged, len(cells)) == ([1, 1], [16, 16], 4)
 
 
 def lone_cells(p, f, chi, lam, quad=QuadratureConfig()):
@@ -380,22 +388,42 @@ def most_turns(n, target):
     return lo
 
 
-def panel_rules(p, f, chi, lam, analytic=None, quad=QuadratureConfig()):
+def panel_rules(p, f, chi, lam, analytic=None, quad=QuadratureConfig(), depths=None):
     """`_panel_counts`'s counts, orders and map exponents at lam on every cell
-    of the plan of (p, f, chi), cells in product order, with the plateau mask
-    `analytic` if given."""
+    of the plan of (f, chi) cut to `depths` (to `levels` on every axis if
+    not given), cells in product order, with the plateau mask `analytic` if
+    given."""
     grads = [p.derivative(k).absolute() for k in range(p.dimension)]
-    *sizing, own = _sizing(grads, *_plan(p, f, chi))
+    depths = (chi.levels,) * p.dimension if depths is None else depths
+    *sizing, own = _sizing(grads, *_plan(f, chi, depths))
     sizing.append(own if analytic is None else analytic)
     return [a[0] for a in _panel_counts([lam], sizing, quad)[:3]]
 
 
+def depths_of(p, f, chi, lams, quad=QuadratureConfig()):
+    """`_depths` of the rows at `lams`: their depths and merged-piece orders."""
+    return _depths([p.derivative(k).absolute() for k in range(p.dimension)], f, chi, lams, quad)
+
+
+def row_pieces(p, f, chi, lam, quad=QuadratureConfig()):
+    """The pieces of each axis of the row at lam, cut to its depths, and the
+    depths and merged-piece orders (`_depths`)."""
+    (depths,), (merged,) = depths_of(p, f, chi, [lam], quad)
+    pieces = [_axis_pieces(chi, fac, depth) for fac, depth in zip(f.factors, depths.tolist())]
+    return pieces, depths.tolist(), merged.tolist()
+
+
 def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
-    """Per-cell values with one full np.exp tensor per cell, in cell order."""
-    pieces = [_axis_pieces(chi, fac) for fac in f.factors]
+    """Per-cell values with one full np.exp tensor per cell, in cell order;
+    the merged piece of an axis takes one panel of its order at e = 1."""
+    pieces, depths, merged = row_pieces(p, f, chi, lam, quad)
     analytic = np.array([[max(abs(lo), abs(hi)) <= 0.5
                           for lo, hi in cell] for cell in product(*pieces)])
-    counts, orders, exps = panel_rules(p, f, chi, lam, analytic, quad)
+    counts, orders, exps = panel_rules(p, f, chi, lam, analytic, quad, depths)
+    for i, cell in enumerate(product(*pieces)):
+        for k, (lo, hi) in enumerate(cell):
+            if merged[k] and max(abs(lo), abs(hi)) <= 2.0 ** -depths[k]:
+                counts[i, k], orders[i, k], exps[i, k] = 1, merged[k], 1
     values = []
     for cell, cnt, ords, es in zip(product(*pieces), counts.tolist(), orders.tolist(),
                                    exps.tolist()):
@@ -469,9 +497,10 @@ class TestKernel:
 
     def test_phase_evaluated_per_batch(self, monkeypatch):
         # per cell, this took about 6,600 evaluations: panel-count bounds and
-        # phase tensors for 2197 cells at two Gauss orders.  The sizing reads
-        # the derivatives' terms without evaluating them, and each kernel
-        # call writes its batch's phase tensor in one call
+        # phase tensors for the 2197 cells of the octaves to `levels` at two
+        # Gauss orders.  The sizing reads the derivatives' terms without
+        # evaluating them, and each kernel call writes its batch's phase
+        # tensor in one call
         calls = []
         for name in ("evaluate", "evaluate_tensor"):
             def counting(self, *args, _name=name, _original=getattr(PhasePolynomial, name)):
@@ -539,7 +568,7 @@ class TestKernel:
                                 FactorSpec.box(-0.52, 0.47),
                                 FactorSpec.box(-0.45, 0.123))
         p = phase("3*x1^7*x2 + 1/3*x1*x2^5*x3^3 + x2^2*x3^9", 3)
-        pieces = [_axis_pieces(chi, fac) for fac in f.factors]
+        pieces = [_axis_pieces(chi, fac, chi.levels) for fac in f.factors]
         grads = [p.derivative(k).absolute() for k in range(3)]
         top = [max(a[k] for a in p.terms) for k in range(3)]
         # on the plateau |t| <= 1/2 the integrand is analytic
@@ -651,7 +680,7 @@ class TestKernel:
         p = phase(text, 3)
         grads = [p.derivative(k).absolute() for k in range(3)]
         top = [max(a[k] for a in p.terms) for k in range(3)]
-        pieces, cells = _plan(p, f, chi)
+        pieces, cells = _plan(f, chi, (chi.levels,) * 3)
         bounds, spans, ratios, analytic = _sizing(grads, pieces, cells)
         with np.errstate(invalid="ignore"):
             rates = bounds * spans / (2.0 * math.pi)
@@ -874,6 +903,16 @@ class TestErrorEstimate:
                 ratios.append(r.error / dev)
         assert np.median(ratios) <= 30
 
+    @pytest.mark.parametrize("lam", [20.0, 40.0, 80.0])
+    def test_error_bounds_deviation_with_box_factors(self, lam):
+        # the boxes clip the merged piece near 0 of x2 at lam 20 and 40 and
+        # leave it out at 80
+        p = phase("x1^3*x2 + x1*x2^2")
+        f = TestFunctionSpec.boxes([(-0.2, 0.7), (0.05, 0.9)])
+        r = evaluate_lambda(p, f, CHI, lam)
+        fine = evaluate_lambda(p, f, CHI, lam, quad=QuadratureConfig(waves_per_panel=0.5))
+        assert r.error >= abs(r.value - fine.value)
+
 
 class TestFrozenFineRule:
     def test_error_bounds_deviation_from_frozen_fine_rule(self):
@@ -955,6 +994,75 @@ def box_bound(n, j, q, norms, lam):
     osc = math.ldexp(abs(lam), -t)
     gain = min(1.0, osc ** -0.5) if osc > 0 else 1.0
     return math.prod(norms) * 2.0 ** -s * gain
+
+
+class TestMergedPiece:
+    def test_one_panel_meets_the_target_at_every_admitted_theta(self):
+        # per degree D and ladder order n, up to the largest theta the bound
+        # 2 theta^j0 / j0! e^theta (j0 = ceil(2n / D)) admits, one n-point
+        # panel on [0, h] errs by at most the target times h on
+        # exp(i theta (x/h)^D) and on a two-term polynomial of degree D
+        # bounded by theta there, against a 200-point panel
+        quad = QuadratureConfig()
+        target, _ = oscint._ladder(quad.order, quad.waves_per_panel)
+        h = 0.125
+        rx, rw = np.polynomial.legendre.leggauss(200)
+
+        def panel(g, gx, gw):
+            return h / 2 * (gw * np.exp(1j * g((gx + 1.0) / 2))).sum()
+
+        for degree in range(1, 6):
+            reach = _merge_reach(quad.order, quad.waves_per_panel, degree)
+            assert [n for n, _ in reach] == [4, 8, 12, 16]
+            for n, most in reach:
+                j0 = -(-2 * n // degree)
+
+                def bound(theta):
+                    return 2.0 * theta ** j0 / math.factorial(j0) * math.exp(theta)
+
+                # the largest theta at which the bound meets the target
+                assert bound(most) <= target * (1 + 1e-12) and bound(most * (1 + 1e-9)) > target
+                gx, gw = np.polynomial.legendre.leggauss(n)
+                for theta in np.linspace(0.0, most, 41)[1:]:
+                    for g in (lambda u: theta * u ** degree,
+                              lambda u: theta * (0.7 * u ** degree - 0.3 * u ** -(-degree // 2))):
+                        err = abs(panel(g, gx, gw) - panel(g, rx, rw))
+                        assert err <= target * h, (degree, n, theta)
+
+    def test_product_phase_merges_to_depth_4_at_lam_64(self):
+        # theta = 64 * 2^-L: 4 at L = 4 is admitted for 16 points (5.28 is
+        # the most), 8 at L = 3 is not
+        p, f = phase("x1*x2*x3", 3), TestFunctionSpec.ones(3)
+        depths, merged = depths_of(p, f, CHI_POS, [64.0])
+        assert depths.tolist() == [[4, 4, 4]] and merged.tolist() == [[16, 16, 16]]
+        _, values, _ = lone_cells(p, f, CHI_POS, 64.0)
+        assert values.size == 5 ** 3
+
+    def test_rows_take_their_own_depths(self):
+        # the frequencies of the sweep cases 3d-depths and clipped-merge
+        depths, _ = depths_of(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3), CHI_POS,
+                              [16.0, 64.0, 1024.0])
+        assert depths[:, 0].tolist() == [2, 4, 8]
+        f = TestFunctionSpec.boxes([(0.01, 0.9), (-0.7, 0.002)])
+        depths, merged = depths_of(phase("x1^3*x2 + x1*x2^2"), f, CHI, [8.0, 20.0, 40.0, 80.0])
+        assert len(set(depths[:, 0].tolist())) == 4 and merged.all()
+        # the box clips the merged piece of x1 to [0.01, 2^-L] but at lam 80
+        for (level, _), want in zip(depths.tolist(), [True, True, True, False]):
+            assert ((0.01, 2.0 ** -level) in _axis_pieces(CHI, f.factors[0], level)) == want
+
+    def test_shrunk_or_unbounded_row_keeps_the_octaves(self):
+        # a merged rule above the budget is replaced by the octaves to
+        # `levels`, 13 pieces per axis, and shrunk there
+        p, f = phase("x1*x2"), TestFunctionSpec.ones(2)
+        r, values, _ = lone_cells(p, f, CHI_POS, 512.0, QuadratureConfig(node_budget=5000))
+        assert r.low_confidence and values.size == 13 ** 2
+        # theta = lam 1e20 2^-30L on x1 overflows at L = 1 and lam 1e300,
+        # though a deeper level would admit it: the row keeps the octaves on
+        # every axis; at lam 1e250 x1 merges
+        p, chi = phase("100000000000000000000*x1^30*x2"), CutoffSpec(True, levels=40)
+        depths, merged = depths_of(p, f, chi, [1e300, 1e250])
+        assert depths.tolist() == [[40, 40], [31, 40]]
+        assert merged.tolist() == [[0, 0], [16, 0]]
 
 
 class TestSingleBoxBound:
@@ -1094,14 +1202,16 @@ class TestSweep:
         assert kernel <= 1.05 * sum(r.nodes for r in results)
 
     @pytest.mark.parametrize("text, d, lams, kernel", [
-        ("x1*x2", 2, (64.0,), 8_224),
-        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 1_283_776),
-        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 873_088),
+        ("x1*x2", 2, (64.0,), 5_072),
+        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 428_224),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 373_056),
     ])
     def test_rerun_keeps_unresolved_transition_cells(self, monkeypatch, text, d, lams, kernel):
-        # at these frequencies every cell with an axis at order 16 or above
-        # has a transition axis on fewer panels than the table resolves, so
-        # the kernel runs exactly the nodes of a rerun on all of them
+        # at these frequencies no transition axis has as many panels as the
+        # table resolves, so the kernel runs exactly the nodes of a rerun on
+        # every cell with an axis on [1/2, 1] (and on no other: a merged
+        # piece at order 16 lies on the plateau); on the octave layout to
+        # `levels` it ran 8,224, 1,283,776 and 873,088
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
         assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
@@ -1142,16 +1252,18 @@ class TestSweep:
         assert kernel[0] < kernel[1]
 
     def test_map_exponents_cut_nodes_of_higher_degree_axes(self):
-        # equal panels took 983,984 and 4,407,216 nodes; x1*x2, whose
-        # exponents are all 1, keeps them
+        # equal panels took 983,984 and 4,407,216 nodes on the octave
+        # layout to `levels`, and mapped ones 983,984 (x1*x2, whose
+        # exponents are all 1, keeps equal panels) and 2,480,304; merged
+        # pieces near 0 take a little off both
         nodes = [sum(r.nodes for r in lambda_sweep(phase(text), TestFunctionSpec.ones(2),
                                                    CHI_POS, lambda_grid(64, 2048, 11)))
                  for text in ("x1*x2", "x1^3*x2^3")]
-        assert nodes == [983_984, 2_480_304]
+        assert nodes == [968_400, 2_453_248]
 
     @pytest.mark.parametrize("waves, lam, kernel, error", [
-        (2.0, 256.0, 51_376, 8.209120413601127e-09),
-        (0.5, 64.0, 34_592, 3.485047506192388e-08),
+        (2.0, 256.0, 49_440, 8.209120413601127e-09),
+        (0.5, 64.0, 29_808, 3.485047506192388e-08),
     ])
     def test_rule_without_table_entry_reruns_every_cell_at_order(
             self, monkeypatch, waves, lam, kernel, error):
@@ -1221,7 +1333,12 @@ class TestRuleTable:
         # the two upper samples are shrunk to the budget
         ("x1*x2", 2, TestFunctionSpec.ones(2), CHI_POS, (64.0, 256.0, 512.0),
          QuadratureConfig(node_budget=10_000), 2),
-    ], ids=["product-orthant", "3d", "boxes", "budget"])
+        # every row at its own depth (TestMergedPiece)
+        ("x1*x2*x3", 3, TestFunctionSpec.ones(3), CHI_POS, (16.0, 64.0, 1024.0),
+         QuadratureConfig(), 0),
+        ("x1^3*x2 + x1*x2^2", 2, TestFunctionSpec.boxes([(0.01, 0.9), (-0.7, 0.002)]),
+         CHI, (8.0, 20.0, 40.0, 80.0), QuadratureConfig(), 0),
+    ], ids=["product-orthant", "3d", "boxes", "budget", "3d-depths", "clipped-merge"])
     def test_sweep_equals_lone_evaluations(self, text, d, f, chi, lams, quad, flagged):
         p = phase(text, d)
         sweep = lambda_sweep(p, f, chi, lams, quad=quad, certify=True)
@@ -1246,14 +1363,15 @@ class TestRuleTable:
         assert first > 0 and len(calls) == 2 * first
 
     def test_each_rule_built_once_per_sweep(self, monkeypatch):
-        # the sweep's 92 distinct rules, keyed by (lo, hi, panels, order, e),
-        # each built once; a rerun on every cell with an axis at order 16 or
-        # above built 108
+        # the sweep's 97 distinct rules, keyed by (lo, hi, panels, order, e),
+        # each built once, merged pieces at each depth too; on the octave
+        # layout to `levels` there were 92, and a rerun on every cell with an
+        # axis at order 16 or above built 108
         calls = count_rule_builds(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
         keys = [(lo, hi, panels, len(gx), e) for lo, hi, panels, e, gx, _, _ in calls]
-        assert len(keys) == len(set(keys)) == 92
+        assert len(keys) == len(set(keys)) == 97
 
 
 class TestBatchedRows:
