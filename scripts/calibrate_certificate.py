@@ -26,6 +26,8 @@ def worst_ratio(text: str, grid, chi) -> float:
     for lam in grid:
         r = evaluate_lambda(p, TestFunctionSpec.ones(2), chi, lam,
                             certify=True, cert_constant=1.0)
+        if r.value is None:
+            raise SystemExit(f"{text} at lam {lam:g} is over the node budget")
         worst = max(worst, abs(r.value) / r.certificate)
     return worst
 

@@ -5,8 +5,10 @@ report with `config.out_json` blanked, everything written to stderr and
 the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
-`verify` rows of ROADMAP's Baseline, `verify --orthant off` on x1*x2 and
-`integrate` on x1*x2*x3 over the full space.
+`verify` rows of ROADMAP's Baseline, `verify --orthant off` on x1*x2,
+`integrate` on x1*x2*x3 over the full space, an `integrate` whose sample is
+refused over the node budget, and the default 3D `verify`, whose top two
+samples are.
 
     PYTHONPATH=src python scripts/report_digest.py
 """
@@ -42,6 +44,9 @@ JOBS = (
     # a full-space 3D sweep
     ("integrate", "--phase", "x1*x2*x3", "--dim", "3", "--orthant", "off", "--lam-lo", "16",
      "--lam-hi", "64", "--lam-count", "3"),
+    # samples refused over the node budget: one alone, and two of a verify sweep
+    ("integrate", "--phase", "x1*x2", "--lam", "1e6"),
+    ("verify", "--phase", "x1*x2*x3", "--dim", "3"),
 )
 
 

@@ -43,9 +43,10 @@ def main() -> None:
     print(f"{'lam':>10s} {'|value|':>12s} {'envelope':>12s} {'err':>9s} flag")
     for r in results:
         env = r.lam ** -inv * math.log(2 + r.lam) ** predicted.m
-        flag = "low-confidence" if r.low_confidence else ""
-        print(f"{r.lam:10.1f} {abs(r.value):12.4e} {env:12.4e} "
-              f"{r.error:9.1e} {flag}")
+        if r.low_confidence:  # refused: no value to print
+            print(f"{r.lam:10.1f} {'':12s} {env:12.4e} {'':9s} over budget")
+        else:
+            print(f"{r.lam:10.1f} {abs(r.value):12.4e} {env:12.4e} {r.error:9.1e}")
 
     fit = fit_decay(results, predicted)
     print(f"free fit:   1/nu = {fit.inv_nu_free:.4f}, m = {fit.m_free:.2f}")

@@ -33,7 +33,8 @@ def main() -> None:
         print(f"w = {label}: delta -> {rep.delta} after {rep.halvings} "
               f"halvings, chain {'ok' if rep.chain_ok else 'BROKEN'}")
         for row in rep.rows:
-            print(f"  lam = {row.lam:10.1f}  measured/L1 = {row.ratio:.6f}  "
+            ratio = "over budget" if row.ratio is None else f"{row.ratio:.6f}"
+            print(f"  lam = {row.lam:10.1f}  measured/L1 = {ratio}  "
                   f"phase bound = {row.phase_bound:.2e}")
         print(f"  verdict: {'PASS' if rep.passed else 'FAIL'}")
 

@@ -31,8 +31,8 @@ from .decay import (
 )
 from .exponent import ExponentQuery, sharp_exponent
 from .nondegen import MAX_FACE_CELLS, check_nondegeneracy, max_grid
-from .oscint import (MAX_LEVELS, MIN_LAMBDA, PLATEAU, CutoffSpec, TestFunctionSpec,
-                     lambda_grid, lambda_sweep)
+from .oscint import (MAX_LEVELS, MIN_LAMBDA, PLATEAU, CutoffSpec, QuadratureConfig,
+                     TestFunctionSpec, lambda_grid, lambda_sweep)
 from .phase import parse_phase, reduce_phase
 from .polytope import (
     MAX_DIMENSION,
@@ -73,7 +73,6 @@ class RunConfig:
     e_lo: int = 4                 # summation frequency exponents, powers of 2
     e_hi: int = 24
     e_step: int = 2
-    seed: int = 0
     out_json: str = ""
     out_csv: str = ""
 
@@ -215,7 +214,7 @@ def _build_inputs(cfg: RunConfig):
 def _report(command: str, cfg: RunConfig, **parts) -> dict:
     empty = ("polyhedron", "exponent", "nondegeneracy", "decay_fit", "sharpness",
              "summation", "sweep")
-    return {"schema": "report/1", "command": command, "config": cfg.to_json_dict(),
+    return {"schema": "report/2", "command": command, "config": cfg.to_json_dict(),
             **dict.fromkeys(empty), "verdicts": [], **parts}
 
 
@@ -241,11 +240,12 @@ def _envelope(exponent_report, lam: float) -> float:
 
 
 def _sweep_rows(results, exp_rep) -> list[dict]:
+    """One row per sample; a refused sample has null value and error."""
     return [{
         "lam": r.lam,
-        "re": r.value.real,
-        "im": r.value.imag,
-        "abs": abs(r.value),
+        "re": None if r.value is None else r.value.real,
+        "im": None if r.value is None else r.value.imag,
+        "abs": None if r.value is None else abs(r.value),
         "err": r.error,
         "nodes": r.nodes,
         "low_confidence": r.low_confidence,
@@ -347,10 +347,11 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
         _write_csv(rows, cfg.out_csv)
     rep = _report("integrate", cfg, exponent=er.to_json_dict(), sweep=rows)
     code = _emit(rep, cfg)
-    flagged = [f"{r.lam:g}" for r in results if r.low_confidence]
-    if flagged:
-        print(f"error: low-confidence samples at lam {', '.join(flagged)}: "
-              "the node budget was exceeded", file=sys.stderr)
+    refused = [f"lam {r.lam:g} needs {r.nodes:.2g} nodes" for r in results if r.low_confidence]
+    if refused:
+        print(f"error: samples refused over the node budget of "
+              f"{QuadratureConfig().node_budget:.2g} nodes: {', '.join(refused)}",
+              file=sys.stderr)
         return 1
     return code
 
@@ -388,15 +389,18 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     ]
     sharp_part = None
     if cfg.sharpness:
-        sharp_part = []
+        sharp_part, refused = [], []
         all_ok = True
         for (w, lams), b in zip(grids, boxes):
             wit = sharpness_test(p, n, q, w, Fraction(cfg.box_scale), lams,
                                  chi=sharp_chi, dual=dual, boxes=b)
             sharp_part.append(wit.to_json_dict())
+            refused += [f"{r.lam:g}" for r in wit.rows if r.measured is None]
             all_ok = all_ok and wit.passed
-        verdicts.append(_verdict("sharpness", all_ok,
-                                 "measured mass in band at every dual vertex"))
+        detail = "measured mass in band at every dual vertex"
+        if refused:
+            detail += f"; boxes refused over the node budget at lam {', '.join(refused)}"
+        verdicts.append(_verdict("sharpness", all_ok, detail))
     rep = _report("verify", cfg,
                   polyhedron={"primal": to_json_dict(n), "dual": None,
                               "domination": None},
@@ -466,7 +470,6 @@ def _add_arguments(sp: argparse.ArgumentParser, name: str) -> None:
                     help="comma list of integrabilities, e.g. inf,2")
     sp.add_argument("--config", help="key=value file, overridden by flags")
     sp.add_argument("--out", dest="out_json", help="report path (else stdout)")
-    sp.add_argument("--seed", type=int)
     if name in ("integrate", "verify"):
         sp.add_argument("--lam-lo", type=float, dest="lam_lo")
         sp.add_argument("--lam-hi", type=float, dest="lam_hi")

@@ -140,8 +140,8 @@ class SharpnessRow:
     lam: float
     half_widths: tuple[float, ...]
     f_norm1: float
-    measured: complex
-    ratio: float          # |measured| / f_norm1
+    measured: complex | None  # None where the sample was refused over the node budget
+    ratio: float | None       # |measured| / f_norm1
     phase_bound: float    # exact bound on |lam * phase| over the box
 
 
@@ -156,8 +156,9 @@ class SharpnessWitness:
 
     @property
     def passed(self) -> bool:
-        return self.chain_ok and all(
-            SHARPNESS_BAND[0] <= r.ratio <= SHARPNESS_BAND[1] for r in self.rows)
+        return self.chain_ok and all(r.ratio is not None and
+                                     SHARPNESS_BAND[0] <= r.ratio <= SHARPNESS_BAND[1]
+                                     for r in self.rows)
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,7 +170,8 @@ class SharpnessWitness:
             "band": list(SHARPNESS_BAND),
             "chain_ok": self.chain_ok,
             "rows": [{"lam": r.lam, "f_norm1": r.f_norm1,
-                      "measured": [r.measured.real, r.measured.imag],
+                      "measured": (None if r.measured is None
+                                   else [r.measured.real, r.measured.imag]),
                       "ratio": r.ratio, "phase_bound": r.phase_bound}
                      for r in self.rows],
             "verdict": "PASS" if self.passed else "FAIL",
@@ -273,7 +275,8 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
         p, n, w, delta, lambdas, chi=chi, dual=dual, max_halvings=max_halvings)
     results = lambda_sweep(p, [TestFunctionSpec.boxes([(-h, h) for h in half])
                                for _, half, _, _ in boxes], chi, [b[0] for b in boxes])
-    rows = [SharpnessRow(lam, half, vol, r.value, abs(r.value) / vol, bound)
+    rows = [SharpnessRow(lam, half, vol, r.value,
+                         None if r.value is None else abs(r.value) / vol, bound)
             for (lam, half, vol, bound), r in zip(boxes, results)]
     chain_ok, _ = check_dual_domination(n, q, dual)
     return SharpnessWitness(ws, delta, sum(ws), tuple(rows), halvings, chain_ok)

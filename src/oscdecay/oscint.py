@@ -20,7 +20,9 @@ cell adds the target times its weight mass.  A call is planned whole before
 any quadrature, one row per frequency, each row with its own test function
 and depths (one plan per distinct pair; all plans are sized in one table,
 and each one's frequencies in one batch); then the cells of every row and
-both levels are evaluated as one batch (`_evaluate`).  A per-axis rule, real
+both levels are evaluated as one batch (`_evaluate`).  A frequency whose
+rule needs more nodes than the budget is refused in the plan: none of its
+cells is evaluated, and its result carries no value.  A per-axis rule, real
 weights times the cutoff, depends only on its piece, panel count, order and
 map exponent: each distinct one is built and stacked once per call, and rows
 with equal node counts per axis gather theirs from the stacks.  A kernel call
@@ -40,7 +42,6 @@ has no such limit.
 """
 from __future__ import annotations
 
-import heapq
 import math
 import threading
 from dataclasses import dataclass, replace
@@ -219,9 +220,9 @@ class QuadratureConfig:
     target every panel is sized to.  Each axis of each cell takes the order
     and map exponent with the fewest nodes that meet it: `order`, 24 or 32
     (the last two on wider panels), or on the cutoff plateau also 4, 8 or 12,
-    on panels at equal steps of x^e, e = 1..5 (`_panel_counts`).  A rule
-    shrunk to the node budget has equal panels (e = 1) and keeps at least one
-    panel per axis, at order 4 on the plateau and `order` elsewhere."""
+    on panels at equal steps of x^e, e = 1..5 (`_panel_counts`).  A
+    frequency whose rule needs more than `node_budget` nodes is refused
+    before any quadrature (`_evaluate`)."""
     order: int = 16                 # Gauss nodes per panel of the target
     waves_per_panel: float = 4.0    # phase turns per panel of the target
     node_budget: int = 300_000_000  # tensor points per evaluation level
@@ -239,12 +240,13 @@ _CHUNK = 262_144  # per kernel call: workspace floats of a batch, nodes of a lon
 @dataclass(frozen=True)
 class OscResult:
     lam: float
-    value: complex
+    value: complex | None  # None where the frequency was refused
     # difference against a lower-order rerun of some cells, plus the
-    # allowance of the others (the rule is in _evaluate's docstring)
-    error: float
-    low_confidence: bool
-    nodes: int
+    # allowance of the others (the rule is in _evaluate's docstring); None
+    # where the frequency was refused
+    error: float | None
+    low_confidence: bool   # refused over the node budget, before any quadrature
+    nodes: int             # evaluated nodes, or the planned count of a refused rule
     certificate: float | None = None
 
 
@@ -360,14 +362,13 @@ def _uniform_counts(turns, analytic, quad):
 
 def _panel_counts(lams, sizing, quad):
     """Gauss panel counts, orders and map exponents, (F, cells, d) integer
-    arrays for the F frequencies `lams`, cells in product order, and T at
-    e = 1, a float array of that shape, from `sizing` (`_sizing`).  T is
-    the turns across the piece in x^e: lam times the bound, times the span
-    over 2 pi.  An axis with map exponent e has its P panels at equal steps
-    of x^e (`_axis_rule`).  At e = 1 it takes 1 + floor(T / most_n) panels
-    of the order n with the fewest nodes (`_uniform_counts`): by default 16
-    points on at most 4 turns, 24 on 7.43 or 32 on 11.0, and on the plateau
-    also 4, 8 or 12.  Where some e > 1 is allowed and that needs more than
+    arrays for the F frequencies `lams`, cells in product order, from
+    `sizing` (`_sizing`).  T is the turns across the piece in x^e: lam
+    times the bound, times the span over 2 pi.  An axis with map exponent e
+    has its P panels at equal steps of x^e (`_axis_rule`).  At e = 1 it
+    takes 1 + floor(T / most_n) panels of the order n with the fewest nodes
+    (`_uniform_counts`): by default 16 points on at most 4 turns, 24 on
+    7.43 or 32 on 11.0, and on the plateau also 4, 8 or 12.  Where some e > 1 is allowed and that needs more than
     one panel, each allowed e and n is sized too: with
     F(P) = (1 + ((hi/lo)^e - 1) / P)^((e - 1)/e) the bottom panel's ratio of
     ends, no panel of P = 1 + floor(T F(P0) / most_n) exceeds most_n turns,
@@ -396,7 +397,7 @@ def _panel_counts(lams, sizing, quad):
     # need more than one
     f, c, k = np.nonzero((counts > 1) & np.isfinite(spans[1:]).any(axis=0))
     if not f.size:
-        return counts, orders, exps, turns
+        return counts, orders, exps
     # one row per order, one column per entry; plateau orders only on
     # analytic axes
     rungs = _ladder(quad.order, quad.waves_per_panel)[1]
@@ -420,7 +421,7 @@ def _panel_counts(lams, sizing, quad):
                 np.copyto(out, value, where=take)
     for out, value in zip((counts, orders, exps), picked):
         out[f, c, k] = value
-    return counts, orders, exps, turns
+    return counts, orders, exps
 
 
 # P0(n, e) per map exponent e and Gauss order n an axis off the cutoff
@@ -439,59 +440,6 @@ _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
     (4, ((16, 18), (24, 13), (32, 10))),
     (5, ((24, 27), (32, 20))),
 )})
-
-
-def _nodes(counts, orders):
-    """Total tensor nodes, in floats, which cannot wrap around."""
-    with np.errstate(over="ignore"):
-        return np.multiply(counts, orders, dtype=float).prod(axis=1).sum()
-
-
-def _fit_budget(counts, orders, analytic, turns, quad):
-    """Shrink a rule above the node budget: every panel count by one common
-    factor, the largest that fits, then one panel more at a time to the axis
-    with the most `turns` per panel, while the rule still fits.  Only where
-    one panel per axis does not fit are orders above `order` first capped at
-    it, and then, as far as needed, the orders of analytic axes stepped down
-    the ladder.  The result fits unless one panel per axis at the lowest
-    allowed orders (4 on the plateau, `order` elsewhere) does not."""
-    _, rungs = _ladder(quad.order, quad.waves_per_panel)
-    caps = [(quad.order, True)] + [(n, analytic) for n, _, plateau in reversed(rungs) if plateau]
-    for n, where in caps:
-        if _nodes(np.ones_like(counts), orders) <= quad.node_budget:
-            break
-        orders = np.where(where, np.minimum(orders, n), orders)
-
-    def scaled(e):
-        return np.maximum(1, np.floor(counts * 2.0 ** e).astype(np.int64))
-
-    # bisect the exponent of the factor; at lo every count is 1
-    lo, hi = -math.log2(counts.max()) - 1.0, 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _nodes(scaled(mid), orders) <= quad.node_budget:
-            lo = mid
-        else:
-            hi = mid
-    counts = scaled(lo)
-    # then one panel more at a time, to the axis with the most turns per
-    # panel first, while the rule still fits; a panel more on axis k of
-    # cell c adds that cell's nodes / counts[c, k]
-    cell_nodes = np.multiply(counts, orders, dtype=float).prod(axis=1)
-    room = quad.node_budget - cell_nodes.sum()
-    heap = list(zip((-turns / counts).ravel().tolist(),
-                    *np.indices(counts.shape).reshape(2, -1).tolist()))
-    heapq.heapify(heap)
-    while heap:
-        _, c, k = heapq.heappop(heap)
-        add = cell_nodes[c] / counts[c, k]
-        if add > room:
-            break
-        room -= add
-        cell_nodes[c] += add
-        counts[c, k] += 1
-        heapq.heappush(heap, (-turns[c, k] / counts[c, k], c, k))
-    return counts, orders
 
 
 def _axis_rule(lo, hi, panels, e, gx, gw, chi):
@@ -644,10 +592,10 @@ def _depths(grads, f, chi, lams, quad):
     with absolute coefficients: each of its terms c x^b is one of g's
     divided by a_k = b_k + 1.  L_k is the smallest level, at most `levels`,
     at which some order meets the target, and n the least such order; where
-    none does, or some theta of the row is not finite, L_k = `levels` and
-    n = 0, the octave layout to the truncation.  A row depends only on its
-    own lam and test function: G per level and axis is tabled once per test
-    function."""
+    none does, L_k = `levels` and n = 0, the octave layout to the
+    truncation.  A theta that is not finite meets no target.  A row depends
+    only on its own lam and test function: G per level and axis is tabled
+    once per test function."""
     d, levels = len(grads), chi.levels
     terms = [g._float_coefficients for g in grads]
     reach = [_merge_reach(quad.order, quad.waves_per_panel,
@@ -671,7 +619,7 @@ def _depths(grads, f, chi, lams, quad):
     ns = np.array([n for n, _ in reach[0]])
     reach = np.array([[t for _, t in r] for r in reach])  # (d, orders)
     admitted = theta <= reach.max(axis=1)
-    merges = admitted.any(axis=1) & np.isfinite(theta).all(axis=(1, 2))[:, None]
+    merges = admitted.any(axis=1)
     depth = np.where(merges, admitted.argmax(axis=1) + 1, levels)
     at = np.take_along_axis(theta, (depth - 1)[:, None, :], axis=1)[:, 0, :]
     order = ns[(at[..., None] <= reach).argmax(axis=-1)]
@@ -734,26 +682,28 @@ def _per_row(f, rows):
     return fs
 
 
-def _layout(grads, fs, chi, lams, quad, depths, merged, rows, index):
-    """The rule of each row of `rows`, as {row: (cells, counts, orders, exps,
-    turns, spans, analytic)}: its cells, a (cells, d) array of piece indices,
-    their (cells, d) panel counts, Gauss orders, map exponents and turns at
-    e = 1 (`_panel_counts`), and the spans at e = 1 and plateau mask of their
-    pieces (`_sizing`).  A row's pieces are those of its test function cut to
-    its `depths` (`_plan`); `index` holds per axis a dict from piece (lo, hi)
-    to its index, which grows as pieces are met, so rows at different depths
-    share the pieces they have in common.  Rows are planned once per
-    (test function, depths), all cells are sized in one `_sizing` call and
-    each group's frequencies in one `_panel_counts` call; then the merged
-    piece of each axis with a `merged` order takes one panel of it at map
-    exponent 1.  Groups are sized in the order of their test functions'
-    first rows, then of their own: an overflow refusal names the first
-    frequency that overflows of the first test function that does."""
+def _layout(grads, fs, chi, lams, quad, depths, merged):
+    """The rule of every row, as a list of (cells, counts, orders, exps,
+    spans, analytic): its cells, a (cells, d) array of piece indices, their
+    (cells, d) panel counts, Gauss orders and map exponents
+    (`_panel_counts`), and the spans at e = 1 and plateau mask of their
+    pieces (`_sizing`); then the pieces of each axis that the indices point
+    into.  A row's pieces are those of its test function cut to its `depths`
+    (`_plan`); rows at different depths share the pieces they have in
+    common.  Rows are planned once per (test function, depths), all cells
+    are sized in one `_sizing` call and each group's frequencies in one
+    `_panel_counts` call; then the merged piece of each axis with a
+    `merged` order takes one panel of it at map exponent 1.  Groups are
+    sized in the order of their test functions' first rows, then of their
+    own: an overflow refusal names the first frequency that overflows of
+    the first test function that does."""
     first, groups = {}, {}
     for i, g in enumerate(fs):
         first.setdefault(g, i)
-    for i in sorted(rows, key=lambda i: (first[fs[i]], i)):
+    for i in sorted(range(len(fs)), key=lambda i: (first[fs[i]], i)):
         groups.setdefault((fs[i], tuple(depths[i].tolist())), []).append(i)
+    # per axis, a dict from piece (lo, hi) to its index, grown as pieces are met
+    index = [{} for _ in grads]
     plans = []
     for (g, depth), at in groups.items():
         pieces, cells = _plan(g, chi, depth)
@@ -766,21 +716,21 @@ def _layout(grads, fs, chi, lams, quad, depths, merged, rows, index):
                                dtype=bool))
         plans.append((at, np.stack([a[cells[:, k]] for k, a in enumerate(ids)], axis=1),
                       np.stack([a[cells[:, k]] for k, a in enumerate(on)], axis=1)))
-    sizing = _sizing(grads, [list(ix) for ix in index],
-                     np.concatenate([cells for _, cells, _ in plans]))
-    out, start = {}, 0
+    pieces = [list(ix) for ix in index]
+    sizing = _sizing(grads, pieces, np.concatenate([cells for _, cells, _ in plans]))
+    out, start = [None] * len(fs), 0
     for at, cells, on in plans:
         end = start + len(cells)
         own = tuple(a[..., start:end, :] for a in sizing)
-        counts, orders, exps, turns = _panel_counts([lams[i] for i in at], own, quad)
+        counts, orders, exps = _panel_counts([lams[i] for i in at], own, quad)
         n = merged[at][:, None, :]
         on = on & (n > 0)
         counts, orders, exps = (np.where(on, v, a) for v, a in
                                 ((1, counts), (n, orders), (1, exps)))
         for j, i in enumerate(at):
-            out[i] = cells, counts[j], orders[j], exps[j], turns[j], own[1][0], own[3]
+            out[i] = cells, counts[j], orders[j], exps[j], own[1][0], own[3]
         start = end
-    return out
+    return out, pieces
 
 
 def _evaluate(p, f, chi, lams, quad):
@@ -794,23 +744,22 @@ def _evaluate(p, f, chi, lams, quad):
     order a bound that holds exactly fixes; where no depth admits it, the
     axis is cut to `levels`, with its piece at 0 sized like every other.
     Panel counts, Gauss orders and map exponents per cell and axis follow
-    the local phase variation (`_panel_counts`).  When the implied node
-    count exceeds the budget, the row is cut to `levels` on every axis, the
-    equal-panel rule there is shrunk to fit (`_fit_budget`) and the result
-    is flagged low-confidence.  The reported error is the difference
-    against a rerun on the same panels at order max(n // 2, n - 4) on the
-    axes at order n >= `order` (12, 20 and 28 for 16, 24 and 32), or on
-    every axis of a shrunk rule, plus d * target times the weight mass of
-    each cell not rerun.  For a rule with an entry in `_TRANSITION_PANELS`
-    only two kinds of cell are rerun: every cell of a shrunk rule, and a
-    cell with an axis off the cutoff plateau that is not resolved.  An axis
-    is resolved when its piece is the whole transition [PLATEAU, 1],
-    unclipped, and it has at least P0(n, e) panels for its order n and map
-    exponent e, from which on n-point panels meet the target across the
-    transition.  Every other cell has each axis within the error target,
-    analytic (a merged piece too) or resolved.  A rule without an entry
-    reruns every cell with an axis at order n >= `order`.  All rows run in
-    one `_run_level`.
+    the local phase variation (`_panel_counts`).  A row whose planned node
+    count exceeds the budget is refused before any quadrature: none of its
+    cells is evaluated, and its result is flagged low-confidence, with no
+    value or error and the planned count as its nodes.  The reported error
+    is the difference against a rerun on the same panels at order
+    max(n // 2, n - 4) on the axes at order n >= `order` (12, 20 and 28
+    for 16, 24 and 32), plus d * target times the weight mass of each cell
+    not rerun.  For a rule with an entry in `_TRANSITION_PANELS` only a
+    cell with an axis off the cutoff plateau that is not resolved is rerun.
+    An axis is resolved when its piece is the whole transition
+    [PLATEAU, 1], unclipped, and it has at least P0(n, e) panels for its
+    order n and map exponent e, from which on n-point panels meet the
+    target across the transition.  Every other cell has each axis within
+    the error target, analytic (a merged piece too) or resolved.  A rule
+    without an entry reruns every cell with an axis at order n >= `order`.
+    All rows run in one `_run_level`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -823,16 +772,7 @@ def _evaluate(p, f, chi, lams, quad):
     if any(g.dimension != d for g in set(fs)):
         raise OscError("test function dimension mismatch")
     grads = [p.derivative(k).absolute() for k in range(d)]
-    depths, merged = _depths(grads, fs, chi, lams, quad)
-    index = [{} for _ in range(d)]
-    sized = _layout(grads, fs, chi, lams, quad, depths, merged, range(len(lams)), index)
-    # a merged rule above the budget gives way to the octaves to `levels`
-    # on every axis, which `_fit_budget` shrinks below
-    over = [i for i, (_, counts, orders, *_) in sized.items()
-            if merged[i].any() and _nodes(counts, orders) > quad.node_budget]
-    if over:
-        depths[over], merged[over] = chi.levels, 0
-        sized.update(_layout(grads, fs, chi, lams, quad, depths, merged, over, index))
+    sized, pieces = _layout(grads, fs, chi, lams, quad, *_depths(grads, fs, chi, lams, quad))
     # P0 per Gauss order and map exponent on the cutoff's transition piece,
     # the octave piece [PLATEAU, 1]; above any count where none is given
     transition = 1.0 - _PLATEAU
@@ -842,42 +782,42 @@ def _evaluate(p, f, chi, lams, quad):
         for n, count in panels:
             least[n, e] = count
     rows, main, rerun_rows = [], [], []
-    for i, lam in enumerate(lams):
-        cells, counts, orders, exps, turns, spans, analytic = sized[i]
-        low_confidence = bool(_nodes(counts, orders) > quad.node_budget)
-        if low_confidence:
-            # a shrunk rule has equal panels on every axis
-            counts, orders = _fit_budget(*_uniform_counts(turns, analytic, quad),
-                                         analytic, turns, quad)
-            exps = np.ones_like(counts)
-        # a shrunk rule no longer meets the target on analytic axes: rerun
-        # them all.  Otherwise, with a table entry, only a cell with an axis
-        # off the plateau that is clipped or on too few panels for the
-        # transition is rerun
-        full = (orders >= quad.order) | low_confidence
+    for lam, rule in zip(lams, sized):
+        # tensor nodes in floats, which cannot wrap around
+        planned = np.multiply(rule[1], rule[2], dtype=float).prod(axis=1).sum()
+        refused = bool(planned > quad.node_budget)
+        if refused:
+            rule = tuple(a[:0] for a in rule)  # no cell reaches the kernel
+        cells, counts, orders, exps, spans, analytic = rule
+        # with a table entry, only a cell with an axis off the plateau that
+        # is clipped or on too few panels for the transition is rerun
+        full = orders >= quad.order
         if entry is None:
             rerun = full.any(axis=1)
         else:
             resolved = analytic | ((spans == transition) & (counts >= least[orders, exps]))
-            rerun = ~resolved.all(axis=1) | low_confidence
+            rerun = ~resolved.all(axis=1)
         coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
-        rows.append((lam, counts, orders, low_confidence, rerun))
+        rows.append((lam, counts, orders, rerun, refused, planned))
         main.append((cells, counts, orders, exps, np.full(len(cells), lam)))
         rerun_rows.append((cells[rerun], counts[rerun], coarse[rerun], exps[rerun],
                            np.full(int(rerun.sum()), lam)))
     # the cells, counts, orders, map exponents and lam of every frequency's
     # rows, then of every frequency's rerun rows
-    values, mass = _run_level(p, [list(ix) for ix in index],
+    values, mass = _run_level(p, pieces,
                               *(np.concatenate(col) for col in zip(*main, *rerun_rows)), chi)
     target, _ = _ladder(quad.order, quad.waves_per_panel)
     ends = np.cumsum([len(r[0]) for r in main + rerun_rows])[:-1]
     parts, masses, out = np.split(values, ends), np.split(mass, ends), []
-    for (lam, counts, orders, low_confidence, rerun), v, m, check in zip(
+    for (lam, counts, orders, rerun, refused, planned), v, m, check in zip(
             rows, parts, masses, parts[len(lams):]):
-        error = abs((v[rerun] - check).sum()) + p.dimension * target * m[~rerun].sum()
         cell_nodes = (counts * orders).prod(axis=1)
-        out.append((OscResult(lam, complex(v.sum()), float(error), low_confidence,
-                              int(cell_nodes.sum())), v, cell_nodes))
+        if refused:
+            r = OscResult(lam, None, None, True, int(planned))
+        else:
+            error = abs((v[rerun] - check).sum()) + d * target * m[~rerun].sum()
+            r = OscResult(lam, complex(v.sum()), float(error), False, int(cell_nodes.sum()))
+        out.append((r, v, cell_nodes))
     return out
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 import contextlib
+import importlib.util
 import io
 import json
 import math
@@ -114,6 +115,15 @@ class TestConfigHandling:
             bad.write_text(f"phase=x1*x2\n{line}\n")
             with pytest.raises(CliError, match=f"bad.cfg:2: bad value for {key}"):
                 load_config_file(str(bad))
+
+    def test_seed_is_no_config_key(self, tmp_path, capsys):
+        # no run depends on a seed, so the key is gone with the field
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("phase=x1*x2\nseed=1\n")
+        code = main(["exponent", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "run.cfg:2: unknown key 'seed'" in err and "Traceback" not in err
 
     def test_flags_override_file(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -378,7 +388,7 @@ class TestUsageErrors:
 
 # the option strings of every subcommand's --help
 OPTIONS = {
-    name: {"-h", "--help", "--phase", "--dim", "--p", "--config", "--out", "--seed"}
+    name: {"-h", "--help", "--phase", "--dim", "--p", "--config", "--out"}
     for name in HANDLERS}
 OPTIONS["check"] |= {"--grid", "--eta", "--starts", "--witness-tol"}
 OPTIONS["integrate"] |= {"--lam-lo", "--lam-hi", "--lam-count", "--levels", "--orthant",
@@ -506,17 +516,29 @@ class TestIntegrateCommand:
             assert code == 1
             assert "error: coefficient of about 1e400 on the term" in err
 
-    def test_low_confidence_sample_is_refused(self, tmp_path, capsys):
-        # at lam 1e300 the node budget caps the panels far below the phase's
-        # oscillation, so the value exceeds its own certificate
-        out = tmp_path / "report.json"
-        code = main(["integrate", "--phase", "x1*x2", "--lam", "1e300",
-                     "--out", str(out)])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert "error:" in err and "1e+300" in err and "Traceback" not in err
-        row, = json.loads(out.read_text())["sweep"]
-        assert row["low_confidence"]
+    def test_low_confidence_sample_is_refused(self, tmp_path, capsys, monkeypatch):
+        # above the node budget a sample is refused before any quadrature:
+        # the report is written with a null value, and the message names
+        # the lam and the planned node count
+        def never(*args):
+            raise AssertionError("quadrature ran on a refused sample")
+
+        monkeypatch.setattr(oscint, "_kernel", never)
+        out, csv_path = tmp_path / "report.json", tmp_path / "sweep.csv"
+        for lam, shown in [("1e300", "1e+300"), ("1e6", "1e+06")]:
+            code = main(["integrate", "--phase", "x1*x2", "--lam", lam,
+                         "--out", str(out), "--csv", str(csv_path)])
+            err = capsys.readouterr().err
+            row, = json.loads(out.read_text())["sweep"]
+            assert code == 1 and "Traceback" not in err
+            assert err == ("error: samples refused over the node budget of 3e+08 nodes: "
+                           f"lam {shown} needs {row['nodes']:.2g} nodes\n")
+            assert row["low_confidence"] and row["nodes"] > 3e8
+            assert [row[k] for k in ("re", "im", "abs", "err")] == [None] * 4
+            _, data = csv_path.read_text().strip().splitlines()
+            assert data.startswith(f"{float(lam)!r},,,,,{row['nodes']},True,")
+        # lam 1e6 plans 9.5e10 nodes
+        assert f"{row['nodes']:.2g}" == "9.5e+10"
 
     def test_small_grid(self, capsys):
         code, rep = run(capsys, "integrate", "--phase", "x1*x2",
@@ -593,6 +615,59 @@ class TestVerifyCommand:
         assert code == 0
         lines = csv_path.read_text().strip().splitlines()
         assert len(lines) == 10  # header plus nine rows
+
+
+class TestRefusedSamples:
+    """A sample over the node budget reaches every consumer as a refused row."""
+
+    @staticmethod
+    def budget(monkeypatch, node_budget, *target):
+        # the `lambda_sweep` at `target` runs with the node budget `node_budget`
+        real, quad_cfg = oscint.lambda_sweep, oscint.QuadratureConfig(node_budget=node_budget)
+        monkeypatch.setattr(*target, lambda *a, **kw: real(*a, **kw, quad=quad_cfg))
+
+    def test_refused_rows_reach_every_consumer(self, tmp_path, capsys, monkeypatch):
+        # x1*x2 over the orthant: lam 2896 and 4096 need more than 500,000
+        # nodes, every other default sample fewer
+        self.budget(monkeypatch, 500_000, "oscdecay.cli.lambda_sweep")
+        csv_path = tmp_path / "sweep.csv"
+        code, rep = run(capsys, "integrate", "--phase", "x1*x2", "--csv", str(csv_path))
+        assert code == 1
+        refused = [row for row in rep["sweep"] if row["low_confidence"]]
+        assert [row["lam"] for row in refused] == list(lambda_grid()[11:])
+        for row in refused:
+            assert [row[k] for k in ("re", "im", "abs", "err")] == [None] * 4
+            assert row["nodes"] > 500_000 and row["certificate"] > 0
+        assert all(row["abs"] > 0 for row in rep["sweep"][:11])
+        cells = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
+        assert [c[1:5] for c in cells[11:]] == [[""] * 4] * 2
+        assert all("" not in c for c in cells[:11])
+        # the scripted sweep prints the refused samples without a magnitude
+        spec = importlib.util.spec_from_file_location(
+            "run_decay_sweep", Path(__file__).resolve().parent.parent / "scripts"
+            / "run_decay_sweep.py")
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        self.budget(monkeypatch, 500_000, script, "lambda_sweep")
+        monkeypatch.setattr("sys.argv", ["run_decay_sweep.py", "--phase", "x1*x2"])
+        script.main()
+        lines = capsys.readouterr().out.splitlines()
+        flagged = [line for line in lines if line.endswith("over budget")]
+        assert [float(line.split()[0]) for line in flagged] == [2896.3, 4096.0]
+        assert all(len(line.split()) == 4 for line in flagged)  # lam, envelope, flag
+        # a refused sharpness box fails its witness, by lam
+        self.budget(monkeypatch, 1, "oscdecay.decay.lambda_sweep")
+        code, rep = run(capsys, *TestVerifyCommand.ARGS, "--sharpness")
+        assert code == 1
+        verdict, = [v for v in rep["verdicts"] if v["name"] == "sharpness"]
+        assert verdict["verdict"] == "FAIL"
+        lams = [row["lam"] for w in rep["sharpness"] for row in w["rows"]]
+        assert verdict["detail"].endswith(
+            "; boxes refused over the node budget at lam "
+            + ", ".join(f"{lam:g}" for lam in lams))
+        assert all(row["measured"] is row["ratio"] is None
+                   for w in rep["sharpness"] for row in w["rows"])
+        assert all(w["verdict"] == "FAIL" for w in rep["sharpness"])
 
 
 def run_quiet(argv):

@@ -253,6 +253,8 @@ class TestEvaluateBasics:
             evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(3), CHI, 3.0)
 
     def test_budget_flag(self):
+        # a rule above the budget is refused: no value, no error, and its
+        # planned node count, the free rule's, as its nodes
         tight = QuadratureConfig(node_budget=2000)
         free = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2),
                                CHI_POS, 512.0)
@@ -260,43 +262,38 @@ class TestEvaluateBasics:
                             512.0, quad=tight)
         assert not free.low_confidence
         assert r.low_confidence
-        assert r.nodes < free.nodes
-        assert math.isfinite(abs(r.value))
-        # the budget is below one panel per axis at the lowest orders, so that
-        # floor is used: 13 pieces per axis, one transition piece at order 16
-        # and 12 on the plateau at the lowest ladder order 4
-        assert r.nodes == (16 + 12 * 4) ** 2
+        assert (r.value, r.error, r.nodes) == (None, None, free.nodes)
+        assert type(r.nodes) is int
 
     # the free rule, on merged pieces near 0, takes 35,296 nodes
     @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 30_000, 35_000])
-    def test_budget_is_a_bound(self, budget):
-        # wherever the floor of test_budget_flag, 4096 nodes, fits
-        free = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, 512.0)
-        r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, 512.0,
-                            quad=QuadratureConfig(node_budget=budget))
-        assert free.nodes > budget and r.low_confidence
-        assert r.nodes <= budget
-        # shrinking keeps most of what fits, and the error stays honest
-        assert r.nodes > budget // 2
-        assert r.error >= abs(r.value - free.value)
+    def test_budget_is_a_bound(self, budget, monkeypatch):
+        # below the free count no node reaches the kernel; at it, the row
+        # is evaluated as without a budget
+        p, f = phase("x1*x2"), TestFunctionSpec.ones(2)
+        free = evaluate_lambda(p, f, CHI_POS, 512.0)
+        calls = kernel_calls(monkeypatch)
+        r = evaluate_lambda(p, f, CHI_POS, 512.0, quad=QuadratureConfig(node_budget=budget))
+        assert free.nodes > budget and r.low_confidence and r.value is None
+        assert calls == []
+        at = evaluate_lambda(p, f, CHI_POS, 512.0, quad=QuadratureConfig(node_budget=free.nodes))
+        assert fields(at) == fields(free)
 
-    @pytest.mark.parametrize("budget", [30_000, 35_000])
-    def test_budget_is_mostly_used(self, budget):
-        # one common factor alone left both rules at 22,704 nodes; panels
-        # added one at a time fill most of the gap it leaves
-        r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, 512.0,
-                            quad=QuadratureConfig(node_budget=budget))
-        assert r.low_confidence and 0.85 * budget <= r.nodes <= budget
-
-    def test_budget_shrinks_panels_before_orders(self):
-        # half the nodes, taken from the panel counts, costs little accuracy;
-        # the same cut from the analytic orders first would cost 1e-2
-        p, f = phase("x1^3*x2^3"), TestFunctionSpec.ones(2)
-        free = evaluate_lambda(p, f, CHI_POS, 1024.0)
-        r = evaluate_lambda(p, f, CHI_POS, 1024.0,
-                            quad=QuadratureConfig(node_budget=free.nodes // 2))
-        assert r.low_confidence and free.nodes // 3 < r.nodes <= free.nodes // 2
-        assert abs(r.value - free.value) <= 1e-8 * abs(free.value) <= r.error
+    def test_only_rows_in_budget_reach_the_kernel(self, monkeypatch):
+        # lam 64 fits 10,000 nodes and 256 and 512 do not: the kernel sees
+        # the cells of lam 64 and their rerun, as alone, and nothing else
+        p, f = phase("x1*x2"), TestFunctionSpec.ones(2)
+        quad_cfg = QuadratureConfig(node_budget=10_000)
+        calls = kernel_calls(monkeypatch)
+        lone = evaluate_lambda(p, f, CHI_POS, 64.0, quad=quad_cfg)
+        lone_nodes = sum(b * math.prod(sizes) for b, sizes in calls)
+        calls.clear()
+        sweep = lambda_sweep(p, f, CHI_POS, (64.0, 256.0, 512.0), quad=quad_cfg)
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == lone_nodes >= lone.nodes > 0
+        assert fields(sweep[0]) == fields(lone) and not lone.low_confidence
+        for r in sweep[1:]:
+            assert r.low_confidence and r.value is None and r.error is None
+            assert r.nodes > 10_000
 
     def test_default_rule_reaches_lam_4096(self):
         # the top sample of a default verify sweep fits in the node budget
@@ -1050,19 +1047,16 @@ class TestMergedPiece:
         for (level, _), want in zip(depths.tolist(), [True, True, True, False]):
             assert ((0.01, 2.0 ** -level) in _axis_pieces(CHI, f.factors[0], level)) == want
 
-    def test_shrunk_or_unbounded_row_keeps_the_octaves(self):
-        # a merged rule above the budget is replaced by the octaves to
-        # `levels`, 13 pieces per axis, and shrunk there
-        p, f = phase("x1*x2"), TestFunctionSpec.ones(2)
-        r, values, _ = lone_cells(p, f, CHI_POS, 512.0, QuadratureConfig(node_budget=5000))
-        assert r.low_confidence and values.size == 13 ** 2
-        # theta = lam 1e20 2^-30L on x1 overflows at L = 1 and lam 1e300,
-        # though a deeper level would admit it: the row keeps the octaves on
-        # every axis; at lam 1e250 x1 merges
-        p, chi = phase("100000000000000000000*x1^30*x2"), CutoffSpec(True, levels=40)
+    def test_unbounded_theta_is_not_admitted(self):
+        # theta = lam 1e20 2^-30L / 30 on x1 overflows at L = 1 and lam
+        # 1e300; a level where it is finite and small enough still admits
+        # the merged piece, at 36 with 4 points, and at 31 with 16 points at
+        # lam 1e250; x2 never merges
+        p, f = phase("100000000000000000000*x1^30*x2"), TestFunctionSpec.ones(2)
+        chi = CutoffSpec(True, levels=40)
         depths, merged = depths_of(p, f, chi, [1e300, 1e250])
-        assert depths.tolist() == [[40, 40], [31, 40]]
-        assert merged.tolist() == [[0, 0], [16, 0]]
+        assert depths.tolist() == [[36, 40], [31, 40]]
+        assert merged.tolist() == [[4, 0], [16, 0]]
 
 
 class TestSingleBoxBound:
@@ -1330,7 +1324,7 @@ class TestRuleTable:
          QuadratureConfig(), 0),
         ("x1^3*x2 + x1*x2^2", 2, TestFunctionSpec.boxes([(-0.2, 0.7), (0.05, 0.9)]),
          CHI, (20.0, 40.0, 80.0), QuadratureConfig(), 0),
-        # the two upper samples are shrunk to the budget
+        # the two upper samples are refused over the budget
         ("x1*x2", 2, TestFunctionSpec.ones(2), CHI_POS, (64.0, 256.0, 512.0),
          QuadratureConfig(node_budget=10_000), 2),
         # every row at its own depth (TestMergedPiece)
@@ -1346,6 +1340,8 @@ class TestRuleTable:
         assert [fields(r) for r in sweep] == [fields(r) for r in lone]
         assert [r.low_confidence for r in sweep] == ([False] * (len(lams) - flagged)
                                                      + [True] * flagged)
+        assert all((r.value is None) == r.low_confidence for r in sweep)
+        assert all(r.nodes > quad.node_budget for r in sweep if r.low_confidence)
 
     def test_sweep_shares_rules_across_frequencies(self, monkeypatch):
         # 11 lone evaluations of this sweep build 568 rules, 108 of them distinct
@@ -1384,7 +1380,7 @@ class TestBatchedRows:
 
     @pytest.mark.parametrize("quad, flagged", [
         (QuadratureConfig(), False),
-        # the upper samples are shrunk to the budget
+        # the upper samples are refused over the budget
         (QuadratureConfig(node_budget=3_000), True),
     ], ids=["default", "budget"])
     def test_rows_equal_lone_evaluations(self, quad, flagged):
@@ -1394,6 +1390,8 @@ class TestBatchedRows:
                 for f, lam in zip(self.FS, self.LAMS)]
         assert [fields(r) for r in sweep] == [fields(r) for r in lone]
         assert any(r.low_confidence for r in sweep) == flagged
+        assert all((r.value is None) == r.low_confidence for r in sweep)
+        assert all(r.nodes > quad.node_budget for r in sweep if r.low_confidence)
         # and every cell of every row, bit for bit
         rows = _evaluate(p, self.FS, CHI, self.LAMS, quad)
         for (_, values, nodes), f, lam in zip(rows, self.FS, self.LAMS):
