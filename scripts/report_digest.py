@@ -7,8 +7,11 @@ report bytes on every job.  The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
 `verify` rows of ROADMAP's Baseline, `verify --orthant off` on x1*x2,
 `integrate` on x1*x2*x3 over the full space, an `integrate` whose sample is
-refused over the node budget, and the default 3D `verify`, whose top two
-samples are.
+refused over the node budget, the default 3D `verify`, whose top two
+samples are, and `polyhedron`, `dual`, `exponent` and `check` on three
+supports: two (d = 3 and 4) where all vertices lie on one facet along a ray,
+so a meet of facet vertex sets spans no compact face, and a subset of the
+d = 6 degree-3 shell.
 
     PYTHONPATH=src python scripts/report_digest.py
 """
@@ -47,6 +50,15 @@ JOBS = (
     # samples refused over the node budget: one alone, and two of a verify sweep
     ("integrate", "--phase", "x1*x2", "--lam", "1e6"),
     ("verify", "--phase", "x1*x2*x3", "--dim", "3"),
+    # exact geometry, no quadrature
+    *((cmd, "--phase", phase, "--dim", dim, *(flags if cmd == "check" else ()))
+      for phase, dim, flags in (
+          ("x1^2*x3^4 + x1^2*x2*x3^2 + x1^3*x2^2", "3", ()),
+          ("x1^4*x3^5*x4^3 + x1^4*x2^3*x3^3*x4^2 + x1^5*x2*x3^3*x4^4 + x1^5*x2^4*x3*x4^2",
+           "4", ()),
+          ("x4*x6^2 + x3*x5^2 + x3*x4^2 + x2*x3*x5 + x1*x3^2 + x1^2*x4", "6",
+           ("--grid", "8")))
+      for cmd in ("polyhedron", "dual", "exponent", "check")),
 )
 
 

@@ -14,19 +14,22 @@ offset of its Newton polyhedron, scaled to offset 1; the remaining facets
 are the coordinate hyperplanes x_i >= 0 that touch a support point.  The
 vertices come from the double description method on integer rays, so the
 cost follows the size of the output rather than the number of subsets of
-the support.  The compact faces come from the facets' vertex and ray ids,
-held as integer bit sets and closed under intersection (bitwise AND).  Every
-face record, in the lattice and the transient unbounded one a query may
-return, is built by `_face` from the ids of the facets that contain it.
+the support.  The compact faces come from the facets' vertex sets, held as
+integer bit sets and closed under intersection (bitwise AND): a closed set
+is a compact face's exactly when the facets containing it share no ray
+axis, and its dimension is one more than the largest below it (0 for a
+vertex).  Every face record, in the lattice and the transient unbounded
+one a query may return, is built by `_face` from the facets containing it.
 
-Everything here is exact: integer support points, integer primitive facet
-normals, Fraction arithmetic for query points and dual vertices.
+All arithmetic is exact, and on integers except for query points and the dual.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .phase import PhasePolynomial
@@ -86,8 +89,23 @@ def _axes(d: int) -> list[tuple[int, ...]]:
     return [tuple(int(i == j) for j in range(d)) for i in range(d)]
 
 
-def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[Fraction, ...]]:
-    """Sorted vertices of {w >= 0 : <r, w> >= 1 for every r in rows}.
+def _bits(ids: Iterable[int]) -> int:
+    return sum(1 << i for i in ids)
+
+
+def _ids(bits: int) -> tuple[int, ...]:
+    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
+
+
+def _ints(vec: Sequence) -> tuple[list[int], int]:
+    """`vec` times the least common denominator `den` of its entries, and `den`."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
+def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[int, ...]]:
+    """The vertices of {w >= 0 : <r, w> >= 1 for every r in rows}, each as
+    the primitive integer ray (w, t) with t > 0 of the vertex w / t.
 
     Double description (Fukuda & Prodon 1996) on the homogenised cone
     {(w, t) : w >= 0, t >= 0, <r, w> >= t}.  The extreme rays of the
@@ -96,7 +114,6 @@ def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[Fraction, 
     opposite sides.  Two rays are adjacent when no third ray is tight on all
     the constraints they share, tracked as bit sets.  Rows are scaled to
     integers and rays kept primitive, so the arithmetic stays in integers.
-    The vertices are the rays with t > 0, scaled to t = 1.
     """
     # a ray is (primitive integer vector (w, t), bit set of tight constraints);
     # bits 0..d are w_0 >= 0 .. w_(d-1) >= 0, t >= 0, then one per row.  An
@@ -104,10 +121,9 @@ def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[Fraction, 
     every = (1 << (d + 1)) - 1
     rays = [(e, every ^ (1 << i)) for i, e in enumerate(_axes(d + 1))]
     for k, row in enumerate(rows):
-        den = lcm(*(Fraction(x).denominator for x in row))
-        cut = [int(Fraction(x) * den) for x in row] + [-den]
+        cut = _ints((*row, -1))[0]
         bit = 1 << (d + 1 + k)
-        vals = [dot(cut, v) for v, _ in rays]
+        vals = [sum(map(mul, cut, v)) for v, _ in rays]
         pos = [(r, s) for r, s in zip(rays, vals) if s > 0]
         neg = [(r, s) for r, s in zip(rays, vals) if s < 0]
         nxt = [r for r, s in pos] + [(v, z | bit) for (v, z), s in zip(rays, vals) if s == 0]
@@ -123,14 +139,18 @@ def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[Fraction, 
                 g = gcd(*v)
                 nxt.append((tuple(x // g for x in v), common | bit))
         rays = nxt
-    return sorted(tuple(Fraction(x, v[d]) for x in v[:d]) for v, _ in rays if v[d] > 0)
+    return [v for v, _ in rays if v[d] > 0]
 
 
 def _facets(planes, verts: Sequence[tuple], d: int) -> tuple[Facet, ...]:
-    """Facet records of the (normal, offset) planes tight at some vertex."""
+    """Facet records of the (normal, offset) planes tight at some vertex, with
+    <w, v> = b tested on integers: V = den v and (W, B) a multiple of (w, den b)."""
+    flat, den = _ints([x for v in verts for x in v])
+    ints = list(enumerate(flat[i:i + d] for i in range(0, len(flat), d)))
     out = []
     for w, b in sorted(planes):
-        tight = tuple(i for i, v in enumerate(verts) if dot(w, v) == b)
+        *iw, ib = _ints((*w, b * den))[0]
+        tight = tuple(i for i, v in ints if sum(map(mul, iw, v)) == ib)
         if tight:
             out.append(Facet(w, b, tight, tuple(i for i in range(d) if w[i] == 0)))
     return tuple(out)
@@ -152,75 +172,62 @@ def from_support(points: Iterable[Sequence[int]], dimension: int) -> NewtonPolyh
             raise PolytopeError(f"support point {p} has negative entries")
 
     cands = [p for p in pts if not any(_dominated(p, q) for q in pts)]
-    planes = [(w, min(dot(w, p) for p in cands))
-              for w in map(primitive, _blocker_vertices(cands, dimension))]
+    planes = [(w, min(sum(map(mul, w, p)) for p in cands))
+              for w in (primitive(r[:dimension]) for r in _blocker_vertices(cands, dimension))]
     # offset-0 facets are the planes x_i = 0 that touch the support
     planes += [(e, 0) for e in _axes(dimension)]
 
-    # vertices: candidate points whose tight facet normals span R^d
-    verts = []
-    for p in cands:
-        normals = [w for (w, b) in planes if dot(w, p) == b]
-        if len(normals) >= dimension and rank(normals) == dimension:
-            verts.append(p)
+    # vertices: the candidates whose tight planes hold no other candidate
+    on = [_bits(k for k, (w, b) in enumerate(planes) if sum(map(mul, w, p)) == b) for p in cands]
+    verts = [p for p, s in zip(cands, on) if not any(s & t == s for t in on if t != s)]
     facets = _facets(planes, verts, dimension)
     faces = _face_lattice(verts, facets)
     return NewtonPolyhedron(dimension, tuple(verts), facets, faces)
 
 
-def _bits(ids: Iterable[int]) -> int:
-    return sum(1 << i for i in ids)
-
-
-def _ids(bits: int) -> tuple[int, ...]:
-    return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
-
-
-def _face(verts, facets, tight: Sequence[int]) -> Face:
-    """The face cut out by the facets `tight`, the ids of every facet that
-    contains it.  The primitive sum of their normals is its witness: on the
-    polyhedron its minimum is attained on exactly that face, so it is zero
-    on the face's rays and positive on every other axis.  Its id is -1."""
-    vbits = rbits = -1
-    for k in tight:
-        vbits &= _bits(facets[k].vertex_ids)
-        rbits &= _bits(facets[k].rays)
-    vs, rs = _ids(vbits), _ids(rbits)
-    d = len(verts[0])
-    wit = primitive([sum(facets[k].normal[i] for k in tight) for i in range(d)])
+def _face(verts, facets, tight, vbits: int, rbits: int, dim: int, fid: int = -1) -> Face:
+    """The face with vertex and ray-axis bit sets `vbits` and `rbits`, cut
+    out by the facets `tight`, the ids of every facet that contains it.  The
+    primitive sum of their normals is its witness: on the polyhedron its
+    minimum is attained on exactly that face, so it is zero on the face's
+    rays and positive on every other axis."""
+    wit = primitive([sum(c) for c in zip(*(facets[k].normal for k in tight))])
     if any((x > 0) == bool(rbits >> i & 1) for i, x in enumerate(wit)):
         raise PolytopeError("internal error: face witness not positive off the face's rays")
+    vs, rs = _ids(vbits), _ids(rbits)
     coords = tuple(verts[i] for i in vs)
-    lo = dot(wit, coords[0])
-    if any(dot(wit, v) == lo for j, v in enumerate(verts) if not vbits >> j & 1):
+    lo = sum(map(mul, wit, coords[0]))
+    if any(sum(map(mul, wit, v)) == lo for j, v in enumerate(verts) if not vbits >> j & 1):
         raise PolytopeError("internal error: face witness exposes a larger face")
-    span = [[x - y for x, y in zip(p, coords[0])] for p in coords[1:]]
-    span += [[int(j == i) for j in range(d)] for i in rs]
-    return Face(-1, vs, coords, rank(span), wit, lo, not rs, rs)
+    return Face(fid, vs, coords, dim, wit, lo, not rs, rs)
 
 
 def _face_lattice(verts, facets) -> tuple[Face, ...]:
     """All compact faces, sorted by (dim, vertex ids).
 
-    A face is keyed by one bit set: its vertex ids, then its ray axes above
-    them.  The facets' keys closed under intersection (AND) give every face;
-    the compact ones have no ray bits.  Each face meets every facet once in
-    the closure, which finds the facets containing it on the way."""
-    nv = len(verts)
-    every = (1 << nv) - 1
-    keys = [_bits(f.vertex_ids) | _bits(f.rays) << nv for f in facets]
-    tight = {}  # face key -> ids of the facets containing the face
-    frontier = set(keys)
+    The facets' vertex sets closed under intersection (AND) are those of all
+    faces.  Each meets every facet once, giving the facets containing it and
+    the sets just below it.  It is a compact face's exactly when those
+    facets' ray sets AND to nothing (else the least face holding it is
+    unbounded), and its dimension is then 1 + the largest below, 0 if none."""
+    vbits = [_bits(f.vertex_ids) for f in facets]
+    rbits = [_bits(f.rays) for f in facets]
+    tight, below = {}, {}  # vertex set -> facets containing it, sets just below
+    frontier = set(vbits)
     while frontier:
         meets = set()
         for a in frontier:
-            cut = [a & b for b in keys]
+            cut = [a & b for b in vbits]
             tight[a] = [k for k, m in enumerate(cut) if m == a]
-            meets.update(m for m in cut if m & every)
+            below[a] = {m for m in cut if m and m != a}
+            meets |= below[a]
         frontier = meets - tight.keys()
-    faces = sorted((_face(verts, facets, t) for a, t in tight.items() if not a >> nv),
-                   key=lambda f: (f.dim, f.vertex_ids))
-    return tuple(replace(f, id=k) for k, f in enumerate(faces))
+    dim = {}
+    for a in sorted(tight, key=int.bit_count):
+        if not reduce(and_, (rbits[k] for k in tight[a])):
+            dim[a] = 1 + max((dim[m] for m in below[a]), default=-1)
+    order = sorted(dim, key=lambda a: (dim[a], _ids(a)))
+    return tuple(_face(verts, facets, tight[a], a, 0, dim[a], k) for k, a in enumerate(order))
 
 
 def build_polyhedron(p: PhasePolynomial) -> NewtonPolyhedron:
@@ -260,13 +267,17 @@ def lowest_face_containing(n: NewtonPolyhedron, q: Sequence) -> Face:
     if not tight:
         raise PolytopeError(f"point {q} is interior; no proper face contains it")
     # the facets tight at q are the facets containing its lowest face
-    face = _face(n.vertices, n.facets, tight)
-    if not face.compact:
-        return face
-    for f in n.faces:
-        if f.vertex_ids == face.vertex_ids:
-            return f
-    raise PolytopeError("internal error: compact face missing from lattice")
+    vbits = reduce(and_, (_bits(n.facets[k].vertex_ids) for k in tight))
+    rbits = reduce(and_, (_bits(n.facets[k].rays) for k in tight))
+    vs = _ids(vbits)
+    if not rbits:
+        for f in n.faces:
+            if f.vertex_ids == vs:
+                return f
+        raise PolytopeError("internal error: compact face missing from lattice")
+    span = [[x - y for x, y in zip(n.vertices[i], n.vertices[vs[0]])] for i in vs[1:]]
+    span += [_axes(n.dimension)[i] for i in _ids(rbits)]
+    return _face(n.vertices, n.facets, tight, vbits, rbits, rank(span))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +303,7 @@ def dual_polyhedron(n) -> DualPolyhedron:
     is every plane `w_i = 0` that some dual vertex touches.
     """
     d = n.dimension
-    vs = _blocker_vertices(n.vertices, d)
+    vs = sorted(tuple(Fraction(x, r[d]) for x in r[:d]) for r in _blocker_vertices(n.vertices, d))
     planes = [(tuple(Fraction(x) for x in v), Fraction(1)) for v in n.vertices]
     planes += [(tuple(map(Fraction, e)), Fraction(0)) for e in _axes(d)]
     return DualPolyhedron(d, tuple(vs), _facets(planes, vs, d))
@@ -309,8 +320,7 @@ def same_vertex_set(a, b) -> bool:
 # serialization
 
 def _num_json(x):
-    f = Fraction(x)
-    return int(f) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+    return x.numerator if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def _facets_json(facets) -> list[dict]:
