@@ -11,7 +11,10 @@ refused over the node budget, the default 3D `verify`, whose top two
 samples are, and `polyhedron`, `dual`, `exponent` and `check` on three
 supports: two (d = 3 and 4) where all vertices lie on one facet along a ray,
 so a meet of facet vertex sets spans no compact face, and a subset of the
-d = 6 degree-3 shell.
+d = 6 degree-3 shell.  The last job is `check` on the benchmark's signed
+d = 3 base.  No other job here runs the Gauss-Newton witness refinement;
+this one runs it 12 times and finds 2 degenerate witnesses, one of them
+small only by scale.
 
     PYTHONPATH=src python scripts/report_digest.py
 """
@@ -59,6 +62,10 @@ JOBS = (
           ("x4*x6^2 + x3*x5^2 + x3*x4^2 + x2*x3*x5 + x1*x3^2 + x1^2*x4", "6",
            ("--grid", "8")))
       for cmd in ("polyhedron", "dual", "exponent", "check")),
+    # refined witnesses
+    ("check", "--phase", "-x2^2*x3^6 - x2^3*x3^5 - x1*x3^7 - x1*x2^3*x3^4 + x1*x2^7"
+     " + x1^2*x3^6 + x1^2*x2^3*x3^3 - x1^2*x2^6 + x1^3*x2^2*x3^3 + x1^3*x2^4*x3"
+     " + x1^4*x2^4 - x1^5*x2*x3^2 + x1^6*x2*x3 + x1^7*x2", "--dim", "3"),
 )
 
 

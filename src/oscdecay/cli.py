@@ -12,7 +12,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import get_type_hints
@@ -130,7 +130,7 @@ class RunConfig:
             raise CliError(f"--z entries must be rationals, got {','.join(self.z)}") from None
 
     def to_json_dict(self) -> dict:
-        out = asdict(self)
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
         out["p"] = list(self.p)
         out["z"] = list(self.z)
         return out
@@ -174,7 +174,8 @@ def load_config_file(path: str) -> dict:
 
 def assemble_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config file entries, then explicit flags."""
-    values = {f.name: getattr(RunConfig(), f.name) for f in fields(RunConfig)}
+    defaults = RunConfig()
+    values = {f.name: getattr(defaults, f.name) for f in fields(RunConfig)}
     if getattr(args, "config", None):
         values.update(load_config_file(args.config))
     for name in _COERCE:
@@ -449,17 +450,18 @@ HANDLERS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The CLI's parser.  Every subcommand is registered, so the top-level
-    help and a bad choice read the same either way; given `command`, only
-    that subcommand gets its arguments."""
+    """The CLI's parser.  With no `command` every subcommand is registered,
+    for the top-level help and the bad-choice error.  Given a known
+    `command`, only that subcommand is; the metavar lists all seven, so
+    the usage line every error prints reads the same either way."""
     parser = argparse.ArgumentParser(
         prog="oscdecay",
         description="Decay-rate toolkit for separable oscillatory forms.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in HANDLERS:
-        sp = sub.add_parser(name)
-        if command is None or name == command:
-            _add_arguments(sp, name)
+    if command is not None:
+        sub.metavar = "{" + ",".join(HANDLERS) + "}"
+    for name in HANDLERS if command is None else (command,):
+        _add_arguments(sub.add_parser(name), name)
     return parser
 
 
@@ -499,7 +501,7 @@ def _add_arguments(sp: argparse.ArgumentParser, name: str) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # only the invoked subcommand needs its arguments
+    # only the invoked subcommand needs its parser
     parser = build_parser(argv[0] if argv and argv[0] in HANDLERS else None)
     try:
         args = parser.parse_args(argv)

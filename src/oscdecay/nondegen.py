@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, product
+from operator import sub
 from typing import Sequence
 
 import numpy as np
@@ -93,21 +94,16 @@ def _pow2(value: float, t: int) -> float:
 # ---------------------------------------------------------------------------
 # exact second-order polynomials
 
-def _mixed_pairs(p: PhasePolynomial) -> list[PhasePolynomial]:
-    """The nonzero off-diagonal second partials d_i d_j p, i < j."""
+def _mixed_pairs(p: PhasePolynomial, scaled: bool = False) -> list[PhasePolynomial]:
+    """The nonzero off-diagonal second partials d_i d_j p, i < j, built from
+    p's terms: c x^a gives c a_i a_j x^(a - e_i - e_j), so each pair equals
+    p.derivative(i, j) term for term.  With `scaled`, the nonzero
+    x_i x_j d_i d_j p, whose term keeps the exponent a."""
     out = []
     for i, j in combinations(range(p.dimension), 2):
-        g = p.derivative(i, j)
-        if not g.is_zero():
-            out.append(g)
-    return out
-
-
-def _scaled_pairs(p: PhasePolynomial) -> list[PhasePolynomial]:
-    """The nonzero polynomials x_i x_j (d^2 p / dx_i dx_j), i < j."""
-    out = []
-    for i, j in combinations(range(p.dimension), 2):
-        terms = {a: c * a[i] * a[j] for a, c in p.terms.items() if a[i] and a[j]}
+        shift = [0 if scaled or k not in (i, j) else 1 for k in range(p.dimension)]
+        terms = {tuple(map(sub, a, shift)): c * a[i] * a[j]
+                 for a, c in p.terms.items() if a[i] and a[j]}
         if terms:
             out.append(PhasePolynomial(p.dimension, terms))
     return out
@@ -175,34 +171,36 @@ class NondegeneracyReport:
 
 def _refine_zero(pairs: Sequence[PhasePolynomial], grads, x0, iters: int = 60):
     """Gauss-Newton descent toward a common zero of the pair polynomials;
-    grads[i][k] is the exact d_k of pairs[i]."""
-    x = np.array([float(v) for v in x0])
-    fvals = np.array([g.evaluate(x) for g in pairs])
+    grads[i][k] is the exact d_k of pairs[i].  The iterate is a list of
+    floats; a trial point is taken only when every |pair| drops below the
+    current max (so a NaN value is never taken)."""
+    x = [float(v) for v in x0]
+    fvals = [g.evaluate(x) for g in pairs]
+    worst = max(map(abs, fvals))
     for _ in range(iters):
-        worst = np.max(np.abs(fvals))
         if worst < 1e-15:
             break
         jac = np.array([[h.evaluate(x) for h in row] for row in grads])
-        step, *_ = np.linalg.lstsq(jac, -fvals, rcond=None)
-        if not np.all(np.isfinite(step)):
+        step = np.linalg.lstsq(jac, [-f for f in fvals], rcond=None)[0].tolist()
+        if not all(map(math.isfinite, step)):
             break
         t = 1.0
-        while t > 1e-12 and np.any(x + t * step <= 0):
+        while t > 1e-12 and any(xk + t * sk <= 0 for xk, sk in zip(x, step)):
             t /= 2
         moved = False
         for _ in range(25):
-            cand = x + t * step
-            cvals = np.array([g.evaluate(cand) for g in pairs])
-            if np.max(np.abs(cvals)) < worst:
-                x, fvals, moved = cand, cvals, True
+            cand = [xk + t * sk for xk, sk in zip(x, step)]
+            cvals = [g.evaluate(cand) for g in pairs]
+            if all(abs(v) < worst for v in cvals):
+                x, fvals, worst, moved = cand, cvals, max(map(abs, cvals)), True
                 break
             t /= 2
         if not moved:
             break
-    return x, float(np.max(np.abs(fvals)))
+    return x, worst
 
 
-def _normalize_to_slice(x: np.ndarray, weights: Sequence[int]) -> np.ndarray:
+def _normalize_to_slice(x: Sequence[float], weights: Sequence[int]) -> np.ndarray:
     # scale along the quasi-homogeneous flow so that max_k x_k = 1
     s = min(-math.log(v) / w for v, w in zip(x, weights))
     return np.array([math.exp(w * s) * v for v, w in zip(x, weights)])
@@ -254,9 +252,10 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     """Certify one face, or search it for a common zero of its pairs.
 
     A pair whose nonzero coefficients share one sign has no zero in the
-    open orthant and certifies the face outright; the margin is then taken
-    at the centres of the d root boxes [eta, 1]^(d - 1).  Any other face is
-    swept once per orientation x_m = 1 of the slice grid
+    open orthant and certifies the face outright, with no grid built; the
+    margin is then taken at the centres of the d root boxes [eta, 1]^(d - 1),
+    whose coordinates (eta + 1) / 2 are those of the grid's end nodes.  Any
+    other face is swept once per orientation x_m = 1 of the slice grid
     np.geomspace(eta, 1, grid).  Each sweep gives every cell's Lipschitz
     bound (`_cell_bounds`), the least max_pairs |g| at a cell centre (the
     margin is the least over the orientations) and the max(1, starts // d)
@@ -270,13 +269,13 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     if not pairs:
         # a sum of single-variable monomials; impossible for reduced input
         return FaceCheck(face.id, face.dim, "degenerate", 0.0, (1.0,) * d, 0.0)
-    nodes = np.geomspace(eta, 1.0, grid)
     if any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs):
-        centre = np.full((d, d), (nodes[0] + nodes[-1]) / 2)
+        centre = np.full((d, d), (eta + 1.0) / 2)
         np.fill_diagonal(centre, 1.0)
         values = np.max([np.abs(g.evaluate(list(centre))) for g in pairs], axis=0)
         return FaceCheck(face.id, face.dim, "nondegenerate", float(values.min()))
 
+    nodes = np.geomspace(eta, 1.0, grid)
     grads = [[g.derivative(k) for k in range(d)] for g in pairs]
     absgrads = [[h.absolute() for h in row] for row in grads]
     centers = (nodes[:-1] + nodes[1:]) / 2
@@ -376,7 +375,7 @@ def mixed_hessian_floor(p: PhasePolynomial, box: DyadicBox, *,
                         grid: int = 24, refine: int = 4) -> HessianFloor:
     if box.dimension != p.dimension:
         raise NondegenError("box dimension does not match the phase")
-    pairs = _scaled_pairs(p)
+    pairs = _mixed_pairs(p, scaled=True)
     lo = [float(x) for x in box.lo]
     hi = [float(x) for x in box.hi]
     if not pairs:

@@ -410,6 +410,25 @@ class TestParser:
         assert capsys.readouterr().out == text
         assert set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", text)) == OPTIONS[name]
 
+    @pytest.mark.parametrize("name", list(HANDLERS))
+    def test_parse_errors_match_the_full_parser(self, capsys, name):
+        # main registers only the invoked subcommand; every parse error, its
+        # usage line and the help read as the full parser's
+        paths = [["--bogus"], ["--phase"], ["--dim", "two"], ["--orthant", "maybe"],
+                 ["--help"]]
+        for flag in ("--eta", "--lam", "--fit-tol"):
+            if flag in OPTIONS[name]:
+                paths.append([flag, "x"])
+        for extra in paths:
+            argv = [name, *extra]
+            code = main(argv)
+            got = capsys.readouterr()
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args(argv)
+            assert (code, *got) == (exit_.value.code, *capsys.readouterr()), argv
+            if extra == ["--bogus"]:
+                assert "{" + ",".join(HANDLERS) + "}" in got.err
+
     def test_top_level_help_and_bad_choice(self, capsys):
         assert main(["--help"]) == 0
         text = capsys.readouterr().out

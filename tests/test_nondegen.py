@@ -1,5 +1,7 @@
 """Nondegeneracy verdicts, box floors, rescaling."""
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,7 +18,8 @@ from oscdecay.nondegen import (
     solve_rescaling,
     sweep_hessian_floor,
 )
-from oscdecay.phase import parse_phase, reduce_phase
+from oscdecay.phase import PhasePolynomial, parse_phase, reduce_phase, restrict_to_face
+from oscdecay.polytope import build_polyhedron
 from oscdecay.ratlin import dot
 
 
@@ -38,6 +41,29 @@ class TestDyadicBox:
         with pytest.raises(NondegenError):
             DyadicBox(())
         assert DyadicBox.of([1, 2]).j == (1, 2)
+
+
+class TestMixedPairs:
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_face_pairs_equal_the_general_derivative(self, d):
+        rng = random.Random(f"pairs:{d}")
+        faces = 0
+        for _ in range(10):
+            terms = {tuple(rng.randint(0, 4) for _ in range(d)):
+                     Fraction(rng.choice([-7, -2, -1, 1, 3, 5]), rng.randint(1, 4))
+                     for _ in range(rng.randint(2, 7))}
+            terms[(1, 1) + (0,) * (d - 2)] = Fraction(1)  # keeps the reduced phase nonzero
+            p = reduce_phase(PhasePolynomial.from_terms(terms, d))
+            for face in build_polyhedron(p).faces:
+                f = restrict_to_face(p, face)
+                want = [g for g in (f.derivative(i, j) for i, j in combinations(range(d), 2))
+                        if not g.is_zero()]
+                got = nondegen._mixed_pairs(f)
+                assert got == want
+                assert ([g._float_coefficients for g in got]
+                        == [g._float_coefficients for g in want])
+                faces += 1
+        assert faces >= 10
 
 
 class TestNondegeneracyVerdicts:
