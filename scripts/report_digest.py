@@ -6,15 +6,17 @@ the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
 `verify` rows of ROADMAP's Baseline, `verify --orthant off` on x1*x2,
-`integrate` on x1*x2*x3 over the full space, an `integrate` whose sample is
-refused over the node budget, the default 3D `verify`, whose top two
-samples are, and `polyhedron`, `dual`, `exponent` and `check` on three
-supports: two (d = 3 and 4) where all vertices lie on one facet along a ray,
+`integrate` on x1*x2*x3 over the full space, an `integrate` on x1^3*x2^3
+over the full space, whose mapped panels (map exponent e > 1) lie below 0
+as well as above, an `integrate` whose sample is refused over the node
+budget, the default 3D `verify`, whose top two samples are, and
+`polyhedron`, `dual`, `exponent` and `check` on three supports: two (d = 3 and 4) where all vertices lie on one facet along a ray,
 so a meet of facet vertex sets spans no compact face, and a subset of the
-d = 6 degree-3 shell.  The last job is `check` on the benchmark's signed
-d = 3 base.  No other job here runs the Gauss-Newton witness refinement;
-this one runs it 12 times and finds 2 degenerate witnesses, one of them
-small only by scale.
+d = 6 degree-3 shell.  Then `check` on the benchmark's signed d = 3 base.
+No other job here runs the Gauss-Newton witness refinement; this one runs
+it 12 times and finds 2 degenerate witnesses, one of them small only by
+scale.  The last job is `check` on a d = 3 phase with a face that one
+pair's sign certifies while another pair is a constant.
 
     PYTHONPATH=src python scripts/report_digest.py
 """
@@ -50,6 +52,9 @@ JOBS = (
     # a full-space 3D sweep
     ("integrate", "--phase", "x1*x2*x3", "--dim", "3", "--orthant", "off", "--lam-lo", "16",
      "--lam-hi", "64", "--lam-count", "3"),
+    # mapped panels (e > 1) on pieces below 0
+    ("integrate", "--phase", "x1^3*x2^3", "--orthant", "off", "--lam-lo", "256", "--lam-hi",
+     "1024", "--lam-count", "3"),
     # samples refused over the node budget: one alone, and two of a verify sweep
     ("integrate", "--phase", "x1*x2", "--lam", "1e6"),
     ("verify", "--phase", "x1*x2*x3", "--dim", "3"),
@@ -66,6 +71,8 @@ JOBS = (
     ("check", "--phase", "-x2^2*x3^6 - x2^3*x3^5 - x1*x3^7 - x1*x2^3*x3^4 + x1*x2^7"
      " + x1^2*x3^6 + x1^2*x2^3*x3^3 - x1^2*x2^6 + x1^3*x2^2*x3^3 + x1^3*x2^4*x3"
      " + x1^4*x2^4 - x1^5*x2*x3^2 + x1^6*x2*x3 + x1^7*x2", "--dim", "3"),
+    # a face certified by a pair's sign while another pair is a constant
+    ("check", "--phase", "3*x2^2*x3 + 3*x1*x2 + 3*x1*x2^4", "--dim", "3"),
 )
 
 

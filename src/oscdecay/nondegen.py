@@ -272,7 +272,8 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     if any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs):
         centre = np.full((d, d), (eta + 1.0) / 2)
         np.fill_diagonal(centre, 1.0)
-        values = np.max([np.abs(g.evaluate(list(centre))) for g in pairs], axis=0)
+        # a constant pair evaluates to a float: broadcast each |g| to (d,)
+        values = reduce(np.maximum, _abs_values(pairs, list(centre), (d,)))
         return FaceCheck(face.id, face.dim, "nondegenerate", float(values.min()))
 
     nodes = np.geomspace(eta, 1.0, grid)

@@ -18,14 +18,14 @@ included (`_sizing`).  The error estimate reruns at a lower order only the
 cells that may miss the target (`_evaluate` states the rule); every other
 cell adds the target times its weight mass.  A call is planned whole before
 any quadrature, one row per frequency, each row with its own test function
-and depths (one plan per distinct pair; all plans are sized in one table,
-and each one's frequencies in one batch); then the cells of every row and
-both levels are evaluated as one batch (`_evaluate`).  A frequency whose
-rule needs more nodes than the budget is refused in the plan: none of its
-cells is evaluated, and its result carries no value.  A per-axis rule, real
-weights times the cutoff, depends only on its piece, panel count, order and
-map exponent: each distinct one is built and stacked once per call, and rows
-with equal node counts per axis gather theirs from the stacks.  A kernel call
+and depths (the cells of all rows are sized in one pass, each at its row's
+frequency); then the cells of every row and both levels are evaluated as
+one batch (`_evaluate`).  A frequency whose rule needs more nodes than
+the budget is refused in the plan: none of its cells is evaluated, and its
+result carries no value.  A per-axis rule, real weights times the cutoff,
+depends only on its piece, panel count, order and map exponent: each
+distinct one is built and stacked once per call, and rows with equal node
+counts per axis gather theirs from the stacks.  A kernel call
 on several cells needs at most `_CHUNK` workspace floats, and one on a
 single cell at most `_CHUNK` nodes (a larger cell is cut along its first
 axis).  The kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2
@@ -334,93 +334,68 @@ def _merge_reach(order, waves, degree):
 
 
 _MAX_MAP = 5  # map exponents e run 1.._MAX_MAP
-_BLOCK = 4096  # entries per block of `_panel_counts`'s equal-panel sizing
-
-
-def _uniform_counts(turns, analytic, quad):
-    """Gauss panel counts and orders of equal panels (map exponent 1),
-    integer arrays shaped like `turns`: among the orders n an axis may take
-    (`_ladder`; the plateau ones only where `analytic` says its piece lies
-    on the cutoff plateau), the one with the fewest nodes at
-    1 + floor(turns / most_n) panels, ties to the lower order."""
-    with np.errstate(over="ignore"):
-        # the fewest nodes so far per entry, with their count and order;
-        # orders ascend, and a later one needs strictly fewer nodes
-        nodes = np.full(turns.shape, np.iinfo(np.int64).max)
-        counts, orders = np.zeros_like(nodes), np.zeros_like(nodes)
-        for n, most, plateau in _ladder(quad.order, quad.waves_per_panel)[1]:
-            count = 1 + np.minimum(np.floor(turns / most), 2.0 ** 53).astype(np.int64)
-            size = count * n
-            take = size < nodes
-            if plateau:
-                take &= analytic
-            np.copyto(nodes, size, where=take)
-            np.copyto(counts, count, where=take)
-            np.copyto(orders, n, where=take)
-    return counts, orders
 
 
 def _panel_counts(lams, sizing, quad):
-    """Gauss panel counts, orders and map exponents, (F, cells, d) integer
-    arrays for the F frequencies `lams`, cells in product order, from
-    `sizing` (`_sizing`).  T is the turns across the piece in x^e: lam
-    times the bound, times the span over 2 pi.  An axis with map exponent e
-    has its P panels at equal steps of x^e (`_axis_rule`).  At e = 1 it
-    takes 1 + floor(T / most_n) panels of the order n with the fewest nodes
-    (`_uniform_counts`): by default 16 points on at most 4 turns, 24 on
-    7.43 or 32 on 11.0, and on the plateau also 4, 8 or 12.  Where some e > 1 is allowed and that needs more than
-    one panel, each allowed e and n is sized too: with
-    F(P) = (1 + ((hi/lo)^e - 1) / P)^((e - 1)/e) the bottom panel's ratio of
-    ends, no panel of P = 1 + floor(T F(P0) / most_n) exceeds most_n turns,
-    for P0 = 1 + floor(T / most_n), since F falls as P grows.  The fewest
-    nodes win, ties to e = 1, then to the lower e and order.  Every panel
-    meets the same target relative to its width, so the summed bound per
-    axis is that of 16-point panels alone.  Counts are capped at 2^53, far
-    above any budget; turns at e = 1 that overflow are refused, naming the
-    first frequency where they do."""
+    """Gauss panel counts, orders and map exponents, (cells, d) integer
+    arrays for cells at frequencies `lams`, one per cell, from `sizing`
+    (`_sizing`).  T is the turns across the piece in x^e: lam times the
+    bound, times the span over 2 pi.  An axis with map exponent e has its
+    P panels at equal steps of x^e (`_axis_rule`).  With
+    F(P) = (1 + ((hi/lo)^e - 1) / P)^((e - 1)/e) the bottom panel's ratio
+    of ends, no panel of P = 1 + floor(T F(P0) / most_n) exceeds most_n
+    turns, for P0 = 1 + floor(T / most_n), since F falls as P grows.  At
+    e = 1, F is 1: equal panels, by default 16 points on at most 4 turns,
+    24 on 7.43 or 32 on 11.0, and on the plateau also 4, 8 or 12
+    (`_ladder`).  Each e and order an axis may take is sized in turn, e
+    outside and orders ascending inside, and an entry takes a rule only
+    with strictly fewer nodes than its best so far: the fewest nodes win,
+    ties to e = 1, then to the lower e and order.  An e > 1 is tried only
+    where one is allowed and equal panels number more than one.  Every
+    panel meets the same target relative to its width, so the summed bound
+    per axis is that of 16-point panels alone.  Counts are capped at 2^53,
+    far above any budget; turns at e = 1 that overflow are refused, naming
+    the first cell's frequency where they do."""
     bounds, spans, ratios, analytic = sizing
-    lam = np.abs(np.asarray(lams, dtype=float))
+    lam = np.abs(np.asarray(lams, dtype=float))[:, None]
     with np.errstate(over="ignore"):
         # lam times the bound first: a product past the float range is refused
-        turns = lam[:, None, None] * bounds[0] * spans[0] / (2.0 * math.pi)
-        finite = np.isfinite(turns / quad.waves_per_panel).reshape(len(turns), -1).all(axis=1)
+        turns = lam * bounds[0] * spans[0] / (2.0 * math.pi)
+        finite = np.isfinite(turns / quad.waves_per_panel).all(axis=1)
     if not finite.all():
         raise OscError(f"phase turns per cell overflow at lam {lams[int(np.argmin(finite))]:g}")
-    # equal panels a block of frequencies at a time: on arrays much above
-    # _BLOCK entries the temporaries of the order ladder outgrow the cache
-    counts, orders = (np.empty(turns.shape, dtype=np.int64) for _ in range(2))
-    step = max(1, _BLOCK // max(1, turns[0].size))
-    for i in range(0, len(turns), step):
-        counts[i:i + step], orders[i:i + step] = _uniform_counts(turns[i:i + step], analytic, quad)
-    exps = np.ones_like(counts)
-    # the mapped rules, only where some e > 1 is allowed and equal panels
-    # need more than one
-    f, c, k = np.nonzero((counts > 1) & np.isfinite(spans[1:]).any(axis=0))
-    if not f.size:
-        return counts, orders, exps
-    # one row per order, one column per entry; plateau orders only on
-    # analytic axes
+    lam = np.broadcast_to(lam, ratios.shape)
+    # no rule yet: every entry takes the first one it meets
+    orders, exps = (np.ones(ratios.shape, dtype=np.int64) for _ in range(2))
+    counts = np.full(ratios.shape, np.iinfo(np.int64).max)
+    sized = np.ones(ratios.shape, dtype=bool)
     rungs = _ladder(quad.order, quad.waves_per_panel)[1]
-    n, most = (np.array(col)[:, None] for col in list(zip(*rungs))[:2])
-    allowed = ~np.array([plateau for _, _, plateau in rungs])[:, None] | analytic[c, k]
-    at = np.arange(f.size)
-    best = counts[f, c, k] * orders[f, c, k]
-    picked = counts[f, c, k], orders[f, c, k], exps[f, c, k]
     with np.errstate(over="ignore", invalid="ignore"):
-        for e, bound, span in zip(range(2, _MAX_MAP + 1), bounds[1:, c, k], spans[1:, c, k]):
-            spread, grow = lam[f] * bound * span / (2.0 * math.pi), ratios[c, k] ** e - 1.0
-            first = 1 + np.minimum(np.floor(spread / most), 2.0 ** 53)
-            need = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
-            ok = allowed & np.isfinite(need)
-            count = 1 + np.minimum(np.floor(np.where(ok, need, 0.0)), 2.0 ** 53).astype(np.int64)
-            size = np.where(ok, count * n, np.iinfo(np.int64).max)
-            j = size.argmin(axis=0)  # ties to the lower order
-            take = size[j, at] < best
-            np.copyto(best, size[j, at], where=take)
-            for out, value in zip(picked, (count[j, at], n[j, 0], e)):
-                np.copyto(out, value, where=take)
-    for out, value in zip((counts, orders, exps), picked):
-        out[f, c, k] = value
+        for e, (bound, span) in enumerate(zip(bounds, spans), 1):
+            if e == 2:
+                # the mapped rules, only where some e > 1 is allowed and
+                # equal panels need more than one
+                sized = (counts > 1) & np.isfinite(spans[1:]).any(axis=0)
+            spread = lam[sized] * bound[sized] * span[sized] / (2.0 * math.pi)
+            grow, plateau_ok = ratios[sized] ** e - 1.0, analytic[sized]
+            # the fewest nodes so far per entry, with their count, order and e
+            picked = counts[sized], orders[sized], exps[sized]
+            best = picked[0] * picked[1]
+            for n, most, plateau in rungs:
+                first = 1 + np.minimum(np.floor(spread / most), 2.0 ** 53)
+                need = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
+                # at e = 1 the turns are finite and a count past the float
+                # range is capped; at e > 1 such a rule is not taken
+                ok = np.isfinite(need) | (e == 1)
+                if plateau:
+                    ok &= plateau_ok
+                need = np.where(ok, need, 0.0)
+                count = 1 + np.minimum(np.floor(need), 2.0 ** 53).astype(np.int64)
+                size = np.where(ok, count * n, np.iinfo(np.int64).max)
+                take = size < best
+                for out, value in zip((best, *picked), (size, count, n, e)):
+                    np.copyto(out, value, where=take)
+            counts[sized], orders[sized], exps[sized] = picked
     return counts, orders, exps
 
 
@@ -689,48 +664,35 @@ def _layout(grads, fs, chi, lams, quad, depths, merged):
     (`_panel_counts`), and the spans at e = 1 and plateau mask of their
     pieces (`_sizing`); then the pieces of each axis that the indices point
     into.  A row's pieces are those of its test function cut to its `depths`
-    (`_plan`); rows at different depths share the pieces they have in
-    common.  Rows are planned once per (test function, depths), all cells
-    are sized in one `_sizing` call and each group's frequencies in one
-    `_panel_counts` call; then the merged piece of each axis with a
-    `merged` order takes one panel of it at map exponent 1.  Groups are
-    sized in the order of their test functions' first rows, then of their
-    own: an overflow refusal names the first frequency that overflows of
-    the first test function that does."""
-    first, groups = {}, {}
-    for i, g in enumerate(fs):
-        first.setdefault(g, i)
-    for i in sorted(range(len(fs)), key=lambda i: (first[fs[i]], i)):
-        groups.setdefault((fs[i], tuple(depths[i].tolist())), []).append(i)
+    (`_plan`); rows share the pieces they have in common.  The cells of
+    all rows, in row order, are sized in one `_sizing` and one
+    `_panel_counts` call, each at its row's frequency; then the merged piece
+    of each axis with a `merged` order takes one panel of it at map
+    exponent 1.  An overflow refusal names the first row whose turns
+    overflow.  Sizing works cell by cell, so a row's rule does not depend
+    on the other rows of the call."""
     # per axis, a dict from piece (lo, hi) to its index, grown as pieces are met
     index = [{} for _ in grads]
-    plans = []
-    for (g, depth), at in groups.items():
-        pieces, cells = _plan(g, chi, depth)
-        ids, on = [], []
-        for ix, pieces_k, level in zip(index, pieces, depth):
-            ids.append(np.array([ix.setdefault(piece, len(ix)) for piece in pieces_k],
-                                dtype=np.int64))
-            # the merged piece is the one within [-2^-depth, 2^-depth]
-            on.append(np.array([max(-lo, hi) <= 2.0 ** -level for lo, hi in pieces_k],
-                               dtype=bool))
-        plans.append((at, np.stack([a[cells[:, k]] for k, a in enumerate(ids)], axis=1),
-                      np.stack([a[cells[:, k]] for k, a in enumerate(on)], axis=1)))
+    cells = []
+    for g, depth in zip(fs, depths.tolist()):
+        pieces, own = _plan(g, chi, depth)
+        ids = [np.array([ix.setdefault(piece, len(ix)) for piece in pieces_k], dtype=np.int64)
+               for ix, pieces_k in zip(index, pieces)]
+        cells.append(np.stack([a[own[:, k]] for k, a in enumerate(ids)], axis=1))
     pieces = [list(ix) for ix in index]
-    sizing = _sizing(grads, pieces, np.concatenate([cells for _, cells, _ in plans]))
-    out, start = [None] * len(fs), 0
-    for at, cells, on in plans:
-        end = start + len(cells)
-        own = tuple(a[..., start:end, :] for a in sizing)
-        counts, orders, exps = _panel_counts([lams[i] for i in at], own, quad)
-        n = merged[at][:, None, :]
-        on = on & (n > 0)
-        counts, orders, exps = (np.where(on, v, a) for v, a in
-                                ((1, counts), (n, orders), (1, exps)))
-        for j, i in enumerate(at):
-            out[i] = cells, counts[j], orders[j], exps[j], own[1][0], own[3]
-        start = end
-    return out, pieces
+    sizes = [len(c) for c in cells]
+    cells = np.concatenate(cells)
+    sizing = _sizing(grads, pieces, cells)
+    counts, orders, exps = _panel_counts(np.repeat(lams, sizes), sizing, quad)
+    # a row's merged piece on axis k is the one within [-2^-L_k, 2^-L_k]
+    tops = [np.array([max(-lo, hi) for lo, hi in pieces_k]) for pieces_k in pieces]
+    n = np.repeat(merged, sizes, axis=0)
+    on = (np.stack([t[cells[:, k]] for k, t in enumerate(tops)], axis=1)
+          <= np.ldexp(1.0, -np.repeat(depths, sizes, axis=0))) & (n > 0)
+    counts, orders, exps = (np.where(on, v, a) for v, a in ((1, counts), (n, orders), (1, exps)))
+    ends = np.cumsum(sizes)[:-1]
+    rules = (cells, counts, orders, exps, sizing[1][0], sizing[3])
+    return list(zip(*(np.split(a, ends) for a in rules))), pieces
 
 
 def _evaluate(p, f, chi, lams, quad):

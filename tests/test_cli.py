@@ -492,6 +492,14 @@ class TestCheckCommand:
         assert rep["nondegeneracy"]["verdict"] == "nondegenerate"
         assert rep["nondegeneracy"]["faces"][0]["witness"] is None
 
+    def test_face_with_a_constant_pair_gets_a_verdict(self, capsys):
+        # one edge's pairs are the constant 3 and 6 x2, which certifies it by sign
+        code, rep = run(capsys, "check", "--phase", "3*x2^2*x3 + 3*x1*x2 + 3*x1*x2^4",
+                        "--dim", "3")
+        assert code == 0
+        assert rep["nondegeneracy"]["verdict"] == "nondegenerate"
+        assert rep["nondegeneracy"]["margin"] == 3.0
+
     def test_refinement_off_the_orthant_is_not_a_witness(self, capsys):
         # on a mixed-sign face Gauss-Newton reaches |g| <= witness_tol at a
         # point with a nonpositive coordinate, which has no slice image

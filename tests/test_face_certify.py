@@ -133,6 +133,17 @@ class TestKnownFaces:
         assert oracle.check_face(p, face)[0] == "degenerate"
         assert check_nondegeneracy(p).verdict == "nondegenerate"
 
+    def test_constant_pair_beside_a_signed_pair_is_certified(self):
+        # the edge of 3 x1 x2 and 3 x1 x2^4 has the pairs 3 and 6 x2: the
+        # sign test certifies it, and its margin is max(3, 6 x2) at the root
+        # box centres, least at x2 = (eta + 1) / 2
+        p = reduce_phase(parse_phase("3*x2^2*x3 + 3*x1*x2 + 3*x1*x2^4", 3))
+        face, = (f for f in build_polyhedron(p).faces if len(pairs_of(p, f)) == 2)
+        assert [g.terms for g in pairs_of(p, face)] == [{(0, 0, 0): 3}, {(0, 1, 0): 6}]
+        got = nondegen._check_face(p, face, 64, ETA, 1e-10, 8)
+        assert got.verdict == "nondegenerate"
+        assert got.margin == 6 * ((ETA + 1) / 2)
+
 
 class TestCost:
     def test_benchmark_d4_faces_visit_at_most_d_boxes(self):

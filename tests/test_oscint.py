@@ -394,7 +394,7 @@ def panel_rules(p, f, chi, lam, analytic=None, quad=QuadratureConfig(), depths=N
     depths = (chi.levels,) * p.dimension if depths is None else depths
     *sizing, own = _sizing(grads, *_plan(f, chi, depths))
     sizing.append(own if analytic is None else analytic)
-    return [a[0] for a in _panel_counts([lam], sizing, quad)[:3]]
+    return _panel_counts([lam] * len(sizing[3]), sizing, quad)
 
 
 def depths_of(p, f, chi, lams, quad=QuadratureConfig()):
@@ -1157,6 +1157,15 @@ class TestSweep:
             lambda_sweep(p, f, CHI_POS, [4.0, 3.0])
         with pytest.raises(OscError):
             lambda_sweep(p, f, CHI_POS, [1.0, 3.0])
+
+    def test_overflow_names_the_first_row_that_overflows(self):
+        # lam 1e299 times the bound 1e8 on the small box stays finite; both
+        # later rows overflow, and the refusal names the earlier one even
+        # though its test function is not the first row's
+        box = TestFunctionSpec.boxes([(-0.01, 0.01)] * 2)
+        with pytest.raises(OscError, match=r"overflow at lam 1e\+300$"):
+            lambda_sweep(phase("10000000000*x1*x2"), [box, TestFunctionSpec.ones(2), box],
+                         CHI, (1e299, 1e300, 1e301))
 
     @pytest.mark.parametrize("lams", [[64.0, math.nan], [64.0, math.inf], [math.nan, 64.0]])
     def test_sweep_refuses_non_finite_frequency(self, lams):

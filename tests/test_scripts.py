@@ -62,6 +62,7 @@ def test_reference_rule_is_a_valid_configuration():
     assert ref.order >= default.order and ref.waves_per_panel < default.waves_per_panel
 
 
+@pytest.mark.slow
 def test_transition_table_is_the_calibrated_one():
     # the shipped entry for the default rule is what the calibration derives,
     # at every map exponent: every count from P0 up to MAX_PANELS meets the
