@@ -15,8 +15,11 @@ so a meet of facet vertex sets spans no compact face, and a subset of the
 d = 6 degree-3 shell.  Then `check` on the benchmark's signed d = 3 base.
 No other job here runs the Gauss-Newton witness refinement; this one runs
 it 12 times and finds 2 degenerate witnesses, one of them small only by
-scale.  The last job is `check` on a d = 3 phase with a face that one
-pair's sign certifies while another pair is a constant.
+scale.  Then `check` on a d = 3 phase with a face that one pair's sign
+certifies while another pair is a constant.  Last come an `integrate` on
+x1*x2 in d = 3, whose third axis has degree 0 in the phase, and a
+`verify --sharpness` at finite p, whose certificates carry a norm scale
+below 1 (exit 1).
 
     PYTHONPATH=src python scripts/report_digest.py
 """
@@ -73,6 +76,11 @@ JOBS = (
      " + x1^4*x2^4 - x1^5*x2*x3^2 + x1^6*x2*x3 + x1^7*x2", "--dim", "3"),
     # a face certified by a pair's sign while another pair is a constant
     ("check", "--phase", "3*x2^2*x3 + 3*x1*x2 + 3*x1*x2^4", "--dim", "3"),
+    # an axis whose terms of phi have degree 0 in it (x3), merged at any depth
+    ("integrate", "--phase", "x1*x2", "--dim", "3", "--lam", "64"),
+    # a certificate scale at finite p (exit 1)
+    ("verify", "--phase", "x1^3*x2^3", "--p", "4,4", "--sharpness", "--lam-lo", "64",
+     "--lam-hi", "1024", "--lam-count", "9"),
 )
 
 

@@ -28,7 +28,7 @@ __all__ = [
     "SummationRow", "SummationReport", "fit_decay", "fit_samples",
     "dual_lambda_grid", "sharpness_boxes", "sharpness_test", "check_dual_domination",
     "summation_oracle", "summation_boxes", "MAX_SUM_BOXES", "SHARPNESS_BAND",
-    "MIN_FIT_SAMPLES", "MIN_FIT_OCTAVES",
+    "MIN_FIT_SAMPLES", "MIN_FIT_OCTAVES", "MAX_HALVINGS",
 ]
 
 
@@ -133,6 +133,7 @@ def fit_decay(sweep: Sequence[OscResult], predicted: ExponentReport, *,
 # sharpness via dual-polyhedron boxes
 
 SHARPNESS_BAND = (0.9, 1.1)  # |measured| / (L1 norm of f) on a flat box
+MAX_HALVINGS = 80  # of the box scale delta, before a phase bound is unattainable
 
 
 @dataclass(frozen=True)
@@ -202,8 +203,8 @@ def _exact_corner(delta: Fraction, e: int, wj: Fraction) -> Fraction:
 
 
 def sharpness_boxes(p: PhasePolynomial, n: NewtonPolyhedron, w: Sequence[Fraction],
-                    delta, lambdas: Sequence[float], *, chi: CutoffSpec, dual: DualPolyhedron,
-                    max_halvings: int = 80) -> tuple:
+                    delta, lambdas: Sequence[float], *, chi: CutoffSpec,
+                    dual: DualPolyhedron) -> tuple:
     """The exact boxes of `sharpness_test`, without quadrature: (w, delta,
     halvings, boxes), one box per frequency as (lam, half-widths, volume,
     phase bound)."""
@@ -213,12 +214,9 @@ def sharpness_boxes(p: PhasePolynomial, n: NewtonPolyhedron, w: Sequence[Fractio
     assert all(dot(v, ws) >= 1 for v in n.vertices)
     if chi.positive_orthant:
         raise DecayError("sharpness boxes are symmetric; need a full cutoff")
-    exps = []
-    for lam in lambdas:
-        e = round(math.log2(lam))
-        if lam < 4 or 2.0 ** e != lam:
-            raise DecayError("sharpness grid needs lambdas that are powers of two, >= 4")
-        exps.append(e)
+    exps = [math.frexp(lam)[1] - 1 for lam in lambdas]  # lam = 2^e exactly, checked next
+    if any(math.frexp(lam)[0] != 0.5 or e < 2 for lam, e in zip(lambdas, exps)):
+        raise DecayError("sharpness grid needs lambdas that are powers of two, >= 4")
 
     cap = Fraction(1, 10 ** 10)
     delta = Fraction(delta)
@@ -235,11 +233,13 @@ def sharpness_boxes(p: PhasePolynomial, n: NewtonPolyhedron, w: Sequence[Fractio
     def phase_bound(dlt: Fraction, e: int) -> Fraction:
         return 2 ** e * absp.evaluate_exact(corners(dlt, e))
 
+    # 2^e sum |c| delta^|alpha| 2^(-e <alpha, w>) never rises with e, since
+    # <alpha, w> >= 1 on the support: the lowest frequency decides
     halvings = 0
-    while max((phase_bound(delta, e) for e in exps), default=0) > cap:
+    while exps and phase_bound(delta, min(exps)) > cap:
         delta /= 2
         halvings += 1
-        if halvings > max_halvings:
+        if halvings > MAX_HALVINGS:
             raise DecayError("phase bound unattainable within retry budget")
 
     boxes = []
@@ -255,8 +255,7 @@ def sharpness_boxes(p: PhasePolynomial, n: NewtonPolyhedron, w: Sequence[Fractio
 
 def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
                    w: Sequence[Fraction], delta, lambdas: Sequence[float], *,
-                   chi: CutoffSpec = CutoffSpec(), max_halvings: int = 80,
-                   dual: DualPolyhedron | None = None,
+                   chi: CutoffSpec = CutoffSpec(), dual: DualPolyhedron | None = None,
                    boxes: tuple | None = None) -> SharpnessWitness:
     """Realize the decay rate from below with boxes dual to the polyhedron.
 
@@ -272,7 +271,7 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
     if dual is None:
         dual = dual_polyhedron(n)
     ws, delta, halvings, boxes = boxes or sharpness_boxes(
-        p, n, w, delta, lambdas, chi=chi, dual=dual, max_halvings=max_halvings)
+        p, n, w, delta, lambdas, chi=chi, dual=dual)
     results = lambda_sweep(p, [TestFunctionSpec.boxes([(-h, h) for h in half])
                                for _, half, _, _ in boxes], chi, [b[0] for b in boxes])
     rows = [SharpnessRow(lam, half, vol, r.value,
@@ -383,7 +382,7 @@ def summation_oracle(n: NewtonPolyhedron, z: Sequence, lambdas: Sequence[float],
         # full-orthant volume series factors per axis, geo = 1 / (1 - 2^-z)
         tail = math.prod(1.0 / (1.0 - 2.0 ** -x) for x in zf) * (
             1.0 - math.prod(1.0 - 2.0 ** (-x * (jmax + 1)) for x in zf))
-        total = math.fsum(box_envelope(n.vertices, zz, lam, jmax)) + tail
+        total = math.fsum(next(box_envelope(n.vertices, zz, [lam], jmax))) + tail
         normalized = total / (lam ** (-1.0 / float(nu)) * math.log(lam) ** m)
         rows.append(SummationRow(lam, jmax, total, tail, normalized))
     values = [r.normalized for r in rows]

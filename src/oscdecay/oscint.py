@@ -16,25 +16,25 @@ the phase.  One table, read term by term off the phase's derivatives, gives
 the turns across each piece in x^e for every e, equal panels (e = 1)
 included (`_sizing`).  The error estimate reruns at a lower order only the
 cells that may miss the target (`_evaluate` states the rule); every other
-cell adds the target times its weight mass.  A call is planned whole before
-any quadrature, one row per frequency, each row with its own test function
-and depths (the cells of all rows are sized in one pass, each at its row's
-frequency); then the cells of every row and both levels are evaluated as
-one batch (`_evaluate`).  A frequency whose rule needs more nodes than
-the budget is refused in the plan: none of its cells is evaluated, and its
-result carries no value.  A per-axis rule, real weights times the cutoff,
+cell adds the target times its weight mass.  A call is one cell table
+planned before any quadrature (`_layout`), one row per frequency with its
+own test function and depths.  A row whose rule needs more nodes than the
+budget is refused: none of its cells is evaluated, and its result carries
+no value.  The cells of the other rows, then those rerun, are evaluated as
+one batch (`_run_level`).  A per-axis rule, real weights times the cutoff,
 depends only on its piece, panel count, order and map exponent: each
-distinct one is built and stacked once per call, and rows with equal node
-counts per axis gather theirs from the stacks.  A kernel call
-on several cells needs at most `_CHUNK` workspace floats, and one on a
-single cell at most `_CHUNK` nodes (a larger cell is cut along its first
-axis).  The kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2
-straight into a reused per-thread workspace, takes cos and sin of theta from
-the half-angle tangent tan(theta/2), which vectorizes where complex exp does
+distinct one is built and stacked once per call, and cells with equal
+node counts per axis gather theirs from the stacks.  A kernel call on
+several cells needs at most `_CHUNK` workspace floats, and one on a single
+cell at most `_CHUNK` nodes (a larger cell is cut along its first axis).
+The kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight
+into a reused per-thread workspace, takes cos and sin of theta from the
+half-angle tangent tan(theta/2), which vectorizes where complex exp does
 not, and contracts them in real arithmetic.  The same cell grid indexes a
 closed-form bound per cell (dominant vertex of the support polyhedron):
-`box_envelope` gives them all from exact integer exponent grids, and their
-sum is an a-priori certificate for the result.
+`box_envelope` gives them all from exact integer exponent grids, built
+once for all frequencies of a test function; their sum is an a-priori
+certificate for the result.
 
 The cutoff has one fixed shape, 1 on |t| <= PLATEAU and 0 on |t| >= 1.
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -241,9 +241,8 @@ _CHUNK = 262_144  # per kernel call: workspace floats of a batch, nodes of a lon
 class OscResult:
     lam: float
     value: complex | None  # None where the frequency was refused
-    # difference against a lower-order rerun of some cells, plus the
-    # allowance of the others (the rule is in _evaluate's docstring); None
-    # where the frequency was refused
+    # difference against a lower-order rerun of some cells, plus the others'
+    # allowance (the rule is in _evaluate's docstring); None where refused
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
     nodes: int             # evaluated nodes, or the planned count of a refused rule
@@ -263,11 +262,6 @@ def _axis_pieces(chi: CutoffSpec, factor: FactorSpec, depth: int):
             if hi > lo:
                 pieces.append((lo, hi))
     return pieces
-
-
-def _on_plateau(lo, hi):
-    """Whether the cutoff is 1 on all of [lo, hi], so the integrand is analytic there."""
-    return max(abs(lo), abs(hi)) <= _PLATEAU
 
 
 _LADDER = (4, 8, 12)  # Gauss orders below `order`, for axes on the cutoff plateau only
@@ -377,13 +371,15 @@ def _panel_counts(lams, sizing, quad):
                 # equal panels need more than one
                 sized = (counts > 1) & np.isfinite(spans[1:]).any(axis=0)
             spread = lam[sized] * bound[sized] * span[sized] / (2.0 * math.pi)
-            grow, plateau_ok = ratios[sized] ** e - 1.0, analytic[sized]
+            grow, plateau_ok = ratios[sized] ** e - 1.0 if e > 1 else None, analytic[sized]
             # the fewest nodes so far per entry, with their count, order and e
             picked = counts[sized], orders[sized], exps[sized]
             best = picked[0] * picked[1]
             for n, most, plateau in rungs:
-                first = 1 + np.minimum(np.floor(spread / most), 2.0 ** 53)
-                need = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
+                need = spread / most
+                if e > 1:  # at e = 1, F(P0) = (...)^0.0 is exactly 1.0
+                    first = 1 + np.minimum(np.floor(need), 2.0 ** 53)
+                    need = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
                 # at e = 1 the turns are finite and a count past the float
                 # range is capped; at e > 1 such a rule is not taken
                 ok = np.isfinite(need) | (e == 1)
@@ -436,7 +432,7 @@ def _axis_rule(lo, hi, panels, e, gx, gw, chi):
         widths = np.diff(ends)[:, None]
         nodes = (ends[:-1, None] + widths * 0.5 * (gx + 1.0)).ravel()
         weights = (widths * 0.5 * gw).ravel()
-    if not _on_plateau(lo, hi):
+    if max(abs(lo), abs(hi)) > _PLATEAU:
         weights *= chi.profile(nodes)
     return nodes, weights
 
@@ -497,13 +493,13 @@ def _rows(a):
 
 
 def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
-    """Rule sums and weight masses of rows of cells, each row at its own
-    frequency `lams` and with its rule given per axis by its row of `cells`
-    (piece index), `counts`, `orders` and `exps` (map exponents).  The
-    pieces are already clipped to the factors, so a rule is the real Gauss
-    weights times the cutoff, keyed by (lo, hi, panels, order, e) alone.
-    Per axis, the distinct rules of each node count are stacked once; each
-    shape group gathers its rows from them."""
+    """Rule sums and weight masses of cells, each at its own frequency
+    `lams` and with its rule given per axis by its row of `cells` (piece
+    index), `counts`, `orders` and `exps` (map exponents).  The pieces are
+    already clipped to the factors, so a rule is the real Gauss weights
+    times the cutoff, keyed by (lo, hi, panels, order, e) alone.  Per axis,
+    the distinct rules of each node count are stacked once; each shape
+    group gathers its cells' rules from them."""
     values = np.zeros(len(cells), dtype=complex)
     mass = np.ones(len(cells))
 
@@ -557,10 +553,10 @@ def _plan(f, chi, depths):
 
 def _depths(grads, f, chi, lams, quad):
     """Per frequency of `lams`, with test function `f` or its own one of a
-    sequence `f` (`_per_row`), and axis k: the depth L_k to which axis k is
-    cut into octaves, and the Gauss order n of its merged piece [0, 2^-L_k],
-    or 0 where it has none, as two (F, d) integer arrays.  With g the terms
-    of phi with a_k >= 1 and G the same terms with absolute coefficients and
+    sequence `f`, and axis k: the depth L_k to which axis k is cut into
+    octaves, and the Gauss order n of its merged piece [0, 2^-L_k], or 0
+    where it has none, as two (F, d) integer arrays.  With g the terms of
+    phi with a_k >= 1 and G the same terms with absolute coefficients and
     the other axes at their largest magnitude over the support and the
     factor, |lam g| <= theta = |lam| G(2^-L) on the piece, so `_merge_reach`
     bounds one n-point panel's error there.  G is read off `grads`, d_k phi
@@ -577,11 +573,10 @@ def _depths(grads, f, chi, lams, quad):
                           max((b[k] + 1 for b, _ in t), default=0))
              for k, t in enumerate(terms)]
     x = 2.0 ** -np.arange(1, levels + 1)
-    fs, tables = _per_row(f, len(lams)), {}
+    # one test function's table broadcasts over every frequency
+    fs, tables = [f] if isinstance(f, TestFunctionSpec) else f, {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in fs:
-            if g in tables:
-                continue
+        for g in set(fs):
             # largest magnitude of each axis over the support, clipped to the factor
             tops = [max((max(-lo, hi) for lo, hi in _axis_pieces(chi, fac, 1)), default=0.0)
                     for fac in g.factors]
@@ -657,42 +652,58 @@ def _per_row(f, rows):
     return fs
 
 
+@lru_cache(maxsize=None)
+def _least_panels(entry, order):
+    """P0 of a `_TRANSITION_PANELS` entry by [order n, e], above any count where it has none."""
+    least = np.full((max(order, _HIGHER[-1]) + 1, _MAX_MAP + 1), np.iinfo(np.int64).max)
+    for e, panels in entry:
+        for n, count in panels:
+            least[n, e] = count
+    return least
+
+
 def _layout(grads, fs, chi, lams, quad, depths, merged):
-    """The rule of every row, as a list of (cells, counts, orders, exps,
-    spans, analytic): its cells, a (cells, d) array of piece indices, their
-    (cells, d) panel counts, Gauss orders and map exponents
-    (`_panel_counts`), and the spans at e = 1 and plateau mask of their
-    pieces (`_sizing`); then the pieces of each axis that the indices point
-    into.  A row's pieces are those of its test function cut to its `depths`
-    (`_plan`); rows share the pieces they have in common.  The cells of
-    all rows, in row order, are sized in one `_sizing` and one
-    `_panel_counts` call, each at its row's frequency; then the merged piece
-    of each axis with a `merged` order takes one panel of it at map
-    exponent 1.  An overflow refusal names the first row whose turns
-    overflow.  Sizing works cell by cell, so a row's rule does not depend
-    on the other rows of the call."""
+    """The cell table of a call, every row's cells in row order: the pieces
+    of each axis, then per cell its row, its piece indices and its panel
+    counts, Gauss orders and map exponents ((cells, d) arrays,
+    `_panel_counts`), and whether the error estimate reruns it (the rule is
+    in `_evaluate`).  A row's pieces are its test function's cut to its
+    `depths` (`_plan`), shared with other rows.  All cells are sized in one
+    `_sizing` and one `_panel_counts` call, each at its row's frequency, so
+    a row's rule does not depend on the other rows; an overflow refusal
+    names the first row whose turns overflow.  Then each axis's merged
+    piece with a `merged` order takes one panel of it at map exponent 1."""
     # per axis, a dict from piece (lo, hi) to its index, grown as pieces are met
-    index = [{} for _ in grads]
-    cells = []
+    index, cells = [{} for _ in grads], []
     for g, depth in zip(fs, depths.tolist()):
         pieces, own = _plan(g, chi, depth)
         ids = [np.array([ix.setdefault(piece, len(ix)) for piece in pieces_k], dtype=np.int64)
                for ix, pieces_k in zip(index, pieces)]
         cells.append(np.stack([a[own[:, k]] for k, a in enumerate(ids)], axis=1))
     pieces = [list(ix) for ix in index]
-    sizes = [len(c) for c in cells]
+    row = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
     cells = np.concatenate(cells)
+
+    def per_cell(of, dtype):
+        # `of` each piece (lo, hi) of each axis, read off at every cell
+        return np.stack([np.array([of(*pc) for pc in pk], dtype=dtype)[cells[:, k]]
+                         for k, pk in enumerate(pieces)], axis=1)
+
     sizing = _sizing(grads, pieces, cells)
-    counts, orders, exps = _panel_counts(np.repeat(lams, sizes), sizing, quad)
+    counts, orders, exps = _panel_counts(np.asarray(lams)[row], sizing, quad)
     # a row's merged piece on axis k is the one within [-2^-L_k, 2^-L_k]
-    tops = [np.array([max(-lo, hi) for lo, hi in pieces_k]) for pieces_k in pieces]
-    n = np.repeat(merged, sizes, axis=0)
-    on = (np.stack([t[cells[:, k]] for k, t in enumerate(tops)], axis=1)
-          <= np.ldexp(1.0, -np.repeat(depths, sizes, axis=0))) & (n > 0)
+    n = merged[row]
+    on = (per_cell(lambda lo, hi: max(-lo, hi), float) <= np.ldexp(1.0, -depths[row])) & (n > 0)
     counts, orders, exps = (np.where(on, v, a) for v, a in ((1, counts), (n, orders), (1, exps)))
-    ends = np.cumsum(sizes)[:-1]
-    rules = (cells, counts, orders, exps, sizing[1][0], sizing[3])
-    return list(zip(*(np.split(a, ends) for a in rules))), pieces
+    entry = _TRANSITION_PANELS.get((quad.order, quad.waves_per_panel))
+    if entry is None:
+        rerun = (orders >= quad.order).any(axis=1)
+    else:
+        # the transition piece [PLATEAU, 1] or its mirror, unclipped
+        edge = per_cell(lambda lo, hi: (lo, hi) in ((_PLATEAU, 1.0), (-1.0, -_PLATEAU)), bool)
+        least = _least_panels(entry, quad.order)[orders, exps]
+        rerun = ~(sizing[3] | (edge & (counts >= least))).all(axis=1)
+    return pieces, row, cells, counts, orders, exps, rerun
 
 
 def _evaluate(p, f, chi, lams, quad):
@@ -701,27 +712,24 @@ def _evaluate(p, f, chi, lams, quad):
     its result (without certificate), and the value and node count of every
     cell, cells in product order of the row's pieces.
 
-    Each axis of each row is cut into octaves to its own depth L
-    (`_depths`), and [0, 2^-L] is one merged piece on one Gauss panel whose
-    order a bound that holds exactly fixes; where no depth admits it, the
-    axis is cut to `levels`, with its piece at 0 sized like every other.
-    Panel counts, Gauss orders and map exponents per cell and axis follow
-    the local phase variation (`_panel_counts`).  A row whose planned node
-    count exceeds the budget is refused before any quadrature: none of its
-    cells is evaluated, and its result is flagged low-confidence, with no
-    value or error and the planned count as its nodes.  The reported error
-    is the difference against a rerun on the same panels at order
-    max(n // 2, n - 4) on the axes at order n >= `order` (12, 20 and 28
-    for 16, 24 and 32), plus d * target times the weight mass of each cell
-    not rerun.  For a rule with an entry in `_TRANSITION_PANELS` only a
-    cell with an axis off the cutoff plateau that is not resolved is rerun.
-    An axis is resolved when its piece is the whole transition
-    [PLATEAU, 1], unclipped, and it has at least P0(n, e) panels for its
-    order n and map exponent e, from which on n-point panels meet the
-    target across the transition.  Every other cell has each axis within
-    the error target, analytic (a merged piece too) or resolved.  A rule
-    without an entry reruns every cell with an axis at order n >= `order`.
-    All rows run in one `_run_level`.
+    The call is one cell table (`_layout`: depths and merged pieces from
+    `_depths`, rules from `_panel_counts`).  A row whose planned node count
+    exceeds the budget is refused before any quadrature: none of its cells
+    is evaluated, and its result is flagged low-confidence, with no value
+    or error and the planned count as its nodes.  One `_run_level` takes
+    the cells of every other row, then those rerun, each in row order.  The
+    reported error is the difference against a rerun on the same panels at
+    order max(n // 2, n - 4) on the axes at order n >= `order` (12, 20 and
+    28 for 16, 24 and 32), plus d * target times the weight mass of each
+    cell not rerun.  For a rule with an entry in `_TRANSITION_PANELS` only
+    a cell with an axis off the cutoff plateau that is not resolved is
+    rerun.  An axis is resolved when its piece is the whole transition
+    [PLATEAU, 1] or its mirror, unclipped, and it has at least P0(n, e)
+    panels for its order n and map exponent e, from which on n-point
+    panels meet the target across the transition.  Every other cell has
+    each axis within the error target, analytic (a merged piece too) or
+    resolved.  A rule without an entry reruns every cell with an axis at
+    order n >= `order`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -734,66 +742,50 @@ def _evaluate(p, f, chi, lams, quad):
     if any(g.dimension != d for g in set(fs)):
         raise OscError("test function dimension mismatch")
     grads = [p.derivative(k).absolute() for k in range(d)]
-    sized, pieces = _layout(grads, fs, chi, lams, quad, *_depths(grads, fs, chi, lams, quad))
-    # P0 per Gauss order and map exponent on the cutoff's transition piece,
-    # the octave piece [PLATEAU, 1]; above any count where none is given
-    transition = 1.0 - _PLATEAU
-    entry = _TRANSITION_PANELS.get((quad.order, quad.waves_per_panel))
-    least = np.full((max(quad.order, _HIGHER[-1]) + 1, _MAX_MAP + 1), np.iinfo(np.int64).max)
-    for e, panels in entry or ():
-        for n, count in panels:
-            least[n, e] = count
-    rows, main, rerun_rows = [], [], []
-    for lam, rule in zip(lams, sized):
-        # tensor nodes in floats, which cannot wrap around
-        planned = np.multiply(rule[1], rule[2], dtype=float).prod(axis=1).sum()
-        refused = bool(planned > quad.node_budget)
-        if refused:
-            rule = tuple(a[:0] for a in rule)  # no cell reaches the kernel
-        cells, counts, orders, exps, spans, analytic = rule
-        # with a table entry, only a cell with an axis off the plateau that
-        # is clipped or on too few panels for the transition is rerun
-        full = orders >= quad.order
-        if entry is None:
-            rerun = full.any(axis=1)
-        else:
-            resolved = analytic | ((spans == transition) & (counts >= least[orders, exps]))
-            rerun = ~resolved.all(axis=1)
-        coarse = np.where(full, np.maximum(orders // 2, orders - 4), orders)
-        rows.append((lam, counts, orders, rerun, refused, planned))
-        main.append((cells, counts, orders, exps, np.full(len(cells), lam)))
-        rerun_rows.append((cells[rerun], counts[rerun], coarse[rerun], exps[rerun],
-                           np.full(int(rerun.sum()), lam)))
-    # the cells, counts, orders, map exponents and lam of every frequency's
-    # rows, then of every frequency's rerun rows
-    values, mass = _run_level(p, pieces,
-                              *(np.concatenate(col) for col in zip(*main, *rerun_rows)), chi)
+    pieces, row, cells, counts, orders, exps, rerun = _layout(
+        grads, fs, chi, lams, quad, *_depths(grads, fs, chi, lams, quad))
+    # row i is cells ends[i]:ends[i + 1]; its tensor nodes in floats, which cannot wrap
+    ends = np.searchsorted(row, np.arange(len(lams) + 1))
+    planned = np.multiply(counts, orders, dtype=float).prod(axis=1)
+    planned = np.array([planned[a:b].sum() for a, b in zip(ends, ends[1:])])
+    kept = ~(planned > quad.node_budget)[row]
+    again = kept & rerun
+    coarse = np.where(orders >= quad.order, np.maximum(orders // 2, orders - 4), orders)
+    take = np.concatenate([np.flatnonzero(kept), np.flatnonzero(again)])
+    values, mass = _run_level(p, pieces, cells[take], counts[take],
+                              np.concatenate([orders[kept], coarse[again]]), exps[take],
+                              np.array(lams)[row[take]], chi)
+    # back onto the cell table: value, rerun value and weight mass per cell
+    value, weight, first = np.zeros(len(cells), complex), np.zeros(len(cells)), kept.sum()
+    check = value.copy()
+    value[kept], check[again], weight[kept] = values[:first], values[first:], mass[:first]
     target, _ = _ladder(quad.order, quad.waves_per_panel)
-    ends = np.cumsum([len(r[0]) for r in main + rerun_rows])[:-1]
-    parts, masses, out = np.split(values, ends), np.split(mass, ends), []
-    for (lam, counts, orders, rerun, refused, planned), v, m, check in zip(
-            rows, parts, masses, parts[len(lams):]):
-        cell_nodes = (counts * orders).prod(axis=1)
-        if refused:
-            r = OscResult(lam, None, None, True, int(planned))
-        else:
-            error = abs((v[rerun] - check).sum()) + d * target * m[~rerun].sum()
-            r = OscResult(lam, complex(v.sum()), float(error), False, int(cell_nodes.sum()))
-        out.append((r, v, cell_nodes))
+    nodes, out = (counts * orders).prod(axis=1), []
+    for lam, a, b, plan in zip(lams, ends, ends[1:], planned):
+        if plan > quad.node_budget:
+            out.append((OscResult(lam, None, None, True, int(plan)), value[:0], nodes[:0]))
+            continue
+        v, r = value[a:b], rerun[a:b]
+        error = abs((v[r] - check[a:b][r]).sum()) + d * target * weight[a:b][~r].sum()
+        out.append((OscResult(lam, complex(v.sum()), float(error), False, int(nodes[a:b].sum())),
+                    v, nodes[a:b]))
     return out
 
 
 def _certified(results, p, fs, chi, query, n, constant):
-    """The results, each certified (`certificate_sum`) with its test function in `fs`."""
+    """The results, each certified with its test function in `fs`: one
+    `certificate_sum` call per distinct test function, on its frequencies."""
     d = p.dimension
-    if n is None:
-        n = build_polyhedron(p)
-    if query is None:
-        query = ExponentQuery.all_inf(d)
-    return tuple(replace(r, certificate=certificate_sum(
-        p, n, query, f.norms(query), r.lam, levels=chi.levels,
-        multiplicity=1 if chi.positive_orthant else 2 ** d, constant=constant))
-        for r, f in zip(results, fs))
+    n = build_polyhedron(p) if n is None else n
+    query = ExponentQuery.all_inf(d) if query is None else query
+    rows, certificates = {}, {}
+    for i, f in enumerate(fs):
+        rows.setdefault(f, []).append(i)
+    for f, at in rows.items():
+        certificates.update(zip(at, certificate_sum(
+            p, n, query, f.norms(query), [results[i].lam for i in at], levels=chi.levels,
+            multiplicity=1 if chi.positive_orthant else 2 ** d, constant=constant)))
+    return tuple(replace(r, certificate=certificates[i]) for i, r in enumerate(results))
 
 
 def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
@@ -812,18 +804,20 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
 # ---------------------------------------------------------------------------
 # per-box bound and certificate
 
-def box_envelope(vertices: Sequence[Sequence[int]], weights: Sequence, lam: float,
-                 jmax: int, scale: float = 1.0) -> np.ndarray:
-    """Terms scale * 2^-<w, j> * min(1, |lam 2^-t|^(-1/2)), t = min over vertices
-    alpha of <alpha, j>, for j over [0, jmax]^d in `product` order.  Exponents
-    are exact integers, <w, j> over one common denominator; the float factors
-    are scalar libm calls per distinct exponent (numpy's array pow is not libm)."""
+def box_envelope(vertices: Sequence[Sequence[int]], weights: Sequence, lams: Sequence[float],
+                 jmax: int, scale: float = 1.0) -> Iterator[np.ndarray]:
+    """Per frequency lam of `lams`, in turn, the terms scale * 2^-<w, j> *
+    min(1, |lam 2^-t|^(-1/2)), t = min over vertices alpha of <alpha, j>, for
+    j over [0, jmax]^d in `product` order.  Exponents are exact integers,
+    <w, j> over one common denominator, and the volume factor is built once;
+    the float factors are scalar libm calls per distinct exponent (numpy's
+    array pow is not libm)."""
     w = [Fraction(x) for x in weights]
     d, den = len(w), math.lcm(*(x.denominator for x in w))
 
-    def factor(rows, f):
-        # f of min over rows c of <c, j>, called once per distinct value; the
-        # running minimum is exact, in Python ints where int64 could overflow
+    def exponents(rows):
+        # the distinct values of min over rows c of <c, j>, and each j's
+        # index among them; exact, in Python ints where int64 could overflow
         big = max(abs(x) for c in rows for x in c) * jmax * d >= 2 ** 63
         axes = [np.arange(jmax + 1, dtype=object if big else np.int64)
                 .reshape([-1] + [1] * (d - 1 - k)) for k in range(d)]
@@ -832,25 +826,30 @@ def box_envelope(vertices: Sequence[Sequence[int]], weights: Sequence, lam: floa
             ec = sum(ck * ak for ck, ak in zip(c, axes))
             e = ec if e is None else np.minimum(e, ec, out=e)
         uniq = np.unique(e)  # not return_inverse: it holds 3 more grid-size arrays
-        return np.array([f(x) for x in uniq.tolist()])[np.searchsorted(uniq, e.ravel())]
+        return uniq.tolist(), np.searchsorted(uniq, e.ravel())
 
-    def gain(t):
+    def gain(lam, t):
         osc = math.ldexp(abs(lam), -t)
         return min(1.0, osc ** -0.5) if osc > 0 else 1.0
 
-    nums = [x.numerator * (den // x.denominator) for x in w]
-    return factor([nums], lambda s: scale * 2.0 ** -(s / den)) * factor(vertices, gain)
+    s, at = exponents([[x.numerator * (den // x.denominator) for x in w]])
+    volume = np.array([scale * 2.0 ** -(x / den) for x in s])[at]
+    t, at = exponents(vertices)
+    for lam in lams:
+        yield volume * np.array([gain(lam, x) for x in t])[at]
 
 
 def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
-                    query: ExponentQuery, norms: Sequence[float], lam: float,
+                    query: ExponentQuery, norms: Sequence[float], lams: Sequence[float],
                     *, levels: int = 12, multiplicity: int = 1,
-                    constant: float = DEFAULT_CERT_CONSTANT) -> float:
-    """Sum of per-box bounds (weights 1/p') over the octave grid, left to right."""
+                    constant: float = DEFAULT_CERT_CONSTANT) -> tuple[float, ...]:
+    """Per frequency of `lams`, the sum of per-box bounds (weights 1/p') over
+    the octave grid, left to right."""
     if len(norms) != p.dimension:
         raise OscError("norm vector dimension mismatch")
-    terms = box_envelope(n.vertices, query.dual_reciprocals, lam, levels, math.prod(norms))
-    return constant * multiplicity * float(np.add.accumulate(terms)[-1])
+    return tuple(constant * multiplicity * float(np.add.accumulate(terms)[-1])
+                 for terms in box_envelope(n.vertices, query.dual_reciprocals, lams, levels,
+                                           math.prod(norms)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Decay-rate fits, sharpness boxes, and the box-sum scaling oracle."""
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -12,6 +13,7 @@ from oscdecay.decay import (
     dual_lambda_grid,
     fit_decay,
     fit_samples,
+    sharpness_boxes,
     sharpness_test,
     summation_oracle,
 )
@@ -23,8 +25,8 @@ from oscdecay.oscint import (
     lambda_grid,
     lambda_sweep,
 )
-from oscdecay.phase import parse_phase, reduce_phase
-from oscdecay.polytope import build_polyhedron
+from oscdecay.phase import PhasePolynomial, parse_phase, reduce_phase
+from oscdecay.polytope import build_polyhedron, dual_polyhedron
 from oscdecay.ratlin import dot
 
 
@@ -173,6 +175,11 @@ class TestSharpness:
             sharpness_test(self.p, self.n, self.q, self.W10, Fraction(1, 4),
                            (100.0,))
 
+    @pytest.mark.parametrize("lam", [2.0, 0.0, -8.0, math.nan, math.inf])
+    def test_rejects_lambdas_below_4_or_not_finite(self, lam):
+        with pytest.raises(DecayError, match="powers of two, >= 4"):
+            sharpness_test(self.p, self.n, self.q, self.W10, Fraction(1, 4), (64.0, lam))
+
     def test_rejects_incompatible_grid(self):
         # fractional dual vertex needs exponents in 4 Z
         p = phase("x1^3*x2 + x1*x2^3")
@@ -185,8 +192,38 @@ class TestSharpness:
     def test_rejects_delta_outside_plateau(self):
         with pytest.raises(DecayError, match="plateau"):
             sharpness_test(self.p, self.n, self.q, self.W10, Fraction(3, 4),
-                           dual_lambda_grid(self.W10, count=2, start=6),
-                           max_halvings=0)
+                           dual_lambda_grid(self.W10, count=2, start=6))
+
+    def test_huge_coefficient_exhausts_the_halvings(self):
+        # each halving of delta cuts the bound c delta^2 on these boxes by 4:
+        # 81 of them leave 10^60 / 16 * 4^-81, about 1e10, above 1e-10
+        p = phase("1" + "0" * 60 + "*x1*x2")
+        with pytest.raises(DecayError, match="unattainable within retry budget"):
+            sharpness_test(p, build_polyhedron(p), self.q, self.W10, Fraction(1, 4),
+                           dual_lambda_grid(self.W10, count=2, start=6))
+
+    def test_lowest_frequency_decides_the_halvings(self):
+        # on seeded signed phases at every dual vertex: the delta, halving
+        # count and exact phase bounds of halving until the bound at every
+        # frequency is at most 1e-10
+        rng = random.Random(20)
+        cases = 0
+        for _ in range(12):
+            d = rng.choice((2, 3))
+            pool = [a for a in product(range(5), repeat=d) if sum(x > 0 for x in a) >= 2]
+            p = PhasePolynomial.from_terms(
+                {a: rng.choice((-1, 1)) * 10 ** rng.randrange(6) for a in rng.sample(pool, 3)},
+                d, reduced=True)
+            n = build_polyhedron(p)
+            dual = dual_polyhedron(n)
+            for w in dual.vertices:
+                lams = dual_lambda_grid(w, count=4, start=2)
+                _, delta, halvings, boxes = sharpness_boxes(
+                    p, n, w, Fraction(1, 4), lams, chi=CutoffSpec(), dual=dual)
+                assert (delta, halvings, [b[3] for b in boxes]) == \
+                    all_frequency_halvings(p, w, Fraction(1, 4), lams)
+                cases += 1
+        assert cases >= 24
 
     def test_dual_domination_table(self):
         ok, table = check_dual_domination(self.n, self.q)
@@ -204,6 +241,20 @@ class TestSharpness:
         ok2, table2 = check_dual_domination(n2, ExponentQuery.of(["inf", 2]))
         assert ok2
         assert any(val > 1 for _, val in table2)
+
+
+def all_frequency_halvings(p, w, delta, lams):
+    """delta, the halving count and the float phase bounds at `lams` of
+    halving delta until 2^e |p|(delta 2^(-e w)) <= 1e-10 at every lam = 2^e."""
+    absp, exps = p.absolute(), [round(math.log2(lam)) for lam in lams]
+
+    def bound(e):
+        return 2 ** e * absp.evaluate_exact([delta * Fraction(2) ** -(e * x) for x in w])
+
+    halvings = 0
+    while max(bound(e) for e in exps) > Fraction(1, 10 ** 10):
+        delta, halvings = delta / 2, halvings + 1
+    return delta, halvings, [float(bound(e)) for e in exps]
 
 
 class TestSummationOracle:

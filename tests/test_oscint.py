@@ -217,8 +217,8 @@ class TestFactors:
         q = ExponentQuery.of(["2", "2"])
         p = phase("x1*x2")
         r = evaluate_lambda(p, f, CHI_POS, 64.0, certify=True, query=q)
-        expected = certificate_sum(p, build_polyhedron(p), q,
-                                   (math.sqrt(0.5), math.sqrt(0.5)), 64.0)
+        expected, = certificate_sum(p, build_polyhedron(p), q,
+                                    (math.sqrt(0.5), math.sqrt(0.5)), [64.0])
         assert r.certificate == pytest.approx(expected, rel=1e-15)
         assert 0 < abs(r.value) <= r.certificate
 
@@ -1080,8 +1080,8 @@ class TestSingleBoxBound:
         p = phase("x1*x2")
         n = build_polyhedron(p)
         q = ExponentQuery.all_inf(2)
-        one = certificate_sum(p, n, q, (1.0, 1.0), 9.0)
-        two = certificate_sum(p, n, q, (2.0, 3.0), 9.0)
+        one, = certificate_sum(p, n, q, (1.0, 1.0), [9.0])
+        two, = certificate_sum(p, n, q, (2.0, 3.0), [9.0])
         assert two == pytest.approx(6 * one, rel=1e-12)
 
     def test_certificate_dominates_measured(self):
@@ -1096,8 +1096,8 @@ class TestSingleBoxBound:
         p = phase("x1*x2")
         n = build_polyhedron(p)
         q = ExponentQuery.all_inf(2)
-        a = certificate_sum(p, n, q, (1.0, 1.0), 100.0, constant=1.0)
-        b = certificate_sum(p, n, q, (1.0, 1.0), 100.0, constant=3.0, multiplicity=2)
+        a, = certificate_sum(p, n, q, (1.0, 1.0), [100.0], constant=1.0)
+        b, = certificate_sum(p, n, q, (1.0, 1.0), [100.0], constant=3.0, multiplicity=2)
         assert b == pytest.approx(6 * a, rel=1e-12)
 
     @pytest.mark.parametrize("text, d, p, lam", [
@@ -1116,8 +1116,8 @@ class TestSingleBoxBound:
         total = 0.0
         for j in product(range(levels + 1), repeat=d):
             total += box_bound(n, j, q, norms, lam)
-        got = certificate_sum(ph, n, q, norms, lam, levels=levels,
-                              multiplicity=multiplicity, constant=constant)
+        got, = certificate_sum(ph, n, q, norms, [lam], levels=levels,
+                               multiplicity=multiplicity, constant=constant)
         assert got == constant * multiplicity * total
 
 
