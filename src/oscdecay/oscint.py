@@ -25,16 +25,19 @@ one batch (`_run_level`).  A per-axis rule, real weights times the cutoff,
 depends only on its piece, panel count, order and map exponent: each
 distinct one is built and stacked once per call, and cells with equal
 node counts per axis gather theirs from the stacks.  A kernel call on
-several cells needs at most `_CHUNK` workspace floats, and one on a single
-cell at most `_CHUNK` nodes (a larger cell is cut along its first axis).
-The kernel has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight
-into a reused per-thread workspace, takes cos and sin of theta from the
-half-angle tangent tan(theta/2), which vectorizes where complex exp does
-not, and contracts them in real arithmetic.  The same cell grid indexes a
-closed-form bound per cell (dominant vertex of the support polyhedron):
-`box_envelope` gives them all from exact integer exponent grids, built
-once for all frequencies of a test function; their sum is an a-priori
-certificate for the result.
+several cells spans at most `_CHUNK` floats as two planes and row sums, and
+one on a single cell at most `_CHUNK` nodes (a larger cell is cut along its
+first axis).  The kernel takes a call's last-axis rows in blocks, in a
+reused per-thread workspace of at most `_BLOCK` floats (1 MiB) wherever
+the row sums leave room, so its passes stay in a core's L2 cache.  Per
+block it has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight
+into the workspace, takes cos and sin of theta from the half-angle tangent
+tan(theta/2), which vectorizes where complex exp does not, and contracts
+the last axis in real arithmetic; the other axes are contracted once.  The
+same cell grid indexes a closed-form bound per cell (dominant vertex of
+the support polyhedron): `box_envelope` gives them all from exact integer
+exponent grids, built once for all frequencies of a test function; their
+sum is an a-priori certificate for the result.
 
 The cutoff has one fixed shape, 1 on |t| <= PLATEAU and 0 on |t| >= 1.
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
@@ -47,6 +50,7 @@ import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -95,13 +99,23 @@ def _scratch(name, size):
 
 def bump(t, out=None):
     """The reference bump exp(1 - 1/(1 - t^2)) inside |t| < 1, zero outside.
-    `out` may be t itself; rounding can put |t| at exactly 1, outside the mask."""
+    `out` may be t itself; rounding can put |t| at exactly 1, outside the mask.
+    Where every |t| < 1 the formula runs in place in `out`, with no gather or
+    scatter.  exp is 0.0 below about -745.14 and slow far below, so its
+    argument is clamped at -750 first."""
     t = np.asarray(t, dtype=float)
     m = np.abs(t) < 1
-    tm = t[m]  # a copy, so out may be t
     out = np.empty_like(t) if out is None else out
-    out.fill(0.0)
-    out[m] = np.exp(1.0 - 1.0 / (1.0 - tm * tm))
+    inside = m.all()
+    x = np.multiply(t, t, out=out) if inside else np.square(t[m])  # t[m] is a copy
+    np.subtract(1.0, x, out=x)
+    np.divide(1.0, x, out=x)
+    np.subtract(1.0, x, out=x)
+    np.maximum(x, -750.0, out=x)
+    np.exp(x, out=x)
+    if not inside:
+        out.fill(0.0)
+        out[m] = x
     return out
 
 
@@ -234,7 +248,7 @@ class QuadratureConfig:
             raise OscError("bad quadrature configuration")
 
 
-_CHUNK = 262_144  # per kernel call: workspace floats of a batch, nodes of a lone cell
+_CHUNK = 262_144  # per kernel call: floats of a batch's planes and row sums, nodes of a lone cell
 
 
 @dataclass(frozen=True)
@@ -437,35 +451,79 @@ def _axis_rule(lo, hi, panels, e, gx, gw, chi):
     return nodes, weights
 
 
+_BLOCK = 131_072  # kernel workspace floats per block: 1 MiB, half of a 2 MiB per-core L2
+
+
+def _blocks(axes, room):
+    """The blocks of a kernel call on nodes `axes`, (B, n_k) per axis k, in
+    row order, each of at most `room` rows of last-axis nodes: per block,
+    its slice of the cells, its nodes per axis and its tensor shape.  A
+    block cuts the first leading axis (cells, then axes 0 to d-2) on which
+    a run of indices spanning a multiple of 8 rows fits; it holds one index
+    of each leading axis before that one and all of each axis after.  Its
+    boundaries thus lie 8k rows into their slab, so BLAS rounds every row
+    sum as in one matmul on all rows (OpenBLAS's GEMV groups rows by 4 from
+    a matrix's start)."""
+    lead = [len(axes[0])] + [x.shape[1] for x in axes[:-1]]
+    for cut, size in enumerate(lead):
+        under = math.prod(lead[cut + 1:])  # rows under one index of the cut axis
+        run = min(room // under, size)
+        if run < size:
+            run -= run % (8 // math.gcd(under, 8))
+        if run:
+            break
+    for fixed in product(*map(range, lead[:cut])):
+        for s in range(0, size, run):
+            at = ([slice(i, i + 1) for i in fixed] + [slice(s, s + run)]
+                  + [slice(None)] * (len(axes) - cut))
+            block = [x[at[0], a] for x, a in zip(axes, at[1:])]
+            yield at[0], block, [len(block[0])] + [x.shape[1] for x in block]
+
+
 def _kernel(p, lam, axes, weights):
     """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
 
     axes[k] and weights[k] are the (B, n_k) nodes and real weights of axis
     k, and lam (B,) their frequencies; the result holds the B cell sums.
-    cs, (2, B, m, n) for n nodes on the last axis and m on the others, and
-    its last axis's contraction are views of this thread's workspace,
-    2*B*m*(n + 1) floats.  `PhasePolynomial.evaluate_tensor` writes
-    theta/2 = lam*phi/2 straight into cs[1].  With t = tan(theta/2),
-    cos(theta) = 2/(1+t^2) - 1 and sin(theta) = 2t/(1+t^2): float64 tan is
-    vectorized where complex exp is not, and loses no accuracy.  cs holds
-    1 + cos(theta) and sin(theta); each axis is contracted by one real
-    matmul, the cosine's -sum(w) is added after the last axis's, and only
-    the B cell sums are complex.
+    With n nodes on the last axis and m on the others, the call has B*m
+    rows of n nodes, and z, (2, B, m), their real and imaginary sums.
+    This thread's workspace holds z and one block cs, (2, rows, n), of
+    `_blocks`, within _BLOCK floats wherever z leaves room for 8 rows; a
+    call that fits is one block, (2, B, m, n).
+    `PhasePolynomial.evaluate_tensor` writes theta/2 = lam*phi/2 straight
+    into cs[1].  With t = tan(theta/2), cos(theta) = 2/(1+t^2) - 1 and
+    sin(theta) = 2t/(1+t^2): float64 tan is vectorized where complex exp is
+    not, and loses no accuracy.  cs holds 1 + cos(theta) and sin(theta),
+    and one real matmul per block contracts its last axis into z.  The
+    cosine's -sum(w) is added after the last block, each other axis is
+    contracted once, by one matmul, and only the B cell sums are complex.
     """
     b = axes[0].shape[0]
     sizes = [x.shape[1] for x in axes]
     n, m = sizes[-1], math.prod(sizes[:-1])
-    size = 2 * b * m * n
-    ws = _scratch("kernel", size + 2 * b * m)
-    cs = ws[:size].reshape(2, b, m, n)
-    p.evaluate_tensor(axes, 0.5 * lam, cs[1].reshape([b] + sizes))
-    np.tan(cs[1], out=cs[1])
-    np.multiply(cs[1], cs[1], out=cs[0])
-    cs[0] += 1.0
-    np.divide(2.0, cs[0], out=cs[0])  # 1 + cos(theta)
-    cs[1] *= cs[0]                    # sin(theta)
+    room = max((_BLOCK - 2 * b * m) // (2 * n), 8)  # rows a block may hold
+    # a call that fits is its own one block, without `_blocks`'s slicing,
+    # which would add a few microseconds to each of the many small calls
+    blocks = [(slice(None), axes, [b] + sizes)] if b * m <= room else _blocks(axes, room)
+    top = 2 * n * min(b * m, room)
+    ws = _scratch("kernel", top + 2 * b * m)
+    z = ws[top:top + 2 * b * m].reshape(2, b * m)
+    scale = np.multiply(0.5, lam, out=np.empty(b))  # lam may be one float for all cells
     w = weights[-1]
-    z = np.matmul(cs, w[:, :, None], out=ws[size:size + 2 * b * m].reshape(2, b, m, 1))
+    first = 0  # blocks run through the rows in order
+    for cells, block, shape in blocks:
+        count = math.prod(shape[:-1])
+        cs = ws[:2 * count * n].reshape(2, shape[0], -1, n)
+        p.evaluate_tensor(block, scale[cells], cs[1].reshape(shape))
+        np.tan(cs[1], out=cs[1])
+        np.multiply(cs[1], cs[1], out=cs[0])
+        cs[0] += 1.0
+        np.divide(2.0, cs[0], out=cs[0])  # 1 + cos(theta)
+        cs[1] *= cs[0]                    # sin(theta)
+        out = z[:, first:first + count].reshape(2, shape[0], -1, 1)
+        np.matmul(cs, w[cells, :, None], out=out)
+        first += count
+    z = z.reshape(2, b, m, 1)
     z[0] -= w.sum(axis=1)[:, None, None]
     for wk, nk in zip(weights[-2::-1], sizes[-2::-1]):
         z = np.matmul(z.reshape(2, b, -1, nk), wk[:, :, None])
@@ -521,8 +579,8 @@ def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
                                                 for _, w in stacks[-1].values()])[inv]
         place.append((np.arange(len(keys)) - np.repeat(first, many))[inv])
     # rows with equal node counts per axis have rules of equal shape: each
-    # such group is evaluated in batches whose kernel workspace,
-    # 2*b*m*(n + 1) floats, stays within _CHUNK
+    # such group is evaluated in batches whose two planes and row sums,
+    # 2*b*m*(n + 1) floats, stay within _CHUNK (the kernel blocks them)
     shapes, group = _rows(counts * orders)
     by_group = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
     for sizes, members in zip(shapes.tolist(), by_group):
@@ -673,13 +731,17 @@ def _layout(grads, fs, chi, lams, quad, depths, merged):
     a row's rule does not depend on the other rows; an overflow refusal
     names the first row whose turns overflow.  Then each axis's merged
     piece with a `merged` order takes one panel of it at map exponent 1."""
-    # per axis, a dict from piece (lo, hi) to its index, grown as pieces are met
-    index, cells = [{} for _ in grads], []
-    for g, depth in zip(fs, depths.tolist()):
-        pieces, own = _plan(g, chi, depth)
-        ids = [np.array([ix.setdefault(piece, len(ix)) for piece in pieces_k], dtype=np.int64)
-               for ix, pieces_k in zip(index, pieces)]
-        cells.append(np.stack([a[own[:, k]] for k, a in enumerate(ids)], axis=1))
+    # per axis, a dict from piece (lo, hi) to its index, grown as pieces are
+    # met; rows of one test function and depths share their cells
+    index, planned = [{} for _ in grads], {}
+    keys = list(zip(fs, map(tuple, depths.tolist())))
+    for key in keys:
+        if key not in planned:
+            pieces, own = _plan(key[0], chi, key[1])
+            ids = [np.array([ix.setdefault(piece, len(ix)) for piece in pieces_k], dtype=np.int64)
+                   for ix, pieces_k in zip(index, pieces)]
+            planned[key] = np.stack([a[own[:, k]] for k, a in enumerate(ids)], axis=1)
+    cells = [planned[key] for key in keys]
     pieces = [list(ix) for ix in index]
     row = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
     cells = np.concatenate(cells)

@@ -147,6 +147,28 @@ class TestBumpAndStep:
         same = t.copy()
         assert bump(same, out=same) is same and same.tobytes() == bump(t).tobytes()
 
+    @pytest.mark.parametrize("t", [
+        [1.0, -1.0],
+        # all inside, so the formula runs in place: exp's argument reaches -4.5e15
+        [1 - 1e-9, -1 + 1e-9, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 0.0, -0.0],
+        [1 - 1e-9, 1.0, -1 + 1e-9, -1.0, 1 + 1e-9, -1 - 1e-9, 2.5, -7.0],
+        [np.inf, -np.inf, np.nan, 0.5, -0.75],
+        0.25, 1 - 1e-9, 1.0, -3.0, np.inf, np.nan,
+    ])
+    def test_bump_edge_values_match_the_masked_formula(self, t):
+        t = np.asarray(t, dtype=float)
+        m = np.abs(t) < 1
+        tm = t[m]
+        want = np.zeros_like(t)
+        want[m] = np.exp(1.0 - 1.0 / (1.0 - tm * tm))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bump(t)
+            same = t.copy()
+            assert bump(same, out=same) is same
+        assert got.shape == t.shape
+        assert got.tobytes() == want.tobytes() == same.tobytes()
+
     def test_plateau_nodes_skip_the_bump_table(self, monkeypatch):
         sizes = []
         real = bump
@@ -768,7 +790,8 @@ class TestWorkspace:
     def test_warm_evaluation_allocates_little(self, text, d, lam):
         # a deterministic count, not a timing: once the workspace has grown,
         # an evaluation's kernel calls and cutoff steps allocate no
-        # full-size arrays (one pair of 2^18-node kernel buffers is 4 MiB)
+        # full-size arrays (the kernel workspace alone is up to 1 MiB, and
+        # the largest lone cells hold 2^18 nodes, 4 MiB as two planes)
         args = (phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lam)
         evaluate_lambda(*args)
         tracemalloc.start()
@@ -778,6 +801,55 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2 ** 20
+
+    @pytest.mark.parametrize("text, d, lam", [("x1^3*x2^3", 2, 2048.0), ("x1*x2*x3", 3, 1024.0)])
+    def test_cold_workspace_stays_within_a_block(self, text, d, lam):
+        # the largest lone cells here hold 2^18 nodes, whose two planes
+        # would take 2^19 floats; blocked, the workspace stays within 1 MiB
+        def run():
+            evaluate_lambda(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lam)
+            return oscint._SCRATCH.kernel.size
+
+        assert in_fresh_thread(run) <= 2 ** 17
+
+    @pytest.mark.parametrize("text, shape, block, rows", [
+        # a lone 2D cell: blocks of 8 rows of axis 0, then a remainder of 4
+        ("x1^3*x2^3", (1, 20, 48), 0, [8, 8, 4]),
+        # a 3D cell cut along axis 1, one index of axis 0 per block: the
+        # blocks start 20 rows apart, a multiple of 4 but not of 8
+        ("x1*x2*x3", (1, 3, 20, 32), 0, [8, 8, 4] * 3),
+        # the two-term phase of the cells3d workload, whose phase tensor is
+        # contracted by matmuls, on two cells cut along axis 1
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", (2, 4, 12, 16), 0, [8, 4] * 8),
+        # several cells of 4 rows, two cells per block
+        ("x1*x2", (5, 4, 8), 0, [8, 8, 4]),
+        # room for 13 rows, rounded down to 8: BLAS groups a sum by rows
+        # from its matrix's start, so a block starting 13 rows in would
+        # round some sums differently
+        ("x1^3*x2^3", (1, 30, 48), 13 * 2 * 48 + 2 * 30, [8, 8, 8, 6]),
+    ])
+    def test_blocks_equal_one_block(self, monkeypatch, text, shape, block, rows):
+        rng = np.random.default_rng(31)
+        b, *sizes = shape
+        axes = [rng.uniform(0.0, 1.0, (b, n)) for n in sizes]
+        weights = [rng.uniform(0.0, 0.1, (b, n)) for n in sizes]
+        lam = rng.uniform(64.0, 2048.0, b)
+        p = phase(text, len(sizes))
+        seen = []
+        real = PhasePolynomial.evaluate_tensor
+
+        def spy(self, axes, scale, out):
+            seen.append(math.prod(out.shape[:-1]))
+            return real(self, axes, scale, out)
+
+        monkeypatch.setattr(PhasePolynomial, "evaluate_tensor", spy)
+        want = _kernel(p, lam, axes, weights)
+        assert seen == [b * math.prod(sizes[:-1])]  # the default block holds the call
+        seen.clear()
+        monkeypatch.setattr(oscint, "_BLOCK", block)  # 0 leaves room for the least block, 8 rows
+        got = _kernel(p, lam, axes, weights)
+        assert seen == rows
+        assert got.tobytes() == want.tobytes()
 
 
 class TestOracleParity:
