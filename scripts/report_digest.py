@@ -17,9 +17,13 @@ No other job here runs the Gauss-Newton witness refinement; this one runs
 it 12 times and finds 2 degenerate witnesses, one of them small only by
 scale.  Then `check` on a d = 3 phase with a face that one pair's sign
 certifies while another pair is a constant.  Last come an `integrate` on
-x1*x2 in d = 3, whose third axis has degree 0 in the phase, and a
+x1*x2 in d = 3, whose third axis has degree 0 in the phase, a
 `verify --sharpness` at finite p, whose certificates carry a norm scale
-below 1 (exit 1).
+below 1 (exit 1), and two `integrate` sweeps whose cells fall into orbits
+of signed coordinate permutations: x1^2*x2 - x1*x2^2 over the orthant,
+where swapping the axes negates the phase, so a cell takes the conjugate
+of its image's sum, and x1^2*x2^2 + x1^5*x2 over the full space, whose
+group holds reflections alone.
 
     PYTHONPATH=src python scripts/report_digest.py
 """
@@ -81,6 +85,12 @@ JOBS = (
     # a certificate scale at finite p (exit 1)
     ("verify", "--phase", "x1^3*x2^3", "--p", "4,4", "--sharpness", "--lam-lo", "64",
      "--lam-hi", "1024", "--lam-count", "9"),
+    # orbits of cells: a swap that negates the phase (conjugate sums), and a
+    # group of reflections alone
+    ("integrate", "--phase", "x1^2*x2 - x1*x2^2", "--lam-lo", "64", "--lam-hi", "1024",
+     "--lam-count", "5"),
+    ("integrate", "--phase", "x1^2*x2^2 + x1^5*x2", "--orthant", "off", "--lam-lo", "64",
+     "--lam-hi", "1024", "--lam-count", "5"),
 )
 
 

@@ -20,8 +20,12 @@ cell adds the target times its weight mass.  A call is one cell table
 planned before any quadrature (`_layout`), one row per frequency with its
 own test function and depths.  A row whose rule needs more nodes than the
 budget is refused: none of its cells is evaluated, and its result carries
-no value.  The cells of the other rows, then those rerun, are evaluated as
-one batch (`_run_level`).  A per-axis rule, real weights times the cutoff,
+no value.  Where signed coordinate permutations map the phase to plus or
+minus itself and fix a row's test function, its cells fall into orbits
+whose rules are permutations of each other (`_orbits`): only the first
+cell of each is evaluated, and the others take its sum or the conjugate.
+Those cells of the other rows, then those rerun, are evaluated as one
+batch (`_run_level`).  A per-axis rule, real weights times the cutoff,
 depends only on its piece, panel count, order and map exponent: each
 distinct one is built and stacked once per call, and cells with equal
 node counts per axis gather theirs from the stacks.  A kernel call on
@@ -50,7 +54,7 @@ import threading
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import permutations, product
 from types import MappingProxyType
 from typing import Iterator, Sequence
 
@@ -259,7 +263,9 @@ class OscResult:
     # allowance (the rule is in _evaluate's docstring); None where refused
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
-    nodes: int             # evaluated nodes, or the planned count of a refused rule
+    # the rule's node count, refused or not; the kernel evaluates only one
+    # cell of each orbit of the phase's symmetries (`_orbits`)
+    nodes: int
     certificate: float | None = None
 
 
@@ -768,6 +774,91 @@ def _layout(grads, fs, chi, lams, quad, depths, merged):
     return pieces, row, cells, counts, orders, exps, rerun
 
 
+def _symmetries(p, fs, chi):
+    """Per distinct test function f of `fs`, the signed coordinate
+    permutations g, (g x)_k = s_k x_perm[k], that map the phase to itself or
+    to its negative, tested exactly on its terms, and fix f: the factor of
+    axis perm[k] is that of axis k, mirrored where s_k = -1.  Signs flip
+    only on the full cutoff.  A group is a tuple of (perm, signs, conj)
+    triples, conj where phi(g x) = -phi(x), the identity first."""
+    d = p.dimension
+    negated = {a: -c for a, c in p.terms.items()}
+    phase = []
+    for perm in permutations(range(d)):
+        for signs in product((1,) if chi.positive_orthant else (1, -1), repeat=d):
+            image = {}
+            for a, c in p.terms.items():
+                b = [0] * d
+                for j, ak in zip(perm, a):
+                    b[j] = ak
+                flip = sum(ak for ak, s in zip(a, signs) if s < 0) % 2
+                image[tuple(b)] = -c if flip else c
+            if image in (p.terms, negated):
+                phase.append((perm, signs, image != p.terms))
+    groups = {}
+    for f in dict.fromkeys(fs):
+        mirrored = [FactorSpec(-fac.b, -fac.a) for fac in f.factors]
+        groups[f] = tuple(g for g in phase if all(
+            f.factors[j] == (fac if s > 0 else mirror)
+            for j, s, fac, mirror in zip(*g[:2], f.factors, mirrored)))
+    return groups
+
+
+def _orbits(p, fs, chi, pieces, row, cells, counts, orders, exps, rerun):
+    """Per cell of the table, the cell whose value, rerun value and weight
+    mass it takes, the first of its key in table order, and whether it
+    takes their conjugate.  A cell's key is its row, its rerun flag and the
+    least image, under its row's group (`_symmetries`), of its per-axis
+    rules (lo, hi, panels, order, e): g carries axis k's rule to axis
+    perm[k], on the mirrored piece where s_k = -1.  Substituting x = g y
+    turns the cell's sum into that of its image, conjugated where g maps
+    the phase to its negative, so cells of one key have rules that are
+    permutations of each other and equal or conjugate sums.  Rules rank in
+    the order of their values, so a row's keys and images do not depend on
+    the other rows of the call."""
+    n, d = len(row), len(pieces)
+    groups = _symmetries(p, fs, chi)
+    if all(len(g) == 1 for g in groups.values()):
+        return np.arange(n), np.zeros(n, dtype=bool)
+    # each axis's distinct rules and their mirrors (-hi, -lo, ...), all
+    # ranked by value: column 2k of `ranks` is each cell's axis k rule,
+    # column 2k + 1 its mirror
+    distinct, inverse = [], []
+    for k, pk in enumerate(pieces):
+        rules, at = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k], exps[:, k]], axis=1))
+        ends = np.array(pk, dtype=float).reshape(-1, 2)[rules[:, 0]]
+        distinct += [np.column_stack([ends, rules[:, 1:]]),
+                     np.column_stack([-ends[:, ::-1], rules[:, 1:]])]
+        inverse += [at, at]
+    rank = np.split(_rows(np.concatenate(distinct))[1], np.cumsum([len(r) for r in distinct]))
+    ranks = np.stack([r[at] for r, at in zip(rank, inverse)], axis=1)
+    # the least image of each cell under its row's group, and whether the
+    # first element giving it negates the phase
+    best, conj = np.empty((n, d), dtype=np.int64), np.empty(n, dtype=bool)
+    kinds = list(dict.fromkeys(groups.values()))
+    own = np.array([kinds.index(groups[f]) for f in fs])[row]
+    for i, group in enumerate(kinds):
+        mine = own == i
+        rules = ranks[mine]
+        # the identity's image first
+        least, flip = rules[:, ::2].copy(), np.zeros(len(rules), dtype=bool)
+        at = np.arange(len(rules))
+        for perm, signs, negates in group[1:]:
+            cols = np.empty(d, dtype=np.int64)
+            cols[list(perm)] = [2 * k + (s < 0) for k, s in enumerate(signs)]
+            image = rules[:, cols]
+            # lexicographically less: at the first column where they differ
+            col = (image != least).argmax(axis=1)
+            less = image[at, col] < least[at, col]
+            least[less], flip[less] = image[less], negates
+        best[mine], conj[mine] = least, flip
+    _, key = _rows(np.column_stack([2 * row + rerun, best]))
+    first = np.full(n, n)
+    np.minimum.at(first, key, np.arange(n))
+    rep = first[key]
+    return rep, conj != conj[rep]
+
+
 def _evaluate(p, f, chi, lams, quad):
     """Tensor-panel quadrature of the oscillatory form at every frequency of
     `lams`, with one test function `f` or one per frequency: per frequency,
@@ -778,8 +869,12 @@ def _evaluate(p, f, chi, lams, quad):
     `_depths`, rules from `_panel_counts`).  A row whose planned node count
     exceeds the budget is refused before any quadrature: none of its cells
     is evaluated, and its result is flagged low-confidence, with no value
-    or error and the planned count as its nodes.  One `_run_level` takes
-    the cells of every other row, then those rerun, each in row order.  The
+    or error and the planned count as its nodes.  Cells fall into orbits
+    under each row's symmetries (`_orbits`).  One `_run_level` takes the
+    first cell of each orbit of every other row, then those rerun, each in
+    row order; every other cell takes its orbit's value, rerun value and
+    weight mass, conjugated where its symmetry negates the phase.  Nodes,
+    per cell and per row, are the rule's, evaluated or not.  The
     reported error is the difference against a rerun on the same panels at
     order max(n // 2, n - 4) on the axes at order n >= `order` (12, 20 and
     28 for 16, 24 and 32), plus d * target times the weight mass of each
@@ -810,17 +905,22 @@ def _evaluate(p, f, chi, lams, quad):
     ends = np.searchsorted(row, np.arange(len(lams) + 1))
     planned = np.multiply(counts, orders, dtype=float).prod(axis=1)
     planned = np.array([planned[a:b].sum() for a, b in zip(ends, ends[1:])])
-    kept = ~(planned > quad.node_budget)[row]
-    again = kept & rerun
+    # only the first cell of each orbit key of the rows in budget is evaluated
+    rep, conj = _orbits(p, fs, chi, pieces, row, cells, counts, orders, exps, rerun)
+    run = ~(planned > quad.node_budget)[row] & (rep == np.arange(len(rep)))
+    again = run & rerun
     coarse = np.where(orders >= quad.order, np.maximum(orders // 2, orders - 4), orders)
-    take = np.concatenate([np.flatnonzero(kept), np.flatnonzero(again)])
+    take = np.concatenate([np.flatnonzero(run), np.flatnonzero(again)])
     values, mass = _run_level(p, pieces, cells[take], counts[take],
-                              np.concatenate([orders[kept], coarse[again]]), exps[take],
+                              np.concatenate([orders[run], coarse[again]]), exps[take],
                               np.array(lams)[row[take]], chi)
-    # back onto the cell table: value, rerun value and weight mass per cell
-    value, weight, first = np.zeros(len(cells), complex), np.zeros(len(cells)), kept.sum()
+    # back onto the cell table: value, rerun value and weight mass per cell,
+    # each cell's taken from its key's first, conjugated where its g says so
+    value, weight, first = np.zeros(len(cells), complex), np.zeros(len(cells)), run.sum()
     check = value.copy()
-    value[kept], check[again], weight[kept] = values[:first], values[first:], mass[:first]
+    value[run], check[again], weight[run] = values[:first], values[first:], mass[:first]
+    value, check, weight = value[rep], check[rep], weight[rep]
+    value[conj], check[conj] = value[conj].conj(), check[conj].conj()
     target, _ = _ladder(quad.order, quad.waves_per_panel)
     nodes, out = (counts * orders).prod(axis=1), []
     for lam, a, b, plan in zip(lams, ends, ends[1:], planned):
@@ -887,7 +987,10 @@ def box_envelope(vertices: Sequence[Sequence[int]], weights: Sequence, lams: Seq
         for c in rows:
             ec = sum(ck * ak for ck, ak in zip(c, axes))
             e = ec if e is None else np.minimum(e, ec, out=e)
-        uniq = np.unique(e)  # not return_inverse: it holds 3 more grid-size arrays
+        # np.unique(e) by hand: numpy's checks for a masked array on the way,
+        # importing numpy.ma; and not return_inverse: 3 more grid-size arrays
+        flat = np.sort(e, axis=None)
+        uniq = flat[np.concatenate([[True], flat[1:] != flat[:-1]])]
         return uniq.tolist(), np.searchsorted(uniq, e.ravel())
 
     def gain(lam, t):

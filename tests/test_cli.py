@@ -4,7 +4,10 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from fractions import Fraction
@@ -566,6 +569,18 @@ class TestIntegrateCommand:
             assert data.startswith(f"{float(lam)!r},,,,,{row['nodes']},True,")
         # lam 1e6 plans 9.5e10 nodes
         assert f"{row['nodes']:.2g}" == "9.5e+10"
+
+    def test_leaves_numpy_ma_unimported(self, tmp_path):
+        # numpy.ma costs about 10 ms to import, and nothing here needs it;
+        # a bare np.unique would import it
+        code = ("import sys; from oscdecay.cli import main; "
+                f"code = main(['integrate', '--phase', 'x1*x2*x3', '--dim', '3', '--lam', '16', "
+                f"'--out', {str(tmp_path / 'report.json')!r}]); "
+                "print(code, 'numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
 
     def test_small_grid(self, capsys):
         code, rep = run(capsys, "integrate", "--phase", "x1*x2",

@@ -1,10 +1,11 @@
 """Quadrature of the oscillatory form: cutoff, factors, parity, certificates."""
 import math
+import random
 import threading
 import tracemalloc
 import warnings
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -303,19 +304,30 @@ class TestEvaluateBasics:
 
     def test_only_rows_in_budget_reach_the_kernel(self, monkeypatch):
         # lam 64 fits 10,000 nodes and 256 and 512 do not: the kernel sees
-        # the cells of lam 64 and their rerun, as alone, and nothing else
+        # the cells of lam 64 and their rerun, as alone, and nothing else.
+        # Every cell evaluated, that is at least the reported nodes; one
+        # cell per orbit of the axis swap, fewer
         p, f = phase("x1*x2"), TestFunctionSpec.ones(2)
         quad_cfg = QuadratureConfig(node_budget=10_000)
         calls = kernel_calls(monkeypatch)
-        lone = evaluate_lambda(p, f, CHI_POS, 64.0, quad=quad_cfg)
-        lone_nodes = sum(b * math.prod(sizes) for b, sizes in calls)
-        calls.clear()
-        sweep = lambda_sweep(p, f, CHI_POS, (64.0, 256.0, 512.0), quad=quad_cfg)
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == lone_nodes >= lone.nodes > 0
-        assert fields(sweep[0]) == fields(lone) and not lone.low_confidence
-        for r in sweep[1:]:
-            assert r.low_confidence and r.value is None and r.error is None
-            assert r.nodes > 10_000
+        for grouped in (False, True):
+            with monkeypatch.context() as m:
+                if not grouped:
+                    ungrouped(m)
+                calls.clear()
+                lone = evaluate_lambda(p, f, CHI_POS, 64.0, quad=quad_cfg)
+                lone_nodes = sum(b * math.prod(sizes) for b, sizes in calls)
+                calls.clear()
+                sweep = lambda_sweep(p, f, CHI_POS, (64.0, 256.0, 512.0), quad=quad_cfg)
+                assert sum(b * math.prod(sizes) for b, sizes in calls) == lone_nodes > 0
+            if grouped:
+                assert lone_nodes < lone.nodes
+            else:
+                assert lone_nodes >= lone.nodes > 0
+            assert fields(sweep[0]) == fields(lone) and not lone.low_confidence
+            for r in sweep[1:]:
+                assert r.low_confidence and r.value is None and r.error is None
+                assert r.nodes > 10_000
 
     def test_default_rule_reaches_lam_4096(self):
         # the top sample of a default verify sweep fits in the node budget
@@ -1276,20 +1288,29 @@ class TestSweep:
         kernel = sum(b * math.prod(sizes) for b, sizes in calls)
         assert kernel <= 1.05 * sum(r.nodes for r in results)
 
-    @pytest.mark.parametrize("text, d, lams, kernel", [
-        ("x1*x2", 2, (64.0,), 5_072),
-        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 428_224),
-        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 373_056),
+    @pytest.mark.parametrize("text, d, lams, kernel, grouped", [
+        pytest.param("x1*x2", 2, (64.0,), 5_072, 3_264, id="x1*x2-2-lams0-5072"),
+        pytest.param("x1*x2*x3", 3, (16.0, 32.0, 64.0), 428_224, 151_744,
+                     id="x1*x2*x3-3-lams1-428224"),
+        pytest.param("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 373_056, 258_112,
+                     id="x1^2*x2^2*x3^2 + x1^3*x2*x3-3-lams2-373056"),
     ])
-    def test_rerun_keeps_unresolved_transition_cells(self, monkeypatch, text, d, lams, kernel):
+    def test_rerun_keeps_unresolved_transition_cells(self, monkeypatch, text, d, lams, kernel,
+                                                     grouped):
         # at these frequencies no transition axis has as many panels as the
-        # table resolves, so the kernel runs exactly the nodes of a rerun on
-        # every cell with an axis on [1/2, 1] (and on no other: a merged
-        # piece at order 16 lies on the plateau); on the octave layout to
-        # `levels` it ran 8,224, 1,283,776 and 873,088
+        # table resolves, so with every cell evaluated the kernel runs
+        # exactly the nodes of a rerun on every cell with an axis on
+        # [1/2, 1] (and on no other: a merged piece at order 16 lies on the
+        # plateau); on the octave layout to `levels` it ran 8,224, 1,283,776
+        # and 873,088.  One cell per orbit of the axis swaps runs `grouped`
         calls = kernel_calls(monkeypatch)
-        lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
+        with monkeypatch.context() as m:
+            ungrouped(m)
+            lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
         assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
+        calls.clear()
+        lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == grouped
 
     @pytest.mark.parametrize("chi, f", [
         (CHI, TestFunctionSpec.boxes([(-0.9, 0.7), (-0.6, 0.95)])),
@@ -1336,21 +1357,30 @@ class TestSweep:
                  for text in ("x1*x2", "x1^3*x2^3")]
         assert nodes == [968_400, 2_453_248]
 
-    @pytest.mark.parametrize("waves, lam, kernel, error", [
-        (2.0, 256.0, 49_440, 8.209120413601127e-09),
-        (0.5, 64.0, 29_808, 3.485047506192388e-08),
+    @pytest.mark.parametrize("waves, lam, kernel, error, grouped", [
+        pytest.param(2.0, 256.0, 49_440, 8.209120413601127e-09, 34_304,
+                     id="2.0-256.0-49440-8.209120413601127e-09"),
+        pytest.param(0.5, 64.0, 29_808, 3.485047506192388e-08, 19_616,
+                     id="0.5-64.0-29808-3.485047506192388e-08"),
     ])
     def test_rule_without_table_entry_reruns_every_cell_at_order(
-            self, monkeypatch, waves, lam, kernel, error):
+            self, monkeypatch, waves, lam, kernel, error, grouped):
         # no panel count resolves the transition for these rules, whose
         # targets lie below the float floor: every cell with an axis at
         # order 16 or above keeps its rerun, plateau-only ones too, and err
-        # is what that rerun gives
+        # is what that rerun gives.  One cell per orbit of the axis swap
+        # runs `grouped`, and gives that err to rounding
         calls = kernel_calls(monkeypatch)
-        r = evaluate_lambda(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, lam,
-                            quad=QuadratureConfig(waves_per_panel=waves))
+        args = (phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, lam)
+        with monkeypatch.context() as m:
+            ungrouped(m)
+            r = evaluate_lambda(*args, quad=QuadratureConfig(waves_per_panel=waves))
         assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
         assert r.error == pytest.approx(error, rel=1e-9)
+        calls.clear()
+        r = evaluate_lambda(*args, quad=QuadratureConfig(waves_per_panel=waves))
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == grouped
+        assert r.error == pytest.approx(error, rel=1e-8)
 
     @pytest.mark.parametrize("text, lams", [
         ("x1*x2*x3", (16.0, 32.0, 64.0)),
@@ -1378,6 +1408,14 @@ def kernel_calls(monkeypatch):
 
     monkeypatch.setattr(oscint, "_kernel", spy)
     return calls
+
+
+def ungrouped(monkeypatch):
+    """From now on every cell is its own orbit: `_evaluate` runs every cell."""
+    def identity(p, fs, chi, pieces, row, *rest):
+        return np.arange(len(row)), np.zeros(len(row), dtype=bool)
+
+    monkeypatch.setattr(oscint, "_orbits", identity)
 
 
 def count_rule_builds(monkeypatch):
@@ -1503,3 +1541,134 @@ class TestBatchedRows:
             lambda_sweep(p, [ones(2)], CHI, ())
         with pytest.raises(OscError, match="dimension mismatch"):
             lambda_sweep(p, [ones(2), ones(3)], CHI, (8.0, 16.0))
+
+
+def seeded_phase(seed, d, kind):
+    """A seeded phase of one or two monomials in d variables, every exponent
+    1..3: summed over the axis permutations ("symmetric"), minus its image
+    under the swap of x1 and x2 ("antisymmetric"), or as drawn."""
+    rng = random.Random(seed)
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        a = [rng.randint(1, 3) for _ in range(d)]
+        c = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 3))
+        if kind == "symmetric":
+            images = [(tuple(a[j] for j in perm), c) for perm in set(permutations(range(d)))]
+        elif kind == "antisymmetric":
+            a[1] = a[0] % 3 + 1  # a1 != a0, so the swap moves the term
+            images = [(tuple(a), c), ((a[1], a[0], *a[2:]), -c)]
+        else:
+            images = [(tuple(a), c)]
+        for b, cb in dict(images).items():
+            terms[b] = terms.get(b, 0) + cb
+    return PhasePolynomial.from_terms(terms, d, reduced=True)
+
+
+class TestOrbits:
+    # factors fixed by every permutation and reflection; by the permutations
+    # alone; by the swap of x1 and x2 with both reflected; and by nothing
+    FACTORS = {
+        "ones": lambda d: TestFunctionSpec.ones(d),
+        "even-boxes": lambda d: TestFunctionSpec.boxes([(-0.7, 0.7)] * d),
+        "equal-boxes": lambda d: TestFunctionSpec.boxes([(-0.4, 0.8)] * d),
+        "mirrored-boxes": lambda d: TestFunctionSpec.boxes([(-0.4, 0.8), (-0.8, 0.4),
+                                                            (-0.6, 0.6)][:d]),
+        "distinct-boxes": lambda d: TestFunctionSpec.boxes([(-0.3, 0.9), (0.05, 0.8),
+                                                            (-0.6, 0.5)][:d]),
+    }
+
+    @staticmethod
+    def grouped_and_not(monkeypatch, p, f, chi, lams, quad=QuadratureConfig()):
+        with monkeypatch.context() as m:
+            ungrouped(m)
+            want = lambda_sweep(p, f, chi, lams, quad=quad)
+        return lambda_sweep(p, f, chi, lams, quad=quad), want
+
+    @staticmethod
+    def assert_same(got, want):
+        # rounding apart: a cell takes its image's sum, not its own
+        for g, w in zip(got, want, strict=True):
+            assert (g.lam, g.nodes, g.low_confidence) == (w.lam, w.nodes, w.low_confidence)
+            assert abs(g.value - w.value) <= 1e-12 * abs(w.value)
+            assert g.error == pytest.approx(w.error, rel=1e-8)
+
+    @pytest.mark.parametrize("factors", list(FACTORS))
+    @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
+    @pytest.mark.parametrize("kind", ["symmetric", "antisymmetric", "asymmetric"])
+    @pytest.mark.parametrize("d, seed", [(2, 11), (2, 12), (3, 13)])
+    def test_grouped_values_equal_ungrouped_ones(self, monkeypatch, d, seed, kind, chi,
+                                                 factors):
+        p, f = seeded_phase(seed, d, kind), self.FACTORS[factors](d)
+        lams = (24.0, 96.0) if d == 2 else (8.0, 20.0)
+        got, want = self.grouped_and_not(monkeypatch, p, f, chi, lams)
+        self.assert_same(got, want)
+        if kind != "asymmetric" and factors in ("ones", "even-boxes", "equal-boxes"):
+            # the swap of x1 and x2 maps the phase to plus or minus itself
+            assert len(oscint._symmetries(p, [f], chi)[f]) > 1
+
+    def test_conjugate_path(self, monkeypatch):
+        # swapping the axes negates x1^2*x2 - x1*x2^2: a cell off the
+        # diagonal takes the conjugate of its mirror image's sum
+        p, f = phase("x1^2*x2 - x1*x2^2"), TestFunctionSpec.ones(2)
+        orbits, real = [], oscint._orbits
+
+        def spy(*args):
+            orbits.append(real(*args))
+            return orbits[-1]
+
+        monkeypatch.setattr(oscint, "_orbits", spy)
+        got, want = self.grouped_and_not(monkeypatch, p, f, CHI_POS, (64.0, 256.0, 1024.0))
+        self.assert_same(got, want)
+        (rep, conj), = orbits
+        assert conj.any() and (rep[conj] != np.flatnonzero(conj)).all()
+        assert oscint._symmetries(p, [f], CHI_POS) == {f: (((0, 1), (1, 1), False),
+                                                           ((1, 0), (1, 1), True))}
+
+    @pytest.mark.parametrize("text, chi, group", [
+        ("x1*x2", CHI_POS, 2),
+        ("x1*x2", CHI, 8),
+        ("x1^2*x2^2 + x1^5*x2", CHI_POS, 1),
+        # the reflection of both axes alone
+        ("x1^2*x2^2 + x1^5*x2", CHI, 2),
+        ("x1^3*x2 + x1*x2^2", CHI, 2),
+        ("x1*x2*x3", CHI, 48),
+    ])
+    def test_group_of_the_phase(self, text, chi, group):
+        p = phase(text, 3 if "x3" in text else 2)
+        found, = oscint._symmetries(p, [TestFunctionSpec.ones(p.dimension)], chi).values()
+        assert len(found) == group
+        assert found[0] == (tuple(range(p.dimension)), (1,) * p.dimension, False)
+
+    @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
+    def test_row_without_cells(self, chi):
+        # the swap fixes a box outside the support: its row has no cells,
+        # alone or beside another row
+        box = TestFunctionSpec.boxes([(2.0, 3.0)] * 2)
+        r, other = lambda_sweep(phase("x1*x2"), [box, TestFunctionSpec.ones(2)], chi,
+                                (50.0, 60.0))
+        assert (r.value, r.error, r.nodes) == (0, 0, 0) and other.nodes > 0
+        assert fields(evaluate_lambda(phase("x1*x2"), box, chi, 50.0)) == fields(r)
+
+    def test_each_row_takes_its_own_group(self):
+        # x1 -> -x1 negates the phase and fixes only the rows whose first
+        # factor is even
+        p = phase("x1^3*x2 + x1*x2^2")
+        fs = TestBatchedRows.FS
+        groups = oscint._symmetries(p, fs, CHI)
+        assert [len(groups[f]) for f in fs] == [1, 2, 2, 1, 2]
+
+    def test_trivial_group_changes_nothing(self, monkeypatch):
+        # no swap or reflection maps x1^2*x2^2 + x1^5*x2 to plus or minus
+        # itself on the orthant: the same kernel calls and results either
+        # way (the kernel nodes of symmetric sweeps are pinned in TestSweep)
+        calls = kernel_calls(monkeypatch)
+        runs = []
+        for grouped in (False, True):
+            calls.clear()
+            with monkeypatch.context() as m:
+                if not grouped:
+                    ungrouped(m)
+                results = lambda_sweep(phase("x1^2*x2^2 + x1^5*x2"), TestFunctionSpec.ones(2),
+                                       CHI_POS, (64.0, 256.0, 1024.0))
+            runs.append((list(calls), [fields(r) for r in results]))
+        assert runs[0] == runs[1]
