@@ -3,7 +3,7 @@
 For a rule (order, waves_per_panel), each map exponent e and each Gauss
 order n an axis off the cutoff plateau may take, P0(n, e) is the least panel
 count from which on, up to MAX_PANELS, n-point panels at map exponent e on
-the cutoff's transition piece [1/2, 1] (`oscint._axis_rule`) integrate
+the cutoff's transition piece [1/2, 1] (`oscint._rule_table`) integrate
 profile * exp(i w x^e) there within the per-panel target relative to the
 profile's mass on the piece.  That mass is the allowance a cell that is not
 rerun adds per axis.  The frequencies w, FREQUENCIES of them, run up to the
@@ -23,8 +23,8 @@ import argparse
 
 import numpy as np
 
-from oscdecay.oscint import (_MAX_MAP, _TRANSITION_PANELS, PLATEAU, CutoffSpec,
-                             _axis_rule, _gauss, _ladder)
+from oscdecay.oscint import (_MAX_MAP, _TRANSITION_PANELS, PLATEAU, CutoffSpec, _ladder,
+                             _rule_table)
 
 # frequencies checked per panel count, and the largest panel count checked
 FREQUENCIES = 400
@@ -34,11 +34,19 @@ REFERENCE_SPLIT = 4
 LO = float(PLATEAU)
 
 
+def rule(panels, n, e):
+    """The nodes and weights of `panels` n-point panels at map exponent e on
+    the transition piece, times the cutoff."""
+    _, _, stacks = _rule_table(np.array([[LO, 1.0, panels, n, e]]), CutoffSpec())
+    (nodes, weights), = stacks.values()
+    return nodes[0], weights[0]
+
+
 def transition_sum(panels, n, e, w):
     """The rule's sums of profile * exp(i w x^e) on the transition piece,
     one per frequency of `w`.  cos and sin come from tan of the half angle,
     as in the quadrature kernel, which is 5x faster than complex exp."""
-    x, weights = _axis_rule(LO, 1.0, panels, e, *_gauss(n), CutoffSpec())
+    x, weights = rule(panels, n, e)
     t = np.tan(np.multiply.outer(0.5 * w, x ** e))
     c = 2.0 / (1.0 + t * t)
     return (c - 1.0) @ weights + 1j * ((c * t) @ weights)
@@ -49,7 +57,7 @@ def worst_error(n, panels, most, e=1):
     relative to the profile's mass there, over FREQUENCIES frequencies of up
     to `most` turns per panel."""
     w = 2.0 * np.pi * panels / (1.0 - LO ** e) * np.linspace(0.0, most, FREQUENCIES + 1)[1:]
-    mass = _axis_rule(LO, 1.0, REFERENCE_SPLIT * panels, e, *_gauss(32), CutoffSpec())[1].sum()
+    mass = rule(REFERENCE_SPLIT * panels, 32, e)[1].sum()
     return float(np.abs(transition_sum(panels, n, e, w)
                         - transition_sum(REFERENCE_SPLIT * panels, 32, e, w)).max() / mass)
 

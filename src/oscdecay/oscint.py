@@ -26,9 +26,10 @@ whose rules are permutations of each other (`_orbits`): only the first
 cell of each is evaluated, and the others take its sum or the conjugate.
 Those cells of the other rows, then those rerun, are evaluated as one
 batch (`_run_level`).  A per-axis rule, real weights times the cutoff,
-depends only on its piece, panel count, order and map exponent: each
-distinct one is built and stacked once per call, and cells with equal
-node counts per axis gather theirs from the stacks.  A kernel call on
+depends only on its piece, panel count, order and map exponent: the
+distinct ones of every axis are built once per call as one table, with
+one cutoff evaluation (`_rule_table`), and cells with equal node counts
+per axis gather theirs from its view of that count.  A kernel call on
 several cells spans at most `_CHUNK` floats as two planes and row sums, and
 one on a single cell at most `_CHUNK` nodes (a larger cell is cut along its
 first axis).  The kernel takes a call's last-axis rows in blocks, in a
@@ -355,17 +356,17 @@ def _panel_counts(lams, sizing, quad):
     arrays for cells at frequencies `lams`, one per cell, from `sizing`
     (`_sizing`).  T is the turns across the piece in x^e: lam times the
     bound, times the span over 2 pi.  An axis with map exponent e has its
-    P panels at equal steps of x^e (`_axis_rule`).  With
+    P panels at equal steps of x^e (`_rule_table`).  With
     F(P) = (1 + ((hi/lo)^e - 1) / P)^((e - 1)/e) the bottom panel's ratio
     of ends, no panel of P = 1 + floor(T F(P0) / most_n) exceeds most_n
     turns, for P0 = 1 + floor(T / most_n), since F falls as P grows.  At
     e = 1, F is 1: equal panels, by default 16 points on at most 4 turns,
     24 on 7.43 or 32 on 11.0, and on the plateau also 4, 8 or 12
-    (`_ladder`).  Each e and order an axis may take is sized in turn, e
-    outside and orders ascending inside, and an entry takes a rule only
-    with strictly fewer nodes than its best so far: the fewest nodes win,
-    ties to e = 1, then to the lower e and order.  An e > 1 is tried only
-    where one is allowed and equal panels number more than one.  Every
+    (`_ladder`).  Each e is sized in one broadcast over (order, entry): an
+    entry takes the order with the fewest nodes, the first, so the lower,
+    on a tie, and keeps it only with strictly fewer nodes than its best at
+    a lower e: ties go to e = 1, then to the lower e.  An e > 1 is tried
+    only where one is allowed and equal panels number more than one.  Every
     panel meets the same target relative to its width, so the summed bound
     per axis is that of 16-point panels alone.  Counts are capped at 2^53,
     far above any budget; turns at e = 1 that overflow are refused, naming
@@ -378,12 +379,14 @@ def _panel_counts(lams, sizing, quad):
         finite = np.isfinite(turns / quad.waves_per_panel).all(axis=1)
     if not finite.all():
         raise OscError(f"phase turns per cell overflow at lam {lams[int(np.argmin(finite))]:g}")
-    lam = np.broadcast_to(lam, ratios.shape)
+    lam, never = np.broadcast_to(lam, ratios.shape), np.iinfo(np.int64).max
+    # each rung's order, most turns and plateau flag, one row per rung
+    rungs = _ladder(quad.order, quad.waves_per_panel)[1]
+    ns, most, plateau = (np.array(v)[:, None] for v in zip(*rungs))
     # no rule yet: every entry takes the first one it meets
     orders, exps = (np.ones(ratios.shape, dtype=np.int64) for _ in range(2))
-    counts = np.full(ratios.shape, np.iinfo(np.int64).max)
+    counts = np.full(ratios.shape, never)
     sized = np.ones(ratios.shape, dtype=bool)
-    rungs = _ladder(quad.order, quad.waves_per_panel)[1]
     with np.errstate(over="ignore", invalid="ignore"):
         for e, (bound, span) in enumerate(zip(bounds, spans), 1):
             if e == 2:
@@ -391,27 +394,21 @@ def _panel_counts(lams, sizing, quad):
                 # equal panels need more than one
                 sized = (counts > 1) & np.isfinite(spans[1:]).any(axis=0)
             spread = lam[sized] * bound[sized] * span[sized] / (2.0 * math.pi)
-            grow, plateau_ok = ratios[sized] ** e - 1.0 if e > 1 else None, analytic[sized]
-            # the fewest nodes so far per entry, with their count, order and e
-            picked = counts[sized], orders[sized], exps[sized]
-            best = picked[0] * picked[1]
-            for n, most, plateau in rungs:
-                need = spread / most
-                if e > 1:  # at e = 1, F(P0) = (...)^0.0 is exactly 1.0
-                    first = 1 + np.minimum(np.floor(need), 2.0 ** 53)
-                    need = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
-                # at e = 1 the turns are finite and a count past the float
-                # range is capped; at e > 1 such a rule is not taken
-                ok = np.isfinite(need) | (e == 1)
-                if plateau:
-                    ok &= plateau_ok
-                need = np.where(ok, need, 0.0)
-                count = 1 + np.minimum(np.floor(need), 2.0 ** 53).astype(np.int64)
-                size = np.where(ok, count * n, np.iinfo(np.int64).max)
-                take = size < best
-                for out, value in zip((best, *picked), (size, count, n, e)):
-                    np.copyto(out, value, where=take)
-            counts[sized], orders[sized], exps[sized] = picked
+            need = spread / most
+            if e > 1:  # at e = 1, F(P0) = (...)^0.0 is exactly 1.0
+                first = 1 + np.minimum(np.floor(need), 2.0 ** 53)
+                need = spread * (1.0 + (ratios[sized] ** e - 1.0) / first) ** ((e - 1) / e) / most
+            # at e = 1 the turns are finite and a count past the float range
+            # is capped; at e > 1 such a rule is not taken
+            ok = (np.isfinite(need) | (e == 1)) & (~plateau | analytic[sized])
+            count = 1 + np.minimum(np.floor(np.where(ok, need, 0.0)), 2.0 ** 53).astype(np.int64)
+            size = np.where(ok, count * ns, never)
+            pick = size.argmin(axis=0)[None]
+            size, count = (np.take_along_axis(a, pick, axis=0)[0] for a in (size, count))
+            keep = size < counts[sized] * orders[sized]
+            take = sized.copy()
+            take[sized] = keep
+            counts[take], orders[take], exps[take] = count[keep], ns[pick[0, keep], 0], e
     return counts, orders, exps
 
 
@@ -431,30 +428,6 @@ _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
     (4, ((16, 18), (24, 13), (32, 10))),
     (5, ((24, 27), (32, 20))),
 )})
-
-
-def _axis_rule(lo, hi, panels, e, gx, gw, chi):
-    """Gauss panel nodes on [lo, hi] and their weights times the cutoff; on
-    the plateau the cutoff is 1 and is not evaluated.  At map exponent e the
-    panels lie between (a^e + j (b^e - a^e) / panels)^(1/e), a < b the
-    magnitudes of the ends, mirrored below 0: Gauss in x, no Jacobian."""
-    if e == 1:
-        width = (hi - lo) / panels
-        starts = lo + width * np.arange(panels)
-        nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
-        weights = np.tile(width * 0.5 * gw, panels)
-    else:
-        a, b = sorted((abs(lo), abs(hi)))
-        ends = (a ** e + (b ** e - a ** e) * np.arange(panels + 1) / panels) ** (1.0 / e)
-        ends[0], ends[-1] = a, b
-        if hi <= 0:
-            ends = -ends[::-1]
-        widths = np.diff(ends)[:, None]
-        nodes = (ends[:-1, None] + widths * 0.5 * (gx + 1.0)).ravel()
-        weights = (widths * 0.5 * gw).ravel()
-    if max(abs(lo), abs(hi)) > _PLATEAU:
-        weights *= chi.profile(nodes)
-    return nodes, weights
 
 
 _BLOCK = 131_072  # kernel workspace floats per block: 1 MiB, half of a 2 MiB per-core L2
@@ -544,9 +517,10 @@ def _gauss(order):
 
 
 def _rows(a):
-    """The distinct rows of the integer array a, in lexicographic order, and
-    the index of each row of a among them: np.unique(a, axis=0) without its
-    sort of a void view, which is 5x slower."""
+    """The distinct rows of the array a, in lexicographic order, and the
+    index of each row of a among them: np.unique(a, axis=0) without its
+    sort of a void view, which is 5x slower, and without the numpy.ma
+    import it makes.  Float rows compare by value, so -0.0 and 0.0 are one."""
     order = np.lexsort(a.T[::-1])
     a = a[order]
     step = np.ones(len(a), dtype=bool)
@@ -556,34 +530,83 @@ def _rows(a):
     return a[step], inverse
 
 
+def _rule_table(keys, chi):
+    """Every distinct Gauss rule of `keys`, float rows (lo, hi, panels,
+    order, e), built as one table: nodes on [lo, hi] and real weights times
+    the cutoff.  At map exponent e the panels lie between (a^e + j (b^e -
+    a^e) / panels)^(1/e), a < b the magnitudes of the ends, mirrored below
+    0: Gauss in x, no Jacobian.  Each panel's start and width are found
+    first, those at e > 1 rule by rule with scalar powers a^e, then each
+    Gauss order's nodes and weights in one broadcast; the cutoff is
+    evaluated once, on the nodes of every rule off the plateau.  The
+    distinct rows are sorted by node count first (`_rows`).  Returns the
+    index of each row of `keys` among them and of each among the rules of
+    its node count, and per node count N the (m, N) nodes and weights of
+    its m rules, views of two flat arrays."""
+    rules, inverse = _rows(np.column_stack([keys[:, 2] * keys[:, 3], keys]))
+    size, lo, hi = rules[:, 0].astype(np.int64), rules[:, 1], rules[:, 2]
+    panels, order, e = rules[:, 3:].astype(np.int64).T
+    # per panel, its rule, index j in the rule, start and width
+    of = np.repeat(np.arange(len(rules)), panels)
+    first = np.cumsum(panels) - panels
+    width = ((hi - lo) / panels)[of]
+    start = lo[of] + width * (np.arange(len(of)) - first[of])
+    mapped = np.flatnonzero(e > 1)
+    for r, l, h, p, x in zip(mapped.tolist(), *(v[mapped].tolist() for v in (lo, hi, panels, e))):
+        a, b = sorted((abs(l), abs(h)))
+        ends = (a ** x + (b ** x - a ** x) * np.arange(p + 1) / p) ** (1.0 / x)
+        ends[0], ends[-1] = a, b
+        if h <= 0:
+            ends = -ends[::-1]
+        at = slice(first[r], first[r] + p)
+        start[at], width[at] = ends[:-1], np.diff(ends)
+    half, n = width * 0.5, order[of]
+    at = np.cumsum(n) - n  # each panel's first node
+    nodes, weights = np.empty((2, int(n.sum())))
+    # elementwise only, so a rule's bits do not depend on the others in its table
+    for m in sorted(set(n.tolist())):
+        gx, gw = _gauss(m)
+        sel = np.flatnonzero(n == m)
+        put = at[sel, None] + np.arange(m)
+        nodes[put] = start[sel, None] + half[sel, None] * (gx + 1.0)
+        weights[put] = half[sel, None] * gw
+    off = np.repeat(np.maximum(np.abs(lo), np.abs(hi)) > _PLATEAU, size)
+    if off.any():
+        weights[off] *= chi.profile(nodes[off])
+    # node counts ascend: the rules of each count are one run of the table
+    place = np.arange(len(rules)) - np.searchsorted(size, size)
+    heads, end, stacks = np.flatnonzero(place == 0).tolist(), np.cumsum(size).tolist(), {}
+    for h, t in zip(heads, heads[1:] + [len(rules)]):
+        view = slice(end[h] - int(size[h]), end[t - 1])
+        stacks[int(size[h])] = nodes[view].reshape(t - h, -1), weights[view].reshape(t - h, -1)
+    return inverse, place, stacks
+
+
 def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
     """Rule sums and weight masses of cells, each at its own frequency
     `lams` and with its rule given per axis by its row of `cells` (piece
     index), `counts`, `orders` and `exps` (map exponents).  The pieces are
     already clipped to the factors, so a rule is the real Gauss weights
-    times the cutoff, keyed by (lo, hi, panels, order, e) alone.  Per axis,
-    the distinct rules of each node count are stacked once; each shape
-    group gathers its cells' rules from them."""
+    times the cutoff, keyed by (lo, hi, panels, order, e) alone.  The
+    distinct rules of every axis are built as one table (`_rule_table`), so
+    axes share them; each shape group gathers its cells' rules from the
+    table's view of each node count."""
     values = np.zeros(len(cells), dtype=complex)
     mass = np.ones(len(cells))
-
-    @lru_cache(maxsize=None)
-    def rule(lo, hi, panels, order, e):
-        # each distinct rule is built once, and every axis and cell shares it
-        return _axis_rule(lo, hi, panels, e, *_gauss(order), chi)
-
-    # per axis, {node count: stacked nodes and weights} and each row's place
-    stacks, place = [], []
+    # per axis, its distinct rules and each cell's among them
+    keys, inverse = [], []
     for k, pieces in enumerate(axis_pieces):
-        keys, inv = _rows(np.stack([counts[:, k] * orders[:, k], cells[:, k],
-                                    counts[:, k], orders[:, k], exps[:, k]], axis=1))
-        sizes, first, many = np.unique(keys[:, 0], return_index=True, return_counts=True)
-        built = [rule(*pieces[j], c, o, e) for _, j, c, o, e in keys.tolist()]
-        stacks.append({n: [np.stack(r) for r in zip(*built[a:a + m])]
-                       for n, a, m in zip(sizes.tolist(), first.tolist(), many.tolist())})
-        mass *= np.concatenate([np.zeros(0)] + [np.abs(w).sum(axis=1)
-                                                for _, w in stacks[-1].values()])[inv]
-        place.append((np.arange(len(keys)) - np.repeat(first, many))[inv])
+        rules, at = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k], exps[:, k]], axis=1))
+        ends = np.array(pieces, dtype=float).reshape(-1, 2)[rules[:, 0]]
+        keys.append(np.column_stack([ends, rules[:, 1:]]))
+        inverse.append(at)
+    table, place, stacks = _rule_table(np.concatenate(keys), chi)
+    sums = np.concatenate([np.zeros(0)] + [np.abs(w).sum(axis=1) for _, w in stacks.values()])
+    # per axis, each cell's rule in the table
+    offsets = np.cumsum([0] + [len(k) for k in keys])
+    ids = [table[o + at] for o, at in zip(offsets.tolist(), inverse)]
+    for rule in ids:
+        mass *= sums[rule]
     # rows with equal node counts per axis have rules of equal shape: each
     # such group is evaluated in batches whose two planes and row sums,
     # 2*b*m*(n + 1) floats, stay within _CHUNK (the kernel blocks them)
@@ -594,8 +617,8 @@ def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
         batch = max(1, _CHUNK // (2 * (size + size // sizes[-1])))
         # a cell above the chunk alone is cut into slices along axis 0
         rows = max(1, _CHUNK // (size // sizes[0]))
-        # per axis, the stack of the group's node count and its rows' places
-        gathered = [(*by_size[n], at[members]) for by_size, at, n in zip(stacks, place, sizes)]
+        # per axis, the table's rules of the group's node count and its rows' places
+        gathered = [(*stacks[n], place[rule[members]]) for rule, n in zip(ids, sizes)]
         for start in range(0, len(members), batch):
             idx = members[start:start + batch]
             axes = [x[at[start:start + batch]] for x, _, at in gathered]

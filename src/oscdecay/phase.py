@@ -166,7 +166,8 @@ class PhasePolynomial:
         if len(axes) != self.dimension:
             raise PhaseError("point has wrong dimension")
         b, d = axes[0].shape[0], self.dimension
-        scale = np.broadcast_to(scale, (b,))
+        if getattr(scale, "shape", None) != (b,):
+            scale = np.broadcast_to(scale, (b,))
         coeffs = self._float_coefficients
         # einsum forms the outer product of a monomial on a 256x1024 cell in
         # about 200 us against 400 us for a broadcast multiply (numpy 2.4).

@@ -572,15 +572,19 @@ class TestIntegrateCommand:
 
     def test_leaves_numpy_ma_unimported(self, tmp_path):
         # numpy.ma costs about 10 ms to import, and nothing here needs it;
-        # a bare np.unique would import it
+        # a bare np.unique would import it.  `verify --sharpness` builds
+        # rules on pieces its witness boxes clip
+        out = str(tmp_path / "report.json")
         code = ("import sys; from oscdecay.cli import main; "
-                f"code = main(['integrate', '--phase', 'x1*x2*x3', '--dim', '3', '--lam', '16', "
-                f"'--out', {str(tmp_path / 'report.json')!r}]); "
-                "print(code, 'numpy.ma' in sys.modules)")
+                f"a = main(['integrate', '--phase', 'x1*x2*x3', '--dim', '3', '--lam', '16', "
+                f"'--out', {out!r}]); "
+                f"b = main(['verify', '--phase', 'x1*x2', '--lam-lo', '32', '--lam-hi', '512', "
+                f"'--lam-count', '8', '--sharpness', '--out', {out!r}]); "
+                "print(a, b, 'numpy.ma' in sys.modules)")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert proc.stdout.split() == ["0", "0", "False"], proc.stderr
 
     def test_small_grid(self, capsys):
         code, rep = run(capsys, "integrate", "--phase", "x1*x2",

@@ -27,7 +27,6 @@ from oscdecay.oscint import (
     QuadratureConfig,
     TestFunctionSpec,
     _axis_pieces,
-    _axis_rule,
     _depths,
     _evaluate,
     _kernel,
@@ -35,6 +34,7 @@ from oscdecay.oscint import (
     _panel_counts,
     _plan,
     _rows,
+    _rule_table,
     _sizing,
     bump,
     certificate_sum,
@@ -431,6 +431,58 @@ def panel_rules(p, f, chi, lam, analytic=None, quad=QuadratureConfig(), depths=N
     return _panel_counts([lam] * len(sizing[3]), sizing, quad)
 
 
+def reference_panel_counts(lams, sizing, quad):
+    """`_panel_counts` one rung at a time: e = 1..E outside, orders
+    ascending inside, and an entry takes a rule only with strictly fewer
+    nodes than its best so far."""
+    bounds, spans, ratios, analytic = sizing
+    lam = np.broadcast_to(np.abs(np.asarray(lams, dtype=float))[:, None], ratios.shape)
+    orders, exps = (np.ones(ratios.shape, dtype=np.int64) for _ in range(2))
+    counts = np.full(ratios.shape, np.iinfo(np.int64).max)
+    sized = np.ones(ratios.shape, dtype=bool)
+    rungs = oscint._ladder(quad.order, quad.waves_per_panel)[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e, (bound, span) in enumerate(zip(bounds, spans), 1):
+            if e == 2:
+                sized = (counts > 1) & np.isfinite(spans[1:]).any(axis=0)
+            spread = lam[sized] * bound[sized] * span[sized] / (2.0 * math.pi)
+            grow, plateau_ok = ratios[sized] ** e - 1.0 if e > 1 else None, analytic[sized]
+            picked = counts[sized], orders[sized], exps[sized]
+            best = picked[0] * picked[1]
+            for n, most, plateau in rungs:
+                need = spread / most
+                if e > 1:
+                    first = 1 + np.minimum(np.floor(need), 2.0 ** 53)
+                    need = spread * (1.0 + grow / first) ** ((e - 1) / e) / most
+                ok = np.isfinite(need) | (e == 1)
+                if plateau:
+                    ok &= plateau_ok
+                need = np.where(ok, need, 0.0)
+                count = 1 + np.minimum(np.floor(need), 2.0 ** 53).astype(np.int64)
+                size = np.where(ok, count * n, np.iinfo(np.int64).max)
+                take = size < best
+                for out, value in zip((best, *picked), (size, count, n, e)):
+                    np.copyto(out, value, where=take)
+            counts[sized], orders[sized], exps[sized] = picked
+    return counts, orders, exps
+
+
+def random_sizing(seed, cells=600, d=3):
+    """Per-cell frequencies and a `_sizing`-shaped tuple of random rates:
+    turns from below one panel to above 2^53, barred map exponents (inf
+    spans), pieces at 0 (inf ratios) and a random plateau mask."""
+    rng = np.random.default_rng(seed)
+    lams = 10.0 ** rng.uniform(0.0, 3.0, cells)
+    lams[rng.random(cells) < 0.05] = 1e19  # 2^53 is about 9e15 turns
+    bounds = 10.0 ** rng.uniform(-2.0, 2.0, (5, cells, d))
+    spans = 10.0 ** rng.uniform(-3.0, 0.0, (5, cells, d))
+    ratios = rng.choice([1.1, 1.5, 2.0, 3.0, math.inf], (cells, d))
+    top = rng.integers(1, 6, (cells, d))  # the largest e each entry may take
+    e = np.arange(1, 6)[:, None, None]
+    spans[(e > top) | ((e > 1) & (ratios == math.inf))] = math.inf
+    return lams, (bounds, spans, ratios, rng.random((cells, d)) < 0.5)
+
+
 def depths_of(p, f, chi, lams, quad=QuadratureConfig()):
     """`_depths` of the rows at `lams`: their depths and merged-piece orders."""
     return _depths([p.derivative(k).absolute() for k in range(p.dimension)], f, chi, lams, quad)
@@ -442,6 +494,31 @@ def row_pieces(p, f, chi, lam, quad=QuadratureConfig()):
     (depths,), (merged,) = depths_of(p, f, chi, [lam], quad)
     pieces = [_axis_pieces(chi, fac, depth) for fac, depth in zip(f.factors, depths.tolist())]
     return pieces, depths.tolist(), merged.tolist()
+
+
+def reference_rule(lo, hi, panels, e, gx, gw, chi):
+    """One rule of `_rule_table`, formula by formula: Gauss panel nodes on
+    [lo, hi] and their weights times the cutoff; on the plateau the cutoff
+    is 1 and is not evaluated.  At map exponent e the panels lie between
+    (a^e + j (b^e - a^e) / panels)^(1/e), a < b the magnitudes of the ends,
+    mirrored below 0: Gauss in x, no Jacobian."""
+    if e == 1:
+        width = (hi - lo) / panels
+        starts = lo + width * np.arange(panels)
+        nodes = (starts[:, None] + width * 0.5 * (gx + 1.0)[None, :]).ravel()
+        weights = np.tile(width * 0.5 * gw, panels)
+    else:
+        a, b = sorted((abs(lo), abs(hi)))
+        ends = (a ** e + (b ** e - a ** e) * np.arange(panels + 1) / panels) ** (1.0 / e)
+        ends[0], ends[-1] = a, b
+        if hi <= 0:
+            ends = -ends[::-1]
+        widths = np.diff(ends)[:, None]
+        nodes = (ends[:-1, None] + widths * 0.5 * (gx + 1.0)).ravel()
+        weights = (widths * 0.5 * gw).ravel()
+    if max(abs(lo), abs(hi)) > 0.5:
+        weights *= chi.profile(nodes)
+    return nodes, weights
 
 
 def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
@@ -458,7 +535,7 @@ def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     values = []
     for cell, cnt, ords, es in zip(product(*pieces), counts.tolist(), orders.tolist(),
                                    exps.tolist()):
-        rules = [_axis_rule(lo, hi, c, e, *np.polynomial.legendre.leggauss(n), chi)
+        rules = [reference_rule(lo, hi, c, e, *np.polynomial.legendre.leggauss(n), chi)
                  for (lo, hi), c, n, e in zip(cell, cnt, ords, es)]
         grid = np.meshgrid(*[x for x, _ in rules], indexing="ij")
         weight = rules[0][1]
@@ -591,6 +668,76 @@ class TestKernel:
         assert got.tolist() == want.tolist()
         assert at.tolist() == inverse.ravel().tolist()
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("quad", [QuadratureConfig(), QuadratureConfig(order=12,
+                                                                          waves_per_panel=1.0),
+                                      QuadratureConfig(order=40)], ids=["16", "12", "40"])
+    def test_panel_counts_match_reference_loop(self, seed, quad):
+        lams, sizing = random_sizing(seed)
+        got = _panel_counts(lams, sizing, quad)
+        want = reference_panel_counts(lams, sizing, quad)
+        assert all(a.dtype == np.int64 and a.tolist() == b.tolist() for a, b in zip(got, want))
+        if quad != QuadratureConfig():
+            return
+        # on the default rule every map exponent is taken, counts reach the
+        # 2^53 cap, and some entries have two orders of equal fewest nodes
+        # at e = 1
+        counts, orders, exps = got
+        assert set(exps.ravel().tolist()) == {1, 2, 3, 4, 5}
+        assert counts.max() == 2 ** 53 + 1
+        bounds, spans, _, analytic = sizing
+        turns = lams[:, None] * bounds[0] * spans[0] / (2.0 * math.pi)
+        rungs = oscint._ladder(quad.order, quad.waves_per_panel)[1]
+        size = np.stack([np.where(analytic | (not plateau), n * (1 + np.floor(turns / most)),
+                                  math.inf) for n, most, plateau in rungs])
+        assert ((size == size.min(axis=0)).sum(axis=0) > 1).any()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rule_table_matches_reference_rules(self, seed, monkeypatch):
+        # every order 4..32 at e = 1..5 on octaves on both sides of 0, the
+        # transition piece whole and clipped by a box, and the merged
+        # pieces [0, 2^-L] and [-2^-L, -0.0] at e = 1, each key drawn
+        # several times and [-2^-L, 0.0] beside [-2^-L, -0.0]
+        rng = np.random.default_rng(seed)
+        octaves = [(2.0 ** -(l + 1), 2.0 ** -l) for l in range(1, 12)]
+        edges = [(0.5, 1.0), (0.5, rng.uniform(0.5, 1.0)), (rng.uniform(0.5, 1.0), 1.0),
+                 (0.3, rng.uniform(0.6, 1.0)), (0.25, 0.5)]
+        pieces = octaves + edges + [(-hi, -lo) for lo, hi in octaves + edges]
+        keys = []
+        for _ in range(400):
+            lo, hi = pieces[rng.integers(len(pieces))]
+            keys.append((lo, hi, int(rng.integers(1, 9)), int(rng.integers(4, 33)),
+                         int(rng.integers(1, 6))))
+        for depth in (1, 5, 12):
+            order = int(rng.integers(4, 33))
+            for lo, hi in ((0.0, 2.0 ** -depth), (-(2.0 ** -depth), -0.0),
+                           (-(2.0 ** -depth), 0.0)):
+                keys.append((lo, hi, 1, order, 1))
+        assert {k[3] for k in keys} == set(range(4, 33)) and {k[4] for k in keys} == {1, 2, 3, 4, 5}
+        keys = np.array(keys + keys[::3])
+        calls = []
+        original = CutoffSpec.profile
+
+        def counting(self, t):
+            calls.append(len(t))
+            return original(self, t)
+
+        monkeypatch.setattr(CutoffSpec, "profile", counting)
+        inverse, place, stacks = _rule_table(keys, CHI)
+        # one cutoff evaluation for the whole table, and one row per
+        # distinct key by value: -0.0 and 0.0 key alike
+        assert len(calls) == 1
+        assert len(set(inverse.tolist())) == len({tuple(k) for k in keys.tolist()}) < len(keys)
+        assert len({inverse[i] for i, k in enumerate(keys.tolist()) if k[0] < 0 and k[1] == 0}) == 3
+        assert sum(len(x) for x, _ in stacks.values()) == len(set(inverse.tolist()))
+        for key, r in zip(keys.tolist(), inverse.tolist()):
+            lo, hi, panels, order, e = key
+            nodes, weights = (a[place[r]] for a in stacks[int(panels * order)])
+            want = reference_rule(lo, hi, int(panels), int(e),
+                                  *np.polynomial.legendre.leggauss(int(order)), CHI)
+            assert nodes.tobytes() == want[0].tobytes()
+            assert weights.tobytes() == want[1].tobytes()
+
     def test_panel_counts_match_scalar_bounds(self):
         # awkward clips and high powers: the grid evaluation must round
         # exactly like one corner at a time
@@ -666,7 +813,7 @@ class TestKernel:
         want_weights = np.tile(width * 0.5 * gw, panels)
         if max(abs(lo), abs(hi)) > 0.5:
             want_weights *= CHI.profile(want_nodes)
-        nodes, weights = _axis_rule(lo, hi, panels, 1, gx, gw, CHI)
+        nodes, weights = reference_rule(lo, hi, panels, 1, gx, gw, CHI)
         assert nodes.tobytes() == want_nodes.tobytes()
         assert weights.tobytes() == want_weights.tobytes()
         if lo == 0.0:  # the piece at 0 keeps equal panels
@@ -681,7 +828,7 @@ class TestKernel:
                 ends = [-x for x in reversed(ends)]
             want = np.concatenate([x0 + (x1 - x0) * 0.5 * (gx + 1.0)
                                    for x0, x1 in zip(ends, ends[1:])])
-            nodes, weights = _axis_rule(lo, hi, panels, e, gx, gw, CHI)
+            nodes, weights = reference_rule(lo, hi, panels, e, gx, gw, CHI)
             assert nodes == pytest.approx(want, rel=1e-14)
             if max(abs(lo), abs(hi)) <= 0.5:
                 assert weights @ nodes ** 2 == pytest.approx((hi ** 3 - lo ** 3) / 3,
@@ -1419,15 +1566,20 @@ def ungrouped(monkeypatch):
 
 
 def count_rule_builds(monkeypatch):
-    """A list that gets one entry per per-axis rule built from now on."""
+    """A list that gets one entry per per-axis rule built from now on: per
+    row of each rule table, (lo, hi, panels, e, gx, gw, chi), the arguments
+    of `reference_rule`."""
     calls = []
-    original = oscint._axis_rule
+    original = oscint._rule_table
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(keys, chi):
+        built = original(keys, chi)
+        rows = dict(zip(built[0].tolist(), keys.tolist()))  # one key per table row
+        calls.extend((lo, hi, int(panels), int(e), *oscint._gauss(int(order)), chi)
+                     for lo, hi, panels, order, e in rows.values())
+        return built
 
-    monkeypatch.setattr(oscint, "_axis_rule", counting)
+    monkeypatch.setattr(oscint, "_rule_table", counting)
     return calls
 
 
