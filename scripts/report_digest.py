@@ -23,7 +23,11 @@ below 1 (exit 1), and two `integrate` sweeps whose cells fall into orbits
 of signed coordinate permutations: x1^2*x2 - x1*x2^2 over the orthant,
 where swapping the axes negates the phase, so a cell takes the conjugate
 of its image's sum, and x1^2*x2^2 + x1^5*x2 over the full space, whose
-group holds reflections alone.
+group holds reflections alone.  The three jobs at the end query the
+polyhedron at points with denominators other than powers of two:
+`exponent` and `dual` on the d = 3 support above at p = (3, 5/2, inf),
+whose witness (2, 9/5, 3) lies on an unbounded 2-face, and `exponent` on
+x1*x2^3, whose witness lies on an unbounded edge.
 
     PYTHONPATH=src python scripts/report_digest.py
 """
@@ -91,6 +95,10 @@ JOBS = (
      "--lam-count", "5"),
     ("integrate", "--phase", "x1^2*x2^2 + x1^5*x2", "--orthant", "off", "--lam-lo", "64",
      "--lam-hi", "1024", "--lam-count", "5"),
+    # witnesses with non-dyadic denominators, on unbounded faces
+    *((cmd, "--phase", "x1^2*x3^4 + x1^2*x2*x3^2 + x1^3*x2^2", "--dim", "3", "--p", "3,5/2,inf")
+      for cmd in ("exponent", "dual")),
+    ("exponent", "--phase", "x1*x2^3"),
 )
 
 

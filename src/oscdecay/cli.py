@@ -14,6 +14,7 @@ import re
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import get_type_hints
 
@@ -26,6 +27,7 @@ from .decay import (
     fit_decay,
     sharpness_boxes,
     sharpness_test,
+    spans_fit_octaves,
     summation_boxes,
     summation_oracle,
 )
@@ -219,8 +221,49 @@ def _report(command: str, cfg: RunConfig, **parts) -> dict:
             **dict.fromkeys(empty), "verdicts": [], **parts}
 
 
+_encode_scalar = json.JSONEncoder().encode
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json(o, indent: str = "") -> str:
+    """`json.dumps(o, indent=2, sort_keys=True)`, which CPython runs in pure
+    Python, byte for byte for data with str keys, nested at `indent`.  Lists
+    of plain ints or finite floats are one join; NaN, infinities and
+    subclasses go to the C encoder."""
+    kind = type(o)
+    if kind is str:
+        return encode_basestring_ascii(o)
+    if kind is int:
+        return int.__repr__(o)
+    if kind is float and math.isfinite(o):
+        return float.__repr__(o)
+    if o is None or kind is bool:
+        return _CONSTANTS[o]
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = indent + "  "
+        kinds = set(map(type, o))
+        if kinds == {int}:
+            items = map(int.__repr__, o)
+        elif kinds == {float} and all(map(math.isfinite, o)):
+            items = map(float.__repr__, o)
+        else:
+            items = (_json(x, inner) for x in o)
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = indent + "  "
+        items = (f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(o.items()))
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}}}"
+    return _encode_scalar(o)
+
+
 def _emit(report: dict, cfg: RunConfig) -> int:
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """Write the report as `_json` encodes it to `--out` or stdout; the exit
+    code is 0 when every verdict passed."""
+    text = _json(report) + "\n"
     if cfg.out_json:
         try:
             Path(cfg.out_json).write_text(text)
@@ -362,8 +405,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if cfg.lam_count < MIN_FIT_SAMPLES:
         raise CliError(f"--lam-count must be at least {MIN_FIT_SAMPLES} for the decay fit")
     grid = lambda_grid(cfg.lam_lo, cfg.lam_hi, cfg.lam_count)
-    if (octaves := math.log2(grid[-1] / grid[0])) < MIN_FIT_OCTAVES:
-        raise CliError(f"the grid must span {MIN_FIT_OCTAVES:g} octaves, got {octaves:.3g}")
+    if not spans_fit_octaves(grid):
+        raise CliError(f"the grid must span {MIN_FIT_OCTAVES:g} octaves, "
+                       f"got {math.log2(grid[-1] / grid[0]):.3g}")
     p, n, q = _build_inputs(cfg)
     _check_grid(cfg, p.dimension)
     er = sharp_exponent(n, q)

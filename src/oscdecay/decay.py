@@ -28,7 +28,7 @@ __all__ = [
     "SummationRow", "SummationReport", "fit_decay", "fit_samples",
     "dual_lambda_grid", "sharpness_boxes", "sharpness_test", "check_dual_domination",
     "summation_oracle", "summation_boxes", "MAX_SUM_BOXES", "SHARPNESS_BAND",
-    "MIN_FIT_SAMPLES", "MIN_FIT_OCTAVES", "MAX_HALVINGS",
+    "MIN_FIT_SAMPLES", "MIN_FIT_OCTAVES", "MAX_HALVINGS", "spans_fit_octaves",
 ]
 
 
@@ -41,6 +41,14 @@ class DecayError(ValueError):
 
 MIN_FIT_SAMPLES = 8    # the shortest clean sweep a fit accepts: samples,
 MIN_FIT_OCTAVES = 4.0  # and octaves spanned
+
+
+def spans_fit_octaves(lams: Sequence[float]) -> bool:
+    """True when the frequencies span `MIN_FIT_OCTAVES` octaves, less one ulp
+    per frequency for a geometric grid's rounding (`lambda_grid(64, 4096,
+    13)[8]` is 1023.9999999999993)."""
+    slack = len(lams) * math.ulp(MIN_FIT_OCTAVES)
+    return math.log2(max(lams) / min(lams)) >= MIN_FIT_OCTAVES - slack
 
 
 @dataclass(frozen=True)
@@ -105,7 +113,7 @@ def fit_samples(lams: Sequence[float], mags: Sequence[float],
         raise DecayError(f"need at least {MIN_FIT_SAMPLES} clean samples, got {len(lams)}")
     if any(l < 2 for l in lams) or any(m <= 0 for m in mags):
         raise DecayError("samples must have lam >= 2 and positive magnitude")
-    if math.log2(max(lams) / min(lams)) < MIN_FIT_OCTAVES:
+    if not spans_fit_octaves(lams):
         raise DecayError(f"samples must span at least {MIN_FIT_OCTAVES} octaves")
     x = np.log(np.array(lams))
     xx = np.log(x)
@@ -288,8 +296,7 @@ def check_dual_domination(n: NewtonPolyhedron, q: ExponentQuery,
     `dual` is the dual of `n` when the caller has already built it."""
     if dual is None:
         dual = dual_polyhedron(n)
-    nu = ray_scaling(n, q.dual_reciprocals)[0]
-    point = [nu * x for x in q.dual_reciprocals]
+    point = ray_scaling(n, q.dual_reciprocals)[1]
     table = [(w, dot(point, w)) for w in dual.vertices]
     return all(val >= 1 for _, val in table), table
 

@@ -8,17 +8,20 @@ has dimension l - 1 (m = 0 for witnesses on faces of dimension d - 1).
 
 Since the polyhedron is an intersection of halfspaces <w, x> >= b with
 w >= 0 and u is strictly positive, the minimum along the ray is attained
-exactly at max_facets b / <w, u>, a single exact rational computation.
+exactly at max_facets b / <w, u>.  With u = U / D for integers U, the
+facets compare on integers by cross-multiplying b / <w, U>, and nu is the
+one `Fraction` D b / <w, U> of the largest.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from .polytope import Face, NewtonPolyhedron, lowest_face_containing
-from .ratlin import dot
+from .ratlin import clear_denominators
 
 INF = math.inf
 
@@ -98,15 +101,21 @@ def ray_scaling(n: NewtonPolyhedron, u: Sequence) -> tuple[Fraction, tuple, "obj
     Returns (t, t*u, lowest face containing t*u).  This is the scaling
     shared by the exponent criterion and the dyadic-sum envelope.
     """
-    uu = tuple(Fraction(x) for x in u)
+    uu = [Fraction(x) for x in u]
     if len(uu) != n.dimension:
         raise ExponentError("ray direction has wrong dimension")
     if any(x <= 0 for x in uu):
         raise ExponentError("ray direction must be strictly positive")
-    nu = max(Fraction(f.offset) / dot(f.normal, uu) for f in n.facets)
-    if nu <= 0:
+    U, den = clear_denominators(uu)
+    b, s = 0, 1  # the largest b / <w, U> so far, cross-multiplied as <w, U> > 0
+    for f in n.facets:
+        fs = sum(map(mul, f.normal, U))
+        if f.offset * s > b * fs:
+            b, s = f.offset, fs
+    if not b:
         raise ExponentError("degenerate polyhedron: ray never leaves the complement")
-    witness = tuple(nu * x for x in uu)
+    nu = Fraction(b * den, s)
+    witness = tuple(Fraction(b * x, s) for x in U)
     return nu, witness, lowest_face_containing(n, witness)
 
 

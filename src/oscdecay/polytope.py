@@ -19,21 +19,24 @@ integer bit sets and closed under intersection (bitwise AND): a closed set
 is a compact face's exactly when the facets containing it share no ray
 axis, and its dimension is one more than the largest below it (0 for a
 vertex).  Every face record, in the lattice and the transient unbounded
-one a query may return, is built by `_face` from the facets containing it.
+one a query may return, is built by `_face` from the facets containing it;
+its witness is the sum of their primitive integer normals over its gcd.
 
-All arithmetic is exact, and on integers except for query points and the dual.
+All arithmetic is exact, and on integers except for the dual.  A query
+point q is scaled to integers Q over one common denominator D, and meets
+each facet <w, x> >= b as <w, Q> against b * D.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import gcd, lcm
+from math import gcd
 from operator import and_, mul
 from typing import Iterable, Sequence
 
 from .phase import PhasePolynomial
-from .ratlin import dot, primitive, rank
+from .ratlin import clear_denominators, primitive, rank
 
 MIN_DIMENSION = 2
 MAX_DIMENSION = 6
@@ -97,12 +100,6 @@ def _ids(bits: int) -> tuple[int, ...]:
     return tuple(i for i in range(bits.bit_length()) if bits >> i & 1)
 
 
-def _ints(vec: Sequence) -> tuple[list[int], int]:
-    """`vec` times the least common denominator `den` of its entries, and `den`."""
-    den = lcm(*(x.denominator for x in vec))
-    return [x.numerator * (den // x.denominator) for x in vec], den
-
-
 def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[int, ...]]:
     """The vertices of {w >= 0 : <r, w> >= 1 for every r in rows}, each as
     the primitive integer ray (w, t) with t > 0 of the vertex w / t.
@@ -121,7 +118,7 @@ def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[int, ...]]
     every = (1 << (d + 1)) - 1
     rays = [(e, every ^ (1 << i)) for i, e in enumerate(_axes(d + 1))]
     for k, row in enumerate(rows):
-        cut = _ints((*row, -1))[0]
+        cut = clear_denominators((*row, -1))[0]
         bit = 1 << (d + 1 + k)
         vals = [sum(map(mul, cut, v)) for v, _ in rays]
         pos = [(r, s) for r, s in zip(rays, vals) if s > 0]
@@ -145,11 +142,11 @@ def _blocker_vertices(rows: Sequence[Sequence], d: int) -> list[tuple[int, ...]]
 def _facets(planes, verts: Sequence[tuple], d: int) -> tuple[Facet, ...]:
     """Facet records of the (normal, offset) planes tight at some vertex, with
     <w, v> = b tested on integers: V = den v and (W, B) a multiple of (w, den b)."""
-    flat, den = _ints([x for v in verts for x in v])
+    flat, den = clear_denominators([x for v in verts for x in v])
     ints = list(enumerate(flat[i:i + d] for i in range(0, len(flat), d)))
     out = []
     for w, b in sorted(planes):
-        *iw, ib = _ints((*w, b * den))[0]
+        *iw, ib = clear_denominators((*w, b * den))[0]
         tight = tuple(i for i, v in ints if sum(map(mul, iw, v)) == ib)
         if tight:
             out.append(Facet(w, b, tight, tuple(i for i in range(d) if w[i] == 0)))
@@ -188,10 +185,12 @@ def from_support(points: Iterable[Sequence[int]], dimension: int) -> NewtonPolyh
 def _face(verts, facets, tight, vbits: int, rbits: int, dim: int, fid: int = -1) -> Face:
     """The face with vertex and ray-axis bit sets `vbits` and `rbits`, cut
     out by the facets `tight`, the ids of every facet that contains it.  The
-    primitive sum of their normals is its witness: on the polyhedron its
-    minimum is attained on exactly that face, so it is zero on the face's
-    rays and positive on every other axis."""
-    wit = primitive([sum(c) for c in zip(*(facets[k].normal for k in tight))])
+    sum of their normals, primitive integers, divided by its gcd is its
+    witness: on the polyhedron its minimum is attained on exactly that face,
+    so it is zero on the face's rays and positive on every other axis."""
+    total = [sum(c) for c in zip(*(facets[k].normal for k in tight))]
+    g = gcd(*total)
+    wit = tuple(x // g for x in total)
     if any((x > 0) == bool(rbits >> i & 1) for i, x in enumerate(wit)):
         raise PolytopeError("internal error: face witness not positive off the face's rays")
     vs, rs = _ids(vbits), _ids(rbits)
@@ -240,12 +239,19 @@ def build_polyhedron(p: PhasePolynomial) -> NewtonPolyhedron:
 # ---------------------------------------------------------------------------
 # queries
 
-def contains(n: NewtonPolyhedron, q: Sequence) -> bool:
-    """Exact membership test against the facet description."""
-    qq = [Fraction(x) for x in q]
+def _slacks(n: NewtonPolyhedron, q: Sequence) -> list[int]:
+    """<w, Q> - b D over the facets, on integers: Q = D q for D the least
+    common denominator of q.  q is in the polyhedron when none is negative,
+    and on the facets where one is 0."""
+    qq, den = clear_denominators([Fraction(x) for x in q])
     if len(qq) != n.dimension:
         raise PolytopeError("query point has wrong dimension")
-    return all(dot(f.normal, qq) >= f.offset for f in n.facets)
+    return [sum(map(mul, f.normal, qq)) - f.offset * den for f in n.facets]
+
+
+def contains(n: NewtonPolyhedron, q: Sequence) -> bool:
+    """Exact membership test against the facet description."""
+    return min(_slacks(n, q)) >= 0
 
 
 def newton_distance(n: NewtonPolyhedron) -> Fraction:
@@ -260,13 +266,13 @@ def lowest_face_containing(n: NewtonPolyhedron, q: Sequence) -> Face:
     `compact=False` and a witness that is not strictly positive.  Raises for
     points outside the polyhedron and for interior points.
     """
-    qq = [Fraction(x) for x in q]
-    if not contains(n, qq):
+    slacks = _slacks(n, q)
+    if min(slacks) < 0:
         raise PolytopeError(f"point {q} lies outside the polyhedron")
-    tight = [k for k, f in enumerate(n.facets) if dot(f.normal, qq) == f.offset]
+    # the facets tight at q are the facets containing its lowest face
+    tight = [k for k, s in enumerate(slacks) if not s]
     if not tight:
         raise PolytopeError(f"point {q} is interior; no proper face contains it")
-    # the facets tight at q are the facets containing its lowest face
     vbits = reduce(and_, (_bits(n.facets[k].vertex_ids) for k in tight))
     rbits = reduce(and_, (_bits(n.facets[k].rays) for k in tight))
     vs = _ids(vbits)

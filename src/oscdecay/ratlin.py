@@ -24,6 +24,12 @@ def dot(u: Vector, v: Vector) -> Fraction | int:
     return sum(a * b for a, b in zip(u, v))
 
 
+def clear_denominators(vec: Vector) -> tuple[list[int], int]:
+    """`vec` times the least common denominator `den` of its entries, and `den`."""
+    den = lcm(*(x.denominator for x in vec))
+    return [x.numerator * (den // x.denominator) for x in vec], den
+
+
 def rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form.  Returns (rows, pivot column indices)."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -53,10 +59,7 @@ def rref(rows: Matrix) -> tuple[list[list[Fraction]], list[int]]:
 def rank(rows: Matrix) -> int:
     """Row rank by fraction-free (Bareiss) elimination on the rows scaled to
     integers by their common denominators; every division is exact."""
-    m = []
-    for row in rows:
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
+    m = [clear_denominators(row)[0] for row in rows]
     r, prev = 0, 1
     for c in range(len(m[0]) if m else 0):
         pr = next((i for i in range(r, len(m)) if m[i][c]), None)
@@ -94,7 +97,6 @@ def primitive(vec: Vector) -> tuple[int, ...]:
     """
     if not any(vec):
         raise ValueError("primitive of zero vector")
-    den = lcm(*(x.denominator for x in vec))
-    ints = [x.numerator * (den // x.denominator) for x in vec]
+    ints = clear_denominators(vec)[0]
     g = gcd(*ints)
     return tuple(x // g for x in ints)

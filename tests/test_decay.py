@@ -1,4 +1,5 @@
 """Decay-rate fits, sharpness boxes, and the box-sum scaling oracle."""
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from oscdecay import cli
 from oscdecay.decay import (
+    MIN_FIT_OCTAVES,
     DecayError,
     check_dual_domination,
     dual_lambda_grid,
@@ -93,6 +96,23 @@ class TestFitSamples:
         lams = [4.0] * 6 + [64.0] * 6  # two clusters cannot pin three columns
         with pytest.raises(DecayError, match="degenerate"):
             fit_samples(lams, synthetic(0.5, 1, lams), 0.5, 1)
+
+    def test_rounded_grid_top_spans_its_octaves(self):
+        # the grid's ninth point is 1023.9999999999993, 4 octaves above 64
+        # less an ulp of rounding; a fit on it must not be refused as short
+        lams = lambda_grid(64.0, 4096.0, 13)[:9]
+        assert lams[-1] < 1024.0 and math.log2(lams[-1] / lams[0]) < MIN_FIT_OCTAVES
+        fit = fit_samples(lams, synthetic(0.5, 0, lams), 0.5, 0)
+        assert fit.passed
+
+    def test_verify_accepts_a_rounded_four_octave_grid(self, tmp_path):
+        # lambda_grid(64, 1024, 10) ends a rounding step below 1024
+        out = tmp_path / "report.json"
+        code = cli.main(["verify", "--phase", "x1*x2", "--lam-lo", "64", "--lam-hi", "1024",
+                         "--lam-count", "10", "--out", str(out)])
+        report = json.loads(out.read_text())
+        assert code == 0
+        assert len(report["decay_fit"]["samples"]) == 10
 
 
 class TestFitDecay:
