@@ -7,9 +7,10 @@ report bytes on every job.  The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
 `verify` rows of ROADMAP's Baseline, `verify --orthant off` on x1*x2,
 `integrate` on x1*x2*x3 over the full space, an `integrate` on x1^3*x2^3
-over the full space, whose mapped panels (map exponent e > 1) lie below 0
-as well as above, an `integrate` whose sample is refused over the node
-budget, the default 3D `verify`, whose top two samples are, and
+over the full space, whose mapped panels (map exponent e > 1) serve all
+four orthants, each the positive one reflected, an `integrate` whose
+sample is refused over the node budget, the default 3D `verify`, whose
+top two samples are, and
 `polyhedron`, `dual`, `exponent` and `check` on three supports: two (d = 3 and 4) where all vertices lie on one facet along a ray,
 so a meet of facet vertex sets spans no compact face, and a subset of the
 d = 6 degree-3 shell.  Then `check` on the benchmark's signed d = 3 base.
@@ -19,11 +20,14 @@ scale.  Then `check` on a d = 3 phase with a face that one pair's sign
 certifies while another pair is a constant.  Last come an `integrate` on
 x1*x2 in d = 3, whose third axis has degree 0 in the phase, a
 `verify --sharpness` at finite p, whose certificates carry a norm scale
-below 1 (exit 1), and two `integrate` sweeps whose cells fall into orbits
-of signed coordinate permutations: x1^2*x2 - x1*x2^2 over the orthant,
-where swapping the axes negates the phase, so a cell takes the conjugate
-of its image's sum, and x1^2*x2^2 + x1^5*x2 over the full space, whose
-group holds reflections alone.  The three jobs at the end query the
+below 1 (exit 1), and three `integrate` sweeps on symmetries of the phase:
+x1^2*x2 - x1*x2^2 over the orthant, whose cells fall into orbits of the
+axis swap, which negates the phase, so a cell takes the conjugate of its
+image's sum; and over the full space, whose 2^d orthants are reflections
+of the positive one, x1^2*x2^2 + x1^5*x2, whose four reflections merge
+into two sub-rows of two plain copies each, and x1^2*x2 + x1*x2^3, whose
+reflections give two distinct term-sign patterns, each a sub-row of one
+plain and one conjugate copy.  The three jobs at the end query the
 polyhedron at points with denominators other than powers of two:
 `exponent` and `dual` on the d = 3 support above at p = (3, 5/2, inf),
 whose witness (2, 9/5, 3) lies on an unbounded 2-face, and `exponent` on
@@ -63,7 +67,7 @@ JOBS = (
     # a full-space 3D sweep
     ("integrate", "--phase", "x1*x2*x3", "--dim", "3", "--orthant", "off", "--lam-lo", "16",
      "--lam-hi", "64", "--lam-count", "3"),
-    # mapped panels (e > 1) on pieces below 0
+    # mapped panels (e > 1), on every orthant's reflection
     ("integrate", "--phase", "x1^3*x2^3", "--orthant", "off", "--lam-lo", "256", "--lam-hi",
      "1024", "--lam-count", "3"),
     # samples refused over the node budget: one alone, and two of a verify sweep
@@ -89,11 +93,14 @@ JOBS = (
     # a certificate scale at finite p (exit 1)
     ("verify", "--phase", "x1^3*x2^3", "--p", "4,4", "--sharpness", "--lam-lo", "64",
      "--lam-hi", "1024", "--lam-count", "9"),
-    # orbits of cells: a swap that negates the phase (conjugate sums), and a
-    # group of reflections alone
+    # orbits of cells under a swap that negates the phase (conjugate sums);
+    # reflections that merge into two sub-rows of plain copies, and into two
+    # of a plain and a conjugate copy each
     ("integrate", "--phase", "x1^2*x2 - x1*x2^2", "--lam-lo", "64", "--lam-hi", "1024",
      "--lam-count", "5"),
     ("integrate", "--phase", "x1^2*x2^2 + x1^5*x2", "--orthant", "off", "--lam-lo", "64",
+     "--lam-hi", "1024", "--lam-count", "5"),
+    ("integrate", "--phase", "x1^2*x2 + x1*x2^3", "--orthant", "off", "--lam-lo", "64",
      "--lam-hi", "1024", "--lam-count", "5"),
     # witnesses with non-dyadic denominators, on unbounded faces
     *((cmd, "--phase", "x1^2*x3^4 + x1^2*x2*x3^2 + x1^3*x2^2", "--dim", "3", "--p", "3,5/2,inf")

@@ -2,47 +2,29 @@
 
 The quantity computed here is the integral of exp(i*lambda*phi(x)) against a
 smooth compactly supported cutoff times a product of one-variable factors,
-each the indicator of an interval.  Each axis of the cutoff support is cut
-into octave pieces, clipped to the factor's interval, so every product cell
-sees a single oscillation scale and the factor is 1 on every node.  Near 0,
-where the phase barely turns, the octaves below 2^-L are one merged piece
-[0, 2^-L] on a single Gauss panel: per frequency and axis, L is the smallest
-depth at which a bound that holds exactly, not the turns model, keeps that
-panel within the target (`_depths`).  On every other piece an axis takes
-the Gauss order, map exponent e and panel count with the fewest nodes that
-meet one per-panel error target (`_panel_counts`); its panels lie at equal
-steps of x^e, so each panel of a monomial axis carries an equal share of
-the phase.  One table, read term by term off the phase's derivatives, gives
-the turns across each piece in x^e for every e, equal panels (e = 1)
-included (`_sizing`).  The error estimate reruns at a lower order only the
-cells that may miss the target (`_evaluate` states the rule); every other
-cell adds the target times its weight mass.  A call is one cell table
-planned before any quadrature (`_layout`), one row per frequency with its
-own test function and depths.  A row whose rule needs more nodes than the
-budget is refused: none of its cells is evaluated, and its result carries
-no value.  Where signed coordinate permutations map the phase to plus or
-minus itself and fix a row's test function, its cells fall into orbits
-whose rules are permutations of each other (`_orbits`): only the first
-cell of each is evaluated, and the others take its sum or the conjugate.
-Those cells of the other rows, then those rerun, are evaluated as one
-batch (`_run_level`).  A per-axis rule, real weights times the cutoff,
-depends only on its piece, panel count, order and map exponent: the
-distinct ones of every axis are built once per call as one table, with
-one cutoff evaluation (`_rule_table`), and cells with equal node counts
-per axis gather theirs from its view of that count.  A kernel call on
-several cells spans at most `_CHUNK` floats as two planes and row sums, and
-one on a single cell at most `_CHUNK` nodes (a larger cell is cut along its
-first axis).  The kernel takes a call's last-axis rows in blocks, in a
-reused per-thread workspace of at most `_BLOCK` floats (1 MiB) wherever
-the row sums leave room, so its passes stay in a core's L2 cache.  Per
-block it has `PhasePolynomial.evaluate_tensor` write lam*phi/2 straight
-into the workspace, takes cos and sin of theta from the half-angle tangent
-tan(theta/2), which vectorizes where complex exp does not, and contracts
-the last axis in real arithmetic; the other axes are contracted once.  The
-same cell grid indexes a closed-form bound per cell (dominant vertex of
-the support polyhedron): `box_envelope` gives them all from exact integer
-exponent grids, built once for all frequencies of a test function; their
-sum is an a-priori certificate for the result.
+each the indicator of an interval.  Quadrature runs on the positive orthant
+only: over the full space a row splits into its 2^d orthants, orthant sigma
+(sigma_k = +-1) the positive one's integral of phi(sigma x), whose term
+c x^a is c sigma^a x^a, against the factors mirrored where sigma_k = -1;
+reflections with equal factors and equal or opposite term signs are one
+sub-row, planned once (`_reflections`).  Each axis is cut into octave
+pieces clipped to the factor's interval, so every cell sees one
+oscillation scale and the factor is 1 on every node; near 0 the octaves
+below a per-frequency depth are one merged piece on one Gauss panel
+(`_depths`, per row).  Every other piece takes the Gauss order, map
+exponent and panel count with the fewest nodes that meet one per-panel
+error target (`_sizing`, `_panel_counts`).  A call is one cell table
+planned before any quadrature (`_layout`), one row per sub-row; a row
+whose rule needs more nodes than the budget, over all its reflections, is
+refused.  Cells in one orbit of the coordinate permutations that map a
+sub-row's phase to plus or minus itself are evaluated once (`_orbits`),
+and the evaluated cells of every row and their reruns, for the error
+estimate (`_evaluate`), are one batch (`_run_level`): each distinct
+per-axis rule is built once (`_rule_table`), and `_kernel` contracts
+blocks of cells of one shape in a per-thread workspace that stays in a
+core's L2 cache, each cell's term signs folded into its per-term scale.
+The same cell grid indexes a closed-form bound per cell (`box_envelope`),
+whose sum is an a-priori certificate for the result.
 
 The cutoff has one fixed shape, 1 on |t| <= PLATEAU and 0 on |t| >= 1.
 Full tensor quadrature is limited to dimension <= 3.  The certificate sum
@@ -264,25 +246,19 @@ class OscResult:
     # allowance (the rule is in _evaluate's docstring); None where refused
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
-    # the rule's node count, refused or not; the kernel evaluates only one
-    # cell of each orbit of the phase's symmetries (`_orbits`)
+    # the rule's node count over every orthant, refused or not; the kernel
+    # evaluates fewer (`_reflections`, `_orbits`)
     nodes: int
     certificate: float | None = None
 
 
-def _axis_pieces(chi: CutoffSpec, factor: FactorSpec, depth: int):
-    """Intervals (lo, hi) covering the support, clipped to the factor: the
-    octaves [2^-(l+1), 2^-l] for l < depth and [0, 2^-depth], mirrored below
-    0 unless the cutoff is on the positive orthant."""
+def _axis_pieces(factor: FactorSpec, depth: int):
+    """Intervals (lo, hi) covering the support on the positive orthant,
+    clipped to the factor: the octaves [2^-(l+1), 2^-l] for l < depth and
+    [0, 2^-depth].  The other orthants are reflections (`_reflections`)."""
     ends = [2.0 ** -l for l in range(depth + 1)] + [0.0]
-    pieces = []
-    for sign in (1,) if chi.positive_orthant else (1, -1):
-        for mhi, mlo in zip(ends, ends[1:]):
-            lo, hi = (mlo, mhi) if sign > 0 else (-mhi, -mlo)
-            lo, hi = max(lo, factor.a), min(hi, factor.b)
-            if hi > lo:
-                pieces.append((lo, hi))
-    return pieces
+    pieces = [(max(lo, factor.a), min(hi, factor.b)) for hi, lo in zip(ends, ends[1:])]
+    return [(lo, hi) for lo, hi in pieces if hi > lo]
 
 
 _LADDER = (4, 8, 12)  # Gauss orders below `order`, for axes on the cutoff plateau only
@@ -463,7 +439,8 @@ def _kernel(p, lam, axes, weights):
     """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
 
     axes[k] and weights[k] are the (B, n_k) nodes and real weights of axis
-    k, and lam (B,) their frequencies; the result holds the B cell sums.
+    k, and lam (B,) their frequencies, or (B, T) one per cell and term of
+    the phase, term signs folded in; the result holds the B cell sums.
     With n nodes on the last axis and m on the others, the call has B*m
     rows of n nodes, and z, (2, B, m), their real and imaginary sums.
     This thread's workspace holds z and one block cs, (2, rows, n), of
@@ -487,7 +464,8 @@ def _kernel(p, lam, axes, weights):
     top = 2 * n * min(b * m, room)
     ws = _scratch("kernel", top + 2 * b * m)
     z = ws[top:top + 2 * b * m].reshape(2, b * m)
-    scale = np.multiply(0.5, lam, out=np.empty(b))  # lam may be one float for all cells
+    lam = np.asarray(lam, dtype=float)  # one for all cells, per cell, or per cell and term
+    scale = np.multiply(0.5, lam, out=np.empty((b,) + lam.shape[1:]))
     w = weights[-1]
     first = 0  # blocks run through the rows in order
     for cells, block, shape in blocks:
@@ -532,17 +510,16 @@ def _rows(a):
 
 def _rule_table(keys, chi):
     """Every distinct Gauss rule of `keys`, float rows (lo, hi, panels,
-    order, e), built as one table: nodes on [lo, hi] and real weights times
-    the cutoff.  At map exponent e the panels lie between (a^e + j (b^e -
-    a^e) / panels)^(1/e), a < b the magnitudes of the ends, mirrored below
-    0: Gauss in x, no Jacobian.  Each panel's start and width are found
-    first, those at e > 1 rule by rule with scalar powers a^e, then each
-    Gauss order's nodes and weights in one broadcast; the cutoff is
-    evaluated once, on the nodes of every rule off the plateau.  The
-    distinct rows are sorted by node count first (`_rows`).  Returns the
-    index of each row of `keys` among them and of each among the rules of
-    its node count, and per node count N the (m, N) nodes and weights of
-    its m rules, views of two flat arrays."""
+    order, e) with 0 <= lo < hi, built as one table: nodes on [lo, hi] and
+    real weights times the cutoff.  At map exponent e the panels lie between
+    (lo^e + j (hi^e - lo^e) / panels)^(1/e): Gauss in x, no Jacobian.  Each
+    panel's start and width are found first, those at e > 1 rule by rule
+    with scalar powers lo^e, then each Gauss order's nodes and weights in
+    one broadcast; the cutoff is evaluated once, on the nodes of every rule
+    off the plateau.  The distinct rows are sorted by node count first
+    (`_rows`).  Returns the index of each row of `keys` among them and of
+    each among the rules of its node count, and per node count N the (m, N)
+    nodes and weights of its m rules, views of two flat arrays."""
     rules, inverse = _rows(np.column_stack([keys[:, 2] * keys[:, 3], keys]))
     size, lo, hi = rules[:, 0].astype(np.int64), rules[:, 1], rules[:, 2]
     panels, order, e = rules[:, 3:].astype(np.int64).T
@@ -552,12 +529,9 @@ def _rule_table(keys, chi):
     width = ((hi - lo) / panels)[of]
     start = lo[of] + width * (np.arange(len(of)) - first[of])
     mapped = np.flatnonzero(e > 1)
-    for r, l, h, p, x in zip(mapped.tolist(), *(v[mapped].tolist() for v in (lo, hi, panels, e))):
-        a, b = sorted((abs(l), abs(h)))
+    for r, a, b, p, x in zip(mapped.tolist(), *(v[mapped].tolist() for v in (lo, hi, panels, e))):
         ends = (a ** x + (b ** x - a ** x) * np.arange(p + 1) / p) ** (1.0 / x)
         ends[0], ends[-1] = a, b
-        if h <= 0:
-            ends = -ends[::-1]
         at = slice(first[r], first[r] + p)
         start[at], width[at] = ends[:-1], np.diff(ends)
     half, n = width * 0.5, order[of]
@@ -570,7 +544,7 @@ def _rule_table(keys, chi):
         put = at[sel, None] + np.arange(m)
         nodes[put] = start[sel, None] + half[sel, None] * (gx + 1.0)
         weights[put] = half[sel, None] * gw
-    off = np.repeat(np.maximum(np.abs(lo), np.abs(hi)) > _PLATEAU, size)
+    off = np.repeat(hi > _PLATEAU, size)
     if off.any():
         weights[off] *= chi.profile(nodes[off])
     # node counts ascend: the rules of each count are one run of the table
@@ -582,35 +556,26 @@ def _rule_table(keys, chi):
     return inverse, place, stacks
 
 
-def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
-    """Rule sums and weight masses of cells, each at its own frequency
-    `lams` and with its rule given per axis by its row of `cells` (piece
-    index), `counts`, `orders` and `exps` (map exponents).  The pieces are
-    already clipped to the factors, so a rule is the real Gauss weights
-    times the cutoff, keyed by (lo, hi, panels, order, e) alone.  The
-    distinct rules of every axis are built as one table (`_rule_table`), so
-    axes share them; each shape group gathers its cells' rules from the
-    table's view of each node count."""
-    values = np.zeros(len(cells), dtype=complex)
-    mass = np.ones(len(cells))
-    # per axis, its distinct rules and each cell's among them
-    keys, inverse = [], []
-    for k, pieces in enumerate(axis_pieces):
-        rules, at = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k], exps[:, k]], axis=1))
-        ends = np.array(pieces, dtype=float).reshape(-1, 2)[rules[:, 0]]
-        keys.append(np.column_stack([ends, rules[:, 1:]]))
-        inverse.append(at)
-    table, place, stacks = _rule_table(np.concatenate(keys), chi)
+def _run_level(p, keys, ids, lams, chi):
+    """Rule sums and weight masses of cells, each at its own frequencies
+    `lams` (`_kernel`) and with its rule per axis k its row of `ids` among
+    `keys[k]`, that axis's distinct rules (lo, hi, panels, order, e).  The
+    rules the cells take are built as one table (`_rule_table`), so axes
+    share them; each shape group gathers its rules from the table's view of
+    each node count."""
+    values = np.zeros(len(ids), dtype=complex)
+    # per axis, the rules its cells take, then each cell's rule in the table
+    taken = [np.bincount(ids[:, k], minlength=len(key)) > 0 for k, key in enumerate(keys)]
+    table, place, stacks = _rule_table(np.concatenate([k[u] for k, u in zip(keys, taken)]), chi)
     sums = np.concatenate([np.zeros(0)] + [np.abs(w).sum(axis=1) for _, w in stacks.values()])
-    # per axis, each cell's rule in the table
-    offsets = np.cumsum([0] + [len(k) for k in keys])
-    ids = [table[o + at] for o, at in zip(offsets.tolist(), inverse)]
-    for rule in ids:
-        mass *= sums[rule]
+    offsets = np.cumsum([0] + [u.sum() for u in taken]) - 1
+    rules = [table[o + np.cumsum(u)[ids[:, k]]] for k, (o, u) in enumerate(zip(offsets, taken))]
+    mass = np.prod([sums[rule] for rule in rules], axis=0)
     # rows with equal node counts per axis have rules of equal shape: each
     # such group is evaluated in batches whose two planes and row sums,
     # 2*b*m*(n + 1) floats, stay within _CHUNK (the kernel blocks them)
-    shapes, group = _rows(counts * orders)
+    shapes, group = _rows(np.stack([(k[:, 2] * k[:, 3]).astype(np.int64)[ids[:, j]]
+                                    for j, k in enumerate(keys)], axis=1))
     by_group = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
     for sizes, members in zip(shapes.tolist(), by_group):
         size = math.prod(sizes)
@@ -618,7 +583,7 @@ def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
         # a cell above the chunk alone is cut into slices along axis 0
         rows = max(1, _CHUNK // (size // sizes[0]))
         # per axis, the table's rules of the group's node count and its rows' places
-        gathered = [(*stacks[n], place[rule[members]]) for rule, n in zip(ids, sizes)]
+        gathered = [(*stacks[n], place[rule[members]]) for rule, n in zip(rules, sizes)]
         for start in range(0, len(members), batch):
             idx = members[start:start + batch]
             axes = [x[at[start:start + batch]] for x, _, at in gathered]
@@ -629,11 +594,11 @@ def _run_level(p, axis_pieces, cells, counts, orders, exps, lams, chi):
     return values, mass
 
 
-def _plan(f, chi, depths):
+def _plan(f, depths):
     """The pieces of each axis k of test function `f`, cut to depth
     `depths[k]` (`_axis_pieces`), and the cells, a (cells, d) array of piece
     indices in product order."""
-    axis_pieces = [_axis_pieces(chi, fac, depth) for fac, depth in zip(f.factors, depths)]
+    axis_pieces = [_axis_pieces(fac, depth) for fac, depth in zip(f.factors, depths)]
     full = tuple(len(pieces) for pieces in axis_pieces)
     return axis_pieces, np.stack(np.unravel_index(np.arange(math.prod(full)), full), axis=1)
 
@@ -653,7 +618,8 @@ def _depths(grads, f, chi, lams, quad):
     none does, L_k = `levels` and n = 0, the octave layout to the
     truncation.  A theta that is not finite meets no target.  A row depends
     only on its own lam and test function: G per level and axis is tabled
-    once per test function."""
+    once per test function, over both sides of 0 on the full cutoff, so
+    every reflection of the row keeps these depths."""
     d, levels = len(grads), chi.levels
     terms = [g._float_coefficients for g in grads]
     reach = [_merge_reach(quad.order, quad.waves_per_panel,
@@ -665,8 +631,10 @@ def _depths(grads, f, chi, lams, quad):
     with np.errstate(over="ignore", invalid="ignore"):
         for g in set(fs):
             # largest magnitude of each axis over the support, clipped to the factor
-            tops = [max((max(-lo, hi) for lo, hi in _axis_pieces(chi, fac, 1)), default=0.0)
-                    for fac in g.factors]
+            sides = [(fac,) if chi.positive_orthant else (fac, FactorSpec(-fac.b, -fac.a))
+                     for fac in g.factors]
+            tops = [max((hi for side in both for _, hi in _axis_pieces(side, 1)), default=0.0)
+                    for both in sides]
             table = tables[g] = np.zeros((levels, d))
             for k, t in enumerate(terms):
                 for b, c in t:
@@ -689,18 +657,17 @@ def _sizing(grads, axis_pieces, cells):
     `bounds` and `spans`, (E, cells, d) float arrays per map exponent
     e = 1..E (E the largest e any axis may take), cell and axis k, whose
     product over 2 pi is the phase turns per unit lam across the piece in
-    the variable x^e; then (cells, d) arrays of hi / lo, for lo < hi the
-    magnitudes of the piece's ends, and of whether the piece lies on the
-    cutoff plateau.  The span is hi^e - lo^e, and the bound the sum over
-    the terms of phi of |c| (a_k / e) x*^(a_k - e), a_k the term's exponent
-    of x_k, x* = lo if a_k < e else hi, times the other axes at hi.  At
-    e = 1 that is d_k phi at the cell's corner of largest
-    magnitudes, each power and product rounded as `PhasePolynomial.evaluate`
-    rounds them there.  The span is inf where e may not be taken: e above
-    the largest exponent of x_k in phi, and e > 1 on the piece touching 0."""
-    # per axis, the magnitudes lo (row 0) and hi (row 1) of each piece's ends
-    ends = [np.sort(np.abs(np.array(pieces, dtype=float).reshape(-1, 2)), axis=1).T
-            for pieces in axis_pieces]
+    the variable x^e; then (cells, d) arrays of hi / lo, for 0 <= lo < hi
+    the piece's ends, and of whether the piece lies on the cutoff plateau.
+    The span is hi^e - lo^e, and the bound the sum over the terms of phi of
+    |c| (a_k / e) x*^(a_k - e), a_k the term's exponent of x_k, x* = lo if
+    a_k < e else hi, times the other axes at hi.  At e = 1 that is d_k phi
+    at the cell's corner of largest magnitudes, each power and product
+    rounded as `PhasePolynomial.evaluate` rounds them there.  The span is
+    inf where e may not be taken: e above the largest exponent of x_k in
+    phi, and e > 1 on the piece touching 0."""
+    # per axis, the ends lo (row 0) and hi (row 1) of each piece
+    ends = [np.array(pieces, dtype=float).reshape(-1, 2).T for pieces in axis_pieces]
 
     @lru_cache(maxsize=None)
     def power(j, q, end):
@@ -749,7 +716,7 @@ def _least_panels(entry, order):
     return least
 
 
-def _layout(grads, fs, chi, lams, quad, depths, merged):
+def _layout(grads, fs, lams, quad, depths, merged):
     """The cell table of a call, every row's cells in row order: the pieces
     of each axis, then per cell its row, its piece indices and its panel
     counts, Gauss orders and map exponents ((cells, d) arrays,
@@ -766,7 +733,7 @@ def _layout(grads, fs, chi, lams, quad, depths, merged):
     keys = list(zip(fs, map(tuple, depths.tolist())))
     for key in keys:
         if key not in planned:
-            pieces, own = _plan(key[0], chi, key[1])
+            pieces, own = _plan(*key)
             ids = [np.array([ix.setdefault(piece, len(ix)) for piece in pieces_k], dtype=np.int64)
                    for ix, pieces_k in zip(index, pieces)]
             planned[key] = np.stack([a[own[:, k]] for k, a in enumerate(ids)], axis=1)
@@ -774,102 +741,114 @@ def _layout(grads, fs, chi, lams, quad, depths, merged):
     pieces = [list(ix) for ix in index]
     row = np.repeat(np.arange(len(cells)), [len(c) for c in cells])
     cells = np.concatenate(cells)
-
-    def per_cell(of, dtype):
-        # `of` each piece (lo, hi) of each axis, read off at every cell
-        return np.stack([np.array([of(*pc) for pc in pk], dtype=dtype)[cells[:, k]]
-                         for k, pk in enumerate(pieces)], axis=1)
-
+    # each cell's piece ends, (cells, d) arrays
+    lo, hi = np.stack([np.array(pk, dtype=float).reshape(-1, 2)[cells[:, k]].T
+                       for k, pk in enumerate(pieces)], axis=2)
     sizing = _sizing(grads, pieces, cells)
     counts, orders, exps = _panel_counts(np.asarray(lams)[row], sizing, quad)
-    # a row's merged piece on axis k is the one within [-2^-L_k, 2^-L_k]
+    # a row's merged piece on axis k is the one within [0, 2^-L_k]
     n = merged[row]
-    on = (per_cell(lambda lo, hi: max(-lo, hi), float) <= np.ldexp(1.0, -depths[row])) & (n > 0)
+    on = (hi <= np.ldexp(1.0, -depths[row])) & (n > 0)
     counts, orders, exps = (np.where(on, v, a) for v, a in ((1, counts), (n, orders), (1, exps)))
     entry = _TRANSITION_PANELS.get((quad.order, quad.waves_per_panel))
     if entry is None:
         rerun = (orders >= quad.order).any(axis=1)
     else:
-        # the transition piece [PLATEAU, 1] or its mirror, unclipped
-        edge = per_cell(lambda lo, hi: (lo, hi) in ((_PLATEAU, 1.0), (-1.0, -_PLATEAU)), bool)
+        # the transition piece [PLATEAU, 1], unclipped
+        edge = (lo == _PLATEAU) & (hi == 1.0)
         least = _least_panels(entry, quad.order)[orders, exps]
         rerun = ~(sizing[3] | (edge & (counts >= least))).all(axis=1)
     return pieces, row, cells, counts, orders, exps, rerun
 
 
+def _reflections(p, fs, chi):
+    """Per distinct test function f of `fs`, its sub-rows: orthant sigma
+    (sigma_k = +-1) of the cutoff is the positive orthant's integral of
+    phi(sigma x), whose term c x^a is c sigma^a x^a, against f's factors
+    mirrored where sigma_k = -1.  Reflections with equal factors and equal
+    or opposite term signs are one sub-row (signs, factors, plain, conj):
+    the signs of the first in `product` order, per term of phi in the order
+    of its exponents, then how many have them and how many the opposite
+    ones, whose integral is the conjugate.  The orthant cutoff has one."""
+    d, powers = p.dimension, sorted(p.terms)
+    sigmas = [(1,) * d] if chi.positive_orthant else list(product((1, -1), repeat=d))
+    subs = {}
+    for f in dict.fromkeys(fs):
+        copies = {}
+        for sigma in sigmas:
+            signs = tuple((-1) ** sum(ak for ak, s in zip(a, sigma) if s < 0) for a in powers)
+            g = TestFunctionSpec(tuple(fac if s > 0 else FactorSpec(-fac.b, -fac.a)
+                                       for fac, s in zip(f.factors, sigma)))
+            twin = (tuple(-s for s in signs), g)
+            conj = twin in copies
+            copies.setdefault(twin if conj else (signs, g), [0, 0])[conj] += 1
+        subs[f] = tuple((signs, g, plain, conj) for (signs, g), (plain, conj) in copies.items())
+    return subs
+
+
+def _turned(p, signs):
+    """The phase with its terms, in the order of their exponents, times `signs`."""
+    terms = sorted(p.terms.items())
+    return PhasePolynomial(p.dimension, {a: c * s for (a, c), s in zip(terms, signs)})
+
+
 def _symmetries(p, fs, chi):
-    """Per distinct test function f of `fs`, the signed coordinate
-    permutations g, (g x)_k = s_k x_perm[k], that map the phase to itself or
-    to its negative, tested exactly on its terms, and fix f: the factor of
-    axis perm[k] is that of axis k, mirrored where s_k = -1.  Signs flip
-    only on the full cutoff.  A group is a tuple of (perm, signs, conj)
-    triples, conj where phi(g x) = -phi(x), the identity first."""
+    """Per distinct test function f of `fs`, the coordinate permutations
+    perm, carrying x_k to x_perm[k], that map the phase to itself or to its
+    negative, tested exactly on its terms, and fix f on the cutoff's support
+    ([0, 1] or [-1, 1] per axis): a tuple of (perm, conj) pairs, conj where
+    the image of phi is -phi, the identity first."""
     d = p.dimension
     negated = {a: -c for a, c in p.terms.items()}
     phase = []
     for perm in permutations(range(d)):
-        for signs in product((1,) if chi.positive_orthant else (1, -1), repeat=d):
-            image = {}
-            for a, c in p.terms.items():
-                b = [0] * d
-                for j, ak in zip(perm, a):
-                    b[j] = ak
-                flip = sum(ak for ak, s in zip(a, signs) if s < 0) % 2
-                image[tuple(b)] = -c if flip else c
-            if image in (p.terms, negated):
-                phase.append((perm, signs, image != p.terms))
+        image = {}
+        for a, c in p.terms.items():
+            b = [0] * d
+            for j, ak in zip(perm, a):
+                b[j] = ak
+            image[tuple(b)] = c
+        if image in (p.terms, negated):
+            phase.append((perm, image != p.terms))
+    floor = 0.0 if chi.positive_orthant else -1.0
     groups = {}
     for f in dict.fromkeys(fs):
-        mirrored = [FactorSpec(-fac.b, -fac.a) for fac in f.factors]
-        groups[f] = tuple(g for g in phase if all(
-            f.factors[j] == (fac if s > 0 else mirror)
-            for j, s, fac, mirror in zip(*g[:2], f.factors, mirrored)))
+        parts = [(max(fac.a, floor), min(fac.b, 1.0)) for fac in f.factors]
+        parts = [(lo, hi) if lo < hi else None for lo, hi in parts]
+        groups[f] = tuple(g for g in phase
+                          if all(parts[j] == part for j, part in zip(g[0], parts)))
     return groups
 
 
-def _orbits(p, fs, chi, pieces, row, cells, counts, orders, exps, rerun):
+def _orbits(p, subs, chi, keys, row, ids, rerun):
     """Per cell of the table, the cell whose value, rerun value and weight
     mass it takes, the first of its key in table order, and whether it
-    takes their conjugate.  A cell's key is its row, its rerun flag and the
-    least image, under its row's group (`_symmetries`), of its per-axis
-    rules (lo, hi, panels, order, e): g carries axis k's rule to axis
-    perm[k], on the mirrored piece where s_k = -1.  Substituting x = g y
-    turns the cell's sum into that of its image, conjugated where g maps
-    the phase to its negative, so cells of one key have rules that are
-    permutations of each other and equal or conjugate sums.  Rules rank in
+    takes their conjugate.  A cell's key is its sub-row (`row`, among
+    `subs`), its rerun flag and the least image, under its sub-row's group
+    (`_symmetries` of its phase and test function), of its per-axis rules
+    (`ids` among `keys`, as in `_run_level`): perm carries axis k's rule to
+    axis perm[k].  Permuting the coordinates turns the cell's sum into that
+    of its image, conjugated where perm negates the phase.  Rules rank in
     the order of their values, so a row's keys and images do not depend on
     the other rows of the call."""
-    n, d = len(row), len(pieces)
-    groups = _symmetries(p, fs, chi)
-    if all(len(g) == 1 for g in groups.values()):
+    found = {(s, g): _symmetries(_turned(p, s), [g], chi)[g] for s, g in {u[:2]: 0 for u in subs}}
+    n, own = len(row), [found[sub[:2]] for sub in subs]
+    if all(len(group) == 1 for group in own):
         return np.arange(n), np.zeros(n, dtype=bool)
-    # each axis's distinct rules and their mirrors (-hi, -lo, ...), all
-    # ranked by value: column 2k of `ranks` is each cell's axis k rule,
-    # column 2k + 1 its mirror
-    distinct, inverse = [], []
-    for k, pk in enumerate(pieces):
-        rules, at = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k], exps[:, k]], axis=1))
-        ends = np.array(pk, dtype=float).reshape(-1, 2)[rules[:, 0]]
-        distinct += [np.column_stack([ends, rules[:, 1:]]),
-                     np.column_stack([-ends[:, ::-1], rules[:, 1:]])]
-        inverse += [at, at]
-    rank = np.split(_rows(np.concatenate(distinct))[1], np.cumsum([len(r) for r in distinct]))
-    ranks = np.stack([r[at] for r, at in zip(rank, inverse)], axis=1)
-    # the least image of each cell under its row's group, and whether the
-    # first element giving it negates the phase
-    best, conj = np.empty((n, d), dtype=np.int64), np.empty(n, dtype=bool)
-    kinds = list(dict.fromkeys(groups.values()))
-    own = np.array([kinds.index(groups[f]) for f in fs])[row]
-    for i, group in enumerate(kinds):
-        mine = own == i
+    # each cell's axis k rule, ranked by value among the rules of every axis
+    rank = np.split(_rows(np.concatenate(keys))[1], np.cumsum([len(k) for k in keys])[:-1])
+    ranks = np.stack([r[ids[:, k]] for k, r in enumerate(rank)], axis=1)
+    # the least image of each cell under its sub-row's group, and whether
+    # the first element giving it negates the phase
+    best, conj = ranks.copy(), np.zeros(n, dtype=bool)
+    for group in set(own):
+        mine = np.isin(row, [i for i, g in enumerate(own) if g == group])
         rules = ranks[mine]
         # the identity's image first
-        least, flip = rules[:, ::2].copy(), np.zeros(len(rules), dtype=bool)
+        least, flip = rules.copy(), np.zeros(len(rules), dtype=bool)
         at = np.arange(len(rules))
-        for perm, signs, negates in group[1:]:
-            cols = np.empty(d, dtype=np.int64)
-            cols[list(perm)] = [2 * k + (s < 0) for k, s in enumerate(signs)]
-            image = rules[:, cols]
+        for perm, negates in group[1:]:
+            image = rules[:, np.argsort(perm)]
             # lexicographically less: at the first column where they differ
             col = (image != least).argmax(axis=1)
             less = image[at, col] < least[at, col]
@@ -886,28 +865,24 @@ def _evaluate(p, f, chi, lams, quad):
     """Tensor-panel quadrature of the oscillatory form at every frequency of
     `lams`, with one test function `f` or one per frequency: per frequency,
     its result (without certificate), and the value and node count of every
-    cell, cells in product order of the row's pieces.
+    cell of its sub-rows (`_reflections`), over all the copies of each.
 
-    The call is one cell table (`_layout`: depths and merged pieces from
-    `_depths`, rules from `_panel_counts`).  A row whose planned node count
-    exceeds the budget is refused before any quadrature: none of its cells
-    is evaluated, and its result is flagged low-confidence, with no value
-    or error and the planned count as its nodes.  Cells fall into orbits
-    under each row's symmetries (`_orbits`).  One `_run_level` takes the
-    first cell of each orbit of every other row, then those rerun, each in
-    row order; every other cell takes its orbit's value, rerun value and
-    weight mass, conjugated where its symmetry negates the phase.  Nodes,
-    per cell and per row, are the rule's, evaluated or not.  The
-    reported error is the difference against a rerun on the same panels at
-    order max(n // 2, n - 4) on the axes at order n >= `order` (12, 20 and
-    28 for 16, 24 and 32), plus d * target times the weight mass of each
-    cell not rerun.  For a rule with an entry in `_TRANSITION_PANELS` only
-    a cell with an axis off the cutoff plateau that is not resolved is
-    rerun.  An axis is resolved when its piece is the whole transition
-    [PLATEAU, 1] or its mirror, unclipped, and it has at least P0(n, e)
-    panels for its order n and map exponent e, from which on n-point
-    panels meet the target across the transition.  Every other cell has
-    each axis within the error target, analytic (a merged piece too) or
+    The call is one cell table of every sub-row (`_layout`, with its row's
+    `_depths`).  A row whose planned nodes over all its reflections exceed
+    the budget is refused before any quadrature: its result is flagged
+    low-confidence, with no value or error and the planned count as nodes.
+    One `_run_level` takes the first cell of each orbit (`_orbits`) of every
+    other row, then those rerun, each at the row's frequency times its
+    sub-row's term signs; every other cell takes its orbit's value, rerun
+    value and weight mass, conjugated where its permutation negates the
+    phase.  The reported error is the difference against a rerun on the
+    same panels at order max(n // 2, n - 4) on the axes at order
+    n >= `order`, plus d * target times the weight mass of each cell not
+    rerun.  Under a rule with an entry in `_TRANSITION_PANELS` only a cell
+    with an axis off the cutoff plateau that is not resolved is rerun: an
+    axis is resolved when its piece is the whole transition [PLATEAU, 1],
+    unclipped, with at least P0(n, e) panels for its order n and map
+    exponent e.  Every other axis is analytic (a merged piece too) or
     resolved.  A rule without an entry reruns every cell with an axis at
     order n >= `order`.
     """
@@ -922,30 +897,53 @@ def _evaluate(p, f, chi, lams, quad):
     if any(g.dimension != d for g in set(fs)):
         raise OscError("test function dimension mismatch")
     grads = [p.derivative(k).absolute() for k in range(d)]
+    depths, merged = _depths(grads, fs, chi, lams, quad)
+    reflections = _reflections(p, fs, chi)
+    subs = [s for g in fs for s in reflections[g]]
+    parent = np.repeat(np.arange(len(fs)), [len(reflections[g]) for g in fs])
+    signs, sub_fs, plain, twin = zip(*subs)
     pieces, row, cells, counts, orders, exps, rerun = _layout(
-        grads, fs, chi, lams, quad, *_depths(grads, fs, chi, lams, quad))
-    # row i is cells ends[i]:ends[i + 1]; its tensor nodes in floats, which cannot wrap
-    ends = np.searchsorted(row, np.arange(len(lams) + 1))
-    planned = np.multiply(counts, orders, dtype=float).prod(axis=1)
+        grads, sub_fs, np.array(lams)[parent], quad, depths[parent], merged[parent])
+    n, signs = len(row), np.array(signs, dtype=float)
+    plain, twin = np.array(plain)[row], np.array(twin)[row]
+    # row i is cells ends[i]:ends[i + 1]; its tensor nodes over every
+    # reflection, in floats, which cannot wrap
+    ends = np.searchsorted(parent[row], np.arange(len(lams) + 1))
+    planned = np.multiply(counts, orders, dtype=float).prod(axis=1) * (plain + twin)
     planned = np.array([planned[a:b].sum() for a, b in zip(ends, ends[1:])])
+    # each axis's distinct rules (lo, hi, panels, order, e), by value, and
+    # each cell's among them, one `_rows` per axis; then the same rules at
+    # the rerun's order, max(n // 2, n - 4) for n >= `order`
+    keys, ids = [], []
+    for k, pk in enumerate(pieces):
+        rules, at = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k], exps[:, k]], axis=1))
+        piece = np.array(pk, dtype=float).reshape(-1, 2)[rules[:, 0]]
+        rules = np.column_stack([piece, rules[:, 1:]])
+        low, n_k = rules.copy(), rules[:, 3]
+        low[:, 3] = np.where(n_k >= quad.order, np.maximum(n_k // 2, n_k - 4), n_k)
+        keys.append(np.concatenate([rules, low]))
+        ids.append(at)
+    ids = np.stack(ids, axis=1)
     # only the first cell of each orbit key of the rows in budget is evaluated
-    rep, conj = _orbits(p, fs, chi, pieces, row, cells, counts, orders, exps, rerun)
-    run = ~(planned > quad.node_budget)[row] & (rep == np.arange(len(rep)))
+    rep, conj = _orbits(p, subs, chi, keys, row, ids, rerun)
+    run = ~(planned > quad.node_budget)[parent[row]] & (rep == np.arange(n))
     again = run & rerun
-    coarse = np.where(orders >= quad.order, np.maximum(orders // 2, orders - 4), orders)
     take = np.concatenate([np.flatnonzero(run), np.flatnonzero(again)])
-    values, mass = _run_level(p, pieces, cells[take], counts[take],
-                              np.concatenate([orders[run], coarse[again]]), exps[take],
-                              np.array(lams)[row[take]], chi)
+    freqs = np.array(lams)[parent[row[take]], None] * signs[row[take]]
+    low = ids[again] + [len(key) // 2 for key in keys]  # each rerun's rule at the lower order
+    values, mass = _run_level(p, keys, np.concatenate([ids[run], low]), freqs, chi)
     # back onto the cell table: value, rerun value and weight mass per cell,
-    # each cell's taken from its key's first, conjugated where its g says so
-    value, weight, first = np.zeros(len(cells), complex), np.zeros(len(cells)), run.sum()
-    check = value.copy()
+    # each cell's taken from its key's first, over its sub-row's plain and
+    # conjugate copies, conjugated once more where its permutation says so
+    value, check, weight, first = *np.zeros((2, n), complex), np.zeros(n), run.sum()
     value[run], check[again], weight[run] = values[:first], values[first:], mass[:first]
     value, check, weight = value[rep], check[rep], weight[rep]
-    value[conj], check[conj] = value[conj].conj(), check[conj].conj()
+    for v in (value, check):
+        v.real *= plain + twin
+        v.imag *= np.where(conj, twin - plain, plain - twin)
+    weight *= plain + twin
     target, _ = _ladder(quad.order, quad.waves_per_panel)
-    nodes, out = (counts * orders).prod(axis=1), []
+    nodes, out = (counts * orders).prod(axis=1) * (plain + twin), []
     for lam, a, b, plan in zip(lams, ends, ends[1:], planned):
         if plan > quad.node_budget:
             out.append((OscResult(lam, None, None, True, int(plan)), value[:0], nodes[:0]))

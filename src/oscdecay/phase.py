@@ -153,37 +153,37 @@ class PhasePolynomial:
         """Write scale * self on a batch of tensor grids into `out`.
 
         axes[k] holds the (B, n_k) nodes of variable k, `scale` one float per
-        grid, shape (B,), or one for all, and `out` is a C-contiguous float
-        array of shape (B, n_0, ..., n_{d-1}); it is returned.  Each grid's
-        scale is folded into the coefficients, so no full-size temporary is
-        made.  A single monomial is an outer product of per-axis powers, the
-        scale folded into the first, formed axis by axis by `np.einsum`,
-        whose last product writes `out`.  A sum of terms contracts the per-axis
-        power tables P_k, of shape (B, n_k, E_k) for the E_k distinct
-        exponents of variable k, against the coefficient tensor: P_0 @ C @
-        P_1^T in two dimensions, one more contraction per axis beyond.
+        grid and term of `_float_coefficients` (B, T), per grid (B,), or one
+        for all, and `out` a C-contiguous float array of shape (B, n_0, ...,
+        n_{d-1}); it is returned.  The scales are folded into the
+        coefficients, so no full-size temporary is made.  A monomial is an
+        outer product of per-axis powers, the scale folded into the first,
+        formed axis by axis by `np.einsum`, whose last product writes `out`.
+        A sum of terms contracts the per-axis power tables P_k, (B, n_k, E_k)
+        for the E_k distinct exponents of variable k, against the coefficient
+        tensor: P_0 @ C @ P_1^T in 2D, one more contraction per axis beyond.
         """
         if len(axes) != self.dimension:
             raise PhaseError("point has wrong dimension")
         b, d = axes[0].shape[0], self.dimension
-        if getattr(scale, "shape", None) != (b,):
-            scale = np.broadcast_to(scale, (b,))
         coeffs = self._float_coefficients
+        scale = np.reshape(scale, (-1, 1)) if np.ndim(scale) < 2 else scale
+        scaled = scale * [c for _, c in coeffs]  # (B, T), or (1, T) for one scale for all
         # einsum forms the outer product of a monomial on a 256x1024 cell in
         # about 200 us against 400 us for a broadcast multiply (numpy 2.4).
         # The products keep their order, and exponent 0 multiplies by 1.0
         # exactly; a zero product comes out +0.0, a sign no contraction sees
         if len(coeffs) == 1:
-            (alpha, c), = coeffs
-            acc = (scale * c)[:, None] * axes[0] ** alpha[0]
+            (alpha, _), = coeffs
+            acc = scaled * axes[0] ** alpha[0]
             for k in range(1, d):
                 acc = np.einsum("bi,bj->bij", acc.reshape(b, -1), axes[k] ** alpha[k],
                                 out=out.reshape(b, -1, axes[k].shape[1]) if k == d - 1 else None)
             return out
         exps = [sorted({alpha[k] for alpha, _ in coeffs}) for k in range(d)]
         tensor = np.zeros([b] + [len(e) for e in exps])
-        for alpha, c in coeffs:
-            tensor[(slice(None),) + tuple(e.index(a) for e, a in zip(exps, alpha))] = scale * c
+        for (alpha, _), column in zip(coeffs, scaled.T):
+            tensor[(slice(None),) + tuple(e.index(a) for e, a in zip(exps, alpha))] = column
         tables = [x[:, :, None] ** np.array(e, dtype=float)
                   for x, e in zip(axes, exps)]
         # contract the leading axes one at a time: t is (B, rows, E_k, rest)

@@ -182,18 +182,18 @@ def from_support(points: Iterable[Sequence[int]], dimension: int) -> NewtonPolyh
     return NewtonPolyhedron(dimension, tuple(verts), facets, faces)
 
 
-def _face(verts, facets, tight, vbits: int, rbits: int, dim: int, fid: int = -1) -> Face:
-    """The face with vertex and ray-axis bit sets `vbits` and `rbits`, cut
-    out by the facets `tight`, the ids of every facet that contains it.  The
-    sum of their normals, primitive integers, divided by its gcd is its
-    witness: on the polyhedron its minimum is attained on exactly that face,
-    so it is zero on the face's rays and positive on every other axis."""
+def _face(verts, facets, tight, vs, vbits: int, rbits: int, dim: int, fid: int = -1) -> Face:
+    """The face with vertex ids `vs` (bit set `vbits`) and ray-axis bit set
+    `rbits`, cut out by the facets `tight`, the ids of every facet that
+    contains it.  The sum of their normals, primitive integers, over its gcd
+    is its witness: on the polyhedron its minimum is attained on exactly that
+    face, so it is zero on the face's rays and positive on every other axis."""
     total = [sum(c) for c in zip(*(facets[k].normal for k in tight))]
     g = gcd(*total)
     wit = tuple(x // g for x in total)
     if any((x > 0) == bool(rbits >> i & 1) for i, x in enumerate(wit)):
         raise PolytopeError("internal error: face witness not positive off the face's rays")
-    vs, rs = _ids(vbits), _ids(rbits)
+    rs = _ids(rbits)
     coords = tuple(verts[i] for i in vs)
     lo = sum(map(mul, wit, coords[0]))
     if any(sum(map(mul, wit, v)) == lo for j, v in enumerate(verts) if not vbits >> j & 1):
@@ -225,8 +225,9 @@ def _face_lattice(verts, facets) -> tuple[Face, ...]:
     for a in sorted(tight, key=int.bit_count):
         if not reduce(and_, (rbits[k] for k in tight[a])):
             dim[a] = 1 + max((dim[m] for m in below[a]), default=-1)
-    order = sorted(dim, key=lambda a: (dim[a], _ids(a)))
-    return tuple(_face(verts, facets, tight[a], a, 0, dim[a], k) for k, a in enumerate(order))
+    order = sorted((dim[a], _ids(a), a) for a in dim)  # vertex ids decoded once per face
+    return tuple(_face(verts, facets, tight[a], vs, a, 0, m, k)
+                 for k, (m, vs, a) in enumerate(order))
 
 
 def build_polyhedron(p: PhasePolynomial) -> NewtonPolyhedron:
@@ -283,7 +284,7 @@ def lowest_face_containing(n: NewtonPolyhedron, q: Sequence) -> Face:
         raise PolytopeError("internal error: compact face missing from lattice")
     span = [[x - y for x, y in zip(n.vertices[i], n.vertices[vs[0]])] for i in vs[1:]]
     span += [_axes(n.dimension)[i] for i in _ids(rbits)]
-    return _face(n.vertices, n.facets, tight, vbits, rbits, rank(span))
+    return _face(n.vertices, n.facets, tight, vs, vbits, rbits, rank(span))
 
 
 # ---------------------------------------------------------------------------

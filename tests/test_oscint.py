@@ -421,12 +421,12 @@ def most_turns(n, target):
 
 def panel_rules(p, f, chi, lam, analytic=None, quad=QuadratureConfig(), depths=None):
     """`_panel_counts`'s counts, orders and map exponents at lam on every cell
-    of the plan of (f, chi) cut to `depths` (to `levels` on every axis if
-    not given), cells in product order, with the plateau mask `analytic` if
-    given."""
+    of f's plan on the positive orthant cut to `depths` (to chi's `levels`
+    on every axis if not given), cells in product order, with the plateau
+    mask `analytic` if given."""
     grads = [p.derivative(k).absolute() for k in range(p.dimension)]
     depths = (chi.levels,) * p.dimension if depths is None else depths
-    *sizing, own = _sizing(grads, *_plan(f, chi, depths))
+    *sizing, own = _sizing(grads, *_plan(f, depths))
     sizing.append(own if analytic is None else analytic)
     return _panel_counts([lam] * len(sizing[3]), sizing, quad)
 
@@ -492,7 +492,7 @@ def row_pieces(p, f, chi, lam, quad=QuadratureConfig()):
     """The pieces of each axis of the row at lam, cut to its depths, and the
     depths and merged-piece orders (`_depths`)."""
     (depths,), (merged,) = depths_of(p, f, chi, [lam], quad)
-    pieces = [_axis_pieces(chi, fac, depth) for fac, depth in zip(f.factors, depths.tolist())]
+    pieces = [_axis_pieces(fac, depth) for fac, depth in zip(f.factors, depths.tolist())]
     return pieces, depths.tolist(), merged.tolist()
 
 
@@ -694,15 +694,14 @@ class TestKernel:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_rule_table_matches_reference_rules(self, seed, monkeypatch):
-        # every order 4..32 at e = 1..5 on octaves on both sides of 0, the
-        # transition piece whole and clipped by a box, and the merged
-        # pieces [0, 2^-L] and [-2^-L, -0.0] at e = 1, each key drawn
-        # several times and [-2^-L, 0.0] beside [-2^-L, -0.0]
+        # every order 4..32 at e = 1..5 on octaves, the transition piece
+        # whole and clipped by a box, and the merged piece [0, 2^-L] at
+        # e = 1, each key drawn several times and [-0.0, 2^-L] beside it
         rng = np.random.default_rng(seed)
         octaves = [(2.0 ** -(l + 1), 2.0 ** -l) for l in range(1, 12)]
         edges = [(0.5, 1.0), (0.5, rng.uniform(0.5, 1.0)), (rng.uniform(0.5, 1.0), 1.0),
                  (0.3, rng.uniform(0.6, 1.0)), (0.25, 0.5)]
-        pieces = octaves + edges + [(-hi, -lo) for lo, hi in octaves + edges]
+        pieces = octaves + edges
         keys = []
         for _ in range(400):
             lo, hi = pieces[rng.integers(len(pieces))]
@@ -710,8 +709,7 @@ class TestKernel:
                          int(rng.integers(1, 6))))
         for depth in (1, 5, 12):
             order = int(rng.integers(4, 33))
-            for lo, hi in ((0.0, 2.0 ** -depth), (-(2.0 ** -depth), -0.0),
-                           (-(2.0 ** -depth), 0.0)):
+            for lo, hi in ((0.0, 2.0 ** -depth), (-0.0, 2.0 ** -depth)):
                 keys.append((lo, hi, 1, order, 1))
         assert {k[3] for k in keys} == set(range(4, 33)) and {k[4] for k in keys} == {1, 2, 3, 4, 5}
         keys = np.array(keys + keys[::3])
@@ -728,7 +726,7 @@ class TestKernel:
         # distinct key by value: -0.0 and 0.0 key alike
         assert len(calls) == 1
         assert len(set(inverse.tolist())) == len({tuple(k) for k in keys.tolist()}) < len(keys)
-        assert len({inverse[i] for i, k in enumerate(keys.tolist()) if k[0] < 0 and k[1] == 0}) == 3
+        assert len({inverse[i] for i, k in enumerate(keys.tolist()) if k[0] == 0}) == 3
         assert sum(len(x) for x, _ in stacks.values()) == len(set(inverse.tolist()))
         for key, r in zip(keys.tolist(), inverse.tolist()):
             lo, hi, panels, order, e = key
@@ -738,22 +736,27 @@ class TestKernel:
             assert nodes.tobytes() == want[0].tobytes()
             assert weights.tobytes() == want[1].tobytes()
 
+    @staticmethod
+    def clipped_boxes():
+        """Awkward clips on the positive orthant: three boxes, then the same
+        boxes mirrored, as the full space's reflections see them."""
+        boxes = [(-0.33, 0.61), (-0.52, 0.47), (-0.45, 0.123)]
+        mirrored = [(-b, -a) for a, b in boxes]
+        return [TestFunctionSpec.boxes(boxes), TestFunctionSpec.boxes(mirrored)]
+
     def test_panel_counts_match_scalar_bounds(self):
         # awkward clips and high powers: the grid evaluation must round
         # exactly like one corner at a time
-        chi = CutoffSpec(positive_orthant=False, levels=5)
-        f = TestFunctionSpec.of(FactorSpec.box(-0.33, 0.61),
-                                FactorSpec.box(-0.52, 0.47),
-                                FactorSpec.box(-0.45, 0.123))
+        chi = CutoffSpec(positive_orthant=True, levels=5)
         p = phase("3*x1^7*x2 + 1/3*x1*x2^5*x3^3 + x2^2*x3^9", 3)
-        pieces = [_axis_pieces(chi, fac, chi.levels) for fac in f.factors]
         grads = [p.derivative(k).absolute() for k in range(3)]
         top = [max(a[k] for a in p.terms) for k in range(3)]
-        # on the plateau |t| <= 1/2 the integrand is analytic
-        analytic = np.array([[max(abs(lo), abs(hi)) <= 0.5 for lo, hi in cell]
-                             for cell in product(*pieces)])
         seen, mapped = set(), set()
-        for quad_cfg in [QuadratureConfig(waves_per_panel=0.37), QuadratureConfig()]:
+        for f, quad_cfg in product(self.clipped_boxes(),
+                                   [QuadratureConfig(waves_per_panel=0.37), QuadratureConfig()]):
+            pieces = [_axis_pieces(fac, chi.levels) for fac in f.factors]
+            # on the plateau t <= 1/2 the integrand is analytic
+            analytic = np.array([[hi <= 0.5 for _, hi in cell] for cell in product(*pieces)])
             target = gauss_remainder(quad_cfg.order, quad_cfg.waves_per_panel)
             # per order, the most turns per panel whose bound meets the target
             most = {n: most_turns(n, target) for n in (4, 8, 12, 16, 24, 32)}
@@ -764,14 +767,14 @@ class TestKernel:
                 assert got_counts.dtype == got_orders.dtype == got_exps.dtype == np.int64
                 for cell, counts, orders, exps in zip(product(*pieces), got_counts.tolist(),
                                                       got_orders.tolist(), got_exps.tolist()):
-                    mags = [max(abs(lo), abs(hi)) for lo, hi in cell]
+                    mags = [hi for _, hi in cell]
                     for k, (lo, hi) in enumerate(cell):
                         turns = (abs(lam) * grads[k].evaluate(mags)
                                  * (hi - lo) / (2.0 * math.pi))
                         # equal panels: the fewest nodes among 16, 24 and 32,
                         # and on the plateau also 4, 8 and 12; ties to the
                         # lower order
-                        plateau = max(abs(lo), abs(hi)) <= 0.5
+                        plateau = hi <= 0.5
                         rules = [(n * (1 + int(turns / most[n])), n, 1 + int(turns / most[n]))
                                  for n in ((4, 8, 12) if plateau else ()) + (16, 24, 32)]
                         size, order, count = min(rules)
@@ -786,7 +789,7 @@ class TestKernel:
                         e, count, order = exps[k], counts[k], orders[k]
                         assert count * order < size and 2 <= e <= min(5, top[k])
                         assert plateau or order >= 16
-                        a, b = sorted((abs(lo), abs(hi)))
+                        a, b = lo, hi
                         assert a > 0
                         ends = [(a ** e + j * (b ** e - a ** e) / count) ** (1 / e)
                                 for j in range(count + 1)]
@@ -851,26 +854,25 @@ class TestKernel:
     ])
     def test_sizing_matches_scalar_terms(self, text):
         # the clipped inputs of test_panel_counts_match_scalar_bounds
-        chi = CutoffSpec(positive_orthant=False, levels=5)
-        f = TestFunctionSpec.of(FactorSpec.box(-0.33, 0.61),
-                                FactorSpec.box(-0.52, 0.47),
-                                FactorSpec.box(-0.45, 0.123))
         p = phase(text, 3)
         grads = [p.derivative(k).absolute() for k in range(3)]
         top = [max(a[k] for a in p.terms) for k in range(3)]
-        pieces, cells = _plan(f, chi, (chi.levels,) * 3)
+        for f in self.clipped_boxes():
+            self.check_sizing(p, grads, top, *_plan(f, (5,) * 3))
+
+    @staticmethod
+    def check_sizing(p, grads, top, pieces, cells):
         bounds, spans, ratios, analytic = _sizing(grads, pieces, cells)
         with np.errstate(invalid="ignore"):
             rates = bounds * spans / (2.0 * math.pi)
         assert rates.shape == (min(5, max(top)), len(cells), 3)
         for i, cell in enumerate(product(*pieces)):
-            mags = [max(abs(lo), abs(hi)) for lo, hi in cell]
-            for k, (lo, hi) in enumerate(cell):
-                a, b = sorted((abs(lo), abs(hi)))
+            mags = [hi for _, hi in cell]
+            for k, (a, b) in enumerate(cell):
                 assert ratios[i, k] == (b / a if a else math.inf)
                 assert analytic[i, k] == (b <= 0.5)
                 # equal panels: the bound at the corner, scaled by the width
-                assert rates[0, i, k] == grads[k].evaluate(mags) * (hi - lo) / (2.0 * math.pi)
+                assert rates[0, i, k] == grads[k].evaluate(mags) * (b - a) / (2.0 * math.pi)
                 for e in range(2, len(rates) + 1):
                     if e > top[k] or a == 0:
                         assert rates[e - 1, i, k] == math.inf
@@ -1276,7 +1278,7 @@ class TestMergedPiece:
         assert len(set(depths[:, 0].tolist())) == 4 and merged.all()
         # the box clips the merged piece of x1 to [0.01, 2^-L] but at lam 80
         for (level, _), want in zip(depths.tolist(), [True, True, True, False]):
-            assert ((0.01, 2.0 ** -level) in _axis_pieces(CHI, f.factors[0], level)) == want
+            assert ((0.01, 2.0 ** -level) in _axis_pieces(f.factors[0], level)) == want
 
     def test_unbounded_theta_is_not_admitted(self):
         # theta = lam 1e20 2^-30L / 30 on x1 overflows at L = 1 and lam
@@ -1773,8 +1775,10 @@ class TestOrbits:
         self.assert_same(got, want)
         (rep, conj), = orbits
         assert conj.any() and (rep[conj] != np.flatnonzero(conj)).all()
-        assert oscint._symmetries(p, [f], CHI_POS) == {f: (((0, 1), (1, 1), False),
-                                                           ((1, 0), (1, 1), True))}
+        assert oscint._symmetries(p, [f], CHI_POS) == {f: (((0, 1), False), ((1, 0), True))}
+        # over the full space the reflections of both axes negate the phase:
+        # two sub-rows, each of one plain and one conjugate copy
+        assert [sub[2:] for sub in oscint._reflections(p, [f], CHI)[f]] == [(1, 1), (1, 1)]
 
     @pytest.mark.parametrize("text, chi, group", [
         ("x1*x2", CHI_POS, 2),
@@ -1786,10 +1790,27 @@ class TestOrbits:
         ("x1*x2*x3", CHI, 48),
     ])
     def test_group_of_the_phase(self, text, chi, group):
+        # the signed coordinate permutations that map the phase to plus or
+        # minus itself, `group` of them, split: the reflections merge into
+        # sub-rows of plain and conjugate copies, and each sub-row keeps the
+        # permutations of its own phase, so copies times permutations is
+        # the group on every sub-row
         p = phase(text, 3 if "x3" in text else 2)
-        found, = oscint._symmetries(p, [TestFunctionSpec.ones(p.dimension)], chi).values()
-        assert len(found) == group
-        assert found[0] == (tuple(range(p.dimension)), (1,) * p.dimension, False)
+        f = TestFunctionSpec.ones(p.dimension)
+        subs = oscint._reflections(p, [f], chi)[f]
+        copies = {
+            ("x1*x2", False): [(2, 2)],
+            ("x1^2*x2^2 + x1^5*x2", False): [(2, 0), (2, 0)],
+            ("x1^3*x2 + x1*x2^2", False): [(1, 1), (1, 1)],
+            ("x1*x2*x3", False): [(4, 4)],
+        }.get((text, chi.positive_orthant), [(1, 0)])
+        assert [(plain, conj) for *_, plain, conj in subs] == copies
+        assert subs[0][:2] == ((1,) * len(p.terms), f)
+        for signs, g, plain, conj in subs:
+            assert g == f
+            perms, = oscint._symmetries(oscint._turned(p, signs), [g], chi).values()
+            assert perms[0] == (tuple(range(p.dimension)), False)
+            assert (plain + conj) * len(perms) == group
 
     @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
     def test_row_without_cells(self, chi):
@@ -1803,11 +1824,16 @@ class TestOrbits:
 
     def test_each_row_takes_its_own_group(self):
         # x1 -> -x1 negates the phase and fixes only the rows whose first
-        # factor is even
+        # factor is even: their reflections merge in conjugate pairs
         p = phase("x1^3*x2 + x1*x2^2")
         fs = TestBatchedRows.FS
-        groups = oscint._symmetries(p, fs, CHI)
-        assert [len(groups[f]) for f in fs] == [1, 2, 2, 1, 2]
+        subs = oscint._reflections(p, fs, CHI)
+        assert [[sub[2:] for sub in subs[f]] for f in fs] == [
+            [(1, 0)] * 4, [(1, 1)] * 2, [(1, 1)] * 2, [(1, 0)] * 4, [(1, 1)] * 2]
+        # a row's sub-rows are its distinct mirrored test functions
+        box = fs[2].factors
+        assert [g for _, g, _, _ in subs[fs[2]]] == [
+            fs[2], TestFunctionSpec.of(box[0], FactorSpec(-box[1].b, -box[1].a))]
 
     def test_trivial_group_changes_nothing(self, monkeypatch):
         # no swap or reflection maps x1^2*x2^2 + x1^5*x2 to plus or minus
@@ -1824,3 +1850,81 @@ class TestOrbits:
                                        CHI_POS, (64.0, 256.0, 1024.0))
             runs.append((list(calls), [fields(r) for r in results]))
         assert runs[0] == runs[1]
+
+
+class TestReflections:
+    def test_axis_pieces_stay_on_the_positive_half(self):
+        for fac in (FactorSpec(), FactorSpec.box(-0.7, 0.3), FactorSpec.box(0.2, 3.0)):
+            assert all(0.0 <= lo < hi <= 1.0 for lo, hi in _axis_pieces(fac, 5))
+        assert _axis_pieces(FactorSpec.box(-0.9, -0.1), 5) == []
+
+    @pytest.mark.parametrize("text, d, lams", [
+        ("x1*x2", 2, (64.0, 256.0)),
+        ("x1*x2*x3", 3, (16.0, 64.0)),
+    ])
+    def test_full_space_monomial_plans_its_orthant_twin(self, monkeypatch, text, d, lams):
+        # every reflection of a monomial is plus or minus the phase: one
+        # sub-row, whose cells and kernel calls are the orthant's, while
+        # nodes count every orthant.  Planning each orthant took 2^d times
+        # the cells
+        planned, real = [], oscint._layout
+
+        def spy(*args):
+            out = real(*args)
+            planned.append(len(out[1]))
+            return out
+
+        monkeypatch.setattr(oscint, "_layout", spy)
+        calls = kernel_calls(monkeypatch)
+        runs = []
+        for chi in (CHI_POS, CHI):
+            planned.clear()
+            calls.clear()
+            results = lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), chi, lams)
+            runs.append((list(planned), list(calls), [r.nodes for r in results]))
+        (cells, kernel, nodes), (full_cells, full_kernel, full_nodes) = runs
+        assert full_cells == cells and full_kernel == kernel
+        assert full_nodes == [2 ** d * x for x in nodes]
+
+    @pytest.mark.parametrize("text, d, f, lam", [
+        # two term-sign patterns, each a sub-row of one plain and one
+        # conjugate copy
+        ("x1^2*x2 + x1*x2^3", 2, TestFunctionSpec.ones(2), 96.0),
+        # x1 -> -x1 leaves the support: those sub-rows have no cells
+        ("x1^2*x2 + x1*x2^3", 2, TestFunctionSpec.boxes([(0.2, 0.9), (-0.7, 0.7)]), 96.0),
+        ("x1^2*x2*x3 + x1*x3^2", 3, TestFunctionSpec.ones(3), 12.0),
+    ], ids=["2d", "2d-box", "3d"])
+    def test_full_space_is_the_sum_of_reflected_orthants(self, text, d, f, lam):
+        # each orthant sigma as its own positive-orthant run, with the
+        # phase's terms times sigma^a and the factors mirrored where
+        # sigma_k = -1: the same depths, so the same rules and, to
+        # rounding, the same sum
+        p = phase(text, d)
+        full = evaluate_lambda(p, f, CHI, lam)
+        parts = []
+        for sigma in product((1, -1), repeat=d):
+            turned = PhasePolynomial.from_terms({a: c * math.prod(s ** k for s, k in zip(sigma, a))
+                                                 for a, c in p.terms.items()}, d)
+            mirrored = TestFunctionSpec.of(*(fac if s > 0 else FactorSpec(-fac.b, -fac.a)
+                                             for fac, s in zip(f.factors, sigma)))
+            parts.append(evaluate_lambda(turned, mirrored, CHI_POS, lam))
+        assert full.nodes == sum(r.nodes for r in parts)
+        want = sum(r.value for r in parts)
+        assert abs(full.value - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("text", ["-3/2*x1^3*x2 + x1*x2^4 - 5*x1^2*x2^2", "-2*x1*x2^3"])
+    def test_term_scales_are_the_turned_phase(self, text):
+        # one scale per grid and term: a grid's term signs give, bit for
+        # bit, the phase with those signs on its terms at that grid's scale
+        p = phase(text)
+        rng = np.random.default_rng(3)
+        b, sizes = 4, [9, 5]
+        axes = [rng.uniform(0.0, 1.0, (b, n)) for n in sizes]
+        signs = rng.choice([-1, 1], (b, len(p.terms)))
+        scales = 0.5 * 1234.5 * rng.uniform(0.5, 2.0, (b, 1)) * signs
+        rows = p.evaluate_tensor(axes, scales, np.full([b] + sizes, np.nan))
+        for i in range(b):
+            turned = oscint._turned(p, signs[i].tolist())
+            alone = turned.evaluate_tensor([x[i:i + 1] for x in axes], abs(float(scales[i, 0])),
+                                           np.full([1] + sizes, np.nan))
+            assert rows[i].tobytes() == alone[0].tobytes()
