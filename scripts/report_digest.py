@@ -20,14 +20,16 @@ scale.  Then `check` on a d = 3 phase with a face that one pair's sign
 certifies while another pair is a constant.  Last come an `integrate` on
 x1*x2 in d = 3, whose third axis has degree 0 in the phase, a
 `verify --sharpness` at finite p, whose certificates carry a norm scale
-below 1 (exit 1), and three `integrate` sweeps on symmetries of the phase:
+below 1 (exit 1), and four `integrate` sweeps on symmetries of the phase:
 x1^2*x2 - x1*x2^2 over the orthant, whose cells fall into orbits of the
 axis swap, which negates the phase, so a cell takes the conjugate of its
 image's sum; and over the full space, whose 2^d orthants are reflections
 of the positive one, x1^2*x2^2 + x1^5*x2, whose four reflections merge
-into two sub-rows of two plain copies each, and x1^2*x2 + x1*x2^3, whose
+into two sub-rows of two plain copies each, x1^2*x2 + x1*x2^3, whose
 reflections give two distinct term-sign patterns, each a sub-row of one
-plain and one conjugate copy.  The three jobs at the end query the
+plain and one conjugate copy, and x1^2*x2 + x1*x2^2 + x1^2*x2^2, whose
+reflections of one axis are each other's swap, one sub-row of two plain
+copies.  The three jobs at the end query the
 polyhedron at points with denominators other than powers of two:
 `exponent` and `dual` on the d = 3 support above at p = (3, 5/2, inf),
 whose witness (2, 9/5, 3) lies on an unbounded 2-face, and `exponent` on
@@ -94,14 +96,16 @@ JOBS = (
     ("verify", "--phase", "x1^3*x2^3", "--p", "4,4", "--sharpness", "--lam-lo", "64",
      "--lam-hi", "1024", "--lam-count", "9"),
     # orbits of cells under a swap that negates the phase (conjugate sums);
-    # reflections that merge into two sub-rows of plain copies, and into two
-    # of a plain and a conjugate copy each
+    # reflections that merge into two sub-rows of plain copies, into two of
+    # a plain and a conjugate copy each, and by the axis swap
     ("integrate", "--phase", "x1^2*x2 - x1*x2^2", "--lam-lo", "64", "--lam-hi", "1024",
      "--lam-count", "5"),
     ("integrate", "--phase", "x1^2*x2^2 + x1^5*x2", "--orthant", "off", "--lam-lo", "64",
      "--lam-hi", "1024", "--lam-count", "5"),
     ("integrate", "--phase", "x1^2*x2 + x1*x2^3", "--orthant", "off", "--lam-lo", "64",
      "--lam-hi", "1024", "--lam-count", "5"),
+    ("integrate", "--phase", "x1^2*x2 + x1*x2^2 + x1^2*x2^2", "--orthant", "off", "--lam-lo",
+     "64", "--lam-hi", "1024", "--lam-count", "5"),
     # witnesses with non-dyadic denominators, on unbounded faces
     *((cmd, "--phase", "x1^2*x3^4 + x1^2*x2*x3^2 + x1^3*x2^2", "--dim", "3", "--p", "3,5/2,inf")
       for cmd in ("exponent", "dual")),

@@ -6,14 +6,14 @@ each the indicator of an interval.  Quadrature runs on the positive orthant
 only: over the full space a row splits into its 2^d orthants, orthant sigma
 (sigma_k = +-1) the positive one's integral of phi(sigma x), whose term
 c x^a is c sigma^a x^a, against the factors mirrored where sigma_k = -1;
-reflections with equal factors and equal or opposite term signs are one
-sub-row, planned once (`_reflections`).  Each axis is cut into octave
-pieces clipped to the factor's interval, so every cell sees one
-oscillation scale and the factor is 1 on every node; near 0 the octaves
-below a per-frequency depth are one merged piece on one Gauss panel
-(`_depths`, per row).  Every other piece takes the Gauss order, map
-exponent and panel count with the fewest nodes that meet one per-panel
-error target (`_sizing`, `_panel_counts`).  A call is one cell table
+reflections that a coordinate permutation maps onto each other, up to the
+sign of the phase, are one sub-row, planned once (`_reflections`).  Each
+axis is cut into octave pieces clipped to the factor's interval, so
+every cell sees one oscillation scale and the factor is 1 on every node;
+near 0 the octaves below a per-frequency depth are one merged piece on
+one Gauss panel (`_depths`, per row).  Every other piece takes the Gauss
+order, map exponent and panel count with the fewest nodes that meet one
+per-panel error target (`_sizing`, `_panel_counts`).  A call is one cell table
 planned before any quadrature (`_layout`), one row per sub-row; a row
 whose rule needs more nodes than the budget, over all its reflections, is
 refused.  Cells in one orbit of the coordinate permutations that map a
@@ -765,75 +765,65 @@ def _reflections(p, fs, chi):
     """Per distinct test function f of `fs`, its sub-rows: orthant sigma
     (sigma_k = +-1) of the cutoff is the positive orthant's integral of
     phi(sigma x), whose term c x^a is c sigma^a x^a, against f's factors
-    mirrored where sigma_k = -1.  Reflections with equal factors and equal
-    or opposite term signs are one sub-row (signs, factors, plain, conj):
-    the signs of the first in `product` order, per term of phi in the order
-    of its exponents, then how many have them and how many the opposite
-    ones, whose integral is the conjugate.  The orthant cutoff has one."""
-    d, powers = p.dimension, sorted(p.terms)
+    mirrored where sigma_k = -1.  A coordinate permutation perm, carrying
+    x_k to x_perm[k], maps the positive orthant to itself, so reflections
+    whose (phase, factors on [0, 1]) have the same least image under the
+    permutations, up to the sign of the phase, are one sub-row (signs,
+    factors, plain, conj, group): the first in `product` order, its signs
+    per term of phi in the order of its exponents, then how many have its
+    integral and how many the conjugate, and its own group, the (perm,
+    conj) pairs whose image is itself, conj where the image of its phase
+    is the negative, the identity first.  The orthant cutoff has one
+    reflection."""
+    d, terms = p.dimension, sorted(p.terms.items())
     sigmas = [(1,) * d] if chi.positive_orthant else list(product((1, -1), repeat=d))
+    # each term's coefficient ranked among the coefficients and their
+    # negatives, where -c ranks top - rank(c); each permutation's exponents
+    values = sorted({v for _, c in terms for v in (c, -c)})
+    top, ranks = len(values) - 1, [values.index(c) for _, c in terms]
+    moves = [(perm, [perm.index(j) for j in range(d)]) for perm in permutations(range(d))]
+    moved = [[tuple(a[i] for i in back) for a, _ in terms] for _, back in moves]
     subs = {}
     for f in dict.fromkeys(fs):
-        copies = {}
+        found = {}
         for sigma in sigmas:
-            signs = tuple((-1) ** sum(ak for ak, s in zip(a, sigma) if s < 0) for a in powers)
-            g = TestFunctionSpec(tuple(fac if s > 0 else FactorSpec(-fac.b, -fac.a)
-                                       for fac, s in zip(f.factors, sigma)))
-            twin = (tuple(-s for s in signs), g)
-            conj = twin in copies
-            copies.setdefault(twin if conj else (signs, g), [0, 0])[conj] += 1
-        subs[f] = tuple((signs, g, plain, conj) for (signs, g), (plain, conj) in copies.items())
+            signs = tuple((-1) ** sum(ak for ak, s in zip(a, sigma) if s < 0) for a, _ in terms)
+            ids = [r if s > 0 else top - r for r, s in zip(ranks, signs)]
+            # the factors on [0, 1]; an empty one leaves the sub-row no cells
+            parts = [(max(fac.a, 0.0), min(fac.b, 1.0)) if s > 0 else
+                     (max(-fac.b, 0.0), min(-fac.a, 1.0)) for fac, s in zip(f.factors, sigma)]
+            images = {}
+            for (perm, back), exps in zip(moves, moved):
+                side = tuple(parts[i] for i in back)
+                images[perm, False] = tuple(sorted(zip(exps, ids))), side
+                images[perm, True] = tuple(sorted(zip(exps, [top - i for i in ids]))), side
+            # a key reached both ways has a real integral: either count is right
+            key, conj = min((image, conj) for (_, conj), image in images.items())
+            if key not in found:
+                own = next(iter(images.values()))
+                group = tuple(e for e, image in images.items() if image == own)
+                g = TestFunctionSpec(tuple(fac if s > 0 else FactorSpec(-fac.b, -fac.a)
+                                           for fac, s in zip(f.factors, sigma)))
+                found[key] = [signs, g, 0, 0, group, conj]
+            sub = found[key]
+            sub[2 + (conj != sub[5])] += 1
+        subs[f] = tuple(tuple(sub[:5]) for sub in found.values())
     return subs
 
 
-def _turned(p, signs):
-    """The phase with its terms, in the order of their exponents, times `signs`."""
-    terms = sorted(p.terms.items())
-    return PhasePolynomial(p.dimension, {a: c * s for (a, c), s in zip(terms, signs)})
-
-
-def _symmetries(p, fs, chi):
-    """Per distinct test function f of `fs`, the coordinate permutations
-    perm, carrying x_k to x_perm[k], that map the phase to itself or to its
-    negative, tested exactly on its terms, and fix f on the cutoff's support
-    ([0, 1] or [-1, 1] per axis): a tuple of (perm, conj) pairs, conj where
-    the image of phi is -phi, the identity first."""
-    d = p.dimension
-    negated = {a: -c for a, c in p.terms.items()}
-    phase = []
-    for perm in permutations(range(d)):
-        image = {}
-        for a, c in p.terms.items():
-            b = [0] * d
-            for j, ak in zip(perm, a):
-                b[j] = ak
-            image[tuple(b)] = c
-        if image in (p.terms, negated):
-            phase.append((perm, image != p.terms))
-    floor = 0.0 if chi.positive_orthant else -1.0
-    groups = {}
-    for f in dict.fromkeys(fs):
-        parts = [(max(fac.a, floor), min(fac.b, 1.0)) for fac in f.factors]
-        parts = [(lo, hi) if lo < hi else None for lo, hi in parts]
-        groups[f] = tuple(g for g in phase
-                          if all(parts[j] == part for j, part in zip(g[0], parts)))
-    return groups
-
-
-def _orbits(p, subs, chi, keys, row, ids, rerun):
+def _orbits(groups, keys, row, ids, rerun):
     """Per cell of the table, the cell whose value, rerun value and weight
     mass it takes, the first of its key in table order, and whether it
-    takes their conjugate.  A cell's key is its sub-row (`row`, among
-    `subs`), its rerun flag and the least image, under its sub-row's group
-    (`_symmetries` of its phase and test function), of its per-axis rules
-    (`ids` among `keys`, as in `_run_level`): perm carries axis k's rule to
-    axis perm[k].  Permuting the coordinates turns the cell's sum into that
-    of its image, conjugated where perm negates the phase.  Rules rank in
-    the order of their values, so a row's keys and images do not depend on
-    the other rows of the call."""
-    found = {(s, g): _symmetries(_turned(p, s), [g], chi)[g] for s, g in {u[:2]: 0 for u in subs}}
-    n, own = len(row), [found[sub[:2]] for sub in subs]
-    if all(len(group) == 1 for group in own):
+    takes their conjugate.  A cell's key is its sub-row (`row`), its rerun
+    flag and the least image, under its sub-row's group (`groups`, from
+    `_reflections`), of its per-axis rules (`ids` among `keys`, as in
+    `_run_level`): perm carries axis k's rule to axis perm[k].  Permuting
+    the coordinates turns the cell's sum into that of its image,
+    conjugated where perm negates the phase.  Rules rank in the order of
+    their values, so a row's keys and images do not depend on the other
+    rows of the call."""
+    n = len(row)
+    if all(len(group) == 1 for group in groups):
         return np.arange(n), np.zeros(n, dtype=bool)
     # each cell's axis k rule, ranked by value among the rules of every axis
     rank = np.split(_rows(np.concatenate(keys))[1], np.cumsum([len(k) for k in keys])[:-1])
@@ -841,8 +831,8 @@ def _orbits(p, subs, chi, keys, row, ids, rerun):
     # the least image of each cell under its sub-row's group, and whether
     # the first element giving it negates the phase
     best, conj = ranks.copy(), np.zeros(n, dtype=bool)
-    for group in set(own):
-        mine = np.isin(row, [i for i, g in enumerate(own) if g == group])
+    for group in set(groups):
+        mine = np.isin(row, [i for i, g in enumerate(groups) if g == group])
         rules = ranks[mine]
         # the identity's image first
         least, flip = rules.copy(), np.zeros(len(rules), dtype=bool)
@@ -901,7 +891,7 @@ def _evaluate(p, f, chi, lams, quad):
     reflections = _reflections(p, fs, chi)
     subs = [s for g in fs for s in reflections[g]]
     parent = np.repeat(np.arange(len(fs)), [len(reflections[g]) for g in fs])
-    signs, sub_fs, plain, twin = zip(*subs)
+    signs, sub_fs, plain, twin, groups = zip(*subs)
     pieces, row, cells, counts, orders, exps, rerun = _layout(
         grads, sub_fs, np.array(lams)[parent], quad, depths[parent], merged[parent])
     n, signs = len(row), np.array(signs, dtype=float)
@@ -925,7 +915,7 @@ def _evaluate(p, f, chi, lams, quad):
         ids.append(at)
     ids = np.stack(ids, axis=1)
     # only the first cell of each orbit key of the rows in budget is evaluated
-    rep, conj = _orbits(p, subs, chi, keys, row, ids, rerun)
+    rep, conj = _orbits(groups, keys, row, ids, rerun)
     run = ~(planned > quad.node_budget)[parent[row]] & (rep == np.arange(n))
     again = run & rerun
     take = np.concatenate([np.flatnonzero(run), np.flatnonzero(again)])

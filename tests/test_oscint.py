@@ -1560,11 +1560,24 @@ def kernel_calls(monkeypatch):
 
 
 def ungrouped(monkeypatch):
-    """From now on every cell is its own orbit: `_evaluate` runs every cell."""
-    def identity(p, fs, chi, pieces, row, *rest):
+    """From now on every orthant is its own sub-row, one plain copy with the
+    identity alone for its group, and every cell its own orbit: `_evaluate`
+    runs every cell of every orthant."""
+    def orthants(p, fs, chi):
+        d, terms = p.dimension, sorted(p.terms)
+        sigmas = [(1,) * d] if chi.positive_orthant else list(product((1, -1), repeat=d))
+        identity = ((tuple(range(d)), False),)
+        return {f: tuple((tuple(math.prod(s ** k for s, k in zip(sigma, a)) for a in terms),
+                          TestFunctionSpec.of(*(fac if s > 0 else FactorSpec(-fac.b, -fac.a)
+                                                for fac, s in zip(f.factors, sigma))),
+                          1, 0, identity) for sigma in sigmas)
+                for f in fs}
+
+    def cells(groups, keys, row, *rest):
         return np.arange(len(row)), np.zeros(len(row), dtype=bool)
 
-    monkeypatch.setattr(oscint, "_orbits", identity)
+    monkeypatch.setattr(oscint, "_reflections", orthants)
+    monkeypatch.setattr(oscint, "_orbits", cells)
 
 
 def count_rule_builds(monkeypatch):
@@ -1758,7 +1771,7 @@ class TestOrbits:
         self.assert_same(got, want)
         if kind != "asymmetric" and factors in ("ones", "even-boxes", "equal-boxes"):
             # the swap of x1 and x2 maps the phase to plus or minus itself
-            assert len(oscint._symmetries(p, [f], chi)[f]) > 1
+            assert len(oscint._reflections(p, [f], chi)[f][0][4]) > 1
 
     def test_conjugate_path(self, monkeypatch):
         # swapping the axes negates x1^2*x2 - x1*x2^2: a cell off the
@@ -1775,10 +1788,13 @@ class TestOrbits:
         self.assert_same(got, want)
         (rep, conj), = orbits
         assert conj.any() and (rep[conj] != np.flatnonzero(conj)).all()
-        assert oscint._symmetries(p, [f], CHI_POS) == {f: (((0, 1), False), ((1, 0), True))}
-        # over the full space the reflections of both axes negate the phase:
-        # two sub-rows, each of one plain and one conjugate copy
-        assert [sub[2:] for sub in oscint._reflections(p, [f], CHI)[f]] == [(1, 1), (1, 1)]
+        (sub,) = oscint._reflections(p, [f], CHI_POS)[f]
+        assert sub[4] == (((0, 1), False), ((1, 0), True))
+        # over the full space the reflection of both axes negates the phase
+        # and the swap negates it back: one sub-row of two plain copies,
+        # whose integral is real; the reflections of one axis give the
+        # swap-symmetric x1^2*x2 + x1*x2^2 and its negative
+        assert [sub[2:4] for sub in oscint._reflections(p, [f], CHI)[f]] == [(2, 0), (1, 1)]
 
     @pytest.mark.parametrize("text, chi, group", [
         ("x1*x2", CHI_POS, 2),
@@ -1788,6 +1804,8 @@ class TestOrbits:
         ("x1^2*x2^2 + x1^5*x2", CHI, 2),
         ("x1^3*x2 + x1*x2^2", CHI, 2),
         ("x1*x2*x3", CHI, 48),
+        # the swap, and the swap with both axes reflected
+        ("x1^2*x2 + x1*x2^2 + x1^2*x2^2", CHI, 2),
     ])
     def test_group_of_the_phase(self, text, chi, group):
         # the signed coordinate permutations that map the phase to plus or
@@ -1803,14 +1821,33 @@ class TestOrbits:
             ("x1^2*x2^2 + x1^5*x2", False): [(2, 0), (2, 0)],
             ("x1^3*x2 + x1*x2^2", False): [(1, 1), (1, 1)],
             ("x1*x2*x3", False): [(4, 4)],
+            # (-1, 1) is (1, -1) swapped
+            ("x1^2*x2 + x1*x2^2 + x1^2*x2^2", False): [(1, 0), (2, 0), (1, 0)],
         }.get((text, chi.positive_orthant), [(1, 0)])
-        assert [(plain, conj) for *_, plain, conj in subs] == copies
+        assert [(plain, conj) for *_, plain, conj, _ in subs] == copies
         assert subs[0][:2] == ((1,) * len(p.terms), f)
-        for signs, g, plain, conj in subs:
+        for signs, g, plain, conj, perms in subs:
             assert g == f
-            perms, = oscint._symmetries(oscint._turned(p, signs), [g], chi).values()
             assert perms[0] == (tuple(range(p.dimension)), False)
             assert (plain + conj) * len(perms) == group
+
+    def test_mirrored_boxes_merge_by_a_swap(self):
+        # on x1*x2 the reflection of both axes carries the boxes to their
+        # swap: one sub-row of two plain copies, whose boxes differ below 0
+        # and whose group keeps the swap
+        f = TestFunctionSpec.boxes([(-0.4, 0.8), (-0.8, 0.4)])
+        subs = oscint._reflections(phase("x1*x2"), [f], CHI)[f]
+        assert [sub[2:4] for sub in subs] == [(2, 0), (1, 0), (1, 0)]
+        assert [len(sub[4]) for sub in subs] == [1, 2, 2]
+
+    def test_reflections_a_permutation_joins_run_once(self, monkeypatch):
+        # (1, -1) and (-1, 1) turn x1^2*x2 + x1*x2^2 + x1^2*x2^2 into each
+        # other's swap: one sub-row, evaluated once.  With the two apart
+        # the kernel ran 8,851,648 nodes
+        calls = kernel_calls(monkeypatch)
+        lambda_sweep(phase("x1^2*x2 + x1*x2^2 + x1^2*x2^2"), TestFunctionSpec.ones(2), CHI,
+                     lambda_grid(64, 1024, 5))
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == 6_496_560
 
     @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
     def test_row_without_cells(self, chi):
@@ -1828,11 +1865,11 @@ class TestOrbits:
         p = phase("x1^3*x2 + x1*x2^2")
         fs = TestBatchedRows.FS
         subs = oscint._reflections(p, fs, CHI)
-        assert [[sub[2:] for sub in subs[f]] for f in fs] == [
+        assert [[sub[2:4] for sub in subs[f]] for f in fs] == [
             [(1, 0)] * 4, [(1, 1)] * 2, [(1, 1)] * 2, [(1, 0)] * 4, [(1, 1)] * 2]
         # a row's sub-rows are its distinct mirrored test functions
         box = fs[2].factors
-        assert [g for _, g, _, _ in subs[fs[2]]] == [
+        assert [g for _, g, *_ in subs[fs[2]]] == [
             fs[2], TestFunctionSpec.of(box[0], FactorSpec(-box[1].b, -box[1].a))]
 
     def test_trivial_group_changes_nothing(self, monkeypatch):
@@ -1924,7 +1961,8 @@ class TestReflections:
         scales = 0.5 * 1234.5 * rng.uniform(0.5, 2.0, (b, 1)) * signs
         rows = p.evaluate_tensor(axes, scales, np.full([b] + sizes, np.nan))
         for i in range(b):
-            turned = oscint._turned(p, signs[i].tolist())
+            turned = PhasePolynomial.from_terms(
+                {a: c * s for (a, c), s in zip(sorted(p.terms.items()), signs[i].tolist())}, 2)
             alone = turned.evaluate_tensor([x[i:i + 1] for x in axes], abs(float(scales[i, 0])),
                                            np.full([1] + sizes, np.nan))
             assert rows[i].tobytes() == alone[0].tobytes()
