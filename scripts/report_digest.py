@@ -29,7 +29,11 @@ into two sub-rows of two plain copies each, x1^2*x2 + x1*x2^3, whose
 reflections give two distinct term-sign patterns, each a sub-row of one
 plain and one conjugate copy, and x1^2*x2 + x1*x2^2 + x1^2*x2^2, whose
 reflections of one axis are each other's swap, one sub-row of two plain
-copies.  The three jobs at the end query the
+copies.  Two `integrate` runs cut self-symmetric cells of many panels into
+panel cells, one per orbit evaluated: x1^2*x2 - x1*x2^2 at lam 2048, whose
+swap negates the phase, so a panel cell off the diagonal takes the
+conjugate of its mirror image's sum, and x1*x2*x3 at lam 512, whose corner
+cube every permutation fixes.  The three jobs at the end query the
 polyhedron at points with denominators other than powers of two:
 `exponent` and `dual` on the d = 3 support above at p = (3, 5/2, inf),
 whose witness (2, 9/5, 3) lies on an unbounded 2-face, and `exponent` on
@@ -106,6 +110,10 @@ JOBS = (
      "--lam-hi", "1024", "--lam-count", "5"),
     ("integrate", "--phase", "x1^2*x2 + x1*x2^2 + x1^2*x2^2", "--orthant", "off", "--lam-lo",
      "64", "--lam-hi", "1024", "--lam-count", "5"),
+    # self-symmetric cells of many panels, one panel cell per orbit: under a
+    # swap that negates the phase, and under every permutation in 3D
+    ("integrate", "--phase", "x1^2*x2 - x1*x2^2", "--lam", "2048"),
+    ("integrate", "--phase", "x1*x2*x3", "--dim", "3", "--lam", "512"),
     # witnesses with non-dyadic denominators, on unbounded faces
     *((cmd, "--phase", "x1^2*x3^4 + x1^2*x2*x3^2 + x1^3*x2^2", "--dim", "3", "--p", "3,5/2,inf")
       for cmd in ("exponent", "dual")),

@@ -18,11 +18,13 @@ planned before any quadrature (`_layout`), one row per sub-row; a row
 whose rule needs more nodes than the budget, over all its reflections, is
 refused.  Cells in one orbit of the coordinate permutations that map a
 sub-row's phase to plus or minus itself are evaluated once (`_orbits`),
-and the evaluated cells of every row and their reruns, for the error
-estimate (`_evaluate`), are one batch (`_run_level`): each distinct
-per-axis rule is built once (`_rule_table`), and `_kernel` contracts
-blocks of cells of one shape in a per-thread workspace that stays in a
-core's L2 cache, each cell's term signs folded into its per-term scale.
+and so are the panel cells of a cell that such a permutation maps to
+itself, one per orbit (`_split_cells`).  The evaluated cells of every row
+and their reruns, for the error estimate (`_evaluate`), are one batch
+(`_run_level`): each distinct per-axis rule is built once (`_rule_table`),
+and `_kernel` contracts blocks of cells of one shape in a per-thread
+workspace that stays in a core's L2 cache, each cell's term signs folded
+into its per-term scale.
 The same cell grid indexes a closed-form bound per cell (`box_envelope`),
 whose sum is an a-priori certificate for the result.
 
@@ -247,7 +249,7 @@ class OscResult:
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
     # the rule's node count over every orthant, refused or not; the kernel
-    # evaluates fewer (`_reflections`, `_orbits`)
+    # evaluates fewer (`_reflections`, `_split_cells`, `_orbits`)
     nodes: int
     certificate: float | None = None
 
@@ -406,6 +408,9 @@ _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
 )})
 
 
+# least nodes of a panel cell (`_split_cells`): planning one takes about as
+# long as the kernel takes on 200 nodes, and its orbit saves at most half of it
+_PANEL_NODES = 512
 _BLOCK = 131_072  # kernel workspace floats per block: 1 MiB, half of a 2 MiB per-core L2
 
 
@@ -415,18 +420,25 @@ def _blocks(axes, room):
     its slice of the cells, its nodes per axis and its tensor shape.  A
     block cuts the first leading axis (cells, then axes 0 to d-2) on which
     a run of indices spanning a multiple of 8 rows fits; it holds one index
-    of each leading axis before that one and all of each axis after.  Its
-    boundaries thus lie 8k rows into their slab, so BLAS rounds every row
-    sum as in one matmul on all rows (OpenBLAS's GEMV groups rows by 4 from
-    a matrix's start)."""
+    of each leading axis before that one and all of each axis after.  The
+    fewest such runs that cover the axis are made as equal as that allows.
+    Block boundaries thus lie 8k rows into their slab, so BLAS rounds every
+    row sum as in one matmul on all rows (OpenBLAS's GEMV groups rows by 4
+    from a matrix's start)."""
     lead = [len(axes[0])] + [x.shape[1] for x in axes[:-1]]
     for cut, size in enumerate(lead):
         under = math.prod(lead[cut + 1:])  # rows under one index of the cut axis
+        step = 8 // math.gcd(under, 8)     # indices per aligned run of rows
         run = min(room // under, size)
         if run < size:
-            run -= run % (8 // math.gcd(under, 8))
+            run -= run % step
         if run:
             break
+    if run < size:
+        # as few blocks as `run` allows, as equal as the alignment allows:
+        # no small last block
+        run = -(-size // -(-size // run))
+        run += -run % step
     for fixed in product(*map(range, lead[:cut])):
         for s in range(0, size, run):
             at = ([slice(i, i + 1) for i in fixed] + [slice(s, s + run)]
@@ -556,13 +568,15 @@ def _rule_table(keys, chi):
     return inverse, place, stacks
 
 
-def _run_level(p, keys, ids, lams, chi):
+def _run_level(p, keys, ids, parts, lams, chi):
     """Rule sums and weight masses of cells, each at its own frequencies
     `lams` (`_kernel`) and with its rule per axis k its row of `ids` among
-    `keys[k]`, that axis's distinct rules (lo, hi, panels, order, e).  The
-    rules the cells take are built as one table (`_rule_table`), so axes
-    share them; each shape group gathers its rules from the table's view of
-    each node count."""
+    `keys[k]`, that axis's distinct rules (lo, hi, panels, order, e): the
+    whole rule where its entry of `parts` is -1, else its panel of that
+    index.  The rules the cells take are built as one table
+    (`_rule_table`), so axes share them; each shape group gathers its
+    rows from one view per node count n: the table's rules of n nodes,
+    then those of each rule with panels of n nodes cut into panels."""
     values = np.zeros(len(ids), dtype=complex)
     # per axis, the rules its cells take, then each cell's rule in the table
     taken = [np.bincount(ids[:, k], minlength=len(key)) > 0 for k, key in enumerate(keys)]
@@ -570,28 +584,53 @@ def _run_level(p, keys, ids, lams, chi):
     sums = np.concatenate([np.zeros(0)] + [np.abs(w).sum(axis=1) for _, w in stacks.values()])
     offsets = np.cumsum([0] + [u.sum() for u in taken]) - 1
     rules = [table[o + np.cumsum(u)[ids[:, k]]] for k, (o, u) in enumerate(zip(offsets, taken))]
-    mass = np.prod([sums[rule] for rule in rules], axis=0)
+    # per axis, each cell's weight mass, the nodes it takes and their row
+    # in the view of that many nodes
+    masses = np.stack([sums[rule] for rule in rules])
+    size = np.stack([(k[:, 2] * k[:, 3]).astype(np.int64)[ids[:, j]]
+                     for j, k in enumerate(keys)], axis=1)
+    at = np.stack([place[rule] for rule in rules], axis=1)
+    views = dict(stacks)
+    cut = parts >= 0
+    if cut.any():
+        # per order n of some panel, the rules with panels of n nodes cut
+        # into rows of n under the view of n, each panel's row there, and
+        # its weight mass
+        size[cut] = np.stack([k[ids[:, j], 3] for j, k in enumerate(keys)], axis=1)[cut]
+        count = np.repeat(list(stacks), [len(x) for x, _ in stacks.values()])
+        rule = np.stack(rules, axis=1)
+        for n in set(size[cut].tolist()):
+            on = cut & (size == n)
+            mine = np.flatnonzero(np.bincount(rule[on], minlength=len(sums)))
+            below = views.get(n, (np.zeros((0, n)),) * 2)
+            first = np.zeros(len(sums), dtype=np.int64)
+            first[mine] = len(below[0]) + np.cumsum(count[mine] // n) - count[mine] // n
+            cut_rules = list(zip(mine.tolist(), count[mine].tolist()))
+            views[n] = tuple(np.concatenate([view] + [stacks[c][i][place[r]].reshape(-1, n)
+                                                      for r, c in cut_rules])
+                             for i, view in enumerate(below))
+            at[on] = first[rule[on]] + parts[on]
+            masses.T[on] = np.abs(views[n][1]).sum(axis=1)[at[on]]
     # rows with equal node counts per axis have rules of equal shape: each
     # such group is evaluated in batches whose two planes and row sums,
     # 2*b*m*(n + 1) floats, stay within _CHUNK (the kernel blocks them)
-    shapes, group = _rows(np.stack([(k[:, 2] * k[:, 3]).astype(np.int64)[ids[:, j]]
-                                    for j, k in enumerate(keys)], axis=1))
+    shapes, group = _rows(size)
     by_group = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
     for sizes, members in zip(shapes.tolist(), by_group):
-        size = math.prod(sizes)
-        batch = max(1, _CHUNK // (2 * (size + size // sizes[-1])))
+        cells = math.prod(sizes)
+        batch = max(1, _CHUNK // (2 * (cells + cells // sizes[-1])))
         # a cell above the chunk alone is cut into slices along axis 0
-        rows = max(1, _CHUNK // (size // sizes[0]))
-        # per axis, the table's rules of the group's node count and its rows' places
-        gathered = [(*stacks[n], place[rule[members]]) for rule, n in zip(rules, sizes)]
+        rows = max(1, _CHUNK // (cells // sizes[0]))
+        # per axis, the view of its node count and the group's rows there
+        gathered = [(*views[n], at[members, k]) for k, n in enumerate(sizes)]
         for start in range(0, len(members), batch):
             idx = members[start:start + batch]
-            axes = [x[at[start:start + batch]] for x, _, at in gathered]
-            weights = [w[at[start:start + batch]] for _, w, at in gathered]
+            axes = [x[a[start:start + batch]] for x, _, a in gathered]
+            weights = [w[a[start:start + batch]] for _, w, a in gathered]
             for s in range(0, sizes[0], rows):
                 values[idx] += _kernel(p, lams[idx], [axes[0][:, s:s + rows]] + axes[1:],
                                        [weights[0][:, s:s + rows]] + weights[1:])
-    return values, mass
+    return values, np.prod(masses, axis=0)
 
 
 def _plan(f, depths):
@@ -811,28 +850,31 @@ def _reflections(p, fs, chi):
     return subs
 
 
-def _orbits(groups, keys, row, ids, rerun):
+def _ranks(keys, ids):
+    """Each cell's rule per axis k, its row of `ids` among `keys[k]`, ranked
+    by value among the rules of every axis: a (cells, d) integer array."""
+    rank = np.split(_rows(np.concatenate(keys))[1], np.cumsum([len(k) for k in keys])[:-1])
+    return np.stack([r[ids[:, k]] for k, r in enumerate(rank)], axis=1)
+
+
+def _orbits(groups, ranks, row, rerun):
     """Per cell of the table, the cell whose value, rerun value and weight
     mass it takes, the first of its key in table order, and whether it
     takes their conjugate.  A cell's key is its sub-row (`row`), its rerun
     flag and the least image, under its sub-row's group (`groups`, from
-    `_reflections`), of its per-axis rules (`ids` among `keys`, as in
-    `_run_level`): perm carries axis k's rule to axis perm[k].  Permuting
-    the coordinates turns the cell's sum into that of its image,
-    conjugated where perm negates the phase.  Rules rank in the order of
-    their values, so a row's keys and images do not depend on the other
-    rows of the call."""
+    `_reflections`), of its per-axis rules (`ranks`, from `_ranks`): perm
+    carries axis k's rule to axis perm[k].  Permuting the coordinates
+    turns the cell's sum into that of its image, conjugated where perm
+    negates the phase.  Rules rank in the order of their values, so a
+    row's keys and images do not depend on the other rows of the call."""
     n = len(row)
     if all(len(group) == 1 for group in groups):
         return np.arange(n), np.zeros(n, dtype=bool)
-    # each cell's axis k rule, ranked by value among the rules of every axis
-    rank = np.split(_rows(np.concatenate(keys))[1], np.cumsum([len(k) for k in keys])[:-1])
-    ranks = np.stack([r[ids[:, k]] for k, r in enumerate(rank)], axis=1)
     # the least image of each cell under its sub-row's group, and whether
     # the first element giving it negates the phase
     best, conj = ranks.copy(), np.zeros(n, dtype=bool)
-    for group in set(groups):
-        mine = np.isin(row, [i for i, g in enumerate(groups) if g == group])
+    for group in {g for g in groups if len(g) > 1}:
+        mine = np.equal([g == group for g in groups], True)[row]
         rules = ranks[mine]
         # the identity's image first
         least, flip = rules.copy(), np.zeros(len(rules), dtype=bool)
@@ -851,6 +893,70 @@ def _orbits(groups, keys, row, ids, rerun):
     return rep, conj != conj[rep]
 
 
+def _split_cells(groups, ranks, keys, ids, row, run):
+    """The pieces that evaluate the cells `run`.  A cell whose stabilizer,
+    the moves (perm, negates) of its sub-row's group (`groups`) that carry
+    its per-axis rules (`ranks`, as in `_orbits`) onto themselves, moves an
+    axis of three panels or more is cut on each such axis into one panel
+    cell per panel, where a panel cell holds at least _PANEL_NODES nodes.
+    (With two panels, the one such cell of a 3D sweep at lam 16 to 32
+    saved less kernel time than its panel cells took to plan.)  The
+    stabilizer maps the panel cells onto each other, and the least image
+    of each orbit, in the order of their panels, is a piece; every other
+    cell is one piece, whole.  Returns per piece, in table order, its
+    cell, its part of each axis's rule (`ids` among `keys`: -1 for the
+    whole rule, j for panel j), and how many panel cells of its cell take
+    its sum and how many its conjugate."""
+    cells, d = np.flatnonzero(run), ids.shape[1]
+    whole = (cells, np.full((len(cells), d), -1), np.ones(len(cells), dtype=np.int64),
+             np.zeros(len(cells), dtype=np.int64))
+    if ranks is None:
+        return whole
+    panels, orders = (np.stack([k[ids[cells, j], c] for j, k in enumerate(keys)], axis=1)
+                      .astype(np.int64) for c in (2, 3))
+    # the moves that fix each cell with room for a cut, and the axes they move
+    room = (panels > 2).any(axis=1) & ((panels * orders).prod(axis=1) >= 3 * _PANEL_NODES)
+    if not room.any():
+        return whole
+    rules, sub, cut, moves = ranks[cells], row[cells], np.zeros((len(cells), d), dtype=bool), []
+    for group in {g for g in groups if len(g) > 1}:
+        mine = np.flatnonzero(room & np.equal([g == group for g in groups], True)[sub])
+        for move in group[1:]:
+            fixed = np.zeros(len(cells), dtype=bool)
+            fixed[mine] = (rules[mine][:, np.argsort(move[0])] == rules[mine]).all(axis=1)
+            moves.append((move, fixed))
+            cut[fixed] |= np.array(move[0]) != np.arange(d)
+    cut &= panels > 2
+    cut &= (np.where(cut, orders, orders * panels).prod(axis=1) >= _PANEL_NODES)[:, None]
+    if not cut.any():
+        return whole
+    # every panel cell (a cell not cut is one), its panels and its index in
+    # its cell, in mixed radix with the last axis fastest: the moved axes
+    # have equal radix, so index order is the panels' lexicographic order
+    counts = np.where(cut, panels, 1)
+    size = counts.prod(axis=1)
+    owner = np.repeat(np.arange(len(cells)), size)
+    start = np.repeat(np.cumsum(size) - size, size)
+    index = np.arange(len(owner)) - start
+    part, stride, rest = *np.empty((2, len(owner), d), dtype=np.int64), index
+    for k in reversed(range(d)):
+        stride[:, k] = counts[owner, k + 1:].prod(axis=1)
+        rest, part[:, k] = np.divmod(rest, counts[owner, k])
+    # the least index among its images under the moves that fix its cell,
+    # and whether the first move giving it negates the phase
+    least, flip = index.copy(), np.zeros(len(owner), dtype=bool)
+    for (perm, negates), fixed in moves:
+        image = (part[:, np.argsort(perm)] * stride).sum(axis=1)
+        less = fixed[owner] & (image < least)
+        least[less], flip[less] = image[less], negates
+    rep = start + least
+    plain, conj = (np.bincount(rep[f], minlength=len(owner)) for f in (~flip, flip))
+    piece = least == index
+    part = part[piece]
+    part[~cut[owner[piece]]] = -1
+    return cells[owner[piece]], part, plain[piece], conj[piece]
+
+
 def _evaluate(p, f, chi, lams, quad):
     """Tensor-panel quadrature of the oscillatory form at every frequency of
     `lams`, with one test function `f` or one per frequency: per frequency,
@@ -862,19 +968,21 @@ def _evaluate(p, f, chi, lams, quad):
     the budget is refused before any quadrature: its result is flagged
     low-confidence, with no value or error and the planned count as nodes.
     One `_run_level` takes the first cell of each orbit (`_orbits`) of every
-    other row, then those rerun, each at the row's frequency times its
-    sub-row's term signs; every other cell takes its orbit's value, rerun
-    value and weight mass, conjugated where its permutation negates the
-    phase.  The reported error is the difference against a rerun on the
-    same panels at order max(n // 2, n - 4) on the axes at order
-    n >= `order`, plus d * target times the weight mass of each cell not
-    rerun.  Under a rule with an entry in `_TRANSITION_PANELS` only a cell
-    with an axis off the cutoff plateau that is not resolved is rerun: an
-    axis is resolved when its piece is the whole transition [PLATEAU, 1],
-    unclipped, with at least P0(n, e) panels for its order n and map
-    exponent e.  Every other axis is analytic (a merged piece too) or
-    resolved.  A rule without an entry reruns every cell with an axis at
-    order n >= `order`.
+    other row, in pieces where a permutation maps it to itself (one per
+    orbit of its panel cells, `_split_cells`), then those rerun, each at the
+    row's frequency times its sub-row's term signs; a cell's value, rerun
+    value and weight mass are its pieces' over the panel cells that take
+    them, and every other cell takes its orbit's, conjugated where its
+    permutation negates the phase.  The reported error is the difference
+    against a rerun on the same panels at order max(n // 2, n - 4) on the
+    axes at order n >= `order`, plus d * target times the weight mass of
+    each cell not rerun.  Under a rule with an entry in
+    `_TRANSITION_PANELS` only a cell with an axis off the cutoff plateau
+    that is not resolved is rerun: an axis is resolved when its piece is
+    the whole transition [PLATEAU, 1], unclipped, with at least P0(n, e)
+    panels for its order n and map exponent e.  Every other axis is
+    analytic (a merged piece too) or resolved.  A rule without an entry
+    reruns every cell with an axis at order n >= `order`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -914,19 +1022,36 @@ def _evaluate(p, f, chi, lams, quad):
         keys.append(np.concatenate([rules, low]))
         ids.append(at)
     ids = np.stack(ids, axis=1)
-    # only the first cell of each orbit key of the rows in budget is evaluated
-    rep, conj = _orbits(groups, keys, row, ids, rerun)
+    # the first cell of each orbit of the rows in budget is evaluated, in
+    # pieces where it is self-symmetric
+    ranks = _ranks(keys, ids) if any(len(group) > 1 for group in groups) else None
+    rep, conj = _orbits(groups, ranks, row, rerun)
     run = ~(planned > quad.node_budget)[parent[row]] & (rep == np.arange(n))
-    again = run & rerun
-    take = np.concatenate([np.flatnonzero(run), np.flatnonzero(again)])
-    freqs = np.array(lams)[parent[row[take]], None] * signs[row[take]]
-    low = ids[again] + [len(key) // 2 for key in keys]  # each rerun's rule at the lower order
-    values, mass = _run_level(p, keys, np.concatenate([ids[run], low]), freqs, chi)
-    # back onto the cell table: value, rerun value and weight mass per cell,
-    # each cell's taken from its key's first, over its sub-row's plain and
-    # conjugate copies, conjugated once more where its permutation says so
-    value, check, weight, first = *np.zeros((2, n), complex), np.zeros(n), run.sum()
-    value[run], check[again], weight[run] = values[:first], values[first:], mass[:first]
+    owner, part, once, twice = _split_cells(groups, ranks, keys, ids, row, run)
+    again = rerun[owner]
+    take = row[np.concatenate([owner, owner[again]])]
+    # one frequency per piece, or one per piece and term where a term sign is -1
+    freqs = np.array(lams)[parent[take]]
+    if (signs < 0).any():
+        freqs = freqs[:, None] * signs[take]
+    low = ids[owner[again]] + [len(key) // 2 for key in keys]  # at the rerun's lower order
+    values, mass = _run_level(p, keys, np.concatenate([ids[owner], low]),
+                              np.concatenate([part, part[again]]), freqs, chi)
+    # per piece, its value, rerun value and weight mass over the panel
+    # cells that take it or its conjugate, summed onto its cell; then each
+    # cell takes its key's first, over its sub-row's plain and conjugate
+    # copies, conjugated once more where its permutation says so
+    first = len(owner)
+    sums = [values[:first], np.zeros(first, complex), mass[:first] * (once + twice)]
+    sums[1][again] = values[first:]
+    for v in sums[:2]:
+        v.real *= once + twice
+        v.imag *= once - twice
+    value, check, weight = *np.zeros((2, n), complex), np.zeros(n)
+    if first:
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        value[owner[starts]], check[owner[starts]], weight[owner[starts]] = (
+            np.add.reduceat(v, starts) for v in sums)
     value, check, weight = value[rep], check[rep], weight[rep]
     for v in (value, check):
         v.real *= plain + twin

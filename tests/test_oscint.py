@@ -1507,7 +1507,7 @@ class TestSweep:
         assert nodes == [968_400, 2_453_248]
 
     @pytest.mark.parametrize("waves, lam, kernel, error, grouped", [
-        pytest.param(2.0, 256.0, 49_440, 8.209120413601127e-09, 34_304,
+        pytest.param(2.0, 256.0, 49_440, 8.209120413601127e-09, 28_880,
                      id="2.0-256.0-49440-8.209120413601127e-09"),
         pytest.param(0.5, 64.0, 29_808, 3.485047506192388e-08, 19_616,
                      id="0.5-64.0-29808-3.485047506192388e-08"),
@@ -1517,8 +1517,10 @@ class TestSweep:
         # no panel count resolves the transition for these rules, whose
         # targets lie below the float floor: every cell with an axis at
         # order 16 or above keeps its rerun, plateau-only ones too, and err
-        # is what that rerun gives.  One cell per orbit of the axis swap
-        # runs `grouped`, and gives that err to rounding
+        # is what that rerun gives.  One cell per orbit of the axis swap,
+        # and one panel cell per orbit inside the cells it fixes (34,304
+        # with those whole at lam 256), runs `grouped`, and gives that err
+        # to rounding
         calls = kernel_calls(monkeypatch)
         args = (phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, lam)
         with monkeypatch.context() as m:
@@ -1561,8 +1563,8 @@ def kernel_calls(monkeypatch):
 
 def ungrouped(monkeypatch):
     """From now on every orthant is its own sub-row, one plain copy with the
-    identity alone for its group, and every cell its own orbit: `_evaluate`
-    runs every cell of every orthant."""
+    identity alone for its group, no cell is cut into panel cells and every
+    cell is its own orbit: `_evaluate` runs every cell of every orthant whole."""
     def orthants(p, fs, chi):
         d, terms = p.dimension, sorted(p.terms)
         sigmas = [(1,) * d] if chi.positive_orthant else list(product((1, -1), repeat=d))
@@ -1576,7 +1578,11 @@ def ungrouped(monkeypatch):
     def cells(groups, keys, row, *rest):
         return np.arange(len(row)), np.zeros(len(row), dtype=bool)
 
+    def whole(groups, *rest, _split=oscint._split_cells):
+        return _split([group[:1] for group in groups], *rest)
+
     monkeypatch.setattr(oscint, "_reflections", orthants)
+    monkeypatch.setattr(oscint, "_split_cells", whole)
     monkeypatch.setattr(oscint, "_orbits", cells)
 
 
@@ -1843,11 +1849,56 @@ class TestOrbits:
     def test_reflections_a_permutation_joins_run_once(self, monkeypatch):
         # (1, -1) and (-1, 1) turn x1^2*x2 + x1*x2^2 + x1^2*x2^2 into each
         # other's swap: one sub-row, evaluated once.  With the two apart
-        # the kernel ran 8,851,648 nodes
+        # the kernel ran 8,851,648 nodes, and with the swap-fixed cells
+        # whole, not one panel cell per orbit, 6,496,560
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase("x1^2*x2 + x1*x2^2 + x1^2*x2^2"), TestFunctionSpec.ones(2), CHI,
                      lambda_grid(64, 1024, 5))
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == 6_496_560
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == 4_795_952
+
+    @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
+    @pytest.mark.parametrize("text, d, lams, moved", [
+        ("x1*x2", 2, (512.0, 1024.0), 2),
+        # the swap negates the phase: a panel cell off the diagonal takes
+        # the conjugate of its mirror image's sum
+        ("x1^2*x2 - x1*x2^2", 2, (256.0, 1024.0), 2),
+        # every permutation fixes the corner cube
+        ("x1*x2*x3", 3, (512.0,), 3),
+        # the swap of x2 and x3 alone
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (256.0,), 2),
+    ])
+    def test_panel_cells_equal_whole_cells(self, monkeypatch, text, d, lams, moved, chi):
+        # the corner cells here have at least 4 panels on each axis their
+        # stabilizer moves: each is cut into one cell per panel of those
+        # axes, and one panel cell per orbit is evaluated
+        cuts, real = [], oscint._split_cells
+
+        def spy(*args):
+            out = real(*args)
+            cuts.append(out)
+            return out
+
+        monkeypatch.setattr(oscint, "_split_cells", spy)
+        got, want = self.grouped_and_not(monkeypatch, phase(text, d), TestFunctionSpec.ones(d),
+                                         chi, lams)
+        self.assert_same(got, want)
+        # the panel cells of a cut cell, and the pieces that evaluate them
+        panels = [np.bincount(cell, weights=plain + conj) for cell, _, plain, conj in cuts]
+        pieces = [np.bincount(cell) for cell, *_ in cuts]
+        assert max(p.max() for p in panels) >= 4 ** moved
+        assert max((p - q).max() for p, q in zip(panels, pieces)) > 0
+
+    @pytest.mark.parametrize("text, d, lams, kernel", [
+        ("x1*x2", 2, lambda_grid(64, 2048, 11), 543_904),
+        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_299_952),
+        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 11_635_648),
+    ], ids=["x1*x2", "x1^3*x2^3", "x1*x2*x3"])
+    def test_panel_orbits_cut_kernel_nodes(self, monkeypatch, text, d, lams, kernel):
+        # orthant sweeps; with each self-symmetric cell evaluated whole the
+        # kernel ran 771,744, 2,381,616 and 33,067,968 nodes
+        calls = kernel_calls(monkeypatch)
+        lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
 
     @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
     def test_row_without_cells(self, chi):
