@@ -37,9 +37,8 @@ LO = float(PLATEAU)
 def rule(panels, n, e):
     """The nodes and weights of `panels` n-point panels at map exponent e on
     the transition piece, times the cutoff."""
-    _, _, stacks = _rule_table(np.array([[LO, 1.0, panels, n, e]]), CutoffSpec())
-    (nodes, weights), = stacks.values()
-    return nodes[0], weights[0]
+    _, _, nodes, weights = _rule_table(np.array([[LO, 1.0, panels, n, e]]), CutoffSpec())
+    return nodes, weights
 
 
 def transition_sum(panels, n, e, w):

@@ -16,15 +16,16 @@ order, map exponent and panel count with the fewest nodes that meet one
 per-panel error target (`_sizing`, `_panel_counts`).  A call is one cell table
 planned before any quadrature (`_layout`), one row per sub-row; a row
 whose rule needs more nodes than the budget, over all its reflections, is
-refused.  Cells in one orbit of the coordinate permutations that map a
-sub-row's phase to plus or minus itself are evaluated once (`_orbits`),
-and so are the panel cells of a cell that such a permutation maps to
-itself, one per orbit (`_split_cells`).  The evaluated cells of every row
-and their reruns, for the error estimate (`_evaluate`), are one batch
-(`_run_level`): each distinct per-axis rule is built once (`_rule_table`),
-and `_kernel` contracts blocks of cells of one shape in a per-thread
-workspace that stays in a core's L2 cache, each cell's term signs folded
-into its per-term scale.
+refused.  Each cell axis's rule (lo, hi, panels, order, e) is a row of
+one table of the call's distinct rules, sorted by value over every axis.
+Cells in one orbit of the coordinate permutations that map a sub-row's
+phase to plus or minus itself are evaluated once, and so are the panel
+cells of a cell that such a permutation maps to itself, one per orbit
+(`_orbits`).  The evaluated cells of every row and their reruns, for the
+error estimate (`_evaluate`), are one batch (`_run_level`): each rule is
+built once (`_rule_table`), and `_kernel` contracts blocks of cells of
+one shape in a per-thread workspace that stays in a core's L2 cache,
+each cell's term signs folded into its per-term scale.
 The same cell grid indexes a closed-form bound per cell (`box_envelope`),
 whose sum is an a-priori certificate for the result.
 
@@ -249,7 +250,7 @@ class OscResult:
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
     # the rule's node count over every orthant, refused or not; the kernel
-    # evaluates fewer (`_reflections`, `_split_cells`, `_orbits`)
+    # evaluates fewer (`_reflections`, `_orbits`)
     nodes: int
     certificate: float | None = None
 
@@ -408,7 +409,7 @@ _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
 )})
 
 
-# least nodes of a panel cell (`_split_cells`): planning one takes about as
+# least nodes of a panel cell (`_orbits`): planning one takes about as
 # long as the kernel takes on 200 nodes, and its orbit saves at most half of it
 _PANEL_NODES = 512
 _BLOCK = 131_072  # kernel workspace floats per block: 1 MiB, half of a 2 MiB per-core L2
@@ -528,13 +529,14 @@ def _rule_table(keys, chi):
     panel's start and width are found first, those at e > 1 rule by rule
     with scalar powers lo^e, then each Gauss order's nodes and weights in
     one broadcast; the cutoff is evaluated once, on the nodes of every rule
-    off the plateau.  The distinct rows are sorted by node count first
-    (`_rows`).  Returns the index of each row of `keys` among them and of
-    each among the rules of its node count, and per node count N the (m, N)
-    nodes and weights of its m rules, views of two flat arrays."""
-    rules, inverse = _rows(np.column_stack([keys[:, 2] * keys[:, 3], keys]))
-    size, lo, hi = rules[:, 0].astype(np.int64), rules[:, 1], rules[:, 2]
-    panels, order, e = rules[:, 3:].astype(np.int64).T
+    off the plateau.  Returns the index of each row of `keys` among the
+    distinct rows (`_rows`), the offset of each one's first node, and the
+    nodes and weights of every rule, rule after rule, as two flat arrays:
+    panel j of a rule of order n is the n nodes from its offset + j n."""
+    rules, inverse = _rows(keys)
+    lo, hi = rules[:, 0], rules[:, 1]
+    panels, order, e = rules[:, 2:].astype(np.int64).T
+    size = panels * order
     # per panel, its rule, index j in the rule, start and width
     of = np.repeat(np.arange(len(rules)), panels)
     first = np.cumsum(panels) - panels
@@ -559,58 +561,32 @@ def _rule_table(keys, chi):
     off = np.repeat(hi > _PLATEAU, size)
     if off.any():
         weights[off] *= chi.profile(nodes[off])
-    # node counts ascend: the rules of each count are one run of the table
-    place = np.arange(len(rules)) - np.searchsorted(size, size)
-    heads, end, stacks = np.flatnonzero(place == 0).tolist(), np.cumsum(size).tolist(), {}
-    for h, t in zip(heads, heads[1:] + [len(rules)]):
-        view = slice(end[h] - int(size[h]), end[t - 1])
-        stacks[int(size[h])] = nodes[view].reshape(t - h, -1), weights[view].reshape(t - h, -1)
-    return inverse, place, stacks
+    return inverse, np.cumsum(size) - size, nodes, weights
 
 
 def _run_level(p, keys, ids, parts, lams, chi):
     """Rule sums and weight masses of cells, each at its own frequencies
-    `lams` (`_kernel`) and with its rule per axis k its row of `ids` among
-    `keys[k]`, that axis's distinct rules (lo, hi, panels, order, e): the
-    whole rule where its entry of `parts` is -1, else its panel of that
-    index.  The rules the cells take are built as one table
-    (`_rule_table`), so axes share them; each shape group gathers its
-    rows from one view per node count n: the table's rules of n nodes,
-    then those of each rule with panels of n nodes cut into panels."""
+    `lams` (`_kernel`) and with its rule per axis its row of `ids` among
+    `keys`, rows (lo, hi, panels, order, e): the whole rule where its entry
+    of `parts` is -1, else its panel of that index.  The rules the cells
+    take are built as one table (`_rule_table`), so axes share them, and
+    each cell axis gathers one run of its flat nodes and weights, from the
+    rule's offset + part * order: panels * order nodes for a whole rule,
+    order for a panel."""
     values = np.zeros(len(ids), dtype=complex)
-    # per axis, the rules its cells take, then each cell's rule in the table
-    taken = [np.bincount(ids[:, k], minlength=len(key)) > 0 for k, key in enumerate(keys)]
-    table, place, stacks = _rule_table(np.concatenate([k[u] for k, u in zip(keys, taken)]), chi)
-    sums = np.concatenate([np.zeros(0)] + [np.abs(w).sum(axis=1) for _, w in stacks.values()])
-    offsets = np.cumsum([0] + [u.sum() for u in taken]) - 1
-    rules = [table[o + np.cumsum(u)[ids[:, k]]] for k, (o, u) in enumerate(zip(offsets, taken))]
-    # per axis, each cell's weight mass, the nodes it takes and their row
-    # in the view of that many nodes
-    masses = np.stack([sums[rule] for rule in rules])
-    size = np.stack([(k[:, 2] * k[:, 3]).astype(np.int64)[ids[:, j]]
-                     for j, k in enumerate(keys)], axis=1)
-    at = np.stack([place[rule] for rule in rules], axis=1)
-    views = dict(stacks)
-    cut = parts >= 0
-    if cut.any():
-        # per order n of some panel, the rules with panels of n nodes cut
-        # into rows of n under the view of n, each panel's row there, and
-        # its weight mass
-        size[cut] = np.stack([k[ids[:, j], 3] for j, k in enumerate(keys)], axis=1)[cut]
-        count = np.repeat(list(stacks), [len(x) for x, _ in stacks.values()])
-        rule = np.stack(rules, axis=1)
-        for n in set(size[cut].tolist()):
-            on = cut & (size == n)
-            mine = np.flatnonzero(np.bincount(rule[on], minlength=len(sums)))
-            below = views.get(n, (np.zeros((0, n)),) * 2)
-            first = np.zeros(len(sums), dtype=np.int64)
-            first[mine] = len(below[0]) + np.cumsum(count[mine] // n) - count[mine] // n
-            cut_rules = list(zip(mine.tolist(), count[mine].tolist()))
-            views[n] = tuple(np.concatenate([view] + [stacks[c][i][place[r]].reshape(-1, n)
-                                                      for r, c in cut_rules])
-                             for i, view in enumerate(below))
-            at[on] = first[rule[on]] + parts[on]
-            masses.T[on] = np.abs(views[n][1]).sum(axis=1)[at[on]]
+    # each cell axis's rule in the table of the rules the cells take, and
+    # the first node of its run
+    taken = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(keys)))
+    rule, offset, nodes, weights = _rule_table(keys[taken], chi)
+    panels, order = (keys[:, c].astype(np.int64)[ids] for c in (2, 3))
+    first = offset[rule[np.searchsorted(taken, ids)]] + np.maximum(parts, 0) * order
+    size = np.where(parts < 0, panels * order, order)
+    # each cell axis's weight mass, the distinct runs of each length in one gather
+    masses = np.zeros(size.shape)
+    for n in set(size.ravel().tolist()):
+        on = size == n
+        runs, at = _rows(first[on][:, None])
+        masses[on] = np.abs(weights[runs + np.arange(n)]).sum(axis=1)[at]
     # rows with equal node counts per axis have rules of equal shape: each
     # such group is evaluated in batches whose two planes and row sums,
     # 2*b*m*(n + 1) floats, stay within _CHUNK (the kernel blocks them)
@@ -621,16 +597,14 @@ def _run_level(p, keys, ids, parts, lams, chi):
         batch = max(1, _CHUNK // (2 * (cells + cells // sizes[-1])))
         # a cell above the chunk alone is cut into slices along axis 0
         rows = max(1, _CHUNK // (cells // sizes[0]))
-        # per axis, the view of its node count and the group's rows there
-        gathered = [(*views[n], at[members, k]) for k, n in enumerate(sizes)]
         for start in range(0, len(members), batch):
             idx = members[start:start + batch]
-            axes = [x[a[start:start + batch]] for x, _, a in gathered]
-            weights = [w[a[start:start + batch]] for _, w, a in gathered]
+            runs = [first[idx, k, None] + np.arange(n) for k, n in enumerate(sizes)]
+            axes, w = [nodes[r] for r in runs], [weights[r] for r in runs]
             for s in range(0, sizes[0], rows):
                 values[idx] += _kernel(p, lams[idx], [axes[0][:, s:s + rows]] + axes[1:],
-                                       [weights[0][:, s:s + rows]] + weights[1:])
-    return values, np.prod(masses, axis=0)
+                                       [w[0][:, s:s + rows]] + w[1:])
+    return values, np.prod(masses, axis=1)
 
 
 def _plan(f, depths):
@@ -756,16 +730,16 @@ def _least_panels(entry, order):
 
 
 def _layout(grads, fs, lams, quad, depths, merged):
-    """The cell table of a call, every row's cells in row order: the pieces
-    of each axis, then per cell its row, its piece indices and its panel
-    counts, Gauss orders and map exponents ((cells, d) arrays,
-    `_panel_counts`), and whether the error estimate reruns it (the rule is
-    in `_evaluate`).  A row's pieces are its test function's cut to its
-    `depths` (`_plan`), shared with other rows.  All cells are sized in one
-    `_sizing` and one `_panel_counts` call, each at its row's frequency, so
-    a row's rule does not depend on the other rows; an overflow refusal
-    names the first row whose turns overflow.  Then each axis's merged
-    piece with a `merged` order takes one panel of it at map exponent 1."""
+    """The cell table of a call, every row's cells in row order: per cell
+    its row, its piece ends lo and hi, and its panel counts, Gauss orders
+    and map exponents ((cells, d) arrays, `_panel_counts`), and whether the
+    error estimate reruns it (the rule is in `_evaluate`).  A row's pieces
+    are its test function's cut to its `depths` (`_plan`), shared with
+    other rows.  All cells are sized in one `_sizing` and one
+    `_panel_counts` call, each at its row's frequency, so a row's rule does
+    not depend on the other rows; an overflow refusal names the first row
+    whose turns overflow.  Then each axis's merged piece with a `merged`
+    order takes one panel of it at map exponent 1."""
     # per axis, a dict from piece (lo, hi) to its index, grown as pieces are
     # met; rows of one test function and depths share their cells
     index, planned = [{} for _ in grads], {}
@@ -797,7 +771,7 @@ def _layout(grads, fs, lams, quad, depths, merged):
         edge = (lo == _PLATEAU) & (hi == 1.0)
         least = _least_panels(entry, quad.order)[orders, exps]
         rerun = ~(sizing[3] | (edge & (counts >= least))).all(axis=1)
-    return pieces, row, cells, counts, orders, exps, rerun
+    return row, lo, hi, counts, orders, exps, rerun
 
 
 def _reflections(p, fs, chi):
@@ -850,86 +824,67 @@ def _reflections(p, fs, chi):
     return subs
 
 
-def _ranks(keys, ids):
-    """Each cell's rule per axis k, its row of `ids` among `keys[k]`, ranked
-    by value among the rules of every axis: a (cells, d) integer array."""
-    rank = np.split(_rows(np.concatenate(keys))[1], np.cumsum([len(k) for k in keys])[:-1])
-    return np.stack([r[ids[:, k]] for k, r in enumerate(rank)], axis=1)
-
-
-def _orbits(groups, ranks, row, rerun):
-    """Per cell of the table, the cell whose value, rerun value and weight
-    mass it takes, the first of its key in table order, and whether it
-    takes their conjugate.  A cell's key is its sub-row (`row`), its rerun
-    flag and the least image, under its sub-row's group (`groups`, from
-    `_reflections`), of its per-axis rules (`ranks`, from `_ranks`): perm
-    carries axis k's rule to axis perm[k].  Permuting the coordinates
-    turns the cell's sum into that of its image, conjugated where perm
-    negates the phase.  Rules rank in the order of their values, so a
-    row's keys and images do not depend on the other rows of the call."""
-    n = len(row)
-    if all(len(group) == 1 for group in groups):
-        return np.arange(n), np.zeros(n, dtype=bool)
-    # the least image of each cell under its sub-row's group, and whether
-    # the first element giving it negates the phase
-    best, conj = ranks.copy(), np.zeros(n, dtype=bool)
-    for group in {g for g in groups if len(g) > 1}:
-        mine = np.equal([g == group for g in groups], True)[row]
-        rules = ranks[mine]
-        # the identity's image first
-        least, flip = rules.copy(), np.zeros(len(rules), dtype=bool)
-        at = np.arange(len(rules))
-        for perm, negates in group[1:]:
-            image = rules[:, np.argsort(perm)]
-            # lexicographically less: at the first column where they differ
-            col = (image != least).argmax(axis=1)
-            less = image[at, col] < least[at, col]
-            least[less], flip[less] = image[less], negates
-        best[mine], conj[mine] = least, flip
-    _, key = _rows(np.column_stack([2 * row + rerun, best]))
-    first = np.full(n, n)
-    np.minimum.at(first, key, np.arange(n))
-    rep = first[key]
-    return rep, conj != conj[rep]
-
-
-def _split_cells(groups, ranks, keys, ids, row, run):
-    """The pieces that evaluate the cells `run`.  A cell whose stabilizer,
-    the moves (perm, negates) of its sub-row's group (`groups`) that carry
-    its per-axis rules (`ranks`, as in `_orbits`) onto themselves, moves an
-    axis of three panels or more is cut on each such axis into one panel
-    cell per panel, where a panel cell holds at least _PANEL_NODES nodes.
-    (With two panels, the one such cell of a 3D sweep at lam 16 to 32
-    saved less kernel time than its panel cells took to plan.)  The
-    stabilizer maps the panel cells onto each other, and the least image
-    of each orbit, in the order of their panels, is a piece; every other
-    cell is one piece, whole.  Returns per piece, in table order, its
-    cell, its part of each axis's rule (`ids` among `keys`: -1 for the
-    whole rule, j for panel j), and how many panel cells of its cell take
-    its sum and how many its conjugate."""
-    cells, d = np.flatnonzero(run), ids.shape[1]
-    whole = (cells, np.full((len(cells), d), -1), np.ones(len(cells), dtype=np.int64),
-             np.zeros(len(cells), dtype=np.int64))
-    if ranks is None:
-        return whole
-    panels, orders = (np.stack([k[ids[cells, j], c] for j, k in enumerate(keys)], axis=1)
-                      .astype(np.int64) for c in (2, 3))
-    # the moves that fix each cell with room for a cut, and the axes they move
-    room = (panels > 2).any(axis=1) & ((panels * orders).prod(axis=1) >= 3 * _PANEL_NODES)
-    if not room.any():
-        return whole
-    rules, sub, cut, moves = ranks[cells], row[cells], np.zeros((len(cells), d), dtype=bool), []
-    for group in {g for g in groups if len(g) > 1}:
-        mine = np.flatnonzero(room & np.equal([g == group for g in groups], True)[sub])
-        for move in group[1:]:
-            fixed = np.zeros(len(cells), dtype=bool)
-            fixed[mine] = (rules[mine][:, np.argsort(move[0])] == rules[mine]).all(axis=1)
-            moves.append((move, fixed))
-            cut[fixed] |= np.array(move[0]) != np.arange(d)
-    cut &= panels > 2
-    cut &= (np.where(cut, orders, orders * panels).prod(axis=1) >= _PANEL_NODES)[:, None]
+def _orbits(groups, keys, ids, row, rerun, live):
+    """Which cells of the table are evaluated, and in what pieces.  A cell's
+    key is its sub-row (`row`), its rerun flag and the least image, under
+    its sub-row's group (`groups`, from `_reflections`), of its per-axis
+    rules (`ids`, rows of `keys`): perm carries axis k's rule to axis
+    perm[k].  Permuting the coordinates turns the cell's sum into that of
+    its image, conjugated where perm negates the phase.  Rule ids rank by
+    value over every axis, so a row's keys and images do not depend on the
+    other rows of the call.  The first cell of each key in table order is
+    evaluated where `live`.  One walk of each group's moves gives both the
+    least images and the stabilizers, the moves whose image of a cell is the
+    cell itself.  An evaluated cell whose stabilizer moves an axis of three
+    panels or more is cut on each such axis into one panel cell per panel,
+    where a panel cell holds at least _PANEL_NODES nodes.  (With two panels,
+    the one such cell of a 3D sweep at lam 16 to 32 saved less kernel time
+    than its panel cells took to plan.)  The stabilizer maps the panel cells
+    onto each other, and the least image of each orbit, in the order of
+    their panels, is a piece; every other evaluated cell is one piece,
+    whole.  Returns per cell the cell whose value, rerun value and weight
+    mass it takes, and whether it takes their conjugate; then per piece, in
+    table order, its cell, its part of each axis's rule (-1 for the whole
+    rule, j for panel j), and how many panel cells of its cell take its sum
+    and how many its conjugate."""
+    n, d = ids.shape
+    rep, conj, moves = np.arange(n), np.zeros(n, dtype=bool), []
+    cut = np.zeros((n, d), dtype=bool)  # the axes a move that fixes the cell moves
+    if any(len(group) > 1 for group in groups):
+        # the least image of each cell under its sub-row's group, whether the
+        # first element giving it negates the phase, and the moves that fix it
+        best = ids.copy()
+        for group in {g for g in groups if len(g) > 1}:
+            mine = np.equal([g == group for g in groups], True)[row]
+            rules = ids[mine]
+            # the identity's image first
+            least, flip = rules.copy(), np.zeros(len(rules), dtype=bool)
+            at = np.arange(len(rules))
+            for perm, negates in group[1:]:
+                image = rules[:, np.argsort(perm)]
+                # lexicographically less: at the first column where they differ
+                col = (image != least).argmax(axis=1)
+                less = image[at, col] < least[at, col]
+                least[less], flip[less] = image[less], negates
+                fixed = np.zeros(n, dtype=bool)
+                fixed[mine] = (image == rules).all(axis=1)
+                moves.append((perm, negates, fixed))
+                cut[fixed] |= np.array(perm) != np.arange(d)
+            best[mine], conj[mine] = least, flip
+        _, key = _rows(np.column_stack([2 * row + rerun, best]))
+        first = np.full(n, n)
+        np.minimum.at(first, key, np.arange(n))
+        rep = first[key]
+        conj = conj != conj[rep]
+    cells = np.flatnonzero(live & (rep == np.arange(n)))
+    cut = cut[cells]
+    if cut.any():
+        panels, orders = (keys[ids[cells], c].astype(np.int64) for c in (2, 3))
+        cut &= panels > 2
+        cut &= (np.where(cut, orders, orders * panels).prod(axis=1) >= _PANEL_NODES)[:, None]
     if not cut.any():
-        return whole
+        return (rep, conj, cells, np.full((len(cells), d), -1),
+                np.ones(len(cells), dtype=np.int64), np.zeros(len(cells), dtype=np.int64))
     # every panel cell (a cell not cut is one), its panels and its index in
     # its cell, in mixed radix with the last axis fastest: the moved axes
     # have equal radix, so index order is the panels' lexicographic order
@@ -945,16 +900,16 @@ def _split_cells(groups, ranks, keys, ids, row, run):
     # the least index among its images under the moves that fix its cell,
     # and whether the first move giving it negates the phase
     least, flip = index.copy(), np.zeros(len(owner), dtype=bool)
-    for (perm, negates), fixed in moves:
+    for perm, negates, fixed in moves:
         image = (part[:, np.argsort(perm)] * stride).sum(axis=1)
-        less = fixed[owner] & (image < least)
+        less = fixed[cells][owner] & (image < least)
         least[less], flip[less] = image[less], negates
-    rep = start + least
-    plain, conj = (np.bincount(rep[f], minlength=len(owner)) for f in (~flip, flip))
+    orbit = start + least
+    plain, twin = (np.bincount(orbit[f], minlength=len(owner)) for f in (~flip, flip))
     piece = least == index
     part = part[piece]
     part[~cut[owner[piece]]] = -1
-    return cells[owner[piece]], part, plain[piece], conj[piece]
+    return rep, conj, cells[owner[piece]], part, plain[piece], twin[piece]
 
 
 def _evaluate(p, f, chi, lams, quad):
@@ -967,22 +922,24 @@ def _evaluate(p, f, chi, lams, quad):
     `_depths`).  A row whose planned nodes over all its reflections exceed
     the budget is refused before any quadrature: its result is flagged
     low-confidence, with no value or error and the planned count as nodes.
-    One `_run_level` takes the first cell of each orbit (`_orbits`) of every
-    other row, in pieces where a permutation maps it to itself (one per
-    orbit of its panel cells, `_split_cells`), then those rerun, each at the
-    row's frequency times its sub-row's term signs; a cell's value, rerun
-    value and weight mass are its pieces' over the panel cells that take
-    them, and every other cell takes its orbit's, conjugated where its
-    permutation negates the phase.  The reported error is the difference
-    against a rerun on the same panels at order max(n // 2, n - 4) on the
-    axes at order n >= `order`, plus d * target times the weight mass of
-    each cell not rerun.  Under a rule with an entry in
-    `_TRANSITION_PANELS` only a cell with an axis off the cutoff plateau
-    that is not resolved is rerun: an axis is resolved when its piece is
-    the whole transition [PLATEAU, 1], unclipped, with at least P0(n, e)
-    panels for its order n and map exponent e.  Every other axis is
-    analytic (a merged piece too) or resolved.  A rule without an entry
-    reruns every cell with an axis at order n >= `order`.
+    Each cell axis's rule is a row of one table of the call's distinct rules
+    (lo, hi, panels, order, e), sorted by value over every axis; the rerun's
+    rules are the same rows at the lower order, after them.  One
+    `_run_level` takes the first cell of each orbit of every other row, in
+    pieces where a permutation maps it to itself (one per orbit of its panel
+    cells, `_orbits`), then those rerun, each at the row's frequency times
+    its sub-row's term signs; a cell's value, rerun value and weight mass
+    are its pieces' over the panel cells that take them, and every other
+    cell takes its orbit's, conjugated where its permutation negates the
+    phase.  The reported error is the difference against a rerun on the same
+    panels at order max(n // 2, n - 4) on the axes at order n >= `order`,
+    plus d * target times the weight mass of each cell not rerun.  Under a
+    rule with an entry in `_TRANSITION_PANELS` only a cell with an axis off
+    the cutoff plateau that is not resolved is rerun: an axis is resolved
+    when its piece is the whole transition [PLATEAU, 1], unclipped, with at
+    least P0(n, e) panels for its order n and map exponent e.  Every other
+    axis is analytic (a merged piece too) or resolved.  A rule without an
+    entry reruns every cell with an axis at order n >= `order`.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -1000,7 +957,7 @@ def _evaluate(p, f, chi, lams, quad):
     subs = [s for g in fs for s in reflections[g]]
     parent = np.repeat(np.arange(len(fs)), [len(reflections[g]) for g in fs])
     signs, sub_fs, plain, twin, groups = zip(*subs)
-    pieces, row, cells, counts, orders, exps, rerun = _layout(
+    row, lo, hi, counts, orders, exps, rerun = _layout(
         grads, sub_fs, np.array(lams)[parent], quad, depths[parent], merged[parent])
     n, signs = len(row), np.array(signs, dtype=float)
     plain, twin = np.array(plain)[row], np.array(twin)[row]
@@ -1009,32 +966,25 @@ def _evaluate(p, f, chi, lams, quad):
     ends = np.searchsorted(parent[row], np.arange(len(lams) + 1))
     planned = np.multiply(counts, orders, dtype=float).prod(axis=1) * (plain + twin)
     planned = np.array([planned[a:b].sum() for a, b in zip(ends, ends[1:])])
-    # each axis's distinct rules (lo, hi, panels, order, e), by value, and
-    # each cell's among them, one `_rows` per axis; then the same rules at
+    # the call's distinct rules (lo, hi, panels, order, e), by value over
+    # every axis, and each cell axis's among them; then the same rules at
     # the rerun's order, max(n // 2, n - 4) for n >= `order`
-    keys, ids = [], []
-    for k, pk in enumerate(pieces):
-        rules, at = _rows(np.stack([cells[:, k], counts[:, k], orders[:, k], exps[:, k]], axis=1))
-        piece = np.array(pk, dtype=float).reshape(-1, 2)[rules[:, 0]]
-        rules = np.column_stack([piece, rules[:, 1:]])
-        low, n_k = rules.copy(), rules[:, 3]
-        low[:, 3] = np.where(n_k >= quad.order, np.maximum(n_k // 2, n_k - 4), n_k)
-        keys.append(np.concatenate([rules, low]))
-        ids.append(at)
-    ids = np.stack(ids, axis=1)
+    rules, ids = _rows(np.stack([lo, hi, counts, orders, exps], axis=2).reshape(-1, 5))
+    ids = ids.reshape(lo.shape)
+    low, n_k = rules.copy(), rules[:, 3]
+    low[:, 3] = np.where(n_k >= quad.order, np.maximum(n_k // 2, n_k - 4), n_k)
+    keys = np.concatenate([rules, low])
     # the first cell of each orbit of the rows in budget is evaluated, in
     # pieces where it is self-symmetric
-    ranks = _ranks(keys, ids) if any(len(group) > 1 for group in groups) else None
-    rep, conj = _orbits(groups, ranks, row, rerun)
-    run = ~(planned > quad.node_budget)[parent[row]] & (rep == np.arange(n))
-    owner, part, once, twice = _split_cells(groups, ranks, keys, ids, row, run)
+    live = ~(planned > quad.node_budget)[parent[row]]
+    rep, conj, owner, part, once, twice = _orbits(groups, keys, ids, row, rerun, live)
     again = rerun[owner]
     take = row[np.concatenate([owner, owner[again]])]
     # one frequency per piece, or one per piece and term where a term sign is -1
     freqs = np.array(lams)[parent[take]]
     if (signs < 0).any():
         freqs = freqs[:, None] * signs[take]
-    low = ids[owner[again]] + [len(key) // 2 for key in keys]  # at the rerun's lower order
+    low = ids[owner[again]] + len(rules)  # at the rerun's lower order
     values, mass = _run_level(p, keys, np.concatenate([ids[owner], low]),
                               np.concatenate([part, part[again]]), freqs, chi)
     # per piece, its value, rerun value and weight mass over the panel
@@ -1158,13 +1108,17 @@ def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
 
 def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[float, ...]:
     """`count` frequencies from lo to hi in geometric progression; a single
-    point is lo, whatever hi is."""
-    if count < 1 or not lo >= MIN_LAMBDA or (count > 1 and not lo < hi):
+    point is lo, whatever hi is.  Every frequency is finite: an infinite hi,
+    or one that rounds past the float range, is refused."""
+    if count < 1 or not MIN_LAMBDA <= lo < math.inf or (count > 1 and not lo < hi):
         raise OscError("bad lambda grid request")
     if count == 1:
         return (float(lo),)
     ratio = (hi / lo) ** (1.0 / (count - 1))
-    return tuple(lo * ratio ** i for i in range(count))
+    grid = tuple(lo * ratio ** i for i in range(count))
+    if not math.isfinite(grid[-1]):
+        raise OscError("bad lambda grid request")
+    return grid
 
 
 def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunctionSpec],

@@ -1,6 +1,7 @@
 """Quadrature of the oscillatory form: cutoff, factors, parity, certificates."""
 import math
 import random
+import sys
 import threading
 import tracemalloc
 import warnings
@@ -721,16 +722,17 @@ class TestKernel:
             return original(self, t)
 
         monkeypatch.setattr(CutoffSpec, "profile", counting)
-        inverse, place, stacks = _rule_table(keys, CHI)
+        inverse, offset, flat_nodes, flat_weights = _rule_table(keys, CHI)
         # one cutoff evaluation for the whole table, and one row per
         # distinct key by value: -0.0 and 0.0 key alike
         assert len(calls) == 1
         assert len(set(inverse.tolist())) == len({tuple(k) for k in keys.tolist()}) < len(keys)
         assert len({inverse[i] for i, k in enumerate(keys.tolist()) if k[0] == 0}) == 3
-        assert sum(len(x) for x, _ in stacks.values()) == len(set(inverse.tolist()))
+        assert len(offset) == len(set(inverse.tolist()))
         for key, r in zip(keys.tolist(), inverse.tolist()):
             lo, hi, panels, order, e = key
-            nodes, weights = (a[place[r]] for a in stacks[int(panels * order)])
+            at = slice(offset[r], offset[r] + int(panels * order))
+            nodes, weights = flat_nodes[at], flat_weights[at]
             want = reference_rule(lo, hi, int(panels), int(e),
                                   *np.polynomial.legendre.leggauss(int(order)), CHI)
             assert nodes.tobytes() == want[0].tobytes()
@@ -1373,6 +1375,19 @@ class TestSweep:
         with pytest.raises(OscError):
             lambda_grid(64.0, math.nan, 2)
 
+    @pytest.mark.parametrize("lo, hi, count", [
+        (64.0, math.inf, 3), (math.inf, 0.0, 1), (math.inf, math.inf, 2), (-math.inf, 64.0, 2),
+        # a finite hi whose top point rounds past the float range
+        (6e307, sys.float_info.max, 2),
+        (64.0, 128.0, 0), (64.0, 128.0, -1), (1.0, 128.0, 3), (1.999, 128.0, 1),
+        (64.0, 64.0, 2), (128.0, 64.0, 2),
+    ])
+    def test_grid_refuses_bad_requests(self, lo, hi, count):
+        # an infinite frequency, no points, lo below MIN_LAMBDA, or lo not
+        # below hi
+        with pytest.raises(OscError, match="bad lambda grid request"):
+            lambda_grid(lo, hi, count)
+
     def test_sweep_decreases_for_product_phase(self):
         p = phase("x1*x2")
         results = lambda_sweep(p, TestFunctionSpec.ones(2), CHI_POS,
@@ -1563,8 +1578,9 @@ def kernel_calls(monkeypatch):
 
 def ungrouped(monkeypatch):
     """From now on every orthant is its own sub-row, one plain copy with the
-    identity alone for its group, no cell is cut into panel cells and every
-    cell is its own orbit: `_evaluate` runs every cell of every orthant whole."""
+    identity alone for its group, so every cell is its own orbit and no
+    cell is cut into panel cells: `_evaluate` runs every cell of every
+    orthant whole."""
     def orthants(p, fs, chi):
         d, terms = p.dimension, sorted(p.terms)
         sigmas = [(1,) * d] if chi.positive_orthant else list(product((1, -1), repeat=d))
@@ -1575,15 +1591,7 @@ def ungrouped(monkeypatch):
                           1, 0, identity) for sigma in sigmas)
                 for f in fs}
 
-    def cells(groups, keys, row, *rest):
-        return np.arange(len(row)), np.zeros(len(row), dtype=bool)
-
-    def whole(groups, *rest, _split=oscint._split_cells):
-        return _split([group[:1] for group in groups], *rest)
-
     monkeypatch.setattr(oscint, "_reflections", orthants)
-    monkeypatch.setattr(oscint, "_split_cells", whole)
-    monkeypatch.setattr(oscint, "_orbits", cells)
 
 
 def count_rule_builds(monkeypatch):
@@ -1792,7 +1800,7 @@ class TestOrbits:
         monkeypatch.setattr(oscint, "_orbits", spy)
         got, want = self.grouped_and_not(monkeypatch, p, f, CHI_POS, (64.0, 256.0, 1024.0))
         self.assert_same(got, want)
-        (rep, conj), = orbits
+        rep, conj, *_ = orbits[-1]  # the grouped run's
         assert conj.any() and (rep[conj] != np.flatnonzero(conj)).all()
         (sub,) = oscint._reflections(p, [f], CHI_POS)[f]
         assert sub[4] == (((0, 1), False), ((1, 0), True))
@@ -1871,14 +1879,14 @@ class TestOrbits:
         # the corner cells here have at least 4 panels on each axis their
         # stabilizer moves: each is cut into one cell per panel of those
         # axes, and one panel cell per orbit is evaluated
-        cuts, real = [], oscint._split_cells
+        cuts, real = [], oscint._orbits
 
         def spy(*args):
             out = real(*args)
-            cuts.append(out)
+            cuts.append(out[2:])
             return out
 
-        monkeypatch.setattr(oscint, "_split_cells", spy)
+        monkeypatch.setattr(oscint, "_orbits", spy)
         got, want = self.grouped_and_not(monkeypatch, phase(text, d), TestFunctionSpec.ones(d),
                                          chi, lams)
         self.assert_same(got, want)
@@ -1888,17 +1896,34 @@ class TestOrbits:
         assert max(p.max() for p in panels) >= 4 ** moved
         assert max((p - q).max() for p, q in zip(panels, pieces)) > 0
 
-    @pytest.mark.parametrize("text, d, lams, kernel", [
-        ("x1*x2", 2, lambda_grid(64, 2048, 11), 543_904),
-        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_299_952),
-        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 11_635_648),
-    ], ids=["x1*x2", "x1^3*x2^3", "x1*x2*x3"])
-    def test_panel_orbits_cut_kernel_nodes(self, monkeypatch, text, d, lams, kernel):
+    @pytest.mark.parametrize("text, d, lams, kernel, count", [
+        ("x1*x2", 2, lambda_grid(64, 2048, 11), 543_904, 23),
+        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_299_952, 27),
+        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 11_635_648, 120),
+        # the two 3D templates of the benchmark, whose cells have too few
+        # panels to cut
+        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 151_744, 20),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 258_112, 32),
+    ], ids=["x1*x2", "x1^3*x2^3", "x1*x2*x3", "x1*x2*x3-cells", "two-terms-cells"])
+    def test_panel_orbits_cut_kernel_nodes(self, monkeypatch, text, d, lams, kernel, count):
         # orthant sweeps; with each self-symmetric cell evaluated whole the
-        # kernel ran 771,744, 2,381,616 and 33,067,968 nodes
+        # kernel ran 771,744, 2,381,616 and 33,067,968 nodes.  The number
+        # of kernel calls is pinned too: each costs about 70 us however few
+        # its nodes, so the batching must not split
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
         assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
+        assert len(calls) == count
+
+    @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
+    def test_rows_of_other_test_functions_keep_the_orbits(self, monkeypatch, chi):
+        # a row of distinct boxes, with no swap, adds rules to each axis
+        # that the other axis lacks: a cell's rules must rank across axes,
+        # or the swap-fixed row beside it takes wrong images and stabilizers
+        fs = [TestFunctionSpec.boxes([(-0.3, 0.9), (0.05, 0.8)]), TestFunctionSpec.ones(2)]
+        got, want = self.grouped_and_not(monkeypatch, phase("x1^2*x2 - x1*x2^2"), fs, chi,
+                                         (512.0, 1024.0))
+        self.assert_same(got, want)
 
     @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
     def test_row_without_cells(self, chi):
