@@ -3,7 +3,12 @@
 Each run is `oscdecay.cli.main` called in-process.  Its hash covers the
 report with `config.out_json` blanked, everything written to stderr and
 the exit code, so two source trees whose digests agree produced the same
-report bytes on every job.  The jobs are the benchmark's four sweep
+report bytes on every job.  Each line is a job's digest, the number of
+`oscint._kernel` calls the job made, and its command; the last line is
+the digest of all the job digests.  The call counts are not hashed: they
+show how a change to the kernel's batching or grouping moves each job.
+
+The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
 `verify` rows of ROADMAP's Baseline, `verify --orthant off` on x1*x2,
 `integrate` on x1*x2*x3 over the full space, an `integrate` on x1^3*x2^3
@@ -49,7 +54,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from oscdecay import cli
+from oscdecay import cli, oscint
 
 JOBS = (
     # benchmark sweep templates at scale 1, then the warm-up sweeps
@@ -138,10 +143,20 @@ def run_digest(argv) -> str:
 def main() -> None:
     argparse.ArgumentParser(description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
-    digests = []
-    for argv in JOBS:
-        digests.append(run_digest(argv))
-        print(digests[-1], " ".join(argv), flush=True)
+    digests, calls, kernel = [], [], oscint._kernel
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    oscint._kernel = counted
+    try:
+        for argv in JOBS:
+            calls.clear()
+            digests.append(run_digest(argv))
+            print(digests[-1], f"{len(calls):4d}", " ".join(argv), flush=True)
+    finally:
+        oscint._kernel = kernel
     print(hashlib.sha256("".join(digests).encode()).hexdigest(), "all")
 
 

@@ -23,9 +23,10 @@ phase to plus or minus itself are evaluated once, and so are the panel
 cells of a cell that such a permutation maps to itself, one per orbit
 (`_orbits`).  The evaluated cells of every row and their reruns, for the
 error estimate (`_evaluate`), are one batch (`_run_level`): each rule is
-built once (`_rule_table`), and `_kernel` contracts blocks of cells of
-one shape in a per-thread workspace that stays in a core's L2 cache,
-each cell's term signs folded into its per-term scale.
+built once (`_rule_table`), and the cells of each shape are one `_kernel`
+call, contracted block by block in a per-thread workspace of _BLOCK
+floats, within a core's L2 cache, with each cell's term signs folded into
+its per-term scale.
 The same cell grid indexes a closed-form bound per cell (`box_envelope`),
 whose sum is an a-priori certificate for the result.
 
@@ -76,14 +77,15 @@ MIN_LAMBDA = 2.0  # decay sweeps start here
 
 
 _SCRATCH = threading.local()
+_BLOCK = 131_072  # workspace floats per block: 1 MiB, half of a 2 MiB per-core L2
 
 
-def _scratch(name, size):
-    """This thread's own float64 array `name`, at least `size` long; it only grows."""
-    buf = getattr(_SCRATCH, name, None)
+def _scratch(size):
+    """This thread's one float64 workspace, at least `size` long; it only grows.
+    `_kernel` and `smooth_step` take turns in it, each within _BLOCK floats."""
+    buf = getattr(_SCRATCH, "floats", None)
     if buf is None or buf.size < size:
-        buf = np.empty(size)
-        setattr(_SCRATCH, name, buf)
+        buf = _SCRATCH.floats = np.empty(size)
     return buf
 
 
@@ -116,11 +118,14 @@ _STEP_X, _STEP_W = np.polynomial.legendre.leggauss(48)
 _STEP_X = 0.5 * (_STEP_X + 1.0)
 _STEP_W = 0.5 * _STEP_W
 _STEP_NORM = float((bump(2.0 * _STEP_X - 1.0) * _STEP_W).sum())
-_STEP_ROWS = 256  # transition nodes per block of the bump table (96 KiB)
 
 
 def smooth_step(u):
-    """Integrated bump: 1 for u <= 0, 0 for u >= 1, flat to all orders at both ends."""
+    """Integrated bump: 1 for u <= 0, 0 for u >= 1, the bump's integral
+    from u to 1 over its whole integral, by a fixed 48-point Gauss rule that
+    errs by up to 3.04e-10 (near u = 0.171; at 0.5, by -1.48e-10).  At
+    u = 0.001 it leaves 6.5e-11 where the integral is below 1e-16: the slope
+    at the plateau edge is about 6.5e-8, not flat to all orders."""
     u = np.asarray(u, dtype=float)
     out = np.where(u >= 1.0, 0.0, u)  # NaN stays NaN
     out[u <= 0.0] = 1.0
@@ -129,9 +134,10 @@ def smooth_step(u):
     if m.any():
         um = u[m]
         rest, sums = 1.0 - um, np.empty_like(um)
-        block = _scratch("step", _STEP_ROWS * _STEP_X.size).reshape(_STEP_ROWS, -1)
-        for s in range(0, um.size, _STEP_ROWS):
-            e = min(s + _STEP_ROWS, um.size)
+        rows = min(_BLOCK // _STEP_X.size, um.size)
+        block = _scratch(rows * _STEP_X.size)[:rows * _STEP_X.size].reshape(rows, -1)
+        for s in range(0, um.size, rows):
+            e = min(s + rows, um.size)
             v = np.multiply(rest[s:e, None], _STEP_X, out=block[:e - s])
             v += um[s:e, None]
             v *= 2.0
@@ -236,9 +242,6 @@ class QuadratureConfig:
         if not (self.order >= 2 and 0 < self.waves_per_panel < math.inf
                 and 1 <= self.node_budget < math.inf):
             raise OscError("bad quadrature configuration")
-
-
-_CHUNK = 262_144  # per kernel call: floats of a batch's planes and row sums, nodes of a lone cell
 
 
 @dataclass(frozen=True)
@@ -412,7 +415,6 @@ _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
 # least nodes of a panel cell (`_orbits`): planning one takes about as
 # long as the kernel takes on 200 nodes, and its orbit saves at most half of it
 _PANEL_NODES = 512
-_BLOCK = 131_072  # kernel workspace floats per block: 1 MiB, half of a 2 MiB per-core L2
 
 
 def _blocks(axes, room):
@@ -449,38 +451,41 @@ def _blocks(axes, room):
 
 
 def _kernel(p, lam, axes, weights):
-    """Tensor quadrature of exp(i*lam*phi) on a batch of cells of one shape.
+    """Tensor quadrature of exp(i*lam*phi) on the cells of one shape.
 
     axes[k] and weights[k] are the (B, n_k) nodes and real weights of axis
     k, and lam (B,) their frequencies, or (B, T) one per cell and term of
     the phase, term signs folded in; the result holds the B cell sums.
-    With n nodes on the last axis and m on the others, the call has B*m
-    rows of n nodes, and z, (2, B, m), their real and imaginary sums.
-    This thread's workspace holds z and one block cs, (2, rows, n), of
-    `_blocks`, within _BLOCK floats wherever z leaves room for 8 rows; a
-    call that fits is one block, (2, B, m, n).
+    With n nodes on the last axis and m on the others, a cell has m rows
+    of n nodes.  This thread's workspace holds a block cs, (2, rows, n), of
+    `_blocks`, and z, (2, rows), its row sums, within _BLOCK floats; where
+    a cell's rows do not fit, z holds its m row sums over its blocks, which
+    take the rest, at least 8 rows.  A call that fits is one block.
     `PhasePolynomial.evaluate_tensor` writes theta/2 = lam*phi/2 straight
     into cs[1].  With t = tan(theta/2), cos(theta) = 2/(1+t^2) - 1 and
     sin(theta) = 2t/(1+t^2): float64 tan is vectorized where complex exp is
     not, and loses no accuracy.  cs holds 1 + cos(theta) and sin(theta),
-    and one real matmul per block contracts its last axis into z.  The
-    cosine's -sum(w) is added after the last block, each other axis is
-    contracted once, by one matmul, and only the B cell sums are complex.
+    and one real matmul per block contracts its last axis into z.  As soon
+    as a block's cells, or a cut cell's last block, are summed, their row
+    sums take the cosine's -sum(w), each other axis is contracted by one
+    matmul, and only the cell sums are complex.
     """
     b = axes[0].shape[0]
     sizes = [x.shape[1] for x in axes]
     n, m = sizes[-1], math.prod(sizes[:-1])
-    room = max((_BLOCK - 2 * b * m) // (2 * n), 8)  # rows a block may hold
+    room = _BLOCK // (2 * (n + 1))  # rows of a block, with their row sums
+    if m > room:  # a cell spans blocks: z holds its m row sums
+        room = max((_BLOCK - 2 * m) // (2 * n), 8)
     # a call that fits is its own one block, without `_blocks`'s slicing,
     # which would add a few microseconds to each of the many small calls
     blocks = [(slice(None), axes, [b] + sizes)] if b * m <= room else _blocks(axes, room)
-    top = 2 * n * min(b * m, room)
-    ws = _scratch("kernel", top + 2 * b * m)
-    z = ws[top:top + 2 * b * m].reshape(2, b * m)
+    top, rows = 2 * n * min(b * m, room), max(min(b * m, room), m)  # cs's floats, z's rows
+    ws = _scratch(top + 2 * rows)
+    z = ws[top:top + 2 * rows].reshape(2, rows)
     lam = np.asarray(lam, dtype=float)  # one for all cells, per cell, or per cell and term
     scale = np.multiply(0.5, lam, out=np.empty((b,) + lam.shape[1:]))
-    w = weights[-1]
-    first = 0  # blocks run through the rows in order
+    w, values = weights[-1], np.empty(b, dtype=complex)
+    done = 0  # rows summed in z: the block's cells, or the cell so far
     for cells, block, shape in blocks:
         count = math.prod(shape[:-1])
         cs = ws[:2 * count * n].reshape(2, shape[0], -1, n)
@@ -490,14 +495,17 @@ def _kernel(p, lam, axes, weights):
         cs[0] += 1.0
         np.divide(2.0, cs[0], out=cs[0])  # 1 + cos(theta)
         cs[1] *= cs[0]                    # sin(theta)
-        out = z[:, first:first + count].reshape(2, shape[0], -1, 1)
-        np.matmul(cs, w[cells, :, None], out=out)
-        first += count
-    z = z.reshape(2, b, m, 1)
-    z[0] -= w.sum(axis=1)[:, None, None]
-    for wk, nk in zip(weights[-2::-1], sizes[-2::-1]):
-        z = np.matmul(z.reshape(2, b, -1, nk), wk[:, :, None])
-    return z[0].reshape(b) + 1j * z[1].reshape(b)
+        np.matmul(cs, w[cells, :, None], out=z[:, done:done + count].reshape(2, shape[0], -1, 1))
+        done += count
+        if done % m:
+            continue  # the cell goes on in the next block
+        sums = z[:, :done].reshape(2, -1, m)
+        sums[0] -= w[cells].sum(axis=1)[:, None]
+        for wk, nk in zip(weights[-2::-1], sizes[-2::-1]):
+            sums = np.matmul(sums.reshape(2, sums.shape[1], -1, nk), wk[cells, :, None])
+        values[cells] = sums[0].ravel() + 1j * sums[1].ravel()
+        done = 0
+    return values
 
 
 @lru_cache(maxsize=None)
@@ -572,8 +580,9 @@ def _run_level(p, keys, ids, parts, lams, chi):
     take are built as one table (`_rule_table`), so axes share them, and
     each cell axis gathers one run of its flat nodes and weights, from the
     rule's offset + part * order: panels * order nodes for a whole rule,
-    order for a panel."""
-    values = np.zeros(len(ids), dtype=complex)
+    order for a panel.  Cells with equal node counts per axis, whose rules
+    have one shape, are one `_kernel` call on all their runs."""
+    values = np.empty(len(ids), dtype=complex)
     # each cell axis's rule in the table of the rules the cells take, and
     # the first node of its run
     taken = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(keys)))
@@ -587,23 +596,12 @@ def _run_level(p, keys, ids, parts, lams, chi):
         on = size == n
         runs, at = _rows(first[on][:, None])
         masses[on] = np.abs(weights[runs + np.arange(n)]).sum(axis=1)[at]
-    # rows with equal node counts per axis have rules of equal shape: each
-    # such group is evaluated in batches whose two planes and row sums,
-    # 2*b*m*(n + 1) floats, stay within _CHUNK (the kernel blocks them)
     shapes, group = _rows(size)
     by_group = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
     for sizes, members in zip(shapes.tolist(), by_group):
-        cells = math.prod(sizes)
-        batch = max(1, _CHUNK // (2 * (cells + cells // sizes[-1])))
-        # a cell above the chunk alone is cut into slices along axis 0
-        rows = max(1, _CHUNK // (cells // sizes[0]))
-        for start in range(0, len(members), batch):
-            idx = members[start:start + batch]
-            runs = [first[idx, k, None] + np.arange(n) for k, n in enumerate(sizes)]
-            axes, w = [nodes[r] for r in runs], [weights[r] for r in runs]
-            for s in range(0, sizes[0], rows):
-                values[idx] += _kernel(p, lams[idx], [axes[0][:, s:s + rows]] + axes[1:],
-                                       [w[0][:, s:s + rows]] + w[1:])
+        runs = [first[members, k, None] + np.arange(n) for k, n in enumerate(sizes)]
+        values[members] = _kernel(p, lams[members], [nodes[r] for r in runs],
+                                  [weights[r] for r in runs])
     return values, np.prod(masses, axis=1)
 
 

@@ -372,6 +372,23 @@ class TestUsageErrors:
         assert err.startswith("error:") and "overflow" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, count", [("integrate", "3"), ("verify", "8")])
+    def test_grid_past_the_float_range_is_a_usage_error(self, tmp_path, capsys, monkeypatch,
+                                                        command, count):
+        # each bound is finite, but the grid's top point rounds to inf: a
+        # configuration error, refused before any work, and no report
+        def never(*args):
+            raise AssertionError("quadrature ran on a grid past the float range")
+
+        monkeypatch.setattr("oscdecay.oscint._kernel", never)
+        out = tmp_path / "report.json"
+        code = main([command, "--phase", "x1*x2", "--lam-lo", "6e307",
+                     "--lam-hi", "1.7976931348623157e308", "--lam-count", count,
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert "overflows the float range" in err and "Traceback" not in err
+
     def test_overflowing_sweep_is_refused_before_any_quadrature(self, tmp_path, capsys,
                                                                  monkeypatch):
         # turns grow with lam, so the sweep sees before its first sample that

@@ -19,7 +19,6 @@ from oscdecay.decay import dual_lambda_grid, sharpness_test
 from oscdecay.exponent import ExponentQuery
 from oscdecay.oscint import (
     _STEP_NORM,
-    _STEP_ROWS,
     _STEP_W,
     _STEP_X,
     CutoffSpec,
@@ -134,20 +133,42 @@ class TestBumpAndStep:
         # three full blocks of the bump table and a partial one, with nodes
         # one ulp inside 0 and 1, where rounding puts 2v - 1 at exactly 1:
         # the masked bump must not divide by zero, and no block may leave
-        # stale rows in the shared block buffer
-        inside = np.random.default_rng(8).uniform(0.0, 1.0, 3 * _STEP_ROWS + 5)
+        # stale rows in the shared workspace
+        rows = oscint._BLOCK // _STEP_X.size  # transition nodes per block
+        inside = np.random.default_rng(8).uniform(0.0, 1.0, 3 * rows + 5)
         u = np.concatenate([inside, [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
                             [-1.0, 0.0, 1.0, 2.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_step(u)
             single = np.array([smooth_step(np.array([x]))[0] for x in u])
-        assert ((u > 0) & (u < 1)).sum() == 3 * _STEP_ROWS + 7
+        assert ((u > 0) & (u < 1)).sum() == 3 * rows + 7
         assert got.tobytes() == single.tobytes()
         t = np.linspace(-1.5, 1.5, 301)
         assert bump(t, out=t.copy()).tobytes() == bump(t).tobytes()
         same = t.copy()
         assert bump(same, out=same) is same and same.tobytes() == bump(t).tobytes()
+
+    def test_step_error_against_a_composite_rule(self):
+        # the fixed 48-point rule against the bump's integral by 48-point
+        # Gauss on 256 panels (which agrees with 128 panels to 5e-16): the
+        # worst deviation, 3.04e-10, is near u = 0.171.  Next to the plateau
+        # the rule leaves 6.5e-11 of mass where the integral has below
+        # 1e-16, so the profile is not flat to all orders there
+        gx, gw = np.polynomial.legendre.leggauss(48)
+
+        def tail(u, panels=256):
+            # the integral of the bump's profile from each u to 1
+            u = np.asarray(u, dtype=float)[:, None, None]
+            h = (1.0 - u) / panels
+            v = u + h * np.arange(panels)[:, None] + 0.5 * h * (gx + 1.0)
+            return (bump(2.0 * v - 1.0) * (0.5 * h * gw)).sum(axis=(1, 2))
+
+        u = np.concatenate([np.linspace(0.0, 1.0, 1001)[1:-1], [0.171, 0.5, 0.001]])
+        want = np.concatenate([tail(u[i:i + 50]) for i in range(0, len(u), 50)]) / tail([0.0])[0]
+        dev = np.abs(smooth_step(u) - want)
+        assert dev.max() <= 3.1e-10
+        assert 1.0 - want[-1] < 1e-16
 
     @pytest.mark.parametrize("t", [
         [1.0, -1.0],
@@ -576,33 +597,35 @@ class TestKernel:
         for value, want in zip(values, ref):
             assert abs(value - want) <= 1e-13 * abs(want)
 
-    def test_tiny_chunk_batches_and_slices(self, monkeypatch):
-        calls = []
-        real = _kernel
+    def test_tiny_block_gives_the_same_bits(self, monkeypatch):
+        # at lam 128 the largest cells hold 32^3 and 24^3 nodes: at a block
+        # of 5000 floats each is cut along axis 0, while blocks of small
+        # cells hold several cells.  A cell's sum does not depend on where
+        # its blocks end
+        calls = kernel_calls(monkeypatch)
+        blocks, real = [], PhasePolynomial.evaluate_tensor
 
-        def spy(p, lam, axes, weights):
-            calls.append((axes[0].shape[0], tuple(x.shape[1] for x in axes)))
-            return real(p, lam, axes, weights)
+        def spy(self, axes, scale, out):
+            blocks.append((len(calls), calls[-1][1], out.shape))
+            return real(self, axes, scale, out)
 
-        monkeypatch.setattr("oscdecay.oscint._kernel", spy)
-        p = phase("x1*x2*x3", 3)
-        f = TestFunctionSpec.ones(3)
-        # at lam 128 the largest cells (32^3 and 24^3 nodes) exceed the chunk
-        a = evaluate_lambda(p, f, CHI_POS, 128.0)
-        wide = len(calls)
-        calls.clear()
-        monkeypatch.setattr(oscint, "_CHUNK", 5000)
-        b = evaluate_lambda(p, f, CHI_POS, 128.0)
-        assert len(calls) > wide
-        # no call exceeds the chunk, yet some hold several cells
-        assert all(batch * math.prod(shape) <= 5000 for batch, shape in calls)
-        assert any(batch > 1 for batch, _ in calls)
-        # a whole axis has a multiple of 4 nodes (orders 4 to 32 and the
-        # rerun orders 12, 20 and 28), so this is a cell above the chunk cut
-        # along axis 0
-        assert any(shape[0] % 4 for _, shape in calls)
-        assert b.nodes == a.nodes
-        assert abs(b.value - a.value) <= 1e-13 * abs(a.value)
+        monkeypatch.setattr(PhasePolynomial, "evaluate_tensor", spy)
+        args = (phase("x1*x2*x3", 3), TestFunctionSpec.ones(3), CHI_POS, [128.0],
+                QuadratureConfig())
+        (a, values, nodes), = _evaluate(*args)
+        wide = len(blocks)
+        blocks.clear()
+        monkeypatch.setattr(oscint, "_BLOCK", 5000)
+        (b, tiny_values, tiny_nodes), = _evaluate(*args)
+        assert len(blocks) > wide
+        assert fields(b) == fields(a)
+        assert tiny_values.tobytes() == values.tobytes()
+        assert tiny_nodes.tobytes() == nodes.tobytes()
+        # a lone cell cut along axis 0, and a block of several cells of a call
+        # that takes more than one block
+        assert any(shape[0] == 1 and shape[1] < sizes[0] for _, sizes, shape in blocks)
+        per_call = np.bincount([call for call, _, _ in blocks])
+        assert any(shape[0] > 1 and per_call[call] > 1 for call, _, shape in blocks)
 
     def test_phase_evaluated_per_batch(self, monkeypatch):
         # per cell, this took about 6,600 evaluations: panel-count bounds and
@@ -971,7 +994,7 @@ class TestWorkspace:
         # would take 2^19 floats; blocked, the workspace stays within 1 MiB
         def run():
             evaluate_lambda(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lam)
-            return oscint._SCRATCH.kernel.size
+            return oscint._SCRATCH.floats.size
 
         assert in_fresh_thread(run) <= 2 ** 17
 
@@ -1548,19 +1571,31 @@ class TestSweep:
         assert sum(b * math.prod(sizes) for b, sizes in calls) == grouped
         assert r.error == pytest.approx(error, rel=1e-8)
 
-    @pytest.mark.parametrize("text, lams", [
-        ("x1*x2*x3", (16.0, 32.0, 64.0)),
-        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", (16.0, 32.0)),
-    ])
-    def test_batches_keep_workspace_within_chunk(self, monkeypatch, text, lams):
-        # a call of several cells needs 2*b*m*(n + 1) workspace floats, for
-        # n nodes on the last axis and m on the others
+    @pytest.mark.parametrize("text, d, lams", [
+        ("x1*x2", 2, lambda_grid(64, 2048, 11)),
+        ("x1*x2*x3", 3, (16.0, 32.0, 64.0)),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0)),
+        # the largest shape group of the default 3D verify, 1,117 cells of
+        # 32^3 nodes, was 373 calls of at most 3 cells each
+        ("x1*x2*x3", 3, lambda_grid(64, 2048, 11)),
+    ], ids=["x1*x2", "x1*x2*x3-cells", "two-terms-cells", "x1*x2*x3"])
+    def test_one_kernel_call_per_shape_group(self, monkeypatch, text, d, lams):
+        # the pieces' node counts per axis: panels * order for a whole rule,
+        # order for one panel; each distinct row is one call on all its pieces
+        levels, real = [], oscint._run_level
+
+        def spy(p, keys, ids, parts, lams, chi):
+            panels, order = (keys[:, c].astype(np.int64)[ids] for c in (2, 3))
+            levels.append(np.where(parts < 0, panels * order, order))
+            return real(p, keys, ids, parts, lams, chi)
+
+        monkeypatch.setattr(oscint, "_run_level", spy)
         calls = kernel_calls(monkeypatch)
-        lambda_sweep(phase(text, 3), TestFunctionSpec.ones(3), CHI_POS, lams)
-        chunk = oscint._CHUNK
-        several = [2 * b * math.prod(sizes[:-1]) * (sizes[-1] + 1)
-                   for b, sizes in calls if b > 1]
-        assert several and max(several) <= chunk
+        lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
+        (sizes,) = levels
+        shapes, group = _rows(sizes)
+        groups = [(tuple(s), b) for s, b in zip(shapes.tolist(), np.bincount(group))]
+        assert sorted(groups) == sorted((tuple(s), b) for b, s in calls)
 
 
 def kernel_calls(monkeypatch):
@@ -1897,9 +1932,9 @@ class TestOrbits:
         assert max((p - q).max() for p, q in zip(panels, pieces)) > 0
 
     @pytest.mark.parametrize("text, d, lams, kernel, count", [
-        ("x1*x2", 2, lambda_grid(64, 2048, 11), 543_904, 23),
-        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_299_952, 27),
-        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 11_635_648, 120),
+        ("x1*x2", 2, lambda_grid(64, 2048, 11), 543_904, 21),
+        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_299_952, 18),
+        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 11_635_648, 30),
         # the two 3D templates of the benchmark, whose cells have too few
         # panels to cut
         ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 151_744, 20),
@@ -1909,7 +1944,8 @@ class TestOrbits:
         # orthant sweeps; with each self-symmetric cell evaluated whole the
         # kernel ran 771,744, 2,381,616 and 33,067,968 nodes.  The number
         # of kernel calls is pinned too: each costs about 70 us however few
-        # its nodes, so the batching must not split
+        # its nodes, so the batching must not split.  Cut into batches of
+        # at most 2^18 floats, the first three took 23, 27 and 120 calls
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
         assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
