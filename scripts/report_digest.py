@@ -4,9 +4,12 @@ Each run is `oscdecay.cli.main` called in-process.  Its hash covers the
 report with `config.out_json` blanked, everything written to stderr and
 the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  Each line is a job's digest, the number of
-`oscint._kernel` calls the job made, and its command; the last line is
-the digest of all the job digests.  The call counts are not hashed: they
-show how a change to the kernel's batching or grouping moves each job.
+`oscint._kernel` calls the job made, and its command; then comes the
+digest of all the job digests.  The call counts are not hashed: they show
+how a change to the kernel's batching or grouping moves each job.  The
+last line, not hashed either, gives the size of the `oscdecay` package
+that ran: its lines (`wc -l`) and its code lines, those outside
+docstrings, comments and blanks.
 
 The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
@@ -47,11 +50,13 @@ x1*x2^3, whose witness lies on an unbounded edge.
     PYTHONPATH=src python scripts/report_digest.py
 """
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import tempfile
+import tokenize
 from pathlib import Path
 
 from oscdecay import cli, oscint
@@ -140,6 +145,27 @@ def run_digest(argv) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def source_size(package: Path) -> tuple[int, int]:
+    """The lines of the package's modules (`wc -l`), and its code lines:
+    those that hold a token outside docstrings, comments and blanks."""
+    lines = code = 0
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        lines += text.count("\n")
+        docs = set()
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                    and ast.get_docstring(node) is not None):
+                docs.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+        used = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in (tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE,
+                                tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER):
+                used.update(range(tok.start[0], tok.end[0] + 1))
+        code += len(used - docs)
+    return lines, code
+
+
 def main() -> None:
     argparse.ArgumentParser(description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
@@ -158,6 +184,8 @@ def main() -> None:
     finally:
         oscint._kernel = kernel
     print(hashlib.sha256("".join(digests).encode()).hexdigest(), "all")
+    lines, code = source_size(Path(cli.__file__).parent)
+    print(f"src/oscdecay: {lines} lines, {code} code lines")
 
 
 if __name__ == "__main__":

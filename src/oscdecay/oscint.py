@@ -24,9 +24,10 @@ cells of a cell that such a permutation maps to itself, one per orbit
 (`_orbits`).  The evaluated cells of every row and their reruns, for the
 error estimate (`_evaluate`), are one batch (`_run_level`): each rule is
 built once (`_rule_table`), and the cells of each shape are one `_kernel`
-call, contracted block by block in a per-thread workspace of _BLOCK
-floats, within a core's L2 cache, with each cell's term signs folded into
-its per-term scale.
+call, with each cell's term signs folded into its per-term scale.  A
+kernel block holds whole cells in a per-thread workspace of _BLOCK floats,
+within a core's L2 cache; cells whose rows do not fit one block are cut
+into runs that do (`_runs`), each cell the sum of its runs.
 The same cell grid indexes a closed-form bound per cell (`box_envelope`),
 whose sum is an a-priori certificate for the result.
 
@@ -55,8 +56,8 @@ __all__ = [
     "OscError", "CutoffSpec", "FactorSpec", "TestFunctionSpec",
     "QuadratureConfig", "OscResult", "bump",
     "smooth_step", "evaluate_lambda", "box_envelope", "certificate_sum",
-    "lambda_grid", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS", "MIN_LAMBDA",
-    "PLATEAU",
+    "lambda_grid", "lambda_grid_ratio", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS",
+    "MIN_LAMBDA", "PLATEAU",
 ]
 
 
@@ -417,37 +418,25 @@ _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
 _PANEL_NODES = 512
 
 
-def _blocks(axes, room):
-    """The blocks of a kernel call on nodes `axes`, (B, n_k) per axis k, in
-    row order, each of at most `room` rows of last-axis nodes: per block,
-    its slice of the cells, its nodes per axis and its tensor shape.  A
-    block cuts the first leading axis (cells, then axes 0 to d-2) on which
-    a run of indices spanning a multiple of 8 rows fits; it holds one index
-    of each leading axis before that one and all of each axis after.  The
-    fewest such runs that cover the axis are made as equal as that allows.
-    Block boundaries thus lie 8k rows into their slab, so BLAS rounds every
-    row sum as in one matmul on all rows (OpenBLAS's GEMV groups rows by 4
-    from a matrix's start)."""
-    lead = [len(axes[0])] + [x.shape[1] for x in axes[:-1]]
-    for cut, size in enumerate(lead):
-        under = math.prod(lead[cut + 1:])  # rows under one index of the cut axis
-        step = 8 // math.gcd(under, 8)     # indices per aligned run of rows
-        run = min(room // under, size)
-        if run < size:
-            run -= run % step
-        if run:
-            break
-    if run < size:
-        # as few blocks as `run` allows, as equal as the alignment allows:
-        # no small last block
-        run = -(-size // -(-size // run))
-        run += -run % step
-    for fixed in product(*map(range, lead[:cut])):
-        for s in range(0, size, run):
-            at = ([slice(i, i + 1) for i in fixed] + [slice(s, s + run)]
-                  + [slice(None)] * (len(axes) - cut))
-            block = [x[at[0], a] for x, a in zip(axes, at[1:])]
-            yield at[0], block, [len(block[0])] + [x.shape[1] for x in block]
+def _runs(axes, weights, room):
+    """The runs of a kernel call on nodes `axes` and `weights`, (B, n_k) per
+    axis k, for blocks of `room` rows: per run, its nodes and weights per
+    axis, the call's B cells restricted to it, each of at most `room` rows,
+    or of one.  A call whose cells fit is its own one run.  Else the first
+    axis with more than one node is cut into the fewest runs of as many
+    nodes as fit, at least one, made as equal as can be, and each run is
+    cut in turn: a cell is the sum of its runs.  The cut axis is passed
+    as a slice and every other one whole, so no nodes are copied."""
+    sizes = [x.shape[1] for x in axes]
+    if math.prod(sizes[:-1]) <= max(room, 1):
+        yield axes, weights
+        return
+    k = next(k for k, n in enumerate(sizes) if n > 1)
+    count = -(-sizes[k] // max(room // math.prod(sizes[k + 1:-1]), 1))
+    step = -(-sizes[k] // count)
+    for s in range(0, sizes[k], step):
+        yield from _runs(*([x[:, s:s + step] if j == k else x for j, x in enumerate(v)]
+                           for v in (axes, weights)), room)
 
 
 def _kernel(p, lam, axes, weights):
@@ -457,55 +446,58 @@ def _kernel(p, lam, axes, weights):
     k, and lam (B,) their frequencies, or (B, T) one per cell and term of
     the phase, term signs folded in; the result holds the B cell sums.
     With n nodes on the last axis and m on the others, a cell has m rows
-    of n nodes.  This thread's workspace holds a block cs, (2, rows, n), of
-    `_blocks`, and z, (2, rows), its row sums, within _BLOCK floats; where
-    a cell's rows do not fit, z holds its m row sums over its blocks, which
-    take the rest, at least 8 rows.  A call that fits is one block.
-    `PhasePolynomial.evaluate_tensor` writes theta/2 = lam*phi/2 straight
-    into cs[1].  With t = tan(theta/2), cos(theta) = 2/(1+t^2) - 1 and
-    sin(theta) = 2t/(1+t^2): float64 tan is vectorized where complex exp is
-    not, and loses no accuracy.  cs holds 1 + cos(theta) and sin(theta),
-    and one real matmul per block contracts its last axis into z.  As soon
-    as a block's cells, or a cut cell's last block, are summed, their row
-    sums take the cosine's -sum(w), each other axis is contracted by one
-    matmul, and only the cell sums are complex.
+    of n nodes.  A block is whole cells: this thread's workspace holds its
+    cs, (2, rows, n), and z, (2, rows), its row sums, within _BLOCK floats,
+    so at most _BLOCK // (2 (n + 1)) rows.  Cells whose rows do not fit
+    are cut into runs that do (`_runs`), and each cell sum is its runs'
+    sum.  The one exception is a single row of more than _BLOCK / 2 - 1
+    nodes, a block of its own.  A call whose cells fit one block is that
+    block.  `PhasePolynomial.evaluate_tensor` writes theta/2 = lam*phi/2
+    straight into cs[1].  With t = tan(theta/2), cos(theta) = 2/(1+t^2) - 1
+    and sin(theta) = 2t/(1+t^2): float64 tan is vectorized where complex
+    exp is not, and loses no accuracy.  cs holds 1 + cos(theta) and
+    sin(theta), and one real matmul per block contracts its last axis into
+    z, one GEMV per cell from its first row, so a cell that fits has the
+    same bits in any block.  The row sums take the cosine's -sum(w), each
+    other axis is contracted by one matmul, and only the cell sums are
+    complex.
     """
-    b = axes[0].shape[0]
-    sizes = [x.shape[1] for x in axes]
-    n, m = sizes[-1], math.prod(sizes[:-1])
+    b, n = axes[0].shape[0], axes[-1].shape[1]
     room = _BLOCK // (2 * (n + 1))  # rows of a block, with their row sums
-    if m > room:  # a cell spans blocks: z holds its m row sums
-        room = max((_BLOCK - 2 * m) // (2 * n), 8)
-    # a call that fits is its own one block, without `_blocks`'s slicing,
-    # which would add a few microseconds to each of the many small calls
-    blocks = [(slice(None), axes, [b] + sizes)] if b * m <= room else _blocks(axes, room)
-    top, rows = 2 * n * min(b * m, room), max(min(b * m, room), m)  # cs's floats, z's rows
-    ws = _scratch(top + 2 * rows)
-    z = ws[top:top + 2 * rows].reshape(2, rows)
+    # one workspace for every run: no block holds more rows than the call or `room`
+    top = min(b * math.prod(x.shape[1] for x in axes[:-1]), max(room, 1))
+    ws = _scratch(2 * top * (n + 1))
     lam = np.asarray(lam, dtype=float)  # one for all cells, per cell, or per cell and term
     scale = np.multiply(0.5, lam, out=np.empty((b,) + lam.shape[1:]))
-    w, values = weights[-1], np.empty(b, dtype=complex)
-    done = 0  # rows summed in z: the block's cells, or the cell so far
-    for cells, block, shape in blocks:
-        count = math.prod(shape[:-1])
-        cs = ws[:2 * count * n].reshape(2, shape[0], -1, n)
-        p.evaluate_tensor(block, scale[cells], cs[1].reshape(shape))
-        np.tan(cs[1], out=cs[1])
-        np.multiply(cs[1], cs[1], out=cs[0])
-        cs[0] += 1.0
-        np.divide(2.0, cs[0], out=cs[0])  # 1 + cos(theta)
-        cs[1] *= cs[0]                    # sin(theta)
-        np.matmul(cs, w[cells, :, None], out=z[:, done:done + count].reshape(2, shape[0], -1, 1))
-        done += count
-        if done % m:
-            continue  # the cell goes on in the next block
-        sums = z[:, :done].reshape(2, -1, m)
-        sums[0] -= w[cells].sum(axis=1)[:, None]
-        for wk, nk in zip(weights[-2::-1], sizes[-2::-1]):
-            sums = np.matmul(sums.reshape(2, sums.shape[1], -1, nk), wk[cells, :, None])
-        values[cells] = sums[0].ravel() + 1j * sums[1].ravel()
-        done = 0
-    return values
+    w = weights[-1]  # runs never cut the last axis
+    mass = w.sum(axis=1)
+    total = None  # real and imaginary cell sums of the runs so far
+    for axes, weights in _runs(axes, weights, room):
+        sizes = [x.shape[1] for x in axes]
+        m = math.prod(sizes[:-1])
+        # as many cells in each of the fewest blocks that hold them
+        per = -(-b // -(-b // max(room // m, 1)))
+        sums = np.empty((2, b))
+        for s in range(0, b, per):
+            cells = slice(s, s + per)
+            # a call that fits is one block, without slicing its axes
+            block = axes if per == b else [x[cells] for x in axes]
+            rows = len(block[0]) * m
+            cs = ws[:2 * rows * n].reshape(2, -1, m, n)
+            z = ws[2 * rows * n:2 * rows * (n + 1)].reshape(2, -1, m)
+            p.evaluate_tensor(block, scale[cells], cs[1].reshape([-1] + sizes))
+            np.tan(cs[1], out=cs[1])
+            np.multiply(cs[1], cs[1], out=cs[0])
+            cs[0] += 1.0
+            np.divide(2.0, cs[0], out=cs[0])  # 1 + cos(theta)
+            cs[1] *= cs[0]                    # sin(theta)
+            np.matmul(cs, w[cells, :, None], out=z[..., None])
+            z[0] -= mass[cells, None]
+            for wk, nk in zip(weights[-2::-1], sizes[-2::-1]):
+                z = np.matmul(z.reshape(2, z.shape[1], -1, nk), wk[cells, :, None])
+            sums[:, cells] = z.reshape(2, -1)
+        total = sums if total is None else total + sums
+    return total[0] + 1j * total[1]
 
 
 @lru_cache(maxsize=None)
@@ -1104,19 +1096,24 @@ def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
 # ---------------------------------------------------------------------------
 # sweeps
 
+def lambda_grid_ratio(lo: float, hi: float, count: int) -> float:
+    """The ratio of `lambda_grid(lo, hi, count)`, whose point i is
+    lo * ratio^i, 1.0 for a single point, checked without building the
+    grid: a request that grid refuses is refused here."""
+    if count < 1 or not MIN_LAMBDA <= lo < math.inf or (count > 1 and not lo < hi):
+        raise OscError("bad lambda grid request")
+    ratio = (hi / lo) ** (1.0 / (count - 1)) if count > 1 else 1.0
+    if not math.isfinite(lo * ratio ** (count - 1)):
+        raise OscError("bad lambda grid request")
+    return ratio
+
+
 def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[float, ...]:
     """`count` frequencies from lo to hi in geometric progression; a single
     point is lo, whatever hi is.  Every frequency is finite: an infinite hi,
     or one that rounds past the float range, is refused."""
-    if count < 1 or not MIN_LAMBDA <= lo < math.inf or (count > 1 and not lo < hi):
-        raise OscError("bad lambda grid request")
-    if count == 1:
-        return (float(lo),)
-    ratio = (hi / lo) ** (1.0 / (count - 1))
-    grid = tuple(lo * ratio ** i for i in range(count))
-    if not math.isfinite(grid[-1]):
-        raise OscError("bad lambda grid request")
-    return grid
+    ratio = lambda_grid_ratio(lo, hi, count)
+    return tuple(lo * ratio ** i for i in range(count))
 
 
 def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunctionSpec],

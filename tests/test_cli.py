@@ -389,6 +389,23 @@ class TestUsageErrors:
         assert code == 2 and not out.exists()
         assert "overflows the float range" in err and "Traceback" not in err
 
+    def test_long_grid_in_a_config_is_not_built_to_validate_it(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # the grid is checked from its top point alone: a geometry command
+        # with a 3,000,000-point grid in its config builds no grid
+        def never(*args):
+            raise AssertionError("the frequency grid was built")
+
+        monkeypatch.setattr("oscdecay.cli.lambda_grid", never)
+        monkeypatch.setattr("oscdecay.oscint.lambda_grid", never)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("lam_count=3000000\n")
+        out = tmp_path / "report.json"
+        code = main(["polyhedron", "--phase", "x1*x2", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 0 and out.exists(), err
+        assert json.loads(out.read_text())["config"]["lam_count"] == 3_000_000
+
     def test_overflowing_sweep_is_refused_before_any_quadrature(self, tmp_path, capsys,
                                                                  monkeypatch):
         # turns grow with lam, so the sweep sees before its first sample that

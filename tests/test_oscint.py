@@ -597,35 +597,43 @@ class TestKernel:
         for value, want in zip(values, ref):
             assert abs(value - want) <= 1e-13 * abs(want)
 
-    def test_tiny_block_gives_the_same_bits(self, monkeypatch):
+    def test_tiny_block_splits_only_oversized_cells(self, monkeypatch):
         # at lam 128 the largest cells hold 32^3 and 24^3 nodes: at a block
-        # of 5000 floats each is cut along axis 0, while blocks of small
-        # cells hold several cells.  A cell's sum does not depend on where
-        # its blocks end
-        calls = kernel_calls(monkeypatch)
-        blocks, real = [], PhasePolynomial.evaluate_tensor
+        # of 5000 floats their rows do not fit, and each is cut into runs of
+        # axis 0, while cells that fit keep their bits in blocks of several
+        # cells.  A cut cell is the sum of its runs, within rounding
+        calls, real = [], oscint._kernel
 
-        def spy(self, axes, scale, out):
-            blocks.append((len(calls), calls[-1][1], out.shape))
-            return real(self, axes, scale, out)
+        def spy(p, lam, axes, weights):
+            out = real(p, lam, axes, weights)
+            calls.append(([x.shape[1] for x in axes], axes[0].shape[0], out))
+            return out
 
-        monkeypatch.setattr(PhasePolynomial, "evaluate_tensor", spy)
+        monkeypatch.setattr(oscint, "_kernel", spy)
         args = (phase("x1*x2*x3", 3), TestFunctionSpec.ones(3), CHI_POS, [128.0],
                 QuadratureConfig())
         (a, values, nodes), = _evaluate(*args)
-        wide = len(blocks)
-        blocks.clear()
+        wide = calls[:]
+        calls.clear()
         monkeypatch.setattr(oscint, "_BLOCK", 5000)
         (b, tiny_values, tiny_nodes), = _evaluate(*args)
-        assert len(blocks) > wide
-        assert fields(b) == fields(a)
-        assert tiny_values.tobytes() == values.tobytes()
+        assert len(calls) == len(wide)
+        kinds = set()
+        for (sizes, cells, got), (wide_sizes, _, want) in zip(calls, wide):
+            assert sizes == wide_sizes
+            room, m = 5000 // (2 * (sizes[-1] + 1)), math.prod(sizes[:-1])
+            # a cut cell, or whole cells in one block or several
+            kinds.add("cut" if m > room else "blocks" if cells * m > room else "one")
+            if m > room:
+                assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+            else:
+                assert got.tobytes() == want.tobytes()
+        assert kinds == {"cut", "blocks", "one"}
+        assert fields(b)[:1] + fields(b)[3:] == fields(a)[:1] + fields(a)[3:]
+        assert abs(b.value - a.value) <= 1e-14 * abs(a.value)
+        assert abs(b.error - a.error) <= 1e-14 * np.abs(values).sum()
+        assert np.all(np.abs(tiny_values - values) <= 1e-14 * np.abs(values))
         assert tiny_nodes.tobytes() == nodes.tobytes()
-        # a lone cell cut along axis 0, and a block of several cells of a call
-        # that takes more than one block
-        assert any(shape[0] == 1 and shape[1] < sizes[0] for _, sizes, shape in blocks)
-        per_call = np.bincount([call for call, _, _ in blocks])
-        assert any(shape[0] > 1 and per_call[call] > 1 for call, _, shape in blocks)
 
     def test_phase_evaluated_per_batch(self, monkeypatch):
         # per cell, this took about 6,600 evaluations: panel-count bounds and
@@ -925,6 +933,21 @@ def in_fresh_thread(fn, *args, **kwargs):
     return out[0]
 
 
+def reference_cells(p, lam, axes, weights):
+    """The cell sums of exp(i lam phi) times the weights, (B, n_k) per axis,
+    in complex128 by `np.einsum`, at lam (B,) per cell."""
+    theta = p.evaluate_tensor(axes, lam, np.empty([len(lam)] + [x.shape[1] for x in axes]))
+    letters = "ijkl"[:len(axes)]
+    spec = f"b{letters}," + ",".join("b" + c for c in letters) + "->b"
+    return np.einsum(spec, np.exp(1j * theta), *weights)
+
+
+def kernel_workspace(p, lam, axes, weights):
+    """`_kernel`'s cell sums, and the floats of this thread's workspace after it."""
+    values = _kernel(p, lam, axes, weights)
+    return values, oscint._SCRATCH.floats.size
+
+
 def same_result(a, b):
     (ra, va, _), (rb, vb, _) = a, b
     return (ra.value == rb.value and ra.error == rb.error and ra.nodes == rb.nodes
@@ -932,8 +955,10 @@ def same_result(a, b):
 
 
 class TestWorkspace:
-    # a large batch shape, a small one and a 3D one, all orthant
-    CASES = [("x1^3*x2^3", 2, 2048.0), ("x1*x2", 2, 8.0), ("x1*x2*x3", 3, 16.0)]
+    # a large batch shape, a small one, a 3D one, and a 256x256 cell whose
+    # rows do not fit one block, all orthant
+    CASES = [("x1^3*x2^3", 2, 2048.0), ("x1*x2", 2, 8.0), ("x1*x2*x3", 3, 16.0),
+             ("x1*x2", 2, 2048.0)]
 
     @staticmethod
     def run(text, d, lam):
@@ -947,7 +972,7 @@ class TestWorkspace:
             assert same_result(got, in_fresh_thread(self.run, *case))
 
     def test_threads_do_not_share_a_workspace(self):
-        cases = [self.CASES[0], self.CASES[2]]
+        cases = [self.CASES[0], self.CASES[2], self.CASES[3]]
         want = [in_fresh_thread(self.run, *case) for case in cases]
         start = threading.Barrier(len(cases))
         got = [[] for _ in cases]
@@ -999,26 +1024,32 @@ class TestWorkspace:
         assert in_fresh_thread(run) <= 2 ** 17
 
     @pytest.mark.parametrize("text, shape, block, rows", [
-        # a lone 2D cell: blocks of 8 rows of axis 0, then a remainder of 4
-        ("x1^3*x2^3", (1, 20, 48), 0, [8, 8, 4]),
-        # a 3D cell cut along axis 1, one index of axis 0 per block: the
-        # blocks start 20 rows apart, a multiple of 4 but not of 8
-        ("x1*x2*x3", (1, 3, 20, 32), 0, [8, 8, 4] * 3),
+        # `block` cuts every cell into runs, and `rows` are its blocks' rows.
+        # At 0 no row fits, so each cell is cut down to single rows, run by
+        # run; 2D cells of 20 rows of 48 nodes
+        ("x1^3*x2^3", (3, 20, 48), 0, [1] * 60),
+        # 3D cells, cut on axis 0 and then on axis 1
+        ("x1*x2*x3", (2, 3, 20, 32), 0, [1] * 120),
         # the two-term phase of the cells3d workload, whose phase tensor is
-        # contracted by matmuls, on two cells cut along axis 1
-        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", (2, 4, 12, 16), 0, [8, 4] * 8),
-        # several cells of 4 rows, two cells per block
-        ("x1*x2", (5, 4, 8), 0, [8, 8, 4]),
-        # room for 13 rows, rounded down to 8: BLAS groups a sum by rows
-        # from its matrix's start, so a block starting 13 rows in would
-        # round some sums differently
-        ("x1^3*x2^3", (1, 30, 48), 13 * 2 * 48 + 2 * 30, [8, 8, 8, 6]),
+        # contracted by matmuls
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", (2, 4, 12, 16), 0, [1] * 96),
+        # several small cells
+        ("x1*x2", (5, 4, 8), 0, [1] * 20),
+        # room for 13 rows (1308 // (2 * 49)): 30 rows are cut into three
+        # equal runs of 10, a block each, not into 13 + 13 + 4
+        ("x1^3*x2^3", (3, 30, 48), 1308, [10] * 9),
     ])
     def test_blocks_equal_one_block(self, monkeypatch, text, shape, block, rows):
+        # blocks of whole cells give the bits of one block, wherever a block
+        # starts: BLAS runs one GEMV per cell from its first row.  A cell
+        # whose rows do not fit is the sum of its runs, within rounding of
+        # a complex reference.  No block holds more rows than fit, and the
+        # workspace stays within _BLOCK floats, or one row where none fits
         rng = np.random.default_rng(31)
         b, *sizes = shape
-        axes = [rng.uniform(0.0, 1.0, (b, n)) for n in sizes]
-        weights = [rng.uniform(0.0, 0.1, (b, n)) for n in sizes]
+        n, m = sizes[-1], math.prod(sizes[:-1])
+        axes = [rng.uniform(0.0, 1.0, (b, k)) for k in sizes]
+        weights = [rng.uniform(0.0, 0.1, (b, k)) for k in sizes]
         lam = rng.uniform(64.0, 2048.0, b)
         p = phase(text, len(sizes))
         seen = []
@@ -1030,12 +1061,57 @@ class TestWorkspace:
 
         monkeypatch.setattr(PhasePolynomial, "evaluate_tensor", spy)
         want = _kernel(p, lam, axes, weights)
-        assert seen == [b * math.prod(sizes[:-1])]  # the default block holds the call
+        assert seen == [b * m]  # the default block holds the call
+        ref = reference_cells(p, lam, axes, weights)
+        assert np.all(np.abs(want - ref) <= 1e-14 * np.abs(ref))
+        # room for all cells but one: two blocks of whole cells, the second
+        # from a cell's first row, in three cases not a multiple of 8 rows in
+        fit = 2 * (n + 1) * m * (b - 1)
+        monkeypatch.setattr(oscint, "_BLOCK", fit)
         seen.clear()
-        monkeypatch.setattr(oscint, "_BLOCK", block)  # 0 leaves room for the least block, 8 rows
-        got = _kernel(p, lam, axes, weights)
-        assert seen == rows
+        got, floats = in_fresh_thread(kernel_workspace, p, lam, axes, weights)
         assert got.tobytes() == want.tobytes()
+        assert len(seen) > 1 and sum(seen) == b * m and max(seen) <= fit // (2 * (n + 1))
+        assert floats <= fit
+        # cut cells: at `block`, at one float short of a single row, and at
+        # room for half a cell
+        for split in (block, 2 * n + 1, (n + 1) * m):
+            monkeypatch.setattr(oscint, "_BLOCK", split)
+            seen.clear()
+            got, floats = in_fresh_thread(kernel_workspace, p, lam, axes, weights)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+            assert sum(seen) == b * m and max(seen) <= max(split // (2 * (n + 1)), 1)
+            assert floats <= max(split, 2 * (n + 1))
+            if split == block:
+                assert seen == rows
+
+    def test_four_dimensional_cells_cut_on_two_axes(self, monkeypatch):
+        # the kernel has no dimension guard.  Room for 9 rows of 8 nodes:
+        # a slab of axis 0 holds 5 * 4 = 20 rows, so axis 0 is cut into
+        # single nodes, and then axis 1 into runs of 2, 2 and 1
+        rng = np.random.default_rng(42)
+        b, sizes = 2, [6, 5, 4, 8]
+        axes = [rng.uniform(0.0, 1.0, (b, k)) for k in sizes]
+        weights = [rng.uniform(0.0, 0.1, (b, k)) for k in sizes]
+        lam = rng.uniform(16.0, 256.0, b)
+        p = phase("x1*x2*x3*x4 + x1^2*x4", 4)
+        ref = reference_cells(p, lam, axes, weights)
+        seen = []
+        real = PhasePolynomial.evaluate_tensor
+
+        def spy(self, axes, scale, out):
+            seen.append(out.shape)
+            return real(self, axes, scale, out)
+
+        monkeypatch.setattr(PhasePolynomial, "evaluate_tensor", spy)
+        block = 9 * 2 * 9
+        monkeypatch.setattr(oscint, "_BLOCK", block)
+        got, floats = in_fresh_thread(kernel_workspace, p, lam, axes, weights)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        assert floats <= block
+        # per node of axis 0, the runs of 8 rows a cell per block, and the
+        # run of 4 rows both cells in one
+        assert seen == ([(1, 1, 2, 4, 8)] * 4 + [(2, 1, 1, 4, 8)]) * 6
 
 
 class TestOracleParity:
