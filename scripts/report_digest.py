@@ -4,9 +4,11 @@ Each run is `oscdecay.cli.main` called in-process.  Its hash covers the
 report with `config.out_json` blanked, everything written to stderr and
 the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  Each line is a job's digest, the number of
-`oscint._kernel` calls the job made, and its command; then comes the
-digest of all the job digests.  The call counts are not hashed: they show
-how a change to the kernel's batching or grouping moves each job.  The
+`oscint._kernel` calls the job made, the number of `oscint._evaluate`
+calls (each pays the quadrature's set-up once), and its command; then
+comes the digest of all the job digests.  The call counts are not hashed:
+they show how a change to the kernel's batching or grouping moves each
+job.  The
 last line, not hashed either, gives the size of the `oscdecay` package
 that ran: its lines (`wc -l`) and its code lines, those outside
 docstrings, comments and blanks.
@@ -169,20 +171,27 @@ def source_size(package: Path) -> tuple[int, int]:
 def main() -> None:
     argparse.ArgumentParser(description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
-    digests, calls, kernel = [], [], oscint._kernel
+    digests, real = [], {name: getattr(oscint, name) for name in ("_kernel", "_evaluate")}
+    calls = {name: [] for name in real}
 
-    def counted(*args):
-        calls.append(None)
-        return kernel(*args)
+    def counted(name):
+        def spy(*args):
+            calls[name].append(None)
+            return real[name](*args)
+        return spy
 
-    oscint._kernel = counted
+    for name in real:
+        setattr(oscint, name, counted(name))
     try:
         for argv in JOBS:
-            calls.clear()
+            for made in calls.values():
+                made.clear()
             digests.append(run_digest(argv))
-            print(digests[-1], f"{len(calls):4d}", " ".join(argv), flush=True)
+            print(digests[-1], *(f"{len(made):4d}" for made in calls.values()), " ".join(argv),
+                  flush=True)
     finally:
-        oscint._kernel = kernel
+        for name, fn in real.items():
+            setattr(oscint, name, fn)
     print(hashlib.sha256("".join(digests).encode()).hexdigest(), "all")
     lines, code = source_size(Path(cli.__file__).parent)
     print(f"src/oscdecay: {lines} lines, {code} code lines")

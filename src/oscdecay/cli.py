@@ -19,22 +19,26 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .decay import (
+    MAX_EXPONENT,
+    MAX_SHARPNESS_COUNT,
     MAX_SUM_BOXES,
     MIN_FIT_OCTAVES,
     MIN_FIT_SAMPLES,
+    box_functions,
     check_dual_domination,
     dual_lambda_grid,
     fit_decay,
     sharpness_boxes,
-    sharpness_test,
+    sharpness_witness,
     spans_fit_octaves,
     summation_boxes,
     summation_oracle,
 )
 from .exponent import ExponentQuery, sharp_exponent
 from .nondegen import MAX_FACE_CELLS, check_nondegeneracy, max_grid
-from .oscint import (MAX_LEVELS, MIN_LAMBDA, PLATEAU, CutoffSpec, OscError, QuadratureConfig,
-                     TestFunctionSpec, lambda_grid, lambda_grid_ratio, lambda_sweep)
+from .oscint import (MAX_LAM_COUNT, MAX_LEVELS, MIN_LAMBDA, PLATEAU, CutoffSpec, OscError,
+                     QuadratureConfig, TestFunctionSpec, certify_results, lambda_grid,
+                     lambda_grid_ratio, lambda_sweep)
 from .phase import parse_phase, reduce_phase
 from .polytope import (
     MAX_DIMENSION,
@@ -91,6 +95,13 @@ class RunConfig:
                                    ("--grid", self.grid, 2)):
             if value < least:
                 raise CliError(f"{name} must be at least {least}, got {value}")
+        # a sweep plans every frequency at once, and every dual vertex's
+        # sharpness grid would pass the largest float
+        for name, value, most in (("--lam-count", self.lam_count, MAX_LAM_COUNT),
+                                  ("sharpness_count", self.sharpness_count,
+                                   MAX_SHARPNESS_COUNT)):
+            if value > most:
+                raise CliError(f"{name} must be at most {most}, got {value}")
         if self.starts < 0:
             raise CliError(f"starts must be nonnegative, got {self.starts}")
         if not 1 <= self.levels <= MAX_LEVELS:
@@ -114,10 +125,9 @@ class RunConfig:
         if not 0 < box_scale <= PLATEAU:
             raise CliError(f"box scale must lie in (0, {PLATEAU}], the cutoff plateau, "
                            f"got {self.box_scale}")
-        # 2^1023 is the largest power of two a float holds
-        if not (self.e_step >= 1 and 1 <= self.e_lo <= self.e_hi <= 1023):
+        if not (self.e_step >= 1 and 1 <= self.e_lo <= self.e_hi <= MAX_EXPONENT):
             raise CliError("summation exponents need e-step >= 1 and "
-                           "1 <= e-lo <= e-hi <= 1023")
+                           f"1 <= e-lo <= e-hi <= {MAX_EXPONENT}")
         try:
             ExponentQuery.of(self.p)
         except (ValueError, ZeroDivisionError):
@@ -318,16 +328,29 @@ def _write_csv(rows: list[dict], path: str) -> None:
         raise CliError(f"cannot write --csv file: {e}") from None
 
 
-def _run_sweep(cfg: RunConfig, p, n, q, lam_override: float | None):
+def _run_sweep(cfg: RunConfig, p, n, q, lam_override: float | None, families=()):
+    """The certified sweep, and the quadrature results of each sharpness
+    family of `families` (`sharpness_boxes` results), whose boxes take the
+    full cutoff: one `lambda_sweep` call, the sweep's rows first, and one
+    certificate per sweep row."""
     if lam_override is not None:
         grid = (float(lam_override),)
         cfg = replace(cfg, lam_lo=grid[0], lam_hi=grid[0], lam_count=1)
     else:
         grid = lambda_grid(cfg.lam_lo, cfg.lam_hi, cfg.lam_count)
     chi = CutoffSpec(positive_orthant=cfg.orthant, levels=cfg.levels)
-    results = lambda_sweep(p, TestFunctionSpec.ones(p.dimension), chi, grid,
-                           certify=True, query=q, n=n)
-    return cfg, results
+    ones = TestFunctionSpec.ones(p.dimension)
+    fs, chis, lams = [ones] * len(grid), [chi] * len(grid), list(grid)
+    for boxes in families:
+        fs += box_functions(boxes)
+        chis += [CutoffSpec(levels=cfg.levels)] * len(boxes[3])
+        lams += [lam for lam, *_ in boxes[3]]
+    results = lambda_sweep(p, fs, chis, lams)
+    found, at = [], len(grid)
+    for boxes in families:
+        found.append(results[at:at + len(boxes[3])])
+        at += len(boxes[3])
+    return cfg, certify_results(results[:len(grid)], p, ones, chi, query=q, n=n), found
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +413,7 @@ def cmd_integrate(args, cfg: RunConfig) -> int:
     if args.lam is not None and not args.lam >= MIN_LAMBDA:
         raise CliError(f"--lam must be at least {MIN_LAMBDA:g}, got {args.lam:g}")
     p, n, q = _build_inputs(cfg)
-    cfg, results = _run_sweep(cfg, p, n, q, args.lam)
+    cfg, results, _ = _run_sweep(cfg, p, n, q, args.lam)
     er = sharp_exponent(n, q)
     rows = _sweep_rows(results, er)
     if cfg.out_csv:
@@ -419,12 +442,14 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     er = sharp_exponent(n, q)
     nd = check_nondegeneracy(p, n, grid=cfg.grid, eta=cfg.eta,
                              starts=cfg.starts, degen_tol=cfg.witness_tol)
+    families = []
     if cfg.sharpness:  # every dual vertex's grid, then boxes, refused before any quadrature
         dual, sharp_chi = dual_polyhedron(n), CutoffSpec(levels=cfg.levels)
         grids = [(w, dual_lambda_grid(w, count=cfg.sharpness_count)) for w in dual.vertices]
-        boxes = [sharpness_boxes(p, n, w, Fraction(cfg.box_scale), lams, chi=sharp_chi,
-                                 dual=dual) for w, lams in grids]
-    cfg, results = _run_sweep(cfg, p, n, q, None)
+        families = [sharpness_boxes(p, n, w, Fraction(cfg.box_scale), lams, chi=sharp_chi,
+                                    dual=dual) for w, lams in grids]
+    # the sweep and every family's boxes are one quadrature call
+    cfg, results, found = _run_sweep(cfg, p, n, q, None, families)
     fit = fit_decay(results, er, tol=cfg.fit_tol)
     rows = _sweep_rows(results, er)
     if cfg.out_csv:
@@ -442,9 +467,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     if cfg.sharpness:
         sharp_part, refused = [], []
         all_ok = True
-        for (w, lams), b in zip(grids, boxes):
-            wit = sharpness_test(p, n, q, w, Fraction(cfg.box_scale), lams,
-                                 chi=sharp_chi, dual=dual, boxes=b)
+        chain_ok, _ = check_dual_domination(n, q, dual)
+        for boxes, box_results in zip(families, found):
+            wit = sharpness_witness(boxes, box_results, chain_ok)
             sharp_part.append(wit.to_json_dict())
             refused += [f"{r.lam:g}" for r in wit.rows if r.measured is None]
             all_ok = all_ok and wit.passed

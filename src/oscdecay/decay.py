@@ -26,7 +26,8 @@ from .ratlin import dot
 __all__ = [
     "DecayError", "DecayFit", "SharpnessRow", "SharpnessWitness",
     "SummationRow", "SummationReport", "fit_decay", "fit_samples",
-    "dual_lambda_grid", "sharpness_boxes", "sharpness_test", "check_dual_domination",
+    "dual_lambda_grid", "sharpness_boxes", "box_functions", "sharpness_witness",
+    "sharpness_test", "check_dual_domination", "MAX_SHARPNESS_COUNT",
     "summation_oracle", "summation_boxes", "MAX_SUM_BOXES", "SHARPNESS_BAND",
     "MIN_FIT_SAMPLES", "MIN_FIT_OCTAVES", "MAX_HALVINGS", "spans_fit_octaves",
 ]
@@ -187,8 +188,15 @@ class SharpnessWitness:
         }
 
 
+MAX_EXPONENT = 1023   # 2^1023 is the largest power of two a float holds
+SHARPNESS_START = 6   # the least exponent of a sharpness grid
+# the longest sharpness grid some dual vertex may take: each point's
+# exponent is at least one above the last, from SHARPNESS_START on
+MAX_SHARPNESS_COUNT = MAX_EXPONENT - SHARPNESS_START + 1
+
+
 def dual_lambda_grid(w: Sequence[Fraction], count: int = 8,
-                     start: int = 6) -> tuple[float, ...]:
+                     start: int = SHARPNESS_START) -> tuple[float, ...]:
     """Powers of two whose exponent clears the denominators of w, so the box
     corners delta * lam^(-w_j) stay exactly dyadic."""
     if count < 1:
@@ -197,7 +205,7 @@ def dual_lambda_grid(w: Sequence[Fraction], count: int = 8,
     step = math.lcm(*(x.denominator for x in ws)) if ws else 1
     e0 = max(step, step * math.ceil(start / step))
     top = e0 + (count - 1) * step
-    if top > 1023:  # 2^1023 is the largest power of two a float holds
+    if top > MAX_EXPONENT:
         raise DecayError(f"sharpness grid at w = ({', '.join(map(str, ws))}) "
                          f"reaches lam 2^{top}, beyond the largest float")
     return tuple(float(2 ** (e0 + k * step)) for k in range(count))
@@ -261,6 +269,22 @@ def sharpness_boxes(p: PhasePolynomial, n: NewtonPolyhedron, w: Sequence[Fractio
     return ws, delta, halvings, boxes
 
 
+def box_functions(boxes: tuple) -> list[TestFunctionSpec]:
+    """The indicator of each box of `sharpness_boxes`' result, in its order."""
+    return [TestFunctionSpec.boxes([(-h, h) for h in half]) for _, half, _, _ in boxes[3]]
+
+
+def sharpness_witness(boxes: tuple, results: Sequence[OscResult],
+                      chain_ok: bool) -> SharpnessWitness:
+    """The witness of `sharpness_boxes`' result `boxes`, from the quadrature
+    result of each box, in its order, and the domination check `chain_ok`."""
+    ws, delta, halvings, rows = boxes
+    rows = [SharpnessRow(lam, half, vol, r.value,
+                         None if r.value is None else abs(r.value) / vol, bound)
+            for (lam, half, vol, bound), r in zip(rows, results, strict=True)]
+    return SharpnessWitness(ws, delta, sum(ws), tuple(rows), halvings, chain_ok)
+
+
 def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
                    w: Sequence[Fraction], delta, lambdas: Sequence[float], *,
                    chi: CutoffSpec = CutoffSpec(), dual: DualPolyhedron | None = None,
@@ -274,19 +298,16 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
     |value| must sit inside `SHARPNESS_BAND` times the L1 norm of f.  Pass `dual`
     when it is already built; it is computed from `n` otherwise.  `boxes`,
     when given, is `sharpness_boxes` of the same arguments.  All boxes are
-    evaluated in one `lambda_sweep` call, one test function per frequency.
+    evaluated in one `lambda_sweep` call, one test function per frequency
+    (`box_functions`), and the witness is built from their results
+    (`sharpness_witness`); `verify` evaluates them beside its sweep.
     """
     if dual is None:
         dual = dual_polyhedron(n)
-    ws, delta, halvings, boxes = boxes or sharpness_boxes(
-        p, n, w, delta, lambdas, chi=chi, dual=dual)
-    results = lambda_sweep(p, [TestFunctionSpec.boxes([(-h, h) for h in half])
-                               for _, half, _, _ in boxes], chi, [b[0] for b in boxes])
-    rows = [SharpnessRow(lam, half, vol, r.value,
-                         None if r.value is None else abs(r.value) / vol, bound)
-            for (lam, half, vol, bound), r in zip(boxes, results)]
+    boxes = boxes or sharpness_boxes(p, n, w, delta, lambdas, chi=chi, dual=dual)
+    results = lambda_sweep(p, box_functions(boxes), chi, [lam for lam, *_ in boxes[3]])
     chain_ok, _ = check_dual_domination(n, q, dual)
-    return SharpnessWitness(ws, delta, sum(ws), tuple(rows), halvings, chain_ok)
+    return sharpness_witness(boxes, results, chain_ok)
 
 
 def check_dual_domination(n: NewtonPolyhedron, q: ExponentQuery,

@@ -55,9 +55,9 @@ from .polytope import NewtonPolyhedron, build_polyhedron
 __all__ = [
     "OscError", "CutoffSpec", "FactorSpec", "TestFunctionSpec",
     "QuadratureConfig", "OscResult", "bump",
-    "smooth_step", "evaluate_lambda", "box_envelope", "certificate_sum",
+    "smooth_step", "evaluate_lambda", "box_envelope", "certificate_sum", "certify_results",
     "lambda_grid", "lambda_grid_ratio", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS",
-    "MIN_LAMBDA", "PLATEAU",
+    "MAX_LAM_COUNT", "MIN_LAMBDA", "PLATEAU",
 ]
 
 
@@ -75,6 +75,9 @@ MAX_LEVELS = 40   # cutoff octaves run 1..MAX_LEVELS
 PLATEAU = Fraction(1, 2)  # the cutoff is 1 on |t| <= PLATEAU and 0 on |t| >= 1
 _PLATEAU = float(PLATEAU)  # floats compare with a Fraction 100x slower
 MIN_LAMBDA = 2.0  # decay sweeps start here
+# the most frequencies of one grid: a sweep plans every frequency's cells at
+# once, so its memory grows with the grid (about 14 kB a frequency in 2D)
+MAX_LAM_COUNT = 1000
 
 
 _SCRATCH = threading.local()
@@ -607,8 +610,9 @@ def _plan(f, depths):
 
 
 def _depths(grads, f, chi, lams, quad):
-    """Per frequency of `lams`, with test function `f` or its own one of a
-    sequence `f`, and axis k: the depth L_k to which axis k is cut into
+    """Per frequency of `lams`, with test function `f` and cutoff `chi`, each
+    one for every frequency or a sequence of one per frequency (`_per_row`),
+    and axis k: the depth L_k to which axis k is cut into
     octaves, and the Gauss order n of its merged piece [0, 2^-L_k], or 0
     where it has none, as two (F, d) integer arrays.  With g the terms of
     phi with a_k >= 1 and G the same terms with absolute coefficients and
@@ -620,30 +624,32 @@ def _depths(grads, f, chi, lams, quad):
     at which some order meets the target, and n the least such order; where
     none does, L_k = `levels` and n = 0, the octave layout to the
     truncation.  A theta that is not finite meets no target.  A row depends
-    only on its own lam and test function: G per level and axis is tabled
-    once per test function, over both sides of 0 on the full cutoff, so
-    every reflection of the row keeps these depths."""
-    d, levels = len(grads), chi.levels
+    only on its own lam, test function and cutoff: G per level and axis is
+    tabled once per test function and orthant flag, over both sides of 0 on
+    the full cutoff, so every reflection of the row keeps these depths.
+    Every row's cutoff has the same `levels` (`_evaluate`)."""
+    fs, chis = _per_row(f, len(lams)), _per_row(chi, len(lams), CutoffSpec, "cutoffs")
+    d, levels = len(grads), (chis[0] if chis else chi).levels
     terms = [g._float_coefficients for g in grads]
     reach = [_merge_reach(quad.order, quad.waves_per_panel,
                           max((b[k] + 1 for b, _ in t), default=0))
              for k, t in enumerate(terms)]
     x = 2.0 ** -np.arange(1, levels + 1)
-    # one test function's table broadcasts over every frequency
-    fs, tables = [f] if isinstance(f, TestFunctionSpec) else f, {}
+    keys, tables = [(g, c.positive_orthant) for g, c in zip(fs, chis)], {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for g in set(fs):
+        for g, orthant in set(keys):
             # largest magnitude of each axis over the support, clipped to the factor
-            sides = [(fac,) if chi.positive_orthant else (fac, FactorSpec(-fac.b, -fac.a))
+            sides = [(fac,) if orthant else (fac, FactorSpec(-fac.b, -fac.a))
                      for fac in g.factors]
             tops = [max((hi for side in both for _, hi in _axis_pieces(side, 1)), default=0.0)
                     for both in sides]
-            table = tables[g] = np.zeros((levels, d))
+            table = tables[g, orthant] = np.zeros((levels, d))
             for k, t in enumerate(terms):
                 for b, c in t:
                     others = math.prod(tops[j] ** b[j] for j in range(d) if j != k)
                     table[:, k] += c / (b[k] + 1) * others * x ** (b[k] + 1)
-        theta = np.abs(np.asarray(lams))[:, None, None] * np.stack([tables[g] for g in fs])
+        theta = (np.abs(np.asarray(lams))[:, None, None]
+                 * np.reshape([tables[key] for key in keys], (-1, levels, d)))
     ns = np.array([n for n, _ in reach[0]])
     reach = np.array([[t for _, t in r] for r in reach])  # (d, orders)
     admitted = theta <= reach.max(axis=1)
@@ -701,12 +707,12 @@ def _sizing(grads, axis_pieces, cells):
     return bounds, spans, ratios, analytic
 
 
-def _per_row(f, rows):
-    """`f` once per row: one `TestFunctionSpec` repeated, or a sequence of one per row."""
-    fs = [f] * rows if isinstance(f, TestFunctionSpec) else list(f)
-    if len(fs) != rows:
-        raise OscError(f"{len(fs)} test functions for {rows} frequencies")
-    return fs
+def _per_row(x, rows, kind=TestFunctionSpec, name="test functions"):
+    """`x` once per row: one `kind` repeated, or a sequence of one per row."""
+    xs = [x] * rows if isinstance(x, kind) else list(x)
+    if len(xs) != rows:
+        raise OscError(f"{len(xs)} {name} for {rows} frequencies")
+    return xs
 
 
 @lru_cache(maxsize=None)
@@ -904,9 +910,16 @@ def _orbits(groups, keys, ids, row, rerun, live):
 
 def _evaluate(p, f, chi, lams, quad):
     """Tensor-panel quadrature of the oscillatory form at every frequency of
-    `lams`, with one test function `f` or one per frequency: per frequency,
-    its result (without certificate), and the value and node count of every
-    cell of its sub-rows (`_reflections`), over all the copies of each.
+    `lams`, with test function `f` and cutoff `chi`, each one for every
+    frequency or a sequence of one per frequency: per frequency, its result
+    (without certificate), and the value and node count of every cell of its
+    sub-rows (`_reflections`, per test function and orthant flag), over all
+    the copies of each.  Every row's cutoff must have the same `levels`.
+    A row's result does not depend on the other rows of the call, bit for
+    bit: its rules depend only on its own frequency, test function and
+    cutoff (`_layout`), and a cell that fits a kernel block keeps its bits
+    in any block (`_kernel`).  So independent families, such as a sweep and
+    the sharpness boxes of `verify`, pay the call's set-up once.
 
     The call is one cell table of every sub-row (`_layout`, with its row's
     `_depths`).  A row whose planned nodes over all its reflections exceed
@@ -935,17 +948,23 @@ def _evaluate(p, f, chi, lams, quad):
     bad = [lam for lam in lams if not math.isfinite(lam)]
     if bad:
         raise OscError(f"frequency must be finite, got {bad[0]:g}")
-    fs = _per_row(f, len(lams))
+    fs, chis = _per_row(f, len(lams)), _per_row(chi, len(lams), CutoffSpec, "cutoffs")
+    if len({c.levels for c in chis}) > 1:
+        raise OscError("the rows of one call must share the cutoff's levels")
     d = p.dimension
     if d > 3:
         raise OscError("tensor quadrature is limited to dimension <= 3")
     if any(g.dimension != d for g in set(fs)):
         raise OscError("test function dimension mismatch")
     grads = [p.derivative(k).absolute() for k in range(d)]
-    depths, merged = _depths(grads, fs, chi, lams, quad)
-    reflections = _reflections(p, fs, chi)
-    subs = [s for g in fs for s in reflections[g]]
-    parent = np.repeat(np.arange(len(fs)), [len(reflections[g]) for g in fs])
+    depths, merged = _depths(grads, fs, chis, lams, quad)
+    # each row's sub-rows, keyed by its test function and orthant flag
+    pairs, reflections = [(g, c.positive_orthant) for g, c in zip(fs, chis)], {}
+    for orthant, c in {c.positive_orthant: c for c in chis}.items():
+        own = [g for g, o in pairs if o == orthant]
+        reflections.update(((g, orthant), s) for g, s in _reflections(p, own, c).items())
+    subs = [s for pair in pairs for s in reflections[pair]]
+    parent = np.repeat(np.arange(len(fs)), [len(reflections[pair]) for pair in pairs])
     signs, sub_fs, plain, twin, groups = zip(*subs)
     row, lo, hi, counts, orders, exps, rerun = _layout(
         grads, sub_fs, np.array(lams)[parent], quad, depths[parent], merged[parent])
@@ -975,8 +994,9 @@ def _evaluate(p, f, chi, lams, quad):
     if (signs < 0).any():
         freqs = freqs[:, None] * signs[take]
     low = ids[owner[again]] + len(rules)  # at the rerun's lower order
+    # the profile has one shape for every cutoff, so any row's serves
     values, mass = _run_level(p, keys, np.concatenate([ids[owner], low]),
-                              np.concatenate([part, part[again]]), freqs, chi)
+                              np.concatenate([part, part[again]]), freqs, chis[0])
     # per piece, its value, rerun value and weight mass over the panel
     # cells that take it or its conjugate, summed onto its cell; then each
     # cell takes its key's first, over its sub-row's plain and conjugate
@@ -1010,19 +1030,28 @@ def _evaluate(p, f, chi, lams, quad):
     return out
 
 
-def _certified(results, p, fs, chi, query, n, constant):
-    """The results, each certified with its test function in `fs`: one
-    `certificate_sum` call per distinct test function, on its frequencies."""
+def certify_results(results: Sequence[OscResult], p: PhasePolynomial,
+                    f: TestFunctionSpec | Sequence[TestFunctionSpec],
+                    chi: CutoffSpec | Sequence[CutoffSpec], *,
+                    query: ExponentQuery | None = None, n: NewtonPolyhedron | None = None,
+                    constant: float = DEFAULT_CERT_CONSTANT) -> tuple[OscResult, ...]:
+    """The results, each certified with its test function and cutoff, each
+    one for every result or a sequence of one per result: one
+    `certificate_sum` call per distinct test function and orthant flag, on
+    its frequencies, truncated at its cutoff's `levels` and counted once per
+    orthant the cutoff covers."""
     d = p.dimension
+    fs, chis = _per_row(f, len(results)), _per_row(chi, len(results), CutoffSpec, "cutoffs")
     n = build_polyhedron(p) if n is None else n
     query = ExponentQuery.all_inf(d) if query is None else query
     rows, certificates = {}, {}
-    for i, f in enumerate(fs):
-        rows.setdefault(f, []).append(i)
-    for f, at in rows.items():
+    for i, (g, c) in enumerate(zip(fs, chis)):
+        rows.setdefault((g, c.positive_orthant), []).append(i)
+    for (g, orthant), at in rows.items():
         certificates.update(zip(at, certificate_sum(
-            p, n, query, f.norms(query), [results[i].lam for i in at], levels=chi.levels,
-            multiplicity=1 if chi.positive_orthant else 2 ** d, constant=constant)))
+            p, n, query, g.norms(query), [results[i].lam for i in at],
+            levels=chis[at[0]].levels, multiplicity=1 if orthant else 2 ** d,
+            constant=constant)))
     return tuple(replace(r, certificate=certificates[i]) for i, r in enumerate(results))
 
 
@@ -1035,7 +1064,7 @@ def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
     one-row case of `_evaluate`; with `certify` it carries its certificate."""
     (r, _, _), = _evaluate(p, f, chi, [lam], quad)
     if certify:
-        r, = _certified([r], p, [f], chi, query, n, cert_constant)
+        r, = certify_results([r], p, f, chi, query=query, n=n, constant=cert_constant)
     return r
 
 
@@ -1117,23 +1146,31 @@ def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[
 
 
 def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunctionSpec],
-                 chi: CutoffSpec, lambdas: Sequence[float], *,
+                 chi: CutoffSpec | Sequence[CutoffSpec], lambdas: Sequence[float], *,
                  quad: QuadratureConfig = QuadratureConfig(),
                  certify: bool = False, query: ExponentQuery | None = None,
                  n: NewtonPolyhedron | None = None) -> tuple[OscResult, ...]:
-    """Evaluate the form on an increasing frequency grid, one result each,
-    equal to `evaluate_lambda`'s at each frequency.  `f` is one test function
-    for the whole grid, or a sequence of one per frequency.  The whole grid
-    is evaluated as one batch of cells (`_evaluate`)."""
+    """Evaluate the form at every frequency, one result each, equal to
+    `evaluate_lambda`'s at each frequency.  `f` and `chi` are each one test
+    function or cutoff for every frequency, or a sequence of one per
+    frequency; every cutoff must have the same `levels`.  With one of each
+    the frequencies are a grid: strictly increasing, and at most
+    MAX_LAM_COUNT of them.  Per-row sequences are independent rows, in any
+    order.  Every frequency is at least MIN_LAMBDA.  All rows are evaluated
+    as one batch of cells (`_evaluate`), so they share its set-up."""
     lams = [float(x) for x in lambdas]
-    fs = _per_row(f, len(lams))
+    fs, chis = _per_row(f, len(lams)), _per_row(chi, len(lams), CutoffSpec, "cutoffs")
     if not lams:
         return ()
-    if any(b <= a for a, b in zip(lams, lams[1:])):
-        raise OscError("lambda grid must be strictly increasing")
-    if lams[0] < MIN_LAMBDA:
+    if isinstance(f, TestFunctionSpec) and isinstance(chi, CutoffSpec):
+        if len(lams) > MAX_LAM_COUNT:
+            raise OscError(f"a lambda grid holds at most {MAX_LAM_COUNT} frequencies, "
+                           f"got {len(lams)}")
+        if any(b <= a for a, b in zip(lams, lams[1:])):
+            raise OscError("lambda grid must be strictly increasing")
+    if any(lam < MIN_LAMBDA for lam in lams):
         raise OscError(f"decay sweeps start at lambda >= {MIN_LAMBDA:g}")
-    results = [r for r, _, _ in _evaluate(p, fs, chi, lams, quad)]
+    results = [r for r, _, _ in _evaluate(p, fs, chis, lams, quad)]
     if certify:
-        return _certified(results, p, fs, chi, query, n, DEFAULT_CERT_CONSTANT)
+        return certify_results(results, p, fs, chis, query=query, n=n)
     return tuple(results)

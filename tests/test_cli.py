@@ -29,15 +29,18 @@ from oscdecay.cli import (
     main,
 )
 from oscdecay.decay import (
+    MAX_SHARPNESS_COUNT,
     MAX_SUM_BOXES,
     MIN_FIT_OCTAVES,
     MIN_FIT_SAMPLES,
     DecayError,
     dual_lambda_grid,
     sharpness_boxes,
+    sharpness_test,
 )
+from oscdecay.exponent import ExponentQuery
 from oscdecay.nondegen import max_grid
-from oscdecay.oscint import CutoffSpec, lambda_grid
+from oscdecay.oscint import MAX_LAM_COUNT, CutoffSpec, lambda_grid
 from oscdecay.phase import parse_phase, reduce_phase
 from oscdecay.polytope import build_polyhedron, dual_polyhedron
 
@@ -204,11 +207,13 @@ class TestUsageErrors:
         # sharpness boxes start inside the plateau |t| <= 1/2 of verify's cutoff
         ["verify", "--phase", "x1*x2", "--sharpness", "--box-scale", "1"],
         ["verify", "--phase", "x1*x2", "--sharpness", "--box-scale", "3/4"],
+        # a sweep plans every frequency at once
+        ["integrate", "--phase", "x1*x2", "--lam-count", str(MAX_LAM_COUNT + 1)],
     ], ids=["z-1/0", "z-abc", "z-length", "z-zero", "e-lo-0", "e-hi-1024",
             "levels-41", "lam-lo-1", "dim-7", "dim-1",
             "inferred-dim-7", "inferred-dim-1", "check-grid-64-dim-5",
             "starts-negative", "fit-tol-inf", "witness-tol-inf",
-            "box-scale-1", "box-scale-3/4"])
+            "box-scale-1", "box-scale-3/4", "lam-count-cap"])
     def test_configuration_value_is_usage_error(self, capsys, argv):
         code = main(argv)
         captured = capsys.readouterr()
@@ -234,6 +239,34 @@ class TestUsageErrors:
             assert code == 2 and not captured.out
             assert captured.err.startswith(
                 f"usage error: {flag or key} must be at least {least}, got {value}\n")
+
+    @pytest.mark.parametrize("command, flag, key, most", [
+        ("integrate", "--lam-count", "lam_count", MAX_LAM_COUNT),
+        ("verify", None, "sharpness_count", MAX_SHARPNESS_COUNT),
+    ])
+    def test_grid_size_beyond_its_cap_is_refused_by_name(self, tmp_path, capsys, command,
+                                                         flag, key, most):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key}={most + 1}\n")
+        base = [command, "--phase", "x1*x2", "--sharpness"][:3 + (command == "verify")]
+        runs = [base + ["--config", str(cfg)]] + ([base + [flag, str(most + 1)]] if flag else [])
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert code == 2 and not captured.out
+            assert captured.err.startswith(
+                f"usage error: {flag or key} must be at most {most}, got {most + 1}\n")
+
+    def test_longest_sharpness_grid_reaches_the_largest_float(self, tmp_path, capsys):
+        # from 2^6 in steps of 2^1, x1*x2's grids end at 2^1023: the count is
+        # admitted, and the first box too thin for a float is refused by name
+        assert MAX_SHARPNESS_COUNT == 1018
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sharpness_count={MAX_SHARPNESS_COUNT}\n")
+        code = main(["verify", "--phase", "x1*x2", "--sharpness", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith(f"error: sharpness box at lam {2.0 ** 991:g} has "
+                                            "volume 1.11254e-308, below the smallest normal")
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_unwritable_output_is_usage_error(self, tmp_path, capsys, flag):
@@ -392,19 +425,20 @@ class TestUsageErrors:
     def test_long_grid_in_a_config_is_not_built_to_validate_it(self, tmp_path, capsys,
                                                                monkeypatch):
         # the grid is checked from its top point alone: a geometry command
-        # with a 3,000,000-point grid in its config builds no grid
+        # with the longest grid in its config builds no grid (a longer one
+        # is refused by count)
         def never(*args):
             raise AssertionError("the frequency grid was built")
 
         monkeypatch.setattr("oscdecay.cli.lambda_grid", never)
         monkeypatch.setattr("oscdecay.oscint.lambda_grid", never)
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("lam_count=3000000\n")
+        cfg.write_text(f"lam_count={MAX_LAM_COUNT}\n")
         out = tmp_path / "report.json"
         code = main(["polyhedron", "--phase", "x1*x2", "--config", str(cfg), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 0 and out.exists(), err
-        assert json.loads(out.read_text())["config"]["lam_count"] == 3_000_000
+        assert json.loads(out.read_text())["config"]["lam_count"] == MAX_LAM_COUNT
 
     def test_overflowing_sweep_is_refused_before_any_quadrature(self, tmp_path, capsys,
                                                                  monkeypatch):
@@ -682,6 +716,36 @@ class TestVerifyCommand:
             sharpness_boxes(p, n, w, Fraction(1, 2) + Fraction(1, 10 ** 12), lams,
                             chi=CutoffSpec(), dual=dual)
 
+    def test_sharpness_shares_the_sweep_quadrature_call(self, tmp_path, monkeypatch):
+        # the sweep and every dual vertex's boxes are one `_evaluate` call,
+        # one level run, and the report is byte for byte the one whose
+        # witnesses come from one `sharpness_test` call per vertex
+        evaluations, levels = [], []
+        for name, calls in (("_evaluate", evaluations), ("_run_level", levels)):
+            def spy(*args, real=getattr(oscint, name), calls=calls):
+                calls.append(None)
+                return real(*args)
+            monkeypatch.setattr(oscint, name, spy)
+        argv = [*self.ARGS, "--phase", "x1^3*x2^3", "--sharpness"]
+        out = tmp_path / "report.json"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert (len(evaluations), len(levels)) == (1, 1)
+        one = out.read_bytes()
+
+        p = reduce_phase(parse_phase("x1^3*x2^3", 2))
+        n = build_polyhedron(p)
+
+        def per_vertex(boxes, results, chain_ok):
+            return sharpness_test(p, n, ExponentQuery.all_inf(2), boxes[0], Fraction(1, 4),
+                                  [lam for lam, *_ in boxes[3]], dual=dual_polyhedron(n),
+                                  boxes=boxes)
+
+        monkeypatch.setattr("oscdecay.cli.sharpness_witness", per_vertex)
+        evaluations.clear()
+        assert main([*argv, "--out", str(out)]) == 0
+        assert len(evaluations) == 1 + len(dual_polyhedron(n).vertices)
+        assert out.read_bytes() == one
+
     def test_byte_identical_reruns(self, capsys):
         main(list(self.ARGS))
         first = capsys.readouterr().out
@@ -735,8 +799,16 @@ class TestRefusedSamples:
         flagged = [line for line in lines if line.endswith("over budget")]
         assert [float(line.split()[0]) for line in flagged] == [2896.3, 4096.0]
         assert all(len(line.split()) == 4 for line in flagged)  # lam, envelope, flag
-        # a refused sharpness box fails its witness, by lam
-        self.budget(monkeypatch, 1, "oscdecay.decay.lambda_sweep")
+        # a refused sharpness box fails its witness, by lam.  verify's boxes
+        # follow its 9 sweep rows in one `lambda_sweep` call; here they take
+        # a budget of 1 node, and the sweep the default one
+        real, tiny = oscint.lambda_sweep, oscint.QuadratureConfig(node_budget=1)
+
+        def boxes_over_budget(p, fs, chis, lams, **kw):
+            return (real(p, fs[:9], chis[:9], lams[:9], **kw)
+                    + real(p, fs[9:], chis[9:], lams[9:], quad=tiny, **kw))
+
+        monkeypatch.setattr("oscdecay.cli.lambda_sweep", boxes_over_budget)
         code, rep = run(capsys, *TestVerifyCommand.ARGS, "--sharpness")
         assert code == 1
         verdict, = [v for v in rep["verdicts"] if v["name"] == "sharpness"]

@@ -1810,6 +1810,47 @@ class TestBatchedRows:
             assert values.tobytes() == want_values.tobytes()
             assert nodes.tolist() == want_nodes.tolist()
 
+    def test_rows_of_mixed_cutoffs_equal_lone_evaluations(self):
+        # orthant rows of the whole line and full-space rows of boxes, out of
+        # frequency order, in one call: every cell of every row bit for bit
+        # its lone evaluation's under its own cutoff, and the certificates
+        # counted over its own orthants
+        p = phase("x1^3*x2 + x1*x2^2")
+        fs = [TestFunctionSpec.ones(2), self.BOX, TestFunctionSpec.ones(2), self.FS[2], self.BOX]
+        chis = [CHI_POS, CHI, CHI_POS, CHI, CHI_POS]
+        lams = (64.0, 8.0, 16.0, 32.0, 40.0)
+        rows = _evaluate(p, fs, chis, lams, QuadratureConfig())
+        for (r, values, nodes), f, chi, lam in zip(rows, fs, chis, lams, strict=True):
+            want, want_values, want_nodes = lone_cells(p, f, chi, lam)
+            assert fields(r) == fields(want)
+            assert values.tobytes() == want_values.tobytes()
+            assert nodes.tolist() == want_nodes.tolist()
+        sweep = lambda_sweep(p, fs, chis, lams, certify=True)
+        lone = [evaluate_lambda(p, f, chi, lam, certify=True)
+                for f, chi, lam in zip(fs, chis, lams)]
+        assert [fields(r) for r in sweep] == [fields(r) for r in lone]
+
+    def test_rows_of_one_call_share_the_levels(self):
+        p, ones = phase("x1*x2"), TestFunctionSpec.ones(2)
+        with pytest.raises(OscError, match="share the cutoff's levels"):
+            lambda_sweep(p, ones, [CHI, CutoffSpec(levels=11)], (8.0, 16.0))
+        with pytest.raises(OscError, match="1 cutoffs for 2 frequencies"):
+            lambda_sweep(p, ones, [CHI], (8.0, 16.0))
+
+    def test_grid_holds_at_most_max_lam_count_frequencies(self, monkeypatch):
+        # a grid of one test function and one cutoff is refused before any
+        # planning; the same frequencies as per-row lists are independent rows
+        def never(*args):
+            raise AssertionError("the grid was planned")
+
+        p, ones = phase("x1*x2"), TestFunctionSpec.ones(2)
+        lams = lambda_grid(64.0, 128.0, oscint.MAX_LAM_COUNT + 1)
+        with monkeypatch.context() as m:
+            m.setattr(oscint, "_evaluate", never)
+            with pytest.raises(OscError, match="at most 1000 frequencies, got 1001"):
+                lambda_sweep(p, ones, CHI_POS, lams)
+        assert len(lambda_sweep(p, [ones] * 2, CHI_POS, (16.0, 8.0))) == 2
+
     def test_one_level_run_per_sharpness_test(self, monkeypatch):
         calls = []
         real = oscint._run_level
