@@ -27,7 +27,7 @@ __all__ = [
     "DecayError", "DecayFit", "SharpnessRow", "SharpnessWitness",
     "SummationRow", "SummationReport", "fit_decay", "fit_samples",
     "dual_lambda_grid", "sharpness_boxes", "box_functions", "sharpness_witness",
-    "sharpness_test", "check_dual_domination", "MAX_SHARPNESS_COUNT",
+    "sharpness_test", "check_dual_domination", "MAX_EXPONENT", "MAX_SHARPNESS_COUNT",
     "summation_oracle", "summation_boxes", "MAX_SUM_BOXES", "SHARPNESS_BAND",
     "MIN_FIT_SAMPLES", "MIN_FIT_OCTAVES", "MAX_HALVINGS", "spans_fit_octaves",
 ]

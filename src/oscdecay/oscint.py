@@ -31,8 +31,10 @@ into runs that do (`_runs`), each cell the sum of its runs.
 The same cell grid indexes a closed-form bound per cell (`box_envelope`),
 whose sum is an a-priori certificate for the result.
 
-The cutoff has one fixed shape, 1 on |t| <= PLATEAU and 0 on |t| >= 1.
-Full tensor quadrature is limited to dimension <= 3.  The certificate sum
+The cutoff has one fixed shape, 1 on |t| <= PLATEAU and 0 on |t| >= 1,
+its profile a table accurate to rounding (`smooth_step`); a call's rows may
+each take their own cutoff, over the orthant or the full space, with one
+`levels`.  Full tensor quadrature is limited to dimension <= 3.  The certificate sum
 has no such limit.
 """
 from __future__ import annotations
@@ -76,7 +78,8 @@ PLATEAU = Fraction(1, 2)  # the cutoff is 1 on |t| <= PLATEAU and 0 on |t| >= 1
 _PLATEAU = float(PLATEAU)  # floats compare with a Fraction 100x slower
 MIN_LAMBDA = 2.0  # decay sweeps start here
 # the most frequencies of one grid: a sweep plans every frequency's cells at
-# once, so its memory grows with the grid (about 14 kB a frequency in 2D)
+# once, so its memory grows with the grid.  At the cap, `integrate` peaks at
+# 54 MB on x1*x2 over lam 64..128 and at 78 MB on x1*x2*x3 over 16..32
 MAX_LAM_COUNT = 1000
 
 
@@ -85,8 +88,8 @@ _BLOCK = 131_072  # workspace floats per block: 1 MiB, half of a 2 MiB per-core 
 
 
 def _scratch(size):
-    """This thread's one float64 workspace, at least `size` long; it only grows.
-    `_kernel` and `smooth_step` take turns in it, each within _BLOCK floats."""
+    """This thread's one float64 workspace for `_kernel`, at least `size`
+    long; it only grows."""
     buf = getattr(_SCRATCH, "floats", None)
     if buf is None or buf.size < size:
         buf = _SCRATCH.floats = np.empty(size)
@@ -115,41 +118,64 @@ def bump(t, out=None):
     return out
 
 
-# fixed rule for the profile integral; the same rule normalizes itself, so
-# smooth_step(0) == 1 exactly.  The rule is applied as a per-row sum, not as
-# a BLAS matvec, whose rounding of a row depends on its place in the batch
-_STEP_X, _STEP_W = np.polynomial.legendre.leggauss(48)
-_STEP_X = 0.5 * (_STEP_X + 1.0)
-_STEP_W = 0.5 * _STEP_W
-_STEP_NORM = float((bump(2.0 * _STEP_X - 1.0) * _STEP_W).sum())
+_STEP_PANELS, _STEP_DEGREE = 64, 12  # the profile's table on [1/2, 1]
+
+
+def _step_table():
+    """Chebyshev coefficients of `smooth_step` on each of _STEP_PANELS
+    equal panels of [1/2, 1], a (_STEP_DEGREE + 1, _STEP_PANELS) array, from
+    its values at the Chebyshev points of each panel.  Each value is the
+    bump's integral from the point to the panel's end, by 20-point Gauss,
+    plus those of the panels right of it, over twice the integral on
+    [1/2, 1], the whole integral by the bump's symmetry."""
+    gx, gw = np.polynomial.legendre.leggauss(20)
+    n = _STEP_DEGREE + 1
+    angles = np.pi * (np.arange(n) + 0.5) / n
+    width = 0.5 / _STEP_PANELS
+    ends = 0.5 + width * np.arange(_STEP_PANELS + 1)
+
+    def integral(a, b):
+        half = 0.5 * (b - a)
+        v = a[..., None] + half[..., None] * (gx + 1.0)
+        return (bump(2.0 * v - 1.0) * gw).sum(axis=-1) * half
+
+    tail = np.append(np.cumsum(integral(ends[:-1], ends[1:])[::-1])[::-1], 0.0)
+    u = ends[:-1, None] + 0.5 * width * (np.cos(angles) + 1.0)
+    values = (integral(u, np.broadcast_to(ends[1:, None], u.shape)) + tail[1:, None]) / (2 * tail[0])
+    coeffs = np.cos(np.outer(np.arange(n), angles)) @ values.T * (2.0 / n)
+    coeffs[0] *= 0.5
+    return coeffs
+
+
+_STEP_COEFFS = _step_table()
 
 
 def smooth_step(u):
     """Integrated bump: 1 for u <= 0, 0 for u >= 1, the bump's integral
-    from u to 1 over its whole integral, by a fixed 48-point Gauss rule that
-    errs by up to 3.04e-10 (near u = 0.171; at 0.5, by -1.48e-10).  At
-    u = 0.001 it leaves 6.5e-11 where the integral is below 1e-16: the slope
-    at the plateau edge is about 6.5e-8, not flat to all orders."""
+    from u to 1 over its whole integral, clamped to [0, 1]; NaN passes
+    through.  By the bump's symmetry a u below 1/2 takes 1 - S(1 - u), and
+    S on [1/2, 1] is a table of _STEP_PANELS equal panels, each a Chebyshev
+    series of degree _STEP_DEGREE summed by Clenshaw's recurrence
+    (`_step_table`, built at import).  Against a composite 48-point Gauss
+    reference on 256 panels it deviates by at most 1.1e-15, which is the
+    reference's own rounding, and S(0.001) is 1.0 exactly, so the profile is
+    flat at the plateau edge to rounding.  Every value is computed
+    elementwise, so a node's value does not depend on the others."""
     u = np.asarray(u, dtype=float)
     out = np.where(u >= 1.0, 0.0, u)  # NaN stays NaN
     out[u <= 0.0] = 1.0
-    # the bump table runs only on the transition nodes 0 < u < 1, in blocks
     m = (u > 0.0) & (u < 1.0)
     if m.any():
         um = u[m]
-        rest, sums = 1.0 - um, np.empty_like(um)
-        rows = min(_BLOCK // _STEP_X.size, um.size)
-        block = _scratch(rows * _STEP_X.size)[:rows * _STEP_X.size].reshape(rows, -1)
-        for s in range(0, um.size, rows):
-            e = min(s + rows, um.size)
-            v = np.multiply(rest[s:e, None], _STEP_X, out=block[:e - s])
-            v += um[s:e, None]
-            v *= 2.0
-            v -= 1.0
-            bump(v, out=v)
-            v *= _STEP_W
-            v.sum(axis=1, out=sums[s:e])
-        out[m] = rest * sums / _STEP_NORM
+        low = um < 0.5
+        x = (np.where(low, 1.0 - um, um) - 0.5) * (2 * _STEP_PANELS)
+        panel = np.minimum(x.astype(np.int64), _STEP_PANELS - 1)
+        t = 2.0 * (x - panel) - 1.0
+        t2, b1, b2 = 2.0 * t, np.zeros_like(t), np.zeros_like(t)
+        for c in _STEP_COEFFS[:0:-1]:
+            b1, b2 = c[panel] + t2 * b1 - b2, b1
+        s = _STEP_COEFFS[0][panel] + t * b1 - b2
+        out[m] = np.clip(np.where(low, 1.0 - s, s), 0.0, 1.0)
     return out
 
 
@@ -610,9 +636,8 @@ def _plan(f, depths):
 
 
 def _depths(grads, f, chi, lams, quad):
-    """Per frequency of `lams`, with test function `f` and cutoff `chi`, each
-    one for every frequency or a sequence of one per frequency (`_per_row`),
-    and axis k: the depth L_k to which axis k is cut into
+    """Per frequency of `lams`, with its test function and cutoff of `f` and
+    `chi` (`_per_row`), and axis k: the depth L_k to which axis k is cut into
     octaves, and the Gauss order n of its merged piece [0, 2^-L_k], or 0
     where it has none, as two (F, d) integer arrays.  With g the terms of
     phi with a_k >= 1 and G the same terms with absolute coefficients and
@@ -628,8 +653,8 @@ def _depths(grads, f, chi, lams, quad):
     tabled once per test function and orthant flag, over both sides of 0 on
     the full cutoff, so every reflection of the row keeps these depths.
     Every row's cutoff has the same `levels` (`_evaluate`)."""
-    fs, chis = _per_row(f, len(lams)), _per_row(chi, len(lams), CutoffSpec, "cutoffs")
-    d, levels = len(grads), (chis[0] if chis else chi).levels
+    fs, chis = _per_row(f, chi, len(lams))
+    d, levels = len(grads), chis[0].levels
     terms = [g._float_coefficients for g in grads]
     reach = [_merge_reach(quad.order, quad.waves_per_panel,
                           max((b[k] + 1 for b, _ in t), default=0))
@@ -707,12 +732,15 @@ def _sizing(grads, axis_pieces, cells):
     return bounds, spans, ratios, analytic
 
 
-def _per_row(x, rows, kind=TestFunctionSpec, name="test functions"):
-    """`x` once per row: one `kind` repeated, or a sequence of one per row."""
-    xs = [x] * rows if isinstance(x, kind) else list(x)
-    if len(xs) != rows:
-        raise OscError(f"{len(xs)} {name} for {rows} frequencies")
-    return xs
+def _per_row(f, chi, rows):
+    """The test function and the cutoff of each row: `f` and `chi` each one
+    `TestFunctionSpec` or `CutoffSpec` repeated, or a sequence of one per row."""
+    out = []
+    for x, kind, name in ((f, TestFunctionSpec, "test functions"), (chi, CutoffSpec, "cutoffs")):
+        out.append([x] * rows if isinstance(x, kind) else list(x))
+        if len(out[-1]) != rows:
+            raise OscError(f"{len(out[-1])} {name} for {rows} frequencies")
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -948,7 +976,7 @@ def _evaluate(p, f, chi, lams, quad):
     bad = [lam for lam in lams if not math.isfinite(lam)]
     if bad:
         raise OscError(f"frequency must be finite, got {bad[0]:g}")
-    fs, chis = _per_row(f, len(lams)), _per_row(chi, len(lams), CutoffSpec, "cutoffs")
+    fs, chis = _per_row(f, chi, len(lams))
     if len({c.levels for c in chis}) > 1:
         raise OscError("the rows of one call must share the cutoff's levels")
     d = p.dimension
@@ -1041,7 +1069,7 @@ def certify_results(results: Sequence[OscResult], p: PhasePolynomial,
     its frequencies, truncated at its cutoff's `levels` and counted once per
     orthant the cutoff covers."""
     d = p.dimension
-    fs, chis = _per_row(f, len(results)), _per_row(chi, len(results), CutoffSpec, "cutoffs")
+    fs, chis = _per_row(f, chi, len(results))
     n = build_polyhedron(p) if n is None else n
     query = ExponentQuery.all_inf(d) if query is None else query
     rows, certificates = {}, {}
@@ -1159,7 +1187,7 @@ def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunction
     order.  Every frequency is at least MIN_LAMBDA.  All rows are evaluated
     as one batch of cells (`_evaluate`), so they share its set-up."""
     lams = [float(x) for x in lambdas]
-    fs, chis = _per_row(f, len(lams)), _per_row(chi, len(lams), CutoffSpec, "cutoffs")
+    fs, chis = _per_row(f, chi, len(lams))
     if not lams:
         return ()
     if isinstance(f, TestFunctionSpec) and isinstance(chi, CutoffSpec):

@@ -18,9 +18,7 @@ from oscdecay import oscint
 from oscdecay.decay import dual_lambda_grid, sharpness_test
 from oscdecay.exponent import ExponentQuery
 from oscdecay.oscint import (
-    _STEP_NORM,
-    _STEP_W,
-    _STEP_X,
+    _STEP_COEFFS,
     CutoffSpec,
     FactorSpec,
     OscError,
@@ -87,38 +85,33 @@ class TestBumpAndStep:
         assert np.all(np.diff(v) <= 0)
 
     @staticmethod
-    def unmasked_step(u, matvec=False):
-        # the formula without the mask: the bump table runs on every node,
-        # and np.where discards the plateau results.  matvec=True contracts
-        # the table by a BLAS matvec instead, normalized the same way
+    def unmasked_step(u):
+        # the formula without the mask: numpy's Chebyshev series of each
+        # node's panel, on every node, u below 1/2 mirrored, and np.where
+        # discards the plateau and outside results
         u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, 1.0)
-        v = uc[..., None] + (1.0 - uc)[..., None] * _STEP_X
-        table = bump(2.0 * v - 1.0)
-        if matvec:
-            norm = float(bump(2.0 * _STEP_X - 1.0) @ _STEP_W)
-            out = (1.0 - uc) * (table @ _STEP_W) / norm
-        else:
-            out = (1.0 - uc) * (table * _STEP_W).sum(axis=-1) / _STEP_NORM
-        return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, out))
+        w = np.where(uc < 0.5, 1.0 - uc, uc)
+        panels = _STEP_COEFFS.shape[1]
+        x = (w - 0.5) * (2 * panels)
+        j = np.minimum(x.astype(int), panels - 1)
+        s = np.array([np.polynomial.chebyshev.chebval(t, _STEP_COEFFS[:, k])
+                      for t, k in zip(2.0 * (x - j) - 1.0, j)])
+        s = np.clip(np.where(uc < 0.5, 1.0 - s, s), 0.0, 1.0)
+        return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, s))
 
     def test_masked_step_matches_unmasked_formula(self):
         special = np.array([-np.inf, -1.0, -0.0, 0.0, 5e-324, 0.3, 0.5,
                             1.0 - 2.0 ** -53, 1.0, 2.0, np.inf])
         rng = np.random.default_rng(6)
-        for u in (special, rng.uniform(-0.5, 1.5, 10_000)):
+        for u in (special, rng.uniform(-0.5, 1.5, 2_000)):
             got = smooth_step(u)
             m = (u > 0) & (u < 1)
             # plateau and outside nodes: exactly 1.0 and 0.0, bit for bit
             assert got[~m].tobytes() == self.unmasked_step(u)[~m].tobytes()
-            # transition nodes: bit for bit the formula on those nodes, and
-            # on the whole batch
-            assert got[m].tobytes() == self.unmasked_step(u[m]).tobytes()
-            assert got.tobytes() == self.unmasked_step(u).tobytes()
-            # the BLAS matvec rounds a row by its position in the batch; the
-            # per-row sum stays within 4 ulp of it
-            whole = self.unmasked_step(u, matvec=True)
-            assert np.all(np.abs(got - whole) <= 4 * np.finfo(float).eps * whole)
+            # transition nodes: the table's series, within 4 ulp of 1
+            assert np.abs(got - self.unmasked_step(u)).max() <= 4 * np.finfo(float).eps
+            assert ((got >= 0.0) & (got <= 1.0)).all()
         assert np.isnan(smooth_step(np.nan))
         assert np.isnan(smooth_step(np.array([0.3, np.nan, 2.0]))).tolist() == [
             False, True, False]
@@ -129,25 +122,43 @@ class TestBumpAndStep:
         single = np.array([smooth_step(np.array([x]))[0] for x in u])
         assert smooth_step(u).tobytes() == single.tobytes()
 
-    def test_blocks_equal_single_calls_near_the_ends(self):
-        # three full blocks of the bump table and a partial one, with nodes
-        # one ulp inside 0 and 1, where rounding puts 2v - 1 at exactly 1:
-        # the masked bump must not divide by zero, and no block may leave
-        # stale rows in the shared workspace
-        rows = oscint._BLOCK // _STEP_X.size  # transition nodes per block
-        inside = np.random.default_rng(8).uniform(0.0, 1.0, 3 * rows + 5)
-        u = np.concatenate([inside, [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)],
-                            [-1.0, 0.0, 1.0, 2.0]])
+    def test_nodes_next_to_the_ends_equal_single_calls(self):
+        # nodes one ulp inside 0 and 1, where 1 - u rounds and the panel
+        # index reaches the table's last panel: no warning, values in
+        # [0, 1], and the same bits alone as in a batch
+        inside = np.random.default_rng(8).uniform(0.0, 1.0, 1005)
+        u = np.concatenate([inside, [np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0),
+                                     np.nextafter(0.5, 0.0), 0.5], [-1.0, 0.0, 1.0, 2.0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = smooth_step(u)
             single = np.array([smooth_step(np.array([x]))[0] for x in u])
-        assert ((u > 0) & (u < 1)).sum() == 3 * rows + 7
         assert got.tobytes() == single.tobytes()
+        assert got[-8] == 1.0 and 0.0 <= got[-7] <= 1e-20 and got[-6:-4].tolist() == [0.5, 0.5]
         t = np.linspace(-1.5, 1.5, 301)
         assert bump(t, out=t.copy()).tobytes() == bump(t).tobytes()
         same = t.copy()
         assert bump(same, out=same) is same and same.tobytes() == bump(t).tobytes()
+
+    def test_step_deviation_is_rounding(self):
+        # against the bump's integral by 48-point Gauss on 256 panels (the
+        # reference of test_step_error_against_a_composite_rule): at most
+        # 1e-14 over (0, 1), and flat to rounding next to the plateau,
+        # where the 48-point rule left 6.5e-11 at u = 0.001
+        gx, gw = np.polynomial.legendre.leggauss(48)
+
+        def tail(u, panels=256):
+            u = np.asarray(u, dtype=float)[:, None, None]
+            h = (1.0 - u) / panels
+            v = u + h * np.arange(panels)[:, None] + 0.5 * h * (gx + 1.0)
+            return (bump(2.0 * v - 1.0) * (0.5 * h * gw)).sum(axis=(1, 2))
+
+        u = np.concatenate([np.random.default_rng(9).uniform(0.0, 1.0, 2000),
+                            np.linspace(0.0, 1.0, 129)[1:-1], [0.171, 1e-9, 1.0 - 1e-9]])
+        want = np.concatenate([tail(u[i:i + 50]) for i in range(0, len(u), 50)]) / tail([0.0])[0]
+        assert np.abs(smooth_step(u) - want).max() <= 1e-14
+        assert 1.0 - float(smooth_step(0.001)) <= 1e-15
+        assert float(smooth_step(0.999)) <= 1e-15
 
     def test_step_error_against_a_composite_rule(self):
         # the fixed 48-point rule against the bump's integral by 48-point
@@ -192,7 +203,9 @@ class TestBumpAndStep:
         assert got.shape == t.shape
         assert got.tobytes() == want.tobytes() == same.tobytes()
 
-    def test_plateau_nodes_skip_the_bump_table(self, monkeypatch):
+    def test_step_reads_the_table_without_the_bump(self, monkeypatch):
+        # the table is built at import: no node of any call evaluates the
+        # bump, and a plateau-only piece of the cutoff is exactly 1
         sizes = []
         real = bump
 
@@ -201,15 +214,9 @@ class TestBumpAndStep:
             return real(t, out)
 
         monkeypatch.setattr("oscdecay.oscint.bump", spy)
-        smooth_step(np.array([-np.inf, -2.0, -0.0, 0.0, 1.0, 3.0, np.inf]))
-        assert sum(sizes) == 0
-        u = np.array([-1.0, 0.25, 0.5, 2.0, 0.75])
-        smooth_step(u)
-        assert sum(sizes) == 3 * _STEP_X.size
-        # a plateau-only piece of the cutoff sends no work either
-        sizes.clear()
-        CHI.profile(np.linspace(-0.5, 0.5, 97))
-        assert sum(sizes) == 0
+        smooth_step(np.array([-np.inf, -2.0, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 3.0, np.inf]))
+        assert CHI.profile(np.linspace(-0.5, 0.5, 97)).tolist() == [1.0] * 97
+        assert sizes == []
 
 
 class TestCutoff:
