@@ -654,6 +654,19 @@ class TestIntegrateCommand:
                               text=True, timeout=120)
         assert proc.stdout.split() == ["0", "0", "False"], proc.stderr
 
+    def test_geometry_leaves_the_cutoff_table_unbuilt(self, tmp_path):
+        # the cutoff's profile table, and the numpy.polynomial import its
+        # Gauss rule takes, are built on the first quadrature only
+        out = str(tmp_path / "report.json")
+        code = ("import sys; from oscdecay.cli import main; from oscdecay import oscint; "
+                + "; ".join(f"main([{c!r}, '--phase', 'x1^2*x3^4 + x1^3*x2^2', '--out', {out!r}])"
+                            for c in ("polyhedron", "dual", "exponent", "check"))
+                + "; print('numpy.polynomial' in sys.modules, oscint._step_table.cache_info()[3])")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.stdout.split() == ["False", "0"], proc.stderr
+
     def test_small_grid(self, capsys):
         code, rep = run(capsys, "integrate", "--phase", "x1*x2",
                         "--lam-lo", "64", "--lam-hi", "256",

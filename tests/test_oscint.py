@@ -18,7 +18,6 @@ from oscdecay import oscint
 from oscdecay.decay import dual_lambda_grid, sharpness_test
 from oscdecay.exponent import ExponentQuery
 from oscdecay.oscint import (
-    _STEP_COEFFS,
     CutoffSpec,
     FactorSpec,
     OscError,
@@ -34,6 +33,7 @@ from oscdecay.oscint import (
     _rows,
     _rule_table,
     _sizing,
+    _step_table,
     bump,
     certificate_sum,
     evaluate_lambda,
@@ -92,10 +92,11 @@ class TestBumpAndStep:
         u = np.asarray(u, dtype=float)
         uc = np.clip(u, 0.0, 1.0)
         w = np.where(uc < 0.5, 1.0 - uc, uc)
-        panels = _STEP_COEFFS.shape[1]
+        table = _step_table()
+        panels = table.shape[1]
         x = (w - 0.5) * (2 * panels)
         j = np.minimum(x.astype(int), panels - 1)
-        s = np.array([np.polynomial.chebyshev.chebval(t, _STEP_COEFFS[:, k])
+        s = np.array([np.polynomial.chebyshev.chebval(t, table[:, k])
                       for t, k in zip(2.0 * (x - j) - 1.0, j)])
         s = np.clip(np.where(uc < 0.5, 1.0 - s, s), 0.0, 1.0)
         return np.where(u <= 0.0, 1.0, np.where(u >= 1.0, 0.0, s))
@@ -204,8 +205,9 @@ class TestBumpAndStep:
         assert got.tobytes() == want.tobytes() == same.tobytes()
 
     def test_step_reads_the_table_without_the_bump(self, monkeypatch):
-        # the table is built at import: no node of any call evaluates the
+        # the table is built once: no node of a later call evaluates the
         # bump, and a plateau-only piece of the cutoff is exactly 1
+        _step_table()
         sizes = []
         real = bump
 
