@@ -5,10 +5,11 @@ report with `config.out_json` blanked, everything written to stderr and
 the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  Each line is a job's digest, the number of
 `oscint._kernel` calls the job made, the number of `oscint._evaluate`
-calls (each pays the quadrature's set-up once), and its command; then
-comes the digest of all the job digests.  The call counts are not hashed:
-they show how a change to the kernel's batching or grouping moves each
-job.  The
+calls (each pays the quadrature's set-up once), the kernel nodes (the sum
+over its `_kernel` calls of cells times the nodes per axis, B * prod n_k),
+and its command; then comes the digest of all the job digests.  The call
+and node counts are not hashed: they show how a change to the kernel's
+batching, grouping or error estimate moves each job.  The
 last line, not hashed either, gives the size of the `oscdecay` package
 that ran: its lines (`wc -l`) and its code lines, those outside
 docstrings, comments and blanks.
@@ -57,6 +58,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 import tokenize
 from pathlib import Path
@@ -176,7 +178,11 @@ def main() -> None:
 
     def counted(name):
         def spy(*args):
-            calls[name].append(None)
+            # per call, its kernel nodes: B cells times the nodes of each of
+            # its (B, n_k) axes; 0 for `_evaluate`
+            axes = args[2] if name == "_kernel" else ()
+            calls[name].append(math.prod([axes[0].shape[0]] + [x.shape[1] for x in axes])
+                               if axes else 0)
             return real[name](*args)
         return spy
 
@@ -187,8 +193,8 @@ def main() -> None:
             for made in calls.values():
                 made.clear()
             digests.append(run_digest(argv))
-            print(digests[-1], *(f"{len(made):4d}" for made in calls.values()), " ".join(argv),
-                  flush=True)
+            print(digests[-1], *(f"{len(made):4d}" for made in calls.values()),
+                  f"{sum(calls['_kernel']):11d}", " ".join(argv), flush=True)
     finally:
         for name, fn in real.items():
             setattr(oscint, name, fn)

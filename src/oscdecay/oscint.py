@@ -21,8 +21,9 @@ one table of the call's distinct rules, sorted by value over every axis.
 Cells in one orbit of the coordinate permutations that map a sub-row's
 phase to plus or minus itself are evaluated once, and so are the panel
 cells of a cell that such a permutation maps to itself, one per orbit
-(`_orbits`).  The evaluated cells of every row and their reruns, for the
-error estimate (`_evaluate`), are one batch (`_run_level`): each rule is
+(`_orbits`).  The evaluated cells of every row and the reruns the error
+estimate takes (`_evaluate`; none where a transition axis's error is
+calibrated, `_TRANSITION_PANELS`) are one batch (`_run_level`): each rule is
 built once (`_rule_table`), and the cells of each shape are one `_kernel`
 call, with each cell's term signs folded into its per-term scale.  A
 kernel block holds whole cells in a per-thread workspace of _BLOCK floats,
@@ -96,25 +97,20 @@ def _scratch(size):
     return buf
 
 
-def bump(t, out=None):
-    """The reference bump exp(1 - 1/(1 - t^2)) inside |t| < 1, zero outside.
-    `out` may be t itself; rounding can put |t| at exactly 1, outside the mask.
-    Where every |t| < 1 the formula runs in place in `out`, with no gather or
-    scatter.  exp is 0.0 below about -745.14 and slow far below, so its
-    argument is clamped at -750 first."""
+def bump(t):
+    """The reference bump exp(1 - 1/(1 - t^2)) inside |t| < 1, zero outside;
+    rounding can put |t| at exactly 1, outside the mask.  exp is 0.0 below
+    about -745.14 and slow far below, so its argument is clamped at -750
+    first."""
     t = np.asarray(t, dtype=float)
     m = np.abs(t) < 1
-    out = np.empty_like(t) if out is None else out
-    inside = m.all()
-    x = np.multiply(t, t, out=out) if inside else np.square(t[m])  # t[m] is a copy
+    x = np.square(t[m])  # t[m] is a copy
     np.subtract(1.0, x, out=x)
     np.divide(1.0, x, out=x)
     np.subtract(1.0, x, out=x)
     np.maximum(x, -750.0, out=x)
-    np.exp(x, out=x)
-    if not inside:
-        out.fill(0.0)
-        out[m] = x
+    out = np.zeros_like(t)
+    out[m] = np.exp(x, out=x)
     return out
 
 
@@ -185,10 +181,10 @@ def smooth_step(u):
 class CutoffSpec:
     """Tensorized plateau cutoff.
 
-    The per-axis profile equals one on |t| <= PLATEAU and vanishes beyond
-    |t| >= 1.  `levels` is the deepest octave 2^-levels the quadrature may
-    cut an axis to (each frequency takes its own depth, `_depths`) and the
-    truncation of the certificate sum.
+    The per-axis profile, one shape for every cutoff, equals one on
+    |t| <= PLATEAU and vanishes beyond |t| >= 1.  `levels` is the deepest
+    octave 2^-levels the quadrature may cut an axis to (each frequency takes
+    its own depth, `_depths`) and the truncation of the certificate sum.
     """
     positive_orthant: bool = False
     levels: int = 12
@@ -197,7 +193,8 @@ class CutoffSpec:
         if not 1 <= self.levels <= MAX_LEVELS:
             raise OscError("levels out of range")
 
-    def profile(self, t):
+    @staticmethod
+    def profile(t):
         t = np.abs(np.asarray(t, dtype=float))
         return smooth_step((t - _PLATEAU) / (1.0 - _PLATEAU))
 
@@ -281,7 +278,8 @@ class OscResult:
     lam: float
     value: complex | None  # None where the frequency was refused
     # difference against a lower-order rerun of some cells, plus the others'
-    # allowance (the rule is in _evaluate's docstring); None where refused
+    # allowance: the target per axis, or a transition axis's calibrated error
+    # where larger (the rule is in _evaluate's docstring); None where refused
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
     # the rule's node count over every orthant, refused or not; the kernel
@@ -426,21 +424,55 @@ def _panel_counts(lams, sizing, quad):
     return counts, orders, exps
 
 
-# P0(n, e) per map exponent e and Gauss order n an axis off the cutoff
-# plateau may take, for a rule (order, waves_per_panel), as (e, ((n, P0),
-# ...)) pairs: the panel count from which on n-point panels at map exponent
-# e on the cutoff's transition piece [PLATEAU, 1] integrate
-# profile * exp(i w x^e) there within the target relative to the profile's
-# mass, the allowance a cell not rerun adds per axis, at every w up to n's
-# most turns per panel (derived by scripts/calibrate_transition.py).  An
-# axis on that whole piece with at least P0 panels keeps the target; a
-# missing (n, e) resolves none, and a missing rule keeps every rerun
+# The calibrated error of the cutoff's transition piece [PLATEAU, 1], per
+# rule (order, waves_per_panel), as (e, ((n, errors), ...)) pairs per map
+# exponent e and Gauss order n an axis off the plateau may take: errors[P - 1]
+# is the largest error E(n, P, e) of P n-point panels at map exponent e on
+# profile * exp(i w x^e) there, relative to the profile's mass on the piece,
+# at every w up to n's most turns per panel, rounded up to 2 significant
+# digits (derived by scripts/calibrate_transition.py).  A row runs to P0 - 1,
+# P0(n, e) the panel count from which on, up to _TRANSITION_CHECKED, E meets
+# the target; a row of every checked count has no P0, and a count past it
+# has no tabled error.  An axis on the whole, unclipped piece adds
+# max(E, target) times its cell's weight mass to the error estimate, the
+# target alone from P0 panels on (`_layout`); a missing (n, e) tables no
+# count, and a missing rule none
+_TRANSITION_CHECKED = 32  # the most panels the calibration checks
 _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
-    (1, ((16, 6), (24, 3), (32, 2))),
-    (2, ((16, 8), (24, 3), (32, 2))),
-    (3, ((16, 10), (24, 6), (32, 5))),
-    (4, ((16, 18), (24, 13), (32, 10))),
-    (5, ((24, 27), (32, 20))),
+    (1, (
+        (16, (5.1e-07, 2.5e-08, 4.3e-09, 1.3e-09, 3.9e-10)),
+        (24, (1.5e-08, 5.4e-10)),
+        (32, (7.8e-10,)),
+    )),
+    (2, (
+        (16, (5.5e-07, 2.9e-08, 5.3e-09, 1.8e-09, 6.4e-10, 2.4e-10, 2.1e-10)),
+        (24, (1.8e-08, 5.4e-10)),
+        (32, (1.6e-09,)),
+    )),
+    (3, (
+        (16, (9.7e-07, 5.1e-08, 5.6e-09, 5.8e-09, 1.8e-09, 5.9e-10, 6.3e-10, 4.7e-10, 2.4e-10)),
+        (24, (3e-07, 1.5e-08, 2.6e-09, 8.1e-10, 3.4e-10)),
+        (32, (1.6e-07, 5.4e-09, 7.9e-10, 2.1e-10)),
+    )),
+    (4, (
+        (16, (6.3e-06, 5.9e-07, 1.8e-07, 6.4e-08, 2.5e-08, 1.3e-08, 8.4e-09, 5.2e-09, 3e-09,
+             1.7e-09, 1.2e-09, 9e-10, 7.5e-10, 6e-10, 4.6e-10, 3.4e-10, 2.4e-10)),
+        (24, (7.1e-06, 5.5e-07, 1.2e-07, 3.6e-08, 1.4e-08, 5.8e-09, 2.9e-09, 1.6e-09, 9e-10,
+             5.7e-10, 3.8e-10, 2.7e-10)),
+        (32, (6.8e-06, 4.4e-07, 7.2e-08, 1.8e-08, 5.5e-09, 2.1e-09, 9.2e-10, 4.6e-10, 2.5e-10)),
+    )),
+    (5, (
+        (16, (4.3e-05, 6.3e-06, 2.3e-06, 1.1e-06, 5e-07, 2.8e-07, 1.6e-07, 9.5e-08, 6e-08, 4e-08,
+             2.8e-08, 2e-08, 1.5e-08, 1.1e-08, 7.9e-09, 6e-09, 4.6e-09, 3.6e-09, 2.9e-09, 2.3e-09,
+             1.9e-09, 1.6e-09, 1.4e-09, 1.2e-09, 9.8e-10, 8.3e-10, 7.1e-10, 6.1e-10, 5.2e-10,
+             4.5e-10, 3.9e-10, 3.4e-10)),
+        (24, (6.4e-05, 1.1e-05, 3.2e-06, 1.2e-06, 4.8e-07, 2.3e-07, 1.2e-07, 6.2e-08, 3.6e-08,
+             2.2e-08, 1.4e-08, 8.8e-09, 6e-09, 4.2e-09, 3e-09, 2.2e-09, 1.6e-09, 1.3e-09, 9.3e-10,
+             7.3e-10, 5.8e-10, 4.7e-10, 3.9e-10, 3.2e-10, 2.7e-10, 2.3e-10)),
+        (32, (9.2e-05, 1.5e-05, 3.6e-06, 1.1e-06, 3.9e-07, 1.6e-07, 7e-08, 3.4e-08, 1.8e-08,
+             9.8e-09, 5.8e-09, 3.5e-09, 2.3e-09, 1.5e-09, 9.8e-10, 6.9e-10, 4.9e-10, 3.6e-10,
+             2.7e-10)),
+    )),
 )})
 
 
@@ -552,18 +584,19 @@ def _rows(a):
     return a[step], inverse
 
 
-def _rule_table(keys, chi):
+def _rule_table(keys):
     """Every distinct Gauss rule of `keys`, float rows (lo, hi, panels,
     order, e) with 0 <= lo < hi, built as one table: nodes on [lo, hi] and
     real weights times the cutoff.  At map exponent e the panels lie between
     (lo^e + j (hi^e - lo^e) / panels)^(1/e): Gauss in x, no Jacobian.  Each
     panel's start and width are found first, those at e > 1 rule by rule
     with scalar powers lo^e, then each Gauss order's nodes and weights in
-    one broadcast; the cutoff is evaluated once, on the nodes of every rule
-    off the plateau.  Returns the index of each row of `keys` among the
-    distinct rows (`_rows`), the offset of each one's first node, and the
-    nodes and weights of every rule, rule after rule, as two flat arrays:
-    panel j of a rule of order n is the n nodes from its offset + j n."""
+    one broadcast; the cutoff's profile, one shape for every cutoff, is
+    evaluated once, on the nodes of every rule off the plateau.  Returns the
+    index of each row of `keys` among the distinct rows (`_rows`), the
+    offset of each one's first node, and the nodes and weights of every
+    rule, rule after rule, as two flat arrays: panel j of a rule of order n
+    is the n nodes from its offset + j n."""
     rules, inverse = _rows(keys)
     lo, hi = rules[:, 0], rules[:, 1]
     panels, order, e = rules[:, 2:].astype(np.int64).T
@@ -591,11 +624,11 @@ def _rule_table(keys, chi):
         weights[put] = half[sel, None] * gw
     off = np.repeat(hi > _PLATEAU, size)
     if off.any():
-        weights[off] *= chi.profile(nodes[off])
+        weights[off] *= CutoffSpec.profile(nodes[off])
     return inverse, np.cumsum(size) - size, nodes, weights
 
 
-def _run_level(p, keys, ids, parts, lams, chi):
+def _run_level(p, keys, ids, parts, lams):
     """Rule sums and weight masses of cells, each at its own frequencies
     `lams` (`_kernel`) and with its rule per axis its row of `ids` among
     `keys`, rows (lo, hi, panels, order, e): the whole rule where its entry
@@ -609,7 +642,7 @@ def _run_level(p, keys, ids, parts, lams, chi):
     # each cell axis's rule in the table of the rules the cells take, and
     # the first node of its run
     taken = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(keys)))
-    rule, offset, nodes, weights = _rule_table(keys[taken], chi)
+    rule, offset, nodes, weights = _rule_table(keys[taken])
     panels, order = (keys[:, c].astype(np.int64)[ids] for c in (2, 3))
     first = offset[rule[np.searchsorted(taken, ids)]] + np.maximum(parts, 0) * order
     size = np.where(parts < 0, panels * order, order)
@@ -746,22 +779,27 @@ def _per_row(f, chi, rows):
 
 
 @lru_cache(maxsize=None)
-def _least_panels(entry, order):
-    """P0 of a `_TRANSITION_PANELS` entry by [order n, e], above any count where it has none."""
-    least = np.full((max(order, _HIGHER[-1]) + 1, _MAX_MAP + 1), np.iinfo(np.int64).max)
-    for e, panels in entry:
-        for n, count in panels:
-            least[n, e] = count
-    return least
+def _transition_errors(entry, order):
+    """A `_TRANSITION_PANELS` entry as an array by [order n, e, P], for P up
+    to _TRANSITION_CHECKED + 1 (where larger counts look): the tabled error
+    of P panels, 0.0 from P0(n, e) on, inf where the entry has none."""
+    table = np.full((max(order, _HIGHER[-1]) + 1, _MAX_MAP + 1, _TRANSITION_CHECKED + 2), np.inf)
+    for e, rows in entry:
+        for n, errors in rows:
+            table[n, e, 1:len(errors) + 1] = errors
+            if len(errors) < _TRANSITION_CHECKED:
+                table[n, e, len(errors) + 1:] = 0.0
+    return table
 
 
 def _layout(grads, fs, lams, quad, depths, merged):
     """The cell table of a call, every row's cells in row order: per cell
     its row, its piece ends lo and hi, and its panel counts, Gauss orders
-    and map exponents ((cells, d) arrays, `_panel_counts`), and whether the
-    error estimate reruns it (the rule is in `_evaluate`).  A row's pieces
-    are its test function's cut to its `depths` (`_plan`), shared with
-    other rows.  All cells are sized in one `_sizing` and one
+    and map exponents ((cells, d) arrays, `_panel_counts`), whether the
+    error estimate reruns it, and the allowance per unit of weight mass it
+    adds to the estimate if not, else 0.0 (the rule is in `_evaluate`).  A
+    row's pieces are its test function's cut to its `depths` (`_plan`),
+    shared with other rows.  All cells are sized in one `_sizing` and one
     `_panel_counts` call, each at its row's frequency, so a row's rule does
     not depend on the other rows; an overflow refusal names the first row
     whose turns overflow.  Then each axis's merged piece with a `merged`
@@ -789,15 +827,22 @@ def _layout(grads, fs, lams, quad, depths, merged):
     n = merged[row]
     on = (hi <= np.ldexp(1.0, -depths[row])) & (n > 0)
     counts, orders, exps = (np.where(on, v, a) for v, a in ((1, counts), (n, orders), (1, exps)))
+    target, _ = _ladder(quad.order, quad.waves_per_panel)
     entry = _TRANSITION_PANELS.get((quad.order, quad.waves_per_panel))
     if entry is None:
         rerun = (orders >= quad.order).any(axis=1)
+        allow = np.where(rerun, 0.0, lo.shape[1] * target)
     else:
-        # the transition piece [PLATEAU, 1], unclipped
+        # per axis, the target where analytic, the tabled error where larger
+        # on the transition piece [PLATEAU, 1], unclipped, and else inf: a
+        # cell with such an axis is rerun
         edge = (lo == _PLATEAU) & (hi == 1.0)
-        least = _least_panels(entry, quad.order)[orders, exps]
-        rerun = ~(sizing[3] | (edge & (counts >= least))).all(axis=1)
-    return row, lo, hi, counts, orders, exps, rerun
+        table = _transition_errors(entry, quad.order)
+        tabled = table[orders, exps, np.minimum(counts, _TRANSITION_CHECKED + 1)]
+        axis = np.where(sizing[3], target, np.where(edge, np.maximum(tabled, target), np.inf))
+        rerun = np.isinf(axis).any(axis=1)
+        allow = np.where(rerun, 0.0, axis.sum(axis=1))
+    return row, lo, hi, counts, orders, exps, rerun, allow
 
 
 def _reflections(p, fs, chi):
@@ -966,13 +1011,16 @@ def _evaluate(p, f, chi, lams, quad):
     cell takes its orbit's, conjugated where its permutation negates the
     phase.  The reported error is the difference against a rerun on the same
     panels at order max(n // 2, n - 4) on the axes at order n >= `order`,
-    plus d * target times the weight mass of each cell not rerun.  Under a
-    rule with an entry in `_TRANSITION_PANELS` only a cell with an axis off
-    the cutoff plateau that is not resolved is rerun: an axis is resolved
-    when its piece is the whole transition [PLATEAU, 1], unclipped, with at
-    least P0(n, e) panels for its order n and map exponent e.  Every other
-    axis is analytic (a merged piece too) or resolved.  A rule without an
-    entry reruns every cell with an axis at order n >= `order`.
+    summed over the cells rerun, plus target * (sum_k a_k) times the weight
+    mass of each cell not rerun: a_k is 1 on an analytic axis (a merged
+    piece too), and max(E, target) / target on an axis whose piece is the
+    whole transition [PLATEAU, 1], unclipped, with E the error
+    `_TRANSITION_PANELS` holds for its order n, map exponent e and panel
+    count P (E = target from P0(n, e) panels on).  Under a rule with an
+    entry there only a cell with an axis off the plateau that has no tabled
+    error is rerun: one clipped by a factor, or with more panels than a row
+    that has no P0.  A rule without an entry reruns every cell with an axis
+    at order n >= `order`, and a = 1 on every axis of the others.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -996,7 +1044,7 @@ def _evaluate(p, f, chi, lams, quad):
     subs = [s for pair in pairs for s in reflections[pair]]
     parent = np.repeat(np.arange(len(fs)), [len(reflections[pair]) for pair in pairs])
     signs, sub_fs, plain, twin, groups = zip(*subs)
-    row, lo, hi, counts, orders, exps, rerun = _layout(
+    row, lo, hi, counts, orders, exps, rerun, allow = _layout(
         grads, sub_fs, np.array(lams)[parent], quad, depths[parent], merged[parent])
     n, signs = len(row), np.array(signs, dtype=float)
     plain, twin = np.array(plain)[row], np.array(twin)[row]
@@ -1024,9 +1072,8 @@ def _evaluate(p, f, chi, lams, quad):
     if (signs < 0).any():
         freqs = freqs[:, None] * signs[take]
     low = ids[owner[again]] + len(rules)  # at the rerun's lower order
-    # the profile has one shape for every cutoff, so any row's serves
     values, mass = _run_level(p, keys, np.concatenate([ids[owner], low]),
-                              np.concatenate([part, part[again]]), freqs, chis[0])
+                              np.concatenate([part, part[again]]), freqs)
     # per piece, its value, rerun value and weight mass over the panel
     # cells that take it or its conjugate, summed onto its cell; then each
     # cell takes its key's first, over its sub-row's plain and conjugate
@@ -1047,14 +1094,13 @@ def _evaluate(p, f, chi, lams, quad):
         v.real *= plain + twin
         v.imag *= np.where(conj, twin - plain, plain - twin)
     weight *= plain + twin
-    target, _ = _ladder(quad.order, quad.waves_per_panel)
     nodes, out = (counts * orders).prod(axis=1) * (plain + twin), []
     for lam, a, b, plan in zip(lams, ends, ends[1:], planned):
         if plan > quad.node_budget:
             out.append((OscResult(lam, None, None, True, int(plan)), value[:0], nodes[:0]))
             continue
         v, r = value[a:b], rerun[a:b]
-        error = abs((v[r] - check[a:b][r]).sum()) + d * target * weight[a:b][~r].sum()
+        error = abs((v[r] - check[a:b][r]).sum()) + (allow[a:b] * weight[a:b]).sum()
         out.append((OscResult(lam, complex(v.sum()), float(error), False, int(nodes[a:b].sum())),
                     v, nodes[a:b]))
     return out

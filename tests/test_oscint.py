@@ -137,9 +137,7 @@ class TestBumpAndStep:
         assert got.tobytes() == single.tobytes()
         assert got[-8] == 1.0 and 0.0 <= got[-7] <= 1e-20 and got[-6:-4].tolist() == [0.5, 0.5]
         t = np.linspace(-1.5, 1.5, 301)
-        assert bump(t, out=t.copy()).tobytes() == bump(t).tobytes()
-        same = t.copy()
-        assert bump(same, out=same) is same and same.tobytes() == bump(t).tobytes()
+        assert bump(t).tobytes() == np.array([bump(x) for x in t]).tobytes()
 
     def test_step_deviation_is_rounding(self):
         # against the bump's integral by 48-point Gauss on 256 panels (the
@@ -184,7 +182,7 @@ class TestBumpAndStep:
 
     @pytest.mark.parametrize("t", [
         [1.0, -1.0],
-        # all inside, so the formula runs in place: exp's argument reaches -4.5e15
+        # all inside: exp's argument reaches -4.5e15
         [1 - 1e-9, -1 + 1e-9, np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), 0.0, -0.0],
         [1 - 1e-9, 1.0, -1 + 1e-9, -1.0, 1 + 1e-9, -1 - 1e-9, 2.5, -7.0],
         [np.inf, -np.inf, np.nan, 0.5, -0.75],
@@ -199,10 +197,8 @@ class TestBumpAndStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = bump(t)
-            same = t.copy()
-            assert bump(same, out=same) is same
         assert got.shape == t.shape
-        assert got.tobytes() == want.tobytes() == same.tobytes()
+        assert got.tobytes() == want.tobytes()
 
     def test_step_reads_the_table_without_the_bump(self, monkeypatch):
         # the table is built once: no node of a later call evaluates the
@@ -211,9 +207,9 @@ class TestBumpAndStep:
         sizes = []
         real = bump
 
-        def spy(t, out=None):
+        def spy(t):
             sizes.append(np.size(t))
-            return real(t, out)
+            return real(t)
 
         monkeypatch.setattr("oscdecay.oscint.bump", spy)
         smooth_step(np.array([-np.inf, -2.0, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 3.0, np.inf]))
@@ -376,11 +372,11 @@ class TestEvaluateBasics:
         calls = []
         original = CutoffSpec.profile
 
-        def counting(self, t):
+        def counting(t):
             calls.append(t)
-            return original(self, t)
+            return original(t)
 
-        monkeypatch.setattr(CutoffSpec, "profile", counting)
+        monkeypatch.setattr(CutoffSpec, "profile", staticmethod(counting))
         evaluate_lambda(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3),
                         CHI_POS, 256.0)
         assert 0 < len(calls) < 150
@@ -527,7 +523,7 @@ def row_pieces(p, f, chi, lam, quad=QuadratureConfig()):
     return pieces, depths.tolist(), merged.tolist()
 
 
-def reference_rule(lo, hi, panels, e, gx, gw, chi):
+def reference_rule(lo, hi, panels, e, gx, gw):
     """One rule of `_rule_table`, formula by formula: Gauss panel nodes on
     [lo, hi] and their weights times the cutoff; on the plateau the cutoff
     is 1 and is not evaluated.  At map exponent e the panels lie between
@@ -548,7 +544,7 @@ def reference_rule(lo, hi, panels, e, gx, gw, chi):
         nodes = (ends[:-1, None] + widths * 0.5 * (gx + 1.0)).ravel()
         weights = (widths * 0.5 * gw).ravel()
     if max(abs(lo), abs(hi)) > 0.5:
-        weights *= chi.profile(nodes)
+        weights *= CutoffSpec.profile(nodes)
     return nodes, weights
 
 
@@ -566,7 +562,7 @@ def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     values = []
     for cell, cnt, ords, es in zip(product(*pieces), counts.tolist(), orders.tolist(),
                                    exps.tolist()):
-        rules = [reference_rule(lo, hi, c, e, *np.polynomial.legendre.leggauss(n), chi)
+        rules = [reference_rule(lo, hi, c, e, *np.polynomial.legendre.leggauss(n))
                  for (lo, hi), c, n, e in zip(cell, cnt, ords, es)]
         grid = np.meshgrid(*[x for x, _ in rules], indexing="ij")
         weight = rules[0][1]
@@ -757,12 +753,12 @@ class TestKernel:
         calls = []
         original = CutoffSpec.profile
 
-        def counting(self, t):
+        def counting(t):
             calls.append(len(t))
-            return original(self, t)
+            return original(t)
 
-        monkeypatch.setattr(CutoffSpec, "profile", counting)
-        inverse, offset, flat_nodes, flat_weights = _rule_table(keys, CHI)
+        monkeypatch.setattr(CutoffSpec, "profile", staticmethod(counting))
+        inverse, offset, flat_nodes, flat_weights = _rule_table(keys)
         # one cutoff evaluation for the whole table, and one row per
         # distinct key by value: -0.0 and 0.0 key alike
         assert len(calls) == 1
@@ -774,7 +770,7 @@ class TestKernel:
             at = slice(offset[r], offset[r] + int(panels * order))
             nodes, weights = flat_nodes[at], flat_weights[at]
             want = reference_rule(lo, hi, int(panels), int(e),
-                                  *np.polynomial.legendre.leggauss(int(order)), CHI)
+                                  *np.polynomial.legendre.leggauss(int(order)))
             assert nodes.tobytes() == want[0].tobytes()
             assert weights.tobytes() == want[1].tobytes()
 
@@ -858,7 +854,7 @@ class TestKernel:
         want_weights = np.tile(width * 0.5 * gw, panels)
         if max(abs(lo), abs(hi)) > 0.5:
             want_weights *= CHI.profile(want_nodes)
-        nodes, weights = reference_rule(lo, hi, panels, 1, gx, gw, CHI)
+        nodes, weights = reference_rule(lo, hi, panels, 1, gx, gw)
         assert nodes.tobytes() == want_nodes.tobytes()
         assert weights.tobytes() == want_weights.tobytes()
         if lo == 0.0:  # the piece at 0 keeps equal panels
@@ -873,7 +869,7 @@ class TestKernel:
                 ends = [-x for x in reversed(ends)]
             want = np.concatenate([x0 + (x1 - x0) * 0.5 * (gx + 1.0)
                                    for x0, x1 in zip(ends, ends[1:])])
-            nodes, weights = reference_rule(lo, hi, panels, e, gx, gw, CHI)
+            nodes, weights = reference_rule(lo, hi, panels, e, gx, gw)
             assert nodes == pytest.approx(want, rel=1e-14)
             if max(abs(lo), abs(hi)) <= 0.5:
                 assert weights @ nodes ** 2 == pytest.approx((hi ** 3 - lo ** 3) / 3,
@@ -1325,6 +1321,41 @@ class TestMappedPanelsAgainstMellinOracle:
         assert {args[3] for args in calls} == {1, 2, 3, 4, 5}
 
 
+class TestTabledTransitionError:
+    # samples whose transition axes have fewer than P0(n, e) panels, so each
+    # takes its tabled error instead of a rerun, against the rule with 8x
+    # the panels, whose own error is far smaller
+    CASES = [("x1*x2", 2, True, lambda_grid(8, 64, 4)),
+             ("x1*x2", 2, False, lambda_grid(8, 64, 4)),
+             ("x1*x2*x3", 3, True, lambda_grid(8, 64, 4)),
+             ("x1*x2*x3", 3, False, lambda_grid(8, 64, 4)),
+             ("1/2*x1*x2", 2, True, lambda_grid(32, 512, 5))]
+
+    def test_error_bounds_deviation_from_the_fine_rule(self, monkeypatch):
+        layouts, real = [], oscint._layout
+
+        def spy(grads, fs, lams, quad, *args):
+            out = real(grads, fs, lams, quad, *args)
+            layouts.append((out[0], out[-2], out[-1], quad))
+            return out
+
+        monkeypatch.setattr(oscint, "_layout", spy)
+        fine = QuadratureConfig(waves_per_panel=0.5)
+        for text, d, orthant, lams in self.CASES:
+            p, f = phase(text, d), TestFunctionSpec.ones(d)
+            chi = CutoffSpec(positive_orthant=orthant)
+            layouts.clear()
+            results = lambda_sweep(p, f, chi, lams)
+            (row, rerun, allow, quad), = layouts
+            # no cell is rerun, and every sample has a cell whose tabled
+            # error exceeds the target on some axis
+            target, _ = oscint._ladder(quad.order, quad.waves_per_panel)
+            assert not rerun.any()
+            assert (np.bincount(row[allow > d * target], minlength=row[-1] + 1) > 0).all()
+            for r, s in zip(results, lambda_sweep(p, f, chi, lams, quad=fine)):
+                assert r.error >= abs(r.value - s.value), (text, orthant, r.lam)
+
+
 def box_bound(n, j, q, norms, lam):
     """Reference for one term of `certificate_sum`: the bound on the box with
     corner 2^-j, prod(norms) * 2^-s * min(1, |lam 2^-t|^(-1/2)), where
@@ -1561,28 +1592,61 @@ class TestSweep:
         assert kernel <= 1.05 * sum(r.nodes for r in results)
 
     @pytest.mark.parametrize("text, d, lams, kernel, grouped", [
-        pytest.param("x1*x2", 2, (64.0,), 5_072, 3_264, id="x1*x2-2-lams0-5072"),
-        pytest.param("x1*x2*x3", 3, (16.0, 32.0, 64.0), 428_224, 151_744,
+        pytest.param("x1*x2", 2, (64.0,), (3_616, 5_072), (2_336, 3_264),
+                     id="x1*x2-2-lams0-5072"),
+        pytest.param("x1*x2*x3", 3, (16.0, 32.0, 64.0), (295_232, 428_224), (108_032, 151_744),
                      id="x1*x2*x3-3-lams1-428224"),
-        pytest.param("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 373_056, 258_112,
-                     id="x1^2*x2^2*x3^2 + x1^3*x2*x3-3-lams2-373056"),
+        pytest.param("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), (259_968, 373_056),
+                     (180_736, 258_112), id="x1^2*x2^2*x3^2 + x1^3*x2*x3-3-lams2-373056"),
     ])
     def test_rerun_keeps_unresolved_transition_cells(self, monkeypatch, text, d, lams, kernel,
                                                      grouped):
-        # at these frequencies no transition axis has as many panels as the
-        # table resolves, so with every cell evaluated the kernel runs
+        # at these frequencies no transition axis has P0(n, e) panels.  The
+        # shipped table holds each one's error, so no cell is rerun and, with
+        # every cell evaluated, the kernel runs the first pass alone (the
+        # first of each pair).  Under a table that holds none, it runs
         # exactly the nodes of a rerun on every cell with an axis on
         # [1/2, 1] (and on no other: a merged piece at order 16 lies on the
-        # plateau); on the octave layout to `levels` it ran 8,224, 1,283,776
-        # and 873,088.  One cell per orbit of the axis swaps runs `grouped`
+        # plateau), the second, as the shipped table of P0 alone did; on
+        # the octave layout to `levels` that was 8,224, 1,283,776 and
+        # 873,088.  One cell per orbit of the axis swaps runs `grouped`
         calls = kernel_calls(monkeypatch)
-        with monkeypatch.context() as m:
-            ungrouped(m)
+        key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
+        for table, nodes, orbits in zip((oscint._TRANSITION_PANELS, {key: ()}), kernel, grouped):
+            monkeypatch.setattr(oscint, "_TRANSITION_PANELS", table)
+            calls.clear()
+            with monkeypatch.context() as m:
+                ungrouped(m)
+                lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
+            assert sum(b * math.prod(sizes) for b, sizes in calls) == nodes
+            calls.clear()
             lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
-        calls.clear()
-        lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == grouped
+            assert sum(b * math.prod(sizes) for b, sizes in calls) == orbits
+
+    @pytest.mark.parametrize("text, lams, unresolved", [
+        ("x1*x2*x3", (16.0, 32.0, 64.0), 43_712),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", (16.0, 32.0), 77_376),
+    ], ids=["x1*x2*x3", "two-terms"])
+    def test_benchmark_3d_templates_run_no_rerun(self, monkeypatch, text, lams, unresolved):
+        # the table holds the error of every transition axis of these
+        # sweeps, so the rerun runs no kernel node; under a table that holds
+        # none it runs `unresolved`
+        nodes, real = [], oscint._run_level
+
+        def spy(p, keys, ids, parts, lams):
+            # the rerun's pieces take the rules after the first pass's
+            again = (ids >= len(keys) // 2).all(axis=1)
+            panels, order = (keys[:, c].astype(np.int64)[ids] for c in (2, 3))
+            nodes.append(np.where(parts < 0, panels * order, order)[again].prod(axis=1).sum())
+            return real(p, keys, ids, parts, lams)
+
+        monkeypatch.setattr(oscint, "_run_level", spy)
+        key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
+        for table, want in ((oscint._TRANSITION_PANELS, 0), ({key: ()}, unresolved)):
+            monkeypatch.setattr(oscint, "_TRANSITION_PANELS", table)
+            nodes.clear()
+            lambda_sweep(phase(text, 3), TestFunctionSpec.ones(3), CHI_POS, lams)
+            assert nodes == [want]
 
     @pytest.mark.parametrize("chi, f", [
         (CHI, TestFunctionSpec.boxes([(-0.9, 0.7), (-0.6, 0.95)])),
@@ -1669,10 +1733,10 @@ class TestSweep:
         # order for one panel; each distinct row is one call on all its pieces
         levels, real = [], oscint._run_level
 
-        def spy(p, keys, ids, parts, lams, chi):
+        def spy(p, keys, ids, parts, lams):
             panels, order = (keys[:, c].astype(np.int64)[ids] for c in (2, 3))
             levels.append(np.where(parts < 0, panels * order, order))
-            return real(p, keys, ids, parts, lams, chi)
+            return real(p, keys, ids, parts, lams)
 
         monkeypatch.setattr(oscint, "_run_level", spy)
         calls = kernel_calls(monkeypatch)
@@ -1716,15 +1780,15 @@ def ungrouped(monkeypatch):
 
 def count_rule_builds(monkeypatch):
     """A list that gets one entry per per-axis rule built from now on: per
-    row of each rule table, (lo, hi, panels, e, gx, gw, chi), the arguments
-    of `reference_rule`."""
+    row of each rule table, (lo, hi, panels, e, gx, gw), the arguments of
+    `reference_rule`."""
     calls = []
     original = oscint._rule_table
 
-    def counting(keys, chi):
-        built = original(keys, chi)
+    def counting(keys):
+        built = original(keys)
         rows = dict(zip(built[0].tolist(), keys.tolist()))  # one key per table row
-        calls.extend((lo, hi, int(panels), int(e), *oscint._gauss(int(order)), chi)
+        calls.extend((lo, hi, int(panels), int(e), *oscint._gauss(int(order)))
                      for lo, hi, panels, order, e in rows.values())
         return built
 
@@ -1779,15 +1843,16 @@ class TestRuleTable:
         assert first > 0 and len(calls) == 2 * first
 
     def test_each_rule_built_once_per_sweep(self, monkeypatch):
-        # the sweep's 97 distinct rules, keyed by (lo, hi, panels, order, e),
-        # each built once, merged pieces at each depth too; on the octave
-        # layout to `levels` there were 92, and a rerun on every cell with an
-        # axis at order 16 or above built 108
+        # the sweep's 80 distinct rules, keyed by (lo, hi, panels, order, e),
+        # each built once, merged pieces at each depth too; with the rerun of
+        # transition axes below P0(n, e) panels there were 97, on the octave
+        # layout to `levels` 92, and a rerun on every cell with an axis at
+        # order 16 or above built 108
         calls = count_rule_builds(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
-        keys = [(lo, hi, panels, len(gx), e) for lo, hi, panels, e, gx, _, _ in calls]
-        assert len(keys) == len(set(keys)) == 97
+        keys = [(lo, hi, panels, len(gx), e) for lo, hi, panels, e, gx, _ in calls]
+        assert len(keys) == len(set(keys)) == 80
 
 
 class TestBatchedRows:
@@ -2019,11 +2084,13 @@ class TestOrbits:
         # (1, -1) and (-1, 1) turn x1^2*x2 + x1*x2^2 + x1^2*x2^2 into each
         # other's swap: one sub-row, evaluated once.  With the two apart
         # the kernel ran 8,851,648 nodes, and with the swap-fixed cells
-        # whole, not one panel cell per orbit, 6,496,560
+        # whole, not one panel cell per orbit, 6,496,560; both with the
+        # rerun of transition axes below P0(n, e) panels, which took it to
+        # 4,795,952
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase("x1^2*x2 + x1*x2^2 + x1^2*x2^2"), TestFunctionSpec.ones(2), CHI,
                      lambda_grid(64, 1024, 5))
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == 4_795_952
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == 4_766_064
 
     @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
     @pytest.mark.parametrize("text, d, lams, moved", [
@@ -2058,20 +2125,23 @@ class TestOrbits:
         assert max((p - q).max() for p, q in zip(panels, pieces)) > 0
 
     @pytest.mark.parametrize("text, d, lams, kernel, count", [
-        ("x1*x2", 2, lambda_grid(64, 2048, 11), 543_904, 21),
-        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_299_952, 18),
-        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 11_635_648, 30),
+        ("x1*x2", 2, lambda_grid(64, 2048, 11), 522_896, 17),
+        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_288_960, 14),
+        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 10_916_736, 22),
         # the two 3D templates of the benchmark, whose cells have too few
         # panels to cut
-        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 151_744, 20),
-        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 258_112, 32),
+        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 108_032, 13),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 180_736, 19),
     ], ids=["x1*x2", "x1^3*x2^3", "x1*x2*x3", "x1*x2*x3-cells", "two-terms-cells"])
     def test_panel_orbits_cut_kernel_nodes(self, monkeypatch, text, d, lams, kernel, count):
         # orthant sweeps; with each self-symmetric cell evaluated whole the
         # kernel ran 771,744, 2,381,616 and 33,067,968 nodes.  The number
         # of kernel calls is pinned too: each costs about 70 us however few
         # its nodes, so the batching must not split.  Cut into batches of
-        # at most 2^18 floats, the first three took 23, 27 and 120 calls
+        # at most 2^18 floats, the first three took 23, 27 and 120 calls.
+        # The rerun of transition axes below P0(n, e) panels took them to
+        # 543,904, 1,299,952, 11,635,648, 151,744 and 258,112 nodes in 21,
+        # 18, 30, 20 and 32 calls
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
         assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel

@@ -65,21 +65,30 @@ def test_reference_rule_is_a_valid_configuration():
 @pytest.mark.slow
 def test_transition_table_is_the_calibrated_one():
     # the shipped entry for the default rule is what the calibration derives,
-    # at every map exponent: every count from P0 up to MAX_PANELS meets the
-    # target relative to the profile's mass, and P0 - 1 does not
+    # row by row at every map exponent: each error is at least the calibrated
+    # worst error of its panel count, and the first count whose worst error
+    # meets the target is P0, the row's length plus 1; no count of the row
+    # of 16 points at e = 5 meets it
     spec = importlib.util.spec_from_file_location(
         "calibrate_transition", ROOT / "scripts" / "calibrate_transition.py")
     cal = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(cal)
     from oscdecay.oscint import _MAX_MAP, _TRANSITION_PANELS, QuadratureConfig, _ladder
     key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
-    table = cal.transition_table(*key)
-    assert table == _TRANSITION_PANELS[key]
-    assert [e for e, _ in table] == list(range(1, _MAX_MAP + 1))
-    # equal panels keep the table of before the map exponent
-    assert table[0] == (1, ((16, 6), (24, 3), (32, 2)))
+    shipped = _TRANSITION_PANELS[key]
+    assert [e for e, _ in shipped] == list(range(1, _MAX_MAP + 1))
+    for (e, rows), want in zip(shipped, cal.transition_table(*key)):
+        assert (e, rows) == want
+    # the panel counts P0 of the table before it held errors
+    assert [[len(errors) + 1 for _, errors in rows] for _, rows in shipped] == [
+        [6, 3, 2], [8, 3, 2], [10, 6, 5], [18, 13, 10], [cal.MAX_PANELS + 1, 27, 20]]
     target, rungs = _ladder(*key)
     most = {n: m for n, m, _ in rungs}
-    for e, row in table:
-        for n, panels in row:
-            assert cal.worst_error(n, panels - 1, most[n], e) > target
+    for e, rows in shipped:
+        for n, errors in rows:
+            worst = [cal.worst_error(n, panels, most[n], e)
+                     for panels in range(1, cal.MAX_PANELS + 1)]
+            assert all(a >= b for a, b in zip(errors, worst)), (e, n)
+            first = next((panels for panels, x in enumerate(worst, 1) if x <= target),
+                         cal.MAX_PANELS + 1)
+            assert first == len(errors) + 1, (e, n)
