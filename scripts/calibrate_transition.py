@@ -22,6 +22,7 @@ entry of `oscint._TRANSITION_PANELS` for the rule, one line per (e, n).
 """
 import argparse
 from decimal import ROUND_CEILING, Decimal
+from functools import lru_cache
 
 import numpy as np
 
@@ -54,10 +55,12 @@ def transition_sum(panels, n, e, w):
     return (c - 1.0) @ weights + 1j * ((c * t) @ weights)
 
 
+@lru_cache(maxsize=None)
 def worst_error(n, panels, most, e=1):
     """The largest error of the panel rule at map exponent e on the piece,
     relative to the profile's mass there, over FREQUENCIES frequencies of up
-    to `most` turns per panel."""
+    to `most` turns per panel; cached, so a check of the table against its
+    errors computes each once."""
     w = 2.0 * np.pi * panels / (1.0 - LO ** e) * np.linspace(0.0, most, FREQUENCIES + 1)[1:]
     mass = rule(REFERENCE_SPLIT * panels, 32, e)[1].sum()
     return float(np.abs(transition_sum(panels, n, e, w)
