@@ -11,8 +11,9 @@ from oscdecay.oscint import (
     DEFAULT_CERT_CONSTANT,
     CutoffSpec,
     TestFunctionSpec,
-    evaluate_lambda,
+    certify_results,
     lambda_grid,
+    lambda_sweep,
 )
 from oscdecay.phase import parse_phase, reduce_phase
 
@@ -21,13 +22,14 @@ PHASES = ["x1*x2", "x1^2*x2^2", "x1^2*x2^2 + x1^5*x2", "x1^3*x2^3",
 
 
 def worst_ratio(text: str, grid, chi) -> float:
+    """The largest |value| / certificate at constant 1 over the grid: one
+    sweep and one certificate call for the phase."""
     p = reduce_phase(parse_phase(text, 2))
+    f = TestFunctionSpec.ones(2)
     worst = 0.0
-    for lam in grid:
-        r = evaluate_lambda(p, TestFunctionSpec.ones(2), chi, lam,
-                            certify=True, cert_constant=1.0)
+    for r in certify_results(lambda_sweep(p, f, chi, grid), p, f, chi, constant=1.0):
         if r.value is None:
-            raise SystemExit(f"{text} at lam {lam:g} is over the node budget")
+            raise SystemExit(f"{text} at lam {r.lam:g} is over the node budget")
         worst = max(worst, abs(r.value) / r.certificate)
     return worst
 

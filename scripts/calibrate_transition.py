@@ -11,12 +11,12 @@ shares.  The exact integral is a dense composite Gauss rule on the whole
 piece at the same e.  P0(n, e) is the least panel count from which on, up
 to MAX_PANELS, E meets the per-panel target.  The row of (n, e) holds
 E(n, P, e) for P = 1 .. P0 - 1, each rounded up to 2 significant digits, so
-P0 is its length plus 1; where no count up to MAX_PANELS starts such a
-run, the row holds every count up to MAX_PANELS, and a count past it has
-no tabled error.  Counts above MAX_PANELS are not checked: on narrower
-panels the profile is closer to polynomial, and the error tends to the
-oscillation's alone, which the ladder already bounds.  The output is the
-entry of `oscint._TRANSITION_PANELS` for the rule, one line per (e, n).
+P0 is its length plus 1.  Counts above MAX_PANELS are not checked: on
+narrower panels the profile is closer to polynomial, and the error tends
+to the oscillation's alone, which the ladder already bounds.  A row with
+no P0 up to MAX_PANELS would leave larger counts without a tabled error,
+so the script names it and exits 1.  The output is the entry of
+`oscint._TRANSITION_PANELS` for the rule, one line per (e, n).
 
     python scripts/calibrate_transition.py --order 16 --waves 4
 """
@@ -79,14 +79,17 @@ def round_up(x):
 def transition_errors(order, waves, e=1):
     """((n, (E(n, 1, e), ..., E(n, P0 - 1, e))), ...), each error rounded up,
     for the orders of the rule (order, waves) that an axis off the plateau
-    may take; a row without P0 up to MAX_PANELS holds every count to it."""
+    may take; a row without P0 up to MAX_PANELS exits 1, naming it."""
     target, rungs = _ladder(order, waves)
     table = []
     for n, most, plateau in rungs:
         if plateau:
             continue
         errors = [worst_error(n, panels, most, e) for panels in range(1, MAX_PANELS + 1)]
-        least = MAX_PANELS + 1
+        if errors[-1] > target:
+            raise SystemExit(f"rule {(order, waves)}: the row of n = {n} at e = {e} "
+                             f"has no P0 up to {MAX_PANELS} panels")
+        least = MAX_PANELS
         while least > 1 and errors[least - 2] <= target:
             least -= 1
         table.append((n, tuple(round_up(x) for x in errors[:least - 1])))
@@ -111,8 +114,7 @@ def main() -> None:
     print(f"rule {key}: per-panel target {target:.3g}")
     for e, rows in table:
         for n, errors in rows:
-            least = f"P0 {len(errors) + 1}" if len(errors) < MAX_PANELS else "no P0"
-            print(f"    e = {e}, n = {n} ({least}): {errors}")
+            print(f"    e = {e}, n = {n} (P0 {len(errors) + 1}): {errors}")
     shipped = _TRANSITION_PANELS.get(key)
     print("shipped: " + ("no entry" if shipped is None else
                          "the same" if shipped == table else f"differs: {shipped}"))

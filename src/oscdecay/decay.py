@@ -287,8 +287,8 @@ def sharpness_witness(boxes: tuple, results: Sequence[OscResult],
 
 def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
                    w: Sequence[Fraction], delta, lambdas: Sequence[float], *,
-                   chi: CutoffSpec = CutoffSpec(), dual: DualPolyhedron | None = None,
-                   boxes: tuple | None = None) -> SharpnessWitness:
+                   chi: CutoffSpec = CutoffSpec(),
+                   dual: DualPolyhedron | None = None) -> SharpnessWitness:
     """Realize the decay rate from below with boxes dual to the polyhedron.
 
     Indicator boxes |x_j| <= delta * lam^(-w_j) built from a dual vertex w
@@ -296,15 +296,15 @@ def sharpness_test(p: PhasePolynomial, n: NewtonPolyhedron, q: ExponentQuery,
     of lam is 1 - <alpha, w> <= 0 termwise, so halving delta always wins).
     On such boxes the integrand is flat and the form measures plain volume:
     |value| must sit inside `SHARPNESS_BAND` times the L1 norm of f.  Pass `dual`
-    when it is already built; it is computed from `n` otherwise.  `boxes`,
-    when given, is `sharpness_boxes` of the same arguments.  All boxes are
-    evaluated in one `lambda_sweep` call, one test function per frequency
-    (`box_functions`), and the witness is built from their results
-    (`sharpness_witness`); `verify` evaluates them beside its sweep.
+    when it is already built; it is computed from `n` otherwise.  The boxes
+    (`sharpness_boxes`) are evaluated in one `lambda_sweep` call, one test
+    function per frequency (`box_functions`), and the witness is built from
+    their results (`sharpness_witness`); `verify` evaluates them beside its
+    sweep.
     """
     if dual is None:
         dual = dual_polyhedron(n)
-    boxes = boxes or sharpness_boxes(p, n, w, delta, lambdas, chi=chi, dual=dual)
+    boxes = sharpness_boxes(p, n, w, delta, lambdas, chi=chi, dual=dual)
     results = lambda_sweep(p, box_functions(boxes), chi, [lam for lam, *_ in boxes[3]])
     chain_ok, _ = check_dual_domination(n, q, dual)
     return sharpness_witness(boxes, results, chain_ok)

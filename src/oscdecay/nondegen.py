@@ -169,7 +169,10 @@ class NondegeneracyReport:
         }
 
 
-def _refine_zero(pairs: Sequence[PhasePolynomial], grads, x0, iters: int = 60):
+_REFINE_STEPS = 60  # Gauss-Newton steps of `_refine_zero` at most
+
+
+def _refine_zero(pairs: Sequence[PhasePolynomial], grads, x0):
     """Gauss-Newton descent toward a common zero of the pair polynomials;
     grads[i][k] is the exact d_k of pairs[i].  The iterate is a list of
     floats; a trial point is taken only when every |pair| drops below the
@@ -177,7 +180,7 @@ def _refine_zero(pairs: Sequence[PhasePolynomial], grads, x0, iters: int = 60):
     x = [float(v) for v in x0]
     fvals = [g.evaluate(x) for g in pairs]
     worst = max(map(abs, fvals))
-    for _ in range(iters):
+    for _ in range(_REFINE_STEPS):
         if worst < 1e-15:
             break
         jac = np.array([[h.evaluate(x) for h in row] for row in grads])
@@ -372,8 +375,15 @@ class HessianFloor:
     point: tuple[float, ...]
 
 
+# `mixed_hessian_floor`'s zooms after its first grid, each onto the grid
+# cells around the minimum so far, and the floor constant under which
+# `sweep_hessian_floor` fails
+_FLOOR_ZOOMS = 3
+_FLOOR_THRESHOLD = 1e-6
+
+
 def mixed_hessian_floor(p: PhasePolynomial, box: DyadicBox, *,
-                        grid: int = 24, refine: int = 4) -> HessianFloor:
+                        grid: int = 24) -> HessianFloor:
     if box.dimension != p.dimension:
         raise NondegenError("box dimension does not match the phase")
     pairs = _mixed_pairs(p, scaled=True)
@@ -383,7 +393,7 @@ def mixed_hessian_floor(p: PhasePolynomial, box: DyadicBox, *,
         return HessianFloor(0.0, tuple(lo))
     d = p.dimension
     best_val, best_pt = math.inf, tuple(lo)
-    for _ in range(refine + 1):
+    for _ in range(_FLOOR_ZOOMS + 1):
         axes = [np.geomspace(a, b, grid) for a, b in zip(lo, hi)]
         coords = np.meshgrid(*axes, indexing="ij", sparse=True)
         val = reduce(np.maximum, _abs_values(pairs, coords, (grid,) * d))
@@ -423,8 +433,7 @@ class FloorSweep:
 
 
 def sweep_hessian_floor(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *,
-                        jmax: int = 10, grid: int = 16, refine: int = 3,
-                        threshold: float = 1e-6) -> FloorSweep:
+                        jmax: int = 10, grid: int = 16) -> FloorSweep:
     """Floor constant: min over boxes of floor / (largest vertex monomial scale).
 
     A nondegenerate phase keeps the ratio bounded below across all boxes; a
@@ -436,11 +445,11 @@ def sweep_hessian_floor(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
     for j in product(range(jmax + 1), repeat=p.dimension):
         box = DyadicBox(j)
         t = _min_scale_exponent(n, box)
-        fl = mixed_hessian_floor(p, box, grid=grid, refine=refine)
+        fl = mixed_hessian_floor(p, box, grid=grid)
         rows.append(BoxRatioRow(j, _pow2(fl.value, t), fl.value, fl.point, t))
     constant = min(r.ratio for r in rows)
-    verdict = "PASS" if constant >= threshold else "FAIL"
-    return FloorSweep(constant, verdict, tuple(rows), jmax, grid, threshold)
+    verdict = "PASS" if constant >= _FLOOR_THRESHOLD else "FAIL"
+    return FloorSweep(constant, verdict, tuple(rows), jmax, grid, _FLOOR_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

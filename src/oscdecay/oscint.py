@@ -21,16 +21,18 @@ one table of the call's distinct rules, sorted by value over every axis.
 Cells in one orbit of the coordinate permutations that map a sub-row's
 phase to plus or minus itself are evaluated once, and so are the panel
 cells of a cell that such a permutation maps to itself, one per orbit
-(`_orbits`).  The evaluated cells of every row and the reruns the error
-estimate takes (`_evaluate`; none where a transition axis's error is
-calibrated, `_TRANSITION_PANELS`) are one batch (`_run_level`): each rule is
-built once (`_rule_table`), and the cells of each shape are one `_kernel`
-call, with each cell's term signs folded into its per-term scale.  A
-kernel block holds whole cells in a per-thread workspace of _BLOCK floats,
-within a core's L2 cache; cells whose rows do not fit one block are cut
-into runs that do (`_runs`), each cell the sum of its runs.
-The same cell grid indexes a closed-form bound per cell (`box_envelope`),
-whose sum is an a-priori certificate for the result.
+(`_orbits`).  The evaluated cells of every row are one batch
+(`_run_level`): each rule is built once (`_rule_table`), and the cells of
+each shape are one `_kernel` call, with each cell's term signs folded into
+its per-term scale.  The error estimate reads each transition axis's
+error from a calibrated table (`_TRANSITION_PANELS`); the few cells it
+cannot serve are rerun at a lower order in a second batch (`_evaluate`).
+A kernel block holds whole cells in a per-thread workspace of _BLOCK
+floats, within a core's L2 cache; cells whose rows do not fit one block
+are cut into runs that do (`_runs`), each cell the sum of its runs.
+The certificate sums a closed-form bound per box of its own dyadic grid,
+the box at 2^-j for j in [0, levels]^d (`box_envelope`).  It is not the
+quadrature's cell grid, which stops at each row's merged piece near 0.
 
 The cutoff has one fixed shape, 1 on |t| <= PLATEAU and 0 on |t| >= 1,
 its profile a table accurate to rounding (`smooth_step`); a call's rows may
@@ -277,9 +279,10 @@ class QuadratureConfig:
 class OscResult:
     lam: float
     value: complex | None  # None where the frequency was refused
-    # difference against a lower-order rerun of some cells, plus the others'
-    # allowance: the target per axis, or a transition axis's calibrated error
-    # where larger (the rule is in _evaluate's docstring); None where refused
+    # each cell's allowance: the target per axis, or a whole transition
+    # axis's calibrated error where larger; plus, over the few cells no
+    # allowance serves, the difference against a lower-order rerun (the rule
+    # is in _evaluate's docstring); None where refused
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
     # the rule's node count over every orthant, refused or not; the kernel
@@ -424,20 +427,21 @@ def _panel_counts(lams, sizing, quad):
     return counts, orders, exps
 
 
-# The calibrated error of the cutoff's transition piece [PLATEAU, 1], per
-# rule (order, waves_per_panel), as (e, ((n, errors), ...)) pairs per map
-# exponent e and Gauss order n an axis off the plateau may take: errors[P - 1]
-# is the largest error E(n, P, e) of P n-point panels at map exponent e on
-# profile * exp(i w x^e) there, relative to the profile's mass on the piece,
-# at every w up to n's most turns per panel, rounded up to 2 significant
-# digits (derived by scripts/calibrate_transition.py).  A row runs to P0 - 1,
-# P0(n, e) the panel count from which on, up to _TRANSITION_CHECKED, E meets
-# the target; a row of every checked count has no P0, and a count past it
-# has no tabled error.  An axis on the whole, unclipped piece adds
-# max(E, target) times its cell's weight mass to the error estimate, the
-# target alone from P0 panels on (`_layout`); a missing (n, e) tables no
-# count, and a missing rule none
-_TRANSITION_CHECKED = 32  # the most panels the calibration checks
+# The calibrated error of the cutoff's transition piece [PLATEAU, 1] under
+# the default rule (order, waves_per_panel), as (e, ((n, errors), ...))
+# pairs per map exponent e and Gauss order n an axis off the plateau may
+# take: errors[P - 1] is the largest error E(n, P, e) of P n-point panels at
+# map exponent e on profile * exp(i w x^e) there, relative to the profile's
+# mass on the piece, at every w up to n's most turns per panel, rounded up
+# to 2 significant digits (derived by scripts/calibrate_transition.py).  A
+# row runs to P0 - 1, P0(n, e) the panel count from which on, up to
+# _TRANSITION_CHECKED, E meets the target; every row has a P0, and the
+# script refuses a row without one.  An axis on the whole, unclipped piece
+# adds max(E, target) times its cell's weight mass to the error estimate,
+# the target alone from P0 panels on, under every rule whose own target is
+# at most this one's (`_layout`); a missing (n, e), a clipped piece and a
+# coarser rule table no count
+_TRANSITION_CHECKED = 40  # the most panels the calibration checks
 _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
     (1, (
         (16, (5.1e-07, 2.5e-08, 4.3e-09, 1.3e-09, 3.9e-10)),
@@ -465,7 +469,7 @@ _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
         (16, (4.3e-05, 6.3e-06, 2.3e-06, 1.1e-06, 5e-07, 2.8e-07, 1.6e-07, 9.5e-08, 6e-08, 4e-08,
              2.8e-08, 2e-08, 1.5e-08, 1.1e-08, 7.9e-09, 6e-09, 4.6e-09, 3.6e-09, 2.9e-09, 2.3e-09,
              1.9e-09, 1.6e-09, 1.4e-09, 1.2e-09, 9.8e-10, 8.3e-10, 7.1e-10, 6.1e-10, 5.2e-10,
-             4.5e-10, 3.9e-10, 3.4e-10)),
+             4.5e-10, 3.9e-10, 3.4e-10, 3e-10, 2.7e-10, 2.5e-10, 2.2e-10)),
         (24, (6.4e-05, 1.1e-05, 3.2e-06, 1.2e-06, 4.8e-07, 2.3e-07, 1.2e-07, 6.2e-08, 3.6e-08,
              2.2e-08, 1.4e-08, 8.8e-09, 6e-09, 4.2e-09, 3e-09, 2.2e-09, 1.6e-09, 1.3e-09, 9.3e-10,
              7.3e-10, 5.8e-10, 4.7e-10, 3.9e-10, 3.2e-10, 2.7e-10, 2.3e-10)),
@@ -779,16 +783,18 @@ def _per_row(f, chi, rows):
 
 
 @lru_cache(maxsize=None)
-def _transition_errors(entry, order):
+def _transition_errors(entry, floor, order):
     """A `_TRANSITION_PANELS` entry as an array by [order n, e, P], for P up
     to _TRANSITION_CHECKED + 1 (where larger counts look): the tabled error
-    of P panels, 0.0 from P0(n, e) on, inf where the entry has none."""
+    of P panels, or `floor` where larger, `floor` alone from P0(n, e) on,
+    and inf where the entry has no row, for orders up to the rule's own
+    `order` and _HIGHER's.  Every row has a P0 up to _TRANSITION_CHECKED,
+    so every count of a row has a tabled error."""
     table = np.full((max(order, _HIGHER[-1]) + 1, _MAX_MAP + 1, _TRANSITION_CHECKED + 2), np.inf)
     for e, rows in entry:
         for n, errors in rows:
-            table[n, e, 1:len(errors) + 1] = errors
-            if len(errors) < _TRANSITION_CHECKED:
-                table[n, e, len(errors) + 1:] = 0.0
+            table[n, e, 1:] = floor
+            table[n, e, 1:len(errors) + 1] = np.maximum(errors, floor)
     return table
 
 
@@ -803,7 +809,14 @@ def _layout(grads, fs, lams, quad, depths, merged):
     `_panel_counts` call, each at its row's frequency, so a row's rule does
     not depend on the other rows; an overflow refusal names the first row
     whose turns overflow.  Then each axis's merged piece with a `merged`
-    order takes one panel of it at map exponent 1."""
+    order takes one panel of it at map exponent 1.  An axis's allowance is
+    the rule's target on the plateau, and on the whole transition piece the
+    default rule's tabled error (`_transition_errors`), read for every rule
+    whose target is at most the default's: such a rule puts fewer turns on
+    each panel than the calibration checked.  A clipped transition piece, a
+    coarser rule and an order without a row have none, and a cell with such
+    an axis is rerun.  Both depend on the axis's rule alone, so a cell's
+    rerun flag and allowance depend only on the multiset of its rules."""
     # per axis, a dict from piece (lo, hi) to its index, grown as pieces are
     # met; rows of one test function and depths share their cells
     index, planned = [{} for _ in grads], {}
@@ -827,21 +840,22 @@ def _layout(grads, fs, lams, quad, depths, merged):
     n = merged[row]
     on = (hi <= np.ldexp(1.0, -depths[row])) & (n > 0)
     counts, orders, exps = (np.where(on, v, a) for v, a in ((1, counts), (n, orders), (1, exps)))
+    # the default rule's calibration serves every rule whose target is at
+    # most its own, whose panels carry fewer turns than it checked
     target, _ = _ladder(quad.order, quad.waves_per_panel)
-    entry = _TRANSITION_PANELS.get((quad.order, quad.waves_per_panel))
-    if entry is None:
-        rerun = (orders >= quad.order).any(axis=1)
-        allow = np.where(rerun, 0.0, lo.shape[1] * target)
-    else:
-        # per axis, the target where analytic, the tabled error where larger
-        # on the transition piece [PLATEAU, 1], unclipped, and else inf: a
-        # cell with such an axis is rerun
-        edge = (lo == _PLATEAU) & (hi == 1.0)
-        table = _transition_errors(entry, quad.order)
-        tabled = table[orders, exps, np.minimum(counts, _TRANSITION_CHECKED + 1)]
-        axis = np.where(sizing[3], target, np.where(edge, np.maximum(tabled, target), np.inf))
-        rerun = np.isinf(axis).any(axis=1)
-        allow = np.where(rerun, 0.0, axis.sum(axis=1))
+    default = QuadratureConfig()
+    key = (default.order, default.waves_per_panel)
+    calibrated, _ = _ladder(*key)
+    table = _transition_errors(_TRANSITION_PANELS[key] if target <= calibrated else (),
+                               calibrated, quad.order)
+    # per axis, the target where analytic, the tabled error on the
+    # transition piece [PLATEAU, 1], unclipped, and else inf: a cell with
+    # such an axis is rerun
+    edge = (lo == _PLATEAU) & (hi == 1.0)
+    tabled = table[orders, exps, np.minimum(counts, _TRANSITION_CHECKED + 1)]
+    axis = np.where(sizing[3], target, np.where(edge, tabled, np.inf))
+    rerun = np.isinf(axis).any(axis=1)
+    allow = np.where(rerun, 0.0, axis.sum(axis=1))
     return row, lo, hi, counts, orders, exps, rerun, allow
 
 
@@ -895,29 +909,30 @@ def _reflections(p, fs, chi):
     return subs
 
 
-def _orbits(groups, keys, ids, row, rerun, live):
+def _orbits(groups, keys, ids, row, live):
     """Which cells of the table are evaluated, and in what pieces.  A cell's
-    key is its sub-row (`row`), its rerun flag and the least image, under
-    its sub-row's group (`groups`, from `_reflections`), of its per-axis
-    rules (`ids`, rows of `keys`): perm carries axis k's rule to axis
-    perm[k].  Permuting the coordinates turns the cell's sum into that of
-    its image, conjugated where perm negates the phase.  Rule ids rank by
-    value over every axis, so a row's keys and images do not depend on the
-    other rows of the call.  The first cell of each key in table order is
-    evaluated where `live`.  One walk of each group's moves gives both the
-    least images and the stabilizers, the moves whose image of a cell is the
-    cell itself.  An evaluated cell whose stabilizer moves an axis of three
-    panels or more is cut on each such axis into one panel cell per panel,
-    where a panel cell holds at least _PANEL_NODES nodes.  (With two panels,
-    the one such cell of a 3D sweep at lam 16 to 32 saved less kernel time
-    than its panel cells took to plan.)  The stabilizer maps the panel cells
-    onto each other, and the least image of each orbit, in the order of
-    their panels, is a piece; every other evaluated cell is one piece,
-    whole.  Returns per cell the cell whose value, rerun value and weight
-    mass it takes, and whether it takes their conjugate; then per piece, in
-    table order, its cell, its part of each axis's rule (-1 for the whole
-    rule, j for panel j), and how many panel cells of its cell take its sum
-    and how many its conjugate."""
+    key is its sub-row (`row`) and the least image, under its sub-row's
+    group (`groups`, from `_reflections`), of its per-axis rules (`ids`,
+    rows of `keys`): perm carries axis k's rule to axis perm[k].  Permuting
+    the coordinates turns the cell's sum into that of its image, conjugated
+    where perm negates the phase; its rerun flag and allowance depend only
+    on the multiset of its rules (`_layout`), so the image shares them.
+    Rule ids rank by value over every axis, so a row's keys and images do
+    not depend on the other rows of the call.  The first cell of each key
+    in table order is evaluated where `live`.  One walk of each group's
+    moves gives both the least images and the stabilizers, the moves whose
+    image of a cell is the cell itself.  An evaluated cell whose stabilizer
+    moves an axis of three panels or more is cut on each such axis into one
+    panel cell per panel, where a panel cell holds at least _PANEL_NODES
+    nodes.  (With two panels, the one such cell of a 3D sweep at lam 16 to
+    32 saved less kernel time than its panel cells took to plan.)  The
+    stabilizer maps the panel cells onto each other, and the least image of
+    each orbit, in the order of their panels, is a piece; every other
+    evaluated cell is one piece, whole.  Returns per cell the cell whose
+    value, rerun value and weight mass it takes, and whether it takes their
+    conjugate; then per piece, in table order, its cell, its part of each
+    axis's rule (-1 for the whole rule, j for panel j), and how many panel
+    cells of its cell take its sum and how many its conjugate."""
     n, d = ids.shape
     rep, conj, moves = np.arange(n), np.zeros(n, dtype=bool), []
     cut = np.zeros((n, d), dtype=bool)  # the axes a move that fixes the cell moves
@@ -942,7 +957,7 @@ def _orbits(groups, keys, ids, row, rerun, live):
                 moves.append((perm, negates, fixed))
                 cut[fixed] |= np.array(perm) != np.arange(d)
             best[mine], conj[mine] = least, flip
-        _, key = _rows(np.column_stack([2 * row + rerun, best]))
+        _, key = _rows(np.column_stack([row, best]))
         first = np.full(n, n)
         np.minimum.at(first, key, np.arange(n))
         rep = first[key]
@@ -1001,26 +1016,26 @@ def _evaluate(p, f, chi, lams, quad):
     the budget is refused before any quadrature: its result is flagged
     low-confidence, with no value or error and the planned count as nodes.
     Each cell axis's rule is a row of one table of the call's distinct rules
-    (lo, hi, panels, order, e), sorted by value over every axis; the rerun's
-    rules are the same rows at the lower order, after them.  One
+    (lo, hi, panels, order, e), sorted by value over every axis.  One
     `_run_level` takes the first cell of each orbit of every other row, in
     pieces where a permutation maps it to itself (one per orbit of its panel
-    cells, `_orbits`), then those rerun, each at the row's frequency times
-    its sub-row's term signs; a cell's value, rerun value and weight mass
-    are its pieces' over the panel cells that take them, and every other
-    cell takes its orbit's, conjugated where its permutation negates the
-    phase.  The reported error is the difference against a rerun on the same
-    panels at order max(n // 2, n - 4) on the axes at order n >= `order`,
-    summed over the cells rerun, plus target * (sum_k a_k) times the weight
-    mass of each cell not rerun: a_k is 1 on an analytic axis (a merged
-    piece too), and max(E, target) / target on an axis whose piece is the
-    whole transition [PLATEAU, 1], unclipped, with E the error
-    `_TRANSITION_PANELS` holds for its order n, map exponent e and panel
-    count P (E = target from P0(n, e) panels on).  Under a rule with an
-    entry there only a cell with an axis off the plateau that has no tabled
-    error is rerun: one clipped by a factor, or with more panels than a row
-    that has no P0.  A rule without an entry reruns every cell with an axis
-    at order n >= `order`, and a = 1 on every axis of the others.
+    cells, `_orbits`), each at the row's frequency times its sub-row's term
+    signs; a cell's value and weight mass are its pieces' over the panel
+    cells that take them, and every other cell takes its orbit's,
+    conjugated where its permutation negates the phase.  The reported error
+    is the allowance of each cell not rerun times its weight mass: target *
+    sum_k a_k, a_k 1 on an analytic axis (a merged piece too), and
+    max(E, T) / target on an axis whose piece is the whole transition
+    [PLATEAU, 1], unclipped, with E the error `_TRANSITION_PANELS` holds for
+    its order n, map exponent e and panel count P under the default rule,
+    whose target is T (E = T from P0(n, e) panels on).  It serves every rule
+    whose target is at most T.  Only where no such error is tabled, on an
+    axis whose transition piece a factor clips, under a coarser rule, or at
+    an order without a row, is the cell rerun, in a second `_run_level`
+    made only when some piece needs it: on the same panels at order
+    max(n // 2, n - 4) on the axes at order n >= `order`, its pieces taken
+    as the first pass's.  The difference, summed over the cells rerun, adds
+    to the error.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -1054,38 +1069,35 @@ def _evaluate(p, f, chi, lams, quad):
     planned = np.multiply(counts, orders, dtype=float).prod(axis=1) * (plain + twin)
     planned = np.array([planned[a:b].sum() for a, b in zip(ends, ends[1:])])
     # the call's distinct rules (lo, hi, panels, order, e), by value over
-    # every axis, and each cell axis's among them; then the same rules at
-    # the rerun's order, max(n // 2, n - 4) for n >= `order`
+    # every axis, and each cell axis's among them
     rules, ids = _rows(np.stack([lo, hi, counts, orders, exps], axis=2).reshape(-1, 5))
     ids = ids.reshape(lo.shape)
-    low, n_k = rules.copy(), rules[:, 3]
-    low[:, 3] = np.where(n_k >= quad.order, np.maximum(n_k // 2, n_k - 4), n_k)
-    keys = np.concatenate([rules, low])
     # the first cell of each orbit of the rows in budget is evaluated, in
     # pieces where it is self-symmetric
     live = ~(planned > quad.node_budget)[parent[row]]
-    rep, conj, owner, part, once, twice = _orbits(groups, keys, ids, row, rerun, live)
-    again = rerun[owner]
-    take = row[np.concatenate([owner, owner[again]])]
+    rep, conj, owner, part, once, twice = _orbits(groups, rules, ids, row, live)
     # one frequency per piece, or one per piece and term where a term sign is -1
-    freqs = np.array(lams)[parent[take]]
+    freqs = np.array(lams)[parent[row[owner]]]
     if (signs < 0).any():
-        freqs = freqs[:, None] * signs[take]
-    low = ids[owner[again]] + len(rules)  # at the rerun's lower order
-    values, mass = _run_level(p, keys, np.concatenate([ids[owner], low]),
-                              np.concatenate([part, part[again]]), freqs)
+        freqs = freqs[:, None] * signs[row[owner]]
+    values, mass = _run_level(p, rules, ids[owner], part, freqs)
+    # the pieces of the cells rerun, on the same panels at order
+    # max(n // 2, n - 4) for n >= `order`
+    rerun_values, again = np.zeros(len(owner), complex), rerun[owner]
+    if again.any():
+        low, n_k = rules.copy(), rules[:, 3]
+        low[:, 3] = np.where(n_k >= quad.order, np.maximum(n_k // 2, n_k - 4), n_k)
+        rerun_values[again], _ = _run_level(p, low, ids[owner[again]], part[again], freqs[again])
     # per piece, its value, rerun value and weight mass over the panel
     # cells that take it or its conjugate, summed onto its cell; then each
     # cell takes its key's first, over its sub-row's plain and conjugate
     # copies, conjugated once more where its permutation says so
-    first = len(owner)
-    sums = [values[:first], np.zeros(first, complex), mass[:first] * (once + twice)]
-    sums[1][again] = values[first:]
+    sums = [values, rerun_values, mass * (once + twice)]
     for v in sums[:2]:
         v.real *= once + twice
         v.imag *= once - twice
     value, check, weight = *np.zeros((2, n), complex), np.zeros(n)
-    if first:
+    if len(owner):
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
         value[owner[starts]], check[owner[starts]], weight[owner[starts]] = (
             np.add.reduceat(v, starts) for v in sums)
@@ -1134,13 +1146,12 @@ def certify_results(results: Sequence[OscResult], p: PhasePolynomial,
 def evaluate_lambda(p: PhasePolynomial, f: TestFunctionSpec, chi: CutoffSpec,
                     lam: float, *, quad: QuadratureConfig = QuadratureConfig(),
                     certify: bool = False, query: ExponentQuery | None = None,
-                    n: NewtonPolyhedron | None = None,
-                    cert_constant: float = DEFAULT_CERT_CONSTANT) -> OscResult:
+                    n: NewtonPolyhedron | None = None) -> OscResult:
     """Tensor-panel quadrature of the oscillatory form at one frequency, the
     one-row case of `_evaluate`; with `certify` it carries its certificate."""
     (r, _, _), = _evaluate(p, f, chi, [lam], quad)
     if certify:
-        r, = certify_results([r], p, f, chi, query=query, n=n, constant=cert_constant)
+        r, = certify_results([r], p, f, chi, query=query, n=n)
     return r
 
 
@@ -1223,9 +1234,7 @@ def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[
 
 def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunctionSpec],
                  chi: CutoffSpec | Sequence[CutoffSpec], lambdas: Sequence[float], *,
-                 quad: QuadratureConfig = QuadratureConfig(),
-                 certify: bool = False, query: ExponentQuery | None = None,
-                 n: NewtonPolyhedron | None = None) -> tuple[OscResult, ...]:
+                 quad: QuadratureConfig = QuadratureConfig()) -> tuple[OscResult, ...]:
     """Evaluate the form at every frequency, one result each, equal to
     `evaluate_lambda`'s at each frequency.  `f` and `chi` are each one test
     function or cutoff for every frequency, or a sequence of one per
@@ -1233,7 +1242,8 @@ def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunction
     the frequencies are a grid: strictly increasing, and at most
     MAX_LAM_COUNT of them.  Per-row sequences are independent rows, in any
     order.  Every frequency is at least MIN_LAMBDA.  All rows are evaluated
-    as one batch of cells (`_evaluate`), so they share its set-up."""
+    as one batch of cells (`_evaluate`), so they share its set-up;
+    `certify_results` adds their certificates."""
     lams = [float(x) for x in lambdas]
     fs, chis = _per_row(f, chi, len(lams))
     if not lams:
@@ -1246,7 +1256,4 @@ def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunction
             raise OscError("lambda grid must be strictly increasing")
     if any(lam < MIN_LAMBDA for lam in lams):
         raise OscError(f"decay sweeps start at lambda >= {MIN_LAMBDA:g}")
-    results = [r for r, _, _ in _evaluate(p, fs, chis, lams, quad)]
-    if certify:
-        return certify_results(results, p, fs, chis, query=query, n=n)
-    return tuple(results)
+    return tuple(r for r, _, _ in _evaluate(p, fs, chis, lams, quad))

@@ -5,10 +5,12 @@ multi-indices (tuples of nonnegative ints, one entry per variable) to nonzero
 Fraction coefficients.  All symbolic work (parsing, differentiation, face
 restriction, coefficient transforms) is exact and returns another
 `PhasePolynomial`.  Floats only appear in one cached float conversion of the
-coefficients, which the quadrature's panel sizing reads term by term and two
-evaluators share: `evaluate` takes points or broadcasting arrays and serves
-the nondegeneracy sweeps, and `evaluate_tensor` writes a scaled phase on a
-batch of tensor grids into a given buffer for the quadrature kernel.
+coefficients, which two evaluators share: `evaluate` takes points or
+broadcasting arrays and serves the nondegeneracy sweeps, and
+`evaluate_tensor` writes a scaled phase on a batch of tensor grids into a
+given buffer for the quadrature kernel.  The quadrature's panel sizing
+(`oscint._sizing`) reads the conversion term by term too: it rounds as
+`evaluate` would at a cell's corner, without calling it.
 
 The *reduced* form drops every term whose exponent has fewer than two
 strictly positive entries: such terms never influence the mixed second
@@ -70,8 +72,7 @@ class PhasePolynomial:
 
     @classmethod
     def from_terms(cls, terms: Mapping[Sequence[int], Fraction | int | str],
-                   dimension: int, *, reduced: bool = False,
-                   allow_zero: bool = False) -> "PhasePolynomial":
+                   dimension: int, *, reduced: bool = False) -> "PhasePolynomial":
         """Build from a {multi-index: coefficient} mapping, dropping zeros."""
         clean: dict[MultiIndex, Fraction] = {}
         for alpha, c in terms.items():
@@ -81,7 +82,7 @@ class PhasePolynomial:
                 clean[a] = clean.get(a, Fraction(0)) + cf
                 if clean[a] == 0:
                     del clean[a]
-        if not clean and not allow_zero:
+        if not clean:
             raise EmptyPhaseError("polynomial has no nonzero terms")
         if reduced:
             bad = [a for a in clean if sum(e > 0 for e in a) < 2]

@@ -750,8 +750,7 @@ class TestVerifyCommand:
 
         def per_vertex(boxes, results, chain_ok):
             return sharpness_test(p, n, ExponentQuery.all_inf(2), boxes[0], Fraction(1, 4),
-                                  [lam for lam, *_ in boxes[3]], dual=dual_polyhedron(n),
-                                  boxes=boxes)
+                                  [lam for lam, *_ in boxes[3]], dual=dual_polyhedron(n))
 
         monkeypatch.setattr("oscdecay.cli.sharpness_witness", per_vertex)
         evaluations.clear()

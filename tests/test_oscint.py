@@ -36,6 +36,7 @@ from oscdecay.oscint import (
     _step_table,
     bump,
     certificate_sum,
+    certify_results,
     evaluate_lambda,
     lambda_grid,
     lambda_sweep,
@@ -1629,24 +1630,30 @@ class TestSweep:
     ], ids=["x1*x2*x3", "two-terms"])
     def test_benchmark_3d_templates_run_no_rerun(self, monkeypatch, text, lams, unresolved):
         # the table holds the error of every transition axis of these
-        # sweeps, so the rerun runs no kernel node; under a table that holds
-        # none it runs `unresolved`
+        # sweeps, so the call runs one `_run_level`, the first pass.  The
+        # rerun is a second one: under a table that holds none it runs
+        # `unresolved` nodes, and it runs where a box factor clips the
+        # transition piece
         nodes, real = [], oscint._run_level
 
         def spy(p, keys, ids, parts, lams):
-            # the rerun's pieces take the rules after the first pass's
-            again = (ids >= len(keys) // 2).all(axis=1)
             panels, order = (keys[:, c].astype(np.int64)[ids] for c in (2, 3))
-            nodes.append(np.where(parts < 0, panels * order, order)[again].prod(axis=1).sum())
+            nodes.append(np.where(parts < 0, panels * order, order).prod(axis=1).sum())
             return real(p, keys, ids, parts, lams)
 
         monkeypatch.setattr(oscint, "_run_level", spy)
+        p, ones = phase(text, 3), TestFunctionSpec.ones(3)
+        lambda_sweep(p, ones, CHI_POS, lams)
+        assert len(nodes) == 1
         key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
-        for table, want in ((oscint._TRANSITION_PANELS, 0), ({key: ()}, unresolved)):
-            monkeypatch.setattr(oscint, "_TRANSITION_PANELS", table)
+        with monkeypatch.context() as m:
+            m.setattr(oscint, "_TRANSITION_PANELS", {key: ()})
             nodes.clear()
-            lambda_sweep(phase(text, 3), TestFunctionSpec.ones(3), CHI_POS, lams)
-            assert nodes == [want]
+            lambda_sweep(p, ones, CHI_POS, lams)
+            assert len(nodes) == 2 and nodes[1] == unresolved
+        nodes.clear()
+        lambda_sweep(p, TestFunctionSpec.boxes([(0.0, 0.9)] * 3), CHI_POS, lams)
+        assert len(nodes) == 2 and nodes[1] > 0
 
     @pytest.mark.parametrize("chi, f", [
         (CHI, TestFunctionSpec.boxes([(-0.9, 0.7), (-0.6, 0.95)])),
@@ -1693,32 +1700,66 @@ class TestSweep:
                  for text in ("x1*x2", "x1^3*x2^3")]
         assert nodes == [968_400, 2_453_248]
 
-    @pytest.mark.parametrize("waves, lam, kernel, error, grouped", [
-        pytest.param(2.0, 256.0, 49_440, 8.209120413601127e-09, 28_880,
-                     id="2.0-256.0-49440-8.209120413601127e-09"),
-        pytest.param(0.5, 64.0, 29_808, 3.485047506192388e-08, 19_616,
-                     id="0.5-64.0-29808-3.485047506192388e-08"),
-    ])
-    def test_rule_without_table_entry_reruns_every_cell_at_order(
-            self, monkeypatch, waves, lam, kernel, error, grouped):
-        # no panel count resolves the transition for these rules, whose
-        # targets lie below the float floor: every cell with an axis at
-        # order 16 or above keeps its rerun, plateau-only ones too, and err
-        # is what that rerun gives.  One cell per orbit of the axis swap,
-        # and one panel cell per orbit inside the cells it fixes (34,304
-        # with those whole at lam 256), runs `grouped`, and gives that err
-        # to rounding
-        calls = kernel_calls(monkeypatch)
-        args = (phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS, lam)
-        with monkeypatch.context() as m:
-            ungrouped(m)
-            r = evaluate_lambda(*args, quad=QuadratureConfig(waves_per_panel=waves))
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
-        assert r.error == pytest.approx(error, rel=1e-9)
-        calls.clear()
-        r = evaluate_lambda(*args, quad=QuadratureConfig(waves_per_panel=waves))
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == grouped
-        assert r.error == pytest.approx(error, rel=1e-8)
+    @staticmethod
+    def layout_reruns(monkeypatch):
+        """A list that gets, per `_layout` call from now on, its cells' piece
+        ends lo and hi, their Gauss orders and whether the error estimate
+        reruns each cell."""
+        layouts, real = [], oscint._layout
+
+        def spy(*args):
+            out = real(*args)
+            layouts.append((out[1], out[2], out[4], out[-2]))
+            return out
+
+        monkeypatch.setattr(oscint, "_layout", spy)
+        return layouts
+
+    @pytest.mark.parametrize("waves", [0.5, 2.0])
+    def test_finer_rules_take_the_default_rules_table(self, monkeypatch, waves):
+        # a rule whose target is below the default's puts fewer turns on
+        # each panel than the calibration checked, so the default rule's
+        # table bounds its transition axes, the default's target from P0
+        # on: no cell is rerun, and err still bounds the deviation from the
+        # exact value
+        layouts = self.layout_reruns(monkeypatch)
+        quad = QuadratureConfig(waves_per_panel=waves)
+        for text, a in (("x1*x2", (1, 1)), ("x1^3*x2^3", (3, 3))):
+            for chi, exact in ((CHI_POS, oracle_mellin.orthant), (CHI, oracle_mellin.whole_space)):
+                layouts.clear()
+                results = lambda_sweep(phase(text), TestFunctionSpec.ones(2), chi,
+                                       (1024.0, 2048.0), quad=quad)
+                (*_, rerun), = layouts
+                assert not rerun.any()
+                for r in results:
+                    dev = abs(r.value - exact(a, 1.0, r.lam))
+                    assert r.error >= dev, (text, chi.positive_orthant, r.lam)
+
+    @pytest.mark.parametrize("quad, rows", [
+        (QuadratureConfig(waves_per_panel=6.0), ()),
+        (QuadratureConfig(order=12, waves_per_panel=1.0), (16, 24, 32)),
+    ], ids=["coarser", "order-12"])
+    def test_rules_the_table_cannot_serve_rerun(self, monkeypatch, quad, rows):
+        # a 6-wave rule's panels carry more turns than the table was
+        # calibrated on, and the table has no row for 12 points: every cell
+        # with an axis on the transition piece at an order the table does
+        # not serve is rerun, in a second `_run_level`, and no other
+        layouts = self.layout_reruns(monkeypatch)
+        levels, real = [], oscint._run_level
+
+        def spy(*args):
+            levels.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(oscint, "_run_level", spy)
+        results = lambda_sweep(phase("x1^3*x2^3"), TestFunctionSpec.ones(2), CHI_POS,
+                               (1024.0, 2048.0), quad=quad)
+        (lo, hi, orders, rerun), = layouts
+        assert rerun.any() and len(levels) == 2
+        untabled = (lo == 0.5) & (hi == 1.0) & ~np.isin(orders, rows)
+        assert rerun.tolist() == untabled.any(axis=1).tolist()
+        for r in results:
+            assert r.error >= abs(r.value - oracle_mellin.orthant((3, 3), 1.0, r.lam))
 
     @pytest.mark.parametrize("text, d, lams", [
         ("x1*x2", 2, lambda_grid(64, 2048, 11)),
@@ -1819,7 +1860,7 @@ class TestRuleTable:
     ], ids=["product-orthant", "3d", "boxes", "budget", "3d-depths", "clipped-merge"])
     def test_sweep_equals_lone_evaluations(self, text, d, f, chi, lams, quad, flagged):
         p = phase(text, d)
-        sweep = lambda_sweep(p, f, chi, lams, quad=quad, certify=True)
+        sweep = certify_results(lambda_sweep(p, f, chi, lams, quad=quad), p, f, chi)
         lone = [evaluate_lambda(p, f, chi, lam, quad=quad, certify=True) for lam in lams]
         assert [fields(r) for r in sweep] == [fields(r) for r in lone]
         assert [r.low_confidence for r in sweep] == ([False] * (len(lams) - flagged)
@@ -1870,7 +1911,8 @@ class TestBatchedRows:
     ], ids=["default", "budget"])
     def test_rows_equal_lone_evaluations(self, quad, flagged):
         p = phase("x1^3*x2 + x1*x2^2")
-        sweep = lambda_sweep(p, self.FS, CHI, self.LAMS, quad=quad, certify=True)
+        sweep = certify_results(lambda_sweep(p, self.FS, CHI, self.LAMS, quad=quad), p,
+                                self.FS, CHI)
         lone = [evaluate_lambda(p, f, CHI, lam, quad=quad, certify=True)
                 for f, lam in zip(self.FS, self.LAMS)]
         assert [fields(r) for r in sweep] == [fields(r) for r in lone]
@@ -1899,7 +1941,7 @@ class TestBatchedRows:
             assert fields(r) == fields(want)
             assert values.tobytes() == want_values.tobytes()
             assert nodes.tolist() == want_nodes.tolist()
-        sweep = lambda_sweep(p, fs, chis, lams, certify=True)
+        sweep = certify_results(lambda_sweep(p, fs, chis, lams), p, fs, chis)
         lone = [evaluate_lambda(p, f, chi, lam, certify=True)
                 for f, chi, lam in zip(fs, chis, lams)]
         assert [fields(r) for r in sweep] == [fields(r) for r in lone]
@@ -2012,6 +2054,32 @@ class TestOrbits:
         if kind != "asymmetric" and factors in ("ones", "even-boxes", "equal-boxes"):
             # the swap of x1 and x2 maps the phase to plus or minus itself
             assert len(oscint._reflections(p, [f], chi)[f][0][4]) > 1
+
+    @given(st.integers(0, 2 ** 16), st.sampled_from([2, 3]),
+           st.sampled_from(["symmetric", "antisymmetric", "asymmetric"]),
+           st.sampled_from(list(FACTORS)), st.booleans(), st.sampled_from([4.0, 6.0]))
+    @settings(max_examples=30)
+    def test_orbit_shares_rerun_flag_and_allowance(self, seed, d, kind, factors, orthant,
+                                                   waves):
+        # a cell's rerun flag and allowance depend only on the multiset of
+        # its axis rules, which every cell of its orbit shares: the orbit
+        # key needs neither, on the default rule, where no whole-line cell
+        # is rerun, and on a coarser one, which reruns its transition cells
+        p, f = seeded_phase(seed, d, kind), self.FACTORS[factors](d)
+        lams = (24.0, 96.0) if d == 2 else (8.0, 20.0)
+        seen = {}
+        with pytest.MonkeyPatch.context() as m:
+            for name in ("_layout", "_orbits"):
+                def spy(*args, real=getattr(oscint, name), name=name):
+                    seen[name] = real(*args)
+                    return seen[name]
+                m.setattr(oscint, name, spy)
+            lambda_sweep(p, f, CutoffSpec(positive_orthant=orthant), lams,
+                         quad=QuadratureConfig(waves_per_panel=waves))
+        *_, rerun, allow = seen["_layout"]
+        rep = seen["_orbits"][0]
+        assert rerun[rep].tolist() == rerun.tolist()
+        assert allow[rep].tolist() == allow.tolist()
 
     def test_conjugate_path(self, monkeypatch):
         # swapping the axes negates x1^2*x2 - x1*x2^2: a cell off the

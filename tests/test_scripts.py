@@ -62,17 +62,43 @@ def test_reference_rule_is_a_valid_configuration():
     assert ref.order >= default.order and ref.waves_per_panel < default.waves_per_panel
 
 
+def test_every_transition_row_has_a_p0():
+    # a row holds the errors below P0, so one shorter than the counts the
+    # calibration checks has a P0, and every panel count a tabled error
+    from oscdecay.oscint import _TRANSITION_CHECKED, _TRANSITION_PANELS
+    for entry in _TRANSITION_PANELS.values():
+        for e, rows in entry:
+            for n, errors in rows:
+                assert len(errors) < _TRANSITION_CHECKED, (e, n)
+
+
+def _calibration():
+    """scripts/calibrate_transition.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(
+        "calibrate_transition", ROOT / "scripts" / "calibrate_transition.py")
+    cal = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(cal)
+    return cal
+
+
+def test_calibration_refuses_a_row_without_p0(monkeypatch):
+    # 16 points at e = 1 meet the target from 6 panels on: checked to 4,
+    # the row has no P0, and the script exits 1 naming it
+    cal = _calibration()
+    monkeypatch.setattr(cal, "MAX_PANELS", 4)
+    with pytest.raises(SystemExit) as refused:
+        cal.transition_errors(16, 4.0, 1)
+    assert refused.value.code == ("rule (16, 4.0): the row of n = 16 at e = 1 "
+                                  "has no P0 up to 4 panels")
+
+
 @pytest.mark.slow
 def test_transition_table_is_the_calibrated_one():
     # the shipped entry for the default rule is what the calibration derives,
     # row by row at every map exponent: each error is at least the calibrated
     # worst error of its panel count, and the first count whose worst error
-    # meets the target is P0, the row's length plus 1; no count of the row
-    # of 16 points at e = 5 meets it
-    spec = importlib.util.spec_from_file_location(
-        "calibrate_transition", ROOT / "scripts" / "calibrate_transition.py")
-    cal = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cal)
+    # meets the target is P0, the row's length plus 1
+    cal = _calibration()
     from oscdecay.oscint import _MAX_MAP, _TRANSITION_PANELS, QuadratureConfig, _ladder
     key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
     shipped = _TRANSITION_PANELS[key]
@@ -81,7 +107,7 @@ def test_transition_table_is_the_calibrated_one():
         assert (e, rows) == want
     # the panel counts P0 of the table before it held errors
     assert [[len(errors) + 1 for _, errors in rows] for _, rows in shipped] == [
-        [6, 3, 2], [8, 3, 2], [10, 6, 5], [18, 13, 10], [cal.MAX_PANELS + 1, 27, 20]]
+        [6, 3, 2], [8, 3, 2], [10, 6, 5], [18, 13, 10], [37, 27, 20]]
     target, rungs = _ladder(*key)
     most = {n: m for n, m, _ in rungs}
     for e, rows in shipped:
