@@ -1,10 +1,11 @@
 """Derive the transition error table that sizes the allowance of transition axes.
 
-For a rule (order, waves_per_panel), each map exponent e and each Gauss
-order n an axis off the cutoff plateau may take, E(n, P, e) is the largest
-error of P n-point panels at map exponent e on the cutoff's transition
-piece [1/2, 1] (`oscint._rule_table`) on profile * exp(i w x^e), relative
-to the profile's mass on the piece.  The frequencies w, FREQUENCIES of
+For the default rule (order, waves_per_panel), `oscint._TRANSITION_RULE`,
+the only one the table is calibrated for, each map exponent e and each
+Gauss order n an axis off the cutoff plateau may take, E(n, P, e) is the
+largest error of P n-point panels at map exponent e on the cutoff's
+transition piece [1/2, 1] (`oscint._rule_table`) on profile * exp(i w x^e),
+relative to the profile's mass on the piece.  The frequencies w, FREQUENCIES of
 them, run up to the one at which each panel carries n's most turns per
 panel (`oscint._ladder`): the panels split the phase w x^e into equal
 shares.  The exact integral is a dense composite Gauss rule on the whole
@@ -15,10 +16,12 @@ P0 is its length plus 1.  Counts above MAX_PANELS are not checked: on
 narrower panels the profile is closer to polynomial, and the error tends
 to the oscillation's alone, which the ladder already bounds.  A row with
 no P0 up to MAX_PANELS would leave larger counts without a tabled error,
-so the script names it and exits 1.  The output is the entry of
-`oscint._TRANSITION_PANELS` for the rule, one line per (e, n).
+so the script names it and exits 1.  The output is
+`oscint._TRANSITION_PANELS`, one line per (e, n), and whether the shipped
+table is the same.  `oscint.QuadratureConfig` refuses every rule this
+table does not vouch for.
 
-    python scripts/calibrate_transition.py --order 16 --waves 4
+    PYTHONPATH=src python scripts/calibrate_transition.py
 """
 import argparse
 from decimal import ROUND_CEILING, Decimal
@@ -26,8 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from oscdecay.oscint import (_MAX_MAP, _TRANSITION_CHECKED, _TRANSITION_PANELS, PLATEAU,
-                             _ladder, _rule_table)
+from oscdecay.oscint import (_MAX_MAP, _TRANSITION_CHECKED, _TRANSITION_PANELS,
+                             _TRANSITION_RULE, PLATEAU, _ladder, _rule_table)
 
 # frequencies checked per panel count, and the largest panel count checked
 FREQUENCIES = 400
@@ -76,18 +79,18 @@ def round_up(x):
                             rounding=ROUND_CEILING))
 
 
-def transition_errors(order, waves, e=1):
+def transition_errors(e):
     """((n, (E(n, 1, e), ..., E(n, P0 - 1, e))), ...), each error rounded up,
-    for the orders of the rule (order, waves) that an axis off the plateau
-    may take; a row without P0 up to MAX_PANELS exits 1, naming it."""
-    target, rungs = _ladder(order, waves)
+    for the orders of the default rule that an axis off the plateau may
+    take; a row without P0 up to MAX_PANELS exits 1, naming it."""
+    target, rungs = _ladder(*_TRANSITION_RULE)
     table = []
     for n, most, plateau in rungs:
         if plateau:
             continue
         errors = [worst_error(n, panels, most, e) for panels in range(1, MAX_PANELS + 1)]
         if errors[-1] > target:
-            raise SystemExit(f"rule {(order, waves)}: the row of n = {n} at e = {e} "
+            raise SystemExit(f"rule {_TRANSITION_RULE}: the row of n = {n} at e = {e} "
                              f"has no P0 up to {MAX_PANELS} panels")
         least = MAX_PANELS
         while least > 1 and errors[least - 2] <= target:
@@ -96,28 +99,22 @@ def transition_errors(order, waves, e=1):
     return tuple(table)
 
 
-def transition_table(order, waves):
-    """The entry of `oscint._TRANSITION_PANELS` for the rule (order, waves):
-    (e, transition_errors(order, waves, e)) for e = 1.._MAX_MAP."""
-    return tuple((e, transition_errors(order, waves, e)) for e in range(1, _MAX_MAP + 1))
+def transition_table():
+    """`oscint._TRANSITION_PANELS` as derived: (e, transition_errors(e)) for
+    e = 1.._MAX_MAP."""
+    return tuple((e, transition_errors(e)) for e in range(1, _MAX_MAP + 1))
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--order", type=int, default=16)
-    ap.add_argument("--waves", type=float, default=4.0)
-    args = ap.parse_args()
-
-    target, _ = _ladder(args.order, args.waves)
-    key = (args.order, args.waves)
-    table = transition_table(*key)
-    print(f"rule {key}: per-panel target {target:.3g}")
+    argparse.ArgumentParser(description=__doc__.split("\n\n")[0]).parse_args()
+    target, _ = _ladder(*_TRANSITION_RULE)
+    table = transition_table()
+    print(f"rule {_TRANSITION_RULE}: per-panel target {target:.3g}")
     for e, rows in table:
         for n, errors in rows:
             print(f"    e = {e}, n = {n} (P0 {len(errors) + 1}): {errors}")
-    shipped = _TRANSITION_PANELS.get(key)
-    print("shipped: " + ("no entry" if shipped is None else
-                         "the same" if shipped == table else f"differs: {shipped}"))
+    print("shipped: " + ("the same" if _TRANSITION_PANELS == table else
+                         f"differs: {_TRANSITION_PANELS}"))
 
 
 if __name__ == "__main__":

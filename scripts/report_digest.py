@@ -5,11 +5,13 @@ report with `config.out_json` blanked, everything written to stderr and
 the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  Each line is a job's digest, the number of
 `oscint._kernel` calls the job made, the number of `oscint._evaluate`
-calls (each pays the quadrature's set-up once), the kernel nodes (the sum
-over its `_kernel` calls of cells times the nodes per axis, B * prod n_k),
-and its command; then comes the digest of all the job digests.  The call
-and node counts are not hashed: they show how a change to the kernel's
-batching, grouping or error estimate moves each job.  The
+calls (each pays the quadrature's set-up once), the number of
+`oscint._run_level` calls (one per `_evaluate`, and a second where the
+error estimate reruns cells), the kernel nodes (the sum over its `_kernel`
+calls of cells times the nodes per axis, B * prod n_k), and its command;
+then comes the digest of all the job digests.  The call and node counts
+are not hashed: they show how a change to the kernel's batching, grouping
+or error estimate moves each job.  The
 last line, not hashed either, gives the size of the `oscdecay` package
 that ran: its lines (`wc -l`) and its code lines, those outside
 docstrings, comments and blanks.
@@ -173,13 +175,14 @@ def source_size(package: Path) -> tuple[int, int]:
 def main() -> None:
     argparse.ArgumentParser(description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
-    digests, real = [], {name: getattr(oscint, name) for name in ("_kernel", "_evaluate")}
+    digests, real = [], {name: getattr(oscint, name)
+                         for name in ("_kernel", "_evaluate", "_run_level")}
     calls = {name: [] for name in real}
 
     def counted(name):
         def spy(*args):
             # per call, its kernel nodes: B cells times the nodes of each of
-            # its (B, n_k) axes; 0 for `_evaluate`
+            # its (B, n_k) axes; 0 for the others
             axes = args[2] if name == "_kernel" else ()
             calls[name].append(math.prod([axes[0].shape[0]] + [x.shape[1] for x in axes])
                                if axes else 0)

@@ -38,7 +38,7 @@ from .exponent import ExponentQuery, sharp_exponent
 from .nondegen import MAX_FACE_CELLS, check_nondegeneracy, max_grid
 from .oscint import (MAX_LAM_COUNT, MAX_LEVELS, MIN_LAMBDA, PLATEAU, CutoffSpec, OscError,
                      QuadratureConfig, TestFunctionSpec, certify_results, lambda_grid,
-                     lambda_grid_ratio, lambda_sweep)
+                     lambda_sweep)
 from .phase import parse_phase, reduce_phase
 from .polytope import (
     MAX_DIMENSION,
@@ -110,7 +110,7 @@ class RunConfig:
                 and (self.lam_count == 1 or self.lam_lo < self.lam_hi)):
             raise CliError(f"frequency range needs {MIN_LAMBDA:g} <= lam-lo < lam-hi")
         try:
-            lambda_grid_ratio(self.lam_lo, self.lam_hi, self.lam_count)
+            lambda_grid(self.lam_lo, self.lam_hi, self.lam_count)
         except OscError:
             # each bound is finite, but the grid's top point rounds past the float range
             raise CliError(f"frequency grid from {self.lam_lo:g} to {self.lam_hi:g} in "

@@ -24,9 +24,13 @@ cells of a cell that such a permutation maps to itself, one per orbit
 (`_orbits`).  The evaluated cells of every row are one batch
 (`_run_level`): each rule is built once (`_rule_table`), and the cells of
 each shape are one `_kernel` call, with each cell's term signs folded into
-its per-term scale.  The error estimate reads each transition axis's
-error from a calibrated table (`_TRANSITION_PANELS`); the few cells it
-cannot serve are rerun at a lower order in a second batch (`_evaluate`).
+its per-term scale.  The error estimate is planned with the cells, before
+any quadrature (`_layout`): each cell's allowance per axis, the rule's
+target on the plateau and the default rule's calibrated error on the whole
+transition piece (`_TRANSITION_PANELS`), times its weight mass in closed
+form.  Only a rule that table vouches for is accepted (`QuadratureConfig`),
+and only a cell whose transition piece a box factor clips is rerun at a
+lower order, in a second batch (`_evaluate`).
 A kernel block holds whole cells in a per-thread workspace of _BLOCK
 floats, within a core's L2 cache; cells whose rows do not fit one block
 are cut into runs that do (`_runs`), each cell the sum of its runs.
@@ -48,7 +52,6 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import permutations, product
-from types import MappingProxyType
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -61,7 +64,7 @@ __all__ = [
     "OscError", "CutoffSpec", "FactorSpec", "TestFunctionSpec",
     "QuadratureConfig", "OscResult", "bump",
     "smooth_step", "evaluate_lambda", "box_envelope", "certificate_sum", "certify_results",
-    "lambda_grid", "lambda_grid_ratio", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS",
+    "lambda_grid", "lambda_sweep", "DEFAULT_CERT_CONSTANT", "MAX_LEVELS",
     "MAX_LAM_COUNT", "MIN_LAMBDA", "PLATEAU",
 ]
 
@@ -263,7 +266,12 @@ class QuadratureConfig:
     (the last two on wider panels), or on the cutoff plateau also 4, 8 or 12,
     on panels at equal steps of x^e, e = 1..5 (`_panel_counts`).  A
     frequency whose rule needs more than `node_budget` nodes is refused
-    before any quadrature (`_evaluate`)."""
+    before any quadrature (`_evaluate`).  A whole transition axis's error is
+    the default rule's calibrated one (`_TRANSITION_PANELS`), so a rule is
+    refused whose target exceeds the default's, as its panels would carry
+    more turns than the calibration checked, or that lets an axis off the
+    plateau take an order the table has no row for: of the orders, only 16,
+    24 and 32 are accepted."""
     order: int = 16                 # Gauss nodes per panel of the target
     waves_per_panel: float = 4.0    # phase turns per panel of the target
     node_budget: int = 300_000_000  # tensor points per evaluation level
@@ -273,16 +281,26 @@ class QuadratureConfig:
         if not (self.order >= 2 and 0 < self.waves_per_panel < math.inf
                 and 1 <= self.node_budget < math.inf):
             raise OscError("bad quadrature configuration")
+        rule = f"rule {(self.order, self.waves_per_panel)}"
+        target, rungs = _ladder(self.order, self.waves_per_panel)
+        if target > _ladder(*_TRANSITION_RULE)[0]:
+            raise OscError(f"{rule}: its per-panel error target exceeds the default rule's, "
+                           "which the transition table is calibrated for")
+        tabled = set.intersection(*({n for n, _ in rows} for _, rows in _TRANSITION_PANELS))
+        untabled = [n for n, _, plateau in rungs if not (plateau or n in tabled)]
+        if untabled:
+            raise OscError(f"{rule}: the transition table has no row for order {untabled[0]}")
 
 
 @dataclass(frozen=True)
 class OscResult:
     lam: float
     value: complex | None  # None where the frequency was refused
-    # each cell's allowance: the target per axis, or a whole transition
-    # axis's calibrated error where larger; plus, over the few cells no
-    # allowance serves, the difference against a lower-order rerun (the rule
-    # is in _evaluate's docstring); None where refused
+    # each cell's allowance, the target per axis, or a whole transition
+    # axis's calibrated error where larger, times its weight mass in closed
+    # form; plus, over the cells whose transition piece a box factor clips,
+    # the difference against a lower-order rerun (the rule is in _evaluate's
+    # docstring); None where refused
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
     # the rule's node count over every orthant, refused or not; the kernel
@@ -428,21 +446,21 @@ def _panel_counts(lams, sizing, quad):
 
 
 # The calibrated error of the cutoff's transition piece [PLATEAU, 1] under
-# the default rule (order, waves_per_panel), as (e, ((n, errors), ...))
-# pairs per map exponent e and Gauss order n an axis off the plateau may
-# take: errors[P - 1] is the largest error E(n, P, e) of P n-point panels at
-# map exponent e on profile * exp(i w x^e) there, relative to the profile's
-# mass on the piece, at every w up to n's most turns per panel, rounded up
-# to 2 significant digits (derived by scripts/calibrate_transition.py).  A
-# row runs to P0 - 1, P0(n, e) the panel count from which on, up to
-# _TRANSITION_CHECKED, E meets the target; every row has a P0, and the
-# script refuses a row without one.  An axis on the whole, unclipped piece
-# adds max(E, target) times its cell's weight mass to the error estimate,
-# the target alone from P0 panels on, under every rule whose own target is
-# at most this one's (`_layout`); a missing (n, e), a clipped piece and a
-# coarser rule table no count
+# the default rule, _TRANSITION_RULE = (order, waves_per_panel), as
+# (e, ((n, errors), ...)) pairs per map exponent e and Gauss order n an axis
+# off the plateau may take: errors[P - 1] is the largest error E(n, P, e) of
+# P n-point panels at map exponent e on profile * exp(i w x^e) there,
+# relative to the profile's mass 1/4 on the piece, at every w up to n's
+# most turns per panel, rounded up to 2 significant digits (derived by
+# scripts/calibrate_transition.py).  A row runs to P0 - 1, P0(n, e) the
+# panel count from which on, up to _TRANSITION_CHECKED, E meets the target;
+# every row has a P0, and the script refuses a row without one.  An axis
+# on the whole, unclipped piece takes max(E, target) as its allowance, the
+# target alone from P0 panels on, under every rule `QuadratureConfig`
+# accepts (`_layout`); a clipped piece has none
+_TRANSITION_RULE = (QuadratureConfig.order, QuadratureConfig.waves_per_panel)
 _TRANSITION_CHECKED = 40  # the most panels the calibration checks
-_TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
+_TRANSITION_PANELS = (
     (1, (
         (16, (5.1e-07, 2.5e-08, 4.3e-09, 1.3e-09, 3.9e-10)),
         (24, (1.5e-08, 5.4e-10)),
@@ -477,7 +495,7 @@ _TRANSITION_PANELS = MappingProxyType({(16, 4.0): (
              9.8e-09, 5.8e-09, 3.5e-09, 2.3e-09, 1.5e-09, 9.8e-10, 6.9e-10, 4.9e-10, 3.6e-10,
              2.7e-10)),
     )),
-)})
+)
 
 
 # least nodes of a panel cell (`_orbits`): planning one takes about as
@@ -633,15 +651,15 @@ def _rule_table(keys):
 
 
 def _run_level(p, keys, ids, parts, lams):
-    """Rule sums and weight masses of cells, each at its own frequencies
-    `lams` (`_kernel`) and with its rule per axis its row of `ids` among
-    `keys`, rows (lo, hi, panels, order, e): the whole rule where its entry
-    of `parts` is -1, else its panel of that index.  The rules the cells
-    take are built as one table (`_rule_table`), so axes share them, and
-    each cell axis gathers one run of its flat nodes and weights, from the
-    rule's offset + part * order: panels * order nodes for a whole rule,
-    order for a panel.  Cells with equal node counts per axis, whose rules
-    have one shape, are one `_kernel` call on all their runs."""
+    """Rule sums of cells, each at its own frequencies `lams` (`_kernel`) and
+    with its rule per axis its row of `ids` among `keys`, rows (lo, hi,
+    panels, order, e): the whole rule where its entry of `parts` is -1, else
+    its panel of that index.  The rules the cells take are built as one
+    table (`_rule_table`), so axes share them, and each cell axis gathers
+    one run of its flat nodes and weights, from the rule's offset + part *
+    order: panels * order nodes for a whole rule, order for a panel.  Cells
+    with equal node counts per axis, whose rules have one shape, are one
+    `_kernel` call on all their runs."""
     values = np.empty(len(ids), dtype=complex)
     # each cell axis's rule in the table of the rules the cells take, and
     # the first node of its run
@@ -649,20 +667,13 @@ def _run_level(p, keys, ids, parts, lams):
     rule, offset, nodes, weights = _rule_table(keys[taken])
     panels, order = (keys[:, c].astype(np.int64)[ids] for c in (2, 3))
     first = offset[rule[np.searchsorted(taken, ids)]] + np.maximum(parts, 0) * order
-    size = np.where(parts < 0, panels * order, order)
-    # each cell axis's weight mass, the distinct runs of each length in one gather
-    masses = np.zeros(size.shape)
-    for n in set(size.ravel().tolist()):
-        on = size == n
-        runs, at = _rows(first[on][:, None])
-        masses[on] = np.abs(weights[runs + np.arange(n)]).sum(axis=1)[at]
-    shapes, group = _rows(size)
+    shapes, group = _rows(np.where(parts < 0, panels * order, order))
     by_group = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
     for sizes, members in zip(shapes.tolist(), by_group):
         runs = [first[members, k, None] + np.arange(n) for k, n in enumerate(sizes)]
         values[members] = _kernel(p, lams[members], [nodes[r] for r in runs],
                                   [weights[r] for r in runs])
-    return values, np.prod(masses, axis=1)
+    return values
 
 
 def _plan(f, depths):
@@ -783,40 +794,47 @@ def _per_row(f, chi, rows):
 
 
 @lru_cache(maxsize=None)
-def _transition_errors(entry, floor, order):
-    """A `_TRANSITION_PANELS` entry as an array by [order n, e, P], for P up
-    to _TRANSITION_CHECKED + 1 (where larger counts look): the tabled error
-    of P panels, or `floor` where larger, `floor` alone from P0(n, e) on,
-    and inf where the entry has no row, for orders up to the rule's own
-    `order` and _HIGHER's.  Every row has a P0 up to _TRANSITION_CHECKED,
-    so every count of a row has a tabled error."""
-    table = np.full((max(order, _HIGHER[-1]) + 1, _MAX_MAP + 1, _TRANSITION_CHECKED + 2), np.inf)
-    for e, rows in entry:
+def _transition_errors():
+    """`_TRANSITION_PANELS` as a read-only array by [order n, e, P], for P
+    up to _TRANSITION_CHECKED + 1 (where larger counts look): the tabled
+    error of P panels, or the default rule's target T where larger, T alone
+    from P0(n, e) on, and inf where the table has no row, for orders up to
+    _HIGHER's last, the most any rule `QuadratureConfig` accepts may take.
+    Every row has a P0 up to _TRANSITION_CHECKED, so every count of a row
+    has a tabled error."""
+    floor, _ = _ladder(*_TRANSITION_RULE)
+    table = np.full((_HIGHER[-1] + 1, _MAX_MAP + 1, _TRANSITION_CHECKED + 2), np.inf)
+    for e, rows in _TRANSITION_PANELS:
         for n, errors in rows:
             table[n, e, 1:] = floor
             table[n, e, 1:len(errors) + 1] = np.maximum(errors, floor)
+    table.flags.writeable = False
     return table
 
 
 def _layout(grads, fs, lams, quad, depths, merged):
     """The cell table of a call, every row's cells in row order: per cell
-    its row, its piece ends lo and hi, and its panel counts, Gauss orders
-    and map exponents ((cells, d) arrays, `_panel_counts`), whether the
-    error estimate reruns it, and the allowance per unit of weight mass it
-    adds to the estimate if not, else 0.0 (the rule is in `_evaluate`).  A
-    row's pieces are its test function's cut to its `depths` (`_plan`),
-    shared with other rows.  All cells are sized in one `_sizing` and one
-    `_panel_counts` call, each at its row's frequency, so a row's rule does
-    not depend on the other rows; an overflow refusal names the first row
-    whose turns overflow.  Then each axis's merged piece with a `merged`
-    order takes one panel of it at map exponent 1.  An axis's allowance is
-    the rule's target on the plateau, and on the whole transition piece the
-    default rule's tabled error (`_transition_errors`), read for every rule
-    whose target is at most the default's: such a rule puts fewer turns on
-    each panel than the calibration checked.  A clipped transition piece, a
-    coarser rule and an order without a row have none, and a cell with such
-    an axis is rerun.  Both depend on the axis's rule alone, so a cell's
-    rerun flag and allowance depend only on the multiset of its rules."""
+    its row, its piece ends lo and hi, its panel counts, Gauss orders and
+    map exponents ((cells, d) arrays, `_panel_counts`), its weight mass,
+    whether the error estimate reruns it, and the allowance per unit of
+    weight mass it adds to the estimate if not, else 0.0 (the rule is in
+    `_evaluate`).  A row's pieces are its test function's cut to its
+    `depths` (`_plan`), shared with other rows.  All cells are sized in one
+    `_sizing` and one `_panel_counts` call, each at its row's frequency, so
+    a row's rule does not depend on the other rows; an overflow refusal
+    names the first row whose turns overflow.  Then each axis's merged
+    piece with a `merged` order takes one panel of it at map exponent 1.
+    The weight mass is the product over the axes of a closed form: hi - lo,
+    the sum of the Gauss weights, on the plateau, and 1/4, the profile's
+    integral over [PLATEAU, 1] (S(u) + S(1 - u) = 1), on the whole
+    transition piece.  An axis's allowance is the rule's target on the
+    plateau, and on the whole transition piece the default rule's tabled
+    error (`_transition_errors`), which serves every rule `QuadratureConfig`
+    accepts.  A transition piece clipped by a box factor has none: a cell
+    with such an axis is rerun and takes no allowance, so its mass, which
+    counts the piece as whole, goes unused.  A cell's allowances are summed
+    in sorted order, so its rerun flag and allowance depend only on the
+    multiset of its rules."""
     # per axis, a dict from piece (lo, hi) to its index, grown as pieces are
     # met; rows of one test function and depths share their cells
     index, planned = [{} for _ in grads], {}
@@ -840,23 +858,17 @@ def _layout(grads, fs, lams, quad, depths, merged):
     n = merged[row]
     on = (hi <= np.ldexp(1.0, -depths[row])) & (n > 0)
     counts, orders, exps = (np.where(on, v, a) for v, a in ((1, counts), (n, orders), (1, exps)))
-    # the default rule's calibration serves every rule whose target is at
-    # most its own, whose panels carry fewer turns than it checked
-    target, _ = _ladder(quad.order, quad.waves_per_panel)
-    default = QuadratureConfig()
-    key = (default.order, default.waves_per_panel)
-    calibrated, _ = _ladder(*key)
-    table = _transition_errors(_TRANSITION_PANELS[key] if target <= calibrated else (),
-                               calibrated, quad.order)
     # per axis, the target where analytic, the tabled error on the
     # transition piece [PLATEAU, 1], unclipped, and else inf: a cell with
     # such an axis is rerun
+    target, _ = _ladder(quad.order, quad.waves_per_panel)
     edge = (lo == _PLATEAU) & (hi == 1.0)
-    tabled = table[orders, exps, np.minimum(counts, _TRANSITION_CHECKED + 1)]
+    tabled = _transition_errors()[orders, exps, np.minimum(counts, _TRANSITION_CHECKED + 1)]
     axis = np.where(sizing[3], target, np.where(edge, tabled, np.inf))
     rerun = np.isinf(axis).any(axis=1)
-    allow = np.where(rerun, 0.0, axis.sum(axis=1))
-    return row, lo, hi, counts, orders, exps, rerun, allow
+    allow = np.where(rerun, 0.0, np.sort(axis, axis=1).sum(axis=1))
+    mass = np.where(sizing[3], hi - lo, 0.25).prod(axis=1)
+    return row, lo, hi, counts, orders, exps, mass, rerun, allow
 
 
 def _reflections(p, fs, chi):
@@ -916,7 +928,8 @@ def _orbits(groups, keys, ids, row, live):
     rows of `keys`): perm carries axis k's rule to axis perm[k].  Permuting
     the coordinates turns the cell's sum into that of its image, conjugated
     where perm negates the phase; its rerun flag and allowance depend only
-    on the multiset of its rules (`_layout`), so the image shares them.
+    on the multiset of its rules (`_layout`), so the image shares them, and
+    the cell takes the image's rerun sum with its value.
     Rule ids rank by value over every axis, so a row's keys and images do
     not depend on the other rows of the call.  The first cell of each key
     in table order is evaluated where `live`.  One walk of each group's
@@ -929,10 +942,10 @@ def _orbits(groups, keys, ids, row, live):
     stabilizer maps the panel cells onto each other, and the least image of
     each orbit, in the order of their panels, is a piece; every other
     evaluated cell is one piece, whole.  Returns per cell the cell whose
-    value, rerun value and weight mass it takes, and whether it takes their
-    conjugate; then per piece, in table order, its cell, its part of each
-    axis's rule (-1 for the whole rule, j for panel j), and how many panel
-    cells of its cell take its sum and how many its conjugate."""
+    value and rerun value it takes, and whether it takes their conjugate;
+    then per piece, in table order, its cell, its part of each axis's rule
+    (-1 for the whole rule, j for panel j), and how many panel cells of its
+    cell take its sum and how many its conjugate."""
     n, d = ids.shape
     rep, conj, moves = np.arange(n), np.zeros(n, dtype=bool), []
     cut = np.zeros((n, d), dtype=bool)  # the axes a move that fixes the cell moves
@@ -1020,22 +1033,21 @@ def _evaluate(p, f, chi, lams, quad):
     `_run_level` takes the first cell of each orbit of every other row, in
     pieces where a permutation maps it to itself (one per orbit of its panel
     cells, `_orbits`), each at the row's frequency times its sub-row's term
-    signs; a cell's value and weight mass are its pieces' over the panel
-    cells that take them, and every other cell takes its orbit's,
-    conjugated where its permutation negates the phase.  The reported error
-    is the allowance of each cell not rerun times its weight mass: target *
-    sum_k a_k, a_k 1 on an analytic axis (a merged piece too), and
-    max(E, T) / target on an axis whose piece is the whole transition
-    [PLATEAU, 1], unclipped, with E the error `_TRANSITION_PANELS` holds for
-    its order n, map exponent e and panel count P under the default rule,
-    whose target is T (E = T from P0(n, e) panels on).  It serves every rule
-    whose target is at most T.  Only where no such error is tabled, on an
-    axis whose transition piece a factor clips, under a coarser rule, or at
-    an order without a row, is the cell rerun, in a second `_run_level`
-    made only when some piece needs it: on the same panels at order
-    max(n // 2, n - 4) on the axes at order n >= `order`, its pieces taken
-    as the first pass's.  The difference, summed over the cells rerun, adds
-    to the error.
+    signs; a cell's value is its pieces' over the panel cells that take
+    them, and every other cell takes its orbit's, conjugated where its
+    permutation negates the phase.  The reported error is planned with the
+    cells (`_layout`): the allowance of each cell not rerun times its weight
+    mass in closed form and its copies, the allowance target * sum_k a_k,
+    a_k 1 on an analytic axis (a merged piece too), and max(E, T) / target
+    on an axis whose piece is the whole transition [PLATEAU, 1], unclipped,
+    with E the error `_TRANSITION_PANELS` holds for its order n, map
+    exponent e and panel count P under the default rule, whose target is T
+    (E = T from P0(n, e) panels on).  Only a cell with an axis whose
+    transition piece a box factor clips, where no error is tabled, is
+    rerun, in a second `_run_level` made only when some piece needs it: on
+    the same panels at order max(n // 2, n - 4) on the axes at order
+    n >= `order`, its pieces taken as the first pass's.  The difference,
+    summed over the cells rerun, adds to the error.
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -1059,14 +1071,15 @@ def _evaluate(p, f, chi, lams, quad):
     subs = [s for pair in pairs for s in reflections[pair]]
     parent = np.repeat(np.arange(len(fs)), [len(reflections[pair]) for pair in pairs])
     signs, sub_fs, plain, twin, groups = zip(*subs)
-    row, lo, hi, counts, orders, exps, rerun, allow = _layout(
+    row, lo, hi, counts, orders, exps, mass, rerun, allow = _layout(
         grads, sub_fs, np.array(lams)[parent], quad, depths[parent], merged[parent])
     n, signs = len(row), np.array(signs, dtype=float)
     plain, twin = np.array(plain)[row], np.array(twin)[row]
+    copies = plain + twin
     # row i is cells ends[i]:ends[i + 1]; its tensor nodes over every
     # reflection, in floats, which cannot wrap
     ends = np.searchsorted(parent[row], np.arange(len(lams) + 1))
-    planned = np.multiply(counts, orders, dtype=float).prod(axis=1) * (plain + twin)
+    planned = np.multiply(counts, orders, dtype=float).prod(axis=1) * copies
     planned = np.array([planned[a:b].sum() for a, b in zip(ends, ends[1:])])
     # the call's distinct rules (lo, hi, panels, order, e), by value over
     # every axis, and each cell axis's among them
@@ -1080,39 +1093,38 @@ def _evaluate(p, f, chi, lams, quad):
     freqs = np.array(lams)[parent[row[owner]]]
     if (signs < 0).any():
         freqs = freqs[:, None] * signs[row[owner]]
-    values, mass = _run_level(p, rules, ids[owner], part, freqs)
+    values = _run_level(p, rules, ids[owner], part, freqs)
     # the pieces of the cells rerun, on the same panels at order
     # max(n // 2, n - 4) for n >= `order`
     rerun_values, again = np.zeros(len(owner), complex), rerun[owner]
     if again.any():
         low, n_k = rules.copy(), rules[:, 3]
         low[:, 3] = np.where(n_k >= quad.order, np.maximum(n_k // 2, n_k - 4), n_k)
-        rerun_values[again], _ = _run_level(p, low, ids[owner[again]], part[again], freqs[again])
-    # per piece, its value, rerun value and weight mass over the panel
-    # cells that take it or its conjugate, summed onto its cell; then each
-    # cell takes its key's first, over its sub-row's plain and conjugate
-    # copies, conjugated once more where its permutation says so
-    sums = [values, rerun_values, mass * (once + twice)]
-    for v in sums[:2]:
+        rerun_values[again] = _run_level(p, low, ids[owner[again]], part[again], freqs[again])
+    # per piece, its value and rerun value over the panel cells that take it
+    # or its conjugate, summed onto its cell; then each cell takes its key's
+    # first, over its sub-row's plain and conjugate copies, conjugated once
+    # more where its permutation says so
+    sums = [values, rerun_values]
+    for v in sums:
         v.real *= once + twice
         v.imag *= once - twice
-    value, check, weight = *np.zeros((2, n), complex), np.zeros(n)
+    value, check = np.zeros((2, n), complex)
     if len(owner):
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        value[owner[starts]], check[owner[starts]], weight[owner[starts]] = (
-            np.add.reduceat(v, starts) for v in sums)
-    value, check, weight = value[rep], check[rep], weight[rep]
+        value[owner[starts]], check[owner[starts]] = (np.add.reduceat(v, starts) for v in sums)
+    value, check = value[rep], check[rep]
     for v in (value, check):
-        v.real *= plain + twin
+        v.real *= copies
         v.imag *= np.where(conj, twin - plain, plain - twin)
-    weight *= plain + twin
-    nodes, out = (counts * orders).prod(axis=1) * (plain + twin), []
+    allowed = allow * mass * copies
+    nodes, out = (counts * orders).prod(axis=1) * copies, []
     for lam, a, b, plan in zip(lams, ends, ends[1:], planned):
         if plan > quad.node_budget:
             out.append((OscResult(lam, None, None, True, int(plan)), value[:0], nodes[:0]))
             continue
         v, r = value[a:b], rerun[a:b]
-        error = abs((v[r] - check[a:b][r]).sum()) + (allow[a:b] * weight[a:b]).sum()
+        error = abs((v[r] - check[a:b][r]).sum()) + allowed[a:b].sum()
         out.append((OscResult(lam, complex(v.sum()), float(error), False, int(nodes[a:b].sum())),
                     v, nodes[a:b]))
     return out
@@ -1125,20 +1137,20 @@ def certify_results(results: Sequence[OscResult], p: PhasePolynomial,
                     constant: float = DEFAULT_CERT_CONSTANT) -> tuple[OscResult, ...]:
     """The results, each certified with its test function and cutoff, each
     one for every result or a sequence of one per result: one
-    `certificate_sum` call per distinct test function and orthant flag, on
-    its frequencies, truncated at its cutoff's `levels` and counted once per
+    `certificate_sum` call per distinct test function and cutoff, on its
+    frequencies, truncated at the cutoff's `levels` and counted once per
     orthant the cutoff covers."""
     d = p.dimension
     fs, chis = _per_row(f, chi, len(results))
     n = build_polyhedron(p) if n is None else n
     query = ExponentQuery.all_inf(d) if query is None else query
     rows, certificates = {}, {}
-    for i, (g, c) in enumerate(zip(fs, chis)):
-        rows.setdefault((g, c.positive_orthant), []).append(i)
-    for (g, orthant), at in rows.items():
+    for i, key in enumerate(zip(fs, chis)):
+        rows.setdefault(key, []).append(i)
+    for (g, c), at in rows.items():
         certificates.update(zip(at, certificate_sum(
             p, n, query, g.norms(query), [results[i].lam for i in at],
-            levels=chis[at[0]].levels, multiplicity=1 if orthant else 2 ** d,
+            levels=c.levels, multiplicity=1 if c.positive_orthant else 2 ** d,
             constant=constant)))
     return tuple(replace(r, certificate=certificates[i]) for i, r in enumerate(results))
 
@@ -1212,24 +1224,18 @@ def certificate_sum(p: PhasePolynomial, n: NewtonPolyhedron,
 # ---------------------------------------------------------------------------
 # sweeps
 
-def lambda_grid_ratio(lo: float, hi: float, count: int) -> float:
-    """The ratio of `lambda_grid(lo, hi, count)`, whose point i is
-    lo * ratio^i, 1.0 for a single point, checked without building the
-    grid: a request that grid refuses is refused here."""
+def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[float, ...]:
+    """`count` frequencies from lo to hi in geometric progression, point i
+    lo * ratio^i; a single point is lo, whatever hi is.  Every frequency is
+    finite: an infinite hi, or one whose top point rounds past the float
+    range, is refused, as is a count below 1 or a lo below MIN_LAMBDA."""
     if count < 1 or not MIN_LAMBDA <= lo < math.inf or (count > 1 and not lo < hi):
         raise OscError("bad lambda grid request")
     ratio = (hi / lo) ** (1.0 / (count - 1)) if count > 1 else 1.0
-    if not math.isfinite(lo * ratio ** (count - 1)):
+    grid = tuple(lo * ratio ** i for i in range(count))
+    if not math.isfinite(grid[-1]):
         raise OscError("bad lambda grid request")
-    return ratio
-
-
-def lambda_grid(lo: float = 64.0, hi: float = 4096.0, count: int = 13) -> tuple[float, ...]:
-    """`count` frequencies from lo to hi in geometric progression; a single
-    point is lo, whatever hi is.  Every frequency is finite: an infinite hi,
-    or one that rounds past the float range, is refused."""
-    ratio = lambda_grid_ratio(lo, hi, count)
-    return tuple(lo * ratio ** i for i in range(count))
+    return grid
 
 
 def lambda_sweep(p: PhasePolynomial, f: TestFunctionSpec | Sequence[TestFunctionSpec],

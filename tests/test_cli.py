@@ -422,23 +422,28 @@ class TestUsageErrors:
         assert code == 2 and not out.exists()
         assert "overflows the float range" in err and "Traceback" not in err
 
-    def test_long_grid_in_a_config_is_not_built_to_validate_it(self, tmp_path, capsys,
-                                                               monkeypatch):
-        # the grid is checked from its top point alone: a geometry command
-        # with the longest grid in its config builds no grid (a longer one
-        # is refused by count)
+    def test_longest_grid_in_a_config_validates(self, tmp_path, capsys, monkeypatch):
+        # validation builds the grid, so the count is capped first: a
+        # geometry command with the longest grid in its config runs, and a
+        # longer one is refused by count before any grid is built
+        cfg, out = tmp_path / "run.cfg", tmp_path / "report.json"
+        argv = ["polyhedron", "--phase", "x1*x2", "--config", str(cfg), "--out", str(out)]
+        cfg.write_text(f"lam_count={MAX_LAM_COUNT}\n")
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 0 and out.exists(), err
+        assert json.loads(out.read_text())["config"]["lam_count"] == MAX_LAM_COUNT
+
         def never(*args):
             raise AssertionError("the frequency grid was built")
 
         monkeypatch.setattr("oscdecay.cli.lambda_grid", never)
-        monkeypatch.setattr("oscdecay.oscint.lambda_grid", never)
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"lam_count={MAX_LAM_COUNT}\n")
-        out = tmp_path / "report.json"
-        code = main(["polyhedron", "--phase", "x1*x2", "--config", str(cfg), "--out", str(out)])
+        out.unlink()
+        cfg.write_text(f"lam_count={MAX_LAM_COUNT + 1}\n")
+        code = main(argv)
         err = capsys.readouterr().err
-        assert code == 0 and out.exists(), err
-        assert json.loads(out.read_text())["config"]["lam_count"] == MAX_LAM_COUNT
+        assert code == 2 and not out.exists()
+        assert f"--lam-count must be at most {MAX_LAM_COUNT}" in err
 
     def test_overflowing_sweep_is_refused_before_any_quadrature(self, tmp_path, capsys,
                                                                  monkeypatch):

@@ -64,12 +64,14 @@ def test_reference_rule_is_a_valid_configuration():
 
 def test_every_transition_row_has_a_p0():
     # a row holds the errors below P0, so one shorter than the counts the
-    # calibration checks has a P0, and every panel count a tabled error
-    from oscdecay.oscint import _TRANSITION_CHECKED, _TRANSITION_PANELS
-    for entry in _TRANSITION_PANELS.values():
-        for e, rows in entry:
-            for n, errors in rows:
-                assert len(errors) < _TRANSITION_CHECKED, (e, n)
+    # calibration checks has a P0, and every panel count a tabled error.
+    # The table is the default rule's
+    from oscdecay.oscint import (_TRANSITION_CHECKED, _TRANSITION_PANELS, _TRANSITION_RULE,
+                                 QuadratureConfig)
+    assert _TRANSITION_RULE == (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
+    for e, rows in _TRANSITION_PANELS:
+        for n, errors in rows:
+            assert len(errors) < _TRANSITION_CHECKED, (e, n)
 
 
 def _calibration():
@@ -87,7 +89,7 @@ def test_calibration_refuses_a_row_without_p0(monkeypatch):
     cal = _calibration()
     monkeypatch.setattr(cal, "MAX_PANELS", 4)
     with pytest.raises(SystemExit) as refused:
-        cal.transition_errors(16, 4.0, 1)
+        cal.transition_errors(1)
     assert refused.value.code == ("rule (16, 4.0): the row of n = 16 at e = 1 "
                                   "has no P0 up to 4 panels")
 
@@ -99,16 +101,15 @@ def test_transition_table_is_the_calibrated_one():
     # worst error of its panel count, and the first count whose worst error
     # meets the target is P0, the row's length plus 1
     cal = _calibration()
-    from oscdecay.oscint import _MAX_MAP, _TRANSITION_PANELS, QuadratureConfig, _ladder
-    key = (QuadratureConfig().order, QuadratureConfig().waves_per_panel)
-    shipped = _TRANSITION_PANELS[key]
+    from oscdecay.oscint import _MAX_MAP, _TRANSITION_PANELS, _TRANSITION_RULE, _ladder
+    shipped = _TRANSITION_PANELS
     assert [e for e, _ in shipped] == list(range(1, _MAX_MAP + 1))
-    for (e, rows), want in zip(shipped, cal.transition_table(*key)):
+    for (e, rows), want in zip(shipped, cal.transition_table()):
         assert (e, rows) == want
     # the panel counts P0 of the table before it held errors
     assert [[len(errors) + 1 for _, errors in rows] for _, rows in shipped] == [
         [6, 3, 2], [8, 3, 2], [10, 6, 5], [18, 13, 10], [37, 27, 20]]
-    target, rungs = _ladder(*key)
+    target, rungs = _ladder(*_TRANSITION_RULE)
     most = {n: m for n, m, _ in rungs}
     for e, rows in shipped:
         for n, errors in rows:
