@@ -5,16 +5,14 @@ report with `config.out_json` blanked, everything written to stderr and
 the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  Each line is a job's digest, the number of
 `oscint._kernel` calls the job made, the number of `oscint._evaluate`
-calls (each pays the quadrature's set-up once), the number of
-`oscint._run_level` calls (one per `_evaluate`, and a second where the
-error estimate reruns cells), the kernel nodes (the sum over its `_kernel`
-calls of cells times the nodes per axis, B * prod n_k), and its command;
-then comes the digest of all the job digests.  The call and node counts
-are not hashed: they show how a change to the kernel's batching, grouping
-or error estimate moves each job.  The
-last line, not hashed either, gives the size of the `oscdecay` package
-that ran: its lines (`wc -l`) and its code lines, those outside
-docstrings, comments and blanks.
+calls (each pays the quadrature's set-up once and makes one
+`oscint._run_level`), the kernel nodes (the sum over its `_kernel` calls
+of cells times the nodes per axis, B * prod n_k), and its command; then
+comes the digest of all the job digests.  The call and node counts are
+not hashed: they show how a change to the kernel's batching, grouping or
+error estimate moves each job.  The last line, not hashed either, gives
+the size of the `oscdecay` package that ran: its lines (`wc -l`) and its
+code lines, those outside docstrings, comments and blanks.
 
 The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
@@ -176,7 +174,7 @@ def main() -> None:
     argparse.ArgumentParser(description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     digests, real = [], {name: getattr(oscint, name)
-                         for name in ("_kernel", "_evaluate", "_run_level")}
+                         for name in ("_kernel", "_evaluate")}
     calls = {name: [] for name in real}
 
     def counted(name):

@@ -26,11 +26,10 @@ cells of a cell that such a permutation maps to itself, one per orbit
 each shape are one `_kernel` call, with each cell's term signs folded into
 its per-term scale.  The error estimate is planned with the cells, before
 any quadrature (`_layout`): each cell's allowance per axis, the rule's
-target on the plateau and the default rule's calibrated error on the whole
-transition piece (`_TRANSITION_PANELS`), times its weight mass in closed
-form.  Only a rule that table vouches for is accepted (`QuadratureConfig`),
-and only a cell whose transition piece a box factor clips is rerun at a
-lower order, in a second batch (`_evaluate`).
+target on the plateau and the default rule's calibrated error of the whole
+transition piece, clipped or not (`_TRANSITION_PANELS`), times its weight
+mass in closed form.  Only a rule that table vouches for is accepted
+(`QuadratureConfig`).
 A kernel block holds whole cells in a per-thread workspace of _BLOCK
 floats, within a core's L2 cache; cells whose rows do not fit one block
 are cut into runs that do (`_runs`), each cell the sum of its runs.
@@ -266,8 +265,8 @@ class QuadratureConfig:
     (the last two on wider panels), or on the cutoff plateau also 4, 8 or 12,
     on panels at equal steps of x^e, e = 1..5 (`_panel_counts`).  A
     frequency whose rule needs more than `node_budget` nodes is refused
-    before any quadrature (`_evaluate`).  A whole transition axis's error is
-    the default rule's calibrated one (`_TRANSITION_PANELS`), so a rule is
+    before any quadrature (`_evaluate`).  A transition axis's error is the
+    default rule's calibrated one (`_TRANSITION_PANELS`), so a rule is
     refused whose target exceeds the default's, as its panels would carry
     more turns than the calibration checked, or that lets an axis off the
     plateau take an order the table has no row for: of the orders, only 16,
@@ -296,10 +295,9 @@ class QuadratureConfig:
 class OscResult:
     lam: float
     value: complex | None  # None where the frequency was refused
-    # each cell's allowance, the target per axis, or a whole transition
-    # axis's calibrated error where larger, times its weight mass in closed
-    # form; plus, over the cells whose transition piece a box factor clips,
-    # the difference against a lower-order rerun (the rule is in _evaluate's
+    # the sum of each cell's allowance, the target per axis, or the whole
+    # transition piece's calibrated error where larger, clipped or not,
+    # times its weight mass in closed form (the rule is in _evaluate's
     # docstring); None where refused
     error: float | None
     low_confidence: bool   # refused over the node budget, before any quadrature
@@ -455,9 +453,9 @@ def _panel_counts(lams, sizing, quad):
 # scripts/calibrate_transition.py).  A row runs to P0 - 1, P0(n, e) the
 # panel count from which on, up to _TRANSITION_CHECKED, E meets the target;
 # every row has a P0, and the script refuses a row without one.  An axis
-# on the whole, unclipped piece takes max(E, target) as its allowance, the
-# target alone from P0 panels on, under every rule `QuadratureConfig`
-# accepts (`_layout`); a clipped piece has none
+# on the piece, whole or clipped by a box factor, takes max(E, target) as
+# its allowance, the target alone from P0 panels on, under every rule
+# `QuadratureConfig` accepts (`_layout`)
 _TRANSITION_RULE = (QuadratureConfig.order, QuadratureConfig.waves_per_panel)
 _TRANSITION_CHECKED = 40  # the most panels the calibration checks
 _TRANSITION_PANELS = (
@@ -816,25 +814,25 @@ def _layout(grads, fs, lams, quad, depths, merged):
     """The cell table of a call, every row's cells in row order: per cell
     its row, its piece ends lo and hi, its panel counts, Gauss orders and
     map exponents ((cells, d) arrays, `_panel_counts`), its weight mass,
-    whether the error estimate reruns it, and the allowance per unit of
-    weight mass it adds to the estimate if not, else 0.0 (the rule is in
-    `_evaluate`).  A row's pieces are its test function's cut to its
-    `depths` (`_plan`), shared with other rows.  All cells are sized in one
-    `_sizing` and one `_panel_counts` call, each at its row's frequency, so
-    a row's rule does not depend on the other rows; an overflow refusal
-    names the first row whose turns overflow.  Then each axis's merged
-    piece with a `merged` order takes one panel of it at map exponent 1.
-    The weight mass is the product over the axes of a closed form: hi - lo,
-    the sum of the Gauss weights, on the plateau, and 1/4, the profile's
-    integral over [PLATEAU, 1] (S(u) + S(1 - u) = 1), on the whole
-    transition piece.  An axis's allowance is the rule's target on the
-    plateau, and on the whole transition piece the default rule's tabled
-    error (`_transition_errors`), which serves every rule `QuadratureConfig`
-    accepts.  A transition piece clipped by a box factor has none: a cell
-    with such an axis is rerun and takes no allowance, so its mass, which
-    counts the piece as whole, goes unused.  A cell's allowances are summed
-    in sorted order, so its rerun flag and allowance depend only on the
-    multiset of its rules."""
+    and the allowance per unit of weight mass it adds to the error
+    estimate (the rule is in `_evaluate`).  A row's pieces are its test
+    function's cut to its `depths` (`_plan`), shared with other rows.  All
+    cells are sized in one `_sizing` and one `_panel_counts` call, each at
+    its row's frequency, so a row's rule does not depend on the other rows;
+    an overflow refusal names the first row whose turns overflow.  Then
+    each axis's merged piece with a `merged` order takes one panel of it at
+    map exponent 1.  The weight mass is the product over the axes of a
+    closed form: hi - lo, the sum of the Gauss weights, on the plateau, and
+    1/4, the profile's integral over the whole transition piece [PLATEAU, 1]
+    (S(u) + S(1 - u) = 1), on the transition piece, clipped by a box factor
+    or not.  An axis's allowance is the rule's target on the plateau, and
+    on the transition piece, clipped or not, the default rule's tabled
+    error of the whole piece (`_transition_errors`), which serves every
+    rule `QuadratureConfig` accepts.  Relative to the whole piece's mass, a
+    clipped piece has erred up to 1.33x the whole piece's entry where
+    sampled, so the allowance is honest per sample, not per cell.  A cell's
+    allowances are summed in sorted order, so its allowance depends only on
+    the multiset of its rules."""
     # per axis, a dict from piece (lo, hi) to its index, grown as pieces are
     # met; rows of one test function and depths share their cells
     index, planned = [{} for _ in grads], {}
@@ -858,17 +856,13 @@ def _layout(grads, fs, lams, quad, depths, merged):
     n = merged[row]
     on = (hi <= np.ldexp(1.0, -depths[row])) & (n > 0)
     counts, orders, exps = (np.where(on, v, a) for v, a in ((1, counts), (n, orders), (1, exps)))
-    # per axis, the target where analytic, the tabled error on the
-    # transition piece [PLATEAU, 1], unclipped, and else inf: a cell with
-    # such an axis is rerun
+    # per axis, the target where analytic, else the tabled error of the
+    # whole transition piece [PLATEAU, 1], clipped or not
     target, _ = _ladder(quad.order, quad.waves_per_panel)
-    edge = (lo == _PLATEAU) & (hi == 1.0)
     tabled = _transition_errors()[orders, exps, np.minimum(counts, _TRANSITION_CHECKED + 1)]
-    axis = np.where(sizing[3], target, np.where(edge, tabled, np.inf))
-    rerun = np.isinf(axis).any(axis=1)
-    allow = np.where(rerun, 0.0, np.sort(axis, axis=1).sum(axis=1))
+    allow = np.sort(np.where(sizing[3], target, tabled), axis=1).sum(axis=1)
     mass = np.where(sizing[3], hi - lo, 0.25).prod(axis=1)
-    return row, lo, hi, counts, orders, exps, mass, rerun, allow
+    return row, lo, hi, counts, orders, exps, mass, allow
 
 
 def _reflections(p, fs, chi):
@@ -927,9 +921,8 @@ def _orbits(groups, keys, ids, row, live):
     group (`groups`, from `_reflections`), of its per-axis rules (`ids`,
     rows of `keys`): perm carries axis k's rule to axis perm[k].  Permuting
     the coordinates turns the cell's sum into that of its image, conjugated
-    where perm negates the phase; its rerun flag and allowance depend only
-    on the multiset of its rules (`_layout`), so the image shares them, and
-    the cell takes the image's rerun sum with its value.
+    where perm negates the phase; its allowance depends only on the
+    multiset of its rules (`_layout`), so the image shares it.
     Rule ids rank by value over every axis, so a row's keys and images do
     not depend on the other rows of the call.  The first cell of each key
     in table order is evaluated where `live`.  One walk of each group's
@@ -942,7 +935,7 @@ def _orbits(groups, keys, ids, row, live):
     stabilizer maps the panel cells onto each other, and the least image of
     each orbit, in the order of their panels, is a piece; every other
     evaluated cell is one piece, whole.  Returns per cell the cell whose
-    value and rerun value it takes, and whether it takes their conjugate;
+    value it takes, and whether it takes its conjugate;
     then per piece, in table order, its cell, its part of each axis's rule
     (-1 for the whole rule, j for panel j), and how many panel cells of its
     cell take its sum and how many its conjugate."""
@@ -1036,18 +1029,14 @@ def _evaluate(p, f, chi, lams, quad):
     signs; a cell's value is its pieces' over the panel cells that take
     them, and every other cell takes its orbit's, conjugated where its
     permutation negates the phase.  The reported error is planned with the
-    cells (`_layout`): the allowance of each cell not rerun times its weight
-    mass in closed form and its copies, the allowance target * sum_k a_k,
-    a_k 1 on an analytic axis (a merged piece too), and max(E, T) / target
-    on an axis whose piece is the whole transition [PLATEAU, 1], unclipped,
-    with E the error `_TRANSITION_PANELS` holds for its order n, map
-    exponent e and panel count P under the default rule, whose target is T
-    (E = T from P0(n, e) panels on).  Only a cell with an axis whose
-    transition piece a box factor clips, where no error is tabled, is
-    rerun, in a second `_run_level` made only when some piece needs it: on
-    the same panels at order max(n // 2, n - 4) on the axes at order
-    n >= `order`, its pieces taken as the first pass's.  The difference,
-    summed over the cells rerun, adds to the error.
+    cells (`_layout`), one closed-form sum: the allowance of each cell
+    times its weight mass in closed form and its copies, the allowance
+    target * sum_k a_k, a_k 1 on an analytic axis (a merged piece too), and
+    max(E, T) / target on an axis whose piece lies in the transition
+    [PLATEAU, 1], clipped by a box factor or not, with E the error
+    `_TRANSITION_PANELS` holds for its order n, map exponent e and panel
+    count P under the default rule, whose target is T (E = T from P0(n, e)
+    panels on).
     """
     lams = [float(lam) for lam in lams]
     bad = [lam for lam in lams if not math.isfinite(lam)]
@@ -1071,7 +1060,7 @@ def _evaluate(p, f, chi, lams, quad):
     subs = [s for pair in pairs for s in reflections[pair]]
     parent = np.repeat(np.arange(len(fs)), [len(reflections[pair]) for pair in pairs])
     signs, sub_fs, plain, twin, groups = zip(*subs)
-    row, lo, hi, counts, orders, exps, mass, rerun, allow = _layout(
+    row, lo, hi, counts, orders, exps, mass, allow = _layout(
         grads, sub_fs, np.array(lams)[parent], quad, depths[parent], merged[parent])
     n, signs = len(row), np.array(signs, dtype=float)
     plain, twin = np.array(plain)[row], np.array(twin)[row]
@@ -1094,39 +1083,28 @@ def _evaluate(p, f, chi, lams, quad):
     if (signs < 0).any():
         freqs = freqs[:, None] * signs[row[owner]]
     values = _run_level(p, rules, ids[owner], part, freqs)
-    # the pieces of the cells rerun, on the same panels at order
-    # max(n // 2, n - 4) for n >= `order`
-    rerun_values, again = np.zeros(len(owner), complex), rerun[owner]
-    if again.any():
-        low, n_k = rules.copy(), rules[:, 3]
-        low[:, 3] = np.where(n_k >= quad.order, np.maximum(n_k // 2, n_k - 4), n_k)
-        rerun_values[again] = _run_level(p, low, ids[owner[again]], part[again], freqs[again])
-    # per piece, its value and rerun value over the panel cells that take it
-    # or its conjugate, summed onto its cell; then each cell takes its key's
+    # per piece, its value over the panel cells that take it or its
+    # conjugate, summed onto its cell; then each cell takes its key's
     # first, over its sub-row's plain and conjugate copies, conjugated once
     # more where its permutation says so
-    sums = [values, rerun_values]
-    for v in sums:
-        v.real *= once + twice
-        v.imag *= once - twice
-    value, check = np.zeros((2, n), complex)
+    values.real *= once + twice
+    values.imag *= once - twice
+    value = np.zeros(n, complex)
     if len(owner):
         starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        value[owner[starts]], check[owner[starts]] = (np.add.reduceat(v, starts) for v in sums)
-    value, check = value[rep], check[rep]
-    for v in (value, check):
-        v.real *= copies
-        v.imag *= np.where(conj, twin - plain, plain - twin)
+        value[owner[starts]] = np.add.reduceat(values, starts)
+    value = value[rep]
+    value.real *= copies
+    value.imag *= np.where(conj, twin - plain, plain - twin)
     allowed = allow * mass * copies
     nodes, out = (counts * orders).prod(axis=1) * copies, []
     for lam, a, b, plan in zip(lams, ends, ends[1:], planned):
         if plan > quad.node_budget:
             out.append((OscResult(lam, None, None, True, int(plan)), value[:0], nodes[:0]))
             continue
-        v, r = value[a:b], rerun[a:b]
-        error = abs((v[r] - check[a:b][r]).sum()) + allowed[a:b].sum()
-        out.append((OscResult(lam, complex(v.sum()), float(error), False, int(nodes[a:b].sum())),
-                    v, nodes[a:b]))
+        v = value[a:b]
+        out.append((OscResult(lam, complex(v.sum()), float(allowed[a:b].sum()), False,
+                              int(nodes[a:b].sum())), v, nodes[a:b]))
     return out
 
 
