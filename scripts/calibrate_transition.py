@@ -44,7 +44,7 @@ DIGITS = 2  # significant digits of a tabled error, rounded up
 def rule(panels, n, e):
     """The nodes and weights of `panels` n-point panels at map exponent e on
     the transition piece, times the cutoff's profile."""
-    _, _, nodes, weights = _rule_table(np.array([[LO, 1.0, panels, n, e]]))
+    _, nodes, weights = _rule_table(np.array([[LO, 1.0, panels, n, e]]))
     return nodes, weights
 
 

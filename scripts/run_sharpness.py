@@ -25,11 +25,12 @@ def main() -> None:
     p = reduce_phase(parse_phase(args.phase, args.dim))
     n = build_polyhedron(p)
     q = ExponentQuery.all_inf(p.dimension)
+    dual = dual_polyhedron(n)
 
-    for w in dual_polyhedron(n).vertices:
+    for w in dual.vertices:
         label = "(" + ", ".join(str(x) for x in w) + ")"
         rep = sharpness_test(p, n, q, w, Fraction(args.delta),
-                             dual_lambda_grid(w, count=args.count))
+                             dual_lambda_grid(w, count=args.count), dual=dual)
         print(f"w = {label}: delta -> {rep.delta} after {rep.halvings} "
               f"halvings, chain {'ok' if rep.chain_ok else 'BROKEN'}")
         for row in rep.rows:

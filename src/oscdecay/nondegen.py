@@ -31,7 +31,7 @@ import numpy as np
 
 from .phase import PhasePolynomial, restrict_to_face
 from .polytope import Face, NewtonPolyhedron, build_polyhedron
-from .ratlin import dot, inf_operator_norm, invert, rank
+from .ratlin import dot, inf_operator_norm, rref
 
 
 class NondegenError(ValueError):
@@ -269,9 +269,6 @@ def _check_face(p: PhasePolynomial, face: Face, grid: int, eta: float,
     """
     d = p.dimension
     pairs = _mixed_pairs(restrict_to_face(p, face))
-    if not pairs:
-        # a sum of single-variable monomials; impossible for reduced input
-        return FaceCheck(face.id, face.dim, "degenerate", 0.0, (1.0,) * d, 0.0)
     if any(len({c > 0 for c in g.terms.values()}) == 1 for g in pairs):
         centre = np.full((d, d), (eta + 1.0) / 2)
         np.fill_diagonal(centre, 1.0)
@@ -353,6 +350,9 @@ def check_nondegeneracy(p: PhasePolynomial, n: NewtonPolyhedron | None = None, *
         raise NondegenError("grid must have at least 2 points per axis")
     if starts < 0:
         raise NondegenError(f"starts must be nonnegative, got {starts}")
+    for name, value, top in (("eta", eta, 1), ("degen_tol", degen_tol, math.inf)):
+        if not 0 < value < top:  # NaN fails it
+            raise NondegenError(f"{name} must lie in (0, {top}), got {value}")
     if grid > max_grid(p.dimension):
         raise NondegenError(f"grid {grid} sweeps more than {MAX_FACE_CELLS} cells "
                             f"per face in dimension {p.dimension}; the largest "
@@ -469,10 +469,13 @@ def solve_rescaling(alphas: Sequence[Sequence[int]], beta: Sequence[int],
     """Positive y with y^alpha = eps^(alpha - beta) for each given alpha.
 
     The equations are solved exactly in log2 coordinates over an
-    independent column basis (remaining components are 1).  `contrast` is
-    the lower bound on eps^alpha / eps^beta from the caller's sandwich
-    assumption; the output satisfies y in [b, 1/b]^d with b = contrast^rho,
-    rho the max-row-sum norm of the inverted basis block.
+    independent column basis (remaining components are 1).  One reduced row
+    echelon form of [alphas | I] gives both: its pivots are the first
+    independent columns of alphas, the basis, and its right block is the
+    inverse of the basis block; a pivot in I means dependent rows.
+    `contrast` is the lower bound on eps^alpha / eps^beta from the caller's
+    sandwich assumption; the output satisfies y in [b, 1/b]^d with
+    b = contrast^rho, rho the max-row-sum norm of the inverted basis block.
     """
     alphas = [tuple(int(x) for x in a) for a in alphas]
     beta = tuple(int(x) for x in beta)
@@ -480,7 +483,9 @@ def solve_rescaling(alphas: Sequence[Sequence[int]], beta: Sequence[int],
     if not alphas or any(len(a) != d for a in alphas) or len(beta) != d:
         raise NondegenError("exponent rows must match the box dimension")
     m = len(alphas)
-    if m > d or rank([list(a) for a in alphas]) != m:
+    echelon, basis = rref([list(a) + [int(i == k) for i in range(m)]
+                           for k, a in enumerate(alphas)])
+    if basis[-1] >= d:
         raise NondegenError("exponent rows must be linearly independent")
     kappa = Fraction(contrast)
     if not 0 < kappa < 1:
@@ -493,20 +498,10 @@ def solve_rescaling(alphas: Sequence[Sequence[int]], beta: Sequence[int],
             raise NondegenError(
                 f"scale sandwich violated for row {a}: eps^(alpha-beta) = 2^{vk}")
 
-    basis: list[int] = []
-    for c in range(d):
-        cand = basis + [c]
-        cols = [[alphas[k][i] for k in range(m)] for i in cand]
-        if rank(cols) == len(cand):
-            basis = cand
-        if len(basis) == m:
-            break
-    block = [[Fraction(alphas[k][i]) for i in basis] for k in range(m)]
-    inv = invert(block)
-    u_basis = [sum(inv[r][k] * v[k] for k in range(m)) for r in range(m)]
+    inv = [row[d:] for row in echelon]
     u = [Fraction(0)] * d
-    for i, c in enumerate(basis):
-        u[c] = u_basis[i]
+    for c, row in zip(basis, inv):
+        u[c] = dot(row, v)
     for a, vk in zip(alphas, v):
         assert dot(a, u) == vk, "internal error: rescaling equations not satisfied"
     rho = inf_operator_norm(inv)

@@ -208,16 +208,18 @@ class CutoffSpec:
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One-variable factor: the indicator of [a, b].  `FactorSpec()` is the
-    whole line.  Quadrature clips each axis's pieces to [a, b], so the factor
-    is 1 on every node and never evaluated."""
+    """One-variable factor: the indicator of [a, b], a < b.  `FactorSpec()`
+    is the whole line.  Quadrature clips each axis's pieces to [a, b], so
+    the factor is 1 on every node and never evaluated."""
     a: float = -math.inf
     b: float = math.inf
 
+    def __post_init__(self):
+        if not self.a < self.b:  # NaN fails it
+            raise OscError("box indicator needs a < b")
+
     @classmethod
     def box(cls, a: float, b: float) -> "FactorSpec":
-        if not a < b:
-            raise OscError("box indicator needs a < b")
         return cls(float(a), float(b))
 
     def norm(self, p) -> float:
@@ -395,13 +397,14 @@ def _panel_counts(lams, sizing, quad):
     24 on 7.43 or 32 on 11.0, and on the plateau also 4, 8 or 12
     (`_ladder`).  Each e is sized in one broadcast over (order, entry): an
     entry takes the order with the fewest nodes, the first, so the lower,
-    on a tie, and keeps it only with strictly fewer nodes than its best at
-    a lower e: ties go to e = 1, then to the lower e.  An e > 1 is tried
-    only where one is allowed and equal panels number more than one.  Every
-    panel meets the same target relative to its width, so the summed bound
-    per axis is that of 16-point panels alone.  Counts are capped at 2^53,
-    far above any budget; turns at e = 1 that overflow are refused, naming
-    the first cell's frequency where they do."""
+    on a tie, and keeps it only with strictly fewer nodes than its running
+    best over the lower e: ties go to e = 1, then to the lower e.  An e > 1
+    is taken only where it is allowed (its span is finite) and where equal
+    panels number more than one, a mask fixed after e = 1.  Every panel
+    meets the same target relative to its width, so the summed bound per
+    axis is that of 16-point panels alone.  Counts are capped at 2^53, far
+    above any budget; turns at e = 1 that overflow are refused, naming the
+    first cell's frequency where they do."""
     bounds, spans, ratios, analytic = sizing
     lam = np.abs(np.asarray(lams, dtype=float))[:, None]
     with np.errstate(over="ignore"):
@@ -410,36 +413,33 @@ def _panel_counts(lams, sizing, quad):
         finite = np.isfinite(turns / quad.waves_per_panel).all(axis=1)
     if not finite.all():
         raise OscError(f"phase turns per cell overflow at lam {lams[int(np.argmin(finite))]:g}")
-    lam, never = np.broadcast_to(lam, ratios.shape), np.iinfo(np.int64).max
+    never = np.iinfo(np.int64).max
     # each rung's order, most turns and plateau flag, one row per rung
     rungs = _ladder(quad.order, quad.waves_per_panel)[1]
-    ns, most, plateau = (np.array(v)[:, None] for v in zip(*rungs))
-    # no rule yet: every entry takes the first one it meets
-    orders, exps = (np.ones(ratios.shape, dtype=np.int64) for _ in range(2))
-    counts = np.full(ratios.shape, never)
-    sized = np.ones(ratios.shape, dtype=bool)
+    ns, most, plateau = (np.array(v)[:, None, None] for v in zip(*rungs))
+    # each entry's fewest nodes so far and its rule; every entry takes e = 1's
+    best = np.full(ratios.shape, never)
+    counts, orders, exps = (np.ones(ratios.shape, dtype=np.int64) for _ in range(3))
+    mapped = np.ones(ratios.shape, dtype=bool)  # where an e > 1 may be taken
     with np.errstate(over="ignore", invalid="ignore"):
         for e, (bound, span) in enumerate(zip(bounds, spans), 1):
-            if e == 2:
-                # the mapped rules, only where some e > 1 is allowed and
-                # equal panels need more than one
-                sized = (counts > 1) & np.isfinite(spans[1:]).any(axis=0)
-            spread = lam[sized] * bound[sized] * span[sized] / (2.0 * math.pi)
+            spread = lam * bound * span / (2.0 * math.pi)
             need = spread / most
             if e > 1:  # at e = 1, F(P0) = (...)^0.0 is exactly 1.0
                 first = 1 + np.minimum(np.floor(need), 2.0 ** 53)
-                need = spread * (1.0 + (ratios[sized] ** e - 1.0) / first) ** ((e - 1) / e) / most
+                need = spread * (1.0 + (ratios ** e - 1.0) / first) ** ((e - 1) / e) / most
             # at e = 1 the turns are finite and a count past the float range
             # is capped; at e > 1 such a rule is not taken
-            ok = (np.isfinite(need) | (e == 1)) & (~plateau | analytic[sized])
+            ok = (np.isfinite(need) | (e == 1)) & (~plateau | analytic) & mapped
             count = 1 + np.minimum(np.floor(np.where(ok, need, 0.0)), 2.0 ** 53).astype(np.int64)
             size = np.where(ok, count * ns, never)
             pick = size.argmin(axis=0)[None]
             size, count = (np.take_along_axis(a, pick, axis=0)[0] for a in (size, count))
-            keep = size < counts[sized] * orders[sized]
-            take = sized.copy()
-            take[sized] = keep
-            counts[take], orders[take], exps[take] = count[keep], ns[pick[0, keep], 0], e
+            keep = size < best
+            best[keep], counts[keep], orders[keep], exps[keep] = (
+                size[keep], count[keep], ns.ravel()[pick[0][keep]], e)
+            if e == 1:
+                mapped = counts > 1
     return counts, orders, exps
 
 
@@ -604,20 +604,19 @@ def _rows(a):
     return a[step], inverse
 
 
-def _rule_table(keys):
-    """Every distinct Gauss rule of `keys`, float rows (lo, hi, panels,
-    order, e) with 0 <= lo < hi, built as one table: nodes on [lo, hi] and
-    real weights times the cutoff.  At map exponent e the panels lie between
+def _rule_table(rules):
+    """The Gauss rules `rules`, float rows (lo, hi, panels, order, e) with
+    0 <= lo < hi, built as one table: nodes on [lo, hi] and real weights
+    times the cutoff.  At map exponent e the panels lie between
     (lo^e + j (hi^e - lo^e) / panels)^(1/e): Gauss in x, no Jacobian.  Each
     panel's start and width are found first, those at e > 1 rule by rule
     with scalar powers lo^e, then each Gauss order's nodes and weights in
     one broadcast; the cutoff's profile, one shape for every cutoff, is
-    evaluated once, on the nodes of every rule off the plateau.  Returns the
-    index of each row of `keys` among the distinct rows (`_rows`), the
-    offset of each one's first node, and the nodes and weights of every
+    evaluated once, on the nodes of every rule off the plateau.  Each row is
+    built as given, so a caller passes distinct rows (`_rows`).  Returns the
+    offset of each row's first node, and the nodes and weights of every
     rule, rule after rule, as two flat arrays: panel j of a rule of order n
     is the n nodes from its offset + j n."""
-    rules, inverse = _rows(keys)
     lo, hi = rules[:, 0], rules[:, 1]
     panels, order, e = rules[:, 2:].astype(np.int64).T
     size = panels * order
@@ -645,26 +644,26 @@ def _rule_table(keys):
     off = np.repeat(hi > _PLATEAU, size)
     if off.any():
         weights[off] *= CutoffSpec.profile(nodes[off])
-    return inverse, np.cumsum(size) - size, nodes, weights
+    return np.cumsum(size) - size, nodes, weights
 
 
 def _run_level(p, keys, ids, parts, lams):
     """Rule sums of cells, each at its own frequencies `lams` (`_kernel`) and
-    with its rule per axis its row of `ids` among `keys`, rows (lo, hi,
-    panels, order, e): the whole rule where its entry of `parts` is -1, else
-    its panel of that index.  The rules the cells take are built as one
-    table (`_rule_table`), so axes share them, and each cell axis gathers
-    one run of its flat nodes and weights, from the rule's offset + part *
-    order: panels * order nodes for a whole rule, order for a panel.  Cells
+    with its rule per axis its row of `ids` among `keys`, distinct rows (lo,
+    hi, panels, order, e): the whole rule where its entry of `parts` is -1,
+    else its panel of that index.  The rows the cells take, in the order of
+    `keys`, are built as one table (`_rule_table`), so axes share them, and
+    each cell axis gathers one run of its flat nodes and weights, from its
+    row's offset (its id's rank among the rows taken) + part * order:
+    panels * order nodes for a whole rule, order for a panel.  Cells
     with equal node counts per axis, whose rules have one shape, are one
     `_kernel` call on all their runs."""
     values = np.empty(len(ids), dtype=complex)
-    # each cell axis's rule in the table of the rules the cells take, and
-    # the first node of its run
+    # the rows the cells take, and the first node of each cell axis's run
     taken = np.flatnonzero(np.bincount(ids.ravel(), minlength=len(keys)))
-    rule, offset, nodes, weights = _rule_table(keys[taken])
+    offset, nodes, weights = _rule_table(keys[taken])
     panels, order = (keys[:, c].astype(np.int64)[ids] for c in (2, 3))
-    first = offset[rule[np.searchsorted(taken, ids)]] + np.maximum(parts, 0) * order
+    first = offset[np.searchsorted(taken, ids)] + np.maximum(parts, 0) * order
     shapes, group = _rows(np.where(parts < 0, panels * order, order))
     by_group = np.split(np.argsort(group, kind="stable"), np.cumsum(np.bincount(group))[:-1])
     for sizes, members in zip(shapes.tolist(), by_group):
@@ -933,9 +932,10 @@ def _orbits(groups, keys, ids, row, live):
     nodes.  (With two panels, the one such cell of a 3D sweep at lam 16 to
     32 saved less kernel time than its panel cells took to plan.)  The
     stabilizer maps the panel cells onto each other, and the least image of
-    each orbit, in the order of their panels, is a piece; every other
-    evaluated cell is one piece, whole.  Returns per cell the cell whose
-    value it takes, and whether it takes its conjugate;
+    each orbit, in the order of their panels, is a piece; an evaluated cell
+    that is not cut is its own one panel cell, so one piece, whole.  Returns
+    per cell the cell whose value it takes, and whether it takes its
+    conjugate;
     then per piece, in table order, its cell, its part of each axis's rule
     (-1 for the whole rule, j for panel j), and how many panel cells of its
     cell take its sum and how many its conjugate."""
@@ -969,14 +969,9 @@ def _orbits(groups, keys, ids, row, live):
         rep = first[key]
         conj = conj != conj[rep]
     cells = np.flatnonzero(live & (rep == np.arange(n)))
-    cut = cut[cells]
-    if cut.any():
-        panels, orders = (keys[ids[cells], c].astype(np.int64) for c in (2, 3))
-        cut &= panels > 2
-        cut &= (np.where(cut, orders, orders * panels).prod(axis=1) >= _PANEL_NODES)[:, None]
-    if not cut.any():
-        return (rep, conj, cells, np.full((len(cells), d), -1),
-                np.ones(len(cells), dtype=np.int64), np.zeros(len(cells), dtype=np.int64))
+    panels, orders = (keys[ids[cells], c].astype(np.int64) for c in (2, 3))
+    cut = cut[cells] & (panels > 2)
+    cut &= (np.where(cut, orders, orders * panels).prod(axis=1) >= _PANEL_NODES)[:, None]
     # every panel cell (a cell not cut is one), its panels and its index in
     # its cell, in mixed radix with the last axis fastest: the moved axes
     # have equal radix, so index order is the panels' lexicographic order
@@ -1008,9 +1003,9 @@ def _evaluate(p, f, chi, lams, quad):
     """Tensor-panel quadrature of the oscillatory form at every frequency of
     `lams`, with test function `f` and cutoff `chi`, each one for every
     frequency or a sequence of one per frequency: per frequency, its result
-    (without certificate), and the value and node count of every cell of its
-    sub-rows (`_reflections`, per test function and orthant flag), over all
-    the copies of each.  Every row's cutoff must have the same `levels`.
+    (without certificate), and the value and node count, a float, of every
+    cell of its sub-rows (`_reflections`, per test function and orthant
+    flag), over all the copies of each.  Every row's cutoff must have the same `levels`.
     A row's result does not depend on the other rows of the call, bit for
     bit: its rules depend only on its own frequency, test function and
     cutoff (`_layout`), and a cell that fits a kernel block keeps its bits
@@ -1065,11 +1060,12 @@ def _evaluate(p, f, chi, lams, quad):
     n, signs = len(row), np.array(signs, dtype=float)
     plain, twin = np.array(plain)[row], np.array(twin)[row]
     copies = plain + twin
-    # row i is cells ends[i]:ends[i + 1]; its tensor nodes over every
-    # reflection, in floats, which cannot wrap
+    # row i is cells ends[i]:ends[i + 1]; each cell's tensor nodes over
+    # every reflection, in floats, which cannot wrap and are exact below
+    # 2^53, and each row's sum
     ends = np.searchsorted(parent[row], np.arange(len(lams) + 1))
-    planned = np.multiply(counts, orders, dtype=float).prod(axis=1) * copies
-    planned = np.array([planned[a:b].sum() for a, b in zip(ends, ends[1:])])
+    nodes = np.multiply(counts, orders, dtype=float).prod(axis=1) * copies
+    planned = np.array([nodes[a:b].sum() for a, b in zip(ends, ends[1:])])
     # the call's distinct rules (lo, hi, panels, order, e), by value over
     # every axis, and each cell axis's among them
     rules, ids = _rows(np.stack([lo, hi, counts, orders, exps], axis=2).reshape(-1, 5))
@@ -1096,15 +1092,14 @@ def _evaluate(p, f, chi, lams, quad):
     value = value[rep]
     value.real *= copies
     value.imag *= np.where(conj, twin - plain, plain - twin)
-    allowed = allow * mass * copies
-    nodes, out = (counts * orders).prod(axis=1) * copies, []
+    allowed, out = allow * mass * copies, []
     for lam, a, b, plan in zip(lams, ends, ends[1:], planned):
         if plan > quad.node_budget:
             out.append((OscResult(lam, None, None, True, int(plan)), value[:0], nodes[:0]))
             continue
         v = value[a:b]
         out.append((OscResult(lam, complex(v.sum()), float(allowed[a:b].sum()), False,
-                              int(nodes[a:b].sum())), v, nodes[a:b]))
+                              int(plan)), v, nodes[a:b]))
     return out
 
 

@@ -106,6 +106,8 @@ class PhasePolynomial:
         """Exact partial derivative, once along each listed axis (0-based)."""
         order = [0] * self.dimension
         for k in axes:
+            if not 0 <= k < self.dimension:
+                raise PhaseError(f"axis {k} is outside 0..{self.dimension - 1}")
             order[k] += 1
         return partial_derivative(self, order)
 

@@ -74,17 +74,6 @@ def rank(rows: Matrix) -> int:
     return r
 
 
-def invert(a: Matrix) -> list[list[Fraction]] | None:
-    """Exact matrix inverse.  None when singular."""
-    n = len(a)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(a)]
-    m, pivots = rref(aug)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in m]
-
-
 def inf_operator_norm(a: Matrix) -> Fraction:
     """Max-row-sum norm, i.e. the operator norm on sup-norm vectors."""
     return max(sum(abs(Fraction(x)) for x in row) for row in a)

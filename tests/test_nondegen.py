@@ -1,4 +1,5 @@
 """Nondegeneracy verdicts, box floors, rescaling."""
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -101,6 +102,17 @@ class TestNondegeneracyVerdicts:
     def test_negative_starts_refused(self):
         with pytest.raises(NondegenError, match="starts"):
             check_nondegeneracy(phase("x1^3*x2 - x1*x2^3"), starts=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("eta", 1.5), ("eta", 1.0), ("eta", 0.0), ("eta", -1e-3), ("eta", math.nan),
+        ("degen_tol", 0.0), ("degen_tol", -1e-10), ("degen_tol", math.inf),
+        ("degen_tol", math.nan)])
+    def test_resolution_and_tolerance_bounds(self, name, value):
+        # the bounds the CLI applies: eta in (0, 1), degen_tol in (0, inf).
+        # eta 1.5 used to report this degenerate phase nondegenerate, eta 0
+        # to raise numpy's ValueError and eta nan to read inconclusive
+        with pytest.raises(NondegenError, match=f"{name} must lie in"):
+            check_nondegeneracy(phase("x1^3*x2 - x1*x2^3"), **{name: value})
 
     @pytest.mark.parametrize("text,d", [("x1^2*x2^2 + x1^5*x2", 2),
                                         ("x1*x2 + x2*x3", 3)])

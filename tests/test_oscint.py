@@ -278,6 +278,14 @@ class TestFactors:
         with pytest.raises(OscError):
             FactorSpec.box(1.0, 1.0)
 
+    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (0.5, 0.25), (math.nan, 1.0),
+                                      (0.0, math.nan), (math.inf, math.inf)])
+    def test_every_factor_needs_a_below_b(self, a, b):
+        # FactorSpec(nan, 1.0) used to integrate as the whole line
+        for make in (FactorSpec, FactorSpec.box):
+            with pytest.raises(OscError, match="needs a < b"):
+                make(a, b)
+
     def test_box_outside_the_support_has_norm_zero(self):
         # the integrand is 0 there, so every norm bounding it is 0
         for p in (math.inf, Fraction(1), Fraction(2)):
@@ -783,7 +791,8 @@ class TestKernel:
             return original(t)
 
         monkeypatch.setattr(CutoffSpec, "profile", staticmethod(counting))
-        inverse, offset, flat_nodes, flat_weights = _rule_table(keys)
+        rules, inverse = _rows(keys)
+        offset, flat_nodes, flat_weights = _rule_table(rules)
         # one cutoff evaluation for the whole table, and one row per
         # distinct key by value: -0.0 and 0.0 key alike
         assert len(calls) == 1
@@ -1822,12 +1831,10 @@ def count_rule_builds(monkeypatch):
     calls = []
     original = oscint._rule_table
 
-    def counting(keys):
-        built = original(keys)
-        rows = dict(zip(built[0].tolist(), keys.tolist()))  # one key per table row
+    def counting(rules):
         calls.extend((lo, hi, int(panels), int(e), *oscint._gauss(int(order)))
-                     for lo, hi, panels, order, e in rows.values())
-        return built
+                     for lo, hi, panels, order, e in rules.tolist())
+        return original(rules)
 
     monkeypatch.setattr(oscint, "_rule_table", counting)
     return calls

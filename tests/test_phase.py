@@ -101,6 +101,15 @@ class TestDerivative:
         with pytest.raises(PhaseError):
             partial_derivative(p, (1,))
 
+    def test_axis_out_of_range(self):
+        # axis -1 used to index from the end and give d/dx2, axis 2 to
+        # raise IndexError
+        p = PhasePolynomial.from_terms({(1, 1): 1}, 2)
+        assert terms(p.derivative(1)) == {(1, 0): Fraction(1)}
+        for axes in ((-1,), (2,), (0, 2)):
+            with pytest.raises(PhaseError, match="outside 0..1"):
+                p.derivative(*axes)
+
 
 # hypothesis strategies for small polynomials; the grammar has no constant
 # terms, so the all-zero exponent tuple is excluded
