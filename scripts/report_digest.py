@@ -6,11 +6,13 @@ the exit code, so two source trees whose digests agree produced the same
 report bytes on every job.  Each line is a job's digest, the number of
 `oscint._kernel` calls the job made, the number of `oscint._evaluate`
 calls (each pays the quadrature's set-up once and makes one
-`oscint._run_level`), the kernel nodes (the sum over its `_kernel` calls
-of cells times the nodes per axis, B * prod n_k), and its command; then
-comes the digest of all the job digests.  The call and node counts are
-not hashed: they show how a change to the kernel's batching, grouping or
-error estimate moves each job.  The last line, not hashed either, gives
+`oscint._run_level`), the cells its `oscint._layout` calls planned (every
+row's cells, before orbits and budget refusals), the kernel nodes (the sum
+over its `_kernel` calls of cells times the nodes per axis,
+B * prod n_k), and its command; then comes the digest of all the job
+digests.  The call, cell and node counts are not hashed: they show how a
+change to the kernel's batching, grouping, cell depths or error estimate
+moves each job.  The last line, not hashed either, gives
 the size of the `oscdecay` package that ran: its lines (`wc -l`) and its
 code lines, those outside docstrings, comments and blanks.
 
@@ -174,17 +176,20 @@ def main() -> None:
     argparse.ArgumentParser(description=__doc__,
                             formatter_class=argparse.RawDescriptionHelpFormatter).parse_args()
     digests, real = [], {name: getattr(oscint, name)
-                         for name in ("_kernel", "_evaluate")}
+                         for name in ("_kernel", "_evaluate", "_layout")}
     calls = {name: [] for name in real}
 
     def counted(name):
         def spy(*args):
-            # per call, its kernel nodes: B cells times the nodes of each of
-            # its (B, n_k) axes; 0 for the others
-            axes = args[2] if name == "_kernel" else ()
-            calls[name].append(math.prod([axes[0].shape[0]] + [x.shape[1] for x in axes])
-                               if axes else 0)
-            return real[name](*args)
+            out = real[name](*args)
+            # per call, a kernel call's nodes, B cells times the nodes of
+            # each of its (B, n_k) axes, a layout's cells, and 0 otherwise
+            if name == "_kernel":
+                calls[name].append(math.prod([args[2][0].shape[0]]
+                                             + [x.shape[1] for x in args[2]]))
+            else:
+                calls[name].append(len(out[0]) if name == "_layout" else 0)
+            return out
         return spy
 
     for name in real:
@@ -194,8 +199,9 @@ def main() -> None:
             for made in calls.values():
                 made.clear()
             digests.append(run_digest(argv))
-            print(digests[-1], *(f"{len(made):4d}" for made in calls.values()),
-                  f"{sum(calls['_kernel']):11d}", " ".join(argv), flush=True)
+            print(digests[-1], f"{len(calls['_kernel']):4d}", f"{len(calls['_evaluate']):4d}",
+                  f"{sum(calls['_layout']):6d}", f"{sum(calls['_kernel']):11d}", " ".join(argv),
+                  flush=True)
     finally:
         for name, fn in real.items():
             setattr(oscint, name, fn)

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import re
+import shutil
 import sys
 from dataclasses import dataclass, fields, replace
 from fractions import Fraction
@@ -528,15 +530,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser.  With no `command` every subcommand is registered,
     for the top-level help and the bad-choice error.  Given a known
     `command`, only that subcommand is; the metavar lists all seven, so
-    the usage line every error prints reads the same either way."""
+    the usage line every error prints reads the same either way.  The
+    terminal's width is read once, as argparse's formatter reads it (its
+    columns less 2), not by each of the formatters argparse builds, one
+    per argument added."""
+    formatter = functools.partial(argparse.HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = argparse.ArgumentParser(
         prog="oscdecay",
-        description="Decay-rate toolkit for separable oscillatory forms.")
+        description="Decay-rate toolkit for separable oscillatory forms.",
+        formatter_class=formatter)
     sub = parser.add_subparsers(dest="command", required=True)
     if command is not None:
         sub.metavar = "{" + ",".join(HANDLERS) + "}"
     for name in HANDLERS if command is None else (command,):
-        _add_arguments(sub.add_parser(name), name)
+        _add_arguments(sub.add_parser(name, formatter_class=formatter), name)
     return parser
 
 

@@ -348,23 +348,39 @@ def _ladder(order, waves):
     return math.exp(log_target), tuple(rungs)
 
 
+_RHOS = np.geomspace(1.01, 100.0, 400)  # the Bernstein ellipses _merge_reach tries
+
+
 @lru_cache(maxsize=None)
 def _merge_reach(order, waves, degree):
     """Per Gauss order n <= `order` of the ladder, ascending, (n, theta_n):
-    the largest theta at which 2 theta^j0 / j0! e^theta, j0 = ceil(2n /
-    degree), is at most the target R(order, waves).  On [0, h], where
-    |lam g| <= theta for g a polynomial of that degree, n-point Gauss
-    integrates every term (i lam g)^j / j! of exp(i lam g) with j < j0
-    exactly, so it errs by at most that much times h.  theta_n is inf at
-    degree 0."""
+    the largest theta at which one of two bounds on one n-point panel's
+    error relative to its width meets the target R(order, waves), for a
+    polynomial g of degree D = `degree` with |lam g| <= theta on [0, h].
+    The Bernstein-ellipse bound (Trefethen, Approximation Theory and
+    Approximation Practice, Thm 19.3, whose (n + 1)-point rule errs with
+    rho^-2n) is (32/15) exp(theta phi_D(rho)) / ((rho^2 - 1) rho^(2n - 2))
+    for every rho > 1, with phi_D(rho) = (u + v)^D - u^D, u = (1 + (rho +
+    1/rho)/2)/2 and v = (rho - 1/rho)/4: on the ellipse of [0, h], |Re z|
+    <= u h and |Im z| <= v h, so |Im c z^a| <= |c| h^a ((u + v)^a - u^a),
+    which grows with a as u >= 1.  Its reach is a closed form per rho,
+    maximised over the fixed grid _RHOS; a coarser grid only lowers it.
+    The Taylor bound 2 theta^j0 / j0! e^theta, j0 = ceil(2n / D), holds as
+    n-point Gauss integrates every term (i lam g)^j / j! of exp(i lam g)
+    with j < j0 exactly; its reach, by bisection, is kept where it is the
+    larger.  theta_n is inf at degree 0."""
     target, rungs = _ladder(order, waves)
+    ns = [n for n, _, _ in rungs if n <= order]
+    if degree == 0:
+        return tuple((n, math.inf) for n in ns)
+    u, v = (1.0 + (_RHOS + 1.0 / _RHOS) / 2.0) / 2.0, (_RHOS - 1.0 / _RHOS) / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = (u + v) ** degree - u ** degree
+    # where phi overflows, that rho admits theta 0 alone
+    phi = np.where(np.isfinite(phi), phi, np.inf)
+    base = math.log(target) - math.log(32.0 / 15.0) + np.log(_RHOS ** 2 - 1.0)
     reach = []
-    for n, _, _ in rungs:
-        if n > order:
-            break
-        if degree == 0:
-            reach.append((n, math.inf))
-            continue
+    for n in ns:
         j0 = -(-2 * n // degree)
 
         def fits(theta):
@@ -377,7 +393,7 @@ def _merge_reach(order, waves, degree):
         for _ in range(100):
             mid = 0.5 * (lo + hi)
             lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-        reach.append((n, lo))
+        reach.append((n, max(lo, float(((base + (2 * n - 2) * np.log(_RHOS)) / phi).max()))))
     return tuple(reach)
 
 
@@ -690,8 +706,10 @@ def _depths(grads, f, chi, lams, quad):
     phi with a_k >= 1 and G the same terms with absolute coefficients and
     the other axes at their largest magnitude over the support and the
     factor, |lam g| <= theta = |lam| G(2^-L) on the piece, so `_merge_reach`
-    bounds one n-point panel's error there.  G is read off `grads`, d_k phi
-    with absolute coefficients: each of its terms c x^b is one of g's
+    at g's degree in x_k bounds one n-point panel's error there, by Taylor
+    terms or on the Bernstein ellipses of [0, 2^-L], which hold those of a
+    piece the factor clips.  G is read off `grads`, d_k phi with absolute
+    coefficients: each of its terms c x^b is one of g's
     divided by a_k = b_k + 1.  L_k is the smallest level, at most `levels`,
     at which some order meets the target, and n the least such order; where
     none does, L_k = `levels` and n = 0, the octave layout to the

@@ -12,13 +12,14 @@ import time
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import jsonschema
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oscdecay import oscint
+from oscdecay import cli, oscint
 from oscdecay.cli import (
     HANDLERS,
     CliError,
@@ -504,6 +505,23 @@ class TestParser:
             assert (code, *got) == (exit_.value.code, *capsys.readouterr()), argv
             if extra == ["--bogus"]:
                 assert "{" + ",".join(HANDLERS) + "}" in got.err
+
+    def test_help_and_usage_error_match_stock_argparse(self, monkeypatch, capsys):
+        # build_parser reads the terminal's width once and gives every
+        # parser one formatter at it; stock argparse reads it again for each
+        # formatter it builds.  The text is the same at either width
+        argvs = [[name, "--help"] for name in HANDLERS] + [["--help"], ["verify", "--bogus"]]
+
+        def texts(columns):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            out = [(main(argv), *capsys.readouterr()) for argv in argvs]
+            assert [code for code, _, _ in out] == [0] * (len(argvs) - 1) + [2]
+            return out
+
+        ours = {columns: texts(columns) for columns in (50, 200)}
+        assert ours[50] != ours[200]
+        monkeypatch.setattr(cli, "functools", SimpleNamespace(partial=lambda cls, **_: cls))
+        assert {columns: texts(columns) for columns in (50, 200)} == ours
 
     def test_top_level_help_and_bad_choice(self, capsys):
         assert main(["--help"]) == 0

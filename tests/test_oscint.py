@@ -344,8 +344,9 @@ class TestEvaluateBasics:
         assert (r.value, r.error, r.nodes) == (None, None, free.nodes)
         assert type(r.nodes) is int
 
-    # the free rule, on merged pieces near 0, takes 35,296 nodes
-    @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 30_000, 35_000])
+    # the free rule, on merged pieces near 0, takes 33,856 nodes (35,296
+    # while the merged piece's reach came from the Taylor bound alone)
+    @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 30_000, 33_800])
     def test_budget_is_a_bound(self, budget, monkeypatch):
         # below the free count no node reaches the kernel; at it, the row
         # is evaluated as without a budget
@@ -442,9 +443,10 @@ class TestEvaluateBasics:
         cells = list(product(*pieces))
         assert len(cells) == values.size == nodes.size
         assert all(lo >= 0 for cell in cells for lo, _ in cell)
-        # at lam 8 one 16-point panel covers [0, 1/2]: 2 pieces per axis,
-        # against 13 when every axis was cut to `levels`
-        assert (depths, merged, len(cells)) == ([1, 1], [16, 16], 4)
+        # at lam 8 one 8-point panel covers [0, 1/2] (theta 4; 16 points
+        # under the Taylor bound alone): 2 pieces per axis, against 13 when
+        # every axis was cut to `levels`
+        assert (depths, merged, len(cells)) == ([1, 1], [8, 8], 4)
 
 
 def lone_cells(p, f, chi, lam, quad=QuadratureConfig()):
@@ -1437,13 +1439,44 @@ def box_bound(n, j, q, norms, lam):
     return math.prod(norms) * 2.0 ** -s * gain
 
 
+def taylor_reach(n, degree, target):
+    """The largest theta at which the Taylor bound 2 theta^j0 / j0! e^theta,
+    j0 = ceil(2n / degree), meets `target`, by bisection in logs: the
+    merged piece's reach before the Bernstein-ellipse bound."""
+    j0 = -(-2 * n // degree)
+
+    def fits(theta):
+        return (math.log(2.0) + j0 * math.log(theta) - math.lgamma(j0 + 1) + theta
+                <= math.log(target))
+
+    lo, hi = 0.0, 1.0
+    while fits(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo
+
+
+def bernstein_bound(theta, degree, rho, power):
+    """(32/15) exp(theta phi_D(rho)) / ((rho^2 - 1) rho^power) per rho of an
+    array, phi_D(rho) = (u + v)^D - u^D: the Bernstein-ellipse bound on one
+    n-point panel's error relative to its width, for power = 2n - 2."""
+    u, v = (1.0 + (rho + 1.0 / rho) / 2.0) / 2.0, (rho - 1.0 / rho) / 4.0
+    phi = (u + v) ** degree - u ** degree
+    with np.errstate(over="ignore"):
+        return 32.0 / 15.0 * np.exp(theta * phi) / ((rho ** 2 - 1.0) * rho ** power)
+
+
 class TestMergedPiece:
     def test_one_panel_meets_the_target_at_every_admitted_theta(self):
-        # per degree D and ladder order n, up to the largest theta the bound
-        # 2 theta^j0 / j0! e^theta (j0 = ceil(2n / D)) admits, one n-point
-        # panel on [0, h] errs by at most the target times h on
-        # exp(i theta (x/h)^D) and on a two-term polynomial of degree D
-        # bounded by theta there, against a 200-point panel
+        # per degree D and ladder order n, up to the largest theta at which
+        # the Bernstein-ellipse bound on some ellipse of the grid, or the
+        # Taylor bound 2 theta^j0 / j0! e^theta (j0 = ceil(2n / D)), meets
+        # the target, one n-point panel on [0, h] errs by at most the
+        # target times h on exp(i theta (x/h)^D) and on a two-term
+        # polynomial of degree D bounded by theta there, against a
+        # 200-point panel
         quad = QuadratureConfig()
         target, _ = oscint._ladder(quad.order, quad.waves_per_panel)
         h = 0.125
@@ -1459,9 +1492,10 @@ class TestMergedPiece:
                 j0 = -(-2 * n // degree)
 
                 def bound(theta):
-                    return 2.0 * theta ** j0 / math.factorial(j0) * math.exp(theta)
+                    return min(2.0 * theta ** j0 / math.factorial(j0) * math.exp(theta),
+                               bernstein_bound(theta, degree, oscint._RHOS, 2 * n - 2).min())
 
-                # the largest theta at which the bound meets the target
+                # the largest theta at which a bound meets the target
                 assert bound(most) <= target * (1 + 1e-12) and bound(most * (1 + 1e-9)) > target
                 gx, gw = np.polynomial.legendre.leggauss(n)
                 for theta in np.linspace(0.0, most, 41)[1:]:
@@ -1470,37 +1504,73 @@ class TestMergedPiece:
                         err = abs(panel(g, gx, gw) - panel(g, rx, rw))
                         assert err <= target * h, (degree, n, theta)
 
-    def test_product_phase_merges_to_depth_4_at_lam_64(self):
-        # theta = 64 * 2^-L: 4 at L = 4 is admitted for 16 points (5.28 is
-        # the most), 8 at L = 3 is not
+    def test_an_n_point_panel_takes_rho_to_the_2n_minus_2(self):
+        # Trefethen's Thm 19.3 bounds the (n + 1)-point rule with rho^-2n,
+        # so an n-point panel takes rho^-(2n - 2).  Read with rho^-2n, the
+        # bound admits theta 1.467 for a 4-point panel on a linear axis,
+        # where one panel errs by about 58x the target; every theta up to
+        # the shipped reach, 0.659, meets it
+        quad = QuadratureConfig()
+        target, _ = oscint._ladder(quad.order, quad.waves_per_panel)
+        (n, most), *_ = _merge_reach(quad.order, quad.waves_per_panel, 1)
+        rho = oscint._RHOS
+        # the bound is A exp(theta phi_1(rho)), phi_1(rho) = v
+        wrong = (np.log(target / bernstein_bound(0.0, 1, rho, 2 * n))
+                 / ((rho - 1.0 / rho) / 4.0)).max()
+        assert (n, round(float(wrong), 3), round(most, 3)) == (4, 1.467, 0.659)
+        h = 0.125
+        rx, rw = np.polynomial.legendre.leggauss(200)
+        gx, gw = np.polynomial.legendre.leggauss(n)
+
+        def error(theta):
+            def panel(x, w):
+                return h / 2 * (w * np.exp(1j * theta * (x + 1.0) / 2)).sum()
+
+            return abs(panel(gx, gw) - panel(rx, rw))
+
+        assert error(wrong) > 10 * target * h
+        assert all(error(theta) <= target * h for theta in np.linspace(0.0, most, 81)[1:])
+
+    def test_reach_is_never_below_the_taylor_bounds(self):
+        # both bounds hold, so each order keeps the larger reach
+        quad = QuadratureConfig()
+        target, _ = oscint._ladder(quad.order, quad.waves_per_panel)
+        for degree in range(1, 41):
+            for n, most in _merge_reach(quad.order, quad.waves_per_panel, degree):
+                assert most >= taylor_reach(n, degree, target), (degree, n)
+
+    def test_product_phase_merges_to_depth_2_at_lam_64(self):
+        # theta = 64 * 2^-L: 16 at L = 2 is admitted for 16 points (23.7 is
+        # the most; the Taylor bound alone admits 5.28 and cut to L = 4),
+        # 32 at L = 1 is not
         p, f = phase("x1*x2*x3", 3), TestFunctionSpec.ones(3)
         depths, merged = depths_of(p, f, CHI_POS, [64.0])
-        assert depths.tolist() == [[4, 4, 4]] and merged.tolist() == [[16, 16, 16]]
+        assert depths.tolist() == [[2, 2, 2]] and merged.tolist() == [[16, 16, 16]]
         _, values, _ = lone_cells(p, f, CHI_POS, 64.0)
-        assert values.size == 5 ** 3
+        assert values.size == 3 ** 3
 
     def test_rows_take_their_own_depths(self):
         # the frequencies of the sweep cases 3d-depths and clipped-merge
         depths, _ = depths_of(phase("x1*x2*x3", 3), TestFunctionSpec.ones(3), CHI_POS,
                               [16.0, 64.0, 1024.0])
-        assert depths[:, 0].tolist() == [2, 4, 8]
+        assert depths[:, 0].tolist() == [1, 2, 6]
         f = TestFunctionSpec.boxes([(0.01, 0.9), (-0.7, 0.002)])
-        depths, merged = depths_of(phase("x1^3*x2 + x1*x2^2"), f, CHI, [8.0, 20.0, 40.0, 80.0])
+        depths, merged = depths_of(phase("x1^3*x2 + x1*x2^2"), f, CHI, [8.0, 20.0, 40.0, 320.0])
         assert len(set(depths[:, 0].tolist())) == 4 and merged.all()
-        # the box clips the merged piece of x1 to [0.01, 2^-L] but at lam 80
+        # the box clips the merged piece of x1 to [0.01, 2^-L] but at lam 320
         for (level, _), want in zip(depths.tolist(), [True, True, True, False]):
             assert ((0.01, 2.0 ** -level) in _axis_pieces(f.factors[0], level)) == want
 
     def test_unbounded_theta_is_not_admitted(self):
         # theta = lam 1e20 2^-30L / 30 on x1 overflows at L = 1 and lam
         # 1e300; a level where it is finite and small enough still admits
-        # the merged piece, at 36 with 4 points, and at 31 with 16 points at
+        # the merged piece, at 36 with 4 points, and at 31 with 12 points at
         # lam 1e250; x2 never merges
         p, f = phase("100000000000000000000*x1^30*x2"), TestFunctionSpec.ones(2)
         chi = CutoffSpec(True, levels=40)
         depths, merged = depths_of(p, f, chi, [1e300, 1e250])
         assert depths.tolist() == [[36, 40], [31, 40]]
-        assert merged.tolist() == [[4, 0], [16, 0]]
+        assert merged.tolist() == [[4, 0], [12, 0]]
 
 
 class TestSingleBoxBound:
@@ -1662,10 +1732,10 @@ class TestSweep:
         assert kernel <= 1.05 * sum(r.nodes for r in results)
 
     @pytest.mark.parametrize("text, d, lams, kernel, grouped", [
-        pytest.param("x1*x2", 2, (64.0,), 3_616, 2_336, id="x1*x2-2-lams0-5072"),
-        pytest.param("x1*x2*x3", 3, (16.0, 32.0, 64.0), 295_232, 108_032,
+        pytest.param("x1*x2", 2, (64.0,), 2_256, 1_616, id="x1*x2-2-lams0-5072"),
+        pytest.param("x1*x2*x3", 3, (16.0, 32.0, 64.0), 138_432, 65_728,
                      id="x1*x2*x3-3-lams1-428224"),
-        pytest.param("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 259_968, 180_736,
+        pytest.param("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 187_968, 140_800,
                      id="x1^2*x2^2*x3^2 + x1^3*x2*x3-3-lams2-373056"),
     ])
     def test_rerun_keeps_unresolved_transition_cells(self, monkeypatch, text, d, lams, kernel,
@@ -1676,7 +1746,9 @@ class TestSweep:
         # cell with an axis on [1/2, 1] took it to 5,072, 428,224 and
         # 373,056, and on the octave layout to `levels` that was 8,224,
         # 1,283,776 and 873,088.  One cell per orbit of the axis swaps runs
-        # `grouped`
+        # `grouped`.  Merged pieces sized by the Taylor bound alone ran
+        # 3,616, 295,232 and 259,968 nodes, 2,336, 108,032 and 180,736
+        # grouped
         calls = kernel_calls(monkeypatch)
         with monkeypatch.context() as m:
             ungrouped(m)
@@ -1745,11 +1817,12 @@ class TestSweep:
         # equal panels took 983,984 and 4,407,216 nodes on the octave
         # layout to `levels`, and mapped ones 983,984 (x1*x2, whose
         # exponents are all 1, keeps equal panels) and 2,480,304; merged
-        # pieces near 0 take a little off both
+        # pieces near 0 take a little off both: 968,400 and 2,453,248 under
+        # the Taylor bound alone, fewer since the Bernstein ellipse's
         nodes = [sum(r.nodes for r in lambda_sweep(phase(text), TestFunctionSpec.ones(2),
                                                    CHI_POS, lambda_grid(64, 2048, 11)))
                  for text in ("x1*x2", "x1^3*x2^3")]
-        assert nodes == [968_400, 2_453_248]
+        assert nodes == [952_208, 2_450_128]
 
     @pytest.mark.parametrize("waves", [0.5, 2.0])
     def test_finer_rules_take_the_default_rules_table(self, waves):
@@ -1859,7 +1932,7 @@ class TestRuleTable:
         ("x1*x2*x3", 3, TestFunctionSpec.ones(3), CHI_POS, (16.0, 64.0, 1024.0),
          QuadratureConfig(), 0),
         ("x1^3*x2 + x1*x2^2", 2, TestFunctionSpec.boxes([(0.01, 0.9), (-0.7, 0.002)]),
-         CHI, (8.0, 20.0, 40.0, 80.0), QuadratureConfig(), 0),
+         CHI, (8.0, 20.0, 40.0, 320.0), QuadratureConfig(), 0),
     ], ids=["product-orthant", "3d", "boxes", "budget", "3d-depths", "clipped-merge"])
     def test_sweep_equals_lone_evaluations(self, text, d, f, chi, lams, quad, flagged):
         p = phase(text, d)
@@ -1891,12 +1964,13 @@ class TestRuleTable:
         # each built once, merged pieces at each depth too; with the rerun of
         # transition axes below P0(n, e) panels there were 97, on the octave
         # layout to `levels` 92, and a rerun on every cell with an axis at
-        # order 16 or above built 108
+        # order 16 or above built 108.  The 63 are 80 with merged pieces
+        # sized by the Taylor bound alone
         calls = count_rule_builds(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
         keys = [(lo, hi, panels, len(gx), e) for lo, hi, panels, e, gx, _ in calls]
-        assert len(keys) == len(set(keys)) == 80
+        assert len(keys) == len(set(keys)) == 63
 
 
 class TestBatchedRows:
@@ -2172,11 +2246,12 @@ class TestOrbits:
         # the kernel ran 8,851,648 nodes, and with the swap-fixed cells
         # whole, not one panel cell per orbit, 6,496,560; both with the
         # rerun of transition axes below P0(n, e) panels, which took it to
-        # 4,795,952
+        # 4,795,952.  Merged pieces sized by the Taylor bound alone took
+        # 4,766,064
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase("x1^2*x2 + x1*x2^2 + x1^2*x2^2"), TestFunctionSpec.ones(2), CHI,
                      lambda_grid(64, 1024, 5))
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == 4_766_064
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == 4_755_344
 
     @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
     @pytest.mark.parametrize("text, d, lams, moved", [
@@ -2211,13 +2286,13 @@ class TestOrbits:
         assert max((p - q).max() for p, q in zip(panels, pieces)) > 0
 
     @pytest.mark.parametrize("text, d, lams, kernel, count", [
-        ("x1*x2", 2, lambda_grid(64, 2048, 11), 522_896, 17),
-        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_288_960, 14),
-        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 10_916_736, 22),
+        ("x1*x2", 2, lambda_grid(64, 2048, 11), 514_768, 14),
+        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_287_344, 14),
+        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 10_771_328, 19),
         # the two 3D templates of the benchmark, whose cells have too few
         # panels to cut
-        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 108_032, 13),
-        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 180_736, 19),
+        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 65_728, 9),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 140_800, 22),
     ], ids=["x1*x2", "x1^3*x2^3", "x1*x2*x3", "x1*x2*x3-cells", "two-terms-cells"])
     def test_panel_orbits_cut_kernel_nodes(self, monkeypatch, text, d, lams, kernel, count):
         # orthant sweeps; with each self-symmetric cell evaluated whole the
@@ -2227,7 +2302,11 @@ class TestOrbits:
         # at most 2^18 floats, the first three took 23, 27 and 120 calls.
         # The rerun of transition axes below P0(n, e) panels took them to
         # 543,904, 1,299,952, 11,635,648, 151,744 and 258,112 nodes in 21,
-        # 18, 30, 20 and 32 calls
+        # 18, 30, 20 and 32 calls.  Merged pieces sized by the Taylor bound
+        # alone took 522,896, 1,288,960, 10,916,736, 108,032 and 180,736
+        # nodes in 17, 14, 22, 13 and 19 calls.  The two-term template's
+        # lam 32 row now merges x1 on 12 points, so its cells form three
+        # more shapes, (12, 4, 4), (12, 4, 16) and (12, 16, 4): 3 more calls
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
         assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
