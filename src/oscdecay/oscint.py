@@ -11,9 +11,9 @@ sign of the phase, are one sub-row, planned once (`_reflections`).  Each
 axis is cut into octave pieces clipped to the factor's interval, so
 every cell sees one oscillation scale and the factor is 1 on every node;
 near 0 the octaves below a per-frequency depth are one merged piece on
-one Gauss panel (`_depths`, per row).  Every other piece takes the Gauss
-order, map exponent and panel count with the fewest nodes that meet one
-per-panel error target (`_sizing`, `_panel_counts`).  A call is one cell table
+one Gauss panel of `order` points (`_depths`, per row).  Every other piece
+takes the Gauss order, map exponent and panel count with the fewest nodes
+that meet one per-panel error target (`_sizing`, `_panel_counts`).  A call is one cell table
 planned before any quadrature (`_layout`), one row per sub-row; a row
 whose rule needs more nodes than the budget, over all its reflections, is
 refused.  Each cell axis's rule (lo, hi, panels, order, e) is a row of
@@ -353,48 +353,29 @@ _RHOS = np.geomspace(1.01, 100.0, 400)  # the Bernstein ellipses _merge_reach tr
 
 @lru_cache(maxsize=None)
 def _merge_reach(order, waves, degree):
-    """Per Gauss order n <= `order` of the ladder, ascending, (n, theta_n):
-    the largest theta at which one of two bounds on one n-point panel's
-    error relative to its width meets the target R(order, waves), for a
-    polynomial g of degree D = `degree` with |lam g| <= theta on [0, h].
-    The Bernstein-ellipse bound (Trefethen, Approximation Theory and
-    Approximation Practice, Thm 19.3, whose (n + 1)-point rule errs with
-    rho^-2n) is (32/15) exp(theta phi_D(rho)) / ((rho^2 - 1) rho^(2n - 2))
-    for every rho > 1, with phi_D(rho) = (u + v)^D - u^D, u = (1 + (rho +
-    1/rho)/2)/2 and v = (rho - 1/rho)/4: on the ellipse of [0, h], |Re z|
-    <= u h and |Im z| <= v h, so |Im c z^a| <= |c| h^a ((u + v)^a - u^a),
-    which grows with a as u >= 1.  Its reach is a closed form per rho,
-    maximised over the fixed grid _RHOS; a coarser grid only lowers it.
-    The Taylor bound 2 theta^j0 / j0! e^theta, j0 = ceil(2n / D), holds as
-    n-point Gauss integrates every term (i lam g)^j / j! of exp(i lam g)
-    with j < j0 exactly; its reach, by bisection, is kept where it is the
-    larger.  theta_n is inf at degree 0."""
-    target, rungs = _ladder(order, waves)
-    ns = [n for n, _, _ in rungs if n <= order]
+    """The largest theta at which one `order`-point Gauss panel on [0, h]
+    errs by at most the target R(order, waves) relative to h, for a
+    polynomial g of degree D = `degree` with |lam g| <= theta there: inf at
+    degree 0.  The bound is the Bernstein ellipse's (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 19.3, whose
+    (n + 1)-point rule errs with rho^-2n), (32/15) exp(theta phi_D(rho)) /
+    ((rho^2 - 1) rho^(2n - 2)) for every rho > 1, with phi_D(rho) =
+    (u + v)^D - u^D, u = (1 + (rho + 1/rho)/2)/2 and v = (rho - 1/rho)/4:
+    on the ellipse of [0, h], |Re z| <= u h and |Im z| <= v h, so
+    |Im c z^a| <= |c| h^a ((u + v)^a - u^a), which grows with a as u >= 1.
+    Its reach is a closed form per rho, maximised over the fixed grid
+    _RHOS; a coarser grid only lowers it."""
     if degree == 0:
-        return tuple((n, math.inf) for n in ns)
+        return math.inf
+    target, _ = _ladder(order, waves)
     u, v = (1.0 + (_RHOS + 1.0 / _RHOS) / 2.0) / 2.0, (_RHOS - 1.0 / _RHOS) / 4.0
     with np.errstate(over="ignore", invalid="ignore"):
         phi = (u + v) ** degree - u ** degree
     # where phi overflows, that rho admits theta 0 alone
     phi = np.where(np.isfinite(phi), phi, np.inf)
-    base = math.log(target) - math.log(32.0 / 15.0) + np.log(_RHOS ** 2 - 1.0)
-    reach = []
-    for n in ns:
-        j0 = -(-2 * n // degree)
-
-        def fits(theta):
-            return (math.log(2.0) + j0 * math.log(theta) - math.lgamma(j0 + 1) + theta
-                    <= math.log(target))
-
-        lo, hi = 0.0, 1.0
-        while fits(hi):
-            lo, hi = hi, 2.0 * hi
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if fits(mid) else (lo, mid)
-        reach.append((n, max(lo, float(((base + (2 * n - 2) * np.log(_RHOS)) / phi).max()))))
-    return tuple(reach)
+    log_room = (math.log(target) - math.log(32.0 / 15.0) + np.log(_RHOS ** 2 - 1.0)
+                + (2 * order - 2) * np.log(_RHOS))
+    return float((log_room / phi).max())
 
 
 _MAX_MAP = 5  # map exponents e run 1.._MAX_MAP
@@ -510,11 +491,6 @@ _TRANSITION_PANELS = (
              2.7e-10)),
     )),
 )
-
-
-# least nodes of a panel cell (`_orbits`): planning one takes about as
-# long as the kernel takes on 200 nodes, and its orbit saves at most half of it
-_PANEL_NODES = 512
 
 
 def _runs(axes, weights, room):
@@ -701,23 +677,23 @@ def _plan(f, depths):
 def _depths(grads, f, chi, lams, quad):
     """Per frequency of `lams`, with its test function and cutoff of `f` and
     `chi` (`_per_row`), and axis k: the depth L_k to which axis k is cut into
-    octaves, and the Gauss order n of its merged piece [0, 2^-L_k], or 0
-    where it has none, as two (F, d) integer arrays.  With g the terms of
-    phi with a_k >= 1 and G the same terms with absolute coefficients and
-    the other axes at their largest magnitude over the support and the
-    factor, |lam g| <= theta = |lam| G(2^-L) on the piece, so `_merge_reach`
-    at g's degree in x_k bounds one n-point panel's error there, by Taylor
-    terms or on the Bernstein ellipses of [0, 2^-L], which hold those of a
-    piece the factor clips.  G is read off `grads`, d_k phi with absolute
-    coefficients: each of its terms c x^b is one of g's
-    divided by a_k = b_k + 1.  L_k is the smallest level, at most `levels`,
-    at which some order meets the target, and n the least such order; where
-    none does, L_k = `levels` and n = 0, the octave layout to the
-    truncation.  A theta that is not finite meets no target.  A row depends
-    only on its own lam, test function and cutoff: G per level and axis is
-    tabled once per test function and orthant flag, over both sides of 0 on
-    the full cutoff, so every reflection of the row keeps these depths.
-    Every row's cutoff has the same `levels` (`_evaluate`)."""
+    octaves, and whether its merged piece [0, 2^-L_k] is one `order`-point
+    panel, as an (F, d) integer and an (F, d) boolean array.  With g the
+    terms of phi with a_k >= 1 and G the same terms with absolute
+    coefficients and the other axes at their largest magnitude over the
+    support and the factor, |lam g| <= theta = |lam| G(2^-L) on the piece,
+    so `_merge_reach` at g's degree in x_k bounds one panel's error there,
+    on the Bernstein ellipses of [0, 2^-L], which hold those of a piece the
+    factor clips.  G is read off `grads`, d_k phi with absolute
+    coefficients: each of its terms c x^b is one of g's divided by
+    a_k = b_k + 1.  L_k is the smallest level, at most `levels`, whose
+    theta meets the target; where none does, L_k = `levels` and the axis
+    does not merge, the octave layout to the truncation.  A theta that is
+    not finite meets no target.  A row depends only on its own lam, test
+    function and cutoff: G per level and axis is tabled once per test
+    function and orthant flag, over both sides of 0 on the full cutoff, so
+    every reflection of the row keeps these depths.  Every row's cutoff has
+    the same `levels` (`_evaluate`)."""
     fs, chis = _per_row(f, chi, len(lams))
     d, levels = len(grads), chis[0].levels
     terms = [g._float_coefficients for g in grads]
@@ -740,14 +716,9 @@ def _depths(grads, f, chi, lams, quad):
                     table[:, k] += c / (b[k] + 1) * others * x ** (b[k] + 1)
         theta = (np.abs(np.asarray(lams))[:, None, None]
                  * np.reshape([tables[key] for key in keys], (-1, levels, d)))
-    ns = np.array([n for n, _ in reach[0]])
-    reach = np.array([[t for _, t in r] for r in reach])  # (d, orders)
-    admitted = theta <= reach.max(axis=1)
+    admitted = theta <= np.array(reach)
     merges = admitted.any(axis=1)
-    depth = np.where(merges, admitted.argmax(axis=1) + 1, levels)
-    at = np.take_along_axis(theta, (depth - 1)[:, None, :], axis=1)[:, 0, :]
-    order = ns[(at[..., None] <= reach).argmax(axis=-1)]
-    return depth, np.where(merges, order, 0)
+    return np.where(merges, admitted.argmax(axis=1) + 1, levels), merges
 
 
 def _sizing(grads, axis_pieces, cells):
@@ -837,19 +808,20 @@ def _layout(grads, fs, lams, quad, depths, merged):
     cells are sized in one `_sizing` and one `_panel_counts` call, each at
     its row's frequency, so a row's rule does not depend on the other rows;
     an overflow refusal names the first row whose turns overflow.  Then
-    each axis's merged piece with a `merged` order takes one panel of it at
-    map exponent 1.  The weight mass is the product over the axes of a
-    closed form: hi - lo, the sum of the Gauss weights, on the plateau, and
-    1/4, the profile's integral over the whole transition piece [PLATEAU, 1]
-    (S(u) + S(1 - u) = 1), on the transition piece, clipped by a box factor
-    or not.  An axis's allowance is the rule's target on the plateau, and
-    on the transition piece, clipped or not, the default rule's tabled
-    error of the whole piece (`_transition_errors`), which serves every
-    rule `QuadratureConfig` accepts.  Relative to the whole piece's mass, a
-    clipped piece has erred up to 1.33x the whole piece's entry where
-    sampled, so the allowance is honest per sample, not per cell.  A cell's
-    allowances are summed in sorted order, so its allowance depends only on
-    the multiset of its rules."""
+    the merged piece of each axis that `merged` flags takes one panel of
+    `quad.order` points at map exponent 1.  The weight mass is the product
+    over the axes of a closed form: hi - lo, the sum of the Gauss weights,
+    on the plateau, and 1/4, the profile's integral over the whole
+    transition piece [PLATEAU, 1] (S(u) + S(1 - u) = 1), on the transition
+    piece, clipped by a box factor or not.  An axis's allowance is the
+    rule's target on the plateau, and on the transition piece, clipped or
+    not, the default rule's tabled error of the whole piece
+    (`_transition_errors`), which serves every rule `QuadratureConfig`
+    accepts.  Relative to the whole piece's mass, a clipped piece has erred
+    up to 1.33x the whole piece's entry where sampled, so the allowance is
+    honest per sample, not per cell.  A cell's allowances are summed in
+    sorted order, so its allowance depends only on the multiset of its
+    rules."""
     # per axis, a dict from piece (lo, hi) to its index, grown as pieces are
     # met; rows of one test function and depths share their cells
     index, planned = [{} for _ in grads], {}
@@ -870,9 +842,9 @@ def _layout(grads, fs, lams, quad, depths, merged):
     sizing = _sizing(grads, pieces, cells)
     counts, orders, exps = _panel_counts(np.asarray(lams)[row], sizing, quad)
     # a row's merged piece on axis k is the one within [0, 2^-L_k]
-    n = merged[row]
-    on = (hi <= np.ldexp(1.0, -depths[row])) & (n > 0)
-    counts, orders, exps = (np.where(on, v, a) for v, a in ((1, counts), (n, orders), (1, exps)))
+    on = (hi <= np.ldexp(1.0, -depths[row])) & merged[row]
+    counts, orders, exps = (np.where(on, v, a)
+                            for v, a in ((1, counts), (quad.order, orders), (1, exps)))
     # per axis, the target where analytic, else the tabled error of the
     # whole transition piece [PLATEAU, 1], clipped or not
     target, _ = _ladder(quad.order, quad.waves_per_panel)
@@ -944,14 +916,12 @@ def _orbits(groups, keys, ids, row, live):
     not depend on the other rows of the call.  The first cell of each key
     in table order is evaluated where `live`.  One walk of each group's
     moves gives both the least images and the stabilizers, the moves whose
-    image of a cell is the cell itself.  An evaluated cell whose stabilizer
-    moves an axis of three panels or more is cut on each such axis into one
-    panel cell per panel, where a panel cell holds at least _PANEL_NODES
-    nodes.  (With two panels, the one such cell of a 3D sweep at lam 16 to
-    32 saved less kernel time than its panel cells took to plan.)  The
-    stabilizer maps the panel cells onto each other, and the least image of
-    each orbit, in the order of their panels, is a piece; an evaluated cell
-    that is not cut is its own one panel cell, so one piece, whole.  Returns
+    image of a cell is the cell itself.  An evaluated cell is cut into one
+    panel cell per panel on each axis its stabilizer moves, however few its
+    panels or nodes.  The stabilizer maps the panel cells onto each other,
+    and the least image of each orbit, in the order of their panels, is a
+    piece; an evaluated cell that is not cut is its own one panel cell, so
+    one piece, whole.  Returns
     per cell the cell whose value it takes, and whether it takes its
     conjugate;
     then per piece, in table order, its cell, its part of each axis's rule
@@ -987,9 +957,7 @@ def _orbits(groups, keys, ids, row, live):
         rep = first[key]
         conj = conj != conj[rep]
     cells = np.flatnonzero(live & (rep == np.arange(n)))
-    panels, orders = (keys[ids[cells], c].astype(np.int64) for c in (2, 3))
-    cut = cut[cells] & (panels > 2)
-    cut &= (np.where(cut, orders, orders * panels).prod(axis=1) >= _PANEL_NODES)[:, None]
+    panels, cut = keys[ids[cells], 2].astype(np.int64), cut[cells]
     # every panel cell (a cell not cut is one), its panels and its index in
     # its cell, in mixed radix with the last axis fastest: the moved axes
     # have equal radix, so index order is the panels' lexicographic order

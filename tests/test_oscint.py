@@ -344,8 +344,7 @@ class TestEvaluateBasics:
         assert (r.value, r.error, r.nodes) == (None, None, free.nodes)
         assert type(r.nodes) is int
 
-    # the free rule, on merged pieces near 0, takes 33,856 nodes (35,296
-    # while the merged piece's reach came from the Taylor bound alone)
+    # the free rule, on merged pieces near 0, takes 33,856 nodes
     @pytest.mark.parametrize("budget", [4096, 5000, 20_000, 30_000, 33_800])
     def test_budget_is_a_bound(self, budget, monkeypatch):
         # below the free count no node reaches the kernel; at it, the row
@@ -443,10 +442,9 @@ class TestEvaluateBasics:
         cells = list(product(*pieces))
         assert len(cells) == values.size == nodes.size
         assert all(lo >= 0 for cell in cells for lo, _ in cell)
-        # at lam 8 one 8-point panel covers [0, 1/2] (theta 4; 16 points
-        # under the Taylor bound alone): 2 pieces per axis, against 13 when
-        # every axis was cut to `levels`
-        assert (depths, merged, len(cells)) == ([1, 1], [8, 8], 4)
+        # at lam 8 one 16-point panel covers [0, 1/2] (theta 4): 2 pieces
+        # per axis, against 13 when every axis was cut to `levels`
+        assert (depths, merged, len(cells)) == ([1, 1], [True, True], 4)
 
 
 def lone_cells(p, f, chi, lam, quad=QuadratureConfig()):
@@ -542,13 +540,13 @@ def random_sizing(seed, cells=600, d=3):
 
 
 def depths_of(p, f, chi, lams, quad=QuadratureConfig()):
-    """`_depths` of the rows at `lams`: their depths and merged-piece orders."""
+    """`_depths` of the rows at `lams`: their depths and which axes merge."""
     return _depths([p.derivative(k).absolute() for k in range(p.dimension)], f, chi, lams, quad)
 
 
 def row_pieces(p, f, chi, lam, quad=QuadratureConfig()):
     """The pieces of each axis of the row at lam, cut to its depths, and the
-    depths and merged-piece orders (`_depths`)."""
+    depths and which axes merge (`_depths`)."""
     (depths,), (merged,) = depths_of(p, f, chi, [lam], quad)
     pieces = [_axis_pieces(fac, depth) for fac, depth in zip(f.factors, depths.tolist())]
     return pieces, depths.tolist(), merged.tolist()
@@ -581,7 +579,8 @@ def reference_rule(lo, hi, panels, e, gx, gw):
 
 def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     """Per-cell values with one full np.exp tensor per cell, in cell order;
-    the merged piece of an axis takes one panel of its order at e = 1."""
+    the merged piece of an axis takes one panel of `quad.order` points at
+    e = 1."""
     pieces, depths, merged = row_pieces(p, f, chi, lam, quad)
     analytic = np.array([[max(abs(lo), abs(hi)) <= 0.5
                           for lo, hi in cell] for cell in product(*pieces)])
@@ -589,7 +588,7 @@ def reference_boxes(p, f, chi, lam, quad=QuadratureConfig()):
     for i, cell in enumerate(product(*pieces)):
         for k, (lo, hi) in enumerate(cell):
             if merged[k] and max(abs(lo), abs(hi)) <= 2.0 ** -depths[k]:
-                counts[i, k], orders[i, k], exps[i, k] = 1, merged[k], 1
+                counts[i, k], orders[i, k], exps[i, k] = 1, quad.order, 1
     values = []
     for cell, cnt, ords, es in zip(product(*pieces), counts.tolist(), orders.tolist(),
                                    exps.tolist()):
@@ -1441,8 +1440,8 @@ def box_bound(n, j, q, norms, lam):
 
 def taylor_reach(n, degree, target):
     """The largest theta at which the Taylor bound 2 theta^j0 / j0! e^theta,
-    j0 = ceil(2n / degree), meets `target`, by bisection in logs: the
-    merged piece's reach before the Bernstein-ellipse bound."""
+    j0 = ceil(2n / degree), meets `target`, by bisection in logs: a second
+    bound on an n-point panel of the merged piece."""
     j0 = -(-2 * n // degree)
 
     def fits(theta):
@@ -1470,54 +1469,51 @@ def bernstein_bound(theta, degree, rho, power):
 
 class TestMergedPiece:
     def test_one_panel_meets_the_target_at_every_admitted_theta(self):
-        # per degree D and ladder order n, up to the largest theta at which
-        # the Bernstein-ellipse bound on some ellipse of the grid, or the
-        # Taylor bound 2 theta^j0 / j0! e^theta (j0 = ceil(2n / D)), meets
-        # the target, one n-point panel on [0, h] errs by at most the
+        # per degree D, up to the largest theta at which the
+        # Bernstein-ellipse bound on some ellipse of the grid meets the
+        # target, one `order`-point panel on [0, h] errs by at most the
         # target times h on exp(i theta (x/h)^D) and on a two-term
         # polynomial of degree D bounded by theta there, against a
         # 200-point panel
         quad = QuadratureConfig()
-        target, _ = oscint._ladder(quad.order, quad.waves_per_panel)
+        n = quad.order
+        target, _ = oscint._ladder(n, quad.waves_per_panel)
         h = 0.125
         rx, rw = np.polynomial.legendre.leggauss(200)
+        gx, gw = np.polynomial.legendre.leggauss(n)
 
         def panel(g, gx, gw):
             return h / 2 * (gw * np.exp(1j * g((gx + 1.0) / 2))).sum()
 
         for degree in range(1, 6):
-            reach = _merge_reach(quad.order, quad.waves_per_panel, degree)
-            assert [n for n, _ in reach] == [4, 8, 12, 16]
-            for n, most in reach:
-                j0 = -(-2 * n // degree)
+            most = _merge_reach(n, quad.waves_per_panel, degree)
 
-                def bound(theta):
-                    return min(2.0 * theta ** j0 / math.factorial(j0) * math.exp(theta),
-                               bernstein_bound(theta, degree, oscint._RHOS, 2 * n - 2).min())
+            def bound(theta):
+                return bernstein_bound(theta, degree, oscint._RHOS, 2 * n - 2).min()
 
-                # the largest theta at which a bound meets the target
-                assert bound(most) <= target * (1 + 1e-12) and bound(most * (1 + 1e-9)) > target
-                gx, gw = np.polynomial.legendre.leggauss(n)
-                for theta in np.linspace(0.0, most, 41)[1:]:
-                    for g in (lambda u: theta * u ** degree,
-                              lambda u: theta * (0.7 * u ** degree - 0.3 * u ** -(-degree // 2))):
-                        err = abs(panel(g, gx, gw) - panel(g, rx, rw))
-                        assert err <= target * h, (degree, n, theta)
+            # the largest theta at which the bound meets the target
+            assert bound(most) <= target * (1 + 1e-12) and bound(most * (1 + 1e-9)) > target
+            for theta in np.linspace(0.0, most, 41)[1:]:
+                for g in (lambda u: theta * u ** degree,
+                          lambda u: theta * (0.7 * u ** degree - 0.3 * u ** -(-degree // 2))):
+                    err = abs(panel(g, gx, gw) - panel(g, rx, rw))
+                    assert err <= target * h, (degree, theta)
 
     def test_an_n_point_panel_takes_rho_to_the_2n_minus_2(self):
         # Trefethen's Thm 19.3 bounds the (n + 1)-point rule with rho^-2n,
         # so an n-point panel takes rho^-(2n - 2).  Read with rho^-2n, the
-        # bound admits theta 1.467 for a 4-point panel on a linear axis,
-        # where one panel errs by about 58x the target; every theta up to
-        # the shipped reach, 0.659, meets it
+        # bound admits theta 26.34 for a 16-point panel on a linear axis,
+        # where one panel errs by about 1.23x the target; every theta up to
+        # the shipped reach, 23.69, meets it
         quad = QuadratureConfig()
-        target, _ = oscint._ladder(quad.order, quad.waves_per_panel)
-        (n, most), *_ = _merge_reach(quad.order, quad.waves_per_panel, 1)
+        n = quad.order
+        target, _ = oscint._ladder(n, quad.waves_per_panel)
+        most = _merge_reach(n, quad.waves_per_panel, 1)
         rho = oscint._RHOS
         # the bound is A exp(theta phi_1(rho)), phi_1(rho) = v
         wrong = (np.log(target / bernstein_bound(0.0, 1, rho, 2 * n))
                  / ((rho - 1.0 / rho) / 4.0)).max()
-        assert (n, round(float(wrong), 3), round(most, 3)) == (4, 1.467, 0.659)
+        assert (n, round(float(wrong), 2), round(most, 2)) == (16, 26.34, 23.69)
         h = 0.125
         rx, rw = np.polynomial.legendre.leggauss(200)
         gx, gw = np.polynomial.legendre.leggauss(n)
@@ -1528,24 +1524,26 @@ class TestMergedPiece:
 
             return abs(panel(gx, gw) - panel(rx, rw))
 
-        assert error(wrong) > 10 * target * h
+        assert error(wrong) > 1.2 * target * h
         assert all(error(theta) <= target * h for theta in np.linspace(0.0, most, 81)[1:])
 
     def test_reach_is_never_below_the_taylor_bounds(self):
-        # both bounds hold, so each order keeps the larger reach
-        quad = QuadratureConfig()
-        target, _ = oscint._ladder(quad.order, quad.waves_per_panel)
-        for degree in range(1, 41):
-            for n, most in _merge_reach(quad.order, quad.waves_per_panel, degree):
-                assert most >= taylor_reach(n, degree, target), (degree, n)
+        # the Taylor bound 2 theta^j0 / j0! e^theta, j0 = ceil(2n / D), also
+        # holds, but for D = 1..25 the Bernstein-ellipse reach of a 16-point
+        # panel is the larger; at D = 26 Taylor would reach further, 1.43e-5
+        # against 9.53e-6
+        target, _ = oscint._ladder(16, 4.0)
+        for degree in range(1, 26):
+            assert _merge_reach(16, 4.0, degree) >= taylor_reach(16, degree, target), degree
+        assert _merge_reach(16, 4.0, 26) < taylor_reach(16, 26, target)
+        assert _merge_reach(16, 4.0, 0) == math.inf
 
     def test_product_phase_merges_to_depth_2_at_lam_64(self):
         # theta = 64 * 2^-L: 16 at L = 2 is admitted for 16 points (23.7 is
-        # the most; the Taylor bound alone admits 5.28 and cut to L = 4),
-        # 32 at L = 1 is not
+        # the most), 32 at L = 1 is not
         p, f = phase("x1*x2*x3", 3), TestFunctionSpec.ones(3)
         depths, merged = depths_of(p, f, CHI_POS, [64.0])
-        assert depths.tolist() == [[2, 2, 2]] and merged.tolist() == [[16, 16, 16]]
+        assert depths.tolist() == [[2, 2, 2]] and merged.tolist() == [[True] * 3]
         _, values, _ = lone_cells(p, f, CHI_POS, 64.0)
         assert values.size == 3 ** 3
 
@@ -1564,13 +1562,12 @@ class TestMergedPiece:
     def test_unbounded_theta_is_not_admitted(self):
         # theta = lam 1e20 2^-30L / 30 on x1 overflows at L = 1 and lam
         # 1e300; a level where it is finite and small enough still admits
-        # the merged piece, at 36 with 4 points, and at 31 with 12 points at
-        # lam 1e250; x2 never merges
+        # the merged piece, at 36, and at 31 at lam 1e250; x2 never merges
         p, f = phase("100000000000000000000*x1^30*x2"), TestFunctionSpec.ones(2)
         chi = CutoffSpec(True, levels=40)
         depths, merged = depths_of(p, f, chi, [1e300, 1e250])
         assert depths.tolist() == [[36, 40], [31, 40]]
-        assert merged.tolist() == [[4, 0], [12, 0]]
+        assert merged.tolist() == [[True, False], [True, False]]
 
 
 class TestSingleBoxBound:
@@ -1733,9 +1730,9 @@ class TestSweep:
 
     @pytest.mark.parametrize("text, d, lams, kernel, grouped", [
         pytest.param("x1*x2", 2, (64.0,), 2_256, 1_616, id="x1*x2-2-lams0-5072"),
-        pytest.param("x1*x2*x3", 3, (16.0, 32.0, 64.0), 138_432, 65_728,
+        pytest.param("x1*x2*x3", 3, (16.0, 32.0, 64.0), 149_248, 70_912,
                      id="x1*x2*x3-3-lams1-428224"),
-        pytest.param("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 187_968, 140_800,
+        pytest.param("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 194_368, 132_416,
                      id="x1^2*x2^2*x3^2 + x1^3*x2*x3-3-lams2-373056"),
     ])
     def test_rerun_keeps_unresolved_transition_cells(self, monkeypatch, text, d, lams, kernel,
@@ -1746,9 +1743,7 @@ class TestSweep:
         # cell with an axis on [1/2, 1] took it to 5,072, 428,224 and
         # 373,056, and on the octave layout to `levels` that was 8,224,
         # 1,283,776 and 873,088.  One cell per orbit of the axis swaps runs
-        # `grouped`.  Merged pieces sized by the Taylor bound alone ran
-        # 3,616, 295,232 and 259,968 nodes, 2,336, 108,032 and 180,736
-        # grouped
+        # `grouped`
         calls = kernel_calls(monkeypatch)
         with monkeypatch.context() as m:
             ungrouped(m)
@@ -1817,12 +1812,11 @@ class TestSweep:
         # equal panels took 983,984 and 4,407,216 nodes on the octave
         # layout to `levels`, and mapped ones 983,984 (x1*x2, whose
         # exponents are all 1, keeps equal panels) and 2,480,304; merged
-        # pieces near 0 take a little off both: 968,400 and 2,453,248 under
-        # the Taylor bound alone, fewer since the Bernstein ellipse's
+        # pieces near 0 take a little off both
         nodes = [sum(r.nodes for r in lambda_sweep(phase(text), TestFunctionSpec.ones(2),
                                                    CHI_POS, lambda_grid(64, 2048, 11)))
                  for text in ("x1*x2", "x1^3*x2^3")]
-        assert nodes == [952_208, 2_450_128]
+        assert nodes == [952_208, 2_451_712]
 
     @pytest.mark.parametrize("waves", [0.5, 2.0])
     def test_finer_rules_take_the_default_rules_table(self, waves):
@@ -1960,12 +1954,11 @@ class TestRuleTable:
         assert first > 0 and len(calls) == 2 * first
 
     def test_each_rule_built_once_per_sweep(self, monkeypatch):
-        # the sweep's 80 distinct rules, keyed by (lo, hi, panels, order, e),
+        # the sweep's 63 distinct rules, keyed by (lo, hi, panels, order, e),
         # each built once, merged pieces at each depth too; with the rerun of
         # transition axes below P0(n, e) panels there were 97, on the octave
         # layout to `levels` 92, and a rerun on every cell with an axis at
-        # order 16 or above built 108.  The 63 are 80 with merged pieces
-        # sized by the Taylor bound alone
+        # order 16 or above built 108
         calls = count_rule_builds(monkeypatch)
         lambda_sweep(phase("x1*x2"), TestFunctionSpec.ones(2), CHI_POS,
                      lambda_grid(64, 2048, 11))
@@ -2246,12 +2239,11 @@ class TestOrbits:
         # the kernel ran 8,851,648 nodes, and with the swap-fixed cells
         # whole, not one panel cell per orbit, 6,496,560; both with the
         # rerun of transition axes below P0(n, e) panels, which took it to
-        # 4,795,952.  Merged pieces sized by the Taylor bound alone took
-        # 4,766,064
+        # 4,795,952
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase("x1^2*x2 + x1*x2^2 + x1^2*x2^2"), TestFunctionSpec.ones(2), CHI,
                      lambda_grid(64, 1024, 5))
-        assert sum(b * math.prod(sizes) for b, sizes in calls) == 4_755_344
+        assert sum(b * math.prod(sizes) for b, sizes in calls) == 4_752_944
 
     @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
     @pytest.mark.parametrize("text, d, lams, moved", [
@@ -2286,13 +2278,12 @@ class TestOrbits:
         assert max((p - q).max() for p, q in zip(panels, pieces)) > 0
 
     @pytest.mark.parametrize("text, d, lams, kernel, count", [
-        ("x1*x2", 2, lambda_grid(64, 2048, 11), 514_768, 14),
-        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_287_344, 14),
-        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 10_771_328, 19),
-        # the two 3D templates of the benchmark, whose cells have too few
-        # panels to cut
-        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 65_728, 9),
-        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 140_800, 22),
+        ("x1*x2", 2, lambda_grid(64, 2048, 11), 511_520, 14),
+        ("x1^3*x2^3", 2, lambda_grid(64, 2048, 11), 1_285_584, 13),
+        ("x1*x2*x3", 3, lambda_grid(64, 1024, 9), 10_302_848, 23),
+        # the two 3D templates of the benchmark
+        ("x1*x2*x3", 3, (16.0, 32.0, 64.0), 70_912, 7),
+        ("x1^2*x2^2*x3^2 + x1^3*x2*x3", 3, (16.0, 32.0), 132_416, 18),
     ], ids=["x1*x2", "x1^3*x2^3", "x1*x2*x3", "x1*x2*x3-cells", "two-terms-cells"])
     def test_panel_orbits_cut_kernel_nodes(self, monkeypatch, text, d, lams, kernel, count):
         # orthant sweeps; with each self-symmetric cell evaluated whole the
@@ -2302,15 +2293,23 @@ class TestOrbits:
         # at most 2^18 floats, the first three took 23, 27 and 120 calls.
         # The rerun of transition axes below P0(n, e) panels took them to
         # 543,904, 1,299,952, 11,635,648, 151,744 and 258,112 nodes in 21,
-        # 18, 30, 20 and 32 calls.  Merged pieces sized by the Taylor bound
-        # alone took 522,896, 1,288,960, 10,916,736, 108,032 and 180,736
-        # nodes in 17, 14, 22, 13 and 19 calls.  The two-term template's
-        # lam 32 row now merges x1 on 12 points, so its cells form three
-        # more shapes, (12, 4, 4), (12, 4, 16) and (12, 16, 4): 3 more calls
+        # 18, 30, 20 and 32 calls.  Every merged piece [0, 2^-L], the one
+        # piece whose lo is 0, takes `order` points, so it adds no kernel
+        # shape of its own
+        levels, real = [], oscint._run_level
+
+        def spy(p, keys, ids, parts, lams):
+            levels.append(keys[ids])
+            return real(p, keys, ids, parts, lams)
+
+        monkeypatch.setattr(oscint, "_run_level", spy)
         calls = kernel_calls(monkeypatch)
         lambda_sweep(phase(text, d), TestFunctionSpec.ones(d), CHI_POS, lams)
         assert sum(b * math.prod(sizes) for b, sizes in calls) == kernel
         assert len(calls) == count
+        (rules,) = levels
+        merged = rules[..., 0] == 0
+        assert merged.any() and (rules[..., 3][merged] == QuadratureConfig().order).all()
 
     @pytest.mark.parametrize("chi", [CHI_POS, CHI], ids=["orthant", "full"])
     def test_rows_of_other_test_functions_keep_the_orbits(self, monkeypatch, chi):

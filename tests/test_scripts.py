@@ -1,10 +1,12 @@
-"""Every script under scripts/ imports the library and prints its help, and
-the names perfbench/ and __all__ promise exist in the library."""
+"""Every script under scripts/ imports the library and prints its help,
+`scripts/report_digest.py` runs every job, and the names perfbench/ and
+__all__ promise exist in the library."""
 import ast
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -74,19 +76,40 @@ def test_every_transition_row_has_a_p0():
             assert len(errors) < _TRANSITION_CHECKED, (e, n)
 
 
-def _calibration():
-    """scripts/calibrate_transition.py, imported as a module."""
-    spec = importlib.util.spec_from_file_location(
-        "calibrate_transition", ROOT / "scripts" / "calibrate_transition.py")
-    cal = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(cal)
-    return cal
+def _script(name):
+    """scripts/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_report_digest_runs_every_job():
+    # the digest wraps `oscint._kernel`, `_evaluate` and `_layout` and reads
+    # their arguments and returns, so a change to their signatures must
+    # show here: one line per job, its digest and four integer columns
+    # (kernel calls, evaluations, planned cells, kernel nodes) before its
+    # command, then the digest of all jobs and the package's size.  Every
+    # `integrate` and `verify` job reaches the quadrature
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    jobs = _script("report_digest").JOBS
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(jobs) + 2
+    for line, argv in zip(lines, jobs):
+        assert re.fullmatch(r"[0-9a-f]{64}( +\d+){4} " + re.escape(" ".join(argv)), line), line
+        evaluations = int(line.split()[2])
+        assert evaluations >= 1 if argv[0] in ("integrate", "verify") else evaluations == 0, line
+    assert re.fullmatch(r"[0-9a-f]{64} all", lines[-2])
+    assert re.fullmatch(r"src/oscdecay: \d+ lines, \d+ code lines", lines[-1])
 
 
 def test_calibration_refuses_a_row_without_p0(monkeypatch):
     # 16 points at e = 1 meet the target from 6 panels on: checked to 4,
     # the row has no P0, and the script exits 1 naming it
-    cal = _calibration()
+    cal = _script("calibrate_transition")
     monkeypatch.setattr(cal, "MAX_PANELS", 4)
     with pytest.raises(SystemExit) as refused:
         cal.transition_errors(1)
@@ -100,7 +123,7 @@ def test_transition_table_is_the_calibrated_one():
     # row by row at every map exponent: each error is at least the calibrated
     # worst error of its panel count, and the first count whose worst error
     # meets the target is P0, the row's length plus 1
-    cal = _calibration()
+    cal = _script("calibrate_transition")
     from oscdecay.oscint import _MAX_MAP, _TRANSITION_PANELS, _TRANSITION_RULE, _ladder
     shipped = _TRANSITION_PANELS
     assert [e for e, _ in shipped] == list(range(1, _MAX_MAP + 1))
