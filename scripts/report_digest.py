@@ -13,8 +13,9 @@ B * prod n_k), and its command; then comes the digest of all the job
 digests.  The call, cell and node counts are not hashed: they show how a
 change to the kernel's batching, grouping, cell depths or error estimate
 moves each job.  The last line, not hashed either, gives
-the size of the `oscdecay` package that ran: its lines (`wc -l`) and its
-code lines, those outside docstrings, comments and blanks.
+the size of the `oscdecay` package that ran and of the `scripts/`
+directory beside it: their lines (`wc -l`) and their code lines, those
+outside docstrings, comments and blanks.
 
 The jobs are the benchmark's four sweep
 templates at coefficient scale 1 and its two warm-up sweeps, the three
@@ -151,11 +152,11 @@ def run_digest(argv) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def source_size(package: Path) -> tuple[int, int]:
-    """The lines of the package's modules (`wc -l`), and its code lines:
+def source_size(folder: Path) -> tuple[int, int]:
+    """The lines of the modules in `folder` (`wc -l`), and their code lines:
     those that hold a token outside docstrings, comments and blanks."""
     lines = code = 0
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(folder.glob("*.py")):
         text = path.read_text()
         lines += text.count("\n")
         docs = set()
@@ -206,8 +207,10 @@ def main() -> None:
         for name, fn in real.items():
             setattr(oscint, name, fn)
     print(hashlib.sha256("".join(digests).encode()).hexdigest(), "all")
-    lines, code = source_size(Path(cli.__file__).parent)
-    print(f"src/oscdecay: {lines} lines, {code} code lines")
+    sizes = {"src/oscdecay": source_size(Path(cli.__file__).parent),
+             "scripts": source_size(Path(__file__).parent)}
+    print("; ".join(f"{name}: {lines} lines, {code} code lines"
+                    for name, (lines, code) in sizes.items()))
 
 
 if __name__ == "__main__":

@@ -316,30 +316,23 @@ def _sweep_rows(results, exp_rep) -> list[dict]:
     } for r in results]
 
 
-CSV_COLUMNS = ["lam", "re", "im", "abs", "err", "nodes", "low_confidence",
-               "certificate", "envelope"]
-
-
 def _write_csv(rows: list[dict], path: str) -> None:
+    """The rows as CSV, one column per key of a `_sweep_rows` row."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     except OSError as e:
         raise CliError(f"cannot write --csv file: {e}") from None
 
 
-def _run_sweep(cfg: RunConfig, p, n, q, lam_override: float | None, families=()):
-    """The certified sweep, and the quadrature results of each sharpness
-    family of `families` (`sharpness_boxes` results), whose boxes take the
-    full cutoff: one `lambda_sweep` call, the sweep's rows first, and one
-    certificate per sweep row."""
-    if lam_override is not None:
-        grid = (float(lam_override),)
-        cfg = replace(cfg, lam_lo=grid[0], lam_hi=grid[0], lam_count=1)
-    else:
-        grid = lambda_grid(cfg.lam_lo, cfg.lam_hi, cfg.lam_count)
+def _run_sweep(cfg: RunConfig, p, n, q, families=()):
+    """The certified sweep on `cfg`'s frequency grid, and the quadrature
+    results of each sharpness family of `families` (`sharpness_boxes`
+    results), whose boxes take the full cutoff: one `lambda_sweep` call, the
+    sweep's rows first, and one certificate per sweep row."""
+    grid = lambda_grid(cfg.lam_lo, cfg.lam_hi, cfg.lam_count)
     chi = CutoffSpec(positive_orthant=cfg.orthant, levels=cfg.levels)
     ones = TestFunctionSpec.ones(p.dimension)
     fs, chis, lams = [ones] * len(grid), [chi] * len(grid), list(grid)
@@ -352,7 +345,7 @@ def _run_sweep(cfg: RunConfig, p, n, q, lam_override: float | None, families=())
     for boxes in families:
         found.append(results[at:at + len(boxes[3])])
         at += len(boxes[3])
-    return cfg, certify_results(results[:len(grid)], p, ones, chi, query=q, n=n), found
+    return certify_results(results[:len(grid)], p, ones, chi, query=q, n=n), found
 
 
 # ---------------------------------------------------------------------------
@@ -390,18 +383,20 @@ def cmd_exponent(args, cfg: RunConfig) -> int:
     return _emit(rep, cfg)
 
 
-def _check_grid(cfg: RunConfig, dim: int) -> None:
-    if cfg.grid > max_grid(dim):
+def _nondegeneracy(cfg: RunConfig, p, n):
+    """`check_nondegeneracy` of `p` with `cfg`'s grid, refused by name when
+    a face's grid would exceed `MAX_FACE_CELLS` cells."""
+    if cfg.grid > max_grid(p.dimension):
         raise CliError(f"--grid {cfg.grid} sweeps more than {MAX_FACE_CELLS} cells "
-                       f"per face in dimension {dim}; use --grid {max_grid(dim)} "
-                       "or less")
+                       f"per face in dimension {p.dimension}; use --grid "
+                       f"{max_grid(p.dimension)} or less")
+    return check_nondegeneracy(p, n, grid=cfg.grid, eta=cfg.eta,
+                               starts=cfg.starts, degen_tol=cfg.witness_tol)
 
 
 def cmd_check(args, cfg: RunConfig) -> int:
     p, n, _ = _build_inputs(cfg)
-    _check_grid(cfg, p.dimension)
-    nd = check_nondegeneracy(p, n, grid=cfg.grid, eta=cfg.eta,
-                             starts=cfg.starts, degen_tol=cfg.witness_tol)
+    nd = _nondegeneracy(cfg, p, n)
     rep = _report("check", cfg, nondegeneracy=nd.to_json_dict(),
                   verdicts=[_verdict("nondegeneracy",
                                      nd.verdict == "nondegenerate",
@@ -410,12 +405,14 @@ def cmd_check(args, cfg: RunConfig) -> int:
 
 
 def cmd_integrate(args, cfg: RunConfig) -> int:
-    if args.lam is not None and not math.isfinite(args.lam):
-        raise CliError(f"--lam must be finite, got {args.lam}")
-    if args.lam is not None and not args.lam >= MIN_LAMBDA:
-        raise CliError(f"--lam must be at least {MIN_LAMBDA:g}, got {args.lam:g}")
+    if args.lam is not None:  # one frequency is the one-point grid
+        if not math.isfinite(args.lam):
+            raise CliError(f"--lam must be finite, got {args.lam}")
+        if not args.lam >= MIN_LAMBDA:
+            raise CliError(f"--lam must be at least {MIN_LAMBDA:g}, got {args.lam:g}")
+        cfg = replace(cfg, lam_lo=args.lam, lam_hi=args.lam, lam_count=1)
     p, n, q = _build_inputs(cfg)
-    cfg, results, _ = _run_sweep(cfg, p, n, q, args.lam)
+    results, _ = _run_sweep(cfg, p, n, q)
     er = sharp_exponent(n, q)
     rows = _sweep_rows(results, er)
     if cfg.out_csv:
@@ -440,10 +437,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         raise CliError(f"the grid must span {MIN_FIT_OCTAVES:g} octaves, "
                        f"got {math.log2(grid[-1] / grid[0]):.3g}")
     p, n, q = _build_inputs(cfg)
-    _check_grid(cfg, p.dimension)
+    nd = _nondegeneracy(cfg, p, n)
     er = sharp_exponent(n, q)
-    nd = check_nondegeneracy(p, n, grid=cfg.grid, eta=cfg.eta,
-                             starts=cfg.starts, degen_tol=cfg.witness_tol)
     families = []
     if cfg.sharpness:  # every dual vertex's grid, then boxes, refused before any quadrature
         dual, sharp_chi = dual_polyhedron(n), CutoffSpec(levels=cfg.levels)
@@ -451,7 +446,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
         families = [sharpness_boxes(p, n, w, Fraction(cfg.box_scale), lams, chi=sharp_chi,
                                     dual=dual) for w, lams in grids]
     # the sweep and every family's boxes are one quadrature call
-    cfg, results, found = _run_sweep(cfg, p, n, q, None, families)
+    results, found = _run_sweep(cfg, p, n, q, families)
     fit = fit_decay(results, er, tol=cfg.fit_tol)
     rows = _sweep_rows(results, er)
     if cfg.out_csv:

@@ -148,7 +148,6 @@ MAX_HALVINGS = 80  # of the box scale delta, before a phase bound is unattainabl
 @dataclass(frozen=True)
 class SharpnessRow:
     lam: float
-    half_widths: tuple[float, ...]
     f_norm1: float
     measured: complex | None  # None where the sample was refused over the node budget
     ratio: float | None       # |measured| / f_norm1
@@ -279,9 +278,9 @@ def sharpness_witness(boxes: tuple, results: Sequence[OscResult],
     """The witness of `sharpness_boxes`' result `boxes`, from the quadrature
     result of each box, in its order, and the domination check `chain_ok`."""
     ws, delta, halvings, rows = boxes
-    rows = [SharpnessRow(lam, half, vol, r.value,
-                         None if r.value is None else abs(r.value) / vol, bound)
-            for (lam, half, vol, bound), r in zip(rows, results, strict=True)]
+    rows = [SharpnessRow(lam, vol, r.value, None if r.value is None else abs(r.value) / vol,
+                         bound)
+            for (lam, _, vol, bound), r in zip(rows, results, strict=True)]
     return SharpnessWitness(ws, delta, sum(ws), tuple(rows), halvings, chain_ok)
 
 

@@ -674,36 +674,34 @@ def _plan(f, depths):
     return axis_pieces, np.stack(np.unravel_index(np.arange(math.prod(full)), full), axis=1)
 
 
-def _depths(grads, f, chi, lams, quad):
-    """Per frequency of `lams`, with its test function and cutoff of `f` and
-    `chi` (`_per_row`), and axis k: the depth L_k to which axis k is cut into
-    octaves, and whether its merged piece [0, 2^-L_k] is one `order`-point
-    panel, as an (F, d) integer and an (F, d) boolean array.  With g the
-    terms of phi with a_k >= 1 and G the same terms with absolute
-    coefficients and the other axes at their largest magnitude over the
-    support and the factor, |lam g| <= theta = |lam| G(2^-L) on the piece,
-    so `_merge_reach` at g's degree in x_k bounds one panel's error there,
-    on the Bernstein ellipses of [0, 2^-L], which hold those of a piece the
-    factor clips.  G is read off `grads`, d_k phi with absolute
-    coefficients: each of its terms c x^b is one of g's divided by
-    a_k = b_k + 1.  L_k is the smallest level, at most `levels`, whose
-    theta meets the target; where none does, L_k = `levels` and the axis
-    does not merge, the octave layout to the truncation.  A theta that is
-    not finite meets no target.  A row depends only on its own lam, test
-    function and cutoff: G per level and axis is tabled once per test
-    function and orthant flag, over both sides of 0 on the full cutoff, so
-    every reflection of the row keeps these depths.  Every row's cutoff has
-    the same `levels` (`_evaluate`)."""
-    fs, chis = _per_row(f, chi, len(lams))
-    d, levels = len(grads), chis[0].levels
+def _depths(grads, pairs, levels, lams, quad):
+    """Per frequency of `lams`, with its (test function, orthant flag) pair
+    of `pairs` and a cutoff of `levels` octaves, and axis k: the depth L_k
+    to which axis k is cut into octaves, and whether its merged piece
+    [0, 2^-L_k] is one `order`-point panel, as an (F, d) integer and an
+    (F, d) boolean array.  With g the terms of phi with a_k >= 1 and G the
+    same terms with absolute coefficients and the other axes at their
+    largest magnitude over the support and the factor,
+    |lam g| <= theta = |lam| G(2^-L) on the piece, so `_merge_reach` at g's
+    degree in x_k bounds one panel's error there, on the Bernstein ellipses
+    of [0, 2^-L], which hold those of a piece the factor clips.  G is read
+    off `grads`, d_k phi with absolute coefficients: each of its terms
+    c x^b is one of g's divided by a_k = b_k + 1.  L_k is the smallest
+    level, at most `levels`, whose theta meets the target; where none does,
+    L_k = `levels` and the axis does not merge, the octave layout to the
+    truncation.  A theta that is not finite meets no target.  A row depends
+    only on its own lam, test function and cutoff: G per level and axis is
+    tabled once per test function and orthant flag, over both sides of 0
+    on the full cutoff, so every reflection of the row keeps these depths."""
+    d = len(grads)
     terms = [g._float_coefficients for g in grads]
     reach = [_merge_reach(quad.order, quad.waves_per_panel,
                           max((b[k] + 1 for b, _ in t), default=0))
              for k, t in enumerate(terms)]
     x = 2.0 ** -np.arange(1, levels + 1)
-    keys, tables = [(g, c.positive_orthant) for g, c in zip(fs, chis)], {}
+    tables = {}
     with np.errstate(over="ignore", invalid="ignore"):
-        for g, orthant in set(keys):
+        for g, orthant in set(pairs):
             # largest magnitude of each axis over the support, clipped to the factor
             sides = [(fac,) if orthant else (fac, FactorSpec(-fac.b, -fac.a))
                      for fac in g.factors]
@@ -715,7 +713,7 @@ def _depths(grads, f, chi, lams, quad):
                     others = math.prod(tops[j] ** b[j] for j in range(d) if j != k)
                     table[:, k] += c / (b[k] + 1) * others * x ** (b[k] + 1)
         theta = (np.abs(np.asarray(lams))[:, None, None]
-                 * np.reshape([tables[key] for key in keys], (-1, levels, d)))
+                 * np.reshape([tables[pair] for pair in pairs], (-1, levels, d)))
     admitted = theta <= np.array(reach)
     merges = admitted.any(axis=1)
     return np.where(merges, admitted.argmax(axis=1) + 1, levels), merges
@@ -854,22 +852,21 @@ def _layout(grads, fs, lams, quad, depths, merged):
     return row, lo, hi, counts, orders, exps, mass, allow
 
 
-def _reflections(p, fs, chi):
-    """Per distinct test function f of `fs`, its sub-rows: orthant sigma
-    (sigma_k = +-1) of the cutoff is the positive orthant's integral of
-    phi(sigma x), whose term c x^a is c sigma^a x^a, against f's factors
-    mirrored where sigma_k = -1.  A coordinate permutation perm, carrying
-    x_k to x_perm[k], maps the positive orthant to itself, so reflections
-    whose (phase, factors on [0, 1]) have the same least image under the
-    permutations, up to the sign of the phase, are one sub-row (signs,
-    factors, plain, conj, group): the first in `product` order, its signs
-    per term of phi in the order of its exponents, then how many have its
-    integral and how many the conjugate, and its own group, the (perm,
-    conj) pairs whose image is itself, conj where the image of its phase
-    is the negative, the identity first.  The orthant cutoff has one
-    reflection."""
+def _reflections(p, pairs):
+    """Per distinct (test function f, orthant flag) pair of `pairs`, its
+    sub-rows: orthant sigma (sigma_k = +-1) of the cutoff is the positive
+    orthant's integral of phi(sigma x), whose term c x^a is c sigma^a x^a,
+    against f's factors mirrored where sigma_k = -1.  A coordinate
+    permutation perm, carrying x_k to x_perm[k], maps the positive orthant
+    to itself, so reflections whose (phase, factors on [0, 1]) have the
+    same least image under the permutations, up to the sign of the phase,
+    are one sub-row (signs, factors, plain, conj, group): the first in
+    `product` order, its signs per term of phi in the order of its
+    exponents, then how many have its integral and how many the conjugate,
+    and its own group, the (perm, conj) pairs whose image is itself, conj
+    where the image of its phase is the negative, the identity first.  The
+    orthant cutoff has one reflection."""
     d, terms = p.dimension, sorted(p.terms.items())
-    sigmas = [(1,) * d] if chi.positive_orthant else list(product((1, -1), repeat=d))
     # each term's coefficient ranked among the coefficients and their
     # negatives, where -c ranks top - rank(c); each permutation's exponents
     values = sorted({v for _, c in terms for v in (c, -c)})
@@ -877,9 +874,9 @@ def _reflections(p, fs, chi):
     moves = [(perm, [perm.index(j) for j in range(d)]) for perm in permutations(range(d))]
     moved = [[tuple(a[i] for i in back) for a, _ in terms] for _, back in moves]
     subs = {}
-    for f in dict.fromkeys(fs):
+    for f, orthant in dict.fromkeys(pairs):
         found = {}
-        for sigma in sigmas:
+        for sigma in [(1,) * d] if orthant else product((1, -1), repeat=d):
             signs = tuple((-1) ** sum(ak for ak, s in zip(a, sigma) if s < 0) for a, _ in terms)
             ids = [r if s > 0 else top - r for r, s in zip(ranks, signs)]
             # the factors on [0, 1]; an empty one leaves the sub-row no cells
@@ -900,7 +897,7 @@ def _reflections(p, fs, chi):
                 found[key] = [signs, g, 0, 0, group, conj]
             sub = found[key]
             sub[2 + (conj != sub[5])] += 1
-        subs[f] = tuple(tuple(sub[:5]) for sub in found.values())
+        subs[f, orthant] = tuple(tuple(sub[:5]) for sub in found.values())
     return subs
 
 
@@ -990,13 +987,15 @@ def _evaluate(p, f, chi, lams, quad):
     `lams`, with test function `f` and cutoff `chi`, each one for every
     frequency or a sequence of one per frequency: per frequency, its result
     (without certificate), and the value and node count, a float, of every
-    cell of its sub-rows (`_reflections`, per test function and orthant
-    flag), over all the copies of each.  Every row's cutoff must have the same `levels`.
-    A row's result does not depend on the other rows of the call, bit for
-    bit: its rules depend only on its own frequency, test function and
-    cutoff (`_layout`), and a cell that fits a kernel block keeps its bits
-    in any block (`_kernel`).  So independent families, such as a sweep and
-    the sharpness boxes of `verify`, pay the call's set-up once.
+    cell of its sub-rows, over all the copies of each.  Every row's cutoff
+    must have the same `levels`.  Each row's (test function, orthant flag)
+    pair keys both its depths (`_depths`) and its sub-rows
+    (`_reflections`).  A row's result does not depend on the other rows of
+    the call, bit for bit: its rules depend only on its own frequency, test
+    function and cutoff (`_layout`), and a cell that fits a kernel block
+    keeps its bits in any block (`_kernel`).  So independent families, such
+    as a sweep and the sharpness boxes of `verify`, pay the call's set-up
+    once.
 
     The call is one cell table of every sub-row (`_layout`, with its row's
     `_depths`).  A row whose planned nodes over all its reflections exceed
@@ -1006,10 +1005,11 @@ def _evaluate(p, f, chi, lams, quad):
     (lo, hi, panels, order, e), sorted by value over every axis.  One
     `_run_level` takes the first cell of each orbit of every other row, in
     pieces where a permutation maps it to itself (one per orbit of its panel
-    cells, `_orbits`), each at the row's frequency times its sub-row's term
-    signs; a cell's value is its pieces' over the panel cells that take
-    them, and every other cell takes its orbit's, conjugated where its
-    permutation negates the phase.  The reported error is planned with the
+    cells, `_orbits`), each at one frequency per term of the phase, the
+    row's times its sub-row's term sign (lam * 1.0 is exact); a cell's value
+    is its pieces' over the panel cells that take them, and every other
+    cell takes its orbit's, conjugated where its permutation negates the
+    phase.  The reported error is planned with the
     cells (`_layout`), one closed-form sum: the allowance of each cell
     times its weight mass in closed form and its copies, the allowance
     target * sum_k a_k, a_k 1 on an analytic axis (a merged piece too), and
@@ -1032,12 +1032,10 @@ def _evaluate(p, f, chi, lams, quad):
     if any(g.dimension != d for g in set(fs)):
         raise OscError("test function dimension mismatch")
     grads = [p.derivative(k).absolute() for k in range(d)]
-    depths, merged = _depths(grads, fs, chis, lams, quad)
-    # each row's sub-rows, keyed by its test function and orthant flag
-    pairs, reflections = [(g, c.positive_orthant) for g, c in zip(fs, chis)], {}
-    for orthant, c in {c.positive_orthant: c for c in chis}.items():
-        own = [g for g, o in pairs if o == orthant]
-        reflections.update(((g, orthant), s) for g, s in _reflections(p, own, c).items())
+    # each row's test function and orthant flag, which key its depths and sub-rows
+    pairs = [(g, c.positive_orthant) for g, c in zip(fs, chis)]
+    depths, merged = _depths(grads, pairs, chis[0].levels, lams, quad)
+    reflections = _reflections(p, pairs)
     subs = [s for pair in pairs for s in reflections[pair]]
     parent = np.repeat(np.arange(len(fs)), [len(reflections[pair]) for pair in pairs])
     signs, sub_fs, plain, twin, groups = zip(*subs)
@@ -1060,10 +1058,8 @@ def _evaluate(p, f, chi, lams, quad):
     # pieces where it is self-symmetric
     live = ~(planned > quad.node_budget)[parent[row]]
     rep, conj, owner, part, once, twice = _orbits(groups, rules, ids, row, live)
-    # one frequency per piece, or one per piece and term where a term sign is -1
-    freqs = np.array(lams)[parent[row[owner]]]
-    if (signs < 0).any():
-        freqs = freqs[:, None] * signs[row[owner]]
+    # one frequency per piece and term, its row's times its sub-row's term signs
+    freqs = np.array(lams)[parent[row[owner]], None] * signs[row[owner]]
     values = _run_level(p, rules, ids[owner], part, freqs)
     # per piece, its value over the panel cells that take it or its
     # conjugate, summed onto its cell; then each cell takes its key's

@@ -1,6 +1,5 @@
 """End-to-end runs of the command line interface."""
 import contextlib
-import importlib.util
 import io
 import json
 import math
@@ -623,6 +622,18 @@ class TestIntegrateCommand:
                           "certificate,envelope")
         assert data.startswith("64.0,")
 
+    def test_single_frequency_is_the_one_point_grid(self, tmp_path):
+        # --lam X runs the sweep of the grid from X to X in one point: the
+        # same report bytes, config echo included, and the same CSV bytes
+        out, csv_path, written = tmp_path / "report.json", tmp_path / "sweep.csv", []
+        for flags in (["--lam", "64"], ["--lam-lo", "64", "--lam-hi", "64", "--lam-count", "1"]):
+            assert main(["integrate", "--phase", "x1*x2", *flags, "--out", str(out),
+                         "--csv", str(csv_path)]) == 0
+            written.append((out.read_bytes(), csv_path.read_bytes()))
+        assert written[0] == written[1]
+        config = json.loads(written[0][0])["config"]
+        assert (config["lam_lo"], config["lam_hi"], config["lam_count"]) == (64.0, 64.0, 1)
+
     @pytest.mark.parametrize("command", ["check", "integrate", "verify",
                                          "polyhedron", "dual", "exponent"])
     def test_coefficient_beyond_float_range(self, capsys, command):
@@ -800,10 +811,10 @@ class TestRefusedSamples:
     """A sample over the node budget reaches every consumer as a refused row."""
 
     @staticmethod
-    def budget(monkeypatch, node_budget, *target):
+    def budget(monkeypatch, node_budget, target):
         # the `lambda_sweep` at `target` runs with the node budget `node_budget`
         real, quad_cfg = oscint.lambda_sweep, oscint.QuadratureConfig(node_budget=node_budget)
-        monkeypatch.setattr(*target, lambda *a, **kw: real(*a, **kw, quad=quad_cfg))
+        monkeypatch.setattr(target, lambda *a, **kw: real(*a, **kw, quad=quad_cfg))
 
     def test_refused_rows_reach_every_consumer(self, tmp_path, capsys, monkeypatch):
         # x1*x2 over the orthant: lam 2896 and 4096 need more than 500,000
@@ -821,19 +832,6 @@ class TestRefusedSamples:
         cells = [line.split(",") for line in csv_path.read_text().splitlines()[1:]]
         assert [c[1:5] for c in cells[11:]] == [[""] * 4] * 2
         assert all("" not in c for c in cells[:11])
-        # the scripted sweep prints the refused samples without a magnitude
-        spec = importlib.util.spec_from_file_location(
-            "run_decay_sweep", Path(__file__).resolve().parent.parent / "scripts"
-            / "run_decay_sweep.py")
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        self.budget(monkeypatch, 500_000, script, "lambda_sweep")
-        monkeypatch.setattr("sys.argv", ["run_decay_sweep.py", "--phase", "x1*x2"])
-        script.main()
-        lines = capsys.readouterr().out.splitlines()
-        flagged = [line for line in lines if line.endswith("over budget")]
-        assert [float(line.split()[0]) for line in flagged] == [2896.3, 4096.0]
-        assert all(len(line.split()) == 4 for line in flagged)  # lam, envelope, flag
         # a refused sharpness box fails its witness, by lam.  verify's boxes
         # follow its 9 sweep rows in one `lambda_sweep` call; here they take
         # a budget of 1 node, and the sweep the default one

@@ -540,8 +540,19 @@ def random_sizing(seed, cells=600, d=3):
 
 
 def depths_of(p, f, chi, lams, quad=QuadratureConfig()):
-    """`_depths` of the rows at `lams`: their depths and which axes merge."""
-    return _depths([p.derivative(k).absolute() for k in range(p.dimension)], f, chi, lams, quad)
+    """`_depths` of the rows at `lams`, with test functions `f` and cutoffs
+    `chi` as `_evaluate` takes them: their depths and which axes merge."""
+    fs, chis = oscint._per_row(f, chi, len(lams))
+    return _depths([p.derivative(k).absolute() for k in range(p.dimension)],
+                   [(g, c.positive_orthant) for g, c in zip(fs, chis)], chis[0].levels, lams,
+                   quad)
+
+
+def reflections_of(p, fs, chi):
+    """`_reflections` of the rows of test functions `fs` under the cutoff
+    `chi`, keyed by test function."""
+    pairs = [(f, chi.positive_orthant) for f in fs]
+    return {f: subs for (f, _), subs in oscint._reflections(p, pairs).items()}
 
 
 def row_pieces(p, f, chi, lam, quad=QuadratureConfig()):
@@ -1878,15 +1889,16 @@ def ungrouped(monkeypatch):
     identity alone for its group, so every cell is its own orbit and no
     cell is cut into panel cells: `_evaluate` runs every cell of every
     orthant whole."""
-    def orthants(p, fs, chi):
+    def orthants(p, pairs):
         d, terms = p.dimension, sorted(p.terms)
-        sigmas = [(1,) * d] if chi.positive_orthant else list(product((1, -1), repeat=d))
         identity = ((tuple(range(d)), False),)
-        return {f: tuple((tuple(math.prod(s ** k for s, k in zip(sigma, a)) for a in terms),
-                          TestFunctionSpec.of(*(fac if s > 0 else FactorSpec(-fac.b, -fac.a)
-                                                for fac, s in zip(f.factors, sigma))),
-                          1, 0, identity) for sigma in sigmas)
-                for f in fs}
+        return {(f, orthant): tuple(
+                    (tuple(math.prod(s ** k for s, k in zip(sigma, a)) for a in terms),
+                     TestFunctionSpec.of(*(fac if s > 0 else FactorSpec(-fac.b, -fac.a)
+                                           for fac, s in zip(f.factors, sigma))),
+                     1, 0, identity)
+                    for sigma in ([(1,) * d] if orthant else product((1, -1), repeat=d)))
+                for f, orthant in pairs}
 
     monkeypatch.setattr(oscint, "_reflections", orthants)
 
@@ -2137,7 +2149,7 @@ class TestOrbits:
         self.assert_same(got, want)
         if kind != "asymmetric" and factors in ("ones", "even-boxes", "equal-boxes"):
             # the swap of x1 and x2 maps the phase to plus or minus itself
-            assert len(oscint._reflections(p, [f], chi)[f][0][4]) > 1
+            assert len(reflections_of(p, [f], chi)[f][0][4]) > 1
 
     @given(st.integers(0, 2 ** 16), st.sampled_from([2, 3]),
            st.sampled_from(["symmetric", "antisymmetric", "asymmetric"]),
@@ -2181,13 +2193,13 @@ class TestOrbits:
         self.assert_same(got, want)
         rep, conj, *_ = orbits[-1]  # the grouped run's
         assert conj.any() and (rep[conj] != np.flatnonzero(conj)).all()
-        (sub,) = oscint._reflections(p, [f], CHI_POS)[f]
+        (sub,) = reflections_of(p, [f], CHI_POS)[f]
         assert sub[4] == (((0, 1), False), ((1, 0), True))
         # over the full space the reflection of both axes negates the phase
         # and the swap negates it back: one sub-row of two plain copies,
         # whose integral is real; the reflections of one axis give the
         # swap-symmetric x1^2*x2 + x1*x2^2 and its negative
-        assert [sub[2:4] for sub in oscint._reflections(p, [f], CHI)[f]] == [(2, 0), (1, 1)]
+        assert [sub[2:4] for sub in reflections_of(p, [f], CHI)[f]] == [(2, 0), (1, 1)]
 
     @pytest.mark.parametrize("text, chi, group", [
         ("x1*x2", CHI_POS, 2),
@@ -2208,7 +2220,7 @@ class TestOrbits:
         # the group on every sub-row
         p = phase(text, 3 if "x3" in text else 2)
         f = TestFunctionSpec.ones(p.dimension)
-        subs = oscint._reflections(p, [f], chi)[f]
+        subs = reflections_of(p, [f], chi)[f]
         copies = {
             ("x1*x2", False): [(2, 2)],
             ("x1^2*x2^2 + x1^5*x2", False): [(2, 0), (2, 0)],
@@ -2229,7 +2241,7 @@ class TestOrbits:
         # swap: one sub-row of two plain copies, whose boxes differ below 0
         # and whose group keeps the swap
         f = TestFunctionSpec.boxes([(-0.4, 0.8), (-0.8, 0.4)])
-        subs = oscint._reflections(phase("x1*x2"), [f], CHI)[f]
+        subs = reflections_of(phase("x1*x2"), [f], CHI)[f]
         assert [sub[2:4] for sub in subs] == [(2, 0), (1, 0), (1, 0)]
         assert [len(sub[4]) for sub in subs] == [1, 2, 2]
 
@@ -2336,7 +2348,7 @@ class TestOrbits:
         # factor is even: their reflections merge in conjugate pairs
         p = phase("x1^3*x2 + x1*x2^2")
         fs = TestBatchedRows.FS
-        subs = oscint._reflections(p, fs, CHI)
+        subs = reflections_of(p, fs, CHI)
         assert [[sub[2:4] for sub in subs[f]] for f in fs] == [
             [(1, 0)] * 4, [(1, 1)] * 2, [(1, 1)] * 2, [(1, 0)] * 4, [(1, 1)] * 2]
         # a row's sub-rows are its distinct mirrored test functions

@@ -1,6 +1,6 @@
-"""Every script under scripts/ imports the library and prints its help,
-`scripts/report_digest.py` runs every job, and the names perfbench/ and
-__all__ promise exist in the library."""
+"""Every script under scripts/ imports the library, prints its help and is
+listed in the README, `scripts/report_digest.py` runs every job, and the
+names perfbench/ and __all__ promise exist in the library."""
 import ast
 import importlib
 import importlib.util
@@ -28,6 +28,15 @@ def test_help_runs(script):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_readme_lists_every_script():
+    # the README's "Experiment scripts" block names each script under
+    # scripts/ and no other
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Experiment scripts\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^python scripts/(\S+\.py)$", block, re.MULTILINE)
+    assert sorted(listed) == [script.name for script in SCRIPTS]
 
 
 def _perfbench_constant(script, name):
@@ -89,7 +98,8 @@ def test_report_digest_runs_every_job():
     # their arguments and returns, so a change to their signatures must
     # show here: one line per job, its digest and four integer columns
     # (kernel calls, evaluations, planned cells, kernel nodes) before its
-    # command, then the digest of all jobs and the package's size.  Every
+    # command, then the digest of all jobs and the sizes of the package and
+    # of scripts/.  Every
     # `integrate` and `verify` job reaches the quadrature
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "report_digest.py")],
@@ -103,7 +113,12 @@ def test_report_digest_runs_every_job():
         evaluations = int(line.split()[2])
         assert evaluations >= 1 if argv[0] in ("integrate", "verify") else evaluations == 0, line
     assert re.fullmatch(r"[0-9a-f]{64} all", lines[-2])
-    assert re.fullmatch(r"src/oscdecay: \d+ lines, \d+ code lines", lines[-1])
+    size = r"(\d+) lines, (\d+) code lines"
+    sizes = re.fullmatch(f"src/oscdecay: {size}; scripts: {size}", lines[-1])
+    assert sizes, lines[-1]
+    # the scripts' lines, as `wc -l` counts them, and fewer code lines
+    assert int(sizes[3]) == sum(script.read_text().count("\n") for script in SCRIPTS)
+    assert 0 < int(sizes[4]) < int(sizes[3])
 
 
 def test_calibration_refuses_a_row_without_p0(monkeypatch):
